@@ -24,9 +24,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .entropy import Distribution, EntropySpec, entropy_spec
+from .entropy import Z_FAMILIES, Distribution, EntropySpec, entropy_spec
 from .errors import GekError, InputError
-from .grouplog import GroupLogarithm, chi, eval_exp_G, eval_ln_G, group_function
+from .grouplog import GroupLogarithm, chi, eval_exp_G, eval_ln_G, group_family, group_function
 from .properties import (
     PropertyReport,
     check_composability,
@@ -46,11 +46,8 @@ from .quantum import (
     quantum_z_ab,
 )
 from .series import TruncatedSeries, group_law_from_G, reversion
-from .series import abel_exp_series, identity_series, kaniadakis_exp_series, tsallis_exp_series
 
 SCHEMA_VERSION = "1"
-
-_GROWTH_FAMILIES = ("renyi", "zq", "zk", "zab", "zg")
 
 
 def _fmt(x: float) -> str:
@@ -159,32 +156,6 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return buffer.getvalue()
-
-
-def _series_for_family(family: str, params: dict[str, Fraction], order: int) -> TruncatedSeries:
-    family = family.lower()
-    if family in ("id", "identity"):
-        return identity_series(order)
-    if family in ("tsallis", "multiplicative"):
-        if set(params) != {"q"}:
-            raise InputError("tsallis law takes exactly the parameter q")
-        return tsallis_exp_series(params["q"], order)
-    if family == "kaniadakis":
-        if set(params) != {"k"}:
-            raise InputError("kaniadakis law takes exactly the parameter k")
-        return kaniadakis_exp_series(params["k"], order)
-    if family == "abel":
-        if set(params) != {"a", "b"}:
-            raise InputError("abel law takes exactly the parameters a and b")
-        return abel_exp_series(params["a"], params["b"], order)
-    raise InputError(f"unknown group-law family {family!r}; choose id, tsallis, kaniadakis or abel")
-
-
-def _group_from_params(params: dict[str, float]):
-    gname = params.pop("g", None)
-    if gname is None:
-        raise InputError("missing g=<id|tsallis|kaniadakis|abel> in --params")
-    return group_function(str(gname), **params)
 
 
 @dataclass
@@ -310,6 +281,8 @@ def parse_args(argv) -> RunConfig:
         else:
             config.extras["spec"] = entropy_spec(config.family, config.params)
     elif command == "verify":
+        if args.trials < 1:
+            raise InputError("--trials must be at least 1")
         config.family = args.family
         config.params = _float_params(args.params)
         config.trials = args.trials
@@ -325,9 +298,9 @@ def parse_args(argv) -> RunConfig:
     elif command == "grouplaw expand":
         if args.order < 1:
             raise InputError("order must be at least 1")
-        params = _fraction_params(args.params)
+        family = group_family(args.family)
         config.family = args.family
-        config.extras["series"] = _series_for_family(args.family, params, args.order)
+        config.extras["series"] = family.carrier(*family.values(_fraction_params(args.params)), args.order)
         config.extras["order"] = args.order
     elif command in ("log eval", "exp eval"):
         params = _float_params(args.params)
@@ -396,9 +369,9 @@ def _parse_sweep(text: str) -> tuple[str, list[float]]:
 
 def _growth_spec(family: str, params: dict) -> EntropySpec:
     spec = entropy_spec(family, params)
-    if spec.family not in _GROWTH_FAMILIES and spec.family != "tsallis_aq":
+    if spec.family not in Z_FAMILIES and spec.family != "tsallis_aq":
         raise InputError(
-            f"extensivity is supported for {_GROWTH_FAMILIES + ('tsallis_aq',)}, not {family!r}"
+            f"extensivity is supported for {Z_FAMILIES + ('tsallis_aq',)}, not {family!r}"
         )
     return spec
 
@@ -503,7 +476,7 @@ def _handle_verify(config: RunConfig) -> tuple[int, str]:
     if suite in ("schur", "all"):
         reports.extend(check_schur_concavity(spec, config.trials, config.seed))
     if suite == "extensivity" or (
-        suite == "all" and (spec.family in _GROWTH_FAMILIES or spec.family == "tsallis_aq")
+        suite == "all" and (spec.family in Z_FAMILIES or spec.family == "tsallis_aq")
     ):
         reports.extend(_extensivity_reports(spec, config.extras["lam"], config.tol, config.seed))
     all_passed = all(r.passed for r in reports)

@@ -17,7 +17,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import InputError, ParameterError
-from .grouplog import AbelGroup, GroupFunction, IdentityGroup, group_function
+from .grouplog import GroupFunction, check_params, group_family, group_function
 
 SUM_TOLERANCE = 1e-12
 
@@ -109,20 +109,17 @@ def _boltzmann_raw(arr: np.ndarray) -> float:
 
 def renyi(alpha: float, p: Distribution) -> float:
     """ln(sum_i p_i^alpha)/(1 - alpha)."""
-    _check_alpha(alpha)
-    return math.log(power_sum(p, alpha)) / (1.0 - alpha)
+    return entropy_spec("renyi", {"alpha": alpha}).value(p)
 
 
 def z_entropy(g: GroupFunction, alpha: float, p: Distribution) -> float:
     """The group entropy G(ln sum_i p_i^alpha)/(1 - alpha)."""
-    _check_alpha(alpha)
-    return g.eval(math.log(power_sum(p, alpha))) / (1.0 - alpha)
+    return EntropySpec("zg", {"alpha": alpha}, g).value(p)
 
 
 def alt_z_entropy(g: GroupFunction, alpha: float, p: Distribution) -> float:
     """The companion form G(ln(sum_i p_i^alpha)/(1 - alpha)): G applied after the quotient."""
-    _check_alpha(alpha)
-    return g.eval(renyi(alpha, p))
+    return EntropySpec("altz", {"alpha": alpha}, g).value(p)
 
 
 def tsallis_aq(a: float, q: float, p: Distribution) -> float:
@@ -165,75 +162,47 @@ def _landsberg_vedral_raw(q: float, arr: np.ndarray) -> float:
 
 def z_q_alpha(q: float, alpha: float, p: Distribution) -> float:
     """The deformed-logarithm member: ln_q(sum_i p_i^alpha)/(1 - alpha)."""
-    _check_alpha(alpha)
-    if q <= 0:
-        raise ParameterError("requires q > 0")
-    if q == 1:
-        raise ParameterError("q = 1 degenerates to the additive member; use renyi")
-    return _z_q_alpha_raw(q, alpha, p.p)
-
-
-def _z_q_alpha_raw(q: float, alpha: float, arr: np.ndarray) -> float:
-    s = _power_sum_raw(arr, alpha)
-    return (s ** (1.0 - q) - 1.0) / ((1.0 - q) * (1.0 - alpha))
+    return entropy_spec("zq", {"q": q, "alpha": alpha}).value(p)
 
 
 def z_k_alpha(k: float, alpha: float, p: Distribution) -> float:
     """The deformed-sum member: ((sum p^alpha)^k - (sum p^alpha)^-k)/(2k(1 - alpha))."""
-    _check_alpha(alpha)
-    if not -1.0 < k < 1.0:
-        raise ParameterError("requires -1 < k < 1")
-    if k == 0:
-        raise ParameterError("k = 0 degenerates to the additive member; use renyi")
-    return _z_k_alpha_raw(k, alpha, p.p)
-
-
-def _z_k_alpha_raw(k: float, alpha: float, arr: np.ndarray) -> float:
-    s = _power_sum_raw(arr, alpha)
-    return (s**k - s**-k) / (2.0 * k * (1.0 - alpha))
+    return entropy_spec("zk", {"k": k, "alpha": alpha}).value(p)
 
 
 def z_ab(a: float, b: float, alpha: float, p: Distribution) -> float:
     """The two-exponent member: ((sum p^alpha)^a - (sum p^alpha)^b)/((a-b)(1 - alpha))."""
-    _check_alpha(alpha)
-    _validate_ab(a, b)
-    return _z_ab_raw(a, b, alpha, p.p)
-
-
-def _validate_ab(a: float, b: float) -> None:
-    if a == b:
-        raise ParameterError("requires a != b")
-    if max(a, b) <= 0:
-        raise ParameterError("requires a > 0 or b > 0")
-
-
-def _z_ab_raw(a: float, b: float, alpha: float, arr: np.ndarray) -> float:
-    s = _power_sum_raw(arr, alpha)
-    return (s**a - s**b) / ((a - b) * (1.0 - alpha))
+    return entropy_spec("zab", {"a": a, "b": b, "alpha": alpha}).value(p)
 
 
 def composition_phi(g: GroupFunction, alpha: float, x: float, y: float) -> float:
     """The composition law of the group entropy of order alpha for G."""
     _check_alpha(alpha)
-    c = 1.0 - alpha
-    return g.chi(c * x, c * y) / c
+    return g.chi_scaled(1.0 - alpha, x, y)
 
+
+# renyi, zq, zk and zab are zg with a fixed G family.  The second entry names
+# the parameters the alias itself requires to be positive: zq needs q > 0,
+# while zg with g=tsallis takes any q != 1.
+_Z_ALIASES = {
+    "renyi": ("id", ()),
+    "zq": ("tsallis", ("q",)),
+    "zk": ("kaniadakis", ()),
+    "zab": ("abel", ()),
+}
 
 _FAMILY_PARAMS = {
     "boltzmann": (),
-    "renyi": ("alpha",),
     "tsallis_aq": ("a", "q"),
     "landsberg_vedral": ("q",),
-    "zq": ("q", "alpha"),
-    "zk": ("k", "alpha"),
-    "zab": ("a", "b", "alpha"),
     "zg": ("alpha",),  # plus a group function
     "altz": ("alpha",),  # plus a group function
     "control": (),
+    **{name: group_family(g).params + ("alpha",) for name, (g, _) in _Z_ALIASES.items()},
 }
 
 _GROUP_FAMILIES = ("zg", "altz")
-Z_FAMILIES = ("renyi", "zq", "zk", "zab", "zg")
+Z_FAMILIES = (*_Z_ALIASES, "zg")
 
 
 @dataclass(frozen=True)
@@ -242,7 +211,8 @@ class EntropySpec:
 
     Bundles the functional itself, the two-argument law it satisfies on
     products, closed-form values on uniform distributions, and a raw
-    (validation-free) evaluation used by derivative-based checks.
+    (validation-free) evaluation used by derivative-based checks.  Every
+    Z-family (Z_FAMILIES) carries its group function G in ``group``.
     """
 
     family: str
@@ -254,31 +224,24 @@ class EntropySpec:
             raise ParameterError(
                 f"unknown entropy family {self.family!r}; choose from {sorted(_FAMILY_PARAMS)}"
             )
-        wanted = _FAMILY_PARAMS[self.family]
-        missing = [w for w in wanted if w not in self.params]
-        extra = [k for k in self.params if k not in wanted]
-        if missing or extra:
-            raise ParameterError(
-                f"family {self.family} takes parameters {wanted}; missing {missing}, unknown {extra}"
-            )
-        if self.family in _GROUP_FAMILIES and self.group is None:
-            raise ParameterError(f"family {self.family} needs a group function")
+        check_params(f"family {self.family}", _FAMILY_PARAMS[self.family], self.params)
         # run the per-family validators once, so bad parameters fail at build time
         p = self.params
-        if "alpha" in wanted:
+        if "alpha" in p:
             _check_alpha(p["alpha"])
-        if self.family == "tsallis_aq":
+        if self.family in _Z_ALIASES:
+            gname, positive = _Z_ALIASES[self.family]
+            for name in positive:
+                if p[name] <= 0:
+                    raise ParameterError(f"family {self.family} requires {name} > 0")
+            gparams = {k: v for k, v in p.items() if k != "alpha"}
+            object.__setattr__(self, "group", group_function(gname, **gparams))
+        elif self.family in _GROUP_FAMILIES and self.group is None:
+            raise ParameterError(f"family {self.family} needs a group function")
+        elif self.family == "tsallis_aq":
             _validate_tsallis_aq(p["a"], p["q"])
         elif self.family == "landsberg_vedral":
             _validate_lv(p["q"])
-        elif self.family == "zq":
-            if p["q"] <= 0 or p["q"] == 1:
-                raise ParameterError("requires q > 0, q != 1")
-        elif self.family == "zk":
-            if not -1.0 < p["k"] < 1.0 or p["k"] == 0:
-                raise ParameterError("requires -1 < k < 1, k != 0")
-        elif self.family == "zab":
-            _validate_ab(p["a"], p["b"])
 
     @property
     def alpha(self) -> float | None:
@@ -306,22 +269,14 @@ class EntropySpec:
 
     def _evaluate(self, arr: np.ndarray) -> float:
         f, p = self.family, self.params
+        if f in Z_FAMILIES:
+            return self.group.eval(math.log(_power_sum_raw(arr, p["alpha"]))) / (1.0 - p["alpha"])
         if f == "boltzmann":
             return _boltzmann_raw(arr)
-        if f == "renyi":
-            return math.log(_power_sum_raw(arr, p["alpha"])) / (1.0 - p["alpha"])
         if f == "tsallis_aq":
             return _tsallis_aq_raw(p["a"], p["q"], arr)
         if f == "landsberg_vedral":
             return _landsberg_vedral_raw(p["q"], arr)
-        if f == "zq":
-            return _z_q_alpha_raw(p["q"], p["alpha"], arr)
-        if f == "zk":
-            return _z_k_alpha_raw(p["k"], p["alpha"], arr)
-        if f == "zab":
-            return _z_ab_raw(p["a"], p["b"], p["alpha"], arr)
-        if f == "zg":
-            return self.group.eval(math.log(_power_sum_raw(arr, p["alpha"]))) / (1.0 - p["alpha"])
         if f == "altz":
             return self.group.eval(math.log(_power_sum_raw(arr, p["alpha"])) / (1.0 - p["alpha"]))
         if f == "control":
@@ -333,21 +288,14 @@ class EntropySpec:
     def phi(self, x: float, y: float) -> float:
         """The composition law paired with this family."""
         f, p = self.family, self.params
-        if f in ("boltzmann", "renyi", "control"):
+        if f in Z_FAMILIES:
+            return composition_phi(self.group, p["alpha"], x, y)
+        if f in ("boltzmann", "control"):
             return x + y
         if f == "tsallis_aq":
             return x + y + (1.0 - p["q"]) * x * y
         if f == "landsberg_vedral":
             return x + y + (p["q"] - 1.0) * x * y
-        if f == "zq":
-            return x + y + (1.0 - p["alpha"]) * (1.0 - p["q"]) * x * y
-        if f == "zk":
-            c = p["k"] * (1.0 - p["alpha"])
-            return x * math.sqrt(1.0 + c * c * y * y) + y * math.sqrt(1.0 + c * c * x * x)
-        if f == "zab":
-            return composition_phi(AbelGroup(p["a"], p["b"]), p["alpha"], x, y)
-        if f == "zg":
-            return composition_phi(self.group, p["alpha"], x, y)
         if f == "altz":
             return self.group.chi(x, y)
         raise AssertionError(f)
@@ -358,7 +306,9 @@ class EntropySpec:
         Works far beyond representable W, which extensivity checks need.
         """
         f, p = self.family, self.params
-        if f in ("boltzmann", "renyi"):
+        if f in Z_FAMILIES:
+            return self.group.eval_scaled(1.0 - p["alpha"], ln_w)
+        if f == "boltzmann":
             return ln_w
         if f == "tsallis_aq":
             a, q = p["a"], p["q"]
@@ -366,18 +316,6 @@ class EntropySpec:
         if f == "landsberg_vedral":
             q = p["q"]
             return math.expm1((q - 1.0) * ln_w) / (q - 1.0)
-        if f == "zq":
-            c = (1.0 - p["q"]) * (1.0 - p["alpha"])
-            return math.expm1(c * ln_w) / c
-        if f == "zk":
-            c = p["k"] * (1.0 - p["alpha"])
-            return math.sinh(c * ln_w) / c
-        if f == "zab":
-            a, b, alpha = p["a"], p["b"], p["alpha"]
-            c = 1.0 - alpha
-            return (math.exp(a * c * ln_w) - math.exp(b * c * ln_w)) / ((a - b) * c)
-        if f == "zg":
-            return self.group.eval((1.0 - p["alpha"]) * ln_w) / (1.0 - p["alpha"])
         if f == "altz":
             return self.group.eval(ln_w)
         if f == "control":
@@ -409,6 +347,6 @@ def entropy_spec(family: str, params: Mapping[str, float] | None = None) -> Entr
         gname = params.pop("g", None)
         if gname is None:
             raise ParameterError(f"family {family} needs g=<id|tsallis|kaniadakis|abel>")
-        gparams = {k: params.pop(k) for k in ("q", "k", "a", "b") if k in params}
+        gparams = {k: params.pop(k) for k in group_family(str(gname)).params if k in params}
         group = group_function(str(gname), **gparams)
     return EntropySpec(family, params, group)

@@ -9,12 +9,19 @@ chi(x, y) = G(G^-1(x) + G^-1(y)) that ln_G obeys on products.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, Mapping
 
 from scipy.optimize import brentq
 
 from .errors import ConvergenceError, DomainError, ParameterError, RangeError
-from .series import TruncatedSeries
+from .series import (
+    TruncatedSeries,
+    abel_exp_series,
+    identity_series,
+    kaniadakis_exp_series,
+    tsallis_exp_series,
+)
 
 _Q_LIMIT_CUTOFF = 1e-9  # below this |1 - q| the multiplicative family is evaluated in the q -> 1 limit
 
@@ -109,6 +116,14 @@ class GroupFunction:
         """The group law G(G^-1(x) + G^-1(y)); overridden where a closed form exists."""
         return self.eval(self.inverse(x) + self.inverse(y))
 
+    def eval_scaled(self, c: float, t: float) -> float:
+        """G(c t)/c: the G of the group entropy of order alpha = 1 - c."""
+        return self.eval(c * t) / c
+
+    def chi_scaled(self, c: float, x: float, y: float) -> float:
+        """chi(c x, c y)/c: the group law of G(c t)/c."""
+        return self.chi(c * x, c * y) / c
+
     def describe(self) -> str:
         inner = ", ".join(f"{k}={v}" for k, v in self.params().items())
         return f"{self.name}({inner})" if inner else self.name
@@ -129,6 +144,13 @@ class IdentityGroup(GroupFunction):
         return s
 
     def chi(self, x: float, y: float) -> float:
+        return x + y
+
+    # exact: scaling by c and dividing by c again would round
+    def eval_scaled(self, c: float, t: float) -> float:
+        return t
+
+    def chi_scaled(self, c: float, x: float, y: float) -> float:
         return x + y
 
 
@@ -290,27 +312,59 @@ def _horner(coeffs: list[float], t: float) -> float:
     return acc
 
 
-_FAMILIES = {
-    "id": (IdentityGroup, ()),
-    "identity": (IdentityGroup, ()),
-    "tsallis": (MultiplicativeGroup, ("q",)),
-    "multiplicative": (MultiplicativeGroup, ("q",)),
-    "kaniadakis": (KaniadakisGroup, ("k",)),
-    "abel": (AbelGroup, ("a", "b")),
-}
+@dataclass(frozen=True)
+class GroupFamily:
+    """One family of group functions G: its names, parameter names, float G and exact carrier.
+
+    ``build`` constructs and validates the float G, and ``carrier`` the exact
+    truncated series of G, both from the parameters in ``params`` order
+    (``carrier`` takes the series order as one more argument).
+    """
+
+    name: str
+    aliases: tuple[str, ...]
+    params: tuple[str, ...]
+    build: Callable[..., GroupFunction]
+    carrier: Callable[..., TruncatedSeries]
+
+    def values(self, params: Mapping) -> tuple:
+        """The parameter values in ``params`` order, after ``check_params``."""
+        check_params(self.name, self.params, params)
+        return tuple(params[w] for w in self.params)
+
+
+_REGISTRY = (
+    GroupFamily("id", ("identity",), (), IdentityGroup, identity_series),
+    GroupFamily("tsallis", ("multiplicative",), ("q",), MultiplicativeGroup, tsallis_exp_series),
+    GroupFamily("kaniadakis", (), ("k",), KaniadakisGroup, kaniadakis_exp_series),
+    GroupFamily("abel", (), ("a", "b"), AbelGroup, abel_exp_series),
+)
+_BY_NAME = {name: family for family in _REGISTRY for name in (family.name, *family.aliases)}
+
+
+def check_params(owner: str, wanted: tuple[str, ...], params: Mapping) -> None:
+    """Reject missing, unknown and non-finite parameters."""
+    missing = [w for w in wanted if w not in params]
+    extra = [p for p in params if p not in wanted]
+    if missing or extra:
+        raise ParameterError(f"{owner} expects parameters {wanted}; missing {missing}, unknown {extra}")
+    bad = [k for k, v in params.items() if isinstance(v, float) and not math.isfinite(v)]
+    if bad:
+        raise ParameterError(f"{owner}: parameters {bad} must be finite")
+
+
+def group_family(name: str) -> GroupFamily:
+    """Look up a group family by its name or an alias."""
+    family = _BY_NAME.get(name.lower())
+    if family is None:
+        raise ParameterError(f"unknown group function {name!r}; choose from {sorted(_BY_NAME)}")
+    return family
 
 
 def group_function(name: str, **params) -> GroupFunction:
     """Construct a named closed-form group function, validating its parameters."""
-    key = name.lower()
-    if key not in _FAMILIES:
-        raise ParameterError(f"unknown group function {name!r}; choose from {sorted(set(_FAMILIES))}")
-    cls, wanted = _FAMILIES[key]
-    missing = [w for w in wanted if w not in params]
-    extra = [p for p in params if p not in wanted]
-    if missing or extra:
-        raise ParameterError(f"{name} expects parameters {wanted}; missing {missing}, unknown {extra}")
-    return cls(**{w: params[w] for w in wanted})
+    family = group_family(name)
+    return family.build(*family.values(params))
 
 
 @dataclass(frozen=True)

@@ -381,22 +381,6 @@ class GrowthLaw:
         return f"W(N) = exp_G({1 - self.alpha} * {self.lam} * N)^(1/{1 - self.alpha})"
 
 
-def _spec_group(spec: EntropySpec) -> GroupFunction:
-    from .grouplog import AbelGroup, KaniadakisGroup, MultiplicativeGroup
-
-    if spec.family == "renyi":
-        return IdentityGroup()
-    if spec.family == "zq":
-        return MultiplicativeGroup(spec.params["q"])
-    if spec.family == "zk":
-        return KaniadakisGroup(spec.params["k"])
-    if spec.family == "zab":
-        return AbelGroup(spec.params["a"], spec.params["b"])
-    if spec.family in ("zg", "altz"):
-        return spec.group
-    raise ParameterError(f"family {spec.family} has no group exponential to solve a growth law with")
-
-
 def solve_growth_law(spec: EntropySpec, lam: float, horizon: float = 1e4) -> GrowthLaw:
     """Solve S(uniform over W(N)) ~ lam * N for W(N) through the group exponential.
 
@@ -406,11 +390,11 @@ def solve_growth_law(spec: EntropySpec, lam: float, horizon: float = 1e4) -> Gro
     """
     if lam <= 0:
         raise ParameterError("the extensivity constant must be positive")
-    g = _spec_group(spec)
-    if spec.family == "renyi" or isinstance(g, IdentityGroup):
-        law = GrowthLaw(kind="exponential", lam=lam, alpha=spec.alpha, group=g)
-    else:
-        law = GrowthLaw(kind="group", lam=lam, alpha=spec.alpha, group=g)
+    g = spec.group
+    if g is None:
+        raise ParameterError(f"family {spec.family} has no group exponential to solve a growth law with")
+    kind = "exponential" if isinstance(g, IdentityGroup) else "group"
+    law = GrowthLaw(kind=kind, lam=lam, alpha=spec.alpha, group=g)
 
     samples = np.unique(np.round(np.logspace(0, math.log10(horizon), 25)).astype(int))
     values = []

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .entropy import EntropySpec, _power_sum_raw, entropy_spec
 from .errors import DomainError, InputError, ParameterError
 
 EIGENVALUE_CLAMP = 1e-12
@@ -72,40 +73,22 @@ def eigenvalues(rho: DensityMatrix) -> np.ndarray:
 
 def trace_power(rho: DensityMatrix, alpha: float) -> float:
     """tr rho^alpha over the clamped spectrum, with 0^alpha = 0."""
-    if alpha <= 0:
-        raise ParameterError("trace powers are defined for positive exponents only")
-    lam = rho.spectrum[rho.spectrum > 0]
-    return float(np.sum(lam**alpha))
-
-
-def _check_alpha(alpha: float) -> None:
-    if alpha <= 0:
-        raise ParameterError("alpha must be positive")
-    if alpha == 1:
-        raise ParameterError("alpha = 1 is excluded; use the von Neumann entropy for the limit")
+    return _power_sum_raw(rho.spectrum, alpha)
 
 
 def quantum_z_entropy(g, alpha: float, rho: DensityMatrix) -> float:
     """The group entropy G(ln tr rho^alpha)/(1 - alpha) of the spectrum."""
-    _check_alpha(alpha)
-    return g.eval(math.log(trace_power(rho, alpha))) / (1.0 - alpha)
+    return EntropySpec("zg", {"alpha": alpha}, g).raw_value(rho.spectrum)
 
 
 def von_neumann(rho: DensityMatrix) -> float:
     """-tr rho ln rho with 0 ln 0 = 0."""
-    lam = rho.spectrum[rho.spectrum > 0]
-    return float(-np.sum(lam * np.log(lam)))
+    return entropy_spec("boltzmann").raw_value(rho.spectrum)
 
 
 def quantum_z_ab(a: float, b: float, alpha: float, rho: DensityMatrix) -> float:
     """((tr rho^alpha)^a - (tr rho^alpha)^b)/((a - b)(1 - alpha))."""
-    _check_alpha(alpha)
-    if a == b:
-        raise ParameterError("requires a != b")
-    if max(a, b) <= 0:
-        raise ParameterError("requires a > 0 or b > 0")
-    s = trace_power(rho, alpha)
-    return (s**a - s**b) / ((a - b) * (1.0 - alpha))
+    return entropy_spec("zab", {"a": a, "b": b, "alpha": alpha}).raw_value(rho.spectrum)
 
 
 # Desk-scale exactness bounds for the symmetric-state machinery.

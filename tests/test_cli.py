@@ -58,10 +58,21 @@ class TestEntropyEval:
         code, text = invoke(["entropy", "eval", "--family", "boltzmann", "--dist", str(dist)], tmp_path)
         assert float(text) == pytest.approx(1.5 * math.log(2), rel=1e-14)
 
-    def test_alpha_one_rejected_at_parse_time(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["entropy", "eval", "--family", "renyi", "--params", "alpha=1", "--dist", "u4"])
-        assert exc.value.code == 2
+    def test_alpha_one_rejected_at_parse_time(self, capsys):
+        for argv in (
+            ["entropy", "eval", "--family", "renyi", "--params", "alpha=1", "--dist", "u4"],
+            # non-finite parameters and --trials below 1 are bad input too
+            ["verify", "--family", "renyi", "--params", "alpha=nan", "--suite", "composability", "--trials", "20"],
+            ["verify", "--family", "zk", "--params", "k=0.3,alpha=inf", "--trials", "20"],
+            ["entropy", "eval", "--family", "zg", "--params", "g=abel,a=nan,b=-0.2,alpha=0.5", "--dist", "u4"],
+            ["chi", "eval", "--family", "tsallis", "--params", "q=inf", "--x", "1", "--y", "1"],
+            ["verify", "--family", "renyi", "--params", "alpha=0.5", "--trials", "0"],
+            ["verify", "--family", "renyi", "--params", "alpha=0.5", "--trials", "-5"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+            assert capsys.readouterr().out == "", argv
 
     def test_unknown_parameter_key_rejected(self):
         with pytest.raises(SystemExit) as exc:

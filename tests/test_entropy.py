@@ -326,6 +326,28 @@ class TestEntropySpec:
         assert spec.value(p) == pytest.approx(z_entropy(KaniadakisGroup(0.4), 0.3, p), abs=1e-14)
         alt = entropy_spec("altz", {"g": "tsallis", "q": 0.5, "alpha": 0.3})
         assert alt.value(p) == pytest.approx(alt_z_entropy(MultiplicativeGroup(0.5), 0.3, p), abs=1e-14)
+        # every Z-family alias is zg with its G, exactly
+        aliases = [
+            ("renyi", {}, "id"),
+            ("zq", {"q": 0.7}, "tsallis"),
+            ("zq", {"q": 2.5}, "tsallis"),
+            ("zk", {"k": -0.45}, "kaniadakis"),
+            ("zab", {"a": 0.3, "b": -0.2}, "abel"),
+            ("zab", {"a": 0.9, "b": 0.4}, "abel"),
+        ]
+        rng = np.random.default_rng(8)
+        for family, gparams, g in aliases:
+            for alpha in (0.3, 0.5, 0.85, 1.7):
+                alias = entropy_spec(family, {**gparams, "alpha": alpha})
+                zg = entropy_spec("zg", {"g": g, **gparams, "alpha": alpha})
+                for w in (1, 3, 6):
+                    p = Distribution(rng.dirichlet(np.ones(w)))
+                    assert alias.value(p) == zg.value(p), (family, alpha, p)
+                # kept small so that abel with a, b > 0 stays inside its range at alpha > 1
+                for x, y in rng.uniform(0.0, 0.5, size=(5, 2)):
+                    assert alias.phi(x, y) == zg.phi(x, y), (family, alpha, x, y)
+                for ln_w in (0.0, 0.7, 2.0):
+                    assert alias.uniform_value_log(ln_w) == zg.uniform_value_log(ln_w), (family, alpha, ln_w)
 
     def test_uniform_closed_forms_match_direct_evaluation(self):
         for family in ("renyi", "zq", "zk", "zab", "tsallis_aq", "landsberg_vedral"):
@@ -355,6 +377,15 @@ class TestEntropySpec:
             entropy_spec("zg", {"alpha": 0.5})
         with pytest.raises(ParameterError):
             entropy_spec("zk", {"k": 1.5, "alpha": 0.5})
+        with pytest.raises(ParameterError):
+            entropy_spec("renyi", {"alpha": math.nan})
+        with pytest.raises(ParameterError):
+            entropy_spec("zk", {"k": 0.3, "alpha": math.inf})
+        with pytest.raises(ParameterError):
+            entropy_spec("zg", {"g": "tsallis", "q": -math.inf, "alpha": 0.5})
+        with pytest.raises(ParameterError):
+            entropy_spec("zq", {"q": -0.5, "alpha": 0.5})  # zq alone requires q > 0
+        entropy_spec("zg", {"g": "tsallis", "q": -0.5, "alpha": 0.5})
 
     def test_nonnegative_on_valid_distributions(self):
         for family in list(Z_FAMILIES[:-1]) + ["tsallis_aq", "landsberg_vedral"]:
