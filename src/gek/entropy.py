@@ -329,7 +329,7 @@ class EntropySpec:
 
     def describe(self) -> str:
         parts = [f"{k}={v}" for k, v in sorted(self.params.items())]
-        if self.group is not None:
+        if self.family in _GROUP_FAMILIES:
             parts.append(f"g={self.group.describe()}")
         return f"{self.family}({', '.join(parts)})"
 

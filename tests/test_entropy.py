@@ -346,7 +346,7 @@ class TestEntropySpec:
                 # kept small so that abel with a, b > 0 stays inside its range at alpha > 1
                 for x, y in rng.uniform(0.0, 0.5, size=(5, 2)):
                     assert alias.phi(x, y) == zg.phi(x, y), (family, alpha, x, y)
-                for ln_w in (0.0, 0.7, 2.0):
+                for ln_w in (0.0, *rng.uniform(0.0, 2.0, size=6)):
                     assert alias.uniform_value_log(ln_w) == zg.uniform_value_log(ln_w), (family, alpha, ln_w)
 
     def test_uniform_closed_forms_match_direct_evaluation(self):
