@@ -190,6 +190,9 @@ _Z_ALIASES = {
     "zk": ("kaniadakis", ()),
     "zab": ("abel", ()),
 }
+# zab's value is its formula at every argument; zg with g=abel evaluates G on
+# its increasing domain only.  Both compose by abel G's law.
+_FORMULA_ALIASES = frozenset({"zab"})
 
 _FAMILY_PARAMS = {
     "boltzmann": (),
@@ -270,7 +273,8 @@ class EntropySpec:
     def _evaluate(self, arr: np.ndarray) -> float:
         f, p = self.family, self.params
         if f in Z_FAMILIES:
-            return self.group.eval(math.log(_power_sum_raw(arr, p["alpha"]))) / (1.0 - p["alpha"])
+            g = self.group.formula if f in _FORMULA_ALIASES else self.group.eval
+            return g(math.log(_power_sum_raw(arr, p["alpha"]))) / (1.0 - p["alpha"])
         if f == "boltzmann":
             return _boltzmann_raw(arr)
         if f == "tsallis_aq":
@@ -307,7 +311,10 @@ class EntropySpec:
         """
         f, p = self.family, self.params
         if f in Z_FAMILIES:
-            return self.group.eval_scaled(1.0 - p["alpha"], ln_w)
+            c = 1.0 - p["alpha"]
+            if f in _FORMULA_ALIASES:
+                return self.group.formula(c * ln_w) / c
+            return self.group.eval_scaled(c, ln_w)
         if f == "boltzmann":
             return ln_w
         if f == "tsallis_aq":

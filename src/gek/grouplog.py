@@ -47,6 +47,10 @@ class GroupFunction:
     def params(self) -> dict:
         return {}
 
+    def formula(self, t: float) -> float:
+        """G's defining expression at t, also where ``eval`` refuses t as outside the increasing domain."""
+        return self.eval(t)
+
     def _check_domain(self, t: float) -> None:
         if t <= self.domain_min:
             raise DomainError(
@@ -243,19 +247,19 @@ class AbelGroup(GroupFunction):
         hi, lo = max(self.a, self.b), min(self.a, self.b)
         if lo > 0:
             self.domain_min = math.log(lo / hi) / (hi - lo)
-            self.range_min = self._eval_unchecked(self.domain_min)
+            self.range_min = self.formula(self.domain_min)
         elif lo == 0:
             self.range_min = -1.0 / hi
 
     def params(self) -> dict:
         return {"a": self.a, "b": self.b}
 
-    def _eval_unchecked(self, t: float) -> float:
+    def formula(self, t: float) -> float:
         return (math.exp(self.a * t) - math.exp(self.b * t)) / (self.a - self.b)
 
     def eval(self, t: float) -> float:
         self._check_domain(t)
-        return self._eval_unchecked(t)
+        return self.formula(t)
 
     def deriv(self, t: float) -> float:
         return (self.a * math.exp(self.a * t) - self.b * math.exp(self.b * t)) / (self.a - self.b)

@@ -23,7 +23,7 @@ from gek.entropy import (
     z_k_alpha,
     z_q_alpha,
 )
-from gek.errors import InputError, ParameterError
+from gek.errors import DomainError, InputError, ParameterError
 from gek.grouplog import AbelGroup, IdentityGroup, KaniadakisGroup, MultiplicativeGroup
 
 RNG = np.random.default_rng(42)
@@ -348,6 +348,16 @@ class TestEntropySpec:
                     assert alias.phi(x, y) == zg.phi(x, y), (family, alpha, x, y)
                 for ln_w in (0.0, *rng.uniform(0.0, 2.0, size=6)):
                     assert alias.uniform_value_log(ln_w) == zg.uniform_value_log(ln_w), (family, alpha, ln_w)
+        # zab is its formula at every argument; zg with g=abel stops at G's increasing domain
+        zab = entropy_spec("zab", {"a": 2.0, "b": 1.0, "alpha": 2.0})
+        zg = entropy_spec("zg", {"g": "abel", "a": 2.0, "b": 1.0, "alpha": 2.0})
+        u4 = Distribution.uniform(4)
+        assert zab.value(u4) == pytest.approx(0.1875, rel=1e-15)  # (4^-2 - 4^-1)/((2 - 1)(1 - 2))
+        assert zab.uniform_value_log(math.log(4)) == pytest.approx(0.1875, rel=1e-15)
+        with pytest.raises(DomainError):
+            zg.value(u4)
+        with pytest.raises(DomainError):
+            zg.uniform_value_log(math.log(4))
 
     def test_uniform_closed_forms_match_direct_evaluation(self):
         for family in ("renyi", "zq", "zk", "zab", "tsallis_aq", "landsberg_vedral"):
