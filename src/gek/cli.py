@@ -150,6 +150,17 @@ def _load_density_matrix(path: str) -> DensityMatrix:
     return DensityMatrix(np.array(rows))
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for float options: nan and inf are bad input (exit 2), never a silent pass."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _csv_text(header: list[str], rows: list[list[str]]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -198,8 +209,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", default="all", choices=["composability", "sk", "schur", "extensivity", "all"])
     p_verify.add_argument("--trials", type=int, default=1000)
     p_verify.add_argument("--seed", type=int, default=None)
-    p_verify.add_argument("--tol", type=float, default=1e-10)
-    p_verify.add_argument("--lam", type=float, default=1.0, help="extensivity rate constant")
+    p_verify.add_argument("--tol", type=_finite_float, default=1e-10)
+    p_verify.add_argument("--lam", type=_finite_float, default=1.0, help="extensivity rate constant")
     add_common(p_verify)
 
     p_series = sub.add_parser("series", help="exact series tools")
@@ -221,24 +232,24 @@ def _build_parser() -> argparse.ArgumentParser:
         fn_sub = p_fn.add_subparsers(dest="action", required=True)
         p_fn_eval = fn_sub.add_parser("eval")
         p_fn_eval.add_argument("--family", required=True, help="id, tsallis, kaniadakis or abel")
-        p_fn_eval.add_argument("--x", type=float, required=True)
-        p_fn_eval.add_argument("--gamma", type=float, default=1.0)
+        p_fn_eval.add_argument("--x", type=_finite_float, required=True)
+        p_fn_eval.add_argument("--gamma", type=_finite_float, default=1.0)
         add_common(p_fn_eval)
 
     p_chi = sub.add_parser("chi", help="evaluate the two-argument group law")
     chi_sub = p_chi.add_subparsers(dest="action", required=True)
     p_chi_eval = chi_sub.add_parser("eval")
     p_chi_eval.add_argument("--family", required=True)
-    p_chi_eval.add_argument("--x", type=float, required=True)
-    p_chi_eval.add_argument("--y", type=float, required=True)
+    p_chi_eval.add_argument("--x", type=_finite_float, required=True)
+    p_chi_eval.add_argument("--y", type=_finite_float, required=True)
     add_common(p_chi_eval)
 
     p_ext = sub.add_parser("extensivity", help="phase-space growth laws")
     ext_sub = p_ext.add_subparsers(dest="action", required=True)
     p_solve = ext_sub.add_parser("solve", help="solve W(N) for a target linear rate")
     p_solve.add_argument("--family", required=True)
-    p_solve.add_argument("--lam", type=float, default=1.0)
-    p_solve.add_argument("--horizon", type=float, default=1e4)
+    p_solve.add_argument("--lam", type=_finite_float, default=1.0)
+    p_solve.add_argument("--horizon", type=_finite_float, default=1e4)
     add_common(p_solve)
 
     p_q = sub.add_parser("qentropy", help="entropies of density matrices")
@@ -254,9 +265,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--m", type=int, required=True)
     p_demo.add_argument("--N", type=int, required=True, dest="n_sites")
     p_demo.add_argument("--occupations", required=True, help="comma-separated level counts")
-    p_demo.add_argument("--a", type=float, required=True)
+    p_demo.add_argument("--a", type=_finite_float, required=True)
     group = p_demo.add_mutually_exclusive_group(required=True)
-    group.add_argument("--alpha", type=float, default=None)
+    group.add_argument("--alpha", type=_finite_float, default=None)
     group.add_argument("--extensive", action="store_true", help="use the order that makes the formula linear in L")
     p_demo.add_argument("--sweep-L", action="store_true", dest="sweep_l")
     p_demo.add_argument("--L", type=int, default=None, dest="block")
@@ -283,6 +294,8 @@ def parse_args(argv) -> RunConfig:
     elif command == "verify":
         if args.trials < 1:
             raise InputError("--trials must be at least 1")
+        if args.tol < 0:
+            raise InputError("--tol must be at least 0")
         config.family = args.family
         config.params = _float_params(args.params)
         config.trials = args.trials
@@ -314,6 +327,8 @@ def parse_args(argv) -> RunConfig:
         config.extras["g"] = group_function(args.family, **params)
         config.extras["x"], config.extras["y"] = args.x, args.y
     elif command == "extensivity solve":
+        if args.horizon < 1:
+            raise InputError("--horizon must be at least 1")
         config.family = args.family
         config.params = _float_params(args.params)
         config.extras["lam"] = args.lam
@@ -361,9 +376,14 @@ def _parse_sweep(text: str) -> tuple[str, list[float]]:
         start, stop, step = (float(match.group(i)) for i in (2, 3, 4))
     except ValueError as exc:
         raise InputError(f"non-numeric sweep bounds in {text!r}") from exc
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise InputError(f"sweep bounds must be finite in {text!r}")
     if step <= 0 or stop < start:
         raise InputError("sweep needs step > 0 and stop >= start")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    steps = (stop - start) / step
+    if not math.isfinite(steps):
+        raise InputError(f"sweep {text!r} has too many points")
+    count = int(math.floor(steps + 1e-9)) + 1
     return name, [start + i * step for i in range(count)]
 
 

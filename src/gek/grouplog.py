@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from scipy.optimize import brentq
-
 from .errors import ConvergenceError, DomainError, ParameterError, RangeError
 from .series import (
     TruncatedSeries,
@@ -24,14 +22,79 @@ from .series import (
 )
 
 _Q_LIMIT_CUTOFF = 1e-9  # below this |1 - q| the multiplicative family is evaluated in the q -> 1 limit
+_XTOL = 1e-15  # absolute root tolerance of the numeric G^-1
+_RTOL = 8.9e-16  # relative root tolerance: about 4 machine epsilons, the least brentq accepts
+_MAXITER = 100
+
+
+def _brent(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """A root of f in [lo, hi] by Brent's method (Brent 1973, ch. 4).
+
+    This mirrors scipy's ``brentq.c`` step for step: the same floating-point
+    operations in the same order, so every root, and with it every CLI output
+    that rests on a numeric G^-1, is bit-identical to the one ``brentq`` gave
+    with the same tolerances.  A bracket whose ends have equal signs, a NaN
+    value, or no convergence in _MAXITER steps raises ``ConvergenceError``.
+    """
+    xpre, xcur = lo, hi
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre != fpre or fcur != fcur:
+        raise ConvergenceError(f"root finder: NaN value at the bracket [{lo}, {hi}]")
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if _signbit(fpre) == _signbit(fcur):
+        raise ConvergenceError(f"root finder: no sign change on [{lo}, {hi}]")
+    for _ in range(_MAXITER):
+        if fpre != 0 and fcur != 0 and _signbit(fpre) != _signbit(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_XTOL + _RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate (inverse quadratic)
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                denom = dblk * dpre * (fblk - fpre)
+                # C divides an underflowed denominator to inf or nan, and so bisects
+                stry = -fcur * (fblk * dblk - fpre * dpre) / denom if denom else math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+        if fcur != fcur:
+            raise ConvergenceError(f"root finder: NaN value at {xcur}")
+    raise ConvergenceError(f"root finder: no convergence in {_MAXITER} iterations on [{lo}, {hi}]")
+
+
+def _signbit(x: float) -> bool:
+    return math.copysign(1.0, x) < 0
 
 
 class GroupFunction:
     """Base class: an evaluatable G with closed-form or numeric inversion.
 
     Subclasses must provide ``eval`` and ``deriv``; the default ``inverse``
-    and ``chi`` use monotone bracketing plus Brent root-finding, and rely on
-    ``domain_min`` / ``range_min`` for admissibility checks.
+    and ``chi`` use monotone bracketing plus Brent root-finding (``_brent``,
+    in-repo, following scipy's ``brentq``), and rely on ``domain_min`` /
+    ``range_min`` for admissibility checks.
     """
 
     name = "group"
@@ -58,7 +121,12 @@ class GroupFunction:
             )
 
     def inverse(self, s: float) -> float:
-        """Solve G(t) = s by bracketing from 0 and Brent's method."""
+        """Solve G(t) = s by bracketing from 0 and Brent's method.
+
+        The Brent method is ``_brent`` in this module, which follows scipy's
+        ``brentq`` step for step and returns the same float.  A bracket or root
+        search that fails raises ``ConvergenceError``.
+        """
         if not math.isfinite(s):
             raise RangeError(f"{self.name}: cannot invert non-finite value {s}")
         if s <= self.range_min:
@@ -68,8 +136,7 @@ class GroupFunction:
         lo, hi = self._bracket(s)
         if lo == hi:
             return lo
-        root = brentq(lambda t: self.eval(t) - s, lo, hi, xtol=1e-15, rtol=8.9e-16)
-        return float(root)
+        return _brent(lambda t: self.eval(t) - s, lo, hi)
 
     def _bracket(self, s: float) -> tuple[float, float]:
         if s > 0.0:
@@ -306,7 +373,7 @@ class SeriesGroup(GroupFunction):
             raise RangeError(f"series G: {s} outside the horizon-limited range [{lo}, {hi}]")
         if s == 0.0:
             return 0.0
-        return float(brentq(lambda t: self.eval(t) - s, -self.horizon, self.horizon, xtol=1e-15, rtol=8.9e-16))
+        return _brent(lambda t: self.eval(t) - s, -self.horizon, self.horizon)
 
 
 def _horner(coeffs: list[float], t: float) -> float:

@@ -68,6 +68,23 @@ class TestEntropyEval:
             ["chi", "eval", "--family", "tsallis", "--params", "q=inf", "--x", "1", "--y", "1"],
             ["verify", "--family", "renyi", "--params", "alpha=0.5", "--trials", "0"],
             ["verify", "--family", "renyi", "--params", "alpha=0.5", "--trials", "-5"],
+            # non-finite float options: a nan tolerance used to pass a failing family
+            ["verify", "--family", "control", "--suite", "composability", "--trials", "50", "--tol", "nan"],
+            ["verify", "--family", "control", "--suite", "composability", "--trials", "50", "--tol", "inf"],
+            ["verify", "--family", "control", "--suite", "composability", "--trials", "50", "--tol", "-1e-10"],
+            ["verify", "--family", "renyi", "--params", "alpha=0.5", "--suite", "extensivity", "--lam", "inf"],
+            ["entropy", "sweep", "--family", "renyi", "--dist", "u4", "--param", "alpha=0.1:nan:0.1"],
+            ["entropy", "sweep", "--family", "renyi", "--dist", "u4", "--param", "alpha=-inf:0.5:0.1"],
+            ["entropy", "sweep", "--family", "renyi", "--dist", "u4", "--param", "alpha=0.1:1e308:1e-300"],
+            ["extensivity", "solve", "--family", "renyi", "--params", "alpha=0.5", "--lam", "inf"],
+            ["extensivity", "solve", "--family", "renyi", "--params", "alpha=0.5", "--horizon", "nan"],
+            ["extensivity", "solve", "--family", "renyi", "--params", "alpha=0.5", "--horizon", "0.5"],
+            ["log", "eval", "--family", "tsallis", "--params", "q=0.5", "--x", "nan"],
+            ["log", "eval", "--family", "tsallis", "--params", "q=0.5", "--x", "2", "--gamma", "inf"],
+            ["exp", "eval", "--family", "abel", "--params", "a=0.6,b=-0.3", "--x", "-inf"],
+            ["chi", "eval", "--family", "kaniadakis", "--params", "k=0.4", "--x", "0.7", "--y", "nan"],
+            ["lmg", "demo", "--m", "1", "--N", "14", "--occupations", "7,7", "--a", "nan", "--alpha", "0.5"],
+            ["lmg", "demo", "--m", "1", "--N", "14", "--occupations", "7,7", "--a", "2", "--alpha", "inf"],
         ):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
@@ -330,6 +347,13 @@ class TestDeterminism:
         _, first = invoke(args, tmp_path, name="a.csv")
         _, second = invoke(args, tmp_path, name="b.csv")
         assert first == second
+
+    def test_cold_import_loads_no_scipy(self):
+        # importing scipy.optimize used to be most of a gek process's start-up time
+        probe = "import sys, gek.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
 
     def test_console_entry_point_subprocess(self):
         result = subprocess.run(

@@ -1,18 +1,22 @@
 """Round trips, functional equations and limits of the group log/exp layer."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from gek.errors import DomainError, ParameterError, RangeError
+from gek.errors import ConvergenceError, DomainError, ParameterError, RangeError
 from gek.grouplog import (
+    _RTOL,
+    _XTOL,
     AbelGroup,
     GroupLogarithm,
     IdentityGroup,
     KaniadakisGroup,
     MultiplicativeGroup,
     SeriesGroup,
+    _brent,
     check_concavity_condition,
     chi,
     eval_G_inverse,
@@ -20,7 +24,7 @@ from gek.grouplog import (
     eval_ln_G,
     group_function,
 )
-from gek.series import TruncatedSeries, tsallis_exp_series
+from gek.series import TruncatedSeries, abel_exp_series, kaniadakis_exp_series, tsallis_exp_series
 
 RNG = np.random.default_rng(20260810)
 
@@ -241,8 +245,6 @@ class TestConcavity:
 
 class TestSeriesDefined:
     def test_matches_closed_form_inside_horizon(self):
-        from fractions import Fraction
-
         g = SeriesGroup(tsallis_exp_series(Fraction(1, 2), 25), horizon=2.0)
         ref = MultiplicativeGroup(q=0.5)
         for t in np.linspace(-2, 2, 41):
@@ -297,3 +299,72 @@ class TestFactoryAndValidation:
         assert eval_exp_G(lg, eval_ln_G(lg, 2.0)) == pytest.approx(2.0, rel=1e-12)
         with pytest.raises(ParameterError):
             GroupLogarithm(IdentityGroup(), gamma=0.0)
+
+
+# Numeric G^-1 roots recorded from scipy.optimize.brentq (xtol 1e-15, rtol
+# 8.9e-16) on the bracket GroupFunction._bracket gives; the in-repo Brent
+# method must return these exact floats.
+PINNED_ROOTS = [
+    ((0.3, -0.2), 2.5, "0x1.123341a4f22a7p+1"),
+    ((0.6, -0.3), -1.7, "-0x1.0198a927b8700p+1"),
+    ((2.0, 1.0), 40.0, "0x1.ec64e555bf62fp+0"),
+    ((0.5, 0.0), -1.9, "-0x1.7f7427b73e38fp+2"),
+    ((3.0, -2.0), 1e-3, "0x1.060343d38394ep-10"),
+    ((3.0, -2.0), 7e5, "0x1.4174dd4ef2c5fp+2"),
+]
+PARITY_ABEL = [(0.3, -0.2), (0.6, -0.3), (2.0, 1.0), (0.5, 0.0), (3.0, -2.0)]
+
+
+def _parity_cases():
+    """(f, lo, hi) root problems: abel G^-1 on its brackets, series G^-1 on [-h, h], scaled cubics."""
+    rng = np.random.default_rng(20261018)
+    for a, b in PARITY_ABEL:
+        g = AbelGroup(a, b)
+        for s in np.concatenate([rng.uniform(-5.0, 5.0, 60), 10 ** rng.uniform(-10, 8, 60)]):
+            s = float(s)
+            if s <= g.range_min or s == 0.0:
+                continue
+            lo, hi = g._bracket(s)
+            yield (lambda t, g=g, s=s: g.eval(t) - s), lo, hi
+    for series in (
+        abel_exp_series(Fraction(3, 10), Fraction(-1, 5), 10),
+        kaniadakis_exp_series(Fraction(2, 5), 10),
+        tsallis_exp_series(Fraction(1, 2), 10),
+    ):
+        g = SeriesGroup(series, horizon=1.0)
+        for s in rng.uniform(g.eval(-1.0), g.eval(1.0), 60):
+            yield (lambda t, g=g, s=float(s): g.eval(t) - s), -1.0, 1.0
+    # values so small that the extrapolation denominator underflows to 0
+    for scale in (1e-200, 1e-120, 1.0, 1e150):
+        yield (lambda t, scale=scale: scale * (t**3 - 0.1)), -1.0, 2.0
+
+
+class TestBrent:
+    @pytest.mark.parametrize("ab, s, root", PINNED_ROOTS, ids=lambda v: str(v))
+    def test_pinned_brentq_roots(self, ab, s, root):
+        assert AbelGroup(*ab).inverse(s) == float.fromhex(root)
+
+    def test_pinned_series_root(self):
+        g = SeriesGroup(abel_exp_series(Fraction(3, 10), Fraction(-1, 5), 10), horizon=1.0)
+        assert g.inverse(0.37) == float.fromhex("0x1.738ef0d421f2fp-2")
+
+    def test_bit_identical_to_brentq(self):
+        brentq = pytest.importorskip("scipy.optimize").brentq
+        count = 0
+        for f, lo, hi in _parity_cases():
+            assert _brent(f, lo, hi) == brentq(f, lo, hi, xtol=_XTOL, rtol=_RTOL), (lo, hi)
+            count += 1
+        assert count > 700
+
+    def test_underflowed_extrapolation_bisects(self):
+        assert _brent(lambda t: 1e-200 * (t**3 - 0.1), -1.0, 2.0) == float.fromhex("0x1.db4c7760bcfedp-2")
+
+    def test_sign_equal_bracket_raises(self):
+        with pytest.raises(ConvergenceError):
+            _brent(lambda t: t * t + 1.0, -1.0, 1.0)
+        with pytest.raises(ConvergenceError):
+            _brent(lambda t: math.nan, -1.0, 1.0)
+
+    def test_exact_zero_at_an_end_is_the_root(self):
+        assert _brent(lambda t: t - 1.0, 1.0, 3.0) == 1.0
+        assert _brent(lambda t: t - 3.0, 1.0, 3.0) == 3.0
