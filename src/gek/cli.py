@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .entropy import Z_FAMILIES, Distribution, EntropySpec, entropy_spec
-from .errors import GekError, InputError
+from .errors import GekError, InputError, ParameterError
 from .grouplog import GroupLogarithm, chi, eval_exp_G, eval_ln_G, group_family, group_function
 from .properties import (
     PropertyReport,
@@ -342,6 +342,11 @@ def parse_args(argv) -> RunConfig:
         config.extras["spec"] = entropy_spec(family, dict(config.params))
     elif command == "lmg demo":
         occupations = tuple(int(tok) for tok in args.occupations.split(",") if tok.strip())
+        if 0 in occupations:
+            raise ParameterError(
+                "lmg demo needs every occupation > 0: a zero density makes the asymptotic value 0"
+                " and the ratio undefined"
+            )
         alpha = extensive_alpha(args.a, args.m) if args.extensive else args.alpha
         if alpha is None:
             raise InputError("give --alpha or --extensive")
@@ -537,6 +542,8 @@ def _handle_extensivity_solve(config: RunConfig) -> tuple[int, str]:
         try:
             lw = law.log_w(float(n))
         except GekError:
+            break
+        if not math.isfinite(lw):  # JSON has no inf; W past a float's range ends the samples too
             break
         samples.append({"N": int(n), "log_w": lw, "w": math.exp(lw) if lw < 709 else None})
     payload = {

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -80,6 +80,26 @@ def _power_sum_raw(arr: np.ndarray, alpha: float) -> float:
     return float(np.sum(positive**alpha))
 
 
+def _stack_by_length(rows: Sequence[np.ndarray], indices) -> list[tuple[list[int], np.ndarray]]:
+    """The rows at ``indices`` grouped by length: (their indices, the rows stacked as a 2-D array)."""
+    groups: dict[int, list[int]] = {}
+    for i in indices:
+        groups.setdefault(len(rows[i]), []).append(i)
+    return [(idx, np.array([rows[i] for i in idx], dtype=float)) for idx in groups.values()]
+
+
+def invalid_distributions(rows: Sequence[np.ndarray]) -> list[bool]:
+    """For each vector in ``rows``, whether ``Distribution`` would reject it (the same checks, batched)."""
+    bad = [False] * len(rows)
+    for idx, block in _stack_by_length(rows, range(len(rows))):
+        # Distribution's total, np.sum of one row, equals sum(axis=1) bit for bit; an empty row sums to 0
+        off_sum = np.abs(block.sum(axis=1) - 1.0) > SUM_TOLERANCE
+        flags = (block < 0).any(axis=1) | ~np.isfinite(block).all(axis=1) | off_sum
+        for i, flag in zip(idx, flags.tolist()):
+            bad[i] = flag
+    return bad
+
+
 def power_sum(p: Distribution, alpha: float) -> float:
     """sum_i p_i^alpha with the convention 0^alpha = 0."""
     return _power_sum_raw(p.p, alpha)
@@ -99,12 +119,7 @@ def _check_alpha(alpha: float) -> None:
 
 def boltzmann(p: Distribution) -> float:
     """sum_i p_i ln(1/p_i), with 0 ln(1/0) = 0."""
-    return _boltzmann_raw(p.p)
-
-
-def _boltzmann_raw(arr: np.ndarray) -> float:
-    positive = arr[arr > 0]
-    return float(-np.sum(positive * np.log(positive)))
+    return EntropySpec("boltzmann", {}).value(p)
 
 
 def renyi(alpha: float, p: Distribution) -> float:
@@ -124,8 +139,7 @@ def alt_z_entropy(g: GroupFunction, alpha: float, p: Distribution) -> float:
 
 def tsallis_aq(a: float, q: float, p: Distribution) -> float:
     """The two-parameter deformed trace-form entropy (1 - sum_i p_i^(a(q-1)+1))/(q - 1)."""
-    _validate_tsallis_aq(a, q)
-    return _tsallis_aq_raw(a, q, p.p)
+    return EntropySpec("tsallis_aq", {"a": a, "q": q}).value(p)
 
 
 def _validate_tsallis_aq(a: float, q: float) -> None:
@@ -137,15 +151,9 @@ def _validate_tsallis_aq(a: float, q: float) -> None:
         raise ParameterError("requires a(q-1) + 1 > 0")
 
 
-def _tsallis_aq_raw(a: float, q: float, arr: np.ndarray) -> float:
-    exponent = a * (q - 1.0) + 1.0
-    return (1.0 - _power_sum_raw(arr, exponent)) / (q - 1.0)
-
-
 def landsberg_vedral(q: float, p: Distribution) -> float:
     """The normalized deformed entropy S_q / sum_i p_i^q."""
-    _validate_lv(q)
-    return _landsberg_vedral_raw(q, p.p)
+    return EntropySpec("landsberg_vedral", {"q": q}).value(p)
 
 
 def _validate_lv(q: float) -> None:
@@ -153,11 +161,6 @@ def _validate_lv(q: float) -> None:
         raise ParameterError("requires q != 1")
     if q <= 0:
         raise ParameterError("requires q > 0")
-
-
-def _landsberg_vedral_raw(q: float, arr: np.ndarray) -> float:
-    ps = _power_sum_raw(arr, q)
-    return (1.0 - ps) / ((q - 1.0) * ps)
 
 
 def z_q_alpha(q: float, alpha: float, p: Distribution) -> float:
@@ -270,24 +273,69 @@ class EntropySpec:
         """Evaluate the defining formula on any nonnegative vector (off-simplex allowed)."""
         return self._evaluate(np.asarray(arr, dtype=float))
 
+    def raw_values(self, rows: Sequence[np.ndarray]) -> list[float]:
+        """``raw_value`` of each vector in ``rows``, bit for bit, from one stacked reduction per length."""
+        return [self.from_row_sum(s) for s in self.row_sums(rows)]
+
+    def row_sums(self, rows: Sequence[np.ndarray]) -> list[float]:
+        """The family's sum over each vector in ``rows`` (of any lengths), before the scalar tail.
+
+        Equal-length rows share one power and one ``sum(axis=1)``, which sums
+        each row in the same pairwise order as the 1-D path.  A row with an
+        entry that is not > 0 is first filtered as ``raw_value`` filters it,
+        since dropping entries changes that order.
+        """
+        rows = list(rows)
+        sums = [0.0] * len(rows)
+
+        def reduce(indices) -> list[int]:
+            """Reduce the rows at ``indices`` whose entries are all > 0; return the others."""
+            rest = []
+            for idx, block in _stack_by_length(rows, indices):
+                keep = (block > 0).all(axis=1)
+                if not keep.all():
+                    rest += [i for i, k in zip(idx, keep.tolist()) if not k]
+                    idx, block = [i for i, k in zip(idx, keep.tolist()) if k], block[keep]
+                for i, s in zip(idx, self._reduce(block).tolist()):
+                    sums[i] = s
+            return rest
+
+        rest = reduce(range(len(rows)))
+        for i in rest:
+            rows[i] = rows[i][rows[i] > 0]
+        reduce(rest)
+        return sums
+
     def _evaluate(self, arr: np.ndarray) -> float:
+        return self.from_row_sum(float(self._reduce(arr[arr > 0])))
+
+    def _reduce(self, positive: np.ndarray):
+        """The family's sum over the last axis of an array of positive entries."""
+        f, p = self.family, self.params
+        if f == "boltzmann":
+            return -np.sum(positive * np.log(positive), axis=-1)
+        if f == "control":
+            # deliberately non-composable: quadratically weighted surprise
+            return -np.sum(positive**2 * np.log(positive), axis=-1)
+        if f == "tsallis_aq":
+            exponent = p["a"] * (p["q"] - 1.0) + 1.0
+        else:
+            exponent = p["q"] if f == "landsberg_vedral" else p["alpha"]
+        return np.sum(positive**exponent, axis=-1)
+
+    def from_row_sum(self, s: float) -> float:
+        """The entropy from the family's sum ``s`` (see ``row_sums``): scalar ``math`` only."""
         f, p = self.family, self.params
         if f in Z_FAMILIES:
             g = self.group.formula if f in _FORMULA_ALIASES else self.group.eval
-            return g(math.log(_power_sum_raw(arr, p["alpha"]))) / (1.0 - p["alpha"])
-        if f == "boltzmann":
-            return _boltzmann_raw(arr)
+            return g(math.log(s)) / (1.0 - p["alpha"])
         if f == "tsallis_aq":
-            return _tsallis_aq_raw(p["a"], p["q"], arr)
+            return (1.0 - s) / (p["q"] - 1.0)
         if f == "landsberg_vedral":
-            return _landsberg_vedral_raw(p["q"], arr)
+            return (1.0 - s) / ((p["q"] - 1.0) * s)
         if f == "altz":
-            return self.group.eval(math.log(_power_sum_raw(arr, p["alpha"])) / (1.0 - p["alpha"]))
-        if f == "control":
-            # deliberately non-composable: quadratically weighted surprise
-            positive = arr[arr > 0]
-            return float(-np.sum(positive**2 * np.log(positive)))
-        raise AssertionError(f)
+            return self.group.eval(math.log(s) / (1.0 - p["alpha"]))
+        return s  # boltzmann, control
 
     def phi(self, x: float, y: float) -> float:
         """The composition law paired with this family."""

@@ -144,7 +144,7 @@ class GroupFunction:
             for _ in range(200):
                 try:
                     value = self.eval(t)
-                except OverflowError:
+                except (OverflowError, RangeError):  # G(t) overflows a float
                     value = math.inf
                 if value >= s:
                     if math.isinf(value):
@@ -154,7 +154,7 @@ class GroupFunction:
                             mid = 0.5 * (prev + hi)
                             try:
                                 v = self.eval(mid)
-                            except OverflowError:
+                            except (OverflowError, RangeError):
                                 v = math.inf
                             if math.isfinite(v) and v >= s:
                                 return prev, mid
@@ -249,7 +249,10 @@ class MultiplicativeGroup(GroupFunction):
     def eval(self, t: float) -> float:
         if self._limit:
             return t
-        return math.expm1(self.r * t) / self.r
+        try:
+            return math.expm1(self.r * t) / self.r
+        except OverflowError:
+            raise RangeError(f"multiplicative(q={self.q}): G({t}) overflows a float") from None
 
     def deriv(self, t: float) -> float:
         if self._limit:
@@ -282,7 +285,10 @@ class KaniadakisGroup(GroupFunction):
         return {"k": self.k}
 
     def eval(self, t: float) -> float:
-        return math.sinh(self.k * t) / self.k
+        try:
+            return math.sinh(self.k * t) / self.k
+        except OverflowError:
+            raise RangeError(f"kaniadakis(k={self.k}): G({t}) overflows a float") from None
 
     def deriv(self, t: float) -> float:
         return math.cosh(self.k * t)
@@ -322,7 +328,10 @@ class AbelGroup(GroupFunction):
         return {"a": self.a, "b": self.b}
 
     def formula(self, t: float) -> float:
-        return (math.exp(self.a * t) - math.exp(self.b * t)) / (self.a - self.b)
+        try:
+            return (math.exp(self.a * t) - math.exp(self.b * t)) / (self.a - self.b)
+        except OverflowError:
+            raise RangeError(f"abel: G({t}) overflows a float") from None
 
     def eval(self, t: float) -> float:
         self._check_domain(t)
@@ -464,7 +473,10 @@ def eval_G_inverse(g: GroupFunction, s: float) -> float:
 
 def eval_exp_G(lg: GroupLogarithm, x: float) -> float:
     """The generalized exponential e^(G^-1(x)/gamma), inverse of eval_ln_G."""
-    return math.exp(lg.g.inverse(x) / lg.gamma)
+    try:
+        return math.exp(lg.g.inverse(x) / lg.gamma)
+    except OverflowError:
+        raise RangeError(f"exp_G({x}) overflows a float") from None
 
 
 def chi(g: GroupFunction, x: float, y: float) -> float:

@@ -9,17 +9,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .entropy import Distribution, EntropySpec, product_distribution
+from .entropy import Distribution, EntropySpec, invalid_distributions
 from .errors import DomainError, ParameterError, RangeError
 from .grouplog import GroupFunction, IdentityGroup
 
 # denominator used for exact majorization sampling; a power of two keeps the
 # float conversion and its partial sums exact
 _MASS_DENOM = 2**20
+# trials a randomized check draws, validates and evaluates together; it bounds
+# the memory of the stacked draws and never changes a report
+_CHUNK = 256
 
 
 @dataclass
@@ -51,14 +54,84 @@ class PropertyReport:
         }
 
 
-def _random_distribution(rng, w: int) -> Distribution:
-    return Distribution(rng.dirichlet(np.ones(w)))
+class _Worst:
+    """Failures, worst value and its witness, folded over the trials in order.
+
+    Fails closed: a value fails unless it is <= ``limit``, so NaN fails, and
+    the first NaN becomes the worst case and the witness.
+    """
+
+    def __init__(self, worst: float, limit: float):
+        self.worst, self.limit = worst, limit
+        self.failures = 0
+        self.witness: dict = {}
+
+    def add(self, value: float, witness: Callable[[], dict]) -> None:
+        if value > self.worst or (value != value and self.worst == self.worst):
+            self.worst = value
+            self.witness = witness()
+        if not value <= self.limit:
+            self.failures += 1
+
+    def report(self, name: str, trials: int, seed: int, skipped: int = 0) -> PropertyReport:
+        return PropertyReport(name, trials, self.failures, self.worst, seed, skipped, self.witness)
 
 
-def _interior_distribution(rng, w: int) -> Distribution:
+class _Batch:
+    """The vectors of one chunk of trials, checked and reduced together, finished one by one.
+
+    ``add`` collects a vector and returns its index; ``dist=True`` marks one
+    the check treats as a ``Distribution``.  ``reduce`` runs the
+    ``Distribution`` checks over those and ``spec.row_sums`` over all of them.
+    The trial loop then calls ``value(i)`` (or ``check(i)``) in trial order:
+    a vector that failed the checks is handed to ``Distribution``, which raises
+    its own error at the trial where a one-by-one loop would have raised it.
+    """
+
+    def __init__(self, spec: EntropySpec):
+        self.spec = spec
+        self.rows: list[np.ndarray] = []
+        self._dists: list[int] = []
+
+    def add(self, row: np.ndarray, dist: bool = True) -> int:
+        if dist:
+            self._dists.append(len(self.rows))
+        self.rows.append(row)
+        return len(self.rows) - 1
+
+    def reduce(self) -> None:
+        self._sums = self.spec.row_sums(self.rows)
+        flags = invalid_distributions([self.rows[i] for i in self._dists])
+        self._bad = {i for i, bad in zip(self._dists, flags) if bad}
+
+    def check(self, *indices: int) -> None:
+        for i in indices:
+            if i in self._bad:
+                Distribution(self.rows[i])
+
+    def value(self, i: int) -> float:
+        self.check(i)
+        return self.spec.from_row_sum(self._sums[i])
+
+
+def _run_trials(spec: EntropySpec, trials: int, draw: Callable, judge: Callable) -> None:
+    """``draw(batch)`` once per trial, in chunks of _CHUNK; then ``judge(batch, drawn)`` per trial, in order."""
+    for start in range(0, trials, _CHUNK):
+        batch = _Batch(spec)
+        drawn = [draw(batch) for _ in range(min(_CHUNK, trials - start))]
+        batch.reduce()
+        for item in drawn:
+            judge(batch, item)
+
+
+def _draw_w(rng, w_values: Sequence[int]) -> int:
+    # the same draw as rng.choice(w_values), which costs about four times as much
+    return int(w_values[rng.integers(len(w_values))])
+
+
+def _interior(rng, w: int) -> np.ndarray:
     # keep every coordinate >= 1e-3 so alpha < 1 derivatives stay finite
-    base = rng.dirichlet(np.ones(w))
-    return Distribution(0.99 * base + 0.01 / w)
+    return 0.99 * rng.dirichlet(np.ones(w)) + 0.01 / w
 
 
 def check_composability(
@@ -70,25 +143,30 @@ def check_composability(
 ) -> PropertyReport:
     """Compare the entropy of independent products against the family's law.
 
-    A trial fails when |S(p x r) - Phi(S(p), S(r))| exceeds tol * (1 + |S|).
+    A trial fails when |S(p x r) - Phi(S(p), S(r))| exceeds tol * (1 + |S|),
+    or is NaN.
     """
     rng = np.random.default_rng(seed)
-    failures = 0
-    worst = 0.0
-    witness: dict = {}
-    for _ in range(trials):
+    fold = _Worst(0.0, tol)
+
+    def draw(batch):
         wa = int(rng.integers(1, max_w + 1))
         wb = int(rng.integers(1, max_w + 1))
-        p, r = _random_distribution(rng, wa), _random_distribution(rng, wb)
-        joint = spec.value(product_distribution(p, r))
-        combined = spec.phi(spec.value(p), spec.value(r))
+        p, r = rng.dirichlet(np.ones(wa)), rng.dirichlet(np.ones(wb))
+        return batch.add(p), batch.add(r), batch.add(np.outer(p, r).ravel())
+
+    def judge(batch, drawn):
+        ip, ir, ij = drawn
+        batch.check(ip, ir)
+        joint = batch.value(ij)
+        combined = spec.phi(batch.value(ip), batch.value(ir))
         residual = abs(joint - combined) / (1.0 + abs(joint))
-        if residual > worst:
-            worst = residual
-            witness = {"p": p.p.tolist(), "r": r.p.tolist(), "joint": joint, "combined": combined}
-        if residual > tol:
-            failures += 1
-    return PropertyReport("composability", trials, failures, worst, seed, witness=witness)
+        fold.add(residual, lambda: {
+            "p": batch.rows[ip].tolist(), "r": batch.rows[ir].tolist(), "joint": joint, "combined": combined,
+        })
+
+    _run_trials(spec, trials, draw, judge)
+    return fold.report("composability", trials, seed)
 
 
 def check_composability_on_uniform(
@@ -104,21 +182,14 @@ def check_composability_on_uniform(
     defined by reference elsewhere); a pass here does not certify it.
     """
     rng = np.random.default_rng(seed)
-    failures = 0
-    worst = 0.0
-    witness: dict = {}
+    fold = _Worst(0.0, tol)
     for _ in range(trials):
         wa = int(rng.integers(1, max_w + 1))
         wb = int(rng.integers(1, max_w + 1))
         joint = spec.uniform_value(wa * wb)
         combined = spec.phi(spec.uniform_value(wa), spec.uniform_value(wb))
-        residual = abs(joint - combined) / (1.0 + abs(joint))
-        if residual > worst:
-            worst = residual
-            witness = {"w_a": wa, "w_b": wb}
-        if residual > tol:
-            failures += 1
-    return PropertyReport("composability-on-uniform", trials, failures, worst, seed, witness=witness)
+        fold.add(abs(joint - combined) / (1.0 + abs(joint)), lambda: {"w_a": wa, "w_b": wb})
+    return fold.report("composability-on-uniform", trials, seed)
 
 
 def check_group_axioms_numeric(
@@ -132,9 +203,8 @@ def check_group_axioms_numeric(
     from .entropy import composition_phi
 
     rng = np.random.default_rng(seed)
-    failures = skipped = 0
-    worst = 0.0
-    witness: dict = {}
+    fold = _Worst(0.0, tol)
+    skipped = 0
     for _ in range(trials):
         x, y, z = rng.uniform(0.0, 3.0, size=3)
         try:
@@ -145,13 +215,10 @@ def check_group_axioms_numeric(
         except (RangeError, DomainError):
             skipped += 1
             continue
-        residual = max(sym, abs(left - right), null) / (1.0 + abs(x) + abs(y) + abs(z))
-        if residual > worst:
-            worst = residual
-            witness = {"x": x, "y": y, "z": z}
-        if residual > tol:
-            failures += 1
-    return PropertyReport("group-axioms", trials, failures, worst, seed, skipped=skipped, witness=witness)
+        parts = (sym, abs(left - right), null)
+        residual = max(parts) if all(v == v for v in parts) else math.nan
+        fold.add(residual / (1.0 + abs(x) + abs(y) + abs(z)), lambda: {"x": x, "y": y, "z": z})
+    return fold.report("group-axioms", trials, seed, skipped)
 
 
 def check_sk_axioms(
@@ -163,65 +230,76 @@ def check_sk_axioms(
     """Continuity proxy, maximum on the uniform distribution, and expansibility.
 
     Continuity is reported as a sampled Lipschitz estimate and only fails on
-    non-finite values; the other two sub-checks are asserted.
+    non-finite values; the other two sub-checks are asserted, and fail on NaN.
     """
     rng = np.random.default_rng(seed)
-
+    step = 1e-6
     lipschitz = 0.0
     cont_failures = 0
     cont_witness: dict = {}
-    for _ in range(trials):
-        w = int(rng.choice(w_values))
-        p = _interior_distribution(rng, w)
+
+    def draw_continuity(batch):
+        w = _draw_w(rng, w_values)
+        p = _interior(rng, w)
+        ip = batch.add(p)
         direction = rng.normal(size=w)
         direction -= direction.mean()
         norm = np.abs(direction).sum()
         if norm == 0:
-            continue
-        step = 1e-6
-        shifted = p.p + step * direction / norm
-        if np.any(shifted < 0):
-            continue
-        delta = abs(spec.raw_value(shifted) - spec.value(p))
-        ratio = delta / step
+            return ip, None
+        shifted = p + step * direction / norm
+        return ip, None if (shifted < 0).any() else batch.add(shifted, dist=False)
+
+    def judge_continuity(batch, drawn):
+        nonlocal lipschitz, cont_failures, cont_witness
+        ip, ishift = drawn
+        batch.check(ip)
+        if ishift is None:
+            return
+        ratio = abs(batch.value(ishift) - batch.value(ip)) / step
         if not math.isfinite(ratio):
             cont_failures += 1
-            cont_witness = {"p": p.p.tolist()}
+            cont_witness = {"p": batch.rows[ip].tolist()}
         lipschitz = max(lipschitz, ratio)
+
+    _run_trials(spec, trials, draw_continuity, judge_continuity)
     continuity = PropertyReport(
         "sk-continuity-proxy", trials, cont_failures, lipschitz, seed,
         witness=cont_witness or {"lipschitz_estimate": lipschitz},
     )
 
-    max_failures = 0
-    max_worst = -math.inf
-    max_witness: dict = {}
-    for _ in range(trials):
-        w = int(rng.choice(w_values))
-        p = _random_distribution(rng, w)
-        gap = spec.value(p) - spec.uniform_value(w)
-        if gap > max_worst:
-            max_worst = gap
-            max_witness = {"p": p.p.tolist(), "w": w}
-        if gap > 1e-12:
-            max_failures += 1
-    maximum = PropertyReport("sk-maximum-on-uniform", trials, max_failures, max_worst, seed, witness=max_witness)
+    maximum = _Worst(-math.inf, 1e-12)
 
-    exp_failures = 0
-    exp_worst = 0.0
-    exp_witness: dict = {}
-    for _ in range(trials):
-        w = int(rng.choice(w_values))
-        p = _random_distribution(rng, w)
-        residual = abs(spec.value(p.append_zero()) - spec.value(p))
-        if residual > exp_worst:
-            exp_worst = residual
-            exp_witness = {"p": p.p.tolist()}
-        if residual > 1e-14:
-            exp_failures += 1
-    expansibility = PropertyReport("sk-expansibility", trials, exp_failures, exp_worst, seed, witness=exp_witness)
+    def draw_maximum(batch):
+        w = _draw_w(rng, w_values)
+        return w, batch.add(rng.dirichlet(np.ones(w)))
 
-    return [continuity, maximum, expansibility]
+    def judge_maximum(batch, drawn):
+        w, ip = drawn
+        gap = batch.value(ip) - spec.uniform_value(w)
+        maximum.add(gap, lambda: {"p": batch.rows[ip].tolist(), "w": w})
+
+    _run_trials(spec, trials, draw_maximum, judge_maximum)
+
+    expansibility = _Worst(0.0, 1e-14)
+
+    def draw_expansibility(batch):
+        p = rng.dirichlet(np.ones(_draw_w(rng, w_values)))
+        return batch.add(p), batch.add(np.append(p, 0.0))
+
+    def judge_expansibility(batch, drawn):
+        ip, iz = drawn
+        batch.check(ip)
+        residual = abs(batch.value(iz) - batch.value(ip))
+        expansibility.add(residual, lambda: {"p": batch.rows[ip].tolist()})
+
+    _run_trials(spec, trials, draw_expansibility, judge_expansibility)
+
+    return [
+        continuity,
+        maximum.report("sk-maximum-on-uniform", trials, seed),
+        expansibility.report("sk-expansibility", trials, seed),
+    ]
 
 
 def majorizes(dominant: Sequence, dominated: Sequence, tol=0) -> bool:
@@ -251,6 +329,19 @@ class MajorizationPair:
             raise ValueError("r does not majorize p")
 
 
+def _two_of(rng, w: int) -> tuple[int, int]:
+    """Two distinct indices below w: the draw of rng.choice(w, size=2, replace=False), at half its cost.
+
+    That call samples by Floyd's algorithm, an index below w - 1 and one below
+    w that becomes w - 1 on a collision, and then shuffles the two with one
+    more draw below 2; these are the same three bounded draws.
+    """
+    i, j = int(rng.integers(w - 1)), int(rng.integers(w))
+    if j == i:
+        j = w - 1
+    return (j, i) if rng.integers(2) == 0 else (i, j)
+
+
 def generate_majorization_pair(w: int, steps: int, rng) -> MajorizationPair:
     """Robin-Hood transfers on an exact integer mass vector.
 
@@ -264,7 +355,7 @@ def generate_majorization_pair(w: int, steps: int, rng) -> MajorizationPair:
     masses_r = [int(m) for m in rng.multinomial(_MASS_DENOM, np.full(w, 1.0 / w))]
     masses_p = list(masses_r)
     for _ in range(steps):
-        i, j = rng.choice(w, size=2, replace=False)
+        i, j = _two_of(rng, w)
         if masses_p[i] == masses_p[j]:
             continue
         if masses_p[i] < masses_p[j]:
@@ -293,58 +384,59 @@ def check_schur_concavity(
     Sub-check one asserts S(p) >= S(r) - 1e-12 on generated pairs with p
     majorized by r; sub-check two asserts the pairwise criterion
     (p_i - p_j)(dS/dp_i - dS/dp_j) <= 1e-10 with central-difference gradients
-    on interior distributions.
+    on interior distributions.  A NaN gap or criterion value fails.
     """
     rng = np.random.default_rng(seed)
 
-    order_failures = 0
-    order_worst = -math.inf
-    order_witness: dict = {}
-    for _ in range(trials):
-        w = int(rng.choice(w_values))
+    ordering = _Worst(-math.inf, 1e-12)
+
+    def draw_ordering(batch):
+        w = _draw_w(rng, w_values)
         pair = generate_majorization_pair(w, steps=int(rng.integers(1, 12)), rng=rng)
-        gap = spec.value(pair.r) - spec.value(pair.p)
-        if gap > order_worst:
-            order_worst = gap
-            order_witness = {"p": pair.p.p.tolist(), "r": pair.r.p.tolist()}
-        if gap > 1e-12:
-            order_failures += 1
-    ordering = PropertyReport(
-        "schur-majorization-ordering", trials, order_failures, order_worst, seed, witness=order_witness
-    )
+        return pair, batch.add(pair.r.p, dist=False), batch.add(pair.p.p, dist=False)
 
-    crit_failures = 0
-    crit_worst = -math.inf
-    crit_witness: dict = {}
-    for _ in range(trials):
-        w = int(rng.choice(w_values))
-        p = _interior_distribution(rng, w)
-        grad = _central_gradient(spec, p.p)
-        value = max(
-            (p.p[i] - p.p[j]) * (grad[i] - grad[j])
-            for i in range(w)
-            for j in range(i + 1, w)
-        )
-        if value > crit_worst:
-            crit_worst = value
-            crit_witness = {"p": p.p.tolist()}
-        if value > 1e-10:
-            crit_failures += 1
-    criterion = PropertyReport(
-        "schur-ostrowski-criterion", trials, crit_failures, crit_worst, seed, witness=crit_witness
-    )
-    return [ordering, criterion]
+    def judge_ordering(batch, drawn):
+        pair, ir, ip = drawn
+        gap = batch.value(ir) - batch.value(ip)
+        ordering.add(gap, lambda: {"p": pair.p.p.tolist(), "r": pair.r.p.tolist()})
+
+    _run_trials(spec, trials, draw_ordering, judge_ordering)
+
+    criterion = _Worst(-math.inf, 1e-10)
+
+    def draw_criterion(batch):
+        p = _interior(rng, _draw_w(rng, w_values))
+        h, shifted = _central_steps(p)
+        return p, batch.add(p), h, [batch.add(row, dist=False) for row in shifted]
+
+    def judge_criterion(batch, drawn):
+        p, ip, h, rows = drawn
+        batch.check(ip)
+        values = [batch.value(i) for i in rows]
+        grad = [(values[2 * i] - values[2 * i + 1]) / (2 * hi) for i, hi in enumerate(h.tolist())]
+        p, w = p.tolist(), len(grad)
+        products = [(p[i] - p[j]) * (grad[i] - grad[j]) for i in range(w) for j in range(i + 1, w)]
+        value = max(products) if all(v == v for v in products) else math.nan
+        criterion.add(value, lambda: {"p": p})
+
+    _run_trials(spec, trials, draw_criterion, judge_criterion)
+    return [
+        ordering.report("schur-majorization-ordering", trials, seed),
+        criterion.report("schur-ostrowski-criterion", trials, seed),
+    ]
 
 
-def _central_gradient(spec: EntropySpec, arr: np.ndarray) -> np.ndarray:
-    grad = np.empty_like(arr)
-    for i in range(arr.size):
-        h = 1e-6 * max(arr[i], 1e-3)
-        plus, minus = arr.copy(), arr.copy()
-        plus[i] += h
-        minus[i] -= h
-        grad[i] = (spec.raw_value(plus) - spec.raw_value(minus)) / (2 * h)
-    return grad
+def _central_steps(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Steps h_i = 1e-6 max(p_i, 1e-3) and the 2w points of a central-difference gradient.
+
+    Row 2i is arr with h_i added to entry i, row 2i + 1 with h_i subtracted.
+    """
+    h = 1e-6 * np.maximum(arr, 1e-3)
+    shifted = np.tile(arr, (2 * arr.size, 1))
+    i = np.arange(arr.size)
+    shifted[2 * i, i] += h
+    shifted[2 * i + 1, i] -= h
+    return h, shifted
 
 
 @dataclass(frozen=True)
@@ -453,18 +545,12 @@ def saq_concavity_counterexample_search(
     def raw(arr: np.ndarray) -> float:
         return (1.0 - float(np.sum(arr**exponent))) / (q - 1.0)
 
-    found = 0
-    worst = -math.inf
-    witness: dict = {}
+    found = _Worst(-math.inf, 1e-12)
     for _ in range(trials):
-        p1 = _interior_distribution(rng, w).p
-        p2 = _interior_distribution(rng, w).p
+        p1 = Distribution(_interior(rng, w)).p
+        p2 = Distribution(_interior(rng, w)).p
         lam = rng.uniform(0.05, 0.95)
         mix = lam * p1 + (1 - lam) * p2
         violation = lam * raw(p1) + (1 - lam) * raw(p2) - raw(mix)
-        if violation > worst:
-            worst = violation
-            witness = {"p1": p1.tolist(), "p2": p2.tolist(), "lambda": lam}
-        if violation > 1e-12:
-            found += 1
-    return PropertyReport("saq-concavity-counterexample-search", trials, found, worst, seed, witness=witness)
+        found.add(violation, lambda: {"p1": p1.tolist(), "p2": p2.tolist(), "lambda": lam})
+    return found.report("saq-concavity-counterexample-search", trials, seed)

@@ -1,0 +1,84 @@
+"""Record the stdout and exit code of seeded ``gek verify --suite all`` runs.
+
+The pin, ``verify_pin.json`` beside this script, holds one entry per run: its
+argv, exit code and stdout.  ``tests/test_verify_pin.py`` replays every entry
+and requires the same output byte for byte, so a change to how the trial
+loops draw, evaluate or fold their trials cannot move a seeded report.
+
+Usage (from the repository root)::
+
+    PYTHONPATH=src python tests/golden/record_verify.py
+
+Re-record only on a commit whose reports are known to be right.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+PIN = Path(__file__).parent / "verify_pin.json"
+
+# (family, --params): the nine families of the verify-trials benchmark plus
+# boltzmann, landsberg_vedral and altz, at orders on both sides of 1
+FAMILIES = [
+    ("renyi", "alpha=0.5"),
+    ("zq", "q=0.5,alpha=2"),
+    ("zk", "k=0.3,alpha=0.7"),
+    ("zab", "a=0.3,b=-0.2,alpha=0.3"),
+    ("zg", "g=kaniadakis,k=0.4,alpha=5"),
+    ("zg", "g=abel,a=0.3,b=-0.2,alpha=0.7"),
+    ("tsallis_aq", "a=0.8,q=0.5"),
+    ("control", ""),
+    ("zg", "g=abel,a=2,b=1,alpha=0.5"),
+    ("boltzmann", ""),
+    ("landsberg_vedral", "q=0.5"),
+    ("altz", "g=tsallis,q=0.5,alpha=0.7"),
+]
+TRIALS = (1, 255, 256, 257, 2500)
+SEEDS = (7, 99)
+
+
+def argvs() -> list[list[str]]:
+    out = []
+    for family, params in FAMILIES:
+        for trials in TRIALS:
+            for seed in SEEDS:
+                argv = ["verify", "--family", family, "--suite", "all", "--trials", str(trials), "--seed", str(seed)]
+                if params:
+                    argv += ["--params", params]
+                out.append(argv)
+    return out
+
+
+def run(argv: list[str]) -> tuple[int, str]:
+    """Run ``gek`` in-process and return (exit code, stdout)."""
+    from gek.cli import main
+
+    out = io.StringIO()
+    code = 0
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+def record() -> list[dict]:
+    entries = []
+    for argv in argvs():
+        code, stdout = run(argv)
+        entries.append({"argv": argv, "exit": code, "stdout": stdout})
+    return entries
+
+
+if __name__ == "__main__":
+    os.environ.pop("GEK_SEED", None)
+    entries = record()
+    PIN.write_text(json.dumps(entries, indent=1) + "\n")
+    print(f"wrote {len(entries)} entries to {PIN}", file=sys.stderr)

@@ -363,3 +363,44 @@ class TestDeterminism:
         )
         assert result.returncode == 0
         assert result.stdout.strip() == "1.38629436111989"
+
+
+class TestExitCodeContract:
+    """Float overflow and an undefined ratio are bad input (exit 2), never a traceback that exits 1."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--family", "zab", "--params", "a=800,b=0,alpha=0.5", "--trials", "20"],
+            ["chi", "eval", "--family", "abel", "--params", "a=0.5,b=0", "--x", "1e300", "--y", "1e300"],
+            ["lmg", "demo", "--m", "1", "--N", "14", "--occupations", "7,7", "--a", "1e300", "--alpha", "0.5"],
+            ["lmg", "demo", "--m", "1", "--N", "14", "--occupations", "14,0", "--a", "2.2", "--extensive"],
+            ["log", "eval", "--family", "tsallis", "--params", "q=-5", "--x", "1e300"],
+            ["exp", "eval", "--family", "tsallis", "--params", "q=0.5", "--x", "1e300"],
+        ],
+        ids=["zab-a800", "chi-abel-1e300", "lmg-a1e300", "lmg-occupations-14-0", "log-tsallis-1e300",
+             "exp-tsallis-1e300"],
+    )
+    def test_exit_two_with_a_message(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    def test_abel_inverse_still_shrinks_its_bracket_out_of_overflow(self, tmp_path):
+        # e^(2t) overflows while the bracket doubles t, and the bracket shrinks back
+        code, text = invoke(["exp", "eval", "--family", "abel", "--params", "a=2,b=1", "--x", "1e300"], tmp_path)
+        assert code == 0 and float(text) == pytest.approx(1e150, rel=1e-12)
+
+    def test_extensivity_samples_stay_valid_json(self, tmp_path):
+        def no_constant(name):
+            raise AssertionError(f"non-finite JSON constant {name}")
+
+        code, text = invoke(
+            ["extensivity", "solve", "--family", "renyi", "--params", "alpha=0.5", "--lam", "1e308"], tmp_path
+        )
+        payload = json.loads(text, parse_constant=no_constant)
+        assert code == 1 and payload["valid"] is False
+        assert [s["N"] for s in payload["samples"]] == [1]

@@ -13,6 +13,7 @@ from gek.entropy import (
     boltzmann,
     composition_phi,
     entropy_spec,
+    invalid_distributions,
     landsberg_vedral,
     power_sum,
     product_distribution,
@@ -422,3 +423,76 @@ class TestExpansibility:
         extended = p.append_zero()
         for spec in specs:
             assert spec.value(extended) == spec.value(p), spec.describe()
+
+
+# one spec per family and per G, at orders on both sides of 1
+BATCH_SPECS = [
+    entropy_spec("boltzmann"),
+    entropy_spec("control"),
+    entropy_spec("tsallis_aq", {"a": 0.8, "q": 0.5}),
+    entropy_spec("tsallis_aq", {"a": 2.0, "q": 1.5}),
+    entropy_spec("landsberg_vedral", {"q": 0.5}),
+    entropy_spec("renyi", {"alpha": 0.5}),
+    entropy_spec("renyi", {"alpha": 2.0}),
+    entropy_spec("zq", {"q": 0.5, "alpha": 0.7}),
+    entropy_spec("zk", {"k": 0.3, "alpha": 5.0}),
+    entropy_spec("zab", {"a": 0.3, "b": -0.2, "alpha": 0.3}),
+    entropy_spec("zab", {"a": 2.0, "b": 1.0, "alpha": 2.0}),
+    entropy_spec("zg", {"g": "id", "alpha": 0.5}),
+    entropy_spec("zg", {"g": "tsallis", "q": 1.5, "alpha": 0.5}),
+    entropy_spec("zg", {"g": "kaniadakis", "k": 0.4, "alpha": 0.7}),
+    entropy_spec("zg", {"g": "abel", "a": 2.0, "b": 1.0, "alpha": 0.5}),
+    entropy_spec("altz", {"g": "tsallis", "q": 0.5, "alpha": 0.7}),
+    entropy_spec("altz", {"g": "abel", "a": 0.3, "b": -0.2, "alpha": 0.5}),
+]
+
+
+def _batch_rows(rng):
+    """Rows of every length 1-64: simplex points, off-simplex points, and rows with zeros."""
+    rows = []
+    for w in range(1, 65):
+        rows.append(rng.dirichlet(np.ones(w)))
+        rows.append(rng.dirichlet(np.ones(w)) * rng.uniform(0.5, 1.5))
+        with_zeros = rng.dirichlet(np.ones(w))
+        with_zeros[rng.integers(w, size=max(1, w // 3))] = 0.0
+        if with_zeros.any():
+            rows.append(with_zeros)
+    rows.append(np.array([0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]))  # 9 entries, 2 positive
+    return rows
+
+
+class TestBatchedRows:
+    @pytest.mark.parametrize("spec", BATCH_SPECS, ids=lambda s: s.describe())
+    def test_raw_values_equal_raw_value_per_row(self, spec):
+        rows = _batch_rows(np.random.default_rng(11))
+        shuffled = [rows[i] for i in np.random.default_rng(12).permutation(len(rows))]
+        for batch in (rows, shuffled):
+            assert spec.raw_values(batch) == [spec.raw_value(row) for row in batch]
+
+    def test_row_sums_and_tail_compose_to_value(self):
+        spec = entropy_spec("zk", {"k": 0.3, "alpha": 0.5})
+        p = Distribution([0.5, 0.25, 0.125, 0.125])
+        (s,) = spec.row_sums([p.p])
+        assert s == power_sum(p, 0.5)
+        assert spec.from_row_sum(s) == spec.value(p)
+
+    def test_invalid_distributions_match_the_constructor(self):
+        rows = [
+            np.array([0.5, 0.5]),
+            np.array([0.5, 0.6]),
+            np.array([1.2, -0.2]),
+            np.array([0.5, np.nan]),
+            np.array([np.inf, 0.0]),
+            np.array([]),
+            np.array([1.0]),
+            np.full(10, 0.1),
+        ]
+        expected = []
+        for row in rows:
+            try:
+                Distribution(row)
+            except InputError:
+                expected.append(True)
+            else:
+                expected.append(False)
+        assert invalid_distributions(rows) == expected == [False, True, True, True, True, True, False, False]

@@ -368,3 +368,22 @@ class TestBrent:
     def test_exact_zero_at_an_end_is_the_root(self):
         assert _brent(lambda t: t - 1.0, 1.0, 3.0) == 1.0
         assert _brent(lambda t: t - 3.0, 1.0, 3.0) == 3.0
+
+
+class TestOverflow:
+    def test_abel_formula_overflow_is_a_range_error(self):
+        with pytest.raises(RangeError):
+            AbelGroup(800.0, 0.0).formula(1.0)
+
+    @pytest.mark.parametrize(
+        "ab, s, root",
+        [
+            ((2.0, 1.0), 1e300, "0x1.5963447f87fb5p+8"),
+            ((800.0, 0.0), 5.0, "0x1.53bc08fa1f6f0p-7"),
+            ((0.5, 0.0), 1e300, "0x1.590a8b738c127p+10"),
+            ((800.0, -3.0), 1e200, "0x1.2b02eda93c013p-1"),
+        ],
+    )
+    def test_bracket_shrinks_out_of_overflow_to_the_same_root(self, ab, s, root):
+        # the upward bracket meets an overflowing G and shrinks back; roots pinned before the RangeError
+        assert AbelGroup(*ab).inverse(s) == float.fromhex(root)

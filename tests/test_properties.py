@@ -6,11 +6,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gek.entropy import Distribution, entropy_spec
+from gek.entropy import Distribution, EntropySpec, entropy_spec, product_distribution
 from gek.errors import ParameterError
 from gek.grouplog import IdentityGroup, KaniadakisGroup, MultiplicativeGroup
 from gek.properties import (
     GrowthLaw,
+    _two_of,
     MajorizationPair,
     check_composability,
     check_composability_on_uniform,
@@ -240,3 +241,93 @@ class TestConcavityRegions:
     def test_search_clean_inside_region(self):
         report = saq_concavity_counterexample_search(1.5, 0.5, trials=200, seed=22)
         assert report.failures == 0
+
+
+class TestTrialDraws:
+    def test_indexing_by_integers_draws_the_same_stream_as_choice(self):
+        # the trial loops draw w as w_values[rng.integers(len(w_values))] in place of rng.choice(w_values)
+        for w_values in ((2, 3, 4, 5, 6), (3, 4, 5, 6), (7,)):
+            by_choice, by_index = np.random.default_rng(2024), np.random.default_rng(2024)
+            drawn_choice = [int(by_choice.choice(w_values)) for _ in range(20_000)]
+            drawn_index = [int(w_values[by_index.integers(len(w_values))]) for _ in range(20_000)]
+            assert drawn_choice == drawn_index
+            assert by_choice.bit_generator.state == by_index.bit_generator.state
+
+    def test_two_of_draws_the_same_stream_as_choice_without_replacement(self):
+        # generate_majorization_pair draws its transfer pair with _two_of in place of rng.choice
+        for w in range(2, 10):
+            by_choice, by_two_of = np.random.default_rng(w), np.random.default_rng(w)
+            drawn_choice = [tuple(int(v) for v in by_choice.choice(w, size=2, replace=False)) for _ in range(20_000)]
+            drawn_two_of = [_two_of(by_two_of, w) for _ in range(20_000)]
+            assert drawn_choice == drawn_two_of
+            assert by_choice.bit_generator.state == by_two_of.bit_generator.state
+
+    @pytest.mark.parametrize("trials", [1, 255, 256, 257, 600])
+    def test_reports_do_not_depend_on_the_chunk_size(self, trials, monkeypatch):
+        import gek.properties as properties
+
+        spec = entropy_spec("control")
+
+        def reports():
+            out = [check_composability(spec, trials, 1e-10, 5)]
+            out += check_sk_axioms(spec, trials, 5) + check_schur_concavity(spec, trials, 5)
+            return [r.as_dict() for r in out]
+
+        chunked = reports()
+        monkeypatch.setattr(properties, "_CHUNK", 1)
+        assert reports() == chunked
+
+
+class _NanAbove(IdentityGroup):
+    """The identity G, except NaN above a threshold: an entropy that turns NaN on some inputs."""
+
+    def __init__(self, threshold: float):
+        self.threshold = threshold
+
+    def eval(self, t: float) -> float:
+        return t if t <= self.threshold else math.nan
+
+    def eval_scaled(self, c: float, t: float) -> float:
+        return self.eval(c * t) / c
+
+
+class _NanLaw(IdentityGroup):
+    """The identity G with a composition law that is NaN everywhere."""
+
+    def chi_scaled(self, c: float, x: float, y: float) -> float:
+        return math.nan
+
+
+class TestFailClosed:
+    """A NaN residual, gap or criterion value is a failure and the witness, never a silent pass."""
+
+    def test_all_nan_fails_every_check(self):
+        spec = EntropySpec("zg", {"alpha": 0.5}, _NanAbove(-1.0))
+        reports = [check_composability(spec, 50, 1e-10, 1)]
+        reports += check_sk_axioms(spec, 50, 1) + check_schur_concavity(spec, 50, 1)
+        assert [r.failures for r in reports] == [50] * 6
+        for r in reports[:1] + reports[2:]:  # the continuity proxy reports a Lipschitz estimate instead
+            assert math.isnan(r.worst_residual) and r.witness, r.name
+
+    def test_first_nan_trial_becomes_the_witness(self):
+        # finite on distributions of low entropy and NaN above, so finite trials come first
+        spec = EntropySpec("zg", {"alpha": 0.5}, _NanAbove(0.5 * math.log(3)))
+        report = check_composability(spec, 300, 1e-10, 2)
+        rng = np.random.default_rng(2)
+        nan_trials = []
+        for _ in range(300):
+            wa, wb = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+            p, r = Distribution(rng.dirichlet(np.ones(wa))), Distribution(rng.dirichlet(np.ones(wb)))
+            if math.isnan(spec.value(product_distribution(p, r))):
+                nan_trials.append(p.p.tolist())
+        assert 0 < len(nan_trials) < 300
+        assert report.failures == len(nan_trials)
+        assert math.isnan(report.worst_residual)
+        assert report.witness["p"] == nan_trials[0]
+
+    def test_nan_law_fails_the_law_checks(self):
+        uniform = check_composability_on_uniform(EntropySpec("zg", {"alpha": 0.5}, _NanLaw()), trials=20, seed=3)
+        assert uniform.failures == 20 and math.isnan(uniform.worst_residual)
+        axioms = check_group_axioms_numeric(_NanLaw(), 0.5, trials=20, seed=3)
+        assert axioms.failures == 20 and math.isnan(axioms.worst_residual)
+

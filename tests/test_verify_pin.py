@@ -1,0 +1,34 @@
+"""Seeded ``gek verify --suite all`` reports, replayed byte for byte.
+
+``golden/verify_pin.json`` was written by ``golden/record_verify.py`` before
+the trial loops were batched: twelve families at 1, 255, 256, 257 and 2500
+trials (on both sides of the 256-trial chunk) and seeds 7 and 99.  The
+stdout and exit code of every run must stay exactly as pinned.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+GOLDEN = Path(__file__).parent / "golden"
+_spec = importlib.util.spec_from_file_location("record_verify", GOLDEN / "record_verify.py")
+record_verify = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(record_verify)
+
+PIN = json.loads((GOLDEN / "verify_pin.json").read_text())
+
+
+@pytest.fixture(autouse=True)
+def _no_env_seed(monkeypatch):
+    monkeypatch.delenv("GEK_SEED", raising=False)
+
+
+def test_pin_covers_the_recorded_grid():
+    assert [e["argv"] for e in PIN] == record_verify.argvs()
+
+
+@pytest.mark.parametrize("entry", PIN, ids=[" ".join(e["argv"][2:]) for e in PIN])
+def test_verify_report_is_unchanged(entry):
+    assert record_verify.run(entry["argv"]) == (entry["exit"], entry["stdout"])
