@@ -302,7 +302,8 @@ class EntropySpec:
 
         rest = reduce(range(len(rows)))
         for i in rest:
-            rows[i] = rows[i][rows[i] > 0]
+            row = np.asarray(rows[i], dtype=float)
+            rows[i] = row[row > 0]
         reduce(rest)
         return sums
 

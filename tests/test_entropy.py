@@ -458,6 +458,7 @@ def _batch_rows(rng):
         if with_zeros.any():
             rows.append(with_zeros)
     rows.append(np.array([0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]))  # 9 entries, 2 positive
+    rows.append([0.25, 0.0, 0.75])  # a plain list, as raw_value takes one
     return rows
 
 

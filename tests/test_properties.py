@@ -11,7 +11,6 @@ from gek.errors import ParameterError
 from gek.grouplog import IdentityGroup, KaniadakisGroup, MultiplicativeGroup
 from gek.properties import (
     GrowthLaw,
-    _two_of,
     MajorizationPair,
     check_composability,
     check_composability_on_uniform,
@@ -25,6 +24,7 @@ from gek.properties import (
     saq_concavity_counterexample_search,
     solve_growth_law,
     tsallis_qstar,
+    _two_of,
 )
 
 SPECS = {
@@ -310,7 +310,7 @@ class TestFailClosed:
             assert math.isnan(r.worst_residual) and r.witness, r.name
 
     def test_first_nan_trial_becomes_the_witness(self):
-        # finite on distributions of low entropy and NaN above, so finite trials come first
+        # finite on products of low entropy and NaN above, so NaN trials mix with finite ones
         spec = EntropySpec("zg", {"alpha": 0.5}, _NanAbove(0.5 * math.log(3)))
         report = check_composability(spec, 300, 1e-10, 2)
         rng = np.random.default_rng(2)
