@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .entropy import Z_FAMILIES, Distribution, EntropySpec, entropy_spec
-from .errors import GekError, InputError, ParameterError
+from .errors import GekError, InputError, ParameterError, RangeError
 from .grouplog import GroupLogarithm, chi, eval_exp_G, eval_ln_G, group_family, group_function
 from .properties import (
     PropertyReport,
@@ -48,6 +48,8 @@ from .quantum import (
 from .series import TruncatedSeries, group_law_from_G, reversion
 
 SCHEMA_VERSION = "1"
+# an entropy sweep evaluates one row per point; longer ranges are rejected before any is built
+MAX_SWEEP_POINTS = 100_000
 
 
 def _fmt(x: float) -> str:
@@ -389,6 +391,8 @@ def _parse_sweep(text: str) -> tuple[str, list[float]]:
     if not math.isfinite(steps):
         raise InputError(f"sweep {text!r} has too many points")
     count = int(math.floor(steps + 1e-9)) + 1
+    if count > MAX_SWEEP_POINTS:
+        raise InputError(f"sweep {text!r} has more than {MAX_SWEEP_POINTS} points")
     return name, [start + i * step for i in range(count)]
 
 
@@ -580,6 +584,8 @@ def _handle_lmg_demo(config: RunConfig) -> tuple[int, str]:
         exact = quantum_z_ab(a, 0.0, alpha, dicke_reduced_density(spec))
         params = LmgParams(a=a, m=m, alpha=alpha, gamma=block / n_sites, densities=densities)
         asymptotic = lmg_asymptotic_za0(params, float(block))
+        if asymptotic == 0:
+            raise RangeError(f"the asymptotic value at L={block} underflows to 0; the ratio is undefined")
         rows.append([str(block), _fmt(exact), _fmt(asymptotic), _fmt(exact / asymptotic)])
     return 0, _csv_text(["L", "exact_entropy", "asymptotic_value", "ratio"], rows)
 

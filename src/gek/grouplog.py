@@ -319,7 +319,9 @@ class AbelGroup(GroupFunction):
         self.b = float(b)
         hi, lo = max(self.a, self.b), min(self.a, self.b)
         if lo > 0:
-            self.domain_min = math.log(lo / hi) / (hi - lo)
+            # lo / hi underflows to 0 only for extreme a, b; then log(lo / hi) is a difference of logs
+            ratio = lo / hi
+            self.domain_min = (math.log(ratio) if ratio > 0 else math.log(lo) - math.log(hi)) / (hi - lo)
             self.range_min = self.formula(self.domain_min)
         elif lo == 0:
             self.range_min = -1.0 / hi

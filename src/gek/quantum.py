@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .entropy import EntropySpec, _power_sum_raw, entropy_spec
-from .errors import DomainError, InputError, ParameterError
+from .errors import DomainError, InputError, ParameterError, RangeError
 
 EIGENVALUE_CLAMP = 1e-12
 _PSD_FLOOR = -1e-10
@@ -209,7 +209,8 @@ def lmg_asymptotic_za0(params: LmgParams, block: float) -> float:
 
     Evaluates L^(a m (1-alpha)/2) / (a (1-alpha) alpha^(m a / 2)) times the
     density-dependent prefactor raised to the same exponent.  Zero densities
-    make the prefactor vanish and the value is returned as-is.
+    make the prefactor vanish and the value is returned as-is; a value that
+    overflows a float raises RangeError.
     """
     if params.a == 0:
         raise ParameterError("requires a != 0")
@@ -222,8 +223,14 @@ def lmg_asymptotic_za0(params: LmgParams, block: float) -> float:
     a, m, alpha = params.a, params.m, params.alpha
     exponent = a * m * (1.0 - alpha) / 2.0
     density_product = math.prod(x ** (1.0 / m) for x in params.densities)
-    prefactor = (2.0 * math.pi * (1.0 - params.gamma) * density_product) ** exponent
-    return block**exponent / (a * (1.0 - alpha) * alpha ** (m * a / 2.0)) * prefactor
+    try:
+        prefactor = (2.0 * math.pi * (1.0 - params.gamma) * density_product) ** exponent
+        value = block**exponent / (a * (1.0 - alpha) * alpha ** (m * a / 2.0)) * prefactor
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not math.isfinite(value):
+        raise RangeError(f"the asymptotic value at L={block:g} overflows a float")
+    return value
 
 
 def extensive_alpha(a: float, m: int) -> float:

@@ -23,6 +23,43 @@ def _frac(value: Rational) -> Fraction:
     return Fraction(value)
 
 
+# The exact kernel: a coefficient vector is held as integer numerators over one
+# common denominator, so inner loops add and multiply plain ints and each
+# result coefficient is normalised once, by one Fraction(numerator, denominator).
+
+
+def _ints(coeffs: Iterable[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of ``coeffs`` over their least common denominator."""
+    cs = list(coeffs)
+    den = math.lcm(*(c.denominator for c in cs))
+    return [c.numerator * (den // c.denominator) for c in cs], den
+
+
+def _mul(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
+    """The product of two integer coefficient vectors, truncated at degree n."""
+    out = [0] * (n + 1)
+    for i, ai in enumerate(a[: n + 1]):
+        if ai:
+            for k, bj in enumerate(b[: n + 1 - i], i):
+                out[k] += ai * bj
+    return out
+
+
+def _bimul(a: Mapping, b: Mapping, n: int) -> dict[tuple[int, int], int]:
+    """The product of two integer dicts {(i, j): c}, truncated at total degree n; zeros dropped."""
+    out: dict[tuple[int, int], int] = {}
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            if i1 + j1 + i2 + j2 <= n:
+                key = (i1 + i2, j1 + j2)
+                out[key] = out.get(key, 0) + c1 * c2
+    return {key: c for key, c in out.items() if c}
+
+
+def _fracs(nums: Iterable[int], den: int) -> tuple[Fraction, ...]:
+    return tuple(Fraction(v, den) for v in nums)
+
+
 @dataclass(frozen=True)
 class TruncatedSeries:
     """A univariate formal power series kept exactly up to a fixed order.
@@ -74,15 +111,9 @@ class TruncatedSeries:
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         n = min(self.order, other.order)
-        out = [Fraction(0)] * (n + 1)
-        for i, ci in enumerate(self.coeffs[: n + 1]):
-            if ci == 0:
-                continue
-            for j in range(n + 1 - i):
-                cj = other[j]
-                if cj != 0:
-                    out[i + j] += ci * cj
-        return TruncatedSeries(tuple(out))
+        a, da = _ints(self.coeffs[: n + 1])
+        b, db = _ints(other.coeffs[: n + 1])
+        return TruncatedSeries(_fracs(_mul(a, b, n), da * db))
 
     def scaled(self, factor: Rational) -> "TruncatedSeries":
         f = _frac(factor)
@@ -127,28 +158,39 @@ def compose(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     if g[0] != 0:
         raise CompositionDomainError("inner series must have zero constant term")
     n = min(f.order, g.order)
-    gn = g.truncated(n)
-    # Horner over the outer coefficients; every product is truncated at n.
-    acc = TruncatedSeries.from_coeffs([f[n]], order=n)
+    fs, df = _ints(f.coeffs[: n + 1])
+    gs, dg = _ints(g.coeffs[: n + 1])
+    # Horner over the outer coefficients; after the step for f_k the
+    # accumulator holds sum_{i>=k} f_i g^(i-k) over df * dg^(n-k).
+    acc, scale = [fs[n]], 1
     for k in range(n - 1, -1, -1):
-        acc = acc * gn
-        acc = TruncatedSeries(tuple((f[k] if i == 0 else 0) + acc[i] for i in range(n + 1)))
-    return acc
+        acc = _mul(acc, gs, n)
+        scale *= dg
+        acc[0] += fs[k] * scale
+    return TruncatedSeries(_fracs(acc, df * scale))
 
 
 def reversion(f: TruncatedSeries) -> TruncatedSeries:
-    """The compositional inverse g with f(g(s)) = s up to the truncation order."""
+    """The compositional inverse g with f(g(s)) = s up to the truncation order.
+
+    Lagrange inversion: with h = s/f(s), the coefficient g_m = [s^(m-1)] h^m / m.
+    """
     if f[0] != 0 or f[1] != 1:
         raise NormalizationError("reversion requires c_0 = 0 and c_1 = 1")
     n = f.order
-    g = [Fraction(0)] * (n + 1)
-    g[1] = Fraction(1)
-    # Solve coefficient by coefficient: the unknown g[m] enters f(g) linearly
-    # through the c_1 = 1 term, so g[m] = -[s^m] f(g with g[m] = 0).
+    # f(s)/s = p/d with p_0 = d, so h_k = H_k / d^k for the integers
+    # H_k = -sum_{i=1..k} p_i H_{k-i} d^(i-1): one series division.
+    p, d = _ints(f.coeffs[1:])
+    dpow = [d**e for e in range(n)]
+    big = [1]
+    for k in range(1, n):
+        big.append(-sum(p[i] * big[k - i] * dpow[i - 1] for i in range(1, k + 1)))
+    h, den = _ints(Fraction(v, dpow[k]) for k, v in enumerate(big))
+    g = [Fraction(0), Fraction(1)]
+    power = h  # h^m over den^m, truncated at degree n - 1
     for m in range(2, n + 1):
-        partial = TruncatedSeries(tuple(g[: m + 1]))
-        residual = compose(f.truncated(m), partial)
-        g[m] = -residual[m]
+        power = _mul(power, h, n - 1)
+        g.append(Fraction(power[m - 1], m * den**m))
     return TruncatedSeries(tuple(g))
 
 
@@ -192,14 +234,10 @@ class BivariateTruncatedSeries:
 
     def __mul__(self, other: "BivariateTruncatedSeries") -> "BivariateTruncatedSeries":
         n = min(self.order, other.order)
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i1, j1), c1 in self.coeffs.items():
-            for (i2, j2), c2 in other.coeffs.items():
-                i, j = i1 + i2, j1 + j2
-                if i + j <= n:
-                    key = (i, j)
-                    out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return BivariateTruncatedSeries(out, n)
+        a, da = _ints(self.coeffs.values())
+        b, db = _ints(other.coeffs.values())
+        out = _bimul(dict(zip(self.coeffs, a)), dict(zip(other.coeffs, b)), n)
+        return BivariateTruncatedSeries({key: Fraction(c, da * db) for key, c in out.items()}, n)
 
     def scaled(self, factor: Rational) -> "BivariateTruncatedSeries":
         f = _frac(factor)
@@ -217,78 +255,32 @@ def group_law_from_G(g: TruncatedSeries, order: int) -> BivariateTruncatedSeries
         raise NormalizationError("group-law construction requires c_0 = 0 and c_1 = 1")
     if g.order < order:
         raise ValueError(f"series order {g.order} is below the requested expansion order {order}")
-    gn = g.truncated(order)
-    ginv = reversion(gn)
-    u = BivariateTruncatedSeries({(k, 0): c for k, c in enumerate(ginv.coeffs)}, order)
-    v = BivariateTruncatedSeries({(0, k): c for k, c in enumerate(ginv.coeffs)}, order)
-    w = u + v
-    out = BivariateTruncatedSeries({}, order)
-    power = BivariateTruncatedSeries({(0, 0): Fraction(1)}, order)
-    for k in range(order + 1):
-        if k:
-            power = power * w
-        if gn[k] != 0:
-            out = out + power.scaled(gn[k])
-    return out
-
-
-class _TriPoly:
-    """Sparse trivariate polynomial truncated at a fixed total degree."""
-
-    __slots__ = ("coeffs", "order")
-
-    def __init__(self, coeffs: dict[tuple[int, int, int], Fraction], order: int):
-        self.coeffs = {k: c for k, c in coeffs.items() if c != 0}
-        self.order = order
-
-    @classmethod
-    def constant(cls, value: Fraction, order: int) -> "_TriPoly":
-        return cls({(0, 0, 0): Fraction(value)}, order)
-
-    def add_scaled(self, other: "_TriPoly", factor: Fraction) -> "_TriPoly":
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + factor * c
-        return _TriPoly(out, self.order)
-
-    def __mul__(self, other: "_TriPoly") -> "_TriPoly":
-        out: dict[tuple[int, int, int], Fraction] = {}
-        n = self.order
-        for (a1, b1, c1), v1 in self.coeffs.items():
-            for (a2, b2, c2), v2 in other.coeffs.items():
-                a, b, c = a1 + a2, b1 + b2, c1 + c2
-                if a + b + c <= n:
-                    key = (a, b, c)
-                    out[key] = out.get(key, Fraction(0)) + v1 * v2
-        return _TriPoly(out, n)
-
-
-def _tri_embed(psi: BivariateTruncatedSeries, axes: tuple[int, int]) -> _TriPoly:
-    """Lift a bivariate polynomial into three variables along the given axes."""
-    out: dict[tuple[int, int, int], Fraction] = {}
-    for (i, j), c in psi.coeffs.items():
-        key = [0, 0, 0]
-        key[axes[0]] = i
-        key[axes[1]] = j
-        out[tuple(key)] = c
-    return _TriPoly(out, psi.order)
-
-
-def _tri_substitute(psi: BivariateTruncatedSeries, first: _TriPoly, second: _TriPoly) -> _TriPoly:
-    """Evaluate psi(first, second) with trivariate truncated arithmetic."""
-    order = psi.order
-    max_i = max((i for (i, _) in psi.coeffs), default=0)
-    max_j = max((j for (_, j) in psi.coeffs), default=0)
-    pow_first = [_TriPoly.constant(Fraction(1), order)]
-    for _ in range(max_i):
-        pow_first.append(pow_first[-1] * first)
-    pow_second = [_TriPoly.constant(Fraction(1), order)]
-    for _ in range(max_j):
-        pow_second.append(pow_second[-1] * second)
-    out = _TriPoly({}, order)
-    for (i, j), c in sorted(psi.coeffs.items()):
-        out = out.add_scaled(pow_first[i] * pow_second[j], c)
-    return out
+    gs, dg = _ints(g.coeffs[: order + 1])
+    p, d = _ints(reversion(g.truncated(order)).coeffs)
+    powers = [[1] + [0] * order]  # (G^-1)^j over d^j
+    for _ in range(order):
+        powers.append(_mul(powers[-1], p, order))
+    dpow = [d**e for e in range(order + 1)]
+    # With u = G^-1(x), v = G^-1(y): G(u + v) = sum_k G_k sum_j C(k, j) u^j v^(k-j),
+    # so Phi_ab = sum_j P_j[a] T_j[b] over dg d^order, where
+    # T_j[b] = sum_k C(k, j) G_k d^(order-k) P_(k-j)[b] gathers the v-side per power of u.
+    out: dict[tuple[int, int], int] = {}
+    for j in range(order + 1):
+        t = [0] * (order + 1 - j)
+        for k in range(j, order + 1):
+            if gs[k]:
+                c = gs[k] * math.comb(k, j) * dpow[order - k]
+                pk = powers[k - j]
+                for b in range(k - j, order + 1 - j):
+                    t[b] += c * pk[b]
+        for a in range(j, order + 1):
+            pa = powers[j][a]
+            if pa:
+                for b, tb in enumerate(t[: order + 1 - a]):
+                    if tb:
+                        out[(a, b)] = out.get((a, b), 0) + pa * tb
+    den = dg * dpow[order]
+    return BivariateTruncatedSeries({key: Fraction(out[key], den) for key in sorted(out) if out[key]}, order)
 
 
 @dataclass(frozen=True)
@@ -336,24 +328,34 @@ def verify_group_axioms(psi: BivariateTruncatedSeries) -> GroupAxiomReport:
             failures["commutativity"] = ((i, j), psi[(i, j)], psi[(j, i)])
             break
 
-    left = _tri_substitute(psi, _tri_embed(psi, (0, 1)), _tri_embed_var(2, psi.order))
-    right = _tri_substitute(psi, _tri_embed_var(0, psi.order), _tri_embed(psi, (1, 2)))
+    # Both substitutions over one denominator: psi = law / d, psi^i = powers[i] / d^i,
+    # and every term of psi(psi(x, y), z) and psi(x, psi(y, z)) is scaled to d^(top+1).
+    n = psi.order
+    q, d = _ints(psi.coeffs.values())
+    law = dict(zip(psi.coeffs, q))
+    top = max((max(key) for key in law), default=0)
+    dpow = [d**e for e in range(top + 2)]
+    powers = [{(0, 0): 1}]
+    for _ in range(top):
+        powers.append(_bimul(powers[-1], law, n))
+    left: dict[tuple[int, int, int], int] = {}
+    right: dict[tuple[int, int, int], int] = {}
+    for (i, j), c in law.items():
+        for (a, b), v in powers[i].items():
+            if a + b + j <= n:
+                left[(a, b, j)] = left.get((a, b, j), 0) + c * v * dpow[top - i]
+        for (a, b), v in powers[j].items():
+            if i + a + b <= n:
+                right[(i, a, b)] = right.get((i, a, b), 0) + c * v * dpow[top - j]
     associative_ok = True
-    for key in sorted(set(left.coeffs) | set(right.coeffs)):
-        lv = left.coeffs.get(key, Fraction(0))
-        rv = right.coeffs.get(key, Fraction(0))
+    for key in sorted(left.keys() | right.keys()):
+        lv, rv = left.get(key, 0), right.get(key, 0)
         if lv != rv:
             associative_ok = False
-            failures["associativity"] = (key, lv, rv)
+            failures["associativity"] = (key, Fraction(lv, dpow[-1]), Fraction(rv, dpow[-1]))
             break
 
     return GroupAxiomReport(identity_ok, commutative_ok, associative_ok, failures)
-
-
-def _tri_embed_var(axis: int, order: int) -> _TriPoly:
-    key = [0, 0, 0]
-    key[axis] = 1
-    return _TriPoly({tuple(key): Fraction(1)}, order)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from gek.cli import main, parse_args, run
+from gek.errors import InputError
 
 
 def invoke(args, tmp_path, name="out.txt"):
@@ -127,6 +128,20 @@ class TestEntropySweep:
         with pytest.raises(SystemExit) as exc:
             main(["entropy", "sweep", "--family", "renyi", "--param", "alpha=0.1-0.9", "--dist", "u4"])
         assert exc.value.code == 2
+
+    def test_point_count_is_bounded(self, monkeypatch):
+        from gek import cli
+
+        assert cli._parse_sweep("alpha=0:99999:1")[1][-1] == 99999.0
+        with pytest.raises(InputError, match="more than 100000 points"):
+            cli._parse_sweep("alpha=0:100000:1")
+        # the bound is checked before any point is built
+        monkeypatch.setattr(cli, "MAX_SWEEP_POINTS", 10)
+        assert len(cli._parse_sweep("alpha=0.1:1:0.1")[1]) == 10
+        with pytest.raises(InputError, match="more than 10 points"):
+            cli._parse_sweep("alpha=0:10:1")
+        with pytest.raises(InputError, match="more than 10 points"):
+            cli._parse_sweep("alpha=0:1e300:1")
 
 
 class TestSeriesTools:
@@ -377,9 +392,16 @@ class TestExitCodeContract:
             ["lmg", "demo", "--m", "1", "--N", "14", "--occupations", "14,0", "--a", "2.2", "--extensive"],
             ["log", "eval", "--family", "tsallis", "--params", "q=-5", "--x", "1e300"],
             ["exp", "eval", "--family", "tsallis", "--params", "q=0.5", "--x", "1e300"],
+            # the asymptotic value underflows to 0 (a=700) or overflows (a=1e300) at alpha=2
+            ["lmg", "demo", "--m", "1", "--N", "14", "--occupations", "7,7", "--a", "700", "--alpha", "2"],
+            ["lmg", "demo", "--m", "1", "--N", "14", "--occupations", "7,7", "--a", "1e300", "--alpha", "2"],
+            # a / b underflows to 0 in the abel domain edge
+            ["log", "eval", "--family", "abel", "--params", "a=1e-300,b=1e300", "--x", "1e300"],
+            ["entropy", "sweep", "--family", "renyi", "--dist", "u4", "--param", "alpha=0:1e300:1"],
         ],
         ids=["zab-a800", "chi-abel-1e300", "lmg-a1e300", "lmg-occupations-14-0", "log-tsallis-1e300",
-             "exp-tsallis-1e300"],
+             "exp-tsallis-1e300", "lmg-a700-alpha2", "lmg-a1e300-alpha2", "log-abel-ratio-underflow",
+             "sweep-1e300-points"],
     )
     def test_exit_two_with_a_message(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

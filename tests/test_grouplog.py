@@ -387,3 +387,17 @@ class TestOverflow:
     def test_bracket_shrinks_out_of_overflow_to_the_same_root(self, ab, s, root):
         # the upward bracket meets an overflowing G and shrinks back; roots pinned before the RangeError
         assert AbelGroup(*ab).inverse(s) == float.fromhex(root)
+
+    @pytest.mark.parametrize("a, b", [(1e-300, 1e300), (1e300, 1e-300), (5e-324, 1.0)])
+    def test_abel_domain_edge_when_the_parameter_ratio_underflows(self, a, b):
+        # lo / hi underflows to 0, so the domain edge is log(lo) - log(hi) over hi - lo
+        lo, hi = min(a, b), max(a, b)
+        g = AbelGroup(a, b)
+        assert g.domain_min == (math.log(lo) - math.log(hi)) / (hi - lo)
+        assert math.isfinite(g.domain_min) and math.isfinite(g.range_min)
+
+    @pytest.mark.parametrize("a, b", [(2.0, 1.0), (1e-150, 1e150), (0.3, 5e-324 * 2**60)])
+    def test_abel_domain_edge_keeps_the_ratio_expression(self, a, b):
+        lo, hi = min(a, b), max(a, b)
+        assert lo / hi > 0
+        assert AbelGroup(a, b).domain_min == math.log(lo / hi) / (hi - lo)

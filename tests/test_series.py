@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from gek.series import (
     BivariateTruncatedSeries,
+    GroupAxiomReport,
     TruncatedSeries,
     abel_exp_series,
     abel_group_coefficients,
@@ -24,6 +25,7 @@ from gek.series import (
 from gek.errors import CompositionDomainError, NormalizationError
 
 small_fraction = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+rational = st.fractions(min_value=-7, max_value=7, max_denominator=40)
 
 
 def series(*coeffs, order=None):
@@ -208,3 +210,238 @@ class TestSeriesBasics:
 
     def test_derivative(self):
         assert series(5, 1, 3, 2).derivative() == series(1, 6, 6)
+
+
+# ---------------------------------------------------------------------------
+# Reference oracles: the algorithms gek.series used before its integer kernel,
+# in plain Fraction arithmetic.  Series are coefficient lists, bivariate and
+# trivariate polynomials dicts from exponent tuples to Fractions.
+
+
+def ref_mul(a, b, n):
+    out = [F(0)] * (n + 1)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            out[i + j] += a[i] * b[j]
+    return out
+
+
+def ref_compose(f, g):
+    """Horner over the outer coefficients, every product truncated."""
+    n = min(len(f), len(g)) - 1
+    acc = [f[n]] + [F(0)] * n
+    for k in range(n - 1, -1, -1):
+        acc = ref_mul(acc, g, n)
+        acc[0] += f[k]
+    return acc
+
+
+def ref_reversion(f):
+    """Coefficient by coefficient: g_m = -[s^m] f(g with g_m = 0)."""
+    n = len(f) - 1
+    g = [F(0)] * (n + 1)
+    g[1] = F(1)
+    for m in range(2, n + 1):
+        g[m] = -ref_compose(f[: m + 1], g[: m + 1])[m]
+    return g
+
+
+def ref_polymul(p, q, n):
+    out = {}
+    for k1, v1 in p.items():
+        for k2, v2 in q.items():
+            key = tuple(a + b for a, b in zip(k1, k2))
+            if sum(key) <= n:
+                out[key] = out.get(key, F(0)) + v1 * v2
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def ref_group_law(g, order):
+    """G(u + v) with u, v = G^-1(x), G^-1(y), by powers of u + v."""
+    ginv = ref_reversion(g[: order + 1])
+    w = {**{(k, 0): c for k, c in enumerate(ginv) if c}, **{(0, k): c for k, c in enumerate(ginv) if c}}
+    out, power = {}, {(0, 0): F(1)}
+    for k in range(order + 1):
+        if k:
+            power = ref_polymul(power, w, order)
+        for key, c in power.items():
+            out[key] = out.get(key, F(0)) + g[k] * c
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def ref_tri_substitute(psi, first, second, order):
+    """psi(first, second) with trivariate truncated arithmetic."""
+    max_i = max((i for (i, _) in psi), default=0)
+    max_j = max((j for (_, j) in psi), default=0)
+    pow_first = [{(0, 0, 0): F(1)}]
+    for _ in range(max_i):
+        pow_first.append(ref_polymul(pow_first[-1], first, order))
+    pow_second = [{(0, 0, 0): F(1)}]
+    for _ in range(max_j):
+        pow_second.append(ref_polymul(pow_second[-1], second, order))
+    out = {}
+    for (i, j), c in sorted(psi.items()):
+        for key, v in ref_polymul(pow_first[i], pow_second[j], order).items():
+            out[key] = out.get(key, F(0)) + c * v
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def ref_axioms(psi: BivariateTruncatedSeries) -> GroupAxiomReport:
+    failures = {}
+    identity_ok = True
+    for axis in (0, 1):
+        for k in range(psi.order + 1):
+            key = (k, 0) if axis == 0 else (0, k)
+            expected = F(1) if k == 1 else F(0)
+            if psi[key] != expected:
+                identity_ok = False
+                failures.setdefault("identity", (key, psi[key], expected))
+                break
+        if not identity_ok:
+            break
+    commutative_ok = True
+    for (i, j) in sorted({(max(i, j), min(i, j)) for (i, j) in psi.coeffs}):
+        if psi[(i, j)] != psi[(j, i)]:
+            commutative_ok = False
+            failures["commutativity"] = ((i, j), psi[(i, j)], psi[(j, i)])
+            break
+    n, law = psi.order, dict(psi.coeffs)
+    left = ref_tri_substitute(law, {(i, j, 0): c for (i, j), c in law.items()}, {(0, 0, 1): F(1)}, n)
+    right = ref_tri_substitute(law, {(1, 0, 0): F(1)}, {(0, i, j): c for (i, j), c in law.items()}, n)
+    associative_ok = True
+    for key in sorted(set(left) | set(right)):
+        lv, rv = left.get(key, F(0)), right.get(key, F(0))
+        if lv != rv:
+            associative_ok = False
+            failures["associativity"] = (key, lv, rv)
+            break
+    return GroupAxiomReport(identity_ok, commutative_ok, associative_ok, failures)
+
+
+CARRIERS = {
+    "tsallis+": lambda n: tsallis_exp_series(1 - F(5, 13), n),
+    "tsallis-": lambda n: tsallis_exp_series(1 + F(5, 13), n),
+    "kaniadakis+": lambda n: kaniadakis_exp_series(F(5, 13), n),
+    "kaniadakis-": lambda n: kaniadakis_exp_series(F(-5, 13), n),
+    "abel": lambda n: abel_exp_series(F(5, 13), F(-7, 11), n),
+    "abel-a=b": lambda n: abel_exp_series(F(5, 13), F(5, 13), n),
+}
+
+
+@st.composite
+def normalized_series(draw, max_order=14):
+    order = draw(st.integers(0, max_order))
+    tail = draw(st.lists(rational, min_size=max(order - 1, 0), max_size=max(order - 1, 0)))
+    return TruncatedSeries.from_coeffs([0, 1] + tail, order=order)
+
+
+@st.composite
+def bivariate(draw, max_order=6):
+    order = draw(st.integers(1, max_order))
+    keys = [(i, j) for i in range(order + 1) for j in range(order + 1 - i)]
+    coeffs = draw(st.dictionaries(st.sampled_from(keys), small_fraction, max_size=8))
+    if draw(st.booleans()):  # start from x + y so that later axioms get checked too
+        coeffs.update({(1, 0): F(1), (0, 1): F(1), (0, 0): F(0)})
+    return BivariateTruncatedSeries(coeffs, order)
+
+
+class TestKernelParity:
+    """The integer kernel equals the Fraction algorithms it replaced, coefficient for coefficient."""
+
+    @given(st.lists(rational, min_size=1, max_size=15), st.lists(rational, min_size=1, max_size=15))
+    @settings(max_examples=80, deadline=None)
+    def test_mul(self, a, b):
+        got = TruncatedSeries.from_coeffs(a) * TruncatedSeries.from_coeffs(b)
+        assert list(got.coeffs) == ref_mul(a + [F(0)] * 15, b + [F(0)] * 15, min(len(a), len(b)) - 1)
+
+    @given(st.lists(rational, min_size=1, max_size=15), st.lists(rational, min_size=0, max_size=14))
+    @settings(max_examples=80, deadline=None)
+    def test_compose(self, f, g_tail):
+        g = [F(0)] + g_tail
+        got = compose(TruncatedSeries.from_coeffs(f), TruncatedSeries.from_coeffs(g))
+        assert list(got.coeffs) == ref_compose(f, g)
+
+    @given(normalized_series())
+    @settings(max_examples=120, deadline=None)
+    def test_reversion(self, f):
+        if f.order == 0:
+            with pytest.raises(NormalizationError):
+                reversion(f)
+            return
+        assert list(reversion(f).coeffs) == ref_reversion(list(f.coeffs))
+
+    @pytest.mark.parametrize("order", [1, 2, 5, 13, 22])
+    @pytest.mark.parametrize("carrier", sorted(CARRIERS))
+    def test_reversion_of_carriers(self, carrier, order):
+        g = CARRIERS[carrier](order)
+        assert list(reversion(g).coeffs) == ref_reversion(list(g.coeffs))
+
+    @pytest.mark.parametrize("order", [1, 2, 6, 9, 12])
+    @pytest.mark.parametrize("carrier", sorted(CARRIERS))
+    def test_group_law_of_carriers(self, carrier, order):
+        g = CARRIERS[carrier](order + 2)
+        psi = group_law_from_G(g, order)
+        assert psi.order == order
+        assert psi.coeffs == ref_group_law(list(g.coeffs), order)
+        assert sorted(psi.coeffs) == list(psi.coeffs)
+
+    @given(normalized_series(max_order=8))
+    @settings(max_examples=40, deadline=None)
+    def test_group_law(self, g):
+        if g.order == 0:
+            with pytest.raises(NormalizationError):
+                group_law_from_G(g, 0)
+            return
+        assert group_law_from_G(g, g.order).coeffs == ref_group_law(list(g.coeffs), g.order)
+
+    @pytest.mark.parametrize("perturb", [None, (3, 0), (2, 1), (2, 2), (0, 0)])
+    @pytest.mark.parametrize("carrier", sorted(CARRIERS))
+    def test_axioms_of_carrier_laws(self, carrier, perturb):
+        coeffs = dict(group_law_from_G(CARRIERS[carrier](9), 9).coeffs)
+        if perturb:
+            coeffs[perturb] = coeffs.get(perturb, F(0)) + F(2, 7)
+        psi = BivariateTruncatedSeries(coeffs, 9)
+        assert verify_group_axioms(psi) == ref_axioms(psi)
+
+    @given(bivariate())
+    @settings(max_examples=80, deadline=None)
+    def test_axioms(self, psi):
+        assert verify_group_axioms(psi) == ref_axioms(psi)
+
+    @given(bivariate(), bivariate())
+    @settings(max_examples=60, deadline=None)
+    def test_bivariate_mul(self, p, q):
+        got = p * q
+        assert got.order == min(p.order, q.order)
+        assert got.coeffs == ref_polymul(dict(p.coeffs), dict(q.coeffs), got.order)
+        assert list(got.coeffs) == list(ref_polymul(dict(p.coeffs), dict(q.coeffs), got.order))
+
+
+class TestErrorPaths:
+    @pytest.mark.parametrize("coeffs", [[1, 1, 2], [0, 2, 1], [0, 0, 1], [0], [F(1, 2), 1]])
+    def test_unnormalized_series_are_rejected(self, coeffs):
+        f = TruncatedSeries.from_coeffs(coeffs)
+        with pytest.raises(NormalizationError):
+            reversion(f)
+        with pytest.raises(NormalizationError):
+            group_law_from_G(f, f.order)
+
+    def test_inner_series_needs_zero_constant(self):
+        with pytest.raises(CompositionDomainError):
+            compose(series(0, 1, 2), series(F(1, 3), 1, 0))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: TruncatedSeries((F(0), 1.0)),
+            lambda: TruncatedSeries.from_coeffs([0, 1, 0.5]),
+            lambda: series(0, 1).scaled(0.5),
+            lambda: BivariateTruncatedSeries({(1, 0): 1.0}, 2),
+            lambda: BivariateTruncatedSeries({(1, 0): 1}, 2).scaled(2.0),
+            lambda: tsallis_exp_series(0.5, 4),
+            lambda: abel_exp_series(1, 0.5, 4),
+        ],
+    )
+    def test_floats_are_rejected(self, build):
+        with pytest.raises(TypeError):
+            build()
