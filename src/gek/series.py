@@ -280,7 +280,7 @@ def group_law_from_G(g: TruncatedSeries, order: int) -> BivariateTruncatedSeries
                     if tb:
                         out[(a, b)] = out.get((a, b), 0) + pa * tb
     den = dg * dpow[order]
-    return BivariateTruncatedSeries({key: Fraction(out[key], den) for key in sorted(out) if out[key]}, order)
+    return BivariateTruncatedSeries({key: Fraction(out[key], den) for key in sorted(out)}, order)
 
 
 @dataclass(frozen=True)
@@ -341,12 +341,13 @@ def verify_group_axioms(psi: BivariateTruncatedSeries) -> GroupAxiomReport:
     left: dict[tuple[int, int, int], int] = {}
     right: dict[tuple[int, int, int], int] = {}
     for (i, j), c in law.items():
+        cl, cr = c * dpow[top - i], c * dpow[top - j]
         for (a, b), v in powers[i].items():
             if a + b + j <= n:
-                left[(a, b, j)] = left.get((a, b, j), 0) + c * v * dpow[top - i]
+                left[(a, b, j)] = left.get((a, b, j), 0) + cl * v
         for (a, b), v in powers[j].items():
             if i + a + b <= n:
-                right[(i, a, b)] = right.get((i, a, b), 0) + c * v * dpow[top - j]
+                right[(i, a, b)] = right.get((i, a, b), 0) + cr * v
     associative_ok = True
     for key in sorted(left.keys() | right.keys()):
         lv, rv = left.get(key, 0), right.get(key, 0)

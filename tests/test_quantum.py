@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gek.entropy import Distribution, z_ab, z_entropy
-from gek.errors import DomainError, InputError, ParameterError
+from gek.errors import DomainError, InputError, ParameterError, RangeError
 from gek.grouplog import IdentityGroup, KaniadakisGroup, MultiplicativeGroup
 from gek.quantum import (
     DensityMatrix,
@@ -277,6 +277,19 @@ class TestAsymptotics:
     def test_zero_density_vanishes(self):
         params = LmgParams(a=4.0, m=1, alpha=0.5, gamma=0.5, densities=(1.0, 0.0))
         assert lmg_asymptotic_za0(params, 10.0) == 0.0
+
+    @pytest.mark.parametrize(
+        "a, alpha, densities",
+        [
+            (1e300, 2.0, (0.5, 0.5)),  # the float powers overflow
+            (1000.0, 0.5, (0.5, 0.5)),  # finite powers, but their quotient is inf
+            (4.0, 2.0, (1.0, 0.0)),  # a zero density under a negative exponent
+        ],
+    )
+    def test_overflow_is_a_range_error(self, a, alpha, densities):
+        params = LmgParams(a=a, m=1, alpha=alpha, gamma=0.5, densities=densities)
+        with pytest.raises(RangeError, match="overflows"):
+            lmg_asymptotic_za0(params, 7.0)
 
     def test_desk_scale_trend_toward_linearity(self):
         # N=14 half-filled blocks: the per-site entropy rises monotonically
