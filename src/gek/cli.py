@@ -24,17 +24,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .entropy import Z_FAMILIES, Distribution, EntropySpec, entropy_spec
+from .entropy import Distribution, EntropySpec, entropy_spec
 from .errors import GekError, InputError, ParameterError, RangeError
 from .grouplog import GroupLogarithm, chi, eval_exp_G, eval_ln_G, group_family, group_function
 from .properties import (
     PropertyReport,
     check_composability,
+    check_extensivity,
     check_schur_concavity,
     check_sk_axioms,
-    round_trip_residual,
     solve_growth_law,
-    tsallis_qstar,
 )
 from .quantum import (
     DensityMatrix,
@@ -99,14 +98,15 @@ def _float_params(text: str | None) -> dict[str, float]:
     return out
 
 
+def _fraction(text: str, what: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"{what} is not an exact rational") from exc
+
+
 def _fraction_params(text: str | None) -> dict[str, Fraction]:
-    out = {}
-    for key, value in _parse_params(text).items():
-        try:
-            out[key] = Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"parameter {key}={value!r} is not an exact rational") from exc
-    return out
+    return {key: _fraction(value, f"parameter {key}={value!r}") for key, value in _parse_params(text).items()}
 
 
 def _load_distribution(token: str) -> Distribution:
@@ -182,7 +182,6 @@ class RunConfig:
     seed: int = 0
     trials: int = 1000
     tol: float = 1e-10
-    out_format: str = "csv"
     extras: dict = field(default_factory=dict)
 
 
@@ -306,7 +305,7 @@ def parse_args(argv) -> RunConfig:
         config.extras["lam"] = args.lam
         config.extras["spec"] = entropy_spec(config.family, dict(config.params))
     elif command == "series invert":
-        coeffs = [Fraction(tok) for tok in args.coeffs.split(",") if tok.strip()]
+        coeffs = [_fraction(tok, f"coefficient {tok!r}") for tok in args.coeffs.split(",") if tok.strip()]
         if args.order < 1:
             raise InputError("order must be at least 1")
         config.extras["series"] = TruncatedSeries.from_coeffs(coeffs, order=args.order)
@@ -314,18 +313,15 @@ def parse_args(argv) -> RunConfig:
         if args.order < 1:
             raise InputError("order must be at least 1")
         family = group_family(args.family)
-        config.family = args.family
         config.extras["series"] = family.carrier(*family.values(_fraction_params(args.params)), args.order)
         config.extras["order"] = args.order
     elif command in ("log eval", "exp eval"):
         params = _float_params(args.params)
         g = group_function(args.family, **params)
-        config.family = args.family
         config.extras["lg"] = GroupLogarithm(g, gamma=args.gamma)
         config.extras["x"] = args.x
     elif command == "chi eval":
         params = _float_params(args.params)
-        config.family = args.family
         config.extras["g"] = group_function(args.family, **params)
         config.extras["x"], config.extras["y"] = args.x, args.y
     elif command == "extensivity solve":
@@ -398,10 +394,8 @@ def _parse_sweep(text: str) -> tuple[str, list[float]]:
 
 def _growth_spec(family: str, params: dict) -> EntropySpec:
     spec = entropy_spec(family, params)
-    if spec.family not in Z_FAMILIES and spec.family != "tsallis_aq":
-        raise InputError(
-            f"extensivity is supported for {Z_FAMILIES + ('tsallis_aq',)}, not {family!r}"
-        )
+    if spec.growth is None:
+        raise InputError(f"family {family!r} has no growth law that makes it extensive")
     return spec
 
 
@@ -450,50 +444,6 @@ def _handle_chi_eval(config: RunConfig) -> tuple[int, str]:
     return 0, _fmt(chi(config.extras["g"], config.extras["x"], config.extras["y"])) + "\n"
 
 
-def _qstar_drift_report(spec: EntropySpec, seed: int) -> PropertyReport:
-    a, q = spec.params["a"], spec.params["q"]
-    if q >= 1:
-        raise InputError("extensivity of this family needs q < 1 (a power-law growth)")
-    rho = 1.0 / (a * (1.0 - q))
-    if rho <= 1:
-        raise InputError("the implied growth exponent must exceed 1")
-    rates = [spec.uniform_value(n**rho) / n for n in (1e5, 1e6)]
-    drift = abs(rates[1] - rates[0]) / abs(rates[0])
-    failures = 0 if drift < 1e-3 else 1
-    witness = {"rho": rho, "qstar": tsallis_qstar(a, rho), "rates": rates}
-    return PropertyReport("extensivity-rate-drift", 2, failures, drift, seed, witness=witness)
-
-
-def _extensivity_reports(spec: EntropySpec, lam: float, tol: float, seed: int) -> list[PropertyReport]:
-    if spec.family == "tsallis_aq":
-        return [_qstar_drift_report(spec, seed)]
-    law = solve_growth_law(spec, lam)
-    validity = PropertyReport(
-        "extensivity-growth-law-valid", 1, 0 if law.valid else 1,
-        0.0 if law.valid else 1.0, seed,
-        witness={"kind": law.kind, "description": law.describe(), "restricted": law.restricted},
-    )
-    reports = [validity]
-    if law.valid:
-        residual = round_trip_residual(spec, law, 1e4)
-        tol_rt = max(tol, 1e-9)
-        reports.append(
-            PropertyReport(
-                "extensivity-round-trip", 1, 0 if residual <= tol_rt else 1, residual, seed,
-                witness={"n": 1e4, "lam": lam},
-            )
-        )
-        rates = [spec.uniform_value_log(law.log_w(n)) / n for n in (1e5, 1e6)]
-        drift = abs(rates[1] - rates[0]) / max(abs(rates[0]), 1e-300)
-        reports.append(
-            PropertyReport(
-                "extensivity-rate-drift", 2, 0 if drift < 1e-3 else 1, drift, seed,
-                witness={"rates": rates},
-            )
-        )
-    return reports
-
-
 def _handle_verify(config: RunConfig) -> tuple[int, str]:
     spec: EntropySpec = config.extras["spec"]
     suite = config.extras["suite"]
@@ -504,10 +454,8 @@ def _handle_verify(config: RunConfig) -> tuple[int, str]:
         reports.extend(check_sk_axioms(spec, config.trials, config.seed))
     if suite in ("schur", "all"):
         reports.extend(check_schur_concavity(spec, config.trials, config.seed))
-    if suite == "extensivity" or (
-        suite == "all" and (spec.family in Z_FAMILIES or spec.family == "tsallis_aq")
-    ):
-        reports.extend(_extensivity_reports(spec, config.extras["lam"], config.tol, config.seed))
+    if suite == "extensivity" or (suite == "all" and spec.growth is not None):
+        reports.extend(check_extensivity(spec, config.extras["lam"], config.tol, config.seed))
     all_passed = all(r.passed for r in reports)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -528,13 +476,13 @@ def _handle_extensivity_solve(config: RunConfig) -> tuple[int, str]:
     spec: EntropySpec = config.extras["spec"]
     lam = config.extras["lam"]
     horizon = config.extras["horizon"]
-    if spec.family == "tsallis_aq":
-        report = _qstar_drift_report(spec, config.seed)
+    if spec.growth == "power":
+        (report,) = check_extensivity(spec, lam, config.tol, config.seed)
         payload = {
             "schema_version": SCHEMA_VERSION,
             "family": spec.family,
             "params": dict(config.params),
-            "kind": "power",
+            "kind": spec.growth,
             "description": f"W(N) = N^{_fmt(report.witness['rho'])}",
             "valid": report.passed,
             "samples": [],

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -184,31 +184,40 @@ def composition_phi(g: GroupFunction, alpha: float, x: float, y: float) -> float
     return g.chi_scaled(1.0 - alpha, x, y)
 
 
-# renyi, zq, zk and zab are zg with a fixed G family.  The second entry names
-# the parameters the alias itself requires to be positive: zq needs q > 0,
-# while zg with g=tsallis takes any q != 1.
-_Z_ALIASES = {
-    "renyi": ("id", ()),
-    "zq": ("tsallis", ("q",)),
-    "zk": ("kaniadakis", ()),
-    "zab": ("abel", ()),
-}
-# zab's value is its formula at every argument; zg with g=abel evaluates G on
-# its increasing domain only.  Both compose by abel G's law.
-_FORMULA_ALIASES = frozenset({"zab"})
+class _Family(NamedTuple):
+    """What gek decides per family, apart from its formulas."""
 
-_FAMILY_PARAMS = {
-    "boltzmann": (),
-    "tsallis_aq": ("a", "q"),
-    "landsberg_vedral": ("q",),
-    "zg": ("alpha",),  # plus a group function
-    "altz": ("alpha",),  # plus a group function
-    "control": (),
-    **{name: group_family(g).params + ("alpha",) for name, (g, _) in _Z_ALIASES.items()},
-}
+    params: tuple[str, ...]
+    group: str | None = None  # the fixed G of a zg alias, "given" if the caller supplies G, else None
+    growth: str | None = None  # the W(N) making it extensive: "group" through G's inverse, "power", None
+    positive: tuple[str, ...] = ()  # zq needs q > 0, while zg with g=tsallis takes any q != 1
+    formula: bool = False  # zab is G's formula everywhere; zg with g=abel keeps to G's increasing domain
 
-_GROUP_FAMILIES = ("zg", "altz")
-Z_FAMILIES = (*_Z_ALIASES, "zg")
+
+def _alias(g: str, **extra) -> _Family:
+    return _Family(group_family(g).params + ("alpha",), g, "group", **extra)
+
+
+_FAMILIES = {
+    "renyi": _alias("id"),
+    "zq": _alias("tsallis", positive=("q",)),
+    "zk": _alias("kaniadakis"),
+    "zab": _alias("abel", formula=True),
+    "zg": _Family(("alpha",), "given", "group"),
+    "altz": _Family(("alpha",), "given"),
+    "boltzmann": _Family(()),
+    "tsallis_aq": _Family(("a", "q"), growth="power"),
+    "landsberg_vedral": _Family(("q",)),
+    "control": _Family(()),
+}
+# the Z-entropies G(ln sum p^alpha)/(1 - alpha): exactly the families whose growth law comes from G
+Z_FAMILIES = tuple(name for name, fam in _FAMILIES.items() if fam.growth == "group")
+_FORMULA_FAMILIES = frozenset(name for name, fam in _FAMILIES.items() if fam.formula)
+
+
+def _saq_concave(a: float, q: float) -> bool:
+    """Whether (a, q) lies in one of the two concavity regions of the two-parameter trace-form entropy."""
+    return (q < 1 and 0 < a < 1 / (1 - q)) or (q > 1 and a > 0)
 
 
 @dataclass(frozen=True)
@@ -226,23 +235,23 @@ class EntropySpec:
     group: GroupFunction | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        if self.family not in _FAMILY_PARAMS:
+        fam = _FAMILIES.get(self.family)
+        if fam is None:
             raise ParameterError(
-                f"unknown entropy family {self.family!r}; choose from {sorted(_FAMILY_PARAMS)}"
+                f"unknown entropy family {self.family!r}; choose from {sorted(_FAMILIES)}"
             )
-        check_params(f"family {self.family}", _FAMILY_PARAMS[self.family], self.params)
+        check_params(f"family {self.family}", fam.params, self.params)
         # run the per-family validators once, so bad parameters fail at build time
         p = self.params
         if "alpha" in p:
             _check_alpha(p["alpha"])
-        if self.family in _Z_ALIASES:
-            gname, positive = _Z_ALIASES[self.family]
-            for name in positive:
-                if p[name] <= 0:
-                    raise ParameterError(f"family {self.family} requires {name} > 0")
+        for name in fam.positive:
+            if p[name] <= 0:
+                raise ParameterError(f"family {self.family} requires {name} > 0")
+        if fam.group not in (None, "given"):
             gparams = {k: v for k, v in p.items() if k != "alpha"}
-            object.__setattr__(self, "group", group_function(gname, **gparams))
-        elif self.family in _GROUP_FAMILIES and self.group is None:
+            object.__setattr__(self, "group", group_function(fam.group, **gparams))
+        elif fam.group == "given" and self.group is None:
             raise ParameterError(f"family {self.family} needs a group function")
         elif self.family == "tsallis_aq":
             _validate_tsallis_aq(p["a"], p["q"])
@@ -254,14 +263,17 @@ class EntropySpec:
         return self.params.get("alpha")
 
     @property
+    def growth(self) -> str | None:
+        """The kind of growth law W(N) that makes this family extensive: "group", "power" or None."""
+        return _FAMILIES[self.family].growth
+
+    @property
     def regime(self) -> str:
         """Concavity regime tag: 'concave' where the supporting theorems apply."""
         if self.family == "boltzmann":
             return "concave"
         if self.family == "tsallis_aq":
-            a, q = self.params["a"], self.params["q"]
-            in_region = (q < 1 and 0 < a < 1 / (1 - q)) or (q > 1 and a > 0)
-            return "concave" if in_region else "non-concave"
+            return "concave" if _saq_concave(self.params["a"], self.params["q"]) else "non-concave"
         if self.family in ("landsberg_vedral", "control"):
             return "non-concave"
         return "concave" if 0 < self.params["alpha"] < 1 else "non-concave"
@@ -328,7 +340,7 @@ class EntropySpec:
         """The entropy from the family's sum ``s`` (see ``row_sums``): scalar ``math`` only."""
         f, p = self.family, self.params
         if f in Z_FAMILIES:
-            g = self.group.formula if f in _FORMULA_ALIASES else self.group.eval
+            g = self.group.formula if f in _FORMULA_FAMILIES else self.group.eval
             return g(math.log(s)) / (1.0 - p["alpha"])
         if f == "tsallis_aq":
             return (1.0 - s) / (p["q"] - 1.0)
@@ -361,7 +373,7 @@ class EntropySpec:
         f, p = self.family, self.params
         if f in Z_FAMILIES:
             c = 1.0 - p["alpha"]
-            if f in _FORMULA_ALIASES:
+            if f in _FORMULA_FAMILIES:
                 return self.group.formula(c * ln_w) / c
             return self.group.eval_scaled(c, ln_w)
         if f == "boltzmann":
@@ -385,7 +397,7 @@ class EntropySpec:
 
     def describe(self) -> str:
         parts = [f"{k}={v}" for k, v in sorted(self.params.items())]
-        if self.family in _GROUP_FAMILIES:
+        if _FAMILIES[self.family].group == "given":
             parts.append(f"g={self.group.describe()}")
         return f"{self.family}({', '.join(parts)})"
 
@@ -399,7 +411,7 @@ def entropy_spec(family: str, params: Mapping[str, float] | None = None) -> Entr
     params = dict(params or {})
     family = family.lower()
     group = None
-    if family in _GROUP_FAMILIES:
+    if family in _FAMILIES and _FAMILIES[family].group == "given":
         gname = params.pop("g", None)
         if gname is None:
             raise ParameterError(f"family {family} needs g=<id|tsallis|kaniadakis|abel>")

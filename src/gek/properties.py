@@ -8,13 +8,13 @@ reproducible from the report alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .entropy import Distribution, EntropySpec, invalid_distributions
-from .errors import DomainError, ParameterError, RangeError
+from .entropy import Distribution, EntropySpec, _saq_concave, invalid_distributions
+from .errors import DomainError, InputError, ParameterError, RangeError
 from .grouplog import GroupFunction, IdentityGroup
 
 # denominator used for exact majorization sampling; a power of two keeps the
@@ -443,9 +443,8 @@ def _central_steps(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class GrowthLaw:
     """Closed-form phase-space growth W(N), kept in log form to avoid overflow."""
 
-    kind: str  # "power" | "exponential" | "group"
+    kind: str  # "exponential" | "group"
     lam: float = 0.0
-    rho: float = 0.0
     alpha: float | None = None
     group: GroupFunction | None = None
     valid: bool = True
@@ -454,8 +453,6 @@ class GrowthLaw:
     def log_w(self, n: float) -> float:
         if n < 1:
             raise ValueError("the growth law is defined for N >= 1")
-        if self.kind == "power":
-            return self.rho * math.log(n)
         if self.kind == "exponential":
             return self.lam * n
         c = 1.0 - self.alpha
@@ -466,8 +463,6 @@ class GrowthLaw:
         return math.exp(lw) if lw < 709 else math.inf
 
     def describe(self) -> str:
-        if self.kind == "power":
-            return f"W(N) = N^{self.rho}"
         if self.kind == "exponential":
             return f"W(N) = exp({self.lam} N)"
         return f"W(N) = exp_G({1 - self.alpha} * {self.lam} * N)^(1/{1 - self.alpha})"
@@ -482,9 +477,9 @@ def solve_growth_law(spec: EntropySpec, lam: float, horizon: float = 1e4) -> Gro
     """
     if lam <= 0:
         raise ParameterError("the extensivity constant must be positive")
-    g = spec.group
-    if g is None:
+    if spec.growth != "group":
         raise ParameterError(f"family {spec.family} has no group exponential to solve a growth law with")
+    g = spec.group
     kind = "exponential" if isinstance(g, IdentityGroup) else "group"
     law = GrowthLaw(kind=kind, lam=lam, alpha=spec.alpha, group=g)
 
@@ -500,9 +495,7 @@ def solve_growth_law(spec: EntropySpec, lam: float, horizon: float = 1e4) -> Gro
     increasing = all(a < b for a, b in zip(values, values[1:]))
     divergent = bool(values) and values[-1] > values[0] and values[-1] > 1.0
     valid = (not restricted) and increasing and divergent and all(map(math.isfinite, values))
-    return GrowthLaw(
-        kind=law.kind, lam=lam, alpha=spec.alpha, group=g, valid=valid, restricted=restricted
-    )
+    return replace(law, valid=valid, restricted=restricted)
 
 
 def round_trip_residual(spec: EntropySpec, law: GrowthLaw, n: float) -> float:
@@ -525,9 +518,54 @@ def tsallis_qstar(a: float, rho: float) -> float:
     return 1.0 - 1.0 / (a * rho)
 
 
+def check_extensivity(
+    spec: EntropySpec, lam: float = 1.0, tol: float = 1e-10, seed: int = 0
+) -> list[PropertyReport]:
+    """The growth law W(N) with S(uniform over W(N)) ~ lam * N, and how well it holds.
+
+    A "group" family reports the law's validity, then its round trip at N = 1e4
+    within max(tol, 1e-9) and the drift of S/N from N = 1e5 to 1e6.  The "power"
+    family tsallis_aq needs q < 1, grows as W = N^(1/(a(1 - q))) whatever lam,
+    and reports the drift alone.  Any other family raises ParameterError.
+    """
+
+    def drift_report(rates: list[float], **witness) -> PropertyReport:
+        drift = abs(rates[1] - rates[0]) / max(abs(rates[0]), 1e-300)
+        return PropertyReport(
+            "extensivity-rate-drift", 2, 0 if drift < 1e-3 else 1, drift, seed, witness={"rates": rates, **witness}
+        )
+
+    if spec.growth == "power":
+        a, q = spec.params["a"], spec.params["q"]
+        if q >= 1:
+            raise InputError("extensivity of this family needs q < 1 (a power-law growth)")
+        rho = 1.0 / (a * (1.0 - q))
+        if rho <= 1:
+            raise InputError("the implied growth exponent must exceed 1")
+        rates = [spec.uniform_value(n**rho) / n for n in (1e5, 1e6)]
+        return [drift_report(rates, rho=rho, qstar=tsallis_qstar(a, rho))]
+    law = solve_growth_law(spec, lam)
+    reports = [
+        PropertyReport(
+            "extensivity-growth-law-valid", 1, 0 if law.valid else 1, 0.0 if law.valid else 1.0, seed,
+            witness={"kind": law.kind, "description": law.describe(), "restricted": law.restricted},
+        )
+    ]
+    if law.valid:
+        residual = round_trip_residual(spec, law, 1e4)
+        reports.append(
+            PropertyReport(
+                "extensivity-round-trip", 1, 0 if residual <= max(tol, 1e-9) else 1, residual, seed,
+                witness={"n": 1e4, "lam": lam},
+            )
+        )
+        reports.append(drift_report([spec.uniform_value_log(law.log_w(n)) / n for n in (1e5, 1e6)]))
+    return reports
+
+
 def check_concavity_region_saq(a: float, q: float) -> bool:
     """The two concavity regions of the two-parameter trace-form entropy."""
-    return (q < 1 and 0 < a < 1 / (1 - q)) or (q > 1 and a > 0)
+    return _saq_concave(a, q)
 
 
 def saq_concavity_counterexample_search(

@@ -7,8 +7,10 @@ import sys
 
 import pytest
 
-from gek.cli import main, parse_args, run
-from gek.errors import InputError
+from gek.cli import _float_params, main, parse_args, run
+from gek.entropy import _FAMILIES, entropy_spec
+from gek.errors import InputError, ParameterError
+from gek.properties import solve_growth_law
 
 
 def invoke(args, tmp_path, name="out.txt"):
@@ -86,6 +88,10 @@ class TestEntropyEval:
             ["chi", "eval", "--family", "kaniadakis", "--params", "k=0.4", "--x", "0.7", "--y", "nan"],
             ["lmg", "demo", "--m", "1", "--N", "14", "--occupations", "7,7", "--a", "nan", "--alpha", "0.5"],
             ["lmg", "demo", "--m", "1", "--N", "14", "--occupations", "7,7", "--a", "2", "--alpha", "inf"],
+            # series coefficients must be exact rationals (were a ValueError / ZeroDivisionError traceback)
+            ["series", "invert", "--coeffs", "0,1,abc", "--order", "4"],
+            ["series", "invert", "--coeffs", "0,1,1/0", "--order", "4"],
+            ["series", "invert", "--coeffs", "0,1,nan", "--order", "4"],
         ):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
@@ -288,6 +294,61 @@ class TestExtensivitySolve:
         with pytest.raises(SystemExit) as exc:
             main(["extensivity", "solve", "--family", "landsberg_vedral", "--params", "q=2"])
         assert exc.value.code == 2
+
+
+# one admissible parameter set per family; every family in the table must appear
+GROWTH_PARAMS = {
+    "renyi": "alpha=0.5",
+    "zq": "q=0.5,alpha=0.5",
+    "zk": "k=0.3,alpha=0.5",
+    "zab": "a=0.3,b=-0.2,alpha=0.5",
+    "zg": "g=kaniadakis,k=0.3,alpha=0.5",
+    "altz": "g=tsallis,q=0.5,alpha=0.7",
+    "boltzmann": "",
+    "tsallis_aq": "a=1,q=0.5",
+    "landsberg_vedral": "q=1.5",
+    "control": "",
+}
+
+
+class TestExtensivitySupport:
+    """Both commands and both suites decide extensivity support by EntropySpec.growth alone."""
+
+    def run_cli(self, argv, capsys) -> tuple[int, str]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out = capsys.readouterr().out
+        if exc.value.code == 2:
+            assert out == "", argv
+        return exc.value.code, out
+
+    def test_table_is_covered(self):
+        assert GROWTH_PARAMS.keys() == _FAMILIES.keys()
+
+    @pytest.mark.parametrize("family", sorted(GROWTH_PARAMS))
+    def test_exit_two_exactly_without_a_growth_law(self, family, capsys):
+        params = GROWTH_PARAMS[family]
+        unsupported = entropy_spec(family, _float_params(params)).growth is None
+        for argv in (
+            ["verify", "--family", family, "--params", params, "--suite", "extensivity"],
+            ["extensivity", "solve", "--family", family, "--params", params],
+        ):
+            assert (self.run_cli(argv, capsys)[0] == 2) == unsupported, argv
+
+    @pytest.mark.parametrize("family", sorted(GROWTH_PARAMS))
+    def test_suite_all_includes_extensivity_exactly_with_a_growth_law(self, family, capsys):
+        params = GROWTH_PARAMS[family]
+        spec = entropy_spec(family, _float_params(params))
+        argv = ["verify", "--family", family, "--params", params, "--trials", "20"]
+        code, out = self.run_cli(argv, capsys)
+        assert code in (0, 1)
+        names = [r["property"] for r in json.loads(out)["properties"]]
+        assert any(n.startswith("extensivity-") for n in names) == (spec.growth is not None)
+
+    def test_altz_has_no_growth_law(self):
+        # verify --suite extensivity used to solve the zg growth law for altz and fail it with exit 1
+        with pytest.raises(ParameterError):
+            solve_growth_law(entropy_spec("altz", {"g": "tsallis", "q": 0.5, "alpha": 0.7}), 1.0)
 
 
 class TestQuantumEval:

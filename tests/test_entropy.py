@@ -9,6 +9,7 @@ from gek.entropy import (
     Distribution,
     EntropySpec,
     Z_FAMILIES,
+    _saq_concave,
     alt_z_entropy,
     boltzmann,
     composition_phi,
@@ -198,6 +199,20 @@ class TestLandsbergVedral:
             expected = sp + sr + (q - 1) * sp * sr
             assert joint == pytest.approx(expected, abs=1e-10, rel=1e-10)
 
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.9, 1.1, 2.0, 3.3])
+    def test_is_the_z_entropy_of_one_minus_exp(self, q):
+        # (1 - 1/sum p^q)/(1 - q) is G(ln sum p^q)/(1 - q) for G(t) = 1 - e^-t, the tsallis G at q = 2
+        lv = entropy_spec("landsberg_vedral", {"q": q})
+        zg = entropy_spec("zg", {"g": "tsallis", "q": 2.0, "alpha": q})
+        rng = np.random.default_rng(int(q * 10))
+        for _ in range(20):
+            p, r = (random_dist(int(rng.integers(1, 9)), rng) for _ in range(2))
+            assert zg.value(p) == pytest.approx(lv.value(p), rel=1e-15, abs=0.0)
+            x, y = lv.value(p), lv.value(r)
+            assert zg.phi(x, y) == pytest.approx(lv.phi(x, y), rel=1e-13, abs=0.0)
+        for ln_w in np.linspace(0.0, 30.0, 61):
+            assert zg.uniform_value_log(ln_w) == lv.uniform_value_log(ln_w)
+
 
 class TestZqAlpha:
     def test_renyi_limit(self):
@@ -376,6 +391,16 @@ class TestEntropySpec:
         # for q < 1 the a(q-1)+1 > 0 constraint coincides with the region bound
         assert entropy_spec("tsallis_aq", {"a": 1.5, "q": 0.5}).regime == "concave"
         assert entropy_spec("tsallis_aq", {"a": 4.0, "q": 1.5}).regime == "concave"
+        # a=3, q=0.5 lies outside the concavity region, and so fails a(q-1) + 1 > 0 at build time
+        assert not _saq_concave(3.0, 0.5)
+        with pytest.raises(ParameterError):
+            entropy_spec("tsallis_aq", {"a": 3.0, "q": 0.5})
+        assert entropy_spec("boltzmann").regime == "concave"
+        assert entropy_spec("control").regime == "non-concave"
+        assert entropy_spec("landsberg_vedral", {"q": 0.5}).regime == "non-concave"
+        assert entropy_spec("landsberg_vedral", {"q": 2.0}).regime == "non-concave"
+        assert entropy_spec("altz", {"g": "tsallis", "q": 0.5, "alpha": 0.7}).regime == "concave"
+        assert entropy_spec("altz", {"g": "tsallis", "q": 0.5, "alpha": 1.5}).regime == "non-concave"
 
     def test_bad_specs_rejected(self):
         with pytest.raises(ParameterError):
