@@ -19,15 +19,15 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .entropy import Distribution, EntropySpec, entropy_spec
+from .entropy import Distribution, entropy_spec
 from .errors import GekError, InputError, ParameterError, RangeError
 from .grouplog import GroupLogarithm, chi, eval_exp_G, eval_ln_G, group_family, group_function
 from .properties import (
+    MAX_HORIZON,
     PropertyReport,
     check_composability,
     check_extensivity,
@@ -85,16 +85,18 @@ def _parse_params(text: str | None) -> dict[str, str]:
     return params
 
 
+def _number(text: str, what: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise InputError(f"{what} is not a number") from None
+
+
 def _float_params(text: str | None) -> dict[str, float]:
     out = {}
     for key, value in _parse_params(text).items():
-        if key == "g":  # group-function name for the group-backed families
-            out[key] = value
-            continue
-        try:
-            out[key] = float(value)
-        except ValueError as exc:
-            raise InputError(f"parameter {key}={value!r} is not a number") from exc
+        # g names the group function of the group-backed families
+        out[key] = value if key == "g" else _number(value, f"parameter {key}={value!r}")
     return out
 
 
@@ -109,6 +111,10 @@ def _fraction_params(text: str | None) -> dict[str, Fraction]:
     return {key: _fraction(value, f"parameter {key}={value!r}") for key, value in _parse_params(text).items()}
 
 
+def _probabilities(tokens) -> list[float]:
+    return [_number(tok, f"probability {tok.strip()!r}") for tok in tokens if tok.strip()]
+
+
 def _load_distribution(token: str) -> Distribution:
     """uW / dW shorthands, an inline comma list, or a one-probability-per-line file."""
     short = re.fullmatch(r"([ud])(\d+)", token)
@@ -116,11 +122,11 @@ def _load_distribution(token: str) -> Distribution:
         size = int(short.group(2))
         return Distribution.uniform(size) if short.group(1) == "u" else Distribution.delta(size)
     if "," in token:
-        return Distribution([float(v) for v in token.split(",") if v.strip()])
+        return Distribution(_probabilities(token.split(",")))
     try:
         with open(token) as handle:
-            values = [float(line) for line in handle if line.strip()]
-    except OSError as exc:
+            values = _probabilities(handle)
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read distribution file {token!r}: {exc}") from exc
     if not values:
         raise InputError(f"distribution file {token!r} is empty")
@@ -141,11 +147,11 @@ def _load_density_matrix(path: str) -> DensityMatrix:
                     parts = token.split(",")
                     if len(parts) not in (1, 2):
                         raise InputError(f"malformed matrix entry {token!r}")
-                    real = float(parts[0])
-                    imag = float(parts[1]) if len(parts) == 2 else 0.0
+                    real = _number(parts[0], f"matrix entry {token!r}")
+                    imag = _number(parts[1], f"matrix entry {token!r}") if len(parts) == 2 else 0.0
                     row.append(complex(real, imag))
                 rows.append(row)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read density matrix file {path!r}: {exc}") from exc
     if not rows or len({len(r) for r in rows}) != 1:
         raise InputError("density matrix file must contain rows of equal length")
@@ -171,20 +177,6 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
     return buffer.getvalue()
 
 
-@dataclass
-class RunConfig:
-    """Validated invocation: subcommand plus everything its handler needs."""
-
-    command: str
-    family: str | None = None
-    params: dict = field(default_factory=dict)
-    output: str | None = None
-    seed: int = 0
-    trials: int = 1000
-    tol: float = 1e-10
-    extras: dict = field(default_factory=dict)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gek", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="cmd", required=True)
@@ -199,11 +191,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--family", required=True)
     p_eval.add_argument("--dist", required=True, help="uW, dW, inline p1,p2,..., or a file path")
     add_common(p_eval)
+    p_eval.set_defaults(handler=_entropy_eval)
     p_sweep = entropy_sub.add_parser("sweep", help="entropy along a parameter range")
     p_sweep.add_argument("--family", required=True)
     p_sweep.add_argument("--dist", required=True)
     p_sweep.add_argument("--param", required=True, help="sweep range name=start:stop:step")
     add_common(p_sweep)
+    p_sweep.set_defaults(handler=_entropy_sweep)
 
     p_verify = sub.add_parser("verify", help="run property suites, JSON report, exit 0 iff all pass")
     p_verify.add_argument("--family", required=True)
@@ -213,6 +207,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--tol", type=_finite_float, default=1e-10)
     p_verify.add_argument("--lam", type=_finite_float, default=1.0, help="extensivity rate constant")
     add_common(p_verify)
+    p_verify.set_defaults(handler=_verify)
 
     p_series = sub.add_parser("series", help="exact series tools")
     series_sub = p_series.add_subparsers(dest="action", required=True)
@@ -220,6 +215,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_invert.add_argument("--coeffs", required=True, help="monomial coefficients c0,c1,... as fractions")
     p_invert.add_argument("--order", type=int, required=True)
     p_invert.add_argument("--output", "-o", default=None)
+    p_invert.set_defaults(handler=_series_invert)
 
     p_law = sub.add_parser("grouplaw", help="exact group-law expansions")
     law_sub = p_law.add_subparsers(dest="action", required=True)
@@ -227,6 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_expand.add_argument("--family", required=True, help="id, tsallis, kaniadakis or abel")
     p_expand.add_argument("--order", type=int, required=True)
     add_common(p_expand, params_help="exact rational parameters, e.g. q=1/2")
+    p_expand.set_defaults(handler=_grouplaw_expand)
 
     for name, help_text in (("log", "generalized logarithm"), ("exp", "generalized exponential")):
         p_fn = sub.add_parser(name, help=f"evaluate the {help_text}")
@@ -236,6 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p_fn_eval.add_argument("--x", type=_finite_float, required=True)
         p_fn_eval.add_argument("--gamma", type=_finite_float, default=1.0)
         add_common(p_fn_eval)
+        p_fn_eval.set_defaults(handler=_log_exp_eval)
 
     p_chi = sub.add_parser("chi", help="evaluate the two-argument group law")
     chi_sub = p_chi.add_subparsers(dest="action", required=True)
@@ -244,6 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_chi_eval.add_argument("--x", type=_finite_float, required=True)
     p_chi_eval.add_argument("--y", type=_finite_float, required=True)
     add_common(p_chi_eval)
+    p_chi_eval.set_defaults(handler=_chi_eval)
 
     p_ext = sub.add_parser("extensivity", help="phase-space growth laws")
     ext_sub = p_ext.add_subparsers(dest="action", required=True)
@@ -252,6 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--lam", type=_finite_float, default=1.0)
     p_solve.add_argument("--horizon", type=_finite_float, default=1e4)
     add_common(p_solve)
+    p_solve.set_defaults(handler=_extensivity_solve)
 
     p_q = sub.add_parser("qentropy", help="entropies of density matrices")
     q_sub = p_q.add_subparsers(dest="action", required=True)
@@ -259,6 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_q_eval.add_argument("--rho", required=True, help="plain-text matrix file, 're,im' entries")
     p_q_eval.add_argument("--family", default="vn", help="vn or any classical family name")
     add_common(p_q_eval)
+    p_q_eval.set_defaults(handler=_qentropy_eval)
 
     p_lmg = sub.add_parser("lmg", help="symmetric-state block entanglement demo")
     lmg_sub = p_lmg.add_subparsers(dest="action", required=True)
@@ -273,101 +274,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--sweep-L", action="store_true", dest="sweep_l")
     p_demo.add_argument("--L", type=int, default=None, dest="block")
     p_demo.add_argument("--output", "-o", default=None)
+    p_demo.set_defaults(handler=_lmg_demo)
 
     return parser
 
 
-def parse_args(argv) -> RunConfig:
-    """Parse and validate argv into a RunConfig; bad families or parameter keys fail here."""
+def parse_args(argv) -> argparse.Namespace:
+    """Parse argv and resolve the seed; each command's handler validates the rest of its options."""
     args = _build_parser().parse_args(argv)
-    command = args.cmd if not getattr(args, "action", None) else f"{args.cmd} {args.action}"
-    config = RunConfig(command=command, output=getattr(args, "output", None))
-    config.seed = _resolve_seed(getattr(args, "seed", None))
-
-    if command in ("entropy eval", "entropy sweep"):
-        config.family = args.family
-        config.params = _float_params(args.params)
-        config.extras["dist"] = _load_distribution(args.dist)
-        if command == "entropy sweep":
-            config.extras["sweep"] = _parse_sweep(args.param)
-        else:
-            config.extras["spec"] = entropy_spec(config.family, config.params)
-    elif command == "verify":
-        if args.trials < 1:
-            raise InputError("--trials must be at least 1")
-        if args.tol < 0:
-            raise InputError("--tol must be at least 0")
-        config.family = args.family
-        config.params = _float_params(args.params)
-        config.trials = args.trials
-        config.tol = args.tol
-        config.extras["suite"] = args.suite
-        config.extras["lam"] = args.lam
-        config.extras["spec"] = entropy_spec(config.family, dict(config.params))
-    elif command == "series invert":
-        coeffs = [_fraction(tok, f"coefficient {tok!r}") for tok in args.coeffs.split(",") if tok.strip()]
-        if args.order < 1:
-            raise InputError("order must be at least 1")
-        config.extras["series"] = TruncatedSeries.from_coeffs(coeffs, order=args.order)
-    elif command == "grouplaw expand":
-        if args.order < 1:
-            raise InputError("order must be at least 1")
-        family = group_family(args.family)
-        config.extras["series"] = family.carrier(*family.values(_fraction_params(args.params)), args.order)
-        config.extras["order"] = args.order
-    elif command in ("log eval", "exp eval"):
-        params = _float_params(args.params)
-        g = group_function(args.family, **params)
-        config.extras["lg"] = GroupLogarithm(g, gamma=args.gamma)
-        config.extras["x"] = args.x
-    elif command == "chi eval":
-        params = _float_params(args.params)
-        config.extras["g"] = group_function(args.family, **params)
-        config.extras["x"], config.extras["y"] = args.x, args.y
-    elif command == "extensivity solve":
-        if args.horizon < 1:
-            raise InputError("--horizon must be at least 1")
-        config.family = args.family
-        config.params = _float_params(args.params)
-        config.extras["lam"] = args.lam
-        config.extras["horizon"] = args.horizon
-        config.extras["spec"] = _growth_spec(config.family, dict(config.params))
-    elif command == "qentropy eval":
-        config.family = args.family
-        config.params = _float_params(args.params)
-        config.extras["rho"] = _load_density_matrix(args.rho)
-        family = "boltzmann" if config.family.lower() in ("vn", "von_neumann") else config.family
-        config.extras["spec"] = entropy_spec(family, dict(config.params))
-    elif command == "lmg demo":
-        occupations = tuple(int(tok) for tok in args.occupations.split(",") if tok.strip())
-        if 0 in occupations:
-            raise ParameterError(
-                "lmg demo needs every occupation > 0: a zero density makes the asymptotic value 0"
-                " and the ratio undefined"
-            )
-        alpha = extensive_alpha(args.a, args.m) if args.extensive else args.alpha
-        if alpha is None:
-            raise InputError("give --alpha or --extensive")
-        if alpha <= 0:
-            raise InputError(
-                "the asymptotic formula needs alpha > 0; with --extensive this requires a*m > 2"
-            )
-        config.extras.update(
-            m=args.m, n_sites=args.n_sites, occupations=occupations, a=args.a,
-            alpha=alpha, sweep=args.sweep_l, block=args.block,
-        )
-    else:  # pragma: no cover - argparse enforces the command set
-        raise InputError(f"unknown command {command!r}")
-    return config
+    args.seed = _resolve_seed(getattr(args, "seed", None))
+    return args
 
 
 def _resolve_seed(flag_value) -> int:
-    if flag_value is not None:
-        return int(flag_value)
-    try:
-        return int(os.environ.get("GEK_SEED", "0"))
-    except ValueError as exc:
-        raise InputError("GEK_SEED must be an integer") from exc
+    source, seed = "--seed", flag_value
+    if seed is None:
+        source = "GEK_SEED"
+        try:
+            seed = int(os.environ.get("GEK_SEED", "0"))
+        except ValueError as exc:
+            raise InputError("GEK_SEED must be an integer") from exc
+    if seed < 0:
+        raise InputError(f"{source} must be at least 0")
+    return seed
 
 
 def _parse_sweep(text: str) -> tuple[str, list[float]]:
@@ -392,105 +321,114 @@ def _parse_sweep(text: str) -> tuple[str, list[float]]:
     return name, [start + i * step for i in range(count)]
 
 
-def _growth_spec(family: str, params: dict) -> EntropySpec:
-    spec = entropy_spec(family, params)
-    if spec.growth is None:
-        raise InputError(f"family {family!r} has no growth law that makes it extensive")
-    return spec
-
-
 # ---------------------------------------------------------------------------
-# handlers
+# handlers: one per command, each validating its own options before any output
 
 
-def _handle_entropy_eval(config: RunConfig) -> tuple[int, str]:
-    value = config.extras["spec"].value(config.extras["dist"])
-    return 0, _fmt(value) + "\n"
+def _entropy_eval(args: argparse.Namespace) -> tuple[int, str]:
+    params = _float_params(args.params)
+    dist = _load_distribution(args.dist)
+    return 0, _fmt(entropy_spec(args.family, params).value(dist)) + "\n"
 
 
-def _handle_entropy_sweep(config: RunConfig) -> tuple[int, str]:
-    name, values = config.extras["sweep"]
-    dist = config.extras["dist"]
+def _entropy_sweep(args: argparse.Namespace) -> tuple[int, str]:
+    params = _float_params(args.params)
+    dist = _load_distribution(args.dist)
+    name, values = _parse_sweep(args.param)
     rows = []
     for v in values:
-        params = dict(config.params)
-        params[name] = v
-        spec = entropy_spec(config.family, params)
+        spec = entropy_spec(args.family, {**params, name: v})
         rows.append([_fmt(v), _fmt(spec.value(dist))])
     return 0, _csv_text([name, "entropy"], rows)
 
 
-def _handle_series_invert(config: RunConfig) -> tuple[int, str]:
-    inverse = reversion(config.extras["series"])
+def _series_invert(args: argparse.Namespace) -> tuple[int, str]:
+    coeffs = [_fraction(tok, f"coefficient {tok!r}") for tok in args.coeffs.split(",") if tok.strip()]
+    if args.order < 1:
+        raise InputError("order must be at least 1")
+    inverse = reversion(TruncatedSeries.from_coeffs(coeffs, order=args.order))
     rows = [[str(k), str(c)] for k, c in enumerate(inverse.coeffs)]
     return 0, _csv_text(["degree", "value"], rows)
 
 
-def _handle_grouplaw_expand(config: RunConfig) -> tuple[int, str]:
-    psi = group_law_from_G(config.extras["series"], config.extras["order"])
+def _grouplaw_expand(args: argparse.Namespace) -> tuple[int, str]:
+    if args.order < 1:
+        raise InputError("order must be at least 1")
+    family = group_family(args.family)
+    series = family.carrier(*family.values(_fraction_params(args.params)), args.order)
+    psi = group_law_from_G(series, args.order)
     rows = [[str(i), str(j), str(psi[(i, j)])] for (i, j) in psi.monomials()]
     return 0, _csv_text(["i", "j", "value"], rows)
 
 
-def _handle_log_eval(config: RunConfig) -> tuple[int, str]:
-    return 0, _fmt(eval_ln_G(config.extras["lg"], config.extras["x"])) + "\n"
+def _log_exp_eval(args: argparse.Namespace) -> tuple[int, str]:
+    lg = GroupLogarithm(group_function(args.family, **_float_params(args.params)), gamma=args.gamma)
+    evaluate = eval_ln_G if args.cmd == "log" else eval_exp_G
+    return 0, _fmt(evaluate(lg, args.x)) + "\n"
 
 
-def _handle_exp_eval(config: RunConfig) -> tuple[int, str]:
-    return 0, _fmt(eval_exp_G(config.extras["lg"], config.extras["x"])) + "\n"
+def _chi_eval(args: argparse.Namespace) -> tuple[int, str]:
+    g = group_function(args.family, **_float_params(args.params))
+    return 0, _fmt(chi(g, args.x, args.y)) + "\n"
 
 
-def _handle_chi_eval(config: RunConfig) -> tuple[int, str]:
-    return 0, _fmt(chi(config.extras["g"], config.extras["x"], config.extras["y"])) + "\n"
-
-
-def _handle_verify(config: RunConfig) -> tuple[int, str]:
-    spec: EntropySpec = config.extras["spec"]
-    suite = config.extras["suite"]
+def _verify(args: argparse.Namespace) -> tuple[int, str]:
+    if args.trials < 1:
+        raise InputError("--trials must be at least 1")
+    if args.tol < 0:
+        raise InputError("--tol must be at least 0")
+    params = _float_params(args.params)
+    spec = entropy_spec(args.family, params)
+    suite = args.suite
     reports: list[PropertyReport] = []
     if suite in ("composability", "all"):
-        reports.append(check_composability(spec, config.trials, config.tol, config.seed))
+        reports.append(check_composability(spec, args.trials, args.tol, args.seed))
     if suite in ("sk", "all"):
-        reports.extend(check_sk_axioms(spec, config.trials, config.seed))
+        reports.extend(check_sk_axioms(spec, args.trials, args.seed))
     if suite in ("schur", "all"):
-        reports.extend(check_schur_concavity(spec, config.trials, config.seed))
+        reports.extend(check_schur_concavity(spec, args.trials, args.seed))
     if suite == "extensivity" or (suite == "all" and spec.growth is not None):
-        reports.extend(check_extensivity(spec, config.extras["lam"], config.tol, config.seed))
+        reports.extend(check_extensivity(spec, args.lam, args.tol, args.seed))
     all_passed = all(r.passed for r in reports)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "family": spec.family,
-        "params": dict(config.params),
+        "params": params,
         "regime": spec.regime,
         "suite": suite,
-        "seed": config.seed,
-        "trials": config.trials,
-        "tol": config.tol,
+        "seed": args.seed,
+        "trials": args.trials,
+        "tol": args.tol,
         "properties": [r.as_dict() for r in reports],
         "all_passed": all_passed,
     }
     return (0 if all_passed else 1), _dump_json(payload)
 
 
-def _handle_extensivity_solve(config: RunConfig) -> tuple[int, str]:
-    spec: EntropySpec = config.extras["spec"]
-    lam = config.extras["lam"]
-    horizon = config.extras["horizon"]
+def _extensivity_solve(args: argparse.Namespace) -> tuple[int, str]:
+    if args.horizon < 1:
+        raise InputError("--horizon must be at least 1")
+    if args.horizon > MAX_HORIZON:
+        raise InputError(f"--horizon must be at most {MAX_HORIZON:g}")
+    params = _float_params(args.params)
+    spec = entropy_spec(args.family, params)
+    if spec.growth is None:
+        raise InputError(f"family {args.family!r} has no growth law that makes it extensive")
     if spec.growth == "power":
-        (report,) = check_extensivity(spec, lam, config.tol, config.seed)
+        (report,) = check_extensivity(spec, args.lam, seed=args.seed)
         payload = {
             "schema_version": SCHEMA_VERSION,
             "family": spec.family,
-            "params": dict(config.params),
+            "params": params,
             "kind": spec.growth,
             "description": f"W(N) = N^{_fmt(report.witness['rho'])}",
             "valid": report.passed,
             "samples": [],
         }
         return 0 if report.passed else 1, _dump_json(payload)
-    law = solve_growth_law(spec, lam, horizon=horizon)
+    law = solve_growth_law(spec, args.lam, horizon=args.horizon)
     samples = []
-    for n in np.unique(np.round(np.logspace(0, math.log10(horizon), 9)).astype(int)):
+    for n in np.unique(np.round(np.logspace(0, math.log10(args.horizon), 9)).astype(int)):
         try:
             lw = law.log_w(float(n))
         except GekError:
@@ -501,8 +439,8 @@ def _handle_extensivity_solve(config: RunConfig) -> tuple[int, str]:
     payload = {
         "schema_version": SCHEMA_VERSION,
         "family": spec.family,
-        "params": dict(config.params),
-        "lam": lam,
+        "params": params,
+        "lam": args.lam,
         "kind": law.kind,
         "description": law.describe(),
         "valid": law.valid,
@@ -512,24 +450,43 @@ def _handle_extensivity_solve(config: RunConfig) -> tuple[int, str]:
     return 0 if law.valid else 1, _dump_json(payload)
 
 
-def _handle_qentropy_eval(config: RunConfig) -> tuple[int, str]:
-    spec: EntropySpec = config.extras["spec"]
-    rho: DensityMatrix = config.extras["rho"]
+def _qentropy_eval(args: argparse.Namespace) -> tuple[int, str]:
+    params = _float_params(args.params)
+    rho = _load_density_matrix(args.rho)
+    family = "boltzmann" if args.family.lower() in ("vn", "von_neumann") else args.family
+    spec = entropy_spec(family, params)
     # spectra sum to 1 within the eigensolver tolerance, so skip strict
     # simplex validation and evaluate the defining formula directly
     return 0, _fmt(spec.raw_value(rho.spectrum)) + "\n"
 
 
-def _handle_lmg_demo(config: RunConfig) -> tuple[int, str]:
-    x = config.extras
-    m, n_sites, occupations = x["m"], x["n_sites"], x["occupations"]
-    a, alpha = x["a"], x["alpha"]
-    densities = tuple(k / n_sites for k in occupations)
-    blocks = range(1, n_sites // 2 + 1) if x["sweep"] else [x["block"] or n_sites // 2]
+def _lmg_demo(args: argparse.Namespace) -> tuple[int, str]:
+    try:
+        occupations = tuple(int(tok) for tok in args.occupations.split(",") if tok.strip())
+    except ValueError:
+        raise InputError(f"--occupations must be comma-separated integers, got {args.occupations!r}") from None
+    if 0 in occupations:
+        raise ParameterError(
+            "lmg demo needs every occupation > 0: a zero density makes the asymptotic value 0"
+            " and the ratio undefined"
+        )
+    m, n_sites, a = args.m, args.n_sites, args.a
+    alpha = extensive_alpha(a, m) if args.extensive else args.alpha
+    if alpha <= 0:
+        raise InputError(
+            "the asymptotic formula needs alpha > 0; with --extensive this requires a*m > 2"
+        )
+    if args.sweep_l:
+        blocks = range(1, n_sites // 2 + 1)
+        if not blocks:
+            raise InputError("--sweep-L needs --N of at least 2")
+    else:
+        blocks = [n_sites // 2 if args.block is None else args.block]
     rows = []
     for block in blocks:
         spec = DickeSpec(m=m, n_sites=n_sites, occupations=occupations, block=block)
         exact = quantum_z_ab(a, 0.0, alpha, dicke_reduced_density(spec))
+        densities = tuple(k / n_sites for k in occupations)
         params = LmgParams(a=a, m=m, alpha=alpha, gamma=block / n_sites, densities=densities)
         asymptotic = lmg_asymptotic_za0(params, float(block))
         if asymptotic == 0:
@@ -538,26 +495,11 @@ def _handle_lmg_demo(config: RunConfig) -> tuple[int, str]:
     return 0, _csv_text(["L", "exact_entropy", "asymptotic_value", "ratio"], rows)
 
 
-_HANDLERS = {
-    "entropy eval": _handle_entropy_eval,
-    "entropy sweep": _handle_entropy_sweep,
-    "series invert": _handle_series_invert,
-    "grouplaw expand": _handle_grouplaw_expand,
-    "log eval": _handle_log_eval,
-    "exp eval": _handle_exp_eval,
-    "chi eval": _handle_chi_eval,
-    "verify": _handle_verify,
-    "extensivity solve": _handle_extensivity_solve,
-    "qentropy eval": _handle_qentropy_eval,
-    "lmg demo": _handle_lmg_demo,
-}
-
-
-def run(config: RunConfig) -> int:
-    """Execute a validated config; writes the report and returns the exit code."""
-    code, text = _HANDLERS[config.command](config)
-    if config.output:
-        with open(config.output, "w") as handle:
+def run(args: argparse.Namespace) -> int:
+    """Run a parsed command; writes its report and returns the exit code."""
+    code, text = args.handler(args)
+    if args.output:
+        with open(args.output, "w") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
@@ -566,8 +508,7 @@ def run(config: RunConfig) -> int:
 
 def main(argv=None) -> None:
     try:
-        config = parse_args(sys.argv[1:] if argv is None else argv)
-        code = run(config)
+        code = run(parse_args(sys.argv[1:] if argv is None else argv))
     except GekError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2)

@@ -16,7 +16,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InputError, ParameterError
+from .errors import InputError, ParameterError, RangeError
 from .grouplog import GroupFunction, check_params, group_family, group_function
 
 SUM_TOLERANCE = 1e-12
@@ -264,8 +264,14 @@ class EntropySpec:
 
     @property
     def growth(self) -> str | None:
-        """The kind of growth law W(N) that makes this family extensive: "group", "power" or None."""
-        return _FAMILIES[self.family].growth
+        """The kind of growth law W(N) that makes this family extensive: "group", "power" or None.
+
+        tsallis_aq with q > 1 is bounded by 1/(q - 1), so no W(N) makes it extensive.
+        """
+        growth = _FAMILIES[self.family].growth
+        if growth == "power" and self.params["q"] > 1:
+            return None
+        return growth
 
     @property
     def regime(self) -> str:
@@ -339,6 +345,9 @@ class EntropySpec:
     def from_row_sum(self, s: float) -> float:
         """The entropy from the family's sum ``s`` (see ``row_sums``): scalar ``math`` only."""
         f, p = self.family, self.params
+        # the logarithm and the Landsberg-Vedral quotient need s > 0; a power sum that underflows is out of range
+        if s <= 0.0 and f not in ("boltzmann", "control", "tsallis_aq"):
+            raise RangeError(f"the power sum of {f} underflows to 0, so its entropy is out of float range")
         if f in Z_FAMILIES:
             g = self.group.formula if f in _FORMULA_FAMILIES else self.group.eval
             return g(math.log(s)) / (1.0 - p["alpha"])

@@ -23,6 +23,8 @@ _MASS_DENOM = 2**20
 # trials a randomized check draws, validates and evaluates together; it bounds
 # the memory of the stacked draws and never changes a report
 _CHUNK = 256
+# the largest growth-law horizon: the sampled N grid must fit in int64
+MAX_HORIZON = 1e18
 
 
 @dataclass
@@ -477,6 +479,8 @@ def solve_growth_law(spec: EntropySpec, lam: float, horizon: float = 1e4) -> Gro
     """
     if lam <= 0:
         raise ParameterError("the extensivity constant must be positive")
+    if not 1 <= horizon <= MAX_HORIZON:
+        raise InputError(f"the horizon must lie in [1, {MAX_HORIZON:g}]")
     if spec.growth != "group":
         raise ParameterError(f"family {spec.family} has no group exponential to solve a growth law with")
     g = spec.group
@@ -525,8 +529,9 @@ def check_extensivity(
 
     A "group" family reports the law's validity, then its round trip at N = 1e4
     within max(tol, 1e-9) and the drift of S/N from N = 1e5 to 1e6.  The "power"
-    family tsallis_aq needs q < 1, grows as W = N^(1/(a(1 - q))) whatever lam,
-    and reports the drift alone.  Any other family raises ParameterError.
+    family tsallis_aq (q < 1) grows as W = N^(1/(a(1 - q))) whatever lam, and
+    reports the drift alone, its rates taken in log space.  A family without a
+    growth law raises ParameterError.
     """
 
     def drift_report(rates: list[float], **witness) -> PropertyReport:
@@ -535,14 +540,12 @@ def check_extensivity(
             "extensivity-rate-drift", 2, 0 if drift < 1e-3 else 1, drift, seed, witness={"rates": rates, **witness}
         )
 
+    if spec.growth is None:
+        raise ParameterError(f"family {spec.family} has no growth law that makes it extensive")
     if spec.growth == "power":
         a, q = spec.params["a"], spec.params["q"]
-        if q >= 1:
-            raise InputError("extensivity of this family needs q < 1 (a power-law growth)")
-        rho = 1.0 / (a * (1.0 - q))
-        if rho <= 1:
-            raise InputError("the implied growth exponent must exceed 1")
-        rates = [spec.uniform_value(n**rho) / n for n in (1e5, 1e6)]
+        rho = 1.0 / (a * (1.0 - q))  # admissibility, a(q - 1) + 1 > 0, makes rho > 1
+        rates = [spec.uniform_value_log(rho * math.log(n)) / n for n in (1e5, 1e6)]
         return [drift_report(rates, rho=rho, qstar=tsallis_qstar(a, rho))]
     law = solve_growth_law(spec, lam)
     reports = [

@@ -309,6 +309,9 @@ GROWTH_PARAMS = {
     "landsberg_vedral": "q=1.5",
     "control": "",
 }
+# tsallis_aq with q > 1 is bounded, so it has no growth law either
+GROWTH_CASES = [pytest.param(family, GROWTH_PARAMS[family], id=family) for family in sorted(GROWTH_PARAMS)]
+GROWTH_CASES.append(pytest.param("tsallis_aq", "a=4,q=1.5", id="tsallis_aq-q1.5"))
 
 
 class TestExtensivitySupport:
@@ -325,9 +328,8 @@ class TestExtensivitySupport:
     def test_table_is_covered(self):
         assert GROWTH_PARAMS.keys() == _FAMILIES.keys()
 
-    @pytest.mark.parametrize("family", sorted(GROWTH_PARAMS))
-    def test_exit_two_exactly_without_a_growth_law(self, family, capsys):
-        params = GROWTH_PARAMS[family]
+    @pytest.mark.parametrize("family, params", GROWTH_CASES)
+    def test_exit_two_exactly_without_a_growth_law(self, family, params, capsys):
         unsupported = entropy_spec(family, _float_params(params)).growth is None
         for argv in (
             ["verify", "--family", family, "--params", params, "--suite", "extensivity"],
@@ -335,9 +337,8 @@ class TestExtensivitySupport:
         ):
             assert (self.run_cli(argv, capsys)[0] == 2) == unsupported, argv
 
-    @pytest.mark.parametrize("family", sorted(GROWTH_PARAMS))
-    def test_suite_all_includes_extensivity_exactly_with_a_growth_law(self, family, capsys):
-        params = GROWTH_PARAMS[family]
+    @pytest.mark.parametrize("family, params", GROWTH_CASES)
+    def test_suite_all_includes_extensivity_exactly_with_a_growth_law(self, family, params, capsys):
         spec = entropy_spec(family, _float_params(params))
         argv = ["verify", "--family", family, "--params", params, "--trials", "20"]
         code, out = self.run_cli(argv, capsys)
@@ -441,8 +442,18 @@ class TestDeterminism:
         assert result.stdout.strip() == "1.38629436111989"
 
 
+def assert_exit_two(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 class TestExitCodeContract:
-    """Float overflow and an undefined ratio are bad input (exit 2), never a traceback that exits 1."""
+    """Malformed values, float overflow or underflow and an undefined ratio are bad input (exit 2), never a
+    traceback that exits 1."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -459,18 +470,53 @@ class TestExitCodeContract:
             # a / b underflows to 0 in the abel domain edge
             ["log", "eval", "--family", "abel", "--params", "a=1e-300,b=1e300", "--x", "1e300"],
             ["entropy", "sweep", "--family", "renyi", "--dist", "u4", "--param", "alpha=0:1e300:1"],
+            # a negative seed, and malformed numbers inside an option's value
+            ["verify", "--family", "renyi", "--params", "alpha=0.5", "--trials", "20", "--seed", "-1"],
+            ["entropy", "eval", "--family", "renyi", "--params", "alpha=0.5", "--dist", "0.5,abc"],
+            ["lmg", "demo", "--m", "1", "--N", "14", "--occupations", "7,x", "--a", "2.2", "--extensive"],
+            # the sampled N grid overflows int64
+            ["extensivity", "solve", "--family", "renyi", "--params", "alpha=0.5", "--horizon", "1e19"],
+            # an explicit block of 0 used to run at N/2, a sweep over N < 2 printed an empty table
+            ["lmg", "demo", "--m", "1", "--N", "14", "--occupations", "7,7", "--a", "2.2", "--extensive", "--L", "0"],
+            ["lmg", "demo", "--m", "1", "--N", "-2", "--occupations", "1,1", "--a", "2.2", "--extensive",
+             "--sweep-L"],
+            # the power sum underflows to 0
+            ["entropy", "eval", "--family", "renyi", "--params", "alpha=1100", "--dist", "0.5,0.5"],
+            ["verify", "--family", "renyi", "--params", "alpha=1100", "--trials", "20"],
+            ["verify", "--family", "landsberg_vedral", "--params", "q=1100", "--trials", "20"],
         ],
         ids=["zab-a800", "chi-abel-1e300", "lmg-a1e300", "lmg-occupations-14-0", "log-tsallis-1e300",
              "exp-tsallis-1e300", "lmg-a700-alpha2", "lmg-a1e300-alpha2", "log-abel-ratio-underflow",
-             "sweep-1e300-points"],
+             "sweep-1e300-points", "verify-seed-minus-1", "dist-inline-abc", "lmg-occupations-7-x",
+             "solve-horizon-1e19", "lmg-L-0", "lmg-N-minus-2-sweep", "eval-renyi-alpha1100",
+             "verify-renyi-alpha1100", "verify-lv-q1100"],
     )
     def test_exit_two_with_a_message(self, argv, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        captured = capsys.readouterr()
-        assert exc.value.code == 2
-        assert captured.out == ""
-        assert captured.err.startswith("error: ")
+        assert_exit_two(argv, capsys)
+
+    def test_negative_env_seed(self, monkeypatch, capsys):
+        monkeypatch.setenv("GEK_SEED", "-1")
+        assert_exit_two(["verify", "--family", "renyi", "--params", "alpha=0.5", "--trials", "20"], capsys)
+
+    @pytest.mark.parametrize(
+        "command, content",
+        [(["entropy", "eval", "--family", "renyi", "--params", "alpha=0.5", "--dist"], b"0.5\nabc\n0.5\n"),
+         (["qentropy", "eval", "--rho"], b"0.5,0 abc\n0,0 0.5\n"),
+         (["entropy", "eval", "--family", "renyi", "--params", "alpha=0.5", "--dist"], b"\xff\xfe0.5\n"),
+         (["qentropy", "eval", "--rho"], b"\xff\xfe0.5\n")],
+        ids=["dist-file-abc", "rho-file-abc", "dist-file-not-utf8", "rho-file-not-utf8"],
+    )
+    def test_unreadable_file_entry(self, command, content, tmp_path, capsys):
+        path = tmp_path / "input.txt"
+        path.write_bytes(content)
+        assert_exit_two(command + [str(path)], capsys)
+
+    def test_tsallis_aq_growth_past_float_range(self, tmp_path):
+        # W = N^200 overflowed a float before the rates were taken in log space
+        for argv in (["extensivity", "solve", "--family", "tsallis_aq", "--params", "a=0.01,q=0.5"],
+                     ["verify", "--family", "tsallis_aq", "--params", "a=0.01,q=0.5", "--suite", "extensivity"]):
+            code, text = invoke(argv, tmp_path)
+            assert code == 0, text
 
     def test_abel_inverse_still_shrinks_its_bracket_out_of_overflow(self, tmp_path):
         # e^(2t) overflows while the bracket doubles t, and the bracket shrinks back

@@ -25,7 +25,7 @@ from gek.entropy import (
     z_k_alpha,
     z_q_alpha,
 )
-from gek.errors import DomainError, InputError, ParameterError
+from gek.errors import DomainError, InputError, ParameterError, RangeError
 from gek.grouplog import AbelGroup, IdentityGroup, KaniadakisGroup, MultiplicativeGroup
 
 RNG = np.random.default_rng(42)
@@ -103,6 +103,17 @@ class TestPowerSum:
         with_zero = Distribution([0.5, 0.5, 0.0])
         without = Distribution([0.5, 0.5])
         assert power_sum(with_zero, 0.5) == power_sum(without, 0.5)
+
+    def test_underflow_to_zero_is_a_range_error(self):
+        # 2 * 0.5^1100 is below the smallest subnormal; its logarithm and 1/s are undefined
+        half = Distribution([0.5, 0.5])
+        for family, params in (("renyi", {"alpha": 1100.0}), ("landsberg_vedral", {"q": 1100.0})):
+            with pytest.raises(RangeError, match="underflows"):
+                entropy_spec(family, params).value(half)
+
+    def test_zero_sum_is_a_value_where_no_logarithm_is_taken(self):
+        assert boltzmann(Distribution.delta(3)) == 0.0
+        assert tsallis_aq(1100.0, 2.0, Distribution([0.5, 0.5])) == 1.0
 
 
 class TestBoltzmann:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gek.entropy import Distribution, EntropySpec, entropy_spec, product_distribution
-from gek.errors import ParameterError
+from gek.errors import InputError, ParameterError
 from gek.grouplog import IdentityGroup, KaniadakisGroup, MultiplicativeGroup
 from gek.properties import (
     GrowthLaw,
@@ -15,6 +15,7 @@ from gek.properties import (
     check_composability,
     check_composability_on_uniform,
     check_concavity_region_saq,
+    check_extensivity,
     check_group_axioms_numeric,
     check_schur_concavity,
     check_sk_axioms,
@@ -186,6 +187,12 @@ class TestGrowthLaws:
         law = solve_growth_law(entropy_spec("zq", {"q": 3.0, "alpha": 0.5}), lam=1.0)
         assert law.restricted and not law.valid
 
+    def test_horizon_is_bounded(self):
+        # past 1e18 the sampled N grid would overflow int64
+        with pytest.raises(InputError, match="horizon"):
+            solve_growth_law(entropy_spec("renyi", {"alpha": 0.5}), lam=1.0, horizon=1e19)
+        assert solve_growth_law(entropy_spec("renyi", {"alpha": 0.5}), lam=1.0, horizon=1e18).valid
+
     def test_round_trip_flat_at_large_n(self):
         spec = entropy_spec("renyi", {"alpha": 0.25})
         law = solve_growth_law(spec, lam=0.25)
@@ -219,6 +226,19 @@ class TestExtensivityIndex:
         assert abs(rates[1] - rates[0]) / rates[0] < 1e-3
         # the limit rate is a * rho
         assert rates[1] == pytest.approx(a * rho, rel=1e-4)
+
+    def test_power_growth_rates_in_log_space(self):
+        # rho = 200: W = N^rho overflows a float, rho * ln N does not
+        (report,) = check_extensivity(entropy_spec("tsallis_aq", {"a": 0.01, "q": 0.5}))
+        assert report.passed and report.witness["rho"] == pytest.approx(200.0)
+        assert report.witness["rates"][1] == pytest.approx(2.0 * (1.0 - 1e-6))
+
+    def test_bounded_family_has_no_growth_law(self):
+        # q > 1 bounds the entropy by 1/(q - 1), so no W(N) makes it extensive
+        spec = entropy_spec("tsallis_aq", {"a": 4.0, "q": 1.5})
+        assert spec.growth is None
+        with pytest.raises(ParameterError, match="no growth law"):
+            check_extensivity(spec)
 
     def test_closed_form_matches_direct_sum(self):
         spec = entropy_spec("tsallis_aq", {"a": 1.0, "q": 0.5})
