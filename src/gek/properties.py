@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -79,51 +80,25 @@ class _Worst:
         return PropertyReport(name, trials, self.failures, self.worst, seed, skipped, self.witness)
 
 
-class _Batch:
-    """The vectors of one chunk of trials, checked and reduced together, finished one by one.
-
-    ``add`` collects a vector and returns its index; ``dist=True`` marks one
-    the check treats as a ``Distribution``.  ``reduce`` runs the
-    ``Distribution`` checks over those and ``spec.row_sums`` over all of them.
-    The trial loop then calls ``value(i)`` (or ``check(i)``) in trial order:
-    a vector that failed the checks is handed to ``Distribution``, which raises
-    its own error at the trial where a one-by-one loop would have raised it.
-    """
-
-    def __init__(self, spec: EntropySpec):
-        self.spec = spec
-        self.rows: list[np.ndarray] = []
-        self._dists: list[int] = []
-
-    def add(self, row: np.ndarray, dist: bool = True) -> int:
-        if dist:
-            self._dists.append(len(self.rows))
-        self.rows.append(row)
-        return len(self.rows) - 1
-
-    def reduce(self) -> None:
-        self._sums = self.spec.row_sums(self.rows)
-        flags = invalid_distributions([self.rows[i] for i in self._dists])
-        self._bad = {i for i, bad in zip(self._dists, flags) if bad}
-
-    def check(self, *indices: int) -> None:
-        for i in indices:
-            if i in self._bad:
-                Distribution(self.rows[i])
-
-    def value(self, i: int) -> float:
-        self.check(i)
-        return self.spec.from_row_sum(self._sums[i])
-
-
 def _run_trials(spec: EntropySpec, trials: int, draw: Callable, judge: Callable) -> None:
-    """``draw(batch)`` once per trial, in chunks of _CHUNK; then ``judge(batch, drawn)`` per trial, in order."""
+    """Run ``trials`` trials in chunks of _CHUNK, each chunk in three phases.
+
+    Draw: ``draw()`` once per trial, in the seeded order; it returns ``(rows,
+    dists, extra)``, where the first ``dists`` of ``rows`` are checked as
+    distributions.  Evaluate: those rows are validated together, and a bad one
+    is handed to ``Distribution``, which raises its own error; then one
+    ``spec.raw_values`` call gives every row's entropy.  Judge: ``judge(rows,
+    values, extra)`` once per trial, in order.
+    """
     for start in range(0, trials, _CHUNK):
-        batch = _Batch(spec)
-        drawn = [draw(batch) for _ in range(min(_CHUNK, trials - start))]
-        batch.reduce()
-        for item in drawn:
-            judge(batch, item)
+        drawn = [draw() for _ in range(min(_CHUNK, trials - start))]
+        checked = [row for rows, dists, _ in drawn for row in rows[:dists]]
+        for row, bad in zip(checked, invalid_distributions(checked)):
+            if bad:
+                Distribution(row)
+        values = iter(spec.raw_values([row for rows, _, _ in drawn for row in rows]))
+        for rows, _, extra in drawn:
+            judge(rows, list(islice(values, len(rows))), extra)
 
 
 def _draw_w(rng, w_values: Sequence[int]) -> int:
@@ -151,20 +126,18 @@ def check_composability(
     rng = np.random.default_rng(seed)
     fold = _Worst(0.0, tol)
 
-    def draw(batch):
+    def draw():
         wa = int(rng.integers(1, max_w + 1))
         wb = int(rng.integers(1, max_w + 1))
         p, r = rng.dirichlet(np.ones(wa)), rng.dirichlet(np.ones(wb))
-        return batch.add(p), batch.add(r), batch.add(np.outer(p, r).ravel())
+        return (p, r, np.outer(p, r).ravel()), 3, None
 
-    def judge(batch, drawn):
-        ip, ir, ij = drawn
-        batch.check(ip, ir)
-        joint = batch.value(ij)
-        combined = spec.phi(batch.value(ip), batch.value(ir))
+    def judge(rows, values, _):
+        s_p, s_r, joint = values
+        combined = spec.phi(s_p, s_r)
         residual = abs(joint - combined) / (1.0 + abs(joint))
         fold.add(residual, lambda: {
-            "p": batch.rows[ip].tolist(), "r": batch.rows[ir].tolist(), "joint": joint, "combined": combined,
+            "p": rows[0].tolist(), "r": rows[1].tolist(), "joint": joint, "combined": combined,
         })
 
     _run_trials(spec, trials, draw, judge)
@@ -232,68 +205,64 @@ def check_sk_axioms(
     """Continuity proxy, maximum on the uniform distribution, and expansibility.
 
     Continuity is reported as a sampled Lipschitz estimate and only fails on
-    non-finite values; the other two sub-checks are asserted, and fail on NaN.
+    non-finite values; a trial with no admissible shifted vector counts as
+    skipped.  The other two sub-checks are asserted, and fail on NaN.
     """
     rng = np.random.default_rng(seed)
     step = 1e-6
     lipschitz = 0.0
-    cont_failures = 0
+    cont_failures = cont_skipped = 0
     cont_witness: dict = {}
 
-    def draw_continuity(batch):
+    def draw_continuity():
         w = _draw_w(rng, w_values)
         p = _interior(rng, w)
-        ip = batch.add(p)
         direction = rng.normal(size=w)
         direction -= direction.mean()
         norm = np.abs(direction).sum()
-        if norm == 0:
-            return ip, None
-        shifted = p + step * direction / norm
-        return ip, None if (shifted < 0).any() else batch.add(shifted, dist=False)
+        if norm > 0:
+            shifted = p + step * direction / norm
+            if not (shifted < 0).any():
+                return (p, shifted), 1, None
+        return (p,), 1, None  # no admissible shifted vector: the trial is skipped
 
-    def judge_continuity(batch, drawn):
-        nonlocal lipschitz, cont_failures, cont_witness
-        ip, ishift = drawn
-        batch.check(ip)
-        if ishift is None:
+    def judge_continuity(rows, values, _):
+        nonlocal lipschitz, cont_failures, cont_skipped, cont_witness
+        if len(rows) == 1:
+            cont_skipped += 1
             return
-        ratio = abs(batch.value(ishift) - batch.value(ip)) / step
+        ratio = abs(values[1] - values[0]) / step
         if not math.isfinite(ratio):
             cont_failures += 1
-            cont_witness = {"p": batch.rows[ip].tolist()}
+            cont_witness = {"p": rows[0].tolist()}
         lipschitz = max(lipschitz, ratio)
 
     _run_trials(spec, trials, draw_continuity, judge_continuity)
     continuity = PropertyReport(
-        "sk-continuity-proxy", trials, cont_failures, lipschitz, seed,
+        "sk-continuity-proxy", trials, cont_failures, lipschitz, seed, cont_skipped,
         witness=cont_witness or {"lipschitz_estimate": lipschitz},
     )
 
     maximum = _Worst(-math.inf, 1e-12)
 
-    def draw_maximum(batch):
+    def draw_maximum():
         w = _draw_w(rng, w_values)
-        return w, batch.add(rng.dirichlet(np.ones(w)))
+        return (rng.dirichlet(np.ones(w)),), 1, w
 
-    def judge_maximum(batch, drawn):
-        w, ip = drawn
-        gap = batch.value(ip) - spec.uniform_value(w)
-        maximum.add(gap, lambda: {"p": batch.rows[ip].tolist(), "w": w})
+    def judge_maximum(rows, values, w):
+        gap = values[0] - spec.uniform_value(w)
+        maximum.add(gap, lambda: {"p": rows[0].tolist(), "w": w})
 
     _run_trials(spec, trials, draw_maximum, judge_maximum)
 
     expansibility = _Worst(0.0, 1e-14)
 
-    def draw_expansibility(batch):
+    def draw_expansibility():
         p = rng.dirichlet(np.ones(_draw_w(rng, w_values)))
-        return batch.add(p), batch.add(np.append(p, 0.0))
+        return (p, np.append(p, 0.0)), 2, None
 
-    def judge_expansibility(batch, drawn):
-        ip, iz = drawn
-        batch.check(ip)
-        residual = abs(batch.value(iz) - batch.value(ip))
-        expansibility.add(residual, lambda: {"p": batch.rows[ip].tolist()})
+    def judge_expansibility(rows, values, _):
+        expansibility.add(abs(values[1] - values[0]), lambda: {"p": rows[0].tolist()})
 
     _run_trials(spec, trials, draw_expansibility, judge_expansibility)
 
@@ -392,31 +361,28 @@ def check_schur_concavity(
 
     ordering = _Worst(-math.inf, 1e-12)
 
-    def draw_ordering(batch):
+    def draw_ordering():
         w = _draw_w(rng, w_values)
         pair = generate_majorization_pair(w, steps=int(rng.integers(1, 12)), rng=rng)
-        return pair, batch.add(pair.r.p, dist=False), batch.add(pair.p.p, dist=False)
+        return (pair.r.p, pair.p.p), 0, None
 
-    def judge_ordering(batch, drawn):
-        pair, ir, ip = drawn
-        gap = batch.value(ir) - batch.value(ip)
-        ordering.add(gap, lambda: {"p": pair.p.p.tolist(), "r": pair.r.p.tolist()})
+    def judge_ordering(rows, values, _):
+        r, p = rows
+        ordering.add(values[0] - values[1], lambda: {"p": p.tolist(), "r": r.tolist()})
 
     _run_trials(spec, trials, draw_ordering, judge_ordering)
 
     criterion = _Worst(-math.inf, 1e-10)
 
-    def draw_criterion(batch):
+    def draw_criterion():
         p = _interior(rng, _draw_w(rng, w_values))
         h, shifted = _central_steps(p)
-        return p, batch.add(p), h, [batch.add(row, dist=False) for row in shifted]
+        return (p, *shifted), 1, h
 
-    def judge_criterion(batch, drawn):
-        p, ip, h, rows = drawn
-        batch.check(ip)
-        values = [batch.value(i) for i in rows]
-        grad = [(values[2 * i] - values[2 * i + 1]) / (2 * hi) for i, hi in enumerate(h.tolist())]
-        p, w = p.tolist(), len(grad)
+    def judge_criterion(rows, values, h):
+        # values[0] is S(p); rows 2i + 1 and 2i + 2 are p with h_i added to and subtracted from entry i
+        grad = [(values[2 * i + 1] - values[2 * i + 2]) / (2 * hi) for i, hi in enumerate(h.tolist())]
+        p, w = rows[0].tolist(), len(grad)
         products = [(p[i] - p[j]) * (grad[i] - grad[j]) for i in range(w) for j in range(i + 1, w)]
         value = max(products) if all(v == v for v in products) else math.nan
         criterion.add(value, lambda: {"p": p})

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from gek.cli import _float_params, main, parse_args, run
+from gek.cli import MAX_SERIES_ORDER, _float_params, main, parse_args, run
 from gek.entropy import _FAMILIES, entropy_spec
 from gek.errors import InputError, ParameterError
 from gek.properties import solve_growth_law
@@ -155,6 +155,12 @@ class TestSeriesTools:
         code, text = invoke(["series", "invert", "--coeffs", "0,1,1", "--order", "4"], tmp_path)
         assert code == 0
         assert text.splitlines() == ["degree,value", "0,0", "1,1", "2,-1", "3,2", "4,-5"]
+
+    def test_order_bound_admits_every_pinned_order(self, tmp_path):
+        # 22 is the largest order in series_pin.json and in the exact-series benchmark
+        assert MAX_SERIES_ORDER > 22
+        code, text = invoke(["series", "invert", "--coeffs", "0,1,1", "--order", str(MAX_SERIES_ORDER)], tmp_path)
+        assert code == 0 and len(text.splitlines()) == MAX_SERIES_ORDER + 2
 
     def test_invert_rejects_bad_normalization(self):
         with pytest.raises(SystemExit) as exc:
@@ -484,12 +490,18 @@ class TestExitCodeContract:
             ["entropy", "eval", "--family", "renyi", "--params", "alpha=1100", "--dist", "0.5,0.5"],
             ["verify", "--family", "renyi", "--params", "alpha=1100", "--trials", "20"],
             ["verify", "--family", "landsberg_vedral", "--params", "q=1100", "--trials", "20"],
+            # sizes past the bounds: an exact series order that would run for minutes, a shorthand too large to build
+            ["series", "invert", "--coeffs", "0,1,1", "--order", "100000"],
+            ["series", "invert", "--coeffs", "0,1,1", "--order", str(MAX_SERIES_ORDER + 1)],
+            ["grouplaw", "expand", "--family", "tsallis", "--params", "q=1/2", "--order", str(MAX_SERIES_ORDER + 1)],
+            ["entropy", "eval", "--family", "renyi", "--params", "alpha=0.5", "--dist", "u99999999999"],
         ],
         ids=["zab-a800", "chi-abel-1e300", "lmg-a1e300", "lmg-occupations-14-0", "log-tsallis-1e300",
              "exp-tsallis-1e300", "lmg-a700-alpha2", "lmg-a1e300-alpha2", "log-abel-ratio-underflow",
              "sweep-1e300-points", "verify-seed-minus-1", "dist-inline-abc", "lmg-occupations-7-x",
              "solve-horizon-1e19", "lmg-L-0", "lmg-N-minus-2-sweep", "eval-renyi-alpha1100",
-             "verify-renyi-alpha1100", "verify-lv-q1100"],
+             "verify-renyi-alpha1100", "verify-lv-q1100", "invert-order-100000", "invert-order-past-bound",
+             "expand-order-past-bound", "dist-u99999999999"],
     )
     def test_exit_two_with_a_message(self, argv, capsys):
         assert_exit_two(argv, capsys)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gek.entropy import Distribution, EntropySpec, entropy_spec, product_distribution
-from gek.errors import InputError, ParameterError
+from gek.errors import InputError, ParameterError, RangeError
 from gek.grouplog import IdentityGroup, KaniadakisGroup, MultiplicativeGroup
 from gek.properties import (
     GrowthLaw,
@@ -102,6 +102,12 @@ class TestSkAxioms:
         assert continuity.passed and math.isfinite(continuity.worst_residual)
         assert maximum.passed
         assert expansibility.passed and expansibility.worst_residual == 0.0
+
+    def test_continuity_counts_the_trials_it_skips(self):
+        # on one outcome the mean-free direction is 0, so no shifted vector is ever evaluated
+        continuity = check_sk_axioms(SPECS["renyi"], 10, 0, w_values=(1,))[0]
+        assert continuity.skipped == 10 and continuity.passed
+        assert check_sk_axioms(SPECS["renyi"], 10, 0)[0].skipped == 0
 
     def test_uniform_maximum_value(self):
         spec = SPECS["renyi"]
@@ -282,11 +288,18 @@ class TestTrialDraws:
             assert drawn_choice == drawn_two_of
             assert by_choice.bit_generator.state == by_two_of.bit_generator.state
 
+    @pytest.mark.parametrize(
+        "family, params",
+        [("control", {}), ("zg", {"g": "abel", "a": 0.3, "b": -0.2, "alpha": 0.5}),
+         ("zab", {"a": 0.3, "b": -0.2, "alpha": 0.5}), ("tsallis_aq", {"a": 1.0, "q": 0.5}),
+         ("landsberg_vedral", {"q": 0.5})],
+        ids=["control", "zg-abel", "zab", "tsallis_aq", "landsberg_vedral"],
+    )
     @pytest.mark.parametrize("trials", [1, 255, 256, 257, 600])
-    def test_reports_do_not_depend_on_the_chunk_size(self, trials, monkeypatch):
+    def test_reports_do_not_depend_on_the_chunk_size(self, trials, family, params, monkeypatch):
         import gek.properties as properties
 
-        spec = entropy_spec("control")
+        spec = entropy_spec(family, params)
 
         def reports():
             out = [check_composability(spec, trials, 1e-10, 5)]
@@ -306,6 +319,21 @@ class _NanAbove(IdentityGroup):
 
     def eval(self, t: float) -> float:
         return t if t <= self.threshold else math.nan
+
+    def eval_scaled(self, c: float, t: float) -> float:
+        return self.eval(c * t) / c
+
+
+class _RangeAbove(IdentityGroup):
+    """The identity G, except a RangeError above a threshold: an entropy out of float range on some inputs."""
+
+    def __init__(self, threshold: float):
+        self.threshold = threshold
+
+    def eval(self, t: float) -> float:
+        if t > self.threshold:
+            raise RangeError(f"G({t!r}) is out of range")
+        return t
 
     def eval_scaled(self, c: float, t: float) -> float:
         return self.eval(c * t) / c
@@ -350,4 +378,14 @@ class TestFailClosed:
         assert uniform.failures == 20 and math.isnan(uniform.worst_residual)
         axioms = check_group_axioms_numeric(_NanLaw(), 0.5, trials=20, seed=3)
         assert axioms.failures == 20 and math.isnan(axioms.worst_residual)
+
+    @pytest.mark.parametrize("chunk", [256, 1])
+    def test_a_range_error_aborts_the_check(self, chunk, monkeypatch):
+        # finite on low entropy and out of range above, as in test_first_nan_trial_becomes_the_witness
+        import gek.properties as properties
+
+        monkeypatch.setattr(properties, "_CHUNK", chunk)
+        spec = EntropySpec("zg", {"alpha": 0.5}, _RangeAbove(0.5 * math.log(3)))
+        with pytest.raises(RangeError, match="out of range"):
+            check_composability(spec, 300, 1e-10, 2)
 
