@@ -49,6 +49,8 @@ from .series import TruncatedSeries, group_law_from_G, reversion
 SCHEMA_VERSION = "1"
 # an entropy sweep evaluates one row per point; longer ranges are rejected before any is built
 MAX_SWEEP_POINTS = 100_000
+# and evaluates the whole distribution at each point: 10**8 entries take about 1.5 s
+MAX_SWEEP_ENTRIES = 10**8
 # the exact series commands slow steeply with the order: an abel group law takes
 # about 0.5 s at order 40, 2.4 s at 50 and 12 s at 64
 MAX_SERIES_ORDER = 40
@@ -85,8 +87,10 @@ def _parse_params(text: str | None) -> dict[str, str]:
             continue
         if "=" not in chunk:
             raise InputError(f"malformed parameter {chunk!r}; expected key=value")
-        key, value = chunk.split("=", 1)
-        params[key.strip()] = value.strip()
+        key, value = (part.strip() for part in chunk.split("=", 1))
+        if key in params:
+            raise InputError(f"parameter {key!r} is given twice")
+        params[key] = value
     return params
 
 
@@ -342,6 +346,10 @@ def _entropy_sweep(args: argparse.Namespace) -> tuple[int, str]:
     params = _float_params(args.params)
     dist = _load_distribution(args.dist)
     name, values = _parse_sweep(args.param)
+    if len(values) * dist.size > MAX_SWEEP_ENTRIES:
+        raise InputError(
+            f"sweep of {len(values)} points over {dist.size} outcomes has more than {MAX_SWEEP_ENTRIES} entries"
+        )
     rows = []
     for v in values:
         spec = entropy_spec(args.family, {**params, name: v})
@@ -387,6 +395,7 @@ def _verify(args: argparse.Namespace) -> tuple[int, str]:
         raise InputError("--trials must be at least 1")
     if args.tol < 0:
         raise InputError("--tol must be at least 0")
+    _check_lam(args.lam)
     params = _float_params(args.params)
     spec = entropy_spec(args.family, params)
     suite = args.suite
@@ -415,7 +424,13 @@ def _verify(args: argparse.Namespace) -> tuple[int, str]:
     return (0 if all_passed else 1), _dump_json(payload)
 
 
+def _check_lam(lam: float) -> None:
+    if lam <= 0:
+        raise InputError("--lam must be positive")
+
+
 def _extensivity_solve(args: argparse.Namespace) -> tuple[int, str]:
+    _check_lam(args.lam)
     if args.horizon < 1:
         raise InputError("--horizon must be at least 1")
     if args.horizon > MAX_HORIZON:

@@ -13,15 +13,8 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from .errors import ConvergenceError, DomainError, ParameterError, RangeError
-from .series import (
-    TruncatedSeries,
-    abel_exp_series,
-    identity_series,
-    kaniadakis_exp_series,
-    tsallis_exp_series,
-)
+from .series import TruncatedSeries, abel_exp_series, identity_series, kaniadakis_exp_series, tsallis_exp_series
 
-_Q_LIMIT_CUTOFF = 1e-9  # below this |1 - q| the multiplicative family is evaluated in the q -> 1 limit
 _XTOL = 1e-15  # absolute root tolerance of the numeric G^-1
 _RTOL = 8.9e-16  # relative root tolerance: about 4 machine epsilons, the least brentq accepts
 _MAXITER = 100
@@ -228,8 +221,8 @@ class IdentityGroup(GroupFunction):
 class MultiplicativeGroup(GroupFunction):
     """G(t) = (e^((1-q) t) - 1)/(1 - q): carrier of x + y + (1-q) x y.
 
-    Induces the q-deformed logarithm (x^(1-q) - 1)/(1-q); near q = 1 the
-    removable singularity is evaluated in the limit.
+    Induces the q-deformed logarithm (x^(1-q) - 1)/(1-q); expm1 and log1p keep G
+    and G^-1 accurate for every float q != 1, however close to 1.
     """
 
     name = "multiplicative"
@@ -239,29 +232,22 @@ class MultiplicativeGroup(GroupFunction):
             raise ParameterError("multiplicative family requires q != 1")
         self.q = float(q)
         self.r = 1.0 - self.q
-        self._limit = abs(self.r) < _Q_LIMIT_CUTOFF
-        if not self._limit and self.r > 0:
+        if self.r > 0:
             self.range_min = -1.0 / self.r
 
     def params(self) -> dict:
         return {"q": self.q}
 
     def eval(self, t: float) -> float:
-        if self._limit:
-            return t
         try:
             return math.expm1(self.r * t) / self.r
         except OverflowError:
             raise RangeError(f"multiplicative(q={self.q}): G({t}) overflows a float") from None
 
     def deriv(self, t: float) -> float:
-        if self._limit:
-            return 1.0
         return math.exp(self.r * t)
 
     def inverse(self, s: float) -> float:
-        if self._limit:
-            return s
         u = self.r * s
         if u <= -1.0:
             raise RangeError(f"multiplicative(q={self.q}): {s} outside range")

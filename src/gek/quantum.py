@@ -34,6 +34,8 @@ class DensityMatrix:
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise InputError("a density matrix must be square and nonempty")
         arr = arr.astype(complex)
+        if not np.isfinite(arr).all():
+            raise InputError("density matrix entries must be finite")
         if np.max(np.abs(arr - arr.conj().T)) > _HERMITIAN_TOL:
             raise InputError("matrix is not Hermitian within 1e-12")
         trace = float(np.real(np.trace(arr)))
@@ -59,6 +61,8 @@ class DensityMatrix:
     @classmethod
     def pure(cls, state) -> "DensityMatrix":
         psi = np.asarray(state, dtype=complex).ravel()
+        if not np.isfinite(psi).all():
+            raise InputError("state vector entries must be finite")
         norm = np.linalg.norm(psi)
         if norm == 0:
             raise InputError("cannot normalize the zero vector")

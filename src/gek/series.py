@@ -396,38 +396,25 @@ def identity_series(order: int) -> TruncatedSeries:
 
 
 def tsallis_exp_series(q: Rational, order: int) -> TruncatedSeries:
-    """Exact expansion of (e^((1-q) t) - 1)/(1-q): carrier of x + y + (1-q) x y."""
-    qf = _frac(q)
-    if qf == 1:
-        return identity_series(order)
-    r = 1 - qf
-    coeffs = [Fraction(0)]
-    for n in range(1, order + 1):
-        coeffs.append(r ** (n - 1) / math.factorial(n))
-    return TruncatedSeries(tuple(coeffs))
+    """Exact expansion of (e^((1-q) t) - 1)/(1-q) = G_{1-q,0}: carrier of x + y + (1-q) x y."""
+    return abel_exp_series(1 - _frac(q), 0, order)
 
 
 def kaniadakis_exp_series(k: Rational, order: int) -> TruncatedSeries:
-    """Exact expansion of sinh(k t)/k: carrier of the deformed-sum group law."""
-    kf = _frac(k)
-    if kf == 0:
-        return identity_series(order)
-    coeffs = [Fraction(0)] * (order + 1)
-    for n in range(0, order + 1, 2):
-        if n + 1 <= order:
-            coeffs[n + 1] = kf**n / math.factorial(n + 1)
-    return TruncatedSeries(tuple(coeffs))
+    """Exact expansion of sinh(k t)/k = G_{k,-k}: carrier of the deformed-sum group law."""
+    return abel_exp_series(_frac(k), -_frac(k), order)
 
 
 def abel_exp_series(a: Rational, b: Rational, order: int) -> TruncatedSeries:
-    """Exact expansion of (e^(a t) - e^(b t))/(a - b).
+    """Exact expansion of G_{a,b}(t) = (e^(a t) - e^(b t))/(a - b).
 
     The coefficient of t^n/n! is the complete homogeneous symmetric polynomial
-    sum_{i+j=n-1} a^i b^j, which stays well-defined at a = b.
+    h_n = sum_{i+j=n-1} a^i b^j = a h_(n-1) + b^(n-1), with h_0 = 0.  It stays
+    well-defined at a = b, where G_{a,a}(t) = t e^(a t), the identity at a = 0.
     """
     af, bf = _frac(a), _frac(b)
-    coeffs = [Fraction(0)]
+    coeffs, h, b_pow = [Fraction(0)], Fraction(0), Fraction(1)
     for n in range(1, order + 1):
-        h = sum((af**i) * (bf ** (n - 1 - i)) for i in range(n))
+        h, b_pow = af * h + b_pow, b_pow * bf
         coeffs.append(h / math.factorial(n))
     return TruncatedSeries(tuple(coeffs))

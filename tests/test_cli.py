@@ -495,13 +495,25 @@ class TestExitCodeContract:
             ["series", "invert", "--coeffs", "0,1,1", "--order", str(MAX_SERIES_ORDER + 1)],
             ["grouplaw", "expand", "--family", "tsallis", "--params", "q=1/2", "--order", str(MAX_SERIES_ORDER + 1)],
             ["entropy", "eval", "--family", "renyi", "--params", "alpha=0.5", "--dist", "u99999999999"],
+            ["entropy", "sweep", "--family", "renyi", "--dist", "u1000000", "--param", "alpha=0.001:0.999:0.001"],
+            # a repeated parameter key used to keep its last value
+            ["entropy", "eval", "--family", "renyi", "--params", "alpha=0.5,alpha=2", "--dist", "u4"],
+            ["grouplaw", "expand", "--family", "tsallis", "--params", "q=1/2, q=1/3", "--order", "3"],
+            # a rate lam <= 0 is bad input for every family, also one whose power law ignores it
+            ["verify", "--family", "tsallis_aq", "--params", "a=0.5,q=0.5", "--trials", "20", "--lam", "-1"],
+            ["verify", "--family", "zq", "--params", "q=0.5,alpha=0.5", "--suite", "sk", "--trials", "20",
+             "--lam", "-0"],
+            ["extensivity", "solve", "--family", "tsallis_aq", "--params", "a=0.5,q=0.5", "--lam", "-1"],
+            ["extensivity", "solve", "--family", "renyi", "--params", "alpha=0.5", "--lam", "0"],
         ],
         ids=["zab-a800", "chi-abel-1e300", "lmg-a1e300", "lmg-occupations-14-0", "log-tsallis-1e300",
              "exp-tsallis-1e300", "lmg-a700-alpha2", "lmg-a1e300-alpha2", "log-abel-ratio-underflow",
              "sweep-1e300-points", "verify-seed-minus-1", "dist-inline-abc", "lmg-occupations-7-x",
              "solve-horizon-1e19", "lmg-L-0", "lmg-N-minus-2-sweep", "eval-renyi-alpha1100",
              "verify-renyi-alpha1100", "verify-lv-q1100", "invert-order-100000", "invert-order-past-bound",
-             "expand-order-past-bound", "dist-u99999999999"],
+             "expand-order-past-bound", "dist-u99999999999", "sweep-entries-past-bound", "eval-repeated-key",
+             "expand-repeated-key", "verify-saq-lam-minus-1", "verify-zq-lam-minus-0", "solve-saq-lam-minus-1",
+             "solve-renyi-lam-0"],
     )
     def test_exit_two_with_a_message(self, argv, capsys):
         assert_exit_two(argv, capsys)
@@ -515,13 +527,26 @@ class TestExitCodeContract:
         [(["entropy", "eval", "--family", "renyi", "--params", "alpha=0.5", "--dist"], b"0.5\nabc\n0.5\n"),
          (["qentropy", "eval", "--rho"], b"0.5,0 abc\n0,0 0.5\n"),
          (["entropy", "eval", "--family", "renyi", "--params", "alpha=0.5", "--dist"], b"\xff\xfe0.5\n"),
-         (["qentropy", "eval", "--rho"], b"\xff\xfe0.5\n")],
-        ids=["dist-file-abc", "rho-file-abc", "dist-file-not-utf8", "rho-file-not-utf8"],
+         (["qentropy", "eval", "--rho"], b"\xff\xfe0.5\n"),
+         # non-finite matrix entries used to print -0 and exit 0
+         (["qentropy", "eval", "--rho"], b"nan 0\n0 1\n"),
+         (["qentropy", "eval", "--rho"], b"1,nan 0\n0 0\n"),
+         (["qentropy", "eval", "--rho"], b"inf 0\n0 1\n")],
+        ids=["dist-file-abc", "rho-file-abc", "dist-file-not-utf8", "rho-file-not-utf8", "rho-file-nan",
+             "rho-file-nan-imaginary", "rho-file-inf"],
     )
     def test_unreadable_file_entry(self, command, content, tmp_path, capsys):
         path = tmp_path / "input.txt"
         path.write_bytes(content)
         assert_exit_two(command + [str(path)], capsys)
+
+    @pytest.mark.parametrize("q", ["1.0000000009", "0.9999999991"])
+    @pytest.mark.parametrize("family, g", [("zq", ""), ("zg", "g=tsallis,"), ("altz", "g=tsallis,")])
+    def test_tsallis_g_near_one_passes(self, family, g, q, tmp_path):
+        # a q -> 1 cutoff in G, but not in its law, used to fail composability by about 3.5e-10
+        argv = ["verify", "--family", family, "--params", f"{g}q={q},alpha=0.5", "--trials", "200", "--seed", "3"]
+        code, text = invoke(argv, tmp_path)
+        assert code == 0, text
 
     def test_tsallis_aq_growth_past_float_range(self, tmp_path):
         # W = N^200 overflowed a float before the rates were taken in log space

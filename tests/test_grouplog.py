@@ -1,5 +1,6 @@
 """Round trips, functional equations and limits of the group log/exp layer."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -208,10 +209,14 @@ class TestLimitsAndReductions:
             for x in (0.05, 0.9, 3.0, 800.0):
                 assert eval_ln_G(lg, x) == pytest.approx(math.log(x), abs=1e-4)
 
-    def test_exact_limit_inside_cutoff(self):
-        g = MultiplicativeGroup(q=1 + 1e-12)
-        assert g.eval(2.0) == 2.0
-        assert g.inverse(2.0) == 2.0
+    @pytest.mark.parametrize("q", [1 + 1e-12, 1 - 1e-12, 1 + 9e-10, 1 - 9e-10])
+    def test_one_g_near_one(self, q):
+        # no q -> 1 cutoff: eval, inverse and chi describe the same G, which is not the identity
+        g = MultiplicativeGroup(q)
+        assert g.eval(2.0) != 2.0 and g.eval(2.0) == pytest.approx(2.0 + 2.0 * g.r, rel=1e-14)
+        assert g.inverse(g.eval(2.0)) == pytest.approx(2.0, rel=1e-14)
+        for x, y in itertools.product((-3.0, -0.7, 1e-8, 0.3, 2.0, 40.0), repeat=2):
+            assert g.chi(x, y) == pytest.approx(g.eval(g.inverse(x) + g.inverse(y)), rel=1e-14, abs=0)
 
     def test_abel_with_opposite_parameters_is_kaniadakis(self):
         k = 0.45

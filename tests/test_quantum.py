@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +48,25 @@ class TestDensityMatrix:
             DensityMatrix([[0.9, 0.0], [0.0, 0.3]])  # trace 1.2
         with pytest.raises(InputError):
             DensityMatrix([[1.5, 0.0], [0.0, -0.5]])  # negative eigenvalue
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: DensityMatrix([[math.nan, 0.0], [0.0, 1.0]]),
+            lambda: DensityMatrix([[complex(1.0, math.nan), 0.0], [0.0, 0.0]]),
+            lambda: DensityMatrix([[math.inf, 0.0], [0.0, 1.0]]),
+            lambda: DensityMatrix([[math.nan, 1.0], [0.0, 1.0]]),  # not Hermitian either
+            lambda: DensityMatrix.diagonal([math.nan, 1.0]),
+            lambda: DensityMatrix.pure([math.nan, 1.0]),
+            lambda: DensityMatrix.pure([math.inf, 1.0]),
+        ],
+        ids=["nan", "nan-imaginary", "inf", "nan-not-hermitian", "diagonal-nan", "pure-nan", "pure-inf"],
+    )
+    def test_non_finite_entries_rejected(self, build):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="must be finite"):
+                build()
 
     def test_diagonal_spectrum(self):
         rho = DensityMatrix.diagonal([0.5, 0.5])

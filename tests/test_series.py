@@ -1,5 +1,6 @@
 """Exact-arithmetic checks for the truncated series and group-law machinery."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -417,6 +418,57 @@ class TestKernelParity:
         assert list(got.coeffs) == list(ref_polymul(dict(p.coeffs), dict(q.coeffs), got.order))
 
 
+def ref_tsallis_exp_series(q, order):
+    """(e^((1-q) t) - 1)/(1-q) by its closed-form coefficients r^(n-1)/n!, with its own q = 1 branch."""
+    if q == 1:
+        return [F(int(n == 1)) for n in range(order + 1)]
+    return [F(0)] + [(1 - q) ** (n - 1) / math.factorial(n) for n in range(1, order + 1)]
+
+
+def ref_kaniadakis_exp_series(k, order):
+    """sinh(k t)/k by its closed-form coefficients k^(n-1)/n! at odd n, with its own k = 0 branch."""
+    if k == 0:
+        return ref_tsallis_exp_series(1, order)
+    return [F(0)] + [k ** (n - 1) / math.factorial(n) if n % 2 else F(0) for n in range(1, order + 1)]
+
+
+def ref_abel_exp_series(a, b, order):
+    """(e^(a t) - e^(b t))/(a - b) by its coefficients sum_{i+j=n-1} a^i b^j / n!, each sum taken afresh."""
+    coeffs = [sum(a**i * b ** (n - 1 - i) for i in range(n)) / math.factorial(n) for n in range(1, order + 1)]
+    return [F(0)] + coeffs
+
+
+class TestCarriersAreTwoExponentials:
+    """Every registry carrier is G_{a,b} through one recurrence, equal to the closed forms it replaced."""
+
+    ORDERS = range(41)
+
+    @pytest.mark.parametrize("q", [F(1), 1 - F(5, 13), 1 + F(5, 13), F(2)], ids=str)
+    def test_tsallis(self, q):
+        for n in self.ORDERS:
+            assert list(tsallis_exp_series(q, n).coeffs) == ref_tsallis_exp_series(q, n)
+
+    @pytest.mark.parametrize("k", [F(0), F(5, 13), F(-5, 13)], ids=str)
+    def test_kaniadakis(self, k):
+        for n in self.ORDERS:
+            assert list(kaniadakis_exp_series(k, n).coeffs) == ref_kaniadakis_exp_series(k, n)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [(F(0), F(0)), (F(5, 13), F(5, 13)), (F(-2, 3), F(-2, 3)),
+         (F(5, 13), F(-7, 11)), (F(2), F(1)), (F(0), F(3, 4))],
+        ids=str,
+    )
+    def test_abel(self, a, b):
+        for n in self.ORDERS:
+            assert list(abel_exp_series(a, b, n).coeffs) == ref_abel_exp_series(a, b, n)
+
+    def test_degenerate_points_are_the_identity(self):
+        for n in self.ORDERS:
+            identity = identity_series(n)
+            assert tsallis_exp_series(1, n) == kaniadakis_exp_series(0, n) == abel_exp_series(0, 0, n) == identity
+
+
 class TestErrorPaths:
     @pytest.mark.parametrize("coeffs", [[1, 1, 2], [0, 2, 1], [0, 0, 1], [0], [F(1, 2), 1]])
     def test_unnormalized_series_are_rejected(self, coeffs):
@@ -440,6 +492,7 @@ class TestErrorPaths:
             lambda: BivariateTruncatedSeries({(1, 0): 1}, 2).scaled(2.0),
             lambda: tsallis_exp_series(0.5, 4),
             lambda: abel_exp_series(1, 0.5, 4),
+            lambda: kaniadakis_exp_series(0.5, 4),
         ],
     )
     def test_floats_are_rejected(self, build):
