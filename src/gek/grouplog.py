@@ -87,7 +87,9 @@ class GroupFunction:
     Subclasses must provide ``eval`` and ``deriv``; the default ``inverse``
     and ``chi`` use monotone bracketing plus Brent root-finding (``_brent``,
     in-repo, following scipy's ``brentq``), and rely on ``domain_min`` /
-    ``range_min`` for admissibility checks.
+    ``range_min`` for admissibility checks.  Every ``inverse``, closed form
+    or numeric, starts with ``_check_finite``: G^-1 of nan, inf or -inf is a
+    RangeError, never a non-finite value passed on.
     """
 
     name = "group"
@@ -107,6 +109,10 @@ class GroupFunction:
         """G's defining expression at t, also where ``eval`` refuses t as outside the increasing domain."""
         return self.eval(t)
 
+    def _check_finite(self, s: float) -> None:
+        if not math.isfinite(s):
+            raise RangeError(f"{self.name}: cannot invert non-finite value {s}")
+
     def _check_domain(self, t: float) -> None:
         if t <= self.domain_min:
             raise DomainError(
@@ -120,8 +126,7 @@ class GroupFunction:
         ``brentq`` step for step and returns the same float.  A bracket or root
         search that fails raises ``ConvergenceError``.
         """
-        if not math.isfinite(s):
-            raise RangeError(f"{self.name}: cannot invert non-finite value {s}")
+        self._check_finite(s)
         if s <= self.range_min:
             raise RangeError(f"{self.name}: value {s} is at or below the range infimum {self.range_min}")
         if s == 0.0:
@@ -205,6 +210,7 @@ class IdentityGroup(GroupFunction):
         return 1.0
 
     def inverse(self, s: float) -> float:
+        self._check_finite(s)
         return s
 
     def chi(self, x: float, y: float) -> float:
@@ -248,6 +254,7 @@ class MultiplicativeGroup(GroupFunction):
         return math.exp(self.r * t)
 
     def inverse(self, s: float) -> float:
+        self._check_finite(s)
         u = self.r * s
         if u <= -1.0:
             raise RangeError(f"multiplicative(q={self.q}): {s} outside range")
@@ -280,6 +287,7 @@ class KaniadakisGroup(GroupFunction):
         return math.cosh(self.k * t)
 
     def inverse(self, s: float) -> float:
+        self._check_finite(s)
         return math.asinh(self.k * s) / self.k
 
     def chi(self, x: float, y: float) -> float:

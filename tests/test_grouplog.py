@@ -137,6 +137,23 @@ class TestInverse:
         with pytest.raises(RangeError):
             g.inverse(-5.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "g",
+        [group_function("id"), group_function("tsallis", q=0.5), group_function("tsallis", q=1.7),
+         group_function("kaniadakis", k=0.4), group_function("abel", a=0.7, b=-0.3),
+         group_function("abel", a=2.0, b=1.0)],
+        ids=lambda g: g.describe(),
+    )
+    def test_non_finite_value_is_a_range_error_for_every_g(self, g, value):
+        # one G^-1 contract: the closed forms used to return nan or +-inf here, and exp_G passed it on
+        with pytest.raises(RangeError, match="non-finite"):
+            g.inverse(value)
+        with pytest.raises(RangeError, match="non-finite"):
+            eval_G_inverse(g, value)
+        with pytest.raises(RangeError, match="non-finite"):
+            eval_exp_G(logarithm(g), value)
+
     def test_abel_positive_pair_has_domain_floor(self):
         g = AbelGroup(2.0, 1.0)
         assert math.isfinite(g.domain_min)

@@ -25,6 +25,8 @@ from gek.properties import (
     saq_concavity_counterexample_search,
     solve_growth_law,
     tsallis_qstar,
+    _draw_w,
+    _flat_dirichlet,
     _two_of,
 )
 
@@ -287,6 +289,55 @@ class TestTrialDraws:
             drawn_two_of = [_two_of(by_two_of, w) for _ in range(20_000)]
             assert drawn_choice == drawn_two_of
             assert by_choice.bit_generator.state == by_two_of.bit_generator.state
+
+    def test_flat_dirichlet_draws_the_same_stream_as_dirichlet(self):
+        # every Dirichlet(1, ..., 1) draw of the trial loops goes through _flat_dirichlet in place of rng.dirichlet;
+        # scaling by the reciprocal of e.sum() in place of the running sum differs from w = 8 upward
+        for w in range(1, 41):
+            for seed in range(100):
+                by_dirichlet, by_flat = np.random.default_rng(seed), np.random.default_rng(seed)
+                expected = by_dirichlet.dirichlet(np.ones(w))
+                assert np.array_equal(_flat_dirichlet(by_flat, w), expected), (w, seed)
+                assert by_dirichlet.random() == by_flat.random()
+
+    def test_schur_ordering_draw_is_generate_majorization_pair(self, monkeypatch):
+        # the ordering sub-check draws integer masses without building a MajorizationPair; the rows must not move
+        import gek.properties as properties
+
+        drawn = []
+
+        def record_first_draws(spec, trials, draw, judge):
+            if not drawn:
+                drawn.extend(draw() for _ in range(trials))
+
+        monkeypatch.setattr(properties, "_run_trials", record_first_draws)
+        w_values = (2, 3, 5, 8)
+        check_schur_concavity(SPECS["renyi"], 300, 9, w_values)
+        rng = np.random.default_rng(9)
+        for rows, dists, _ in drawn:
+            w = _draw_w(rng, w_values)
+            pair = generate_majorization_pair(w, steps=int(rng.integers(1, 12)), rng=rng)
+            assert dists == 2
+            assert np.array_equal(rows[0], pair.r.p) and np.array_equal(rows[1], pair.p.p)
+        assert len(drawn) == 300
+
+    def test_verify_builds_no_distribution_per_trial(self, monkeypatch, capsys):
+        # the trial loops validate their rows in one batched pass; a Distribution per trial is per-call overhead
+        from gek.cli import main
+
+        built = []
+        init = Distribution.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Distribution, "__init__", counting_init)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify", "--family", "renyi", "--params", "alpha=0.5", "--suite", "all", "--trials", "300"])
+        assert exit_info.value.code == 0
+        assert '"all_passed": true' in capsys.readouterr().out
+        assert len(built) == 0
 
     @pytest.mark.parametrize(
         "family, params",
