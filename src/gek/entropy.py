@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple, Sequence
+from functools import partial
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -73,13 +74,6 @@ class Distribution:
         return f"Distribution({self.p.tolist()})"
 
 
-def _power_sum_raw(arr: np.ndarray, alpha: float) -> float:
-    if alpha <= 0:
-        raise ParameterError("power sums are defined for positive exponents only")
-    positive = arr[arr > 0]
-    return float(np.sum(positive**alpha))
-
-
 def _stack_by_length(rows: Sequence[np.ndarray], indices) -> list[tuple[list[int], np.ndarray]]:
     """The rows at ``indices`` grouped by length: (their indices, the rows stacked as a 2-D array)."""
     groups: dict[int, list[int]] = {}
@@ -100,9 +94,16 @@ def invalid_distributions(rows: Sequence[np.ndarray]) -> list[bool]:
     return bad
 
 
+def _power_sums(exponent: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The one power-sum reduction: sum_i x_i^exponent over the last axis of an array of positive entries."""
+    if exponent <= 0:
+        raise ParameterError("power sums are defined for positive exponents only")
+    return lambda positive: np.sum(positive**exponent, axis=-1)
+
+
 def power_sum(p: Distribution, alpha: float) -> float:
     """sum_i p_i^alpha with the convention 0^alpha = 0."""
-    return _power_sum_raw(p.p, alpha)
+    return float(_power_sums(alpha)(p.p[p.p > 0]))
 
 
 def product_distribution(p: Distribution, r: Distribution) -> Distribution:
@@ -142,25 +143,9 @@ def tsallis_aq(a: float, q: float, p: Distribution) -> float:
     return EntropySpec("tsallis_aq", {"a": a, "q": q}).value(p)
 
 
-def _validate_tsallis_aq(a: float, q: float) -> None:
-    if a <= 0:
-        raise ParameterError("requires a > 0")
-    if q == 1:
-        raise ParameterError("requires q != 1")
-    if a * (q - 1) + 1 <= 0:
-        raise ParameterError("requires a(q-1) + 1 > 0")
-
-
 def landsberg_vedral(q: float, p: Distribution) -> float:
     """The normalized deformed entropy S_q / sum_i p_i^q."""
     return EntropySpec("landsberg_vedral", {"q": q}).value(p)
-
-
-def _validate_lv(q: float) -> None:
-    if q == 1:
-        raise ParameterError("requires q != 1")
-    if q <= 0:
-        raise ParameterError("requires q > 0")
 
 
 def z_q_alpha(q: float, alpha: float, p: Distribution) -> float:
@@ -184,40 +169,124 @@ def composition_phi(g: GroupFunction, alpha: float, x: float, y: float) -> float
     return g.chi_scaled(1.0 - alpha, x, y)
 
 
+def _saq_concave(a: float, q: float) -> bool:
+    """Whether (a, q) lies in one of the two concavity regions of the two-parameter trace-form entropy."""
+    return (q < 1 and 0 < a < 1 / (1 - q)) or (q > 1 and a > 0)
+
+
+class _Laws(NamedTuple):
+    """A family's formulas, closed over its validated parameters and G when its spec is built."""
+
+    reduce: Callable[[np.ndarray], np.ndarray]  # the family's sum over the last axis of positive entries
+    tail: Callable[[float], float]  # the entropy from that sum, in scalar ``math`` only
+    phi: Callable[[float, float], float]  # the composition law on products of independent systems
+    uniform: Callable[[float], float]  # the value on the uniform distribution, from ln W
+    concave: bool  # whether the supporting concavity theorems apply
+
+
+def _positive(family: str, s: float) -> float:
+    """``s``, which a logarithm or quotient needs > 0: a power sum that underflows to 0 is out of range."""
+    if s <= 0.0:
+        raise RangeError(f"the power sum of {family} underflows to 0, so its entropy is out of float range")
+    return s
+
+
+def _z_laws(family: str, p: Mapping[str, float], g: GroupFunction, formula: bool = False) -> _Laws:
+    """G(ln sum p^alpha)/(1 - alpha), composing through chi_G scaled by 1 - alpha.
+
+    ``formula`` (zab) evaluates G's expression also outside the increasing domain that zg with g=abel keeps to.
+    """
+    c = 1.0 - p["alpha"]
+    at = g.formula if formula else g.eval
+    uniform = (lambda ln_w: at(c * ln_w) / c) if formula else (lambda ln_w: g.eval_scaled(c, ln_w))
+    return _Laws(
+        _power_sums(p["alpha"]), lambda s: at(math.log(_positive(family, s))) / c,
+        lambda x, y: g.chi_scaled(c, x, y), uniform, 0 < p["alpha"] < 1,
+    )
+
+
+def _zq_laws(family: str, p: Mapping[str, float], g: GroupFunction) -> _Laws:
+    """The Z laws behind q > 0, which ln_q needs, while zg with g=tsallis takes any q != 1."""
+    if p["q"] <= 0:
+        raise ParameterError(f"family {family} requires q > 0")
+    return _z_laws(family, p, g)
+
+
+def _altz_laws(family: str, p: Mapping[str, float], g: GroupFunction) -> _Laws:
+    """G(ln(sum p^alpha)/(1 - alpha)), composing through chi_G itself."""
+    c = 1.0 - p["alpha"]
+    tail = lambda s: g.eval(math.log(_positive(family, s)) / c)
+    return _Laws(_power_sums(p["alpha"]), tail, g.chi, g.eval, 0 < p["alpha"] < 1)
+
+
+def _boltzmann_laws(family: str, p: Mapping[str, float], g: GroupFunction | None) -> _Laws:
+    """sum_i p_i ln(1/p_i), additive on products, ln W on W equal outcomes."""
+    return _Laws(lambda x: -np.sum(x * np.log(x), axis=-1), lambda s: s, lambda x, y: x + y, lambda v: v, True)
+
+
+def _control_laws(family: str, p: Mapping[str, float], g: GroupFunction | None) -> _Laws:
+    """Deliberately non-composable: sum_i p_i^2 ln(1/p_i), paired with the additive law; ln W / W when uniform."""
+    return _Laws(
+        lambda x: -np.sum(x**2 * np.log(x), axis=-1), lambda s: s, lambda x, y: x + y,
+        lambda ln_w: math.exp(-ln_w) * ln_w, False,
+    )
+
+
+def _tsallis_aq_laws(family: str, p: Mapping[str, float], g: GroupFunction | None) -> _Laws:
+    """(1 - sum_i p_i^(a(q-1)+1))/(q - 1), composing as x + y + (1 - q) x y."""
+    a, q = p["a"], p["q"]
+    if a <= 0:
+        raise ParameterError("requires a > 0")
+    if q == 1:
+        raise ParameterError("requires q != 1")
+    if a * (q - 1) + 1 <= 0:
+        raise ParameterError("requires a(q-1) + 1 > 0")
+    return _Laws(
+        _power_sums(a * (q - 1.0) + 1.0), lambda s: (1.0 - s) / (q - 1.0), lambda x, y: x + y + (1.0 - q) * x * y,
+        lambda ln_w: -math.expm1(-a * (q - 1.0) * ln_w) / (q - 1.0), _saq_concave(a, q),
+    )
+
+
+def _landsberg_vedral_laws(family: str, p: Mapping[str, float], g: GroupFunction | None) -> _Laws:
+    """S_q / sum_i p_i^q, composing as x + y + (q - 1) x y."""
+    q = p["q"]
+    if q == 1:
+        raise ParameterError("requires q != 1")
+    if q <= 0:
+        raise ParameterError("requires q > 0")
+    return _Laws(
+        _power_sums(q), lambda s: (1.0 - s) / ((q - 1.0) * _positive(family, s)),
+        lambda x, y: x + y + (q - 1.0) * x * y, lambda ln_w: math.expm1((q - 1.0) * ln_w) / (q - 1.0), False,
+    )
+
+
 class _Family(NamedTuple):
-    """What gek decides per family, apart from its formulas."""
+    """What gek decides per family: its parameter names, the builder of its laws, its G and its growth law."""
 
     params: tuple[str, ...]
+    laws: Callable[[str, Mapping[str, float], GroupFunction | None], _Laws]
     group: str | None = None  # the fixed G of a zg alias, "given" if the caller supplies G, else None
     growth: str | None = None  # the W(N) making it extensive: "group" through G's inverse, "power", None
-    positive: tuple[str, ...] = ()  # zq needs q > 0, while zg with g=tsallis takes any q != 1
-    formula: bool = False  # zab is G's formula everywhere; zg with g=abel keeps to G's increasing domain
 
 
-def _alias(g: str, **extra) -> _Family:
-    return _Family(group_family(g).params + ("alpha",), g, "group", **extra)
+def _alias(g: str, laws=_z_laws) -> _Family:
+    return _Family(group_family(g).params + ("alpha",), laws, g, "group")
 
 
 _FAMILIES = {
     "renyi": _alias("id"),
-    "zq": _alias("tsallis", positive=("q",)),
+    "zq": _alias("tsallis", _zq_laws),
     "zk": _alias("kaniadakis"),
-    "zab": _alias("abel", formula=True),
-    "zg": _Family(("alpha",), "given", "group"),
-    "altz": _Family(("alpha",), "given"),
-    "boltzmann": _Family(()),
-    "tsallis_aq": _Family(("a", "q"), growth="power"),
-    "landsberg_vedral": _Family(("q",)),
-    "control": _Family(()),
+    "zab": _alias("abel", partial(_z_laws, formula=True)),
+    "zg": _Family(("alpha",), _z_laws, "given", "group"),
+    "altz": _Family(("alpha",), _altz_laws, "given"),
+    "boltzmann": _Family((), _boltzmann_laws),
+    "tsallis_aq": _Family(("a", "q"), _tsallis_aq_laws, growth="power"),
+    "landsberg_vedral": _Family(("q",), _landsberg_vedral_laws),
+    "control": _Family((), _control_laws),
 }
 # the Z-entropies G(ln sum p^alpha)/(1 - alpha): exactly the families whose growth law comes from G
 Z_FAMILIES = tuple(name for name, fam in _FAMILIES.items() if fam.growth == "group")
-_FORMULA_FAMILIES = frozenset(name for name, fam in _FAMILIES.items() if fam.formula)
-
-
-def _saq_concave(a: float, q: float) -> bool:
-    """Whether (a, q) lies in one of the two concavity regions of the two-parameter trace-form entropy."""
-    return (q < 1 and 0 < a < 1 / (1 - q)) or (q > 1 and a > 0)
 
 
 @dataclass(frozen=True)
@@ -233,30 +302,23 @@ class EntropySpec:
     family: str
     params: Mapping[str, float]
     group: GroupFunction | None = field(default=None, compare=False)
+    _laws: _Laws = field(init=False, repr=False, compare=False)  # the formulas, picked once per spec
 
     def __post_init__(self) -> None:
         fam = _FAMILIES.get(self.family)
         if fam is None:
-            raise ParameterError(
-                f"unknown entropy family {self.family!r}; choose from {sorted(_FAMILIES)}"
-            )
+            raise ParameterError(f"unknown entropy family {self.family!r}; choose from {sorted(_FAMILIES)}")
         check_params(f"family {self.family}", fam.params, self.params)
-        # run the per-family validators once, so bad parameters fail at build time
+        # validate once, so bad parameters fail at build time; the laws builder checks its own
         p = self.params
         if "alpha" in p:
             _check_alpha(p["alpha"])
-        for name in fam.positive:
-            if p[name] <= 0:
-                raise ParameterError(f"family {self.family} requires {name} > 0")
         if fam.group not in (None, "given"):
             gparams = {k: v for k, v in p.items() if k != "alpha"}
             object.__setattr__(self, "group", group_function(fam.group, **gparams))
         elif fam.group == "given" and self.group is None:
             raise ParameterError(f"family {self.family} needs a group function")
-        elif self.family == "tsallis_aq":
-            _validate_tsallis_aq(p["a"], p["q"])
-        elif self.family == "landsberg_vedral":
-            _validate_lv(p["q"])
+        object.__setattr__(self, "_laws", fam.laws(self.family, p, self.group))
 
     @property
     def alpha(self) -> float | None:
@@ -269,20 +331,12 @@ class EntropySpec:
         tsallis_aq with q > 1 is bounded by 1/(q - 1), so no W(N) makes it extensive.
         """
         growth = _FAMILIES[self.family].growth
-        if growth == "power" and self.params["q"] > 1:
-            return None
-        return growth
+        return None if growth == "power" and self.params["q"] > 1 else growth
 
     @property
     def regime(self) -> str:
         """Concavity regime tag: 'concave' where the supporting theorems apply."""
-        if self.family == "boltzmann":
-            return "concave"
-        if self.family == "tsallis_aq":
-            return "concave" if _saq_concave(self.params["a"], self.params["q"]) else "non-concave"
-        if self.family in ("landsberg_vedral", "control"):
-            return "non-concave"
-        return "concave" if 0 < self.params["alpha"] < 1 else "non-concave"
+        return "concave" if self._laws.concave else "non-concave"
 
     def value(self, p: Distribution) -> float:
         return self._evaluate(p.p)
@@ -329,75 +383,19 @@ class EntropySpec:
         return self.from_row_sum(float(self._reduce(arr[arr > 0])))
 
     def _reduce(self, positive: np.ndarray):
-        """The family's sum over the last axis of an array of positive entries."""
-        f, p = self.family, self.params
-        if f == "boltzmann":
-            return -np.sum(positive * np.log(positive), axis=-1)
-        if f == "control":
-            # deliberately non-composable: quadratically weighted surprise
-            return -np.sum(positive**2 * np.log(positive), axis=-1)
-        if f == "tsallis_aq":
-            exponent = p["a"] * (p["q"] - 1.0) + 1.0
-        else:
-            exponent = p["q"] if f == "landsberg_vedral" else p["alpha"]
-        return np.sum(positive**exponent, axis=-1)
+        return self._laws.reduce(positive)
 
     def from_row_sum(self, s: float) -> float:
         """The entropy from the family's sum ``s`` (see ``row_sums``): scalar ``math`` only."""
-        f, p = self.family, self.params
-        # the logarithm and the Landsberg-Vedral quotient need s > 0; a power sum that underflows is out of range
-        if s <= 0.0 and f not in ("boltzmann", "control", "tsallis_aq"):
-            raise RangeError(f"the power sum of {f} underflows to 0, so its entropy is out of float range")
-        if f in Z_FAMILIES:
-            g = self.group.formula if f in _FORMULA_FAMILIES else self.group.eval
-            return g(math.log(s)) / (1.0 - p["alpha"])
-        if f == "tsallis_aq":
-            return (1.0 - s) / (p["q"] - 1.0)
-        if f == "landsberg_vedral":
-            return (1.0 - s) / ((p["q"] - 1.0) * s)
-        if f == "altz":
-            return self.group.eval(math.log(s) / (1.0 - p["alpha"]))
-        return s  # boltzmann, control
+        return self._laws.tail(s)
 
     def phi(self, x: float, y: float) -> float:
         """The composition law paired with this family."""
-        f, p = self.family, self.params
-        if f in Z_FAMILIES:
-            return composition_phi(self.group, p["alpha"], x, y)
-        if f in ("boltzmann", "control"):
-            return x + y
-        if f == "tsallis_aq":
-            return x + y + (1.0 - p["q"]) * x * y
-        if f == "landsberg_vedral":
-            return x + y + (p["q"] - 1.0) * x * y
-        if f == "altz":
-            return self.group.chi(x, y)
-        raise AssertionError(f)
+        return self._laws.phi(x, y)
 
     def uniform_value_log(self, ln_w: float) -> float:
-        """Closed-form entropy of the uniform distribution with ln W = ln_w.
-
-        Works far beyond representable W, which extensivity checks need.
-        """
-        f, p = self.family, self.params
-        if f in Z_FAMILIES:
-            c = 1.0 - p["alpha"]
-            if f in _FORMULA_FAMILIES:
-                return self.group.formula(c * ln_w) / c
-            return self.group.eval_scaled(c, ln_w)
-        if f == "boltzmann":
-            return ln_w
-        if f == "tsallis_aq":
-            a, q = p["a"], p["q"]
-            return -math.expm1(-a * (q - 1.0) * ln_w) / (q - 1.0)
-        if f == "landsberg_vedral":
-            q = p["q"]
-            return math.expm1((q - 1.0) * ln_w) / (q - 1.0)
-        if f == "altz":
-            return self.group.eval(ln_w)
-        if f == "control":
-            return math.exp(-ln_w) * ln_w
-        raise AssertionError(f)
+        """Closed-form entropy of the uniform distribution with ln W = ln_w, also far beyond representable W."""
+        return self._laws.uniform(ln_w)
 
     def uniform_value(self, w: float) -> float:
         if w < 1:

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .entropy import Distribution, EntropySpec, _saq_concave, invalid_distributions
+from .entropy import Distribution, EntropySpec, _saq_concave, composition_phi, invalid_distributions
 from .errors import DomainError, InputError, ParameterError, RangeError
 from .grouplog import GroupFunction, IdentityGroup
 
@@ -186,8 +186,6 @@ def check_group_axioms_numeric(
     seed: int = 0,
 ) -> PropertyReport:
     """Sampled symmetry, associativity and null-composability of the law of order alpha."""
-    from .entropy import composition_phi
-
     rng = np.random.default_rng(seed)
     fold = _Worst(0.0, tol)
     skipped = 0
@@ -516,7 +514,7 @@ def check_extensivity(
     within max(tol, 1e-9) and the drift of S/N from N = 1e5 to 1e6.  The "power"
     family tsallis_aq (q < 1) grows as W = N^(1/(a(1 - q))) whatever lam, and
     reports the drift alone, its rates taken in log space.  A family without a
-    growth law raises ParameterError.
+    growth law raises ParameterError, and an exponent past float range RangeError.
     """
 
     def drift_report(rates: list[float], **witness) -> PropertyReport:
@@ -529,7 +527,10 @@ def check_extensivity(
         raise ParameterError(f"family {spec.family} has no growth law that makes it extensive")
     if spec.growth == "power":
         a, q = spec.params["a"], spec.params["q"]
-        rho = 1.0 / (a * (1.0 - q))  # admissibility, a(q - 1) + 1 > 0, makes rho > 1
+        # admissibility, a(q - 1) + 1 > 0, makes rho > 1; a tiny a puts rho, or a(1 - q) at 0, past float range
+        rho = 1.0 / (a * (1.0 - q)) if a * (1.0 - q) > 0 else math.inf
+        if not math.isfinite(rho):
+            raise RangeError(f"the growth exponent 1/(a(1 - q)) of {spec.describe()} is out of float range")
         rates = [spec.uniform_value_log(rho * math.log(n)) / n for n in (1e5, 1e6)]
         return [drift_report(rates, rho=rho, qstar=tsallis_qstar(a, rho))]
     law = solve_growth_law(spec, lam)

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .entropy import EntropySpec, _power_sum_raw, entropy_spec
+from .entropy import EntropySpec, _power_sums, entropy_spec
 from .errors import DomainError, InputError, ParameterError, RangeError
 
 EIGENVALUE_CLAMP = 1e-12
@@ -77,7 +77,7 @@ def eigenvalues(rho: DensityMatrix) -> np.ndarray:
 
 def trace_power(rho: DensityMatrix, alpha: float) -> float:
     """tr rho^alpha over the clamped spectrum, with 0^alpha = 0."""
-    return _power_sum_raw(rho.spectrum, alpha)
+    return float(_power_sums(alpha)(rho.spectrum[rho.spectrum > 0]))
 
 
 def quantum_z_entropy(g, alpha: float, rho: DensityMatrix) -> float:

@@ -505,6 +505,11 @@ class TestExitCodeContract:
              "--lam", "-0"],
             ["extensivity", "solve", "--family", "tsallis_aq", "--params", "a=0.5,q=0.5", "--lam", "-1"],
             ["extensivity", "solve", "--family", "renyi", "--params", "alpha=0.5", "--lam", "0"],
+            # the growth exponent 1/(a(1 - q)) divided by 0 (a=5e-324) or overflowed to inf (a=1e-320)
+            ["verify", "--family", "tsallis_aq", "--params", "a=5e-324,q=0.5", "--suite", "extensivity"],
+            ["extensivity", "solve", "--family", "tsallis_aq", "--params", "a=5e-324,q=0.5"],
+            ["verify", "--family", "tsallis_aq", "--params", "a=1e-320,q=0.5", "--suite", "extensivity"],
+            ["extensivity", "solve", "--family", "tsallis_aq", "--params", "a=1e-320,q=0.5"],
         ],
         ids=["zab-a800", "chi-abel-1e300", "lmg-a1e300", "lmg-occupations-14-0", "log-tsallis-1e300",
              "exp-tsallis-1e300", "lmg-a700-alpha2", "lmg-a1e300-alpha2", "log-abel-ratio-underflow",
@@ -513,7 +518,8 @@ class TestExitCodeContract:
              "verify-renyi-alpha1100", "verify-lv-q1100", "invert-order-100000", "invert-order-past-bound",
              "expand-order-past-bound", "dist-u99999999999", "sweep-entries-past-bound", "eval-repeated-key",
              "expand-repeated-key", "verify-saq-lam-minus-1", "verify-zq-lam-minus-0", "solve-saq-lam-minus-1",
-             "solve-renyi-lam-0"],
+             "solve-renyi-lam-0", "verify-saq-rho-divides-by-0", "solve-saq-rho-divides-by-0",
+             "verify-saq-rho-inf", "solve-saq-rho-inf"],
     )
     def test_exit_two_with_a_message(self, argv, capsys):
         assert_exit_two(argv, capsys)
@@ -549,11 +555,12 @@ class TestExitCodeContract:
         assert code == 0, text
 
     def test_tsallis_aq_growth_past_float_range(self, tmp_path):
-        # W = N^200 overflowed a float before the rates were taken in log space
-        for argv in (["extensivity", "solve", "--family", "tsallis_aq", "--params", "a=0.01,q=0.5"],
-                     ["verify", "--family", "tsallis_aq", "--params", "a=0.01,q=0.5", "--suite", "extensivity"]):
-            code, text = invoke(argv, tmp_path)
-            assert code == 0, text
+        # W = N^200 overflowed a float before the rates were taken in log space; rho = 2e300 is still a float
+        for params in ("a=0.01,q=0.5", "a=1e-300,q=0.5"):
+            for argv in (["extensivity", "solve", "--family", "tsallis_aq", "--params", params],
+                         ["verify", "--family", "tsallis_aq", "--params", params, "--suite", "extensivity"]):
+                code, text = invoke(argv, tmp_path)
+                assert code == 0, (argv, text)
 
     def test_abel_inverse_still_shrinks_its_bracket_out_of_overflow(self, tmp_path):
         # e^(2t) overflows while the bracket doubles t, and the bracket shrinks back

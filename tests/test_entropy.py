@@ -9,6 +9,7 @@ from gek.entropy import (
     Distribution,
     EntropySpec,
     Z_FAMILIES,
+    _FAMILIES,
     _saq_concave,
     alt_z_entropy,
     boltzmann,
@@ -35,10 +36,28 @@ def random_dist(w, rng=RNG):
     return Distribution(rng.dirichlet(np.ones(w)))
 
 
-# Random admissible parameter draws keyed by family; used wherever a test
+GROUPS = ("id", "tsallis", "kaniadakis", "abel")
+
+
+def random_group_params(g, rng):
+    """``g`` plus random admissible parameters of that G, as ``entropy_spec`` takes them."""
+    if g == "tsallis":
+        return {"g": g, "q": rng.uniform(0.2, 2.5)}
+    if g == "kaniadakis":
+        return {"g": g, "k": rng.uniform(0.05, 0.9) * rng.choice([-1, 1])}
+    if g == "abel":
+        return {"g": g, "a": rng.uniform(0.05, 0.9), "b": -rng.uniform(0.0, 0.9)}
+    return {"g": g}
+
+
+# Random admissible parameter draws keyed by family (zg and altz over the G named ``g``); used wherever a test
 # wants "random parameters" rather than a pinned spec.
-def random_spec(family, rng):
+def random_spec(family, rng, g="id"):
+    if family in ("boltzmann", "control"):
+        return entropy_spec(family)
     alpha = rng.uniform(0.15, 0.9)
+    if family in ("zg", "altz"):
+        return entropy_spec(family, {**random_group_params(g, rng), "alpha": alpha})
     if family == "renyi":
         return entropy_spec("renyi", {"alpha": alpha})
     if family == "zq":
@@ -387,13 +406,27 @@ class TestEntropySpec:
             zg.uniform_value_log(math.log(4))
 
     def test_uniform_closed_forms_match_direct_evaluation(self):
-        for family in ("renyi", "zq", "zk", "zab", "tsallis_aq", "landsberg_vedral"):
-            for trial in range(10):
-                rng = np.random.default_rng(100 + trial)
-                spec = random_spec(family, rng)
-                w = int(rng.integers(2, 40))
-                direct = spec.value(Distribution.uniform(w))
-                assert spec.uniform_value(w) == pytest.approx(direct, rel=1e-12), spec.describe()
+        families = ["renyi", "zq", "zk", "zab", "zg", "altz", "boltzmann", "control", "tsallis_aq",
+                    "landsberg_vedral"]
+        # a new family cannot land without its closed form checked against its reduction
+        assert set(families) == _FAMILIES.keys()
+        for family in families:
+            for g in GROUPS if family in ("zg", "altz") else ("id",):
+                for trial in range(10):
+                    rng = np.random.default_rng(100 + trial)
+                    spec = random_spec(family, rng, g)
+                    w = int(rng.integers(2, 40))
+                    direct = spec.value(Distribution.uniform(w))
+                    assert spec.uniform_value(w) == pytest.approx(direct, rel=1e-12), spec.describe()
+
+    def test_equality_and_repr_ignore_the_built_laws(self):
+        # each spec builds its own closures, so comparing or printing them would break both
+        spec = entropy_spec("zg", {"g": "tsallis", "q": 0.5, "alpha": 0.7})
+        same = entropy_spec("zg", {"g": "tsallis", "q": 0.5, "alpha": 0.7})
+        assert spec._laws is not same._laws
+        assert spec == same
+        assert spec != entropy_spec("zg", {"g": "tsallis", "q": 0.5, "alpha": 0.8})
+        assert "_laws" not in repr(spec) and "<function" not in repr(spec)
 
     def test_regime_marker(self):
         assert entropy_spec("renyi", {"alpha": 0.5}).regime == "concave"
