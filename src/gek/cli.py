@@ -431,25 +431,15 @@ def _check_lam(lam: float) -> None:
 
 def _extensivity_solve(args: argparse.Namespace) -> tuple[int, str]:
     _check_lam(args.lam)
-    if args.horizon < 1:
-        raise InputError("--horizon must be at least 1")
-    if args.horizon > MAX_HORIZON:
-        raise InputError(f"--horizon must be at most {MAX_HORIZON:g}")
+    if not 1 <= args.horizon <= MAX_HORIZON:
+        raise InputError(f"--horizon must lie in [1, {MAX_HORIZON:g}]")
     params = _float_params(args.params)
     spec = entropy_spec(args.family, params)
-    if spec.growth is None:
-        raise InputError(f"family {args.family!r} has no growth law that makes it extensive")
-    if spec.growth == "power":
+    payload = {"schema_version": SCHEMA_VERSION, "family": spec.family, "params": params}
+    if spec.growth != "group":  # check_extensivity raises for a family without a growth law
         (report,) = check_extensivity(spec, args.lam, seed=args.seed)
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "family": spec.family,
-            "params": params,
-            "kind": spec.growth,
-            "description": f"W(N) = N^{_fmt(report.witness['rho'])}",
-            "valid": report.passed,
-            "samples": [],
-        }
+        description = f"W(N) = N^{_fmt(report.witness['rho'])}"
+        payload.update(kind=spec.growth, description=description, valid=report.passed, samples=[])
         return 0 if report.passed else 1, _dump_json(payload)
     law = solve_growth_law(spec, args.lam, horizon=args.horizon)
     samples = []
@@ -461,17 +451,10 @@ def _extensivity_solve(args: argparse.Namespace) -> tuple[int, str]:
         if not math.isfinite(lw):  # JSON has no inf; W past a float's range ends the samples too
             break
         samples.append({"N": int(n), "log_w": lw, "w": math.exp(lw) if lw < 709 else None})
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "family": spec.family,
-        "params": params,
-        "lam": args.lam,
-        "kind": law.kind,
-        "description": law.describe(),
-        "valid": law.valid,
-        "restricted": law.restricted,
-        "samples": samples,
-    }
+    payload.update(
+        lam=args.lam, kind=law.kind, description=law.describe(), valid=law.valid, restricted=law.restricted,
+        samples=samples,
+    )
     return 0 if law.valid else 1, _dump_json(payload)
 
 

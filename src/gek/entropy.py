@@ -96,8 +96,8 @@ def invalid_distributions(rows: Sequence[np.ndarray]) -> list[bool]:
 
 def _power_sums(exponent: float) -> Callable[[np.ndarray], np.ndarray]:
     """The one power-sum reduction: sum_i x_i^exponent over the last axis of an array of positive entries."""
-    if exponent <= 0:
-        raise ParameterError("power sums are defined for positive exponents only")
+    if not 0 < exponent < math.inf:  # fails closed: a nan exponent is rejected too
+        raise ParameterError("power sums are defined for finite positive exponents only")
     return lambda positive: np.sum(positive**exponent, axis=-1)
 
 
@@ -112,8 +112,8 @@ def product_distribution(p: Distribution, r: Distribution) -> Distribution:
 
 
 def _check_alpha(alpha: float) -> None:
-    if alpha <= 0:
-        raise ParameterError("alpha must be positive")
+    if not 0 < alpha < math.inf:  # fails closed: a nan alpha is rejected too
+        raise ParameterError(f"alpha must be positive and finite, got {alpha}")
     if alpha == 1:
         raise ParameterError("alpha = 1 is excluded; use the Boltzmann entropy for the limit")
 
@@ -301,7 +301,7 @@ class EntropySpec:
 
     family: str
     params: Mapping[str, float]
-    group: GroupFunction | None = field(default=None, compare=False)
+    group: GroupFunction | None = None
     _laws: _Laws = field(init=False, repr=False, compare=False)  # the formulas, picked once per spec
 
     def __post_init__(self) -> None:

@@ -105,6 +105,16 @@ class GroupFunction:
     def params(self) -> dict:
         return {}
 
+    def _key(self) -> tuple:
+        """What tells two G of one type apart: their parameters."""
+        return tuple(self.params().items())
+
+    def __eq__(self, other) -> bool:
+        return type(self) is type(other) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash((type(self), self._key()))
+
     def formula(self, t: float) -> float:
         """G's defining expression at t, also where ``eval`` refuses t as outside the increasing domain."""
         return self.eval(t)
@@ -359,6 +369,9 @@ class SeriesGroup(GroupFunction):
 
     def params(self) -> dict:
         return {"order": self.series.order, "horizon": self.horizon}
+
+    def _key(self) -> tuple:
+        return self.series, self.horizon
 
     def _check_horizon(self, t: float) -> None:
         if abs(t) > self.horizon:

@@ -510,37 +510,33 @@ def check_extensivity(
 ) -> list[PropertyReport]:
     """The growth law W(N) with S(uniform over W(N)) ~ lam * N, and how well it holds.
 
-    A "group" family reports the law's validity, then its round trip at N = 1e4
-    within max(tol, 1e-9) and the drift of S/N from N = 1e5 to 1e6.  The "power"
-    family tsallis_aq (q < 1) grows as W = N^(1/(a(1 - q))) whatever lam, and
-    reports the drift alone, its rates taken in log space.  A family without a
-    growth law raises ParameterError, and an exponent past float range RangeError.
+    A "group" family first reports the law's validity and, if valid, its round
+    trip at N = 1e4 within max(tol, 1e-9).  The "power" family tsallis_aq
+    (q < 1) grows as W = N^(1/(a(1 - q))) whatever lam.  Both then report the
+    drift of S/N from N = 1e5 to 1e6, taken from ln W(N) in log space.  A
+    family without a growth law raises ParameterError, and an exponent past
+    float range RangeError.
     """
-
-    def drift_report(rates: list[float], **witness) -> PropertyReport:
-        drift = abs(rates[1] - rates[0]) / max(abs(rates[0]), 1e-300)
-        return PropertyReport(
-            "extensivity-rate-drift", 2, 0 if drift < 1e-3 else 1, drift, seed, witness={"rates": rates, **witness}
-        )
-
     if spec.growth is None:
         raise ParameterError(f"family {spec.family} has no growth law that makes it extensive")
+    reports: list[PropertyReport] = []
     if spec.growth == "power":
         a, q = spec.params["a"], spec.params["q"]
         # admissibility, a(q - 1) + 1 > 0, makes rho > 1; a tiny a puts rho, or a(1 - q) at 0, past float range
         rho = 1.0 / (a * (1.0 - q)) if a * (1.0 - q) > 0 else math.inf
         if not math.isfinite(rho):
             raise RangeError(f"the growth exponent 1/(a(1 - q)) of {spec.describe()} is out of float range")
-        rates = [spec.uniform_value_log(rho * math.log(n)) / n for n in (1e5, 1e6)]
-        return [drift_report(rates, rho=rho, qstar=tsallis_qstar(a, rho))]
-    law = solve_growth_law(spec, lam)
-    reports = [
-        PropertyReport(
-            "extensivity-growth-law-valid", 1, 0 if law.valid else 1, 0.0 if law.valid else 1.0, seed,
-            witness={"kind": law.kind, "description": law.describe(), "restricted": law.restricted},
+        log_w, witness = (lambda n: rho * math.log(n)), {"rho": rho, "qstar": tsallis_qstar(a, rho)}
+    else:
+        law = solve_growth_law(spec, lam)
+        reports.append(
+            PropertyReport(
+                "extensivity-growth-law-valid", 1, 0 if law.valid else 1, 0.0 if law.valid else 1.0, seed,
+                witness={"kind": law.kind, "description": law.describe(), "restricted": law.restricted},
+            )
         )
-    ]
-    if law.valid:
+        if not law.valid:
+            return reports
         residual = round_trip_residual(spec, law, 1e4)
         reports.append(
             PropertyReport(
@@ -548,7 +544,14 @@ def check_extensivity(
                 witness={"n": 1e4, "lam": lam},
             )
         )
-        reports.append(drift_report([spec.uniform_value_log(law.log_w(n)) / n for n in (1e5, 1e6)]))
+        log_w, witness = law.log_w, {}
+    rates = [spec.uniform_value_log(log_w(n)) / n for n in (1e5, 1e6)]
+    drift = abs(rates[1] - rates[0]) / max(abs(rates[0]), 1e-300)
+    reports.append(
+        PropertyReport(
+            "extensivity-rate-drift", 2, 0 if drift < 1e-3 else 1, drift, seed, witness={"rates": rates, **witness}
+        )
+    )
     return reports
 
 

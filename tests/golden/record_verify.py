@@ -8,8 +8,12 @@ loops draw, evaluate or fold their trials cannot move a seeded report.
 Usage (from the repository root)::
 
     PYTHONPATH=src python tests/golden/record_verify.py
+    PYTHONPATH=src python tests/golden/record_verify.py --diff
 
-Re-record only on a commit whose reports are known to be right.
+Re-record only on a commit whose reports are known to be right.  ``--diff``
+writes nothing: it replays the pin and prints one line per entry whose output
+moved, with its argv, the old and new exit code and the first differing line,
+and exits 1 if any entry moved.
 """
 
 from __future__ import annotations
@@ -77,8 +81,31 @@ def record() -> list[dict]:
     return entries
 
 
+def moved(pinned: list[dict]) -> list[str]:
+    """Replay each pinned entry; one line per entry whose exit code or stdout moved."""
+    lines = []
+    for entry in pinned:
+        code, stdout = run(entry["argv"])
+        if (code, stdout) == (entry["exit"], entry["stdout"]):
+            continue
+        old, new = (text.splitlines() + ["<end>"] for text in (entry["stdout"], stdout))
+        differ = (f"line {i + 1}: {a!r} -> {b!r}" for i, (a, b) in enumerate(zip(old, new)) if a != b)
+        first = next(differ, "stdout unchanged")
+        lines.append(f"{' '.join(entry['argv'])}: exit {entry['exit']} -> {code}; {first}")
+    return lines
+
+
 if __name__ == "__main__":
     os.environ.pop("GEK_SEED", None)
+    if sys.argv[1:] == ["--diff"]:
+        pinned = json.loads(PIN.read_text())
+        lines = moved(pinned)
+        for line in lines:
+            print(line)
+        print(f"{len(lines)} of {len(pinned)} entries moved", file=sys.stderr)
+        sys.exit(1 if lines else 0)
+    if sys.argv[1:]:
+        sys.exit(f"usage: {sys.argv[0]} [--diff]")
     entries = record()
     PIN.write_text(json.dumps(entries, indent=1) + "\n")
     print(f"wrote {len(entries)} entries to {PIN}", file=sys.stderr)

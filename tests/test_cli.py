@@ -510,6 +510,10 @@ class TestExitCodeContract:
             ["extensivity", "solve", "--family", "tsallis_aq", "--params", "a=5e-324,q=0.5"],
             ["verify", "--family", "tsallis_aq", "--params", "a=1e-320,q=0.5", "--suite", "extensivity"],
             ["extensivity", "solve", "--family", "tsallis_aq", "--params", "a=1e-320,q=0.5"],
+            # a parameter without a value, a sweep with a non-numeric bound, a negative tolerance
+            ["entropy", "eval", "--family", "renyi", "--params", "alpha", "--dist", "u4"],
+            ["entropy", "sweep", "--family", "renyi", "--dist", "u4", "--param", "alpha=a:b:c"],
+            ["verify", "--family", "renyi", "--params", "alpha=0.5", "--trials", "20", "--tol", "-1"],
         ],
         ids=["zab-a800", "chi-abel-1e300", "lmg-a1e300", "lmg-occupations-14-0", "log-tsallis-1e300",
              "exp-tsallis-1e300", "lmg-a700-alpha2", "lmg-a1e300-alpha2", "log-abel-ratio-underflow",
@@ -519,13 +523,18 @@ class TestExitCodeContract:
              "expand-order-past-bound", "dist-u99999999999", "sweep-entries-past-bound", "eval-repeated-key",
              "expand-repeated-key", "verify-saq-lam-minus-1", "verify-zq-lam-minus-0", "solve-saq-lam-minus-1",
              "solve-renyi-lam-0", "verify-saq-rho-divides-by-0", "solve-saq-rho-divides-by-0",
-             "verify-saq-rho-inf", "solve-saq-rho-inf"],
+             "verify-saq-rho-inf", "solve-saq-rho-inf", "params-key-without-value", "sweep-non-numeric-bounds",
+             "verify-tol-minus-1"],
     )
     def test_exit_two_with_a_message(self, argv, capsys):
         assert_exit_two(argv, capsys)
 
     def test_negative_env_seed(self, monkeypatch, capsys):
         monkeypatch.setenv("GEK_SEED", "-1")
+        assert_exit_two(["verify", "--family", "renyi", "--params", "alpha=0.5", "--trials", "20"], capsys)
+
+    def test_non_integer_env_seed(self, monkeypatch, capsys):
+        monkeypatch.setenv("GEK_SEED", "x")
         assert_exit_two(["verify", "--family", "renyi", "--params", "alpha=0.5", "--trials", "20"], capsys)
 
     @pytest.mark.parametrize(
@@ -537,9 +546,11 @@ class TestExitCodeContract:
          # non-finite matrix entries used to print -0 and exit 0
          (["qentropy", "eval", "--rho"], b"nan 0\n0 1\n"),
          (["qentropy", "eval", "--rho"], b"1,nan 0\n0 0\n"),
-         (["qentropy", "eval", "--rho"], b"inf 0\n0 1\n")],
+         (["qentropy", "eval", "--rho"], b"inf 0\n0 1\n"),
+         (["entropy", "eval", "--family", "renyi", "--params", "alpha=0.5", "--dist"], b""),
+         (["qentropy", "eval", "--rho"], b"0.5,0,1 0\n0 0.5\n")],
         ids=["dist-file-abc", "rho-file-abc", "dist-file-not-utf8", "rho-file-not-utf8", "rho-file-nan",
-             "rho-file-nan-imaginary", "rho-file-inf"],
+             "rho-file-nan-imaginary", "rho-file-inf", "dist-file-empty", "rho-file-three-part-entry"],
     )
     def test_unreadable_file_entry(self, command, content, tmp_path, capsys):
         path = tmp_path / "input.txt"

@@ -130,6 +130,12 @@ class TestPowerSum:
             with pytest.raises(RangeError, match="underflows"):
                 entropy_spec(family, params).value(half)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_non_finite_or_nonpositive_exponent_rejected(self, alpha):
+        # nan used to give nan and inf 0.0; a spec never gets here, since it rejects them first
+        with pytest.raises(ParameterError, match="finite positive exponents"):
+            power_sum(Distribution([0.5, 0.5]), alpha)
+
     def test_zero_sum_is_a_value_where_no_logarithm_is_taken(self):
         assert boltzmann(Distribution.delta(3)) == 0.0
         assert tsallis_aq(1100.0, 2.0, Distribution([0.5, 0.5])) == 1.0
@@ -342,6 +348,12 @@ class TestCompositionPhi:
     def test_identity_additive(self):
         assert composition_phi(IdentityGroup(), 0.5, 2.0, 3.0) == pytest.approx(5.0)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_alpha_rejected(self, alpha):
+        # nan used to pass both alpha checks, and the identity law returned x + y
+        with pytest.raises(ParameterError, match="alpha must be positive and finite"):
+            composition_phi(IdentityGroup(), alpha, 1.0, 2.0)
+
     def test_multiplicative_closed_form(self):
         q, alpha = 0.3, 0.6
         g = MultiplicativeGroup(q)
@@ -427,6 +439,14 @@ class TestEntropySpec:
         assert spec == same
         assert spec != entropy_spec("zg", {"g": "tsallis", "q": 0.5, "alpha": 0.8})
         assert "_laws" not in repr(spec) and "<function" not in repr(spec)
+        # the same alpha with another G is another entropy
+        assert spec != entropy_spec("zg", {"g": "kaniadakis", "k": 0.3, "alpha": 0.7})
+        assert spec != entropy_spec("zg", {"g": "tsallis", "q": 0.6, "alpha": 0.7})
+        assert entropy_spec("zk", {"k": 0.3, "alpha": 0.7}) == entropy_spec("zk", {"k": 0.3, "alpha": 0.7})
+
+    def test_uniform_value_needs_at_least_one_outcome(self):
+        with pytest.raises(InputError, match="W >= 1"):
+            entropy_spec("renyi", {"alpha": 0.5}).uniform_value(0.5)
 
     def test_regime_marker(self):
         assert entropy_spec("renyi", {"alpha": 0.5}).regime == "concave"
@@ -465,6 +485,14 @@ class TestEntropySpec:
             entropy_spec("zg", {"g": "tsallis", "q": -math.inf, "alpha": 0.5})
         with pytest.raises(ParameterError):
             entropy_spec("zq", {"q": -0.5, "alpha": 0.5})  # zq alone requires q > 0
+        for alpha in (0.0, -0.5):
+            with pytest.raises(ParameterError, match="alpha must be positive and finite"):
+                entropy_spec("renyi", {"alpha": alpha})
+        with pytest.raises(ParameterError, match="q != 1"):
+            entropy_spec("landsberg_vedral", {"q": 1.0})
+        for q in (0.0, -0.5):
+            with pytest.raises(ParameterError, match="q > 0"):
+                entropy_spec("landsberg_vedral", {"q": q})
         entropy_spec("zg", {"g": "tsallis", "q": -0.5, "alpha": 0.5})
 
     def test_nonnegative_on_valid_distributions(self):

@@ -3,16 +3,17 @@ the Z-families became aliases of ``zg``.
 
 ``golden/cli_corpus.json`` holds one entry per command: its argv (``{data}``
 stands for the ``golden`` directory), the exit code, the stdout, and the name of
-the exception that escaped ``main`` if one did.  Most entries must reproduce
-byte for byte.  The zq/zk/zab entries (and ``lmg demo``, which evaluates zab
-with b = 0) now run through their group function, and zg with the identity G
-now composes by the exact additive law that renyi always used; both move the
-last digit of some values.  For those entries the exit code, the JSON keys and
-the verdict fields must be equal, values must agree within 2e-14 relative and
-worst residuals within 1e-13 absolute.  The residuals that are finite-difference
-quotients divide a last-digit change of the value by a small step; they must
-agree within 1e-5 relative.  Witnesses are compared by their keys only, since a
-rounding-level change may pick another worst trial.  The entries in
+the exception that escaped ``main`` if one did.  Every entry must reproduce
+byte for byte, except the 18 in TOLERANT.  The zq/zk/zab entries (and ``lmg
+demo``, which evaluates zab with b = 0) now run through their group function,
+and zg with the identity G now composes by the exact additive law that renyi
+always used; in those 18 entries this moved the last digit of some values.
+For them the exit code, the JSON keys and the verdict fields must be equal,
+values must agree within 2e-14 relative and worst residuals within 1e-13
+absolute.  The residuals that are finite-difference quotients divide a
+last-digit change of the value by a small step; they must agree within 1e-5
+relative.  Witnesses are compared by their keys only, since a rounding-level
+change may pick another worst trial.  The entries in
 INTENDED_EXIT are behaviour this change meant to alter.
 """
 
@@ -32,6 +33,28 @@ REL_TOL = 2e-14
 RESIDUAL_ABS_TOL = 1e-13
 FD_REL_TOL = 1e-5
 FD_PROPERTIES = ("sk-continuity-proxy", "schur-ostrowski-criterion")
+
+# the entries whose stdout moved in the last digits; every other entry is compared byte for byte
+TOLERANT = {
+    "eval-zq-q0.5-alpha0.5-0.5,0.3,0.2",
+    "sweep-zq-q0.5-alpha0.5",
+    "verify-zq-q0.5-alpha0.5",
+    "eval-zq-q1.5-alpha2-d5",
+    "verify-zq-q1.5-alpha2",
+    "verify-zq-q2-alpha0.3",
+    "sweep-zk-k0.3-alpha0.5",
+    "verify-zk-k0.3-alpha0.5",
+    "eval-zk-k-0.4-alpha1.5-d5",
+    "sweep-zk-k-0.4-alpha1.5",
+    "verify-zk-k-0.4-alpha1.5",
+    "verify-zk-k0.6-alpha0.7",
+    "verify-zab-a0.8-b0-alpha0.7",
+    "eval-zab-a0.6-b0.2-alpha2-u4",
+    "verify-zab-a0.9-b-0.4-alpha0.3",
+    "verify-zg-gid-alpha0.3",
+    "verify-zg-gidentity-alpha1.7",
+    "lmg-m1-N14-sweep",
+}
 
 # entry id -> the exit code the entry now has (stdout empty, no exception)
 INTENDED_EXIT = {
@@ -58,12 +81,6 @@ def run_cli(argv: list) -> tuple[int, str, str | None]:
         except Exception as exc:  # an uncaught exception exits the interpreter with 1
             code, exc_name = 1, type(exc).__name__
     return code, out.getvalue(), exc_name
-
-
-def _tolerant(argv: list) -> bool:
-    family = argv[argv.index("--family") + 1] if "--family" in argv else None
-    identity_zg = family == "zg" and any(tok.startswith(("g=id,", "g=identity,")) for tok in argv)
-    return family in ("zq", "zk", "zab") or identity_zg or argv[0] == "lmg"
 
 
 def _assert_close(old, new, where: str) -> None:
@@ -114,6 +131,11 @@ def _no_env_seed(monkeypatch):
     monkeypatch.delenv("GEK_SEED", raising=False)
 
 
+def test_tolerant_entries_are_in_the_corpus():
+    # an id left over from a removed entry would widen nothing, but would read as if it did
+    assert TOLERANT <= {e["id"] for e in CORPUS}
+
+
 @pytest.mark.parametrize("entry", CORPUS, ids=[e["id"] for e in CORPUS])
 def test_golden(entry):
     code, stdout, exc_name = run_cli(entry["argv"])
@@ -122,7 +144,7 @@ def test_golden(entry):
         assert (entry["exit"], entry["exception"]) != (code, exc_name)
         return
     assert (code, exc_name) == (entry["exit"], entry["exception"])
-    if not _tolerant(entry["argv"]):
+    if entry["id"] not in TOLERANT:
         assert stdout == entry["stdout"]
         return
     _assert_close(_parse(entry["stdout"]), _parse(stdout), entry["id"])

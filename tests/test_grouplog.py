@@ -286,6 +286,29 @@ class TestSeriesDefined:
             SeriesGroup(TruncatedSeries.from_coeffs([0, 2]))
 
 
+class TestEquality:
+    def test_equal_type_and_parameters_make_equal_functions(self):
+        assert MultiplicativeGroup(0.5) == group_function("tsallis", q=0.5)
+        assert hash(AbelGroup(2.0, 1.0)) == hash(AbelGroup(2, 1))
+        assert IdentityGroup() == IdentityGroup()
+        assert len({KaniadakisGroup(0.3), KaniadakisGroup(0.3), KaniadakisGroup(-0.3)}) == 2
+
+    def test_another_type_or_parameter_differs(self):
+        assert MultiplicativeGroup(0.5) != MultiplicativeGroup(0.6)
+        assert AbelGroup(2.0, 1.0) != AbelGroup(1.0, 2.0)
+        # abel at a = -b is kaniadakis as a function, but another G in the registry
+        assert AbelGroup(0.3, -0.3) != KaniadakisGroup(0.3)
+        assert IdentityGroup() != MultiplicativeGroup(0.5)
+        assert IdentityGroup() != "identity"
+
+    def test_series_groups_compare_by_their_coefficients(self):
+        quarter = SeriesGroup(TruncatedSeries.from_coeffs([0, 1, "1/4"]), horizon=1.0)
+        assert quarter == SeriesGroup(TruncatedSeries.from_coeffs([0, 1, "1/4"]), horizon=1.0)
+        # same order and horizon, so the same params(), but another G
+        assert quarter != SeriesGroup(TruncatedSeries.from_coeffs([0, 1, "1/3"]), horizon=1.0)
+        assert quarter != SeriesGroup(TruncatedSeries.from_coeffs([0, 1, "1/4"]), horizon=0.5)
+
+
 class TestFactoryAndValidation:
     def test_factory_names(self):
         assert isinstance(group_function("id"), IdentityGroup)

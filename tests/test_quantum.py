@@ -48,6 +48,11 @@ class TestDensityMatrix:
             DensityMatrix([[0.9, 0.0], [0.0, 0.3]])  # trace 1.2
         with pytest.raises(InputError):
             DensityMatrix([[1.5, 0.0], [0.0, -0.5]])  # negative eigenvalue
+        for entries in ([[0.5, 0.5]], np.zeros((0, 0)), [0.5, 0.5]):
+            with pytest.raises(InputError, match="square and nonempty"):
+                DensityMatrix(entries)
+        with pytest.raises(InputError, match="zero vector"):
+            DensityMatrix.pure([0.0, 0.0])
 
     @pytest.mark.parametrize(
         "build",
@@ -91,6 +96,11 @@ class TestDensityMatrix:
 
 
 class TestTracePower:
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_non_finite_exponent_rejected(self, alpha):
+        with pytest.raises(ParameterError, match="finite positive exponents"):
+            trace_power(DensityMatrix.diagonal([0.5, 0.5]), alpha)
+
     def test_pure(self):
         rho = DensityMatrix.pure([0.0, 1.0])
         for alpha in (0.5, 2.0, 7.0):
@@ -244,6 +254,10 @@ class TestSymmetricBlocks:
             DickeSpec(m=1, n_sites=4, occupations=(2, 2), block=4)  # block too big
         with pytest.raises(InputError):
             DickeSpec(m=3, n_sites=4, occupations=(1, 1, 1, 1), block=2)
+        with pytest.raises(InputError, match="m >= 1"):
+            DickeSpec(m=0, n_sites=4, occupations=(4,), block=2)
+        with pytest.raises(InputError, match="exactly 2 occupation numbers"):
+            DickeSpec(m=1, n_sites=4, occupations=(2, 1, 1), block=2)
 
 
 class TestAsymptotics:
@@ -293,6 +307,14 @@ class TestAsymptotics:
             LmgParams(a=2.0, m=1, alpha=0.5, gamma=1.5, densities=(0.5, 0.5))
         with pytest.raises(ParameterError):
             LmgParams(a=2.0, m=1, alpha=0.5, gamma=0.5, densities=(0.7, 0.7))
+        with pytest.raises(ParameterError, match="m must be at least 1"):
+            LmgParams(a=2.0, m=0, alpha=0.5, gamma=0.5, densities=(1.0,))
+        with pytest.raises(ParameterError, match="exactly 2 densities"):
+            LmgParams(a=2.0, m=1, alpha=0.5, gamma=0.5, densities=(0.5, 0.25, 0.25))
+        with pytest.raises(ParameterError, match="a != 0"):
+            lmg_asymptotic_za0(LmgParams(a=0.0, m=1, alpha=0.5, gamma=0.5, densities=(0.5, 0.5)), 10.0)
+        with pytest.raises(ParameterError, match="alpha != 1"):
+            lmg_asymptotic_za0(LmgParams(a=2.0, m=1, alpha=1.0, gamma=0.5, densities=(0.5, 0.5)), 10.0)
 
     def test_zero_density_vanishes(self):
         params = LmgParams(a=4.0, m=1, alpha=0.5, gamma=0.5, densities=(1.0, 0.0))

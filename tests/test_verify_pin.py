@@ -32,3 +32,15 @@ def test_pin_covers_the_recorded_grid():
 @pytest.mark.parametrize("entry", PIN, ids=[" ".join(e["argv"][2:]) for e in PIN])
 def test_verify_report_is_unchanged(entry):
     assert record_verify.run(entry["argv"]) == (entry["exit"], entry["stdout"])
+
+
+def test_diff_mode_names_only_the_entries_that_moved():
+    entry = PIN[0]
+    assert record_verify.moved([entry]) == []
+    lines = entry["stdout"].splitlines(keepends=True)
+    doctored = dict(entry, exit=1, stdout="".join(lines[:1] + ['  "all_passed": false,\n'] + lines[2:]))
+    (line,) = record_verify.moved([doctored])
+    assert line.startswith(" ".join(entry["argv"]) + ": exit 1 -> 0; line 2: ")
+    assert line.endswith("""'  "all_passed": false,' -> '  "all_passed": true,'""")
+    (line,) = record_verify.moved([dict(entry, exit=1)])
+    assert line.endswith("exit 1 -> 0; stdout unchanged")
