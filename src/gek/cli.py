@@ -7,6 +7,12 @@ identical invocations produce byte-identical output.
 
 Exit codes: 0 success / all properties passed, 1 a verified property failed,
 2 malformed input or inadmissible parameters.
+
+Cold start: this module imports only the standard library and the pure-Python
+``grouplog`` and ``series`` at load time.  ``log``/``exp``/``chi eval``,
+``grouplaw expand`` and ``series invert`` therefore never load numpy; the
+handlers of ``entropy``, ``verify``, ``extensivity``, ``qentropy`` and ``lmg``
+import the numpy-backed modules themselves, after their own option checks.
 """
 
 from __future__ import annotations
@@ -20,31 +26,16 @@ import os
 import re
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .entropy import Distribution, entropy_spec
 from .errors import GekError, InputError, ParameterError, RangeError
 from .grouplog import GroupLogarithm, chi, eval_exp_G, eval_ln_G, group_family, group_function
-from .properties import (
-    MAX_HORIZON,
-    PropertyReport,
-    check_composability,
-    check_extensivity,
-    check_schur_concavity,
-    check_sk_axioms,
-    solve_growth_law,
-)
-from .quantum import (
-    DensityMatrix,
-    DickeSpec,
-    LmgParams,
-    dicke_reduced_density,
-    extensive_alpha,
-    lmg_asymptotic_za0,
-    quantum_z_ab,
-)
 from .series import TruncatedSeries, group_law_from_G, reversion
+
+if TYPE_CHECKING:
+    from .entropy import Distribution
+    from .properties import PropertyReport
+    from .quantum import DensityMatrix
 
 SCHEMA_VERSION = "1"
 # an entropy sweep evaluates one row per point; longer ranges are rejected before any is built
@@ -126,6 +117,8 @@ def _probabilities(tokens) -> list[float]:
 
 def _load_distribution(token: str) -> Distribution:
     """uW / dW shorthands, an inline comma list, or a one-probability-per-line file."""
+    from .entropy import Distribution
+
     short = re.fullmatch(r"([ud])(\d+)", token)
     if short:
         size = int(short.group(2))
@@ -166,6 +159,10 @@ def _load_density_matrix(path: str) -> DensityMatrix:
         raise InputError(f"cannot read density matrix file {path!r}: {exc}") from exc
     if not rows or len({len(r) for r in rows}) != 1:
         raise InputError("density matrix file must contain rows of equal length")
+    import numpy as np
+
+    from .quantum import DensityMatrix
+
     return DensityMatrix(np.array(rows))
 
 
@@ -339,6 +336,8 @@ def _parse_sweep(text: str) -> tuple[str, list[float]]:
 def _entropy_eval(args: argparse.Namespace) -> tuple[int, str]:
     params = _float_params(args.params)
     dist = _load_distribution(args.dist)
+    from .entropy import entropy_spec
+
     return 0, _fmt(entropy_spec(args.family, params).value(dist)) + "\n"
 
 
@@ -350,6 +349,8 @@ def _entropy_sweep(args: argparse.Namespace) -> tuple[int, str]:
         raise InputError(
             f"sweep of {len(values)} points over {dist.size} outcomes has more than {MAX_SWEEP_ENTRIES} entries"
         )
+    from .entropy import entropy_spec
+
     rows = []
     for v in values:
         spec = entropy_spec(args.family, {**params, name: v})
@@ -397,6 +398,9 @@ def _verify(args: argparse.Namespace) -> tuple[int, str]:
         raise InputError("--tol must be at least 0")
     _check_lam(args.lam)
     params = _float_params(args.params)
+    from .entropy import entropy_spec
+    from .properties import check_composability, check_extensivity, check_schur_concavity, check_sk_axioms
+
     spec = entropy_spec(args.family, params)
     suite = args.suite
     reports: list[PropertyReport] = []
@@ -431,6 +435,11 @@ def _check_lam(lam: float) -> None:
 
 def _extensivity_solve(args: argparse.Namespace) -> tuple[int, str]:
     _check_lam(args.lam)
+    import numpy as np
+
+    from .entropy import entropy_spec
+    from .properties import MAX_HORIZON, check_extensivity, solve_growth_law
+
     if not 1 <= args.horizon <= MAX_HORIZON:
         raise InputError(f"--horizon must lie in [1, {MAX_HORIZON:g}]")
     params = _float_params(args.params)
@@ -462,6 +471,8 @@ def _qentropy_eval(args: argparse.Namespace) -> tuple[int, str]:
     params = _float_params(args.params)
     rho = _load_density_matrix(args.rho)
     family = "boltzmann" if args.family.lower() in ("vn", "von_neumann") else args.family
+    from .entropy import entropy_spec
+
     spec = entropy_spec(family, params)
     # spectra sum to 1 within the eigensolver tolerance, so skip strict
     # simplex validation and evaluate the defining formula directly
@@ -478,6 +489,8 @@ def _lmg_demo(args: argparse.Namespace) -> tuple[int, str]:
             "lmg demo needs every occupation > 0: a zero density makes the asymptotic value 0"
             " and the ratio undefined"
         )
+    from .quantum import DickeSpec, LmgParams, dicke_reduced_density, extensive_alpha, lmg_asymptotic_za0, quantum_z_ab
+
     m, n_sites, a = args.m, args.n_sites, args.a
     alpha = extensive_alpha(a, m) if args.extensive else args.alpha
     if alpha <= 0:

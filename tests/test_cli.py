@@ -2,8 +2,10 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -431,13 +433,6 @@ class TestDeterminism:
         _, second = invoke(args, tmp_path, name="b.csv")
         assert first == second
 
-    def test_cold_import_loads_no_scipy(self):
-        # importing scipy.optimize used to be most of a gek process's start-up time
-        probe = "import sys, gek.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "[]"
-
     def test_console_entry_point_subprocess(self):
         result = subprocess.run(
             [sys.executable, "-m", "gek.cli", "entropy", "eval", "--family", "renyi",
@@ -446,6 +441,50 @@ class TestDeterminism:
         )
         assert result.returncode == 0
         assert result.stdout.strip() == "1.38629436111989"
+
+
+# Cold start: the scalar and exact commands run without numpy (or scipy). Each case runs
+# one fresh interpreter: (id, argv or None for a bare 'import gek.cli', exit code, stdout).
+GOLDEN = Path(__file__).parent / "golden"
+NUMPY_FREE_COMMANDS = (["log", "eval"], ["exp", "eval"], ["chi", "eval"], ["grouplaw", "expand"], ["series", "invert"])
+NUMPY_FREE_CASES = [
+    pytest.param(e["argv"], e["exit"], e["stdout"], id=e["id"])
+    for e in json.loads((GOLDEN / "cli_corpus.json").read_text())
+    if e["argv"][:2] in NUMPY_FREE_COMMANDS
+] + [
+    # option checks that exit before the handler needs numpy
+    pytest.param(["verify", "--family", "renyi", "--params", "alpha=0.5", "--trials", "0"], 2, "", id="verify-trials-0"),
+    pytest.param(["lmg", "demo", "--m", "1", "--N", "14", "--occupations", "14,0", "--a", "2", "--alpha", "0.5"],
+                 2, "", id="lmg-occupation-0"),
+    pytest.param(None, 0, "", id="import-gek-cli"),
+]
+COLD_PROBE = """
+import json, sys
+from gek.cli import main
+code = 0
+if sys.argv[1:]:
+    try:
+        main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+sys.stdout.flush()
+print(json.dumps(sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"})), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_numpy_free_command_count():
+    assert len(NUMPY_FREE_CASES) == 37 + 3
+
+
+@pytest.mark.parametrize("argv, code, stdout", NUMPY_FREE_CASES)
+def test_cold_command_loads_no_numpy(argv, code, stdout):
+    argv = [tok.replace("{data}", str(GOLDEN)) for tok in argv or []]
+    env = {k: v for k, v in os.environ.items() if k != "GEK_SEED"}
+    result = subprocess.run([sys.executable, "-c", COLD_PROBE, *argv], capture_output=True, text=True, env=env,
+                            timeout=60)
+    assert (result.returncode, result.stdout) == (code, stdout), result.stderr
+    assert json.loads(result.stderr.splitlines()[-1]) == []
 
 
 def assert_exit_two(argv, capsys):
