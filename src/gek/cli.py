@@ -40,7 +40,7 @@ if TYPE_CHECKING:
 SCHEMA_VERSION = "1"
 # an entropy sweep evaluates one row per point; longer ranges are rejected before any is built
 MAX_SWEEP_POINTS = 100_000
-# and evaluates the whole distribution at each point: 10**8 entries take about 1.5 s
+# and evaluates the whole distribution at each point that changes the exponent: 10**8 entries take about 1.5 s
 MAX_SWEEP_ENTRIES = 10**8
 # the exact series commands slow steeply with the order: an abel group law takes
 # about 0.5 s at order 40, 2.4 s at 50 and 12 s at 64
@@ -93,10 +93,16 @@ def _number(text: str, what: str) -> float:
 
 
 def _float_params(text: str | None) -> dict[str, float]:
+    """``--params`` as floats, each finite: nan and inf are bad input before any module loads or file is read."""
     out = {}
     for key, value in _parse_params(text).items():
-        # g names the group function of the group-backed families
-        out[key] = value if key == "g" else _number(value, f"parameter {key}={value!r}")
+        if key == "g":  # g names the group function of the group-backed families
+            out[key] = value
+            continue
+        number = _number(value, f"parameter {key}={value!r}")
+        if not math.isfinite(number):
+            raise InputError(f"parameter {key}={value!r} must be finite")
+        out[key] = number
     return out
 
 
@@ -343,8 +349,10 @@ def _entropy_eval(args: argparse.Namespace) -> tuple[int, str]:
 
 def _entropy_sweep(args: argparse.Namespace) -> tuple[int, str]:
     params = _float_params(args.params)
-    dist = _load_distribution(args.dist)
     name, values = _parse_sweep(args.param)
+    if name in params:
+        raise InputError(f"parameter {name!r} is given by both --params and --param")
+    dist = _load_distribution(args.dist)
     if len(values) * dist.size > MAX_SWEEP_ENTRIES:
         raise InputError(
             f"sweep of {len(values)} points over {dist.size} outcomes has more than {MAX_SWEEP_ENTRIES} entries"

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -21,6 +21,8 @@ from .errors import InputError, ParameterError, RangeError
 from .grouplog import GroupFunction, check_params, group_family, group_function
 
 SUM_TOLERANCE = 1e-12
+# how many reductions ``_power_sums`` keeps, and how many sums one Distribution keeps
+_MEMO_SIZE = 256
 
 
 class Distribution:
@@ -28,9 +30,13 @@ class Distribution:
 
     Validation is strict by default (total within 1e-12); pass
     ``renormalize=True`` to divide by the total instead.
+
+    Since ``p`` is read-only, the positive support and each family's sum over
+    it are computed once and kept (see ``reduced``): every entropy evaluated
+    on one Distribution shares them.
     """
 
-    __slots__ = ("p",)
+    __slots__ = ("p", "_support", "_sums")
 
     def __init__(self, probs, renormalize: bool = False):
         arr = np.asarray(probs, dtype=float)
@@ -48,6 +54,8 @@ class Distribution:
         arr = arr.copy()
         arr.setflags(write=False)
         self.p = arr
+        self._support: np.ndarray | None = None
+        self._sums: dict[Callable, float] = {}
 
     @property
     def size(self) -> int:
@@ -66,6 +74,19 @@ class Distribution:
         arr = np.zeros(w)
         arr[index] = 1.0
         return cls(arr)
+
+    def reduced(self, reduce: Callable[[np.ndarray], np.ndarray]) -> float:
+        """``reduce`` over the entries > 0, computed once per reduction object; a failing one stores nothing."""
+        s = self._sums.get(reduce)
+        if s is None:
+            if self._support is None:
+                keep = self.p > 0
+                self._support = self.p if keep.all() else self.p[keep]
+            s = float(reduce(self._support))
+            if len(self._sums) >= _MEMO_SIZE:
+                del self._sums[next(iter(self._sums))]
+            self._sums[reduce] = s
+        return s
 
     def append_zero(self) -> "Distribution":
         return Distribution(np.append(self.p, 0.0))
@@ -94,16 +115,30 @@ def invalid_distributions(rows: Sequence[np.ndarray]) -> list[bool]:
     return bad
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def _power_sums(exponent: float) -> Callable[[np.ndarray], np.ndarray]:
-    """The one power-sum reduction: sum_i x_i^exponent over the last axis of an array of positive entries."""
+    """The one power-sum reduction: sum_i x_i^exponent over the last axis of an array of positive entries.
+
+    One object per exponent, so every family of one order meets in a Distribution's memo.
+    """
     if not 0 < exponent < math.inf:  # fails closed: a nan exponent is rejected too
         raise ParameterError("power sums are defined for finite positive exponents only")
     return lambda positive: np.sum(positive**exponent, axis=-1)
 
 
+def _boltzmann_sums(positive: np.ndarray) -> np.ndarray:
+    """sum_i x_i ln(1/x_i) over the last axis of an array of positive entries."""
+    return -np.sum(positive * np.log(positive), axis=-1)
+
+
+def _control_sums(positive: np.ndarray) -> np.ndarray:
+    """sum_i x_i^2 ln(1/x_i) over the last axis of an array of positive entries."""
+    return -np.sum(positive**2 * np.log(positive), axis=-1)
+
+
 def power_sum(p: Distribution, alpha: float) -> float:
     """sum_i p_i^alpha with the convention 0^alpha = 0."""
-    return float(_power_sums(alpha)(p.p[p.p > 0]))
+    return p.reduced(_power_sums(alpha))
 
 
 def product_distribution(p: Distribution, r: Distribution) -> Distribution:
@@ -221,15 +256,12 @@ def _altz_laws(family: str, p: Mapping[str, float], g: GroupFunction) -> _Laws:
 
 def _boltzmann_laws(family: str, p: Mapping[str, float], g: GroupFunction | None) -> _Laws:
     """sum_i p_i ln(1/p_i), additive on products, ln W on W equal outcomes."""
-    return _Laws(lambda x: -np.sum(x * np.log(x), axis=-1), lambda s: s, lambda x, y: x + y, lambda v: v, True)
+    return _Laws(_boltzmann_sums, lambda s: s, lambda x, y: x + y, lambda v: v, True)
 
 
 def _control_laws(family: str, p: Mapping[str, float], g: GroupFunction | None) -> _Laws:
     """Deliberately non-composable: sum_i p_i^2 ln(1/p_i), paired with the additive law; ln W / W when uniform."""
-    return _Laws(
-        lambda x: -np.sum(x**2 * np.log(x), axis=-1), lambda s: s, lambda x, y: x + y,
-        lambda ln_w: math.exp(-ln_w) * ln_w, False,
-    )
+    return _Laws(_control_sums, lambda s: s, lambda x, y: x + y, lambda ln_w: math.exp(-ln_w) * ln_w, False)
 
 
 def _tsallis_aq_laws(family: str, p: Mapping[str, float], g: GroupFunction | None) -> _Laws:
@@ -339,7 +371,8 @@ class EntropySpec:
         return "concave" if self._laws.concave else "non-concave"
 
     def value(self, p: Distribution) -> float:
-        return self._evaluate(p.p)
+        """The entropy of ``p``, from the sum ``p`` keeps per reduction; the scalar tail runs per call."""
+        return self.from_row_sum(p.reduced(self._laws.reduce))
 
     def raw_value(self, arr: np.ndarray) -> float:
         """Evaluate the defining formula on any nonnegative vector (off-simplex allowed)."""

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from gek.cli import MAX_SERIES_ORDER, _float_params, main, parse_args, run
+from gek.cli import MAX_SERIES_ORDER, _float_params, _parse_sweep, main, parse_args, run
 from gek.entropy import _FAMILIES, entropy_spec
 from gek.errors import InputError, ParameterError
 from gek.properties import solve_growth_law
@@ -136,6 +136,29 @@ class TestEntropySweep:
         with pytest.raises(SystemExit) as exc:
             main(["entropy", "sweep", "--family", "renyi", "--param", "alpha=0.1-0.9", "--dist", "u4"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "family, params, sweep",
+        [("zk", "alpha=0.5", "k=0.1:0.9:0.2"), ("zg", "g=abel,b=-0.2,alpha=0.6", "a=0.1:0.9:0.2")],
+        ids=["zk-over-k", "zg-abel-over-a"],
+    )
+    def test_sweep_at_fixed_alpha_matches_eval(self, family, params, sweep, tmp_path, capsys):
+        # every point shares one power sum of the distribution; each row must still be that point's eval
+        dist = tmp_path / "dist.txt"
+        dist.write_text("0.5\n0\n0.3\n0.2\n")
+
+        def stdout(argv):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--family", family, "--dist", str(dist)])
+            assert exc.value.code == 0
+            return capsys.readouterr().out
+
+        name, values = _parse_sweep(sweep)
+        rows = stdout(["entropy", "sweep", "--params", params, "--param", sweep]).splitlines()
+        assert rows[0] == f"{name},entropy" and len(rows) == 1 + len(values) == 6
+        for row, v in zip(rows[1:], values):
+            evaluated = stdout(["entropy", "eval", "--params", f"{params},{name}={v!r}"])
+            assert row + "\n" == f"{format(v, '.15g')},{evaluated}"
 
     def test_point_count_is_bounded(self, monkeypatch):
         from gek import cli
@@ -456,6 +479,9 @@ NUMPY_FREE_CASES = [
     pytest.param(["verify", "--family", "renyi", "--params", "alpha=0.5", "--trials", "0"], 2, "", id="verify-trials-0"),
     pytest.param(["lmg", "demo", "--m", "1", "--N", "14", "--occupations", "14,0", "--a", "2", "--alpha", "0.5"],
                  2, "", id="lmg-occupation-0"),
+    # non-finite --params values, rejected while parsing
+    pytest.param(["verify", "--family", "renyi", "--params", "alpha=nan"], 2, "", id="verify-alpha-nan"),
+    pytest.param(["verify", "--family", "zk", "--params", "k=0.3,alpha=inf"], 2, "", id="verify-alpha-inf"),
     pytest.param(None, 0, "", id="import-gek-cli"),
 ]
 COLD_PROBE = """
@@ -474,7 +500,7 @@ sys.exit(code)
 
 
 def test_numpy_free_command_count():
-    assert len(NUMPY_FREE_CASES) == 37 + 3
+    assert len(NUMPY_FREE_CASES) == 37 + 5
 
 
 @pytest.mark.parametrize("argv, code, stdout", NUMPY_FREE_CASES)
@@ -553,6 +579,9 @@ class TestExitCodeContract:
             ["entropy", "eval", "--family", "renyi", "--params", "alpha", "--dist", "u4"],
             ["entropy", "sweep", "--family", "renyi", "--dist", "u4", "--param", "alpha=a:b:c"],
             ["verify", "--family", "renyi", "--params", "alpha=0.5", "--trials", "20", "--tol", "-1"],
+            # a swept key that --params also sets used to drop the --params value
+            ["entropy", "sweep", "--family", "zq", "--params", "q=0.5,alpha=0.3", "--param", "alpha=0.1:0.5:0.2",
+             "--dist", "u4"],
         ],
         ids=["zab-a800", "chi-abel-1e300", "lmg-a1e300", "lmg-occupations-14-0", "log-tsallis-1e300",
              "exp-tsallis-1e300", "lmg-a700-alpha2", "lmg-a1e300-alpha2", "log-abel-ratio-underflow",
@@ -563,10 +592,17 @@ class TestExitCodeContract:
              "expand-repeated-key", "verify-saq-lam-minus-1", "verify-zq-lam-minus-0", "solve-saq-lam-minus-1",
              "solve-renyi-lam-0", "verify-saq-rho-divides-by-0", "solve-saq-rho-divides-by-0",
              "verify-saq-rho-inf", "solve-saq-rho-inf", "params-key-without-value", "sweep-non-numeric-bounds",
-             "verify-tol-minus-1"],
+             "verify-tol-minus-1", "sweep-key-also-in-params"],
     )
     def test_exit_two_with_a_message(self, argv, capsys):
         assert_exit_two(argv, capsys)
+
+    def test_non_finite_params_rejected_while_parsing(self):
+        for text in ("alpha=nan", "k=0.3,alpha=inf", "q=-inf", "a=1e309"):
+            with pytest.raises(InputError, match="must be finite"):
+                _float_params(text)
+        # g names a group function and is left to the registry
+        assert _float_params("g=abel,a=1e308,b=-0") == {"g": "abel", "a": 1e308, "b": -0.0}
 
     def test_negative_env_seed(self, monkeypatch, capsys):
         monkeypatch.setenv("GEK_SEED", "-1")

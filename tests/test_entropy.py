@@ -1,6 +1,7 @@
 """Value and composition-law checks for every classical entropy family."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from gek.entropy import (
     EntropySpec,
     Z_FAMILIES,
     _FAMILIES,
+    _MEMO_SIZE,
+    _power_sums,
     _saq_concave,
     alt_z_entropy,
     boltzmann,
@@ -594,3 +597,113 @@ class TestBatchedRows:
             else:
                 expected.append(False)
         assert invalid_distributions(rows) == expected == [False, True, True, True, True, True, False, False]
+
+
+def _memo_specs():
+    """Every _FAMILIES row (zg and altz over all four G) at three draws, plus fixed specs that share an exponent.
+
+    ``random_spec`` draws alpha first, so the Z-families of one draw share their order.
+    """
+    specs = []
+    for family in _FAMILIES:
+        for g in GROUPS if family in ("zg", "altz") else ("id",):
+            specs += [random_spec(family, np.random.default_rng(seed), g) for seed in range(3)]
+    specs += [entropy_spec("tsallis_aq", {"a": 0.8, "q": 0.5}), entropy_spec("landsberg_vedral", {"q": 0.6}),
+              entropy_spec("renyi", {"alpha": 0.6}), entropy_spec("zk", {"k": 0.3, "alpha": 0.6})]
+    return specs
+
+
+MEMO_VECTORS = {
+    "with-zeros": lambda: Distribution(np.array([0.25, 0.0, 0.125, 0.0, 0.5, 0.125, 0.0])),
+    "positive": lambda: random_dist(37, np.random.default_rng(8)),
+    "uniform": lambda: Distribution.uniform(12),
+}
+
+
+def _spectra_sweep_specs():
+    """The 35 specs that each distribution op of the spectra-sweep benchmark evaluates on one vector."""
+    specs = [entropy_spec("boltzmann"), entropy_spec("tsallis_aq", {"a": 0.8, "q": 0.5}),
+             entropy_spec("landsberg_vedral", {"q": 0.6})]
+    for alpha in (0.3, 0.6, 1.5, 2.5):
+        specs += [entropy_spec("renyi", {"alpha": alpha}), entropy_spec("zq", {"q": 0.5, "alpha": alpha}),
+                  entropy_spec("zk", {"k": 0.3, "alpha": alpha}),
+                  entropy_spec("zab", {"a": 0.3, "b": -0.2, "alpha": alpha})]
+        specs += [entropy_spec(family, dict(gp, g=g, alpha=alpha)) for family, g, gp in (
+            ("zg", "tsallis", {"q": 0.5}), ("zg", "kaniadakis", {"k": 0.4}), ("zg", "abel", {"a": 0.3, "b": -0.2}),
+            ("altz", "kaniadakis", {"k": 0.4}))]
+    return specs
+
+
+class TestSharedSums:
+    """A Distribution keeps its positive support and one sum per reduction; no value may move by it."""
+
+    @pytest.mark.parametrize("vector", MEMO_VECTORS)
+    def test_shared_values_equal_fresh_values(self, vector):
+        shared = MEMO_VECTORS[vector]()
+        specs = _memo_specs()
+        order = np.random.default_rng(5).permutation(len(specs)).tolist()
+        got = {i: specs[i].value(shared) for i in order}
+        for i, spec in enumerate(specs):
+            assert got[i] == spec.value(Distribution(shared.p)), spec.describe()
+        # fewer sums than specs: the Z-families of one draw meet in one entry
+        assert len(shared._sums) < len(specs)
+
+    @pytest.mark.parametrize("vector", MEMO_VECTORS)
+    def test_shared_power_sums_equal_fresh_power_sums(self, vector):
+        shared = MEMO_VECTORS[vector]()
+        exponents = [0.3, 0.6, 1.5, 2.5, 0.5, 7.0, 0.6, 0.3]
+        for spec in _memo_specs()[::4]:  # warm the memo with the families' own reductions first
+            spec.value(shared)
+        for alpha in [exponents[i] for i in np.random.default_rng(6).permutation(len(exponents))]:
+            assert power_sum(shared, alpha) == power_sum(Distribution(shared.p), alpha)
+
+    def test_support_is_p_itself_when_every_entry_is_positive(self):
+        positive, with_zeros = MEMO_VECTORS["positive"](), MEMO_VECTORS["with-zeros"]()
+        for dist in (positive, with_zeros):
+            power_sum(dist, 0.5)
+        assert positive._support is positive.p
+        assert with_zeros._support.tolist() == [0.25, 0.125, 0.5, 0.125]
+
+    def test_spectra_sweep_specs_share_five_sums(self):
+        specs = _spectra_sweep_specs()
+        assert len(specs) == 35
+        dist = MEMO_VECTORS["with-zeros"]()
+        for spec in specs:
+            spec.value(dist)
+        # boltzmann, and the power sums of order 0.3, 0.6 (shared with tsallis_aq and landsberg_vedral), 1.5, 2.5
+        assert len(dist._sums) == 5
+        assert _power_sums(0.5) is _power_sums(0.5)
+        assert entropy_spec("zk", {"k": 0.3, "alpha": 0.6})._laws.reduce is _power_sums(0.6)
+
+    def test_sweep_at_fixed_alpha_keeps_one_sum(self):
+        dist = MEMO_VECTORS["positive"]()
+        for k in (0.1, 0.3, 0.5, 0.7, 0.9):
+            entropy_spec("zk", {"k": k, "alpha": 0.5}).value(dist)
+        assert list(dist._sums) == [_power_sums(0.5)]
+
+    def test_failed_reduction_stores_nothing(self):
+        # 1e-300 ** 2 underflows; with the warning raised as an error the reduction fails and nothing is kept
+        dist = Distribution([1e-300, 1.0])
+        spec = entropy_spec("renyi", {"alpha": 2.0})
+        with np.errstate(under="warn"), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeWarning, match="underflow"):
+                spec.value(dist)
+        assert dist._sums == {}
+        assert spec.value(dist) == spec.raw_value(dist.p) == 0.0
+
+    def test_each_spec_still_raises_its_own_range_error(self):
+        # the shared sum underflows to 0: renyi's logarithm is undefined, tsallis_aq's quotient is not
+        half = Distribution([0.5, 0.5])
+        with pytest.raises(RangeError, match="underflows"):
+            entropy_spec("renyi", {"alpha": 1101.0}).value(half)
+        assert entropy_spec("tsallis_aq", {"a": 1100.0, "q": 2.0}).value(half) == 1.0
+        assert list(half._sums) == [_power_sums(1101.0)]
+
+    def test_memo_is_bounded(self):
+        dist = MEMO_VECTORS["positive"]()
+        exponents = [0.5 + i / 64 for i in range(_MEMO_SIZE + 10)]
+        for alpha in exponents:
+            power_sum(dist, alpha)
+        assert len(dist._sums) == _MEMO_SIZE
+        assert power_sum(dist, exponents[0]) == power_sum(Distribution(dist.p), exponents[0])
