@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -114,7 +115,13 @@ class DickeSpec:
     block: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "occupations", tuple(int(k) for k in self.occupations))
+        try:
+            m, n_sites, block = map(operator.index, (self.m, self.n_sites, self.block))
+            occupations = tuple(operator.index(k) for k in self.occupations)
+        except TypeError:
+            raise InputError("m, n_sites, block and every occupation must be integers") from None
+        for name, value in (("m", m), ("n_sites", n_sites), ("occupations", occupations), ("block", block)):
+            object.__setattr__(self, name, value)
         if self.m < 1:
             raise InputError("need at least two local levels (m >= 1)")
         if self.m not in _DICKE_MAX_SITES:
@@ -170,17 +177,14 @@ def dicke_reduced_density_dense(spec: DickeSpec) -> DensityMatrix:
     if d**spec.n_sites > 600_000:
         raise InputError("dense oracle limited to (m+1)^N <= 600000")
     n, left = spec.n_sites, spec.block
+    # counts[l][index]: how many sites of basis state `index` (base d, most
+    # significant site first) hold level l, built one site at a time.  The
+    # last level holds the other n - sum sites, so levels 0..d-2 decide a hit.
+    counts = [np.zeros(1, dtype=np.int8) for _ in range(d - 1)]
+    for _ in range(n):
+        counts = [np.add.outer(c, np.arange(d) == l).ravel() for l, c in enumerate(counts)]
+    hits = np.flatnonzero(np.logical_and.reduce([c == k for c, k in zip(counts, spec.occupations)]))
     psi = np.zeros(d**n)
-    hits = []
-    for assignment in itertools.product(range(d), repeat=n):
-        counts = [0] * d
-        for level in assignment:
-            counts[level] += 1
-        if tuple(counts) == spec.occupations:
-            index = 0
-            for level in assignment:
-                index = index * d + level
-            hits.append(index)
     psi[hits] = 1.0 / math.sqrt(len(hits))
     block = psi.reshape(d**left, d ** (n - left))
     return DensityMatrix(block @ block.T)
@@ -202,7 +206,7 @@ class LmgParams:
             raise ParameterError("m must be at least 1")
         if len(self.densities) != self.m + 1:
             raise ParameterError(f"need exactly {self.m + 1} densities")
-        if any(x < 0 for x in self.densities) or abs(sum(self.densities) - 1.0) > 1e-12:
+        if not (all(0.0 <= x for x in self.densities) and abs(sum(self.densities) - 1.0) <= 1e-12):
             raise ParameterError("densities must be nonnegative and sum to 1")
         if not 0.0 < self.gamma < 1.0:
             raise ParameterError("the block ratio must lie strictly between 0 and 1")
@@ -216,14 +220,16 @@ def lmg_asymptotic_za0(params: LmgParams, block: float) -> float:
     make the prefactor vanish and the value is returned as-is; a value that
     overflows a float raises RangeError.
     """
+    if not (math.isfinite(params.a) and math.isfinite(params.alpha)):
+        raise ParameterError("requires finite a and alpha")
     if params.a == 0:
         raise ParameterError("requires a != 0")
     if params.alpha == 1:
         raise ParameterError("requires alpha != 1")
     if params.alpha <= 0:
         raise DomainError("the asymptotic formula is undefined for alpha <= 0")
-    if block <= 0:
-        raise ParameterError("block size must be positive")
+    if not 0 < block < math.inf:
+        raise ParameterError("block size must be positive and finite")
     a, m, alpha = params.a, params.m, params.alpha
     exponent = a * m * (1.0 - alpha) / 2.0
     density_product = math.prod(x ** (1.0 / m) for x in params.densities)
@@ -239,6 +245,8 @@ def lmg_asymptotic_za0(params: LmgParams, block: float) -> float:
 
 def extensive_alpha(a: float, m: int) -> float:
     """The entropic order that makes the asymptotic block entropy linear in L."""
+    if not (math.isfinite(a) and math.isfinite(m)):
+        raise ParameterError("requires finite a and m")
     if a * m == 0:
         raise ParameterError("requires a * m != 0")
     return 1.0 - 2.0 / (a * m)

@@ -182,6 +182,57 @@ class TestQuantumEntropies:
             quantum_z_ab(0.5, 0.5, 0.3, rho)
 
 
+def reference_dense(spec):
+    """The dense oracle as first written: walk every assignment tuple and count its levels."""
+    d = spec.m + 1
+    n, left = spec.n_sites, spec.block
+    psi = np.zeros(d**n)
+    hits = []
+    for assignment in itertools.product(range(d), repeat=n):
+        counts = [0] * d
+        for level in assignment:
+            counts[level] += 1
+        if tuple(counts) == spec.occupations:
+            index = 0
+            for level in assignment:
+                index = index * d + level
+            hits.append(index)
+    psi[hits] = 1.0 / math.sqrt(len(hits))
+    block = psi.reshape(d**left, d ** (n - left))
+    return DensityMatrix(block @ block.T)
+
+
+# The dense oracle's reduced block is (m+1)^L wide, a 1 GiB complex matrix at
+# m = 1, L = 13, so the sweeps below keep L where that width is at most 512
+# (the spectrum of a block and of its complement agree).
+_MAX_BLOCK_WIDTH = 512
+
+
+def all_specs(m, n):
+    """Every DickeSpec with m + 1 levels on n sites and a block at most 512 wide."""
+    for occupations in itertools.product(range(n + 1), repeat=m + 1):
+        if sum(occupations) == n:
+            for block in range(1, n):
+                if (m + 1) ** block <= _MAX_BLOCK_WIDTH:
+                    yield DickeSpec(m=m, n_sites=n, occupations=occupations, block=block)
+
+
+# the three Dicke ops of the spectra-sweep benchmark: m = 1 at N = 14 on every
+# block size, and m = 2 at N = 10 on block 4
+CAP_SPECS = [
+    *(DickeSpec(m=1, n_sites=14, occupations=(4, 10), block=b) for b in range(1, 8)),
+    *(DickeSpec(m=1, n_sites=14, occupations=(11, 3), block=b) for b in range(1, 8)),
+    DickeSpec(m=2, n_sites=10, occupations=(3, 3, 4), block=4),
+]
+
+
+def assert_dense_matches_closed(spec):
+    exact = np.sort(eigenvalues(dicke_reduced_density(spec)))[::-1]
+    dense = np.sort(eigenvalues(dicke_reduced_density_dense(spec)))[::-1]
+    assert np.max(np.abs(dense[: exact.size] - exact)) <= 1e-12, spec
+    assert np.all(dense[exact.size :] <= 1e-12), spec
+
+
 def occupation_of_index(index, d, sites):
     counts = [0] * d
     for _ in range(sites):
@@ -221,6 +272,11 @@ class TestSymmetricBlocks:
                     assert np.allclose(dense[: exact.size], exact, atol=1e-12)
                     assert np.all(dense[exact.size :] <= 1e-12)
 
+    @pytest.mark.parametrize("n", range(7, 15))
+    def test_closed_form_matches_dense_su2_up_to_the_cap(self, n):
+        for spec in all_specs(1, n):
+            assert_dense_matches_closed(spec)
+
     def test_closed_form_matches_dense_su3_sampled(self):
         cases = [
             DickeSpec(m=2, n_sites=5, occupations=(2, 2, 1), block=2),
@@ -233,6 +289,40 @@ class TestSymmetricBlocks:
             dense = np.sort(eigenvalues(dicke_reduced_density_dense(spec)))[::-1]
             assert np.allclose(dense[: exact.size], exact, atol=1e-12)
             assert np.all(dense[exact.size :] <= 1e-12)
+
+    @pytest.mark.parametrize(
+        "occupations", [(3, 3, 4), (0, 10, 0), (1, 2, 7), (5, 5, 0), (2, 4, 4), (10, 0, 0), (3, 2, 4)]
+    )
+    def test_closed_form_matches_dense_su3_at_the_cap(self, occupations):
+        for spec in all_specs(2, 10):
+            if spec.occupations == occupations:
+                assert_dense_matches_closed(spec)
+
+    @pytest.mark.parametrize("m, n", [*((1, n) for n in range(2, 11)), *((2, n) for n in range(2, 7))])
+    def test_dense_is_bit_identical_to_the_reference_walk(self, m, n):
+        for spec in all_specs(m, n):
+            dense, reference = dicke_reduced_density_dense(spec), reference_dense(spec)
+            assert np.array_equal(dense.entries, reference.entries), spec
+            assert np.array_equal(dense.spectrum, reference.spectrum), spec
+
+    @pytest.mark.parametrize("spec", CAP_SPECS, ids=lambda s: f"m{s.m}-{'-'.join(map(str, s.occupations))}-L{s.block}")
+    def test_dense_is_bit_identical_to_the_reference_walk_at_the_caps(self, spec):
+        dense, reference = dicke_reduced_density_dense(spec), reference_dense(spec)
+        assert np.array_equal(dense.entries, reference.entries)
+        assert np.array_equal(dense.spectrum, reference.spectrum)
+
+    def test_dense_oracle_does_not_use_the_closed_form(self, monkeypatch):
+        import gek.quantum
+
+        def closed_form(*_args):
+            raise AssertionError("the dense oracle called the closed form")
+
+        spec = DickeSpec(m=2, n_sites=6, occupations=(3, 2, 1), block=3)
+        expected = dicke_reduced_density(spec).spectrum
+        for name in ("dicke_block_weights", "_block_occupations", "dicke_reduced_density"):
+            monkeypatch.setattr(gek.quantum, name, closed_form)
+        dense = dicke_reduced_density_dense(spec).spectrum
+        assert np.max(np.abs(dense[: expected.size] - expected)) <= 1e-12
 
     def test_dense_block_is_occupation_diagonal(self):
         spec = DickeSpec(m=1, n_sites=6, occupations=(3, 3), block=3)
@@ -258,6 +348,35 @@ class TestSymmetricBlocks:
             DickeSpec(m=0, n_sites=4, occupations=(4,), block=2)
         with pytest.raises(InputError, match="exactly 2 occupation numbers"):
             DickeSpec(m=1, n_sites=4, occupations=(2, 1, 1), block=2)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"occupations": (6.5, 7.5), "n_sites": 13},  # int() once truncated these to (6, 7)
+            {"occupations": (7.0, 7.0)},
+            {"block": 3.5},
+            {"block": 3.0},
+            {"n_sites": 14.0},
+            {"m": 1.0},
+            {"occupations": ("7", "7")},
+            {"occupations": 14},
+            {"block": None},
+        ],
+        ids=["half-occupations", "float-occupations", "float-block", "integral-float-block",
+             "float-sites", "float-m", "string-occupations", "scalar-occupations", "none-block"],
+    )
+    def test_non_integer_fields_rejected(self, fields):
+        kwargs = {"m": 1, "n_sites": 14, "occupations": (7, 7), "block": 3, **fields}
+        with pytest.raises(InputError, match="must be integers"):
+            DickeSpec(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        spec = DickeSpec(m=np.int64(1), n_sites=np.int32(14), occupations=(np.int8(7), np.uint16(7)), block=np.int64(3))
+        plain = DickeSpec(m=1, n_sites=14, occupations=(7, 7), block=3)
+        assert spec == plain
+        assert all(type(x) is int for x in (spec.m, spec.n_sites, spec.block, *spec.occupations))
+        assert np.array_equal(dicke_reduced_density_dense(spec).entries, dicke_reduced_density_dense(plain).entries)
+        assert np.array_equal(dicke_reduced_density(spec).spectrum, dicke_reduced_density(plain).spectrum)
 
 
 class TestAsymptotics:
@@ -315,6 +434,31 @@ class TestAsymptotics:
             lmg_asymptotic_za0(LmgParams(a=0.0, m=1, alpha=0.5, gamma=0.5, densities=(0.5, 0.5)), 10.0)
         with pytest.raises(ParameterError, match="alpha != 1"):
             lmg_asymptotic_za0(LmgParams(a=2.0, m=1, alpha=1.0, gamma=0.5, densities=(0.5, 0.5)), 10.0)
+
+    @pytest.mark.parametrize("densities", [(math.nan, 0.5), (0.5, math.nan), (math.inf, 0.5), (-math.inf, 1.0)])
+    def test_non_finite_densities_rejected(self, densities):
+        with pytest.raises(ParameterError, match="densities"):
+            LmgParams(a=2.0, m=1, alpha=0.5, gamma=0.5, densities=densities)
+
+    @pytest.mark.parametrize("block", [math.nan, math.inf, -math.inf])
+    def test_non_finite_block_rejected(self, block):
+        params = LmgParams(a=2.0, m=1, alpha=0.5, gamma=0.5, densities=(0.5, 0.5))
+        with pytest.raises(ParameterError, match="block size"):
+            lmg_asymptotic_za0(params, block)
+
+    @pytest.mark.parametrize(
+        "a, alpha",
+        [(math.inf, 0.5), (-math.inf, 0.5), (math.nan, 0.5), (2.0, math.inf), (2.0, -math.inf), (2.0, math.nan)],
+    )
+    def test_non_finite_a_or_alpha_rejected(self, a, alpha):
+        params = LmgParams(a=a, m=1, alpha=alpha, gamma=0.5, densities=(0.5, 0.5))
+        with pytest.raises(ParameterError, match="finite a and alpha"):
+            lmg_asymptotic_za0(params, 7.0)
+
+    @pytest.mark.parametrize("a, m", [(math.nan, 1), (math.inf, 1), (-math.inf, 2), (2.0, math.nan)])
+    def test_extensive_alpha_rejects_non_finite(self, a, m):
+        with pytest.raises(ParameterError, match="finite a and m"):
+            extensive_alpha(a, m)
 
     def test_zero_density_vanishes(self):
         params = LmgParams(a=4.0, m=1, alpha=0.5, gamma=0.5, densities=(1.0, 0.0))
