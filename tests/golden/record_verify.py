@@ -1,4 +1,4 @@
-"""Record the stdout and exit code of seeded ``gek verify --suite all`` runs.
+"""Record the stdout and exit code of seeded ``gek verify`` runs.
 
 The pin, ``verify_pin.json`` beside this script, holds one entry per run: its
 argv, exit code and stdout.  ``tests/test_verify_pin.py`` replays every entry
@@ -45,6 +45,15 @@ FAMILIES = [
 ]
 TRIALS = (1, 255, 256, 257, 2500)
 SEEDS = (7, 99)
+# (family, --params, suites): each standalone suite on its own, at 257 trials
+# and seed 7, so a slip in how ``verify`` picks a suite's checks moves an
+# entry; extensivity only where the family has a growth law
+STANDALONE = [
+    ("renyi", "alpha=0.5", ("composability", "sk", "schur", "extensivity")),
+    ("zg", "g=abel,a=0.3,b=-0.2,alpha=0.7", ("composability", "sk", "schur", "extensivity")),
+    ("control", "", ("composability", "sk", "schur")),
+    ("tsallis_aq", "a=0.8,q=0.5", ("composability", "sk", "schur", "extensivity")),
+]
 
 
 def argvs() -> list[list[str]]:
@@ -56,6 +65,12 @@ def argvs() -> list[list[str]]:
                 if params:
                     argv += ["--params", params]
                 out.append(argv)
+    for family, params, suites in STANDALONE:
+        for suite in suites:
+            argv = ["verify", "--family", family, "--suite", suite, "--trials", "257", "--seed", "7"]
+            if params:
+                argv += ["--params", params]
+            out.append(argv)
     return out
 
 

@@ -1,9 +1,11 @@
-"""Seeded ``gek verify --suite all`` reports, replayed byte for byte.
+"""Seeded ``gek verify`` reports, replayed byte for byte.
 
-``golden/verify_pin.json`` was written by ``golden/record_verify.py`` before
-the trial loops were batched: twelve families at 1, 255, 256, 257 and 2500
-trials (on both sides of the 256-trial chunk) and seeds 7 and 99.  The
-stdout and exit code of every run must stay exactly as pinned.
+``golden/verify_pin.json`` was written by ``golden/record_verify.py``: with
+``--suite all``, twelve families at 1, 255, 256, 257 and 2500 trials (on both
+sides of the 256-trial chunk) and seeds 7 and 99, recorded before the trial
+loops were batched; then each standalone suite for four families at 257
+trials and seed 7, recorded before the sampled checks became rows of one
+table.  The stdout and exit code of every run must stay exactly as pinned.
 """
 
 import importlib.util
