@@ -8,9 +8,10 @@ reproducible from the report alone.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from itertools import islice
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,6 +27,8 @@ _MASS_DENOM = 2**20
 _CHUNK = 256
 # the largest growth-law horizon: the sampled N grid must fit in int64
 MAX_HORIZON = 1e18
+# the l1 length of the continuity proxy's shift
+_STEP = 1e-6
 
 
 @dataclass
@@ -80,25 +83,45 @@ class _Worst:
         return PropertyReport(name, trials, self.failures, self.worst, seed, skipped, self.witness)
 
 
-def _run_trials(spec: EntropySpec, trials: int, draw: Callable, judge: Callable) -> None:
-    """Run ``trials`` trials in chunks of _CHUNK, each chunk in three phases.
+class _Row(NamedTuple):
+    """One sampled property, a row of the table that ``_run_rows`` runs."""
 
-    Draw: ``draw()`` once per trial, in the seeded order; it returns ``(rows,
-    dists, extra)``, where the first ``dists`` of ``rows`` are checked as
-    distributions.  Evaluate: those rows are validated together, and a bad one
-    is handed to ``Distribution``, which raises its own error; then one
-    ``spec.raw_values`` call gives every row's entropy.  Judge: ``judge(rows,
-    values, extra)`` once per trial, in order.
+    name: str  # the report's name
+    draw: Callable  # (rng, w_values) -> (vectors, dists, extra); the first dists vectors must be distributions
+    judge: Callable  # (spec, vectors, values, extra) -> (value, witness thunk), or None for a skipped trial
+    worst: float  # the start of the row's _Worst fold
+    limit: float | None = None  # the largest passing value; None is the check's tol
+
+
+def _run_rows(spec: EntropySpec, rows, trials: int, seed: int, w_values, tol=None) -> list[PropertyReport]:
+    """Run each row for ``trials`` trials, in row order on one rng seeded with ``seed``; one report per row.
+
+    A row runs in chunks of _CHUNK trials, each in three phases.  Draw:
+    ``row.draw`` once per trial, in the seeded order.  Evaluate: the drawn
+    distributions are validated together, and a bad one is handed to
+    ``Distribution``, which raises its own error; then one ``spec.raw_values``
+    call gives every vector's entropy.  Judge: ``row.judge`` once per trial,
+    in order, into the row's ``_Worst``.
     """
-    for start in range(0, trials, _CHUNK):
-        drawn = [draw() for _ in range(min(_CHUNK, trials - start))]
-        checked = [row for rows, dists, _ in drawn for row in rows[:dists]]
-        for row, bad in zip(checked, invalid_distributions(checked)):
-            if bad:
-                Distribution(row)
-        values = iter(spec.raw_values([row for rows, _, _ in drawn for row in rows]))
-        for rows, _, extra in drawn:
-            judge(rows, list(islice(values, len(rows))), extra)
+    rng = np.random.default_rng(seed)
+    reports = []
+    for row in rows:
+        fold, skipped = _Worst(row.worst, tol if row.limit is None else row.limit), 0
+        for start in range(0, trials, _CHUNK):
+            drawn = [row.draw(rng, w_values) for _ in range(min(_CHUNK, trials - start))]
+            checked = [v for vectors, dists, _ in drawn for v in vectors[:dists]]
+            for v, bad in zip(checked, invalid_distributions(checked)):
+                if bad:
+                    Distribution(v)
+            values = iter(spec.raw_values([v for vectors, _, _ in drawn for v in vectors]))
+            for vectors, _, extra in drawn:
+                judged = row.judge(spec, vectors, list(islice(values, len(vectors))), extra)
+                if judged is None:
+                    skipped += 1
+                else:
+                    fold.add(*judged)
+        reports.append(fold.report(row.name, trials, seed, skipped))
+    return reports
 
 
 def _draw_w(rng, w_values: Sequence[int]) -> int:
@@ -122,6 +145,23 @@ def _interior(rng, w: int) -> np.ndarray:
     return 0.99 * _flat_dirichlet(rng, w) + 0.01 / w
 
 
+def _draw_product(rng, w_values):
+    wa, wb = _draw_w(rng, w_values), _draw_w(rng, w_values)
+    p, r = _flat_dirichlet(rng, wa), _flat_dirichlet(rng, wb)
+    return (p, r, np.outer(p, r).ravel()), 3, None
+
+
+def _judge_product(spec, vectors, values, _):
+    s_p, s_r, joint = values
+    combined = spec.phi(s_p, s_r)
+    return abs(joint - combined) / (1.0 + abs(joint)), lambda: {
+        "p": vectors[0].tolist(), "r": vectors[1].tolist(), "joint": joint, "combined": combined,
+    }
+
+
+_COMPOSABILITY = (_Row("composability", _draw_product, _judge_product, 0.0),)
+
+
 def check_composability(
     spec: EntropySpec,
     trials: int = 1000,
@@ -134,25 +174,7 @@ def check_composability(
     A trial fails when |S(p x r) - Phi(S(p), S(r))| exceeds tol * (1 + |S|),
     or is NaN.
     """
-    rng = np.random.default_rng(seed)
-    fold = _Worst(0.0, tol)
-
-    def draw():
-        wa = int(rng.integers(1, max_w + 1))
-        wb = int(rng.integers(1, max_w + 1))
-        p, r = _flat_dirichlet(rng, wa), _flat_dirichlet(rng, wb)
-        return (p, r, np.outer(p, r).ravel()), 3, None
-
-    def judge(rows, values, _):
-        s_p, s_r, joint = values
-        combined = spec.phi(s_p, s_r)
-        residual = abs(joint - combined) / (1.0 + abs(joint))
-        fold.add(residual, lambda: {
-            "p": rows[0].tolist(), "r": rows[1].tolist(), "joint": joint, "combined": combined,
-        })
-
-    _run_trials(spec, trials, draw, judge)
-    return fold.report("composability", trials, seed)
+    return _run_rows(spec, _COMPOSABILITY, trials, seed, range(1, max_w + 1), tol)[0]
 
 
 def check_composability_on_uniform(
@@ -205,6 +227,51 @@ def check_group_axioms_numeric(
     return fold.report("group-axioms", trials, seed, skipped)
 
 
+def _draw_continuity(rng, w_values):
+    w = _draw_w(rng, w_values)
+    p = _interior(rng, w)
+    direction = rng.normal(size=w)
+    direction -= direction.mean()
+    norm = np.abs(direction).sum()
+    if norm > 0:
+        shifted = p + _STEP * direction / norm
+        if not (shifted < 0).any():
+            return (p, shifted), 1, None
+    return (p,), 1, None  # no admissible shifted vector: the trial is skipped
+
+
+def _judge_continuity(spec, vectors, values, _):
+    if len(vectors) == 1:
+        return None
+    ratio = abs(values[1] - values[0]) / _STEP
+    return ratio, lambda: ({"lipschitz_estimate": ratio} if math.isfinite(ratio) else {"p": vectors[0].tolist()})
+
+
+def _draw_maximum(rng, w_values):
+    w = _draw_w(rng, w_values)
+    return (_flat_dirichlet(rng, w),), 1, w
+
+
+def _judge_maximum(spec, vectors, values, w):
+    return values[0] - spec.uniform_value(w), lambda: {"p": vectors[0].tolist(), "w": w}
+
+
+def _draw_expansibility(rng, w_values):
+    p = _flat_dirichlet(rng, _draw_w(rng, w_values))
+    return (p, np.append(p, 0.0)), 2, None
+
+
+def _judge_expansibility(spec, vectors, values, _):
+    return abs(values[1] - values[0]), lambda: {"p": vectors[0].tolist()}
+
+
+_SK_AXIOMS = (
+    _Row("sk-continuity-proxy", _draw_continuity, _judge_continuity, 0.0, sys.float_info.max),
+    _Row("sk-maximum-on-uniform", _draw_maximum, _judge_maximum, -math.inf, 1e-12),
+    _Row("sk-expansibility", _draw_expansibility, _judge_expansibility, 0.0, 1e-14),
+)
+
+
 def check_sk_axioms(
     spec: EntropySpec,
     trials: int = 500,
@@ -213,73 +280,12 @@ def check_sk_axioms(
 ) -> list[PropertyReport]:
     """Continuity proxy, maximum on the uniform distribution, and expansibility.
 
-    Continuity is reported as a sampled Lipschitz estimate and only fails on
-    non-finite values; a trial with no admissible shifted vector counts as
-    skipped.  The other two sub-checks are asserted, and fail on NaN.
+    Continuity reports a sampled Lipschitz estimate as its worst value and
+    witness, and fails only on a non-finite ratio, whose first p becomes the
+    witness; a trial with no admissible shifted vector counts as skipped.  The
+    other two sub-checks are asserted, and fail on NaN.
     """
-    rng = np.random.default_rng(seed)
-    step = 1e-6
-    lipschitz = 0.0
-    cont_failures = cont_skipped = 0
-    cont_witness: dict = {}
-
-    def draw_continuity():
-        w = _draw_w(rng, w_values)
-        p = _interior(rng, w)
-        direction = rng.normal(size=w)
-        direction -= direction.mean()
-        norm = np.abs(direction).sum()
-        if norm > 0:
-            shifted = p + step * direction / norm
-            if not (shifted < 0).any():
-                return (p, shifted), 1, None
-        return (p,), 1, None  # no admissible shifted vector: the trial is skipped
-
-    def judge_continuity(rows, values, _):
-        nonlocal lipschitz, cont_failures, cont_skipped, cont_witness
-        if len(rows) == 1:
-            cont_skipped += 1
-            return
-        ratio = abs(values[1] - values[0]) / step
-        if not math.isfinite(ratio):
-            cont_failures += 1
-            cont_witness = {"p": rows[0].tolist()}
-        lipschitz = max(lipschitz, ratio)
-
-    _run_trials(spec, trials, draw_continuity, judge_continuity)
-    continuity = PropertyReport(
-        "sk-continuity-proxy", trials, cont_failures, lipschitz, seed, cont_skipped,
-        witness=cont_witness or {"lipschitz_estimate": lipschitz},
-    )
-
-    maximum = _Worst(-math.inf, 1e-12)
-
-    def draw_maximum():
-        w = _draw_w(rng, w_values)
-        return (_flat_dirichlet(rng, w),), 1, w
-
-    def judge_maximum(rows, values, w):
-        gap = values[0] - spec.uniform_value(w)
-        maximum.add(gap, lambda: {"p": rows[0].tolist(), "w": w})
-
-    _run_trials(spec, trials, draw_maximum, judge_maximum)
-
-    expansibility = _Worst(0.0, 1e-14)
-
-    def draw_expansibility():
-        p = _flat_dirichlet(rng, _draw_w(rng, w_values))
-        return (p, np.append(p, 0.0)), 2, None
-
-    def judge_expansibility(rows, values, _):
-        expansibility.add(abs(values[1] - values[0]), lambda: {"p": rows[0].tolist()})
-
-    _run_trials(spec, trials, draw_expansibility, judge_expansibility)
-
-    return [
-        continuity,
-        maximum.report("sk-maximum-on-uniform", trials, seed),
-        expansibility.report("sk-expansibility", trials, seed),
-    ]
+    return _run_rows(spec, _SK_AXIOMS, trials, seed, w_values)
 
 
 def majorizes(dominant: Sequence, dominated: Sequence, tol=0) -> bool:
@@ -361,6 +367,37 @@ def generate_majorization_pair(w: int, steps: int, rng) -> MajorizationPair:
     )
 
 
+def _draw_ordering(rng, w_values):
+    w = _draw_w(rng, w_values)
+    masses_p, masses_r = _majorization_masses(w, int(rng.integers(1, 12)), rng)
+    return tuple(np.array([masses_r, masses_p], dtype=float) / _MASS_DENOM), 2, None
+
+
+def _judge_ordering(spec, vectors, values, _):
+    r, p = vectors
+    return values[0] - values[1], lambda: {"p": p.tolist(), "r": r.tolist()}
+
+
+def _draw_criterion(rng, w_values):
+    p = _interior(rng, _draw_w(rng, w_values))
+    h, shifted = _central_steps(p)
+    return (p, *shifted), 1, h
+
+
+def _judge_criterion(spec, vectors, values, h):
+    # values[0] is S(p); vectors 2i + 1 and 2i + 2 are p with h_i added to and subtracted from entry i
+    grad = [(values[2 * i + 1] - values[2 * i + 2]) / (2 * hi) for i, hi in enumerate(h.tolist())]
+    p, w = vectors[0].tolist(), len(grad)
+    products = [(p[i] - p[j]) * (grad[i] - grad[j]) for i in range(w) for j in range(i + 1, w)]
+    return (max(products) if all(v == v for v in products) else math.nan), lambda: {"p": p}
+
+
+_SCHUR = (
+    _Row("schur-majorization-ordering", _draw_ordering, _judge_ordering, -math.inf, 1e-12),
+    _Row("schur-ostrowski-criterion", _draw_criterion, _judge_criterion, -math.inf, 1e-10),
+)
+
+
 def check_schur_concavity(
     spec: EntropySpec,
     trials: int = 200,
@@ -374,41 +411,7 @@ def check_schur_concavity(
     (p_i - p_j)(dS/dp_i - dS/dp_j) <= 1e-10 with central-difference gradients
     on interior distributions.  A NaN gap or criterion value fails.
     """
-    rng = np.random.default_rng(seed)
-
-    ordering = _Worst(-math.inf, 1e-12)
-
-    def draw_ordering():
-        w = _draw_w(rng, w_values)
-        masses_p, masses_r = _majorization_masses(w, int(rng.integers(1, 12)), rng)
-        return tuple(np.array([masses_r, masses_p], dtype=float) / _MASS_DENOM), 2, None
-
-    def judge_ordering(rows, values, _):
-        r, p = rows
-        ordering.add(values[0] - values[1], lambda: {"p": p.tolist(), "r": r.tolist()})
-
-    _run_trials(spec, trials, draw_ordering, judge_ordering)
-
-    criterion = _Worst(-math.inf, 1e-10)
-
-    def draw_criterion():
-        p = _interior(rng, _draw_w(rng, w_values))
-        h, shifted = _central_steps(p)
-        return (p, *shifted), 1, h
-
-    def judge_criterion(rows, values, h):
-        # values[0] is S(p); rows 2i + 1 and 2i + 2 are p with h_i added to and subtracted from entry i
-        grad = [(values[2 * i + 1] - values[2 * i + 2]) / (2 * hi) for i, hi in enumerate(h.tolist())]
-        p, w = rows[0].tolist(), len(grad)
-        products = [(p[i] - p[j]) * (grad[i] - grad[j]) for i in range(w) for j in range(i + 1, w)]
-        value = max(products) if all(v == v for v in products) else math.nan
-        criterion.add(value, lambda: {"p": p})
-
-    _run_trials(spec, trials, draw_criterion, judge_criterion)
-    return [
-        ordering.report("schur-majorization-ordering", trials, seed),
-        criterion.report("schur-ostrowski-criterion", trials, seed),
-    ]
+    return _run_rows(spec, _SCHUR, trials, seed, w_values)
 
 
 def _central_steps(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -569,16 +572,13 @@ def saq_concavity_counterexample_search(
     """
     rng = np.random.default_rng(seed)
     exponent = a * (q - 1.0) + 1.0
-
-    def raw(arr: np.ndarray) -> float:
-        return (1.0 - float(np.sum(arr**exponent))) / (q - 1.0)
-
     found = _Worst(-math.inf, 1e-12)
     for _ in range(trials):
         p1 = Distribution(_interior(rng, w)).p
         p2 = Distribution(_interior(rng, w)).p
         lam = rng.uniform(0.05, 0.95)
         mix = lam * p1 + (1 - lam) * p2
-        violation = lam * raw(p1) + (1 - lam) * raw(p2) - raw(mix)
+        raw = ((1.0 - np.sum(np.array([p1, p2, mix]) ** exponent, axis=1)) / (q - 1.0)).tolist()
+        violation = lam * raw[0] + (1 - lam) * raw[1] - raw[2]
         found.add(violation, lambda: {"p1": p1.tolist(), "p2": p2.tolist(), "lambda": lam})
     return found.report("saq-concavity-counterexample-search", trials, seed)

@@ -301,6 +301,24 @@ class TestVerify:
         )
         assert json.loads(text)["seed"] == 99
 
+    def test_verify_runs_each_public_check_once(self, monkeypatch, capsys):
+        # the benchmark's per-layer spans wrap these three names; verify must look them up at call time
+        import gek.properties as properties
+
+        calls = {}
+        for name in ("check_composability", "check_sk_axioms", "check_schur_concavity"):
+            check = getattr(properties, name)
+
+            def counted(*args, _name=name, _check=check, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _check(*args, **kwargs)
+
+            monkeypatch.setattr(properties, name, counted)
+        with pytest.raises(SystemExit):
+            main(["verify", "--family", "zk", "--params", "k=0.3,alpha=0.7", "--suite", "all", "--trials", "20"])
+        assert '"all_passed"' in capsys.readouterr().out
+        assert calls == {"check_composability": 1, "check_sk_axioms": 1, "check_schur_concavity": 1}
+
 
 class TestExtensivitySolve:
     def test_renyi_exponential(self, tmp_path):

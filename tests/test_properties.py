@@ -270,6 +270,27 @@ class TestConcavityRegions:
         report = saq_concavity_counterexample_search(1.5, 0.5, trials=200, seed=22)
         assert report.failures == 0
 
+    @pytest.mark.parametrize("a, q, w", [(3.0, 0.5, 4), (1.5, 0.5, 9), (0.5, 2.0, 33)])
+    def test_search_equals_the_per_vector_formula(self, a, q, w):
+        # the search evaluates p1, p2 and their mix in one numpy expression; one formula call per vector is the reference
+        exponent = a * (q - 1.0) + 1.0
+
+        def raw(arr):
+            return (1.0 - float(np.sum(arr**exponent))) / (q - 1.0)
+
+        rng = np.random.default_rng(5)
+        violations, witnesses = [], []
+        for _ in range(100):
+            p1 = 0.99 * rng.dirichlet(np.ones(w)) + 0.01 / w
+            p2 = 0.99 * rng.dirichlet(np.ones(w)) + 0.01 / w
+            lam = rng.uniform(0.05, 0.95)
+            violations.append(lam * raw(p1) + (1 - lam) * raw(p2) - raw(lam * p1 + (1 - lam) * p2))
+            witnesses.append({"p1": p1.tolist(), "p2": p2.tolist(), "lambda": lam})
+        report = saq_concavity_counterexample_search(a, q, trials=100, seed=5, w=w)
+        assert report.worst_residual == max(violations)
+        assert report.witness == witnesses[violations.index(max(violations))]
+        assert report.failures == sum(v > 1e-12 for v in violations)
+
 
 class TestTrialDraws:
     def test_indexing_by_integers_draws_the_same_stream_as_choice(self):
@@ -280,6 +301,13 @@ class TestTrialDraws:
             drawn_index = [int(w_values[by_index.integers(len(w_values))]) for _ in range(20_000)]
             assert drawn_choice == drawn_index
             assert by_choice.bit_generator.state == by_index.bit_generator.state
+        # composability draws w from range(1, max_w + 1) in place of rng.integers(1, max_w + 1)
+        for k in (1, 2, 7, 8, 40):
+            by_bounds, by_range = np.random.default_rng(k), np.random.default_rng(k)
+            drawn_bounds = [int(by_bounds.integers(1, k + 1)) for _ in range(20_000)]
+            drawn_range = [_draw_w(by_range, range(1, k + 1)) for _ in range(20_000)]
+            assert drawn_bounds == drawn_range
+            assert by_bounds.bit_generator.state == by_range.bit_generator.state
 
     def test_two_of_draws_the_same_stream_as_choice_without_replacement(self):
         # generate_majorization_pair draws its transfer pair with _two_of in place of rng.choice
@@ -300,26 +328,22 @@ class TestTrialDraws:
                 assert np.array_equal(_flat_dirichlet(by_flat, w), expected), (w, seed)
                 assert by_dirichlet.random() == by_flat.random()
 
-    def test_schur_ordering_draw_is_generate_majorization_pair(self, monkeypatch):
-        # the ordering sub-check draws integer masses without building a MajorizationPair; the rows must not move
-        import gek.properties as properties
+    def test_schur_ordering_draw_is_generate_majorization_pair(self):
+        # the ordering row draws integer masses without building a MajorizationPair; the vectors must not move
+        from gek.properties import _SCHUR
 
-        drawn = []
-
-        def record_first_draws(spec, trials, draw, judge):
-            if not drawn:
-                drawn.extend(draw() for _ in range(trials))
-
-        monkeypatch.setattr(properties, "_run_trials", record_first_draws)
+        ordering = _SCHUR[0]
+        assert ordering.name == "schur-majorization-ordering"
         w_values = (2, 3, 5, 8)
-        check_schur_concavity(SPECS["renyi"], 300, 9, w_values)
-        rng = np.random.default_rng(9)
-        for rows, dists, _ in drawn:
-            w = _draw_w(rng, w_values)
-            pair = generate_majorization_pair(w, steps=int(rng.integers(1, 12)), rng=rng)
+        by_row, by_pair = np.random.default_rng(9), np.random.default_rng(9)
+        drawn = [ordering.draw(by_row, w_values) for _ in range(300)]
+        for vectors, dists, _ in drawn:
+            w = _draw_w(by_pair, w_values)
+            pair = generate_majorization_pair(w, steps=int(by_pair.integers(1, 12)), rng=by_pair)
             assert dists == 2
-            assert np.array_equal(rows[0], pair.r.p) and np.array_equal(rows[1], pair.p.p)
+            assert np.array_equal(vectors[0], pair.r.p) and np.array_equal(vectors[1], pair.p.p)
         assert len(drawn) == 300
+        assert by_row.bit_generator.state == by_pair.bit_generator.state
 
     def test_verify_builds_no_distribution_per_trial(self, monkeypatch, capsys):
         # the trial loops validate their rows in one batched pass; a Distribution per trial is per-call overhead
@@ -405,7 +429,7 @@ class TestFailClosed:
         reports = [check_composability(spec, 50, 1e-10, 1)]
         reports += check_sk_axioms(spec, 50, 1) + check_schur_concavity(spec, 50, 1)
         assert [r.failures for r in reports] == [50] * 6
-        for r in reports[:1] + reports[2:]:  # the continuity proxy reports a Lipschitz estimate instead
+        for r in reports:
             assert math.isnan(r.worst_residual) and r.witness, r.name
 
     def test_first_nan_trial_becomes_the_witness(self):
@@ -423,6 +447,24 @@ class TestFailClosed:
         assert report.failures == len(nan_trials)
         assert math.isnan(report.worst_residual)
         assert report.witness["p"] == nan_trials[0]
+
+        # the continuity proxy: NaN where p or its shift has entropy above the threshold
+        spec = EntropySpec("zg", {"alpha": 0.5}, _NanAbove(0.5 * math.log(4)))
+        continuity = check_sk_axioms(spec, 300, 2)[0]
+        rng = np.random.default_rng(2)
+        nan_trials = []
+        for _ in range(300):
+            w = int(rng.choice((2, 3, 4, 5, 6)))
+            p = 0.99 * rng.dirichlet(np.ones(w)) + 0.01 / w
+            direction = rng.normal(size=w)
+            direction -= direction.mean()
+            shifted = p + 1e-6 * direction / np.abs(direction).sum()
+            if math.isnan(spec.value(Distribution(shifted)) - spec.value(Distribution(p))):
+                nan_trials.append(p.tolist())
+        assert 1 < len(nan_trials) < 300
+        assert continuity.failures == len(nan_trials)
+        assert math.isnan(continuity.worst_residual)
+        assert continuity.witness == {"p": nan_trials[0]}
 
     def test_nan_law_fails_the_law_checks(self):
         uniform = check_composability_on_uniform(EntropySpec("zg", {"alpha": 0.5}, _NanLaw()), trials=20, seed=3)
