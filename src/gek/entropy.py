@@ -95,24 +95,32 @@ class Distribution:
         return f"Distribution({self.p.tolist()})"
 
 
-def _stack_by_length(rows: Sequence[np.ndarray], indices) -> list[tuple[list[int], np.ndarray]]:
-    """The rows at ``indices`` grouped by length: (their indices, the rows stacked as a 2-D array)."""
+def _per_length(rows: Sequence, of_block: Callable[[np.ndarray], np.ndarray]) -> list:
+    """``of_block`` of the rows of each length stacked as one 2-D block, one result per row, in row order."""
     groups: dict[int, list[int]] = {}
-    for i in indices:
-        groups.setdefault(len(rows[i]), []).append(i)
-    return [(idx, np.array([rows[i] for i in idx], dtype=float)) for idx in groups.values()]
+    for i, row in enumerate(rows):
+        groups.setdefault(len(row), []).append(i)
+    out = [None] * len(rows)
+    for idx in groups.values():
+        for i, v in zip(idx, of_block(np.array([rows[i] for i in idx], dtype=float)).tolist()):
+            out[i] = v
+    return out
+
+
+def invalid_rows(block: np.ndarray) -> np.ndarray:
+    """For each vector along the last axis of ``block``, whether ``Distribution`` would reject it.
+
+    Distribution's total, np.sum of one vector, equals the sum over the last
+    axis bit for bit; an empty vector sums to 0.  ``>= 0`` fails NaN, and an
+    infinite entry makes the total miss 1.
+    """
+    nonnegative = np.logical_and.reduce(block >= 0, axis=-1)
+    return ~(nonnegative & (np.abs(np.add.reduce(block, axis=-1) - 1.0) <= SUM_TOLERANCE))
 
 
 def invalid_distributions(rows: Sequence[np.ndarray]) -> list[bool]:
     """For each vector in ``rows``, whether ``Distribution`` would reject it (the same checks, batched)."""
-    bad = [False] * len(rows)
-    for idx, block in _stack_by_length(rows, range(len(rows))):
-        # Distribution's total, np.sum of one row, equals sum(axis=1) bit for bit; an empty row sums to 0
-        off_sum = np.abs(block.sum(axis=1) - 1.0) > SUM_TOLERANCE
-        flags = (block < 0).any(axis=1) | ~np.isfinite(block).all(axis=1) | off_sum
-        for i, flag in zip(idx, flags.tolist()):
-            bad[i] = flag
-    return bad
+    return _per_length(rows, invalid_rows)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -123,17 +131,17 @@ def _power_sums(exponent: float) -> Callable[[np.ndarray], np.ndarray]:
     """
     if not 0 < exponent < math.inf:  # fails closed: a nan exponent is rejected too
         raise ParameterError("power sums are defined for finite positive exponents only")
-    return lambda positive: np.sum(positive**exponent, axis=-1)
+    return lambda positive: np.add.reduce(positive**exponent, axis=-1)
 
 
 def _boltzmann_sums(positive: np.ndarray) -> np.ndarray:
     """sum_i x_i ln(1/x_i) over the last axis of an array of positive entries."""
-    return -np.sum(positive * np.log(positive), axis=-1)
+    return -np.add.reduce(positive * np.log(positive), axis=-1)
 
 
 def _control_sums(positive: np.ndarray) -> np.ndarray:
     """sum_i x_i^2 ln(1/x_i) over the last axis of an array of positive entries."""
-    return -np.sum(positive**2 * np.log(positive), axis=-1)
+    return -np.add.reduce(positive**2 * np.log(positive), axis=-1)
 
 
 def power_sum(p: Distribution, alpha: float) -> float:
@@ -383,34 +391,28 @@ class EntropySpec:
         return [self.from_row_sum(s) for s in self.row_sums(rows)]
 
     def row_sums(self, rows: Sequence[np.ndarray]) -> list[float]:
-        """The family's sum over each vector in ``rows`` (of any lengths), before the scalar tail.
+        """The family's sum over each vector in ``rows`` (of any lengths), before the scalar tail."""
+        return _per_length(list(rows), self.block_sums)
 
-        Equal-length rows share one power and one ``sum(axis=1)``, which sums
-        each row in the same pairwise order as the 1-D path.  A row with an
-        entry that is not > 0 is first filtered as ``raw_value`` filters it,
-        since dropping entries changes that order.
+    def block_sums(self, block: np.ndarray) -> np.ndarray:
+        """The family's sum over each vector along the last axis of ``block``, before the scalar tail.
+
+        The sum over the last axis of a C-contiguous block adds each vector in
+        the same pairwise order as the 1-D path.  A vector with an entry that
+        is not > 0 is first filtered as ``raw_value`` filters it, since
+        dropping entries changes that order; the filtered vectors are reduced
+        together by how many entries they keep.
         """
-        rows = list(rows)
-        sums = [0.0] * len(rows)
-
-        def reduce(indices) -> list[int]:
-            """Reduce the rows at ``indices`` whose entries are all > 0; return the others."""
-            rest = []
-            for idx, block in _stack_by_length(rows, indices):
-                keep = (block > 0).all(axis=1)
-                if not keep.all():
-                    rest += [i for i, k in zip(idx, keep.tolist()) if not k]
-                    idx, block = [i for i, k in zip(idx, keep.tolist()) if k], block[keep]
-                for i, s in zip(idx, self._reduce(block).tolist()):
-                    sums[i] = s
-            return rest
-
-        rest = reduce(range(len(rows)))
-        for i in rest:
-            row = np.asarray(rows[i], dtype=float)
-            rows[i] = row[row > 0]
-        reduce(rest)
-        return sums
+        if not block.size or np.minimum.reduce(block, axis=None) > 0:  # NaN fails the test, as it fails > 0
+            return self._reduce(block)
+        flat = block.reshape(-1, block.shape[-1])
+        keep = flat > 0
+        counts = keep.sum(axis=1)
+        sums = np.empty(len(flat))
+        for c in np.unique(counts).tolist():
+            rows = counts == c
+            sums[rows] = self._reduce(flat[rows][keep[rows]].reshape(int(rows.sum()), c))
+        return sums.reshape(block.shape[:-1])
 
     def _evaluate(self, arr: np.ndarray) -> float:
         return self.from_row_sum(float(self._reduce(arr[arr > 0])))
@@ -419,7 +421,7 @@ class EntropySpec:
         return self._laws.reduce(positive)
 
     def from_row_sum(self, s: float) -> float:
-        """The entropy from the family's sum ``s`` (see ``row_sums``): scalar ``math`` only."""
+        """The entropy from the family's sum ``s`` (see ``block_sums``): scalar ``math`` only."""
         return self._laws.tail(s)
 
     def phi(self, x: float, y: float) -> float:

@@ -10,12 +10,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field, replace
-from itertools import islice
+from itertools import compress, repeat
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .entropy import Distribution, EntropySpec, _saq_concave, composition_phi, invalid_distributions
+from .entropy import Distribution, EntropySpec, _saq_concave, composition_phi, invalid_rows
 from .errors import DomainError, InputError, ParameterError, RangeError
 from .grouplog import GroupFunction, IdentityGroup
 
@@ -87,8 +87,10 @@ class _Row(NamedTuple):
     """One sampled property, a row of the table that ``_run_rows`` runs."""
 
     name: str  # the report's name
-    draw: Callable  # (rng, w_values) -> (vectors, dists, extra); the first dists vectors must be distributions
+    draw: Callable  # (rng, w_values) -> (shape key, the trial's seeded variates)
+    build: Callable  # (key, the variates of every trial of that shape) -> (blocks, extras, evaluated); see _run_rows
     judge: Callable  # (spec, vectors, values, extra) -> (value, witness thunk), or None for a skipped trial
+    dists: int  # how many leading blocks hold distributions
     worst: float  # the start of the row's _Worst fold
     limit: float | None = None  # the largest passing value; None is the check's tol
 
@@ -96,26 +98,38 @@ class _Row(NamedTuple):
 def _run_rows(spec: EntropySpec, rows, trials: int, seed: int, w_values, tol=None) -> list[PropertyReport]:
     """Run each row for ``trials`` trials, in row order on one rng seeded with ``seed``; one report per row.
 
-    A row runs in chunks of _CHUNK trials, each in three phases.  Draw:
-    ``row.draw`` once per trial, in the seeded order.  Evaluate: the drawn
-    distributions are validated together, and a bad one is handed to
-    ``Distribution``, which raises its own error; then one ``spec.raw_values``
-    call gives every vector's entropy.  Judge: ``row.judge`` once per trial,
-    in order, into the row's ``_Worst``.
+    A row runs in chunks of _CHUNK trials.  Draw: ``row.draw`` once per trial,
+    in the seeded order, keeps only the trial's variates and its shape key.
+    Build: ``row.build`` stacks the trials of one shape into blocks, one per
+    vector slot, with the trials along the first axis and each vector along
+    the last; it also gives each trial's extra (or None for none) and the
+    trials whose last block is evaluated (None for all).  Validate and
+    evaluate (``_chunk_sums``): every block is checked and reduced as a whole,
+    then the scalar tail runs on every sum in trial order.  Judge:
+    ``row.judge`` once per trial, in order, into the row's ``_Worst``.
     """
     rng = np.random.default_rng(seed)
+    tail = spec.from_row_sum
     reports = []
     for row in rows:
         fold, skipped = _Worst(row.worst, tol if row.limit is None else row.limit), 0
         for start in range(0, trials, _CHUNK):
-            drawn = [row.draw(rng, w_values) for _ in range(min(_CHUNK, trials - start))]
-            checked = [v for vectors, dists, _ in drawn for v in vectors[:dists]]
-            for v, bad in zip(checked, invalid_distributions(checked)):
-                if bad:
-                    Distribution(v)
-            values = iter(spec.raw_values([v for vectors, _, _ in drawn for v in vectors]))
-            for vectors, _, extra in drawn:
-                judged = row.judge(spec, vectors, list(islice(values, len(vectors))), extra)
+            n = min(_CHUNK, trials - start)
+            shapes: dict = {}
+            for t in range(n):
+                key, variates = row.draw(rng, w_values)
+                shapes.setdefault(key, []).append((t, variates))
+            chunk = []
+            for key, members in shapes.items():
+                ids, variates = zip(*members)
+                chunk.append((ids, *row.build(key, variates)))
+            values = [list(map(tail, s)) for s in _chunk_sums(spec, chunk, row.dists, n)]
+            vectors, extras = [None] * n, [None] * n
+            for ids, blocks, extra, _ in chunk:
+                for t, v, x in zip(ids, zip(*blocks), extra or repeat(None)):
+                    vectors[t], extras[t] = v, x
+            for v, s, x in zip(vectors, values, extras):
+                judged = row.judge(spec, v, s, x)
                 if judged is None:
                     skipped += 1
                 else:
@@ -124,31 +138,86 @@ def _run_rows(spec: EntropySpec, rows, trials: int, seed: int, w_values, tol=Non
     return reports
 
 
+def _chunk_sums(spec: EntropySpec, chunk, dists: int, n: int) -> list[list[float]]:
+    """Each of the chunk's ``n`` trials' family sums, slot after slot; a last block not evaluated has none.
+
+    The blocks of one slot and width are concatenated (several shapes share a
+    width only where a key has two parts), so each is checked and reduced by
+    a few numpy calls, with ``spec.block_sums``.  The first ``dists`` slots
+    hold distributions: the first vector among them that is not one, in trial
+    order, is handed to ``Distribution``, which raises its own error.
+    """
+    sums: list[list[float]] = [[] for _ in range(n)]
+    bad = []
+    for slot in range(len(chunk[0][1])):
+        widths: dict = {}
+        for ids, blocks, _, evaluated in chunk:
+            block = blocks[slot]
+            if evaluated is not None and slot == len(blocks) - 1:
+                ids, block = list(compress(ids, evaluated)), block[evaluated]
+            if ids:
+                members = widths.setdefault(block.shape[1:], ([], []))
+                members[0].extend(ids)
+                members[1].append(block)
+        for ids, parts in widths.values():
+            block = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            if slot < dists:
+                flags = invalid_rows(block)
+                if flags.any():
+                    bad += [(ids[i], slot, block[i]) for i in np.flatnonzero(flags).tolist()]
+            for t, s in zip(ids, spec.block_sums(block).reshape(len(ids), -1).tolist()):
+                sums[t] += s
+    if bad:
+        Distribution(min(bad, key=lambda b: b[:2])[2])
+    return sums
+
+
 def _draw_w(rng, w_values: Sequence[int]) -> int:
     # the same draw as rng.choice(w_values), which costs about four times as much
     return int(w_values[rng.integers(len(w_values))])
 
 
-def _flat_dirichlet(rng, w: int) -> np.ndarray:
-    """The draw of rng.dirichlet(np.ones(w)), at a third of its cost.
+def _flat_dirichlet_rows(exponentials) -> np.ndarray:
+    """Rows of rng.dirichlet(np.ones(w)), one from each row of w standard exponentials.
 
     numpy draws each gamma(1) variate as a standard exponential and scales
-    them by the reciprocal of their running sum; these are the same w draws
-    and the same float operations.
+    them by the reciprocal of their running sum; these are the same float
+    operations, row by row.
     """
-    e = rng.standard_exponential(w)
-    return e * (1.0 / e.cumsum()[-1])
+    e = np.array(exponentials)
+    return e * (1.0 / e.cumsum(axis=1)[:, -1:])
+
+
+def _interior_rows(w: int, exponentials) -> np.ndarray:
+    # keep every coordinate >= 1e-3 so alpha < 1 derivatives stay finite
+    return 0.99 * _flat_dirichlet_rows(exponentials) + 0.01 / w
+
+
+def _flat_dirichlet(rng, w: int) -> np.ndarray:
+    """The draw of rng.dirichlet(np.ones(w)), at a third of its cost: the same w draws and float operations."""
+    return _flat_dirichlet_rows([rng.standard_exponential(w)])[0]
 
 
 def _interior(rng, w: int) -> np.ndarray:
-    # keep every coordinate >= 1e-3 so alpha < 1 derivatives stay finite
-    return 0.99 * _flat_dirichlet(rng, w) + 0.01 / w
+    return _interior_rows(w, [rng.standard_exponential(w)])[0]
+
+
+def _draw_simplex(rng, w_values):
+    # the draws of _flat_dirichlet(rng, _draw_w(rng, w_values)), and of _interior
+    w = _draw_w(rng, w_values)
+    return w, rng.standard_exponential(w)
 
 
 def _draw_product(rng, w_values):
     wa, wb = _draw_w(rng, w_values), _draw_w(rng, w_values)
-    p, r = _flat_dirichlet(rng, wa), _flat_dirichlet(rng, wb)
-    return (p, r, np.outer(p, r).ravel()), 3, None
+    return (wa, wb), (rng.standard_exponential(wa), rng.standard_exponential(wb))
+
+
+def _build_product(key, variates):
+    ea, eb = zip(*variates)
+    p, r = _flat_dirichlet_rows(ea), _flat_dirichlet_rows(eb)
+    # row i of the joint block is np.outer(p[i], r[i]).ravel()
+    return (p, r, (p[:, :, None] * r[:, None, :]).reshape(len(p), -1)), None, None
 
 
 def _judge_product(spec, vectors, values, _):
@@ -159,7 +228,7 @@ def _judge_product(spec, vectors, values, _):
     }
 
 
-_COMPOSABILITY = (_Row("composability", _draw_product, _judge_product, 0.0),)
+_COMPOSABILITY = (_Row("composability", _draw_product, _build_product, _judge_product, 3, 0.0),)
 
 
 def check_composability(
@@ -228,37 +297,41 @@ def check_group_axioms_numeric(
 
 
 def _draw_continuity(rng, w_values):
-    w = _draw_w(rng, w_values)
-    p = _interior(rng, w)
-    direction = rng.normal(size=w)
-    direction -= direction.mean()
-    norm = np.abs(direction).sum()
-    if norm > 0:
-        shifted = p + _STEP * direction / norm
-        if not (shifted < 0).any():
-            return (p, shifted), 1, None
-    return (p,), 1, None  # no admissible shifted vector: the trial is skipped
+    w, e = _draw_simplex(rng, w_values)
+    return w, (e, rng.normal(size=w))
+
+
+def _build_continuity(w, variates):
+    e, direction = zip(*variates)
+    p, direction = _interior_rows(w, e), np.array(direction)
+    direction -= direction.mean(axis=1, keepdims=True)
+    norm = np.abs(direction).sum(axis=1, keepdims=True)
+    # a zero direction (w = 1) is divided by 1, not 0; its trial is skipped anyway
+    shifted = p + _STEP * direction / np.where(norm > 0, norm, 1.0)
+    # no admissible shifted vector: the trial is skipped, and its shifted vector never evaluated
+    return (p, shifted), None, (norm[:, 0] > 0) & ~(shifted < 0).any(axis=1)
 
 
 def _judge_continuity(spec, vectors, values, _):
-    if len(vectors) == 1:
+    if len(values) == 1:
         return None
     ratio = abs(values[1] - values[0]) / _STEP
     return ratio, lambda: ({"lipschitz_estimate": ratio} if math.isfinite(ratio) else {"p": vectors[0].tolist()})
 
 
-def _draw_maximum(rng, w_values):
-    w = _draw_w(rng, w_values)
-    return (_flat_dirichlet(rng, w),), 1, w
+def _build_maximum(w, variates):
+    return (_flat_dirichlet_rows(variates),), None, None
 
 
-def _judge_maximum(spec, vectors, values, w):
+def _judge_maximum(spec, vectors, values, _):
+    w = vectors[0].size
     return values[0] - spec.uniform_value(w), lambda: {"p": vectors[0].tolist(), "w": w}
 
 
-def _draw_expansibility(rng, w_values):
-    p = _flat_dirichlet(rng, _draw_w(rng, w_values))
-    return (p, np.append(p, 0.0)), 2, None
+def _build_expansibility(w, variates):
+    p = _flat_dirichlet_rows(variates)
+    # row i of the second block is np.append(p[i], 0.0)
+    return (p, np.concatenate((p, np.zeros((len(p), 1))), axis=1)), None, None
 
 
 def _judge_expansibility(spec, vectors, values, _):
@@ -266,9 +339,9 @@ def _judge_expansibility(spec, vectors, values, _):
 
 
 _SK_AXIOMS = (
-    _Row("sk-continuity-proxy", _draw_continuity, _judge_continuity, 0.0, sys.float_info.max),
-    _Row("sk-maximum-on-uniform", _draw_maximum, _judge_maximum, -math.inf, 1e-12),
-    _Row("sk-expansibility", _draw_expansibility, _judge_expansibility, 0.0, 1e-14),
+    _Row("sk-continuity-proxy", _draw_continuity, _build_continuity, _judge_continuity, 1, 0.0, sys.float_info.max),
+    _Row("sk-maximum-on-uniform", _draw_simplex, _build_maximum, _judge_maximum, 1, -math.inf, 1e-12),
+    _Row("sk-expansibility", _draw_simplex, _build_expansibility, _judge_expansibility, 2, 0.0, 1e-14),
 )
 
 
@@ -337,7 +410,7 @@ def _majorization_masses(w: int, steps: int, rng) -> tuple[list[int], list[int]]
     """
     if w < 2:
         raise ValueError("need at least two outcomes")
-    masses_r = [int(m) for m in rng.multinomial(_MASS_DENOM, np.full(w, 1.0 / w))]
+    masses_r = rng.multinomial(_MASS_DENOM, np.full(w, 1.0 / w)).tolist()
     masses_p = list(masses_r)
     for _ in range(steps):
         i, j = _two_of(rng, w)
@@ -369,8 +442,12 @@ def generate_majorization_pair(w: int, steps: int, rng) -> MajorizationPair:
 
 def _draw_ordering(rng, w_values):
     w = _draw_w(rng, w_values)
-    masses_p, masses_r = _majorization_masses(w, int(rng.integers(1, 12)), rng)
-    return tuple(np.array([masses_r, masses_p], dtype=float) / _MASS_DENOM), 2, None
+    return w, _majorization_masses(w, int(rng.integers(1, 12)), rng)
+
+
+def _build_ordering(w, variates):
+    masses = np.array(variates, dtype=float)  # trial, (p, r), entry
+    return (masses[:, 1] / _MASS_DENOM, masses[:, 0] / _MASS_DENOM), None, None
 
 
 def _judge_ordering(spec, vectors, values, _):
@@ -378,23 +455,31 @@ def _judge_ordering(spec, vectors, values, _):
     return values[0] - values[1], lambda: {"p": p.tolist(), "r": r.tolist()}
 
 
-def _draw_criterion(rng, w_values):
-    p = _interior(rng, _draw_w(rng, w_values))
-    h, shifted = _central_steps(p)
-    return (p, *shifted), 1, h
+def _build_criterion(w, variates):
+    """p, and the 2w points of its central-difference gradient with steps h_i = 1e-6 max(p_i, 1e-3).
+
+    Point 2i is p with h_i added to entry i, point 2i + 1 with h_i subtracted.
+    """
+    p = _interior_rows(w, variates)
+    h = 1e-6 * np.maximum(p, 1e-3)
+    shifted = np.repeat(p[:, None, :], 2 * w, axis=1)
+    i = np.arange(w)
+    shifted[:, 2 * i, i] += h
+    shifted[:, 2 * i + 1, i] -= h
+    return (p, shifted), h.tolist(), None
 
 
 def _judge_criterion(spec, vectors, values, h):
-    # values[0] is S(p); vectors 2i + 1 and 2i + 2 are p with h_i added to and subtracted from entry i
-    grad = [(values[2 * i + 1] - values[2 * i + 2]) / (2 * hi) for i, hi in enumerate(h.tolist())]
+    # values[0] is S(p); values 2i + 1 and 2i + 2 are S at p with h_i added to and subtracted from entry i
+    grad = [(values[2 * i + 1] - values[2 * i + 2]) / (2 * hi) for i, hi in enumerate(h)]
     p, w = vectors[0].tolist(), len(grad)
     products = [(p[i] - p[j]) * (grad[i] - grad[j]) for i in range(w) for j in range(i + 1, w)]
     return (max(products) if all(v == v for v in products) else math.nan), lambda: {"p": p}
 
 
 _SCHUR = (
-    _Row("schur-majorization-ordering", _draw_ordering, _judge_ordering, -math.inf, 1e-12),
-    _Row("schur-ostrowski-criterion", _draw_criterion, _judge_criterion, -math.inf, 1e-10),
+    _Row("schur-majorization-ordering", _draw_ordering, _build_ordering, _judge_ordering, 2, -math.inf, 1e-12),
+    _Row("schur-ostrowski-criterion", _draw_simplex, _build_criterion, _judge_criterion, 1, -math.inf, 1e-10),
 )
 
 
@@ -412,19 +497,6 @@ def check_schur_concavity(
     on interior distributions.  A NaN gap or criterion value fails.
     """
     return _run_rows(spec, _SCHUR, trials, seed, w_values)
-
-
-def _central_steps(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Steps h_i = 1e-6 max(p_i, 1e-3) and the 2w points of a central-difference gradient.
-
-    Row 2i is arr with h_i added to entry i, row 2i + 1 with h_i subtracted.
-    """
-    h = 1e-6 * np.maximum(arr, 1e-3)
-    shifted = np.tile(arr, (2 * arr.size, 1))
-    i = np.arange(arr.size)
-    shifted[2 * i, i] += h
-    shifted[2 * i + 1, i] -= h
-    return h, shifted
 
 
 @dataclass(frozen=True)

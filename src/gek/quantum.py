@@ -98,6 +98,8 @@ def quantum_z_ab(a: float, b: float, alpha: float, rho: DensityMatrix) -> float:
 
 # Desk-scale exactness bounds for the symmetric-state machinery.
 _DICKE_MAX_SITES = {1: 14, 2: 10}
+# the widest reduced block the dense oracle builds, (m+1)^L columns: a 64 MiB complex matrix
+MAX_DENSE_BLOCK_WIDTH = 2048
 
 
 @dataclass(frozen=True)
@@ -172,11 +174,17 @@ def dicke_reduced_density(spec: DickeSpec) -> DensityMatrix:
 
 
 def dicke_reduced_density_dense(spec: DickeSpec) -> DensityMatrix:
-    """Validation oracle: build the full state vector and trace out N - L sites."""
+    """Validation oracle: build the full state vector and trace out N - L sites.
+
+    The reduced block is a dense (m+1)^L x (m+1)^L matrix, so a block wider
+    than MAX_DENSE_BLOCK_WIDTH is refused before anything is allocated.
+    """
     d = spec.m + 1
-    if d**spec.n_sites > 600_000:
-        raise InputError("dense oracle limited to (m+1)^N <= 600000")
     n, left = spec.n_sites, spec.block
+    if d**left > MAX_DENSE_BLOCK_WIDTH:
+        raise InputError(
+            f"the dense oracle's reduced block would be {d**left} wide; it builds at most {MAX_DENSE_BLOCK_WIDTH}"
+        )
     # counts[l][index]: how many sites of basis state `index` (base d, most
     # significant site first) hold level l, built one site at a time.  The
     # last level holds the other n - sum sites, so levels 0..d-2 decide a hit.

@@ -1,6 +1,7 @@
 """Behavior of the verification engine itself: sensitivity, pairs, growth laws."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -25,8 +26,11 @@ from gek.properties import (
     saq_concavity_counterexample_search,
     solve_growth_law,
     tsallis_qstar,
+    _Worst,
     _draw_w,
     _flat_dirichlet,
+    _interior,
+    _majorization_masses,
     _two_of,
 )
 
@@ -334,16 +338,45 @@ class TestTrialDraws:
 
         ordering = _SCHUR[0]
         assert ordering.name == "schur-majorization-ordering"
+        assert ordering.dists == 2
         w_values = (2, 3, 5, 8)
         by_row, by_pair = np.random.default_rng(9), np.random.default_rng(9)
         drawn = [ordering.draw(by_row, w_values) for _ in range(300)]
-        for vectors, dists, _ in drawn:
+        shapes = {}
+        for t, (key, masses) in enumerate(drawn):
+            shapes.setdefault(key, []).append((t, masses))
+        vectors = [None] * len(drawn)
+        for key, members in shapes.items():
+            ids, masses = zip(*members)
+            blocks, extras, evaluated = ordering.build(key, masses)
+            assert len(blocks) == 2 and extras is None and evaluated is None
+            for t, r, p in zip(ids, *blocks):
+                vectors[t] = (r, p)
+        for key, (r, p) in zip((key for key, _ in drawn), vectors):
             w = _draw_w(by_pair, w_values)
             pair = generate_majorization_pair(w, steps=int(by_pair.integers(1, 12)), rng=by_pair)
-            assert dists == 2
-            assert np.array_equal(vectors[0], pair.r.p) and np.array_equal(vectors[1], pair.p.p)
-        assert len(drawn) == 300
+            assert key == w
+            assert np.array_equal(r, pair.r.p) and np.array_equal(p, pair.p.p)
         assert by_row.bit_generator.state == by_pair.bit_generator.state
+
+    def test_a_skipped_continuity_trial_evaluates_one_vector(self, monkeypatch):
+        # only p is evaluated when no shifted vector is admissible: one scalar tail per skipped trial, two otherwise
+        calls = []
+        from_row_sum = EntropySpec.from_row_sum
+
+        def counting(self, s):
+            calls.append(s)
+            return from_row_sum(self, s)
+
+        monkeypatch.setattr(EntropySpec, "from_row_sum", counting)
+        skips = []
+        for w_values in ((1,), (1, 3), (3,)):
+            calls.clear()
+            continuity = check_sk_axioms(SPECS["renyi"], 40, 0, w_values=w_values)[0]
+            skips.append(continuity.skipped)
+            # maximum-on-uniform evaluates 1 vector per trial and expansibility 2
+            assert len(calls) == continuity.skipped + 2 * (40 - continuity.skipped) + 40 + 2 * 40, w_values
+        assert skips[0] == 40 and 0 < skips[1] < 40 and skips[2] == 0
 
     def test_verify_builds_no_distribution_per_trial(self, monkeypatch, capsys):
         # the trial loops validate their rows in one batched pass; a Distribution per trial is per-call overhead
@@ -384,6 +417,146 @@ class TestTrialDraws:
         chunked = reports()
         monkeypatch.setattr(properties, "_CHUNK", 1)
         assert reports() == chunked
+
+
+# The trial loop as it was before draws kept only seeded variates: each trial draws its own vectors, every
+# vector is validated and evaluated on its own, and each judge gets numpy rows.  The reference below the batched
+# runner must match bit for bit, including at w >= 9, where numpy's pairwise summation starts to matter.
+
+
+def _reference_product(rng, w_values):
+    wa, wb = _draw_w(rng, w_values), _draw_w(rng, w_values)
+    p, r = _flat_dirichlet(rng, wa), _flat_dirichlet(rng, wb)
+    return (p, r, np.outer(p, r).ravel()), 3, None
+
+
+def _reference_continuity(rng, w_values):
+    w = _draw_w(rng, w_values)
+    p = _interior(rng, w)
+    direction = rng.normal(size=w)
+    direction -= direction.mean()
+    norm = np.abs(direction).sum()
+    if norm > 0:
+        shifted = p + 1e-6 * direction / norm
+        if not (shifted < 0).any():
+            return (p, shifted), 1, None
+    return (p,), 1, None
+
+
+def _reference_maximum(rng, w_values):
+    w = _draw_w(rng, w_values)
+    return (_flat_dirichlet(rng, w),), 1, w
+
+
+def _reference_expansibility(rng, w_values):
+    p = _flat_dirichlet(rng, _draw_w(rng, w_values))
+    return (p, np.append(p, 0.0)), 2, None
+
+
+def _reference_ordering(rng, w_values):
+    w = _draw_w(rng, w_values)
+    masses_p, masses_r = _majorization_masses(w, int(rng.integers(1, 12)), rng)
+    return tuple(np.array([masses_r, masses_p], dtype=float) / 2**20), 2, None
+
+
+def _reference_criterion(rng, w_values):
+    p = _interior(rng, _draw_w(rng, w_values))
+    h = 1e-6 * np.maximum(p, 1e-3)
+    shifted = np.tile(p, (2 * p.size, 1))
+    i = np.arange(p.size)
+    shifted[2 * i, i] += h
+    shifted[2 * i + 1, i] -= h
+    return (p, *shifted), 1, h
+
+
+def _reference_judges():
+    def product(spec, vectors, values, _):
+        s_p, s_r, joint = values
+        combined = spec.phi(s_p, s_r)
+        return abs(joint - combined) / (1.0 + abs(joint)), lambda: {
+            "p": vectors[0].tolist(), "r": vectors[1].tolist(), "joint": joint, "combined": combined,
+        }
+
+    def continuity(spec, vectors, values, _):
+        if len(vectors) == 1:
+            return None
+        ratio = abs(values[1] - values[0]) / 1e-6
+        return ratio, lambda: ({"lipschitz_estimate": ratio} if math.isfinite(ratio) else {"p": vectors[0].tolist()})
+
+    def maximum(spec, vectors, values, w):
+        return values[0] - spec.uniform_value(w), lambda: {"p": vectors[0].tolist(), "w": w}
+
+    def expansibility(spec, vectors, values, _):
+        return abs(values[1] - values[0]), lambda: {"p": vectors[0].tolist()}
+
+    def ordering(spec, vectors, values, _):
+        r, p = vectors
+        return values[0] - values[1], lambda: {"p": p.tolist(), "r": r.tolist()}
+
+    def criterion(spec, vectors, values, h):
+        grad = [(values[2 * i + 1] - values[2 * i + 2]) / (2 * hi) for i, hi in enumerate(h.tolist())]
+        p, w = vectors[0].tolist(), len(grad)
+        products = [(p[i] - p[j]) * (grad[i] - grad[j]) for i in range(w) for j in range(i + 1, w)]
+        return (max(products) if all(v == v for v in products) else math.nan), lambda: {"p": p}
+
+    return {
+        "composability": [("composability", _reference_product, product, 0.0, None)],
+        "sk": [
+            ("sk-continuity-proxy", _reference_continuity, continuity, 0.0, sys.float_info.max),
+            ("sk-maximum-on-uniform", _reference_maximum, maximum, -math.inf, 1e-12),
+            ("sk-expansibility", _reference_expansibility, expansibility, 0.0, 1e-14),
+        ],
+        "schur": [
+            ("schur-majorization-ordering", _reference_ordering, ordering, -math.inf, 1e-12),
+            ("schur-ostrowski-criterion", _reference_criterion, criterion, -math.inf, 1e-10),
+        ],
+    }
+
+
+def reference_run_rows(spec, rows, trials, seed, w_values, tol=None):
+    """One trial at a time: draw, validate each distribution, ``raw_value`` per vector, judge."""
+    rng = np.random.default_rng(seed)
+    reports = []
+    for name, draw, judge, worst, limit in rows:
+        fold, skipped = _Worst(worst, tol if limit is None else limit), 0
+        for _ in range(trials):
+            vectors, dists, extra = draw(rng, w_values)
+            for v in vectors[:dists]:
+                Distribution(v)
+            judged = judge(spec, vectors, [spec.raw_value(v) for v in vectors], extra)
+            if judged is None:
+                skipped += 1
+            else:
+                fold.add(*judged)
+        reports.append(fold.report(name, trials, seed, skipped))
+    return reports
+
+
+class TestAgainstThePerTrialReference:
+    """The stacked trial loop reports exactly what the per-trial loop reports, where the pin draws no w."""
+
+    @pytest.mark.parametrize("seed", [3, 2024])
+    @pytest.mark.parametrize(
+        "family, params",
+        [("control", {}), ("zg", {"g": "abel", "a": 0.3, "b": -0.2, "alpha": 0.5}),
+         ("zab", {"a": 0.3, "b": -0.2, "alpha": 0.5}), ("tsallis_aq", {"a": 1.0, "q": 0.5}),
+         ("landsberg_vedral", {"q": 0.5})],
+        ids=["control", "zg-abel", "zab", "tsallis_aq", "landsberg_vedral"],
+    )
+    def test_wide_draws_match_the_reference(self, family, params, seed, monkeypatch):
+        import gek.properties as properties
+
+        spec = entropy_spec(family, params)
+        rows = _reference_judges()
+        expected = reference_run_rows(spec, rows["composability"], 1000, seed, range(1, 41), 1e-10)
+        expected += reference_run_rows(spec, rows["sk"], 500, seed, (9, 17, 33, 40))
+        expected += reference_run_rows(spec, rows["schur"], 200, seed, (9, 17, 33))
+        for chunk in (256, 1):
+            monkeypatch.setattr(properties, "_CHUNK", chunk)
+            reports = [check_composability(spec, seed=seed, max_w=40)]
+            reports += check_sk_axioms(spec, seed=seed, w_values=(9, 17, 33, 40))
+            reports += check_schur_concavity(spec, seed=seed, w_values=(9, 17, 33))
+            assert [r.as_dict() for r in reports] == [r.as_dict() for r in expected], chunk
 
 
 class _NanAbove(IdentityGroup):

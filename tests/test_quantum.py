@@ -11,6 +11,7 @@ from gek.entropy import Distribution, z_ab, z_entropy
 from gek.errors import DomainError, InputError, ParameterError, RangeError
 from gek.grouplog import IdentityGroup, KaniadakisGroup, MultiplicativeGroup
 from gek.quantum import (
+    MAX_DENSE_BLOCK_WIDTH,
     DensityMatrix,
     DickeSpec,
     LmgParams,
@@ -310,6 +311,25 @@ class TestSymmetricBlocks:
         dense, reference = dicke_reduced_density_dense(spec), reference_dense(spec)
         assert np.array_equal(dense.entries, reference.entries)
         assert np.array_equal(dense.spectrum, reference.spectrum)
+
+    def test_dense_oracle_refuses_a_block_too_wide_to_build(self, monkeypatch):
+        # (m+1)^L columns: 3^9 = 19683 would be a 6.2 GB complex matrix, 2^12 = 4096 a 256 MiB one
+        wide = [
+            DickeSpec(m=2, n_sites=10, occupations=(3, 3, 4), block=9),
+            DickeSpec(m=1, n_sites=14, occupations=(7, 7), block=12),
+        ]
+
+        def no_allocation(*_args, **_kwargs):
+            raise AssertionError("the dense oracle allocated before refusing")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(np, "zeros", no_allocation)
+            for spec in wide:
+                with pytest.raises(InputError, match=f"at most {MAX_DENSE_BLOCK_WIDTH}"):
+                    dicke_reduced_density_dense(spec)
+        for spec in CAP_SPECS:
+            assert (spec.m + 1) ** spec.block <= MAX_DENSE_BLOCK_WIDTH
+            assert dicke_reduced_density_dense(spec).dim == (spec.m + 1) ** spec.block
 
     def test_dense_oracle_does_not_use_the_closed_form(self, monkeypatch):
         import gek.quantum
