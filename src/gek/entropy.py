@@ -409,7 +409,7 @@ class EntropySpec:
         keep = flat > 0
         counts = keep.sum(axis=1)
         sums = np.empty(len(flat))
-        for c in np.unique(counts).tolist():
+        for c in set(counts.tolist()):
             rows = counts == c
             sums[rows] = self._reduce(flat[rows][keep[rows]].reshape(int(rows.sum()), c))
         return sums.reshape(block.shape[:-1])
