@@ -29,7 +29,6 @@ from gek.properties import (
     _Worst,
     _draw_w,
     _flat_dirichlet,
-    _interior,
     _majorization_masses,
     _two_of,
 )
@@ -420,19 +419,28 @@ class TestTrialDraws:
 
 
 # The trial loop as it was before draws kept only seeded variates: each trial draws its own vectors, every
-# vector is validated and evaluated on its own, and each judge gets numpy rows.  The reference below the batched
-# runner must match bit for bit, including at w >= 9, where numpy's pairwise summation starts to matter.
+# vector is validated and evaluated on its own, and each judge gets numpy rows.  The stacked runner must match
+# it bit for bit, including at w >= 9, where numpy's pairwise summation starts to matter.
+
+
+def _reference_flat_dirichlet(rng, w):
+    e = rng.standard_exponential(w)
+    return e * (1.0 / e.cumsum()[-1])
+
+
+def _reference_interior(rng, w):
+    return 0.99 * _reference_flat_dirichlet(rng, w) + 0.01 / w
 
 
 def _reference_product(rng, w_values):
     wa, wb = _draw_w(rng, w_values), _draw_w(rng, w_values)
-    p, r = _flat_dirichlet(rng, wa), _flat_dirichlet(rng, wb)
+    p, r = _reference_flat_dirichlet(rng, wa), _reference_flat_dirichlet(rng, wb)
     return (p, r, np.outer(p, r).ravel()), 3, None
 
 
 def _reference_continuity(rng, w_values):
     w = _draw_w(rng, w_values)
-    p = _interior(rng, w)
+    p = _reference_interior(rng, w)
     direction = rng.normal(size=w)
     direction -= direction.mean()
     norm = np.abs(direction).sum()
@@ -445,11 +453,11 @@ def _reference_continuity(rng, w_values):
 
 def _reference_maximum(rng, w_values):
     w = _draw_w(rng, w_values)
-    return (_flat_dirichlet(rng, w),), 1, w
+    return (_reference_flat_dirichlet(rng, w),), 1, w
 
 
 def _reference_expansibility(rng, w_values):
-    p = _flat_dirichlet(rng, _draw_w(rng, w_values))
+    p = _reference_flat_dirichlet(rng, _draw_w(rng, w_values))
     return (p, np.append(p, 0.0)), 2, None
 
 
@@ -460,7 +468,7 @@ def _reference_ordering(rng, w_values):
 
 
 def _reference_criterion(rng, w_values):
-    p = _interior(rng, _draw_w(rng, w_values))
+    p = _reference_interior(rng, _draw_w(rng, w_values))
     h = 1e-6 * np.maximum(p, 1e-3)
     shifted = np.tile(p, (2 * p.size, 1))
     i = np.arange(p.size)
