@@ -8,31 +8,31 @@ identical invocations produce byte-identical output.
 Exit codes: 0 success / all properties passed, 1 a verified property failed,
 2 malformed input or inadmissible parameters.
 
-Cold start: this module imports only the standard library and the pure-Python
-``grouplog`` and ``series`` at load time.  ``log``/``exp``/``chi eval``,
-``grouplaw expand`` and ``series invert`` therefore never load numpy; the
-handlers of ``entropy``, ``verify``, ``extensivity``, ``qentropy`` and ``lmg``
-import the numpy-backed modules themselves, after their own option checks.
+Cold start: each command loads only what it runs.  This module imports only
+the standard library and ``gek.errors`` at load time, and ``parse_args`` adds
+options only to the command named by the first argument.  Each handler
+imports the gek modules it uses, after its own option checks: ``log``/``exp``/
+``chi eval`` load ``grouplog`` alone, ``series invert`` ``series`` alone,
+``grouplaw expand`` both, and none of them numpy.  ``json``, ``csv`` and
+``fractions`` load only for the commands that print JSON or CSV or read
+exact rationals.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import math
 import os
 import re
 import sys
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import GekError, InputError, ParameterError, RangeError
-from .grouplog import GroupLogarithm, chi, eval_exp_G, eval_ln_G, group_family, group_function
-from .series import TruncatedSeries, group_law_from_G, reversion
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .entropy import Distribution
     from .properties import PropertyReport
     from .quantum import DensityMatrix
@@ -65,6 +65,8 @@ def _quantize(obj):
 
 
 def _dump_json(payload: dict) -> str:
+    import json
+
     return json.dumps(_quantize(payload), indent=2, sort_keys=True) + "\n"
 
 
@@ -107,6 +109,8 @@ def _float_params(text: str | None) -> dict[str, float]:
 
 
 def _fraction(text: str, what: str) -> Fraction:
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -118,7 +122,14 @@ def _fraction_params(text: str | None) -> dict[str, Fraction]:
 
 
 def _probabilities(tokens) -> list[float]:
-    return [_number(tok, f"probability {tok.strip()!r}") for tok in tokens if tok.strip()]
+    values = []
+    for tok in tokens:
+        if tok.strip():
+            try:
+                values.append(float(tok))
+            except ValueError:  # built on failure only: per line, the message took half a long file's parse
+                raise InputError(f"probability {tok.strip()!r} is not a number") from None
+    return values
 
 
 def _load_distribution(token: str) -> Distribution:
@@ -184,6 +195,8 @@ def _finite_float(text: str) -> float:
 
 
 def _csv_text(header: list[str], rows: list[list[str]]) -> str:
+    import csv
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
@@ -191,39 +204,38 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
     return buffer.getvalue()
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="gek", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="cmd", required=True)
+def _add_common(p, params_help="family parameters as key=value[,key=value...]"):
+    p.add_argument("--params", default="", help=params_help)
+    p.add_argument("--output", "-o", default=None, help="write output to this file instead of stdout")
 
-    def add_common(p, params_help="family parameters as key=value[,key=value...]"):
-        p.add_argument("--params", default="", help=params_help)
-        p.add_argument("--output", "-o", default=None, help="write output to this file instead of stdout")
 
-    p_entropy = sub.add_parser("entropy", help="evaluate entropies on distributions")
+def _entropy_options(p_entropy) -> None:
     entropy_sub = p_entropy.add_subparsers(dest="action", required=True)
     p_eval = entropy_sub.add_parser("eval", help="single entropy value")
     p_eval.add_argument("--family", required=True)
     p_eval.add_argument("--dist", required=True, help="uW, dW, inline p1,p2,..., or a file path")
-    add_common(p_eval)
+    _add_common(p_eval)
     p_eval.set_defaults(handler=_entropy_eval)
     p_sweep = entropy_sub.add_parser("sweep", help="entropy along a parameter range")
     p_sweep.add_argument("--family", required=True)
     p_sweep.add_argument("--dist", required=True)
     p_sweep.add_argument("--param", required=True, help="sweep range name=start:stop:step")
-    add_common(p_sweep)
+    _add_common(p_sweep)
     p_sweep.set_defaults(handler=_entropy_sweep)
 
-    p_verify = sub.add_parser("verify", help="run property suites, JSON report, exit 0 iff all pass")
+
+def _verify_options(p_verify) -> None:
     p_verify.add_argument("--family", required=True)
     p_verify.add_argument("--suite", default="all", choices=["composability", "sk", "schur", "extensivity", "all"])
     p_verify.add_argument("--trials", type=int, default=1000)
     p_verify.add_argument("--seed", type=int, default=None)
     p_verify.add_argument("--tol", type=_finite_float, default=1e-10)
     p_verify.add_argument("--lam", type=_finite_float, default=1.0, help="extensivity rate constant")
-    add_common(p_verify)
+    _add_common(p_verify)
     p_verify.set_defaults(handler=_verify)
 
-    p_series = sub.add_parser("series", help="exact series tools")
+
+def _series_options(p_series) -> None:
     series_sub = p_series.add_subparsers(dest="action", required=True)
     p_invert = series_sub.add_parser("invert", help="compositional inverse, exact fractions")
     p_invert.add_argument("--coeffs", required=True, help="monomial coefficients c0,c1,... as fractions")
@@ -231,51 +243,56 @@ def _build_parser() -> argparse.ArgumentParser:
     p_invert.add_argument("--output", "-o", default=None)
     p_invert.set_defaults(handler=_series_invert)
 
-    p_law = sub.add_parser("grouplaw", help="exact group-law expansions")
+
+def _grouplaw_options(p_law) -> None:
     law_sub = p_law.add_subparsers(dest="action", required=True)
     p_expand = law_sub.add_parser("expand", help="expand G(G^-1(x)+G^-1(y)) to a total degree")
     p_expand.add_argument("--family", required=True, help="id, tsallis, kaniadakis or abel")
     p_expand.add_argument("--order", type=int, required=True)
-    add_common(p_expand, params_help="exact rational parameters, e.g. q=1/2")
+    _add_common(p_expand, params_help="exact rational parameters, e.g. q=1/2")
     p_expand.set_defaults(handler=_grouplaw_expand)
 
-    for name, help_text in (("log", "generalized logarithm"), ("exp", "generalized exponential")):
-        p_fn = sub.add_parser(name, help=f"evaluate the {help_text}")
-        fn_sub = p_fn.add_subparsers(dest="action", required=True)
-        p_fn_eval = fn_sub.add_parser("eval")
-        p_fn_eval.add_argument("--family", required=True, help="id, tsallis, kaniadakis or abel")
-        p_fn_eval.add_argument("--x", type=_finite_float, required=True)
-        p_fn_eval.add_argument("--gamma", type=_finite_float, default=1.0)
-        add_common(p_fn_eval)
-        p_fn_eval.set_defaults(handler=_log_exp_eval)
 
-    p_chi = sub.add_parser("chi", help="evaluate the two-argument group law")
+def _log_exp_options(p_fn) -> None:
+    fn_sub = p_fn.add_subparsers(dest="action", required=True)
+    p_fn_eval = fn_sub.add_parser("eval")
+    p_fn_eval.add_argument("--family", required=True, help="id, tsallis, kaniadakis or abel")
+    p_fn_eval.add_argument("--x", type=_finite_float, required=True)
+    p_fn_eval.add_argument("--gamma", type=_finite_float, default=1.0)
+    _add_common(p_fn_eval)
+    p_fn_eval.set_defaults(handler=_log_exp_eval)
+
+
+def _chi_options(p_chi) -> None:
     chi_sub = p_chi.add_subparsers(dest="action", required=True)
     p_chi_eval = chi_sub.add_parser("eval")
     p_chi_eval.add_argument("--family", required=True)
     p_chi_eval.add_argument("--x", type=_finite_float, required=True)
     p_chi_eval.add_argument("--y", type=_finite_float, required=True)
-    add_common(p_chi_eval)
+    _add_common(p_chi_eval)
     p_chi_eval.set_defaults(handler=_chi_eval)
 
-    p_ext = sub.add_parser("extensivity", help="phase-space growth laws")
+
+def _extensivity_options(p_ext) -> None:
     ext_sub = p_ext.add_subparsers(dest="action", required=True)
     p_solve = ext_sub.add_parser("solve", help="solve W(N) for a target linear rate")
     p_solve.add_argument("--family", required=True)
     p_solve.add_argument("--lam", type=_finite_float, default=1.0)
     p_solve.add_argument("--horizon", type=_finite_float, default=1e4)
-    add_common(p_solve)
+    _add_common(p_solve)
     p_solve.set_defaults(handler=_extensivity_solve)
 
-    p_q = sub.add_parser("qentropy", help="entropies of density matrices")
+
+def _qentropy_options(p_q) -> None:
     q_sub = p_q.add_subparsers(dest="action", required=True)
     p_q_eval = q_sub.add_parser("eval")
     p_q_eval.add_argument("--rho", required=True, help="plain-text matrix file, 're,im' entries")
     p_q_eval.add_argument("--family", default="vn", help="vn or any classical family name")
-    add_common(p_q_eval)
+    _add_common(p_q_eval)
     p_q_eval.set_defaults(handler=_qentropy_eval)
 
-    p_lmg = sub.add_parser("lmg", help="symmetric-state block entanglement demo")
+
+def _lmg_options(p_lmg) -> None:
     lmg_sub = p_lmg.add_subparsers(dest="action", required=True)
     p_demo = lmg_sub.add_parser("demo", help="exact block entropy vs the large-block formula")
     p_demo.add_argument("--m", type=int, required=True)
@@ -290,12 +307,42 @@ def _build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--output", "-o", default=None)
     p_demo.set_defaults(handler=_lmg_demo)
 
+
+# every command, in the order of `gek --help`: its help line and the function that adds its options
+_COMMANDS = {
+    "entropy": ("evaluate entropies on distributions", _entropy_options),
+    "verify": ("run property suites, JSON report, exit 0 iff all pass", _verify_options),
+    "series": ("exact series tools", _series_options),
+    "grouplaw": ("exact group-law expansions", _grouplaw_options),
+    "log": ("evaluate the generalized logarithm", _log_exp_options),
+    "exp": ("evaluate the generalized exponential", _log_exp_options),
+    "chi": ("evaluate the two-argument group law", _chi_options),
+    "extensivity": ("phase-space growth laws", _extensivity_options),
+    "qentropy": ("entropies of density matrices", _qentropy_options),
+    "lmg": ("symmetric-state block entanglement demo", _lmg_options),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The gek parser; every command is named, but only ``command``'s options are added (all when None)."""
+    parser = argparse.ArgumentParser(prog="gek", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="cmd", required=True)
+    for name, (help_text, add_options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if command is None or command == name:
+            add_options(p)
     return parser
 
 
 def parse_args(argv) -> argparse.Namespace:
-    """Parse argv and resolve the seed; each command's handler validates the rest of its options."""
-    args = _build_parser().parse_args(argv)
+    """Parse argv and resolve the seed; each command's handler validates the rest of its options.
+
+    argparse dispatches on the first token, so only that command's options are
+    built; any other first token (``--help``, a typo) gets the whole tree.
+    """
+    argv = list(argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = _build_parser(command).parse_args(argv)
     args.seed = _resolve_seed(getattr(args, "seed", None))
     return args
 
@@ -374,6 +421,8 @@ def _check_order(order: int) -> None:
 def _series_invert(args: argparse.Namespace) -> tuple[int, str]:
     coeffs = [_fraction(tok, f"coefficient {tok!r}") for tok in args.coeffs.split(",") if tok.strip()]
     _check_order(args.order)
+    from .series import TruncatedSeries, reversion
+
     inverse = reversion(TruncatedSeries.from_coeffs(coeffs, order=args.order))
     rows = [[str(k), str(c)] for k, c in enumerate(inverse.coeffs)]
     return 0, _csv_text(["degree", "value"], rows)
@@ -381,6 +430,9 @@ def _series_invert(args: argparse.Namespace) -> tuple[int, str]:
 
 def _grouplaw_expand(args: argparse.Namespace) -> tuple[int, str]:
     _check_order(args.order)
+    from .grouplog import group_family
+    from .series import group_law_from_G
+
     family = group_family(args.family)
     series = family.carrier(*family.values(_fraction_params(args.params)), args.order)
     psi = group_law_from_G(series, args.order)
@@ -389,12 +441,16 @@ def _grouplaw_expand(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _log_exp_eval(args: argparse.Namespace) -> tuple[int, str]:
+    from .grouplog import GroupLogarithm, eval_exp_G, eval_ln_G, group_function
+
     lg = GroupLogarithm(group_function(args.family, **_float_params(args.params)), gamma=args.gamma)
     evaluate = eval_ln_G if args.cmd == "log" else eval_exp_G
     return 0, _fmt(evaluate(lg, args.x)) + "\n"
 
 
 def _chi_eval(args: argparse.Namespace) -> tuple[int, str]:
+    from .grouplog import chi, group_function
+
     g = group_function(args.family, **_float_params(args.params))
     return 0, _fmt(chi(g, args.x, args.y)) + "\n"
 
@@ -443,10 +499,8 @@ def _check_lam(lam: float) -> None:
 
 def _extensivity_solve(args: argparse.Namespace) -> tuple[int, str]:
     _check_lam(args.lam)
-    import numpy as np
-
     from .entropy import entropy_spec
-    from .properties import MAX_HORIZON, check_extensivity, solve_growth_law
+    from .properties import MAX_HORIZON, check_extensivity, sample_grid, solve_growth_law
 
     if not 1 <= args.horizon <= MAX_HORIZON:
         raise InputError(f"--horizon must lie in [1, {MAX_HORIZON:g}]")
@@ -460,14 +514,14 @@ def _extensivity_solve(args: argparse.Namespace) -> tuple[int, str]:
         return 0 if report.passed else 1, _dump_json(payload)
     law = solve_growth_law(spec, args.lam, horizon=args.horizon)
     samples = []
-    for n in np.unique(np.round(np.logspace(0, math.log10(args.horizon), 9)).astype(int)):
+    for n in sample_grid(args.horizon, 9):
         try:
             lw = law.log_w(float(n))
         except GekError:
             break
         if not math.isfinite(lw):  # JSON has no inf; W past a float's range ends the samples too
             break
-        samples.append({"N": int(n), "log_w": lw, "w": math.exp(lw) if lw < 709 else None})
+        samples.append({"N": n, "log_w": lw, "w": math.exp(lw) if lw < 709 else None})
     payload.update(
         lam=args.lam, kind=law.kind, description=law.describe(), valid=law.valid, restricted=law.restricted,
         samples=samples,

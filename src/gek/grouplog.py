@@ -9,11 +9,13 @@ chi(x, y) = G(G^-1(x) + G^-1(y)) that ln_G obeys on products.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from .errors import ConvergenceError, DomainError, ParameterError, RangeError
-from .series import TruncatedSeries, abel_exp_series, identity_series, kaniadakis_exp_series, tsallis_exp_series
+from .record import Record
+
+if TYPE_CHECKING:
+    from .series import TruncatedSeries
 
 _XTOL = 1e-15  # absolute root tolerance of the numeric G^-1
 _RTOL = 8.9e-16  # relative root tolerance: about 4 machine epsilons, the least brentq accepts
@@ -401,20 +403,38 @@ def _horner(coeffs: list[float], t: float) -> float:
     return acc
 
 
-@dataclass(frozen=True)
-class GroupFamily:
+class GroupFamily(Record):
     """One family of group functions G: its names, parameter names, float G and exact carrier.
 
     ``build`` constructs and validates the float G, and ``carrier`` the exact
     truncated series of G, both from the parameters in ``params`` order
-    (``carrier`` takes the series order as one more argument).
+    (``carrier`` takes the series order as one more argument).  The carrier
+    is held by its name in ``gek.series``, which loads on first use: the
+    float commands never need it.
     """
 
+    __slots__ = ("name", "aliases", "params", "build", "carrier_name")
     name: str
     aliases: tuple[str, ...]
     params: tuple[str, ...]
     build: Callable[..., GroupFunction]
-    carrier: Callable[..., TruncatedSeries]
+    carrier_name: str
+
+    def __init__(
+        self, name: str, aliases: tuple[str, ...], params: tuple[str, ...], build: Callable[..., GroupFunction],
+        carrier_name: str,
+    ) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "aliases", aliases)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "build", build)
+        object.__setattr__(self, "carrier_name", carrier_name)
+
+    @property
+    def carrier(self) -> Callable[..., TruncatedSeries]:
+        from . import series
+
+        return getattr(series, self.carrier_name)
 
     def values(self, params: Mapping) -> tuple:
         """The parameter values in ``params`` order, after ``check_params``."""
@@ -423,10 +443,10 @@ class GroupFamily:
 
 
 _REGISTRY = (
-    GroupFamily("id", ("identity",), (), IdentityGroup, identity_series),
-    GroupFamily("tsallis", ("multiplicative",), ("q",), MultiplicativeGroup, tsallis_exp_series),
-    GroupFamily("kaniadakis", (), ("k",), KaniadakisGroup, kaniadakis_exp_series),
-    GroupFamily("abel", (), ("a", "b"), AbelGroup, abel_exp_series),
+    GroupFamily("id", ("identity",), (), IdentityGroup, "identity_series"),
+    GroupFamily("tsallis", ("multiplicative",), ("q",), MultiplicativeGroup, "tsallis_exp_series"),
+    GroupFamily("kaniadakis", (), ("k",), KaniadakisGroup, "kaniadakis_exp_series"),
+    GroupFamily("abel", (), ("a", "b"), AbelGroup, "abel_exp_series"),
 )
 _BY_NAME = {name: family for family in _REGISTRY for name in (family.name, *family.aliases)}
 
@@ -456,16 +476,18 @@ def group_function(name: str, **params) -> GroupFunction:
     return family.build(*family.values(params))
 
 
-@dataclass(frozen=True)
-class GroupLogarithm:
+class GroupLogarithm(Record):
     """ln_G(x) = G(gamma * ln x) together with its inverse exponential."""
 
+    __slots__ = ("g", "gamma")
     g: GroupFunction
-    gamma: float = 1.0
+    gamma: float
 
-    def __post_init__(self) -> None:
-        if self.gamma == 0:
+    def __init__(self, g: GroupFunction, gamma: float = 1.0) -> None:
+        if gamma == 0:
             raise ParameterError("gamma must be nonzero")
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "gamma", gamma)
 
 
 def eval_ln_G(lg: GroupLogarithm, x: float) -> float:

@@ -1,0 +1,41 @@
+"""Immutable slotted value records, without ``dataclasses``.
+
+``dataclasses`` imports ``inspect``, which costs a cold ``gek`` command 8-15 ms
+it never uses, so the records of ``gek.grouplog`` and ``gek.series`` derive
+from ``Record`` instead.  A subclass names its fields in ``__slots__``, in
+constructor order, and sets them in its own ``__init__`` with
+``object.__setattr__``.  ``Record`` gives it what ``@dataclass(frozen=True)``
+gave: equality between records of one class, the hash of the field tuple, the
+``Name(field=value, ...)`` repr, and an ``AttributeError`` on assignment or
+deletion.
+"""
+
+from __future__ import annotations
+
+
+class Record:
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({inner})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__, which validates again
+        return type(self), self._fields()

@@ -8,11 +8,11 @@ test oracles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CompositionDomainError, NormalizationError
+from .record import Record
 
 Rational = Fraction | int | str
 
@@ -60,8 +60,7 @@ def _fracs(nums: Iterable[int], den: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(v, den) for v in nums)
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(Record):
     """A univariate formal power series kept exactly up to a fixed order.
 
     ``coeffs[k]`` is the coefficient of ``s**k``; the series is truncated at
@@ -70,12 +69,14 @@ class TruncatedSeries:
     their inputs carry.
     """
 
+    __slots__ = ("coeffs",)
     coeffs: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(_frac(c) for c in self.coeffs))
-        if not self.coeffs:
+    def __init__(self, coeffs: Iterable[Rational]) -> None:
+        coeffs = tuple(_frac(c) for c in coeffs)
+        if not coeffs:
             raise ValueError("a truncated series needs at least the constant coefficient")
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def order(self) -> int:
@@ -194,26 +195,27 @@ def reversion(f: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(tuple(g))
 
 
-@dataclass(frozen=True)
-class BivariateTruncatedSeries:
+class BivariateTruncatedSeries(Record):
     """A two-variable polynomial truncated at a fixed total degree.
 
     ``coeffs`` maps exponent pairs ``(i, j)`` with ``i + j <= order`` to exact
     rationals; absent keys are zero.
     """
 
+    __slots__ = ("coeffs", "order")
     coeffs: Mapping[tuple[int, int], Fraction]
     order: int
 
-    def __post_init__(self) -> None:
+    def __init__(self, coeffs: Mapping[tuple[int, int], Rational], order: int) -> None:
         clean = {}
-        for (i, j), c in self.coeffs.items():
-            if i < 0 or j < 0 or i + j > self.order:
-                raise ValueError(f"exponent pair {(i, j)} outside total degree {self.order}")
+        for (i, j), c in coeffs.items():
+            if i < 0 or j < 0 or i + j > order:
+                raise ValueError(f"exponent pair {(i, j)} outside total degree {order}")
             c = _frac(c)
             if c != 0:
                 clean[(i, j)] = c
         object.__setattr__(self, "coeffs", clean)
+        object.__setattr__(self, "order", order)
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         return self.coeffs.get(key, Fraction(0))
@@ -283,18 +285,24 @@ def group_law_from_G(g: TruncatedSeries, order: int) -> BivariateTruncatedSeries
     return BivariateTruncatedSeries({key: Fraction(out[key], den) for key in sorted(out)}, order)
 
 
-@dataclass(frozen=True)
-class GroupAxiomReport:
+class GroupAxiomReport(Record):
     """Outcome of the coefficient-wise formal group axiom checks.
 
     ``first_failure`` records, per failed axiom, the first offending monomial
     and the coefficient(s) found there.
     """
 
+    __slots__ = ("identity", "commutativity", "associativity", "first_failure")
     identity: bool
     commutativity: bool
     associativity: bool
     first_failure: dict
+
+    def __init__(self, identity: bool, commutativity: bool, associativity: bool, first_failure: dict) -> None:
+        object.__setattr__(self, "identity", identity)
+        object.__setattr__(self, "commutativity", commutativity)
+        object.__setattr__(self, "associativity", associativity)
+        object.__setattr__(self, "first_failure", first_failure)
 
     @property
     def all_pass(self) -> bool:
@@ -359,17 +367,20 @@ def verify_group_axioms(psi: BivariateTruncatedSeries) -> GroupAxiomReport:
     return GroupAxiomReport(identity_ok, commutative_ok, associative_ok, failures)
 
 
-@dataclass(frozen=True)
-class AbelCoefficients:
+class AbelCoefficients(Record):
     """Closed-form coefficients of the two-parameter exponential group law."""
 
+    __slots__ = ("a", "b", "betas")
     a: Fraction
     b: Fraction
     betas: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        if self.betas and self.betas[0] != self.a + self.b:
+    def __init__(self, a: Fraction, b: Fraction, betas: tuple[Fraction, ...]) -> None:
+        if betas and betas[0] != a + b:
             raise ValueError("beta_1 must equal a + b")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "betas", betas)
 
 
 def abel_group_coefficients(a: Rational, b: Rational, n: int) -> AbelCoefficients:

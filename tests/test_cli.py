@@ -9,10 +9,19 @@ from pathlib import Path
 
 import pytest
 
-from gek.cli import MAX_SERIES_ORDER, _float_params, _parse_sweep, main, parse_args, run
+from gek.cli import (
+    _COMMANDS,
+    MAX_SERIES_ORDER,
+    _build_parser,
+    _float_params,
+    _parse_sweep,
+    main,
+    parse_args,
+    run,
+)
 from gek.entropy import _FAMILIES, entropy_spec
 from gek.errors import InputError, ParameterError
-from gek.properties import solve_growth_law
+from gek.properties import sample_grid, solve_growth_law
 
 
 def invoke(args, tmp_path, name="out.txt"):
@@ -62,6 +71,28 @@ class TestEntropyEval:
         dist.write_text("0.5\n0.25\n0.25\n")
         code, text = invoke(["entropy", "eval", "--family", "boltzmann", "--dist", str(dist)], tmp_path)
         assert float(text) == pytest.approx(1.5 * math.log(2), rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ("0.5\nabc\n0.5\n", "probability 'abc' is not a number"),
+            ("0.5\n  0.5x \n", "probability '0.5x' is not a number"),
+            ("0.5\n0.5,\n", "probability '0.5,' is not a number"),
+            ("0.5\nnan\n0.5\n", "probabilities must be finite and nonnegative"),
+            ("0.5\ninf\n", "probabilities must be finite and nonnegative"),
+            ("0.5\n\n   \n0.4\n", "probabilities sum to 0.9, not 1 within 1e-12"),
+            ("\n  \n\n", "distribution file {path!r} is empty"),
+            ("", "distribution file {path!r} is empty"),
+        ],
+        ids=["bad", "bad-padded", "bad-comma", "nan", "inf", "blank-lines", "blank-only", "empty"],
+    )
+    def test_file_distribution_errors(self, tmp_path, capsys, content, message):
+        dist = tmp_path / "dist.txt"
+        dist.write_text(content)
+        with pytest.raises(SystemExit) as exc:
+            main(["entropy", "eval", "--family", "renyi", "--params", "alpha=0.5", "--dist", str(dist)])
+        assert exc.value.code == 2
+        assert capsys.readouterr() == ("", "error: " + message.format(path=str(dist)) + "\n")
 
     def test_alpha_one_rejected_at_parse_time(self, capsys):
         for argv in (
@@ -484,8 +515,9 @@ class TestDeterminism:
         assert result.stdout.strip() == "1.38629436111989"
 
 
-# Cold start: the scalar and exact commands run without numpy (or scipy). Each case runs
-# one fresh interpreter: (id, argv or None for a bare 'import gek.cli', exit code, stdout).
+# Cold start: the scalar and exact commands run without numpy (or scipy), and without dataclasses and
+# inspect, which cost them 8-15 ms. Each case runs one fresh interpreter: (id, argv or None for a bare
+# 'import gek.cli', exit code, stdout).
 GOLDEN = Path(__file__).parent / "golden"
 NUMPY_FREE_COMMANDS = (["log", "eval"], ["exp", "eval"], ["chi", "eval"], ["grouplaw", "expand"], ["series", "invert"])
 NUMPY_FREE_CASES = [
@@ -512,9 +544,18 @@ if sys.argv[1:]:
     except SystemExit as exc:
         code = exc.code
 sys.stdout.flush()
-print(json.dumps(sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"})), file=sys.stderr)
+print(json.dumps(sorted(sys.modules)), file=sys.stderr)
 sys.exit(code)
 """
+
+
+def run_cold(argv):
+    """One fresh ``gek`` process: its result and the names of the modules it had loaded at exit."""
+    argv = [tok.replace("{data}", str(GOLDEN)) for tok in argv or []]
+    env = {k: v for k, v in os.environ.items() if k != "GEK_SEED"}
+    result = subprocess.run([sys.executable, "-c", COLD_PROBE, *argv], capture_output=True, text=True, env=env,
+                            timeout=60)
+    return result, set(json.loads(result.stderr.splitlines()[-1]))
 
 
 def test_numpy_free_command_count():
@@ -523,12 +564,74 @@ def test_numpy_free_command_count():
 
 @pytest.mark.parametrize("argv, code, stdout", NUMPY_FREE_CASES)
 def test_cold_command_loads_no_numpy(argv, code, stdout):
-    argv = [tok.replace("{data}", str(GOLDEN)) for tok in argv or []]
-    env = {k: v for k, v in os.environ.items() if k != "GEK_SEED"}
-    result = subprocess.run([sys.executable, "-c", COLD_PROBE, *argv], capture_output=True, text=True, env=env,
-                            timeout=60)
+    result, loaded = run_cold(argv)
     assert (result.returncode, result.stdout) == (code, stdout), result.stderr
-    assert json.loads(result.stderr.splitlines()[-1]) == []
+    assert {m.split(".")[0] for m in loaded} & {"numpy", "scipy"} == set()
+    assert loaded & {"dataclasses", "inspect"} == set()
+    # each command loads only the gek modules it runs
+    if argv and argv[:2] in (["log", "eval"], ["exp", "eval"], ["chi", "eval"]):
+        assert "gek.series" not in loaded
+    if argv and argv[:2] == ["series", "invert"]:
+        assert "gek.grouplog" not in loaded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extensivity", "solve", "--family", "zq", "--params", "q=0.5,alpha=0.5"],
+        ["verify", "--family", "zk", "--params", "k=0.3,alpha=0.5", "--trials", "10"],
+    ],
+    ids=["extensivity-solve", "verify-growth-law"],
+)
+def test_growth_grid_loads_no_numpy_ma(argv):
+    # np.unique imports numpy.ma, about 15 ms of a cold command; the N grids are built without it
+    result, loaded = run_cold(argv)
+    assert result.returncode == 0, result.stderr
+    assert "numpy" in loaded and "numpy.ma" not in loaded
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 10, 1e4, 123456.7, 1e18])
+@pytest.mark.parametrize("points", [9, 25])
+def test_sample_grid_is_np_unique_of_the_rounded_logspace(horizon, points):
+    import numpy as np
+
+    expected = np.unique(np.round(np.logspace(0, math.log10(horizon), points)).astype(int)).tolist()
+    grid = sample_grid(horizon, points)
+    assert grid == expected
+    assert all(type(n) is int for n in grid)
+
+
+# every command and its subcommands (None: the command takes its options directly)
+SUBCOMMANDS = {
+    "entropy": ["eval", "sweep"], "verify": [None], "series": ["invert"], "grouplaw": ["expand"], "log": ["eval"],
+    "exp": ["eval"], "chi": ["eval"], "extensivity": ["solve"], "qentropy": ["eval"], "lmg": ["demo"],
+}
+PARSER_PROBES = [
+    probe
+    for cmd, subs in SUBCOMMANDS.items()
+    for sub in subs
+    for probe in ([cmd, "--help"], [cmd], *([[cmd, sub, "--help"], [cmd, sub]] if sub else []))
+]
+
+
+def parser_outcome(parse, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+def test_subcommand_table_names_every_command():
+    assert list(SUBCOMMANDS) == list(_COMMANDS)
+
+
+@pytest.mark.parametrize("argv", PARSER_PROBES, ids=" ".join)
+def test_per_command_parser_reads_as_the_full_one(argv, capsys):
+    # --help, and a missing subcommand or required option, read the same whether parse_args builds the
+    # named command's options only or the whole tree
+    full = parser_outcome(_build_parser().parse_args, argv, capsys)
+    assert parser_outcome(parse_args, argv, capsys) == full
+    assert full[0] == (0 if argv[-1] == "--help" else 2)
 
 
 def assert_exit_two(argv, capsys):
