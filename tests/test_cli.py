@@ -606,11 +606,8 @@ SUBCOMMANDS = {
     "entropy": ["eval", "sweep"], "verify": [None], "series": ["invert"], "grouplaw": ["expand"], "log": ["eval"],
     "exp": ["eval"], "chi": ["eval"], "extensivity": ["solve"], "qentropy": ["eval"], "lmg": ["demo"],
 }
-PARSER_PROBES = [
-    probe
-    for cmd, subs in SUBCOMMANDS.items()
-    for sub in subs
-    for probe in ([cmd, "--help"], [cmd], *([[cmd, sub, "--help"], [cmd, sub]] if sub else []))
+PARSER_PROBES = [[cmd, "--help"] for cmd in SUBCOMMANDS] + [[cmd] for cmd in SUBCOMMANDS] + [
+    probe for cmd, subs in SUBCOMMANDS.items() for sub in subs if sub for probe in ([cmd, sub, "--help"], [cmd, sub])
 ]
 
 
