@@ -622,6 +622,14 @@ def test_subcommand_table_names_every_command():
     assert list(SUBCOMMANDS) == list(_COMMANDS)
 
 
+@pytest.mark.parametrize("command", list(SUBCOMMANDS))
+def test_parser_adds_options_to_the_named_command_only(command):
+    (commands,) = (a for a in _build_parser(command)._actions if a.dest == "cmd")
+    assert list(commands.choices) == list(_COMMANDS)
+    # every parser starts with its -h action; only the named command's gets more
+    assert [name for name, p in commands.choices.items() if len(p._actions) > 1] == [command]
+
+
 @pytest.mark.parametrize("argv", PARSER_PROBES, ids=" ".join)
 def test_per_command_parser_reads_as_the_full_one(argv, capsys):
     # --help, and a missing subcommand or required option, read the same whether parse_args builds the
