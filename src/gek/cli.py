@@ -168,9 +168,10 @@ def _load_density_matrix(path: str) -> DensityMatrix:
                     parts = token.split(",")
                     if len(parts) not in (1, 2):
                         raise InputError(f"malformed matrix entry {token!r}")
-                    real = _number(parts[0], f"matrix entry {token!r}")
-                    imag = _number(parts[1], f"matrix entry {token!r}") if len(parts) == 2 else 0.0
-                    row.append(complex(real, imag))
+                    try:
+                        row.append(complex(float(parts[0]), float(parts[1]) if len(parts) == 2 else 0.0))
+                    except ValueError:  # built on failure only, as in _probabilities
+                        raise InputError(f"matrix entry {token!r} is not a number") from None
                 rows.append(row)
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read density matrix file {path!r}: {exc}") from exc

@@ -172,9 +172,36 @@ def _chunk_sums(spec: EntropySpec, chunk, dists: int, n: int) -> list[list[float
     return sums
 
 
+def _below(rng, n: int) -> int:
+    """``int(rng.integers(n))`` for 1 <= n < 2**32: the same value, and the generator left in the same state.
+
+    numpy draws an integer below n by Lemire's method (arXiv:1805.10941, its
+    ``buffered_bounded_lemire_uint32``): m = x * n for a 32-bit output x,
+    redrawn while the low word of m is below 2**32 % n, and the high word of m
+    is the value; a one-value range draws nothing.  These are the same steps,
+    with x read through the bit generator's ``next_uint32``, the C function
+    (with its half-word buffer) that ``integers``, ``multinomial`` and
+    ``standard_exponential`` read, so the calls interleave with theirs.  It
+    skips the argument handling of ``Generator.integers``, most of a scalar
+    call's cost.  Not thread-safe: it bypasses the generator's lock, so the
+    generator must be used by one thread only, as each ``_run_rows`` owns its own.
+    """
+    if not 0 < n < 2**32:
+        raise ValueError(f"the bound {n} is outside [1, 2**32)")
+    if n == 1:
+        return 0
+    bits = rng.bit_generator.ctypes
+    m = bits.next_uint32(bits.state) * n
+    if m & 0xFFFFFFFF < n:
+        threshold = 2**32 % n
+        while m & 0xFFFFFFFF < threshold:
+            m = bits.next_uint32(bits.state) * n
+    return m >> 32
+
+
 def _draw_w(rng, w_values: Sequence[int]) -> int:
     # the same draw as rng.choice(w_values), which costs about four times as much
-    return int(w_values[rng.integers(len(w_values))])
+    return int(w_values[_below(rng, len(w_values))])
 
 
 def _flat_dirichlet_rows(exponentials) -> np.ndarray:
@@ -395,10 +422,10 @@ def _two_of(rng, w: int) -> tuple[int, int]:
     w that becomes w - 1 on a collision, and then shuffles the two with one
     more draw below 2; these are the same three bounded draws.
     """
-    i, j = int(rng.integers(w - 1)), int(rng.integers(w))
+    i, j = _below(rng, w - 1), _below(rng, w)
     if j == i:
         j = w - 1
-    return (j, i) if rng.integers(2) == 0 else (i, j)
+    return (j, i) if _below(rng, 2) == 0 else (i, j)
 
 
 def _majorization_masses(w: int, steps: int, rng) -> tuple[list[int], list[int]]:
@@ -419,7 +446,7 @@ def _majorization_masses(w: int, steps: int, rng) -> tuple[list[int], list[int]]
         if masses_p[i] < masses_p[j]:
             i, j = j, i
         gap = masses_p[i] - masses_p[j]
-        amount = int(rng.integers(0, gap // 2 + 1))
+        amount = _below(rng, gap // 2 + 1)
         masses_p[i] -= amount
         masses_p[j] += amount
     if not majorizes(masses_r, masses_p, tol=0):
@@ -442,7 +469,7 @@ def generate_majorization_pair(w: int, steps: int, rng) -> MajorizationPair:
 
 def _draw_ordering(rng, w_values):
     w = _draw_w(rng, w_values)
-    return w, _majorization_masses(w, int(rng.integers(1, 12)), rng)
+    return w, _majorization_masses(w, 1 + _below(rng, 11), rng)
 
 
 def _build_ordering(w, variates):

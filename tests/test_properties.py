@@ -27,9 +27,9 @@ from gek.properties import (
     solve_growth_law,
     tsallis_qstar,
     _Worst,
+    _below,
     _draw_w,
     _flat_dirichlet,
-    _majorization_masses,
     _two_of,
 )
 
@@ -312,6 +312,34 @@ class TestTrialDraws:
             assert drawn_bounds == drawn_range
             assert by_bounds.bit_generator.state == by_range.bit_generator.state
 
+    def test_below_draws_the_same_stream_as_integers(self):
+        # every bounded draw of the trial loops goes through _below in place of a scalar rng.integers;
+        # if numpy ever changes how integers draws, this fails before any pinned report moves
+        fixed = (1, 2, 3, 11, 40, 2**19 + 1, 2**31 + 3, 3 * 2**30, 2**32 - 1)
+        for seed in range(200):
+            by_integers, by_below = np.random.default_rng(seed), np.random.default_rng(seed)
+            plan = np.random.default_rng(10_000 + seed)
+            for _ in range(60):
+                if plan.random() < 0.5:
+                    n = fixed[plan.integers(len(fixed))]
+                else:
+                    n = min(int(2 ** plan.uniform(0, 32)), 2**32 - 1)
+                assert _below(by_below, n) == int(by_integers.integers(n)), (seed, n)
+                # the other draws share the bit generator, and its half-word buffer, with the bounded ones
+                other, w = plan.integers(4), int(plan.integers(1, 9))
+                for rng in (by_integers, by_below):
+                    if other == 1:
+                        rng.multinomial(2**20, np.full(w, 1.0 / w))
+                    elif other == 2:
+                        rng.standard_exponential(w)
+                    elif other == 3:
+                        rng.normal(size=w)
+            assert by_integers.bit_generator.state == by_below.bit_generator.state, seed
+        rng = np.random.default_rng(0)
+        for n in (0, -1, 2**32, 2**40):
+            with pytest.raises(ValueError):
+                _below(rng, n)
+
     def test_two_of_draws_the_same_stream_as_choice_without_replacement(self):
         # generate_majorization_pair draws its transfer pair with _two_of in place of rng.choice
         for w in range(2, 10):
@@ -432,14 +460,34 @@ def _reference_interior(rng, w):
     return 0.99 * _reference_flat_dirichlet(rng, w) + 0.01 / w
 
 
+def _reference_w(rng, w_values):
+    return int(w_values[rng.integers(len(w_values))])
+
+
+def _reference_masses(rng, w, steps):
+    # the Robin-Hood transfer chain, every bounded draw through numpy's own calls
+    masses_r = rng.multinomial(2**20, np.full(w, 1.0 / w)).tolist()
+    masses_p = list(masses_r)
+    for _ in range(steps):
+        i, j = (int(v) for v in rng.choice(w, size=2, replace=False))
+        if masses_p[i] == masses_p[j]:
+            continue
+        if masses_p[i] < masses_p[j]:
+            i, j = j, i
+        amount = int(rng.integers(0, (masses_p[i] - masses_p[j]) // 2 + 1))
+        masses_p[i] -= amount
+        masses_p[j] += amount
+    return masses_p, masses_r
+
+
 def _reference_product(rng, w_values):
-    wa, wb = _draw_w(rng, w_values), _draw_w(rng, w_values)
+    wa, wb = _reference_w(rng, w_values), _reference_w(rng, w_values)
     p, r = _reference_flat_dirichlet(rng, wa), _reference_flat_dirichlet(rng, wb)
     return (p, r, np.outer(p, r).ravel()), 3, None
 
 
 def _reference_continuity(rng, w_values):
-    w = _draw_w(rng, w_values)
+    w = _reference_w(rng, w_values)
     p = _reference_interior(rng, w)
     direction = rng.normal(size=w)
     direction -= direction.mean()
@@ -452,23 +500,23 @@ def _reference_continuity(rng, w_values):
 
 
 def _reference_maximum(rng, w_values):
-    w = _draw_w(rng, w_values)
+    w = _reference_w(rng, w_values)
     return (_reference_flat_dirichlet(rng, w),), 1, w
 
 
 def _reference_expansibility(rng, w_values):
-    p = _reference_flat_dirichlet(rng, _draw_w(rng, w_values))
+    p = _reference_flat_dirichlet(rng, _reference_w(rng, w_values))
     return (p, np.append(p, 0.0)), 2, None
 
 
 def _reference_ordering(rng, w_values):
-    w = _draw_w(rng, w_values)
-    masses_p, masses_r = _majorization_masses(w, int(rng.integers(1, 12)), rng)
+    w = _reference_w(rng, w_values)
+    masses_p, masses_r = _reference_masses(rng, w, int(rng.integers(1, 12)))
     return tuple(np.array([masses_r, masses_p], dtype=float) / 2**20), 2, None
 
 
 def _reference_criterion(rng, w_values):
-    p = _reference_interior(rng, _draw_w(rng, w_values))
+    p = _reference_interior(rng, _reference_w(rng, w_values))
     h = 1e-6 * np.maximum(p, 1e-3)
     shifted = np.tile(p, (2 * p.size, 1))
     i = np.arange(p.size)
