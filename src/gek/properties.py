@@ -200,7 +200,7 @@ def _below(rng, n: int) -> int:
 
 
 def _draw_w(rng, w_values: Sequence[int]) -> int:
-    # the same draw as rng.choice(w_values), which costs about four times as much
+    # the same draw as rng.choice(w_values), which costs about eight times as much
     return int(w_values[_below(rng, len(w_values))])
 
 
@@ -416,7 +416,7 @@ class MajorizationPair:
 
 
 def _two_of(rng, w: int) -> tuple[int, int]:
-    """Two distinct indices below w: the draw of rng.choice(w, size=2, replace=False), at half its cost.
+    """Two distinct indices below w: the draw of rng.choice(w, size=2, replace=False), at a third of its cost.
 
     That call samples by Floyd's algorithm, an index below w - 1 and one below
     w that becomes w - 1 on a collision, and then shuffles the two with one
