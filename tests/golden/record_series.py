@@ -4,8 +4,10 @@ The pin, ``series_pin.json`` beside this script, holds two lists:
 
 * ``cli``: one entry per ``gek`` run, with its argv, exit code, stdout and
   stderr.  Compositional inverses at orders 1 to 22 (plus the rejected,
-  unnormalized inputs) and group-law expansions for every group-function
-  name at orders 8 to 14, abel with a = b included.
+  unnormalized inputs) and one at the CLI's top orders 30 and 40; group-law
+  expansions for every group-function name at orders 8 to 14, abel with
+  a = b included, and for tsallis, kaniadakis and abel at orders 20, 30
+  and 40.
 * ``axioms``: the ``repr`` of ``verify_group_axioms`` on exact laws and on
   perturbed non-laws whose first broken axiom is identity, commutativity and
   associativity.  Each law is stored as ``[i, j, "p/q"]`` triples with its
@@ -18,8 +20,12 @@ coefficient or a reported first failure.
 Usage (from the repository root)::
 
     PYTHONPATH=src python tests/golden/record_series.py
+    PYTHONPATH=src python tests/golden/record_series.py --diff
 
 Re-record only on a commit whose series results are known to be right.
+``--diff`` writes nothing: it replays the pin and prints one line per entry
+whose output moved, with its argv (or the law's name), the old and new exit
+code and the first differing line, and exits 1 if any entry moved.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ INVERT = [
     ("0,1,0,-2/3,0,1/5", (5, 12, 22)),
     ("0,1,-1/2,1/3,-1/4,1/5,-1/6,1/7,-1/8", (8, 16, 22)),
     ("0,1,7", (22,)),
+    ("0,1,5/13,-7/11,3/17", (30, 40)),
     ("1,1", (3,)),
     ("0,2,1", (3,)),
     ("0", (2,)),
@@ -56,6 +63,9 @@ LAWS = [
     ("abel", "a=5/13,b=5/13"),
 ]
 LAW_ORDERS = range(8, 15)
+# the laws pinned again up to the CLI's top order, where exact integers grow most
+TOP_LAWS = [("abel", "a=5/13,b=-7/11"), ("tsallis", "q=8/13"), ("kaniadakis", "k=5/13")]
+TOP_LAW_ORDERS = (20, 30, 40)
 
 
 def argvs() -> list[list[str]]:
@@ -63,12 +73,13 @@ def argvs() -> list[list[str]]:
     for coeffs, orders in INVERT:
         for order in orders:
             out.append(["series", "invert", "--coeffs", coeffs, "--order", str(order)])
-    for family, params in LAWS:
-        for order in LAW_ORDERS:
-            argv = ["grouplaw", "expand", "--family", family, "--order", str(order)]
-            if params:
-                argv += ["--params", params]
-            out.append(argv)
+    for laws, orders in ((LAWS, LAW_ORDERS), (TOP_LAWS, TOP_LAW_ORDERS)):
+        for family, params in laws:
+            for order in orders:
+                argv = ["grouplaw", "expand", "--family", family, "--order", str(order)]
+                if params:
+                    argv += ["--params", params]
+                out.append(argv)
     return out
 
 
@@ -135,7 +146,43 @@ def record() -> dict:
     return {"cli": cli, "axioms": axioms}
 
 
+def _first_difference(old: str, new: str) -> str:
+    old_lines, new_lines = (text.splitlines() + ["<end>"] for text in (old, new))
+    differ = (f"line {i + 1}: {a!r} -> {b!r}" for i, (a, b) in enumerate(zip(old_lines, new_lines)) if a != b)
+    return next(differ, "unchanged")
+
+
+def moved(pin: dict) -> list[str]:
+    """Replay each pinned entry; one line per entry whose exit code, stdout, stderr or report moved."""
+    lines = []
+    for entry in pin["cli"]:
+        code, stdout, stderr = run(entry["argv"])
+        if (code, stdout, stderr) == (entry["exit"], entry["stdout"], entry["stderr"]):
+            continue
+        if stdout != entry["stdout"]:
+            first = "stdout " + _first_difference(entry["stdout"], stdout)
+        else:
+            first = "stderr " + _first_difference(entry["stderr"], stderr)
+        lines.append(f"{' '.join(entry['argv'])}: exit {entry['exit']} -> {code}; {first}")
+    for entry in pin["axioms"]:
+        coeffs = {(i, j): Fraction(c) for i, j, c in entry["coeffs"]}
+        got = axiom_repr(coeffs, entry["order"])
+        if got != entry["repr"]:
+            lines.append(f"axioms {entry['name']}: {_first_difference(entry['repr'], got)}")
+    return lines
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--diff"]:
+        pinned = json.loads(PIN.read_text())
+        lines = moved(pinned)
+        for line in lines:
+            print(line)
+        total = len(pinned["cli"]) + len(pinned["axioms"])
+        print(f"{len(lines)} of {total} entries moved", file=sys.stderr)
+        sys.exit(1 if lines else 0)
+    if sys.argv[1:]:
+        sys.exit(f"usage: {sys.argv[0]} [--diff]")
     pin = record()
     PIN.write_text(json.dumps(pin, indent=1) + "\n")
     print(f"wrote {len(pin['cli'])} runs and {len(pin['axioms'])} axiom reports to {PIN}", file=sys.stderr)

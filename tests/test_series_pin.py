@@ -5,7 +5,10 @@
 ``gek series invert`` at orders 1 to 22, ``gek grouplaw expand`` for every
 group-function name at orders 8 to 14, and the ``repr`` of
 ``verify_group_axioms`` on exact laws and on non-laws that break identity,
-commutativity and associativity first.  Every output must stay as pinned.
+commutativity and associativity first.  The entries at the CLI's top orders
+(``series invert`` at 30 and 40, ``grouplaw expand`` for abel, tsallis and
+kaniadakis at 20, 30 and 40) were added before the kernel began dividing
+out each power's content.  Every output must stay as pinned.
 """
 
 import importlib.util
