@@ -42,8 +42,8 @@ SCHEMA_VERSION = "1"
 MAX_SWEEP_POINTS = 100_000
 # and evaluates the whole distribution at each point that changes the exponent: 10**8 entries take about 1.5 s
 MAX_SWEEP_ENTRIES = 10**8
-# the exact series commands slow steeply with the order: an abel group law takes
-# about 0.5 s at order 40, 2.4 s at 50 and 12 s at 64
+# the exact series commands print O(order^2) rows; an abel group law takes about
+# 0.09 s at order 40, 0.18 s at 50 and 0.25 s at 64 (2-vCPU VM, Python 3.11)
 MAX_SERIES_ORDER = 40
 # the uW / dW shorthands of --dist: W = 1e7 takes about 0.3 s and 270 MB; larger sizes are rejected unbuilt
 MAX_SHORTHAND_SIZE = 10**7

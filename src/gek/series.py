@@ -18,6 +18,8 @@ Rational = Fraction | int | str
 
 
 def _frac(value: Rational) -> Fraction:
+    if type(value) is Fraction:  # immutable, so it is its own copy
+        return value
     if isinstance(value, float):
         raise TypeError("floats are not allowed in exact series arithmetic")
     return Fraction(value)
@@ -26,6 +28,10 @@ def _frac(value: Rational) -> Fraction:
 # The exact kernel: a coefficient vector is held as integer numerators over one
 # common denominator, so inner loops add and multiply plain ints and each
 # result coefficient is normalised once, by one Fraction(numerator, denominator).
+# Wherever a series is raised to successive powers, each power's content (the
+# gcd of the denominator and every numerator) is divided out as the power is
+# formed, so its denominator is the least common denominator of its reduced
+# coefficients and does not grow with the exponent.
 
 
 def _ints(coeffs: Iterable[Fraction]) -> tuple[list[int], int]:
@@ -33,6 +39,14 @@ def _ints(coeffs: Iterable[Fraction]) -> tuple[list[int], int]:
     cs = list(coeffs)
     den = math.lcm(*(c.denominator for c in cs))
     return [c.numerator * (den // c.denominator) for c in cs], den
+
+
+def _content(nums: list[int], den: int) -> tuple[list[int], int]:
+    """``nums / den`` with the content gcd(den, *nums) divided out of both sides."""
+    g = math.gcd(den, *nums)
+    if g == 1:
+        return nums, den
+    return [v // g for v in nums], den // g
 
 
 def _mul(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
@@ -46,13 +60,24 @@ def _mul(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
 
 
 def _bimul(a: Mapping, b: Mapping, n: int) -> dict[tuple[int, int], int]:
-    """The product of two integer dicts {(i, j): c}, truncated at total degree n; zeros dropped."""
+    """The product of two integer dicts {(i, j): c}, truncated at total degree n; zeros dropped.
+
+    Each term of ``a`` meets only the terms of ``b`` that fit below the
+    truncation degree, still in ``b``'s order, so keys appear in the order of
+    the full double loop while no pair past degree n is visited.
+    """
+    every = [(i2, j2, c2) for (i2, j2), c2 in b.items()]
+    top = max(map(sum, b), default=0)
+    fitting = {}  # room -> b's terms of total degree <= room, for room < top
     out: dict[tuple[int, int], int] = {}
     for (i1, j1), c1 in a.items():
-        for (i2, j2), c2 in b.items():
-            if i1 + j1 + i2 + j2 <= n:
-                key = (i1 + i2, j1 + j2)
-                out[key] = out.get(key, 0) + c1 * c2
+        room = n - i1 - j1
+        terms = every if room >= top else fitting.get(room)
+        if terms is None:
+            terms = fitting[room] = [(i2, j2, c2) for i2, j2, c2 in every if i2 + j2 <= room]
+        for i2, j2, c2 in terms:
+            key = (i1 + i2, j1 + j2)
+            out[key] = out.get(key, 0) + c1 * c2
     return {key: c for key, c in out.items() if c}
 
 
@@ -175,23 +200,31 @@ def reversion(f: TruncatedSeries) -> TruncatedSeries:
     """The compositional inverse g with f(g(s)) = s up to the truncation order.
 
     Lagrange inversion: with h = s/f(s), the coefficient g_m = [s^(m-1)] h^m / m.
+    h comes from one series division and h^m from successive integer
+    convolutions, each with its content divided out: O(n^3) operations on
+    integers the size of the reduced coefficients' denominators.
     """
     if f[0] != 0 or f[1] != 1:
         raise NormalizationError("reversion requires c_0 = 0 and c_1 = 1")
     n = f.order
-    # f(s)/s = p/d with p_0 = d, so h_k = H_k / d^k for the integers
-    # H_k = -sum_{i=1..k} p_i H_{k-i} d^(i-1): one series division.
+    # f(s)/s = p/d with p_0 = d, so h = d/p: h_k = -sum_{i=1..k} p_i h_(k-i) / d.
+    # With h_0..h_(k-1) content-free over den, the vector with h_k = x / (den d)
+    # appended has content gcd(d, x): it is divided out as it arises.
     p, d = _ints(f.coeffs[1:])
-    dpow = [d**e for e in range(n)]
-    big = [1]
+    h, den = [1], 1
     for k in range(1, n):
-        big.append(-sum(p[i] * big[k - i] * dpow[i - 1] for i in range(1, k + 1)))
-    h, den = _ints(Fraction(v, dpow[k]) for k, v in enumerate(big))
+        x = -sum(p[i] * h[k - i] for i in range(1, k + 1))
+        g = math.gcd(d, x)
+        scale = d // g
+        if scale != 1:
+            h = [v * scale for v in h]
+            den *= scale
+        h.append(x // g)
     g = [Fraction(0), Fraction(1)]
-    power = h  # h^m over den^m, truncated at degree n - 1
+    power, pden = h, den  # h^m over pden, truncated at degree n - 1
     for m in range(2, n + 1):
-        power = _mul(power, h, n - 1)
-        g.append(Fraction(power[m - 1], m * den**m))
+        power, pden = _content(_mul(power, h, n - 1), pden * den)
+        g.append(Fraction(power[m - 1], m * pden))
     return TruncatedSeries(tuple(g))
 
 
@@ -207,6 +240,8 @@ class BivariateTruncatedSeries(Record):
     order: int
 
     def __init__(self, coeffs: Mapping[tuple[int, int], Rational], order: int) -> None:
+        if order < 0:
+            raise ValueError("order must be nonnegative")
         clean = {}
         for (i, j), c in coeffs.items():
             if i < 0 or j < 0 or i + j > order:
@@ -251,7 +286,9 @@ def group_law_from_G(g: TruncatedSeries, order: int) -> BivariateTruncatedSeries
 
     ``g`` must be normalized (zero constant term, unit linear term) and carry
     at least ``order`` coefficients; the result is truncated at total degree
-    ``order`` and by construction starts with ``x + y``.
+    ``order`` and by construction starts with ``x + y``.  Each power of G^-1
+    has its content divided out, and the law is summed over dg L^2, where dg
+    is G's denominator and L the least common multiple of the powers'.
     """
     if g[0] != 0 or g[1] != 1:
         raise NormalizationError("group-law construction requires c_0 = 0 and c_1 = 1")
@@ -259,29 +296,33 @@ def group_law_from_G(g: TruncatedSeries, order: int) -> BivariateTruncatedSeries
         raise ValueError(f"series order {g.order} is below the requested expansion order {order}")
     gs, dg = _ints(g.coeffs[: order + 1])
     p, d = _ints(reversion(g.truncated(order)).coeffs)
-    powers = [[1] + [0] * order]  # (G^-1)^j over d^j
+    powers = [([1] + [0] * order, 1)]  # (G^-1)^j as (numerators, denominator)
     for _ in range(order):
-        powers.append(_mul(powers[-1], p, order))
-    dpow = [d**e for e in range(order + 1)]
+        prev, den = powers[-1]
+        powers.append(_content(_mul(prev, p, order), den * d))
     # With u = G^-1(x), v = G^-1(y): G(u + v) = sum_k G_k sum_j C(k, j) u^j v^(k-j),
-    # so Phi_ab = sum_j P_j[a] T_j[b] over dg d^order, where
-    # T_j[b] = sum_k C(k, j) G_k d^(order-k) P_(k-j)[b] gathers the v-side per power of u.
+    # so Phi_ab = sum_j P_j[a] T_j[b] over dg L^2, with P_j = powers[j] / D_j,
+    # L = lcm(D) and T_j[b] = sum_k C(k, j) G_k (L/D_j) (L/D_(k-j)) P_(k-j)[b]
+    # gathering the v-side per power of u.
+    lcm_powers = math.lcm(*(den for _, den in powers))
     out: dict[tuple[int, int], int] = {}
     for j in range(order + 1):
         t = [0] * (order + 1 - j)
+        scale = lcm_powers // powers[j][1]
         for k in range(j, order + 1):
             if gs[k]:
-                c = gs[k] * math.comb(k, j) * dpow[order - k]
-                pk = powers[k - j]
+                pk, dk = powers[k - j]
+                c = gs[k] * math.comb(k, j) * scale * (lcm_powers // dk)
                 for b in range(k - j, order + 1 - j):
                     t[b] += c * pk[b]
+        pj = powers[j][0]
         for a in range(j, order + 1):
-            pa = powers[j][a]
+            pa = pj[a]
             if pa:
                 for b, tb in enumerate(t[: order + 1 - a]):
                     if tb:
                         out[(a, b)] = out.get((a, b), 0) + pa * tb
-    den = dg * dpow[order]
+    den = dg * lcm_powers * lcm_powers
     return BivariateTruncatedSeries({key: Fraction(out[key], den) for key in sorted(out)}, order)
 
 
@@ -313,55 +354,66 @@ def verify_group_axioms(psi: BivariateTruncatedSeries) -> GroupAxiomReport:
     """Check identity, commutativity and associativity of a candidate group law.
 
     Associativity is checked by materializing both trivariate compositions
-    truncated at the law's total degree.
+    truncated at the law's total degree, over one denominator: the law's
+    times the least common multiple of its content-free powers'.
     """
+    n = psi.order
+    q, d = _ints(psi.coeffs.values())
+    law = dict(zip(psi.coeffs, q))  # psi = law / d, so every check compares integers
     failures: dict = {}
 
+    # the coefficients of x^k and of y^k are 1 at k = 1 and 0 elsewhere
     identity_ok = True
-    for axis in (0, 1):
-        for k in range(psi.order + 1):
-            key = (k, 0) if axis == 0 else (0, k)
-            expected = Fraction(1) if k == 1 else Fraction(0)
-            if psi[key] != expected:
-                identity_ok = False
-                failures.setdefault("identity", (key, psi[key], expected))
-                break
-        if not identity_ok:
+    for key in [(k, 0) for k in range(n + 1)] + [(0, k) for k in range(n + 1)]:
+        if law.get(key, 0) != (d if sum(key) == 1 else 0):
+            identity_ok = False
+            failures["identity"] = (key, psi[key], Fraction(int(sum(key) == 1)))
             break
 
     commutative_ok = True
-    for (i, j) in sorted({(max(i, j), min(i, j)) for (i, j) in psi.coeffs}):
-        if psi[(i, j)] != psi[(j, i)]:
+    for (i, j) in sorted({(max(i, j), min(i, j)) for (i, j) in law}):
+        if law.get((i, j), 0) != law.get((j, i), 0):
             commutative_ok = False
             failures["commutativity"] = ((i, j), psi[(i, j)], psi[(j, i)])
             break
 
-    # Both substitutions over one denominator: psi = law / d, psi^i = powers[i] / d^i,
-    # and every term of psi(psi(x, y), z) and psi(x, psi(y, z)) is scaled to d^(top+1).
-    n = psi.order
-    q, d = _ints(psi.coeffs.values())
-    law = dict(zip(psi.coeffs, q))
+    # psi^i = powers[i] / dens[i], content divided out; every term of
+    # psi(psi(x, y), z) and psi(x, psi(y, z)) is scaled to d lcm(dens).
     top = max((max(key) for key in law), default=0)
-    dpow = [d**e for e in range(top + 2)]
-    powers = [{(0, 0): 1}]
+    powers, dens = [{(0, 0): 1}], [1]
     for _ in range(top):
-        powers.append(_bimul(powers[-1], law, n))
+        power = _bimul(powers[-1], law, n)
+        nums, den = _content(list(power.values()), dens[-1] * d)
+        powers.append(dict(zip(power, nums)))
+        dens.append(den)
+    lcm_powers = math.lcm(*dens)
+    # each power's terms by total degree, so a term that cannot fit is never visited
+    by_degree = []
+    for power in powers:
+        terms = sorted(power.items(), key=lambda item: item[0][0] + item[0][1])
+        fits = [0] * (n + 1)  # fits[r]: how many terms have total degree <= r
+        for (a, b), _ in terms:
+            fits[a + b] += 1
+        for r in range(1, n + 1):
+            fits[r] += fits[r - 1]
+        by_degree.append((terms, fits))
     left: dict[tuple[int, int, int], int] = {}
     right: dict[tuple[int, int, int], int] = {}
     for (i, j), c in law.items():
-        cl, cr = c * dpow[top - i], c * dpow[top - j]
-        for (a, b), v in powers[i].items():
-            if a + b + j <= n:
-                left[(a, b, j)] = left.get((a, b, j), 0) + cl * v
-        for (a, b), v in powers[j].items():
-            if i + a + b <= n:
-                right[(i, a, b)] = right.get((i, a, b), 0) + cr * v
+        terms, fits = by_degree[i]
+        cl = c * (lcm_powers // dens[i])
+        for (a, b), v in terms[: fits[n - j]]:
+            left[(a, b, j)] = left.get((a, b, j), 0) + cl * v
+        terms, fits = by_degree[j]
+        cr = c * (lcm_powers // dens[j])
+        for (a, b), v in terms[: fits[n - i]]:
+            right[(i, a, b)] = right.get((i, a, b), 0) + cr * v
     associative_ok = True
     for key in sorted(left.keys() | right.keys()):
         lv, rv = left.get(key, 0), right.get(key, 0)
         if lv != rv:
             associative_ok = False
-            failures["associativity"] = (key, Fraction(lv, dpow[-1]), Fraction(rv, dpow[-1]))
+            failures["associativity"] = (key, Fraction(lv, d * lcm_powers), Fraction(rv, d * lcm_powers))
             break
 
     return GroupAxiomReport(identity_ok, commutative_ok, associative_ok, failures)

@@ -469,7 +469,37 @@ class TestCarriersAreTwoExponentials:
             assert tsallis_exp_series(1, n) == kaniadakis_exp_series(0, n) == abel_exp_series(0, 0, n) == identity
 
 
+class TestExactLawMatchesFloatChi:
+    """The float composition law chi agrees with the exact order-20 law at small arguments.
+
+    The parameters are exactly representable, so the float G and the exact
+    carrier are the same function; abel's chi runs through the numeric G^-1.
+    The bound is absolute because the law nearly cancels at x = -y.
+    """
+
+    PARAMS = {"id": (), "tsallis": (F(1, 2),), "kaniadakis": (F(3, 8),), "abel": (F(1, 4), F(-1, 8))}
+    POINTS = (F(1, 64), F(1, 32), F(-1, 64))
+
+    @pytest.mark.parametrize("name", sorted(PARAMS))
+    def test_exact_law_matches_chi(self, name):
+        from gek.grouplog import group_family
+
+        family, params = group_family(name), self.PARAMS[name]
+        law = group_law_from_G(family.carrier(*params, 20), 20).coeffs
+        g = family.build(*(float(v) for v in params))
+        for x in self.POINTS:
+            for y in self.POINTS:
+                exact = float(sum(c * x**i * y**j for (i, j), c in law.items()))
+                assert abs(exact - g.chi(float(x), float(y))) <= 2e-15, (x, y)
+
+
 class TestErrorPaths:
+    @pytest.mark.parametrize("coeffs", [{}, {(1, 0): 1, (0, 1): 1}])
+    def test_negative_bivariate_order_is_rejected(self, coeffs):
+        # an empty law at order -1 would otherwise pass all three axioms
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            BivariateTruncatedSeries(coeffs, -1)
+
     @pytest.mark.parametrize("coeffs", [[1, 1, 2], [0, 2, 1], [0, 0, 1], [0], [F(1, 2), 1]])
     def test_unnormalized_series_are_rejected(self, coeffs):
         f = TruncatedSeries.from_coeffs(coeffs)
