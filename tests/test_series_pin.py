@@ -44,3 +44,13 @@ def test_cli_output_is_unchanged(entry):
 def test_axiom_report_is_unchanged(entry):
     coeffs = {(i, j): Fraction(c) for i, j, c in entry["coeffs"]}
     assert record_series.axiom_repr(coeffs, entry["order"]) == entry["repr"]
+
+
+def test_diff_reports_each_moved_entry():
+    cli = dict(PIN["cli"][0], stdout=PIN["cli"][0]["stdout"] + "extra\n")
+    axioms = dict(PIN["axioms"][0], repr="moved")
+    lines = record_series.moved({"cli": [cli, PIN["cli"][1]], "axioms": [axioms, PIN["axioms"][1]]})
+    assert lines == [
+        f"{' '.join(cli['argv'])}: exit 0 -> 0; stdout line {len(cli['stdout'].splitlines())}: 'extra' -> '<end>'",
+        f"axioms {axioms['name']}: line 1: 'moved' -> {PIN['axioms'][0]['repr']!r}",
+    ]
