@@ -62,7 +62,7 @@ def _mul(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
 def _bimul(a: Mapping, b: Mapping, n: int) -> dict[tuple[int, int], int]:
     """The product of two integer dicts {(i, j): c}, truncated at total degree n; zeros dropped.
 
-    Each term of ``a`` meets only the terms of ``b`` that fit below the
+    Each term of ``a`` meets only the terms of ``b`` that fit within the
     truncation degree, still in ``b``'s order, so keys appear in the order of
     the full double loop while no pair past degree n is visited.
     """
@@ -214,12 +214,12 @@ def reversion(f: TruncatedSeries) -> TruncatedSeries:
     h, den = [1], 1
     for k in range(1, n):
         x = -sum(p[i] * h[k - i] for i in range(1, k + 1))
-        g = math.gcd(d, x)
-        scale = d // g
+        content = math.gcd(d, x)
+        scale = d // content
         if scale != 1:
             h = [v * scale for v in h]
             den *= scale
-        h.append(x // g)
+        h.append(x // content)
     g = [Fraction(0), Fraction(1)]
     power, pden = h, den  # h^m over pden, truncated at degree n - 1
     for m in range(2, n + 1):
