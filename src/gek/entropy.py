@@ -95,18 +95,6 @@ class Distribution:
         return f"Distribution({self.p.tolist()})"
 
 
-def _per_length(rows: Sequence, of_block: Callable[[np.ndarray], np.ndarray]) -> list:
-    """``of_block`` of the rows of each length stacked as one 2-D block, one result per row, in row order."""
-    groups: dict[int, list[int]] = {}
-    for i, row in enumerate(rows):
-        groups.setdefault(len(row), []).append(i)
-    out = [None] * len(rows)
-    for idx in groups.values():
-        for i, v in zip(idx, of_block(np.array([rows[i] for i in idx], dtype=float)).tolist()):
-            out[i] = v
-    return out
-
-
 def invalid_rows(block: np.ndarray) -> np.ndarray:
     """For each vector along the last axis of ``block``, whether ``Distribution`` would reject it.
 
@@ -119,8 +107,8 @@ def invalid_rows(block: np.ndarray) -> np.ndarray:
 
 
 def invalid_distributions(rows: Sequence[np.ndarray]) -> list[bool]:
-    """For each vector in ``rows``, whether ``Distribution`` would reject it (the same checks, batched)."""
-    return _per_length(rows, invalid_rows)
+    """For each vector in ``rows``, whether ``Distribution`` would reject it (the same checks)."""
+    return [bool(invalid_rows(np.asarray(row, dtype=float))) for row in rows]
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -383,42 +371,38 @@ class EntropySpec:
         return self.from_row_sum(p.reduced(self._laws.reduce))
 
     def raw_value(self, arr: np.ndarray) -> float:
-        """Evaluate the defining formula on any nonnegative vector (off-simplex allowed)."""
-        return self._evaluate(np.asarray(arr, dtype=float))
+        """Evaluate the defining formula on any nonnegative vector (off-simplex allowed): the 1-D path."""
+        arr = np.asarray(arr, dtype=float)
+        return self.from_row_sum(float(self._laws.reduce(arr[arr > 0])))
 
     def raw_values(self, rows: Sequence[np.ndarray]) -> list[float]:
-        """``raw_value`` of each vector in ``rows``, bit for bit, from one stacked reduction per length."""
-        return [self.from_row_sum(s) for s in self.row_sums(rows)]
+        """``raw_value`` of each vector in ``rows``."""
+        return list(map(self.raw_value, rows))
 
     def row_sums(self, rows: Sequence[np.ndarray]) -> list[float]:
-        """The family's sum over each vector in ``rows`` (of any lengths), before the scalar tail."""
-        return _per_length(list(rows), self.block_sums)
+        """The family's sum over each vector in ``rows``, before the scalar tail: ``raw_value``'s 1-D sum."""
+        return [float(self._laws.reduce(v[v > 0])) for v in (np.asarray(row, dtype=float) for row in rows)]
 
     def block_sums(self, block: np.ndarray) -> np.ndarray:
         """The family's sum over each vector along the last axis of ``block``, before the scalar tail.
 
-        The sum over the last axis of a C-contiguous block adds each vector in
-        the same pairwise order as the 1-D path.  A vector with an entry that
-        is not > 0 is first filtered as ``raw_value`` filters it, since
-        dropping entries changes that order; the filtered vectors are reduced
-        together by how many entries they keep.
+        Each sum equals ``raw_value``'s 1-D sum bit for bit: the sum over the
+        last axis of a C-contiguous block adds each vector in the same pairwise
+        order as the 1-D path.  A vector with an entry that is not > 0 is first
+        filtered, as ``raw_value`` filters it, since dropping entries changes
+        that order; the filtered vectors are reduced together by how many
+        entries they keep.
         """
         if not block.size or np.minimum.reduce(block, axis=None) > 0:  # NaN fails the test, as it fails > 0
-            return self._reduce(block)
+            return self._laws.reduce(block)
         flat = block.reshape(-1, block.shape[-1])
         keep = flat > 0
         counts = keep.sum(axis=1)
         sums = np.empty(len(flat))
         for c in set(counts.tolist()):
             rows = counts == c
-            sums[rows] = self._reduce(flat[rows][keep[rows]].reshape(int(rows.sum()), c))
+            sums[rows] = self._laws.reduce(flat[rows][keep[rows]].reshape(int(rows.sum()), c))
         return sums.reshape(block.shape[:-1])
-
-    def _evaluate(self, arr: np.ndarray) -> float:
-        return self.from_row_sum(float(self._reduce(arr[arr > 0])))
-
-    def _reduce(self, positive: np.ndarray):
-        return self._laws.reduce(positive)
 
     def from_row_sum(self, s: float) -> float:
         """The entropy from the family's sum ``s`` (see ``block_sums``): scalar ``math`` only."""

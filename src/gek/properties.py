@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .entropy import Distribution, EntropySpec, _saq_concave, composition_phi, invalid_rows
+from .entropy import Distribution, EntropySpec, _check_alpha, _saq_concave, invalid_rows
 from .errors import DomainError, InputError, ParameterError, RangeError
 from .grouplog import GroupFunction, IdentityGroup
 
@@ -103,11 +103,14 @@ def _run_rows(spec: EntropySpec, rows, trials: int, seed: int, w_values, tol=Non
     Build: ``row.build`` stacks the trials of one shape into blocks, one per
     vector slot, with the trials along the first axis and each vector along
     the last; it also gives each trial's extra (or None for none) and the
-    trials whose last block is evaluated (None for all).  Validate and
+    trials whose last block is evaluated (None for all).  A row with no vector
+    slot builds no blocks, and its judge reads only the extras.  Validate and
     evaluate (``_chunk_sums``): every block is checked and reduced as a whole,
     then the scalar tail runs on every sum in trial order.  Judge:
     ``row.judge`` once per trial, in order, into the row's ``_Worst``.
     """
+    if trials < 1:
+        raise InputError(f"a sampled check needs at least one trial, got {trials}")
     rng = np.random.default_rng(seed)
     tail = spec.from_row_sum
     reports = []
@@ -126,7 +129,7 @@ def _run_rows(spec: EntropySpec, rows, trials: int, seed: int, w_values, tol=Non
             values = [list(map(tail, s)) for s in _chunk_sums(spec, chunk, row.dists, n)]
             vectors, extras = [None] * n, [None] * n
             for ids, blocks, extra, _ in chunk:
-                for t, v, x in zip(ids, zip(*blocks), extra or repeat(None)):
+                for t, v, x in zip(ids, zip(*blocks) if blocks else repeat(()), extra or repeat(None)):
                     vectors[t], extras[t] = v, x
             for v, s, x in zip(vectors, values, extras):
                 judged = row.judge(spec, v, s, x)
@@ -220,17 +223,8 @@ def _interior_rows(w: int, exponentials) -> np.ndarray:
     return 0.99 * _flat_dirichlet_rows(exponentials) + 0.01 / w
 
 
-def _flat_dirichlet(rng, w: int) -> np.ndarray:
-    """The draw of rng.dirichlet(np.ones(w)), at a third of its cost: the same w draws and float operations."""
-    return _flat_dirichlet_rows([rng.standard_exponential(w)])[0]
-
-
-def _interior(rng, w: int) -> np.ndarray:
-    return _interior_rows(w, [rng.standard_exponential(w)])[0]
-
-
 def _draw_simplex(rng, w_values):
-    # the draws of _flat_dirichlet(rng, _draw_w(rng, w_values)), and of _interior
+    # the draws of one row of _flat_dirichlet_rows, or of _interior_rows, at w = _draw_w(rng, w_values)
     w = _draw_w(rng, w_values)
     return w, rng.standard_exponential(w)
 
@@ -273,6 +267,25 @@ def check_composability(
     return _run_rows(spec, _COMPOSABILITY, trials, seed, range(1, max_w + 1), tol)[0]
 
 
+def _build_scalar(key, variates):
+    # a row with no vector slot: each trial's variates are its extra
+    return (), variates, None
+
+
+def _draw_uniform_pair(rng, w_values):
+    return None, (_draw_w(rng, w_values), _draw_w(rng, w_values))
+
+
+def _judge_uniform_pair(spec, vectors, values, pair):
+    wa, wb = pair
+    joint = spec.uniform_value(wa * wb)
+    combined = spec.phi(spec.uniform_value(wa), spec.uniform_value(wb))
+    return abs(joint - combined) / (1.0 + abs(joint)), lambda: {"w_a": wa, "w_b": wb}
+
+
+_ON_UNIFORM = (_Row("composability-on-uniform", _draw_uniform_pair, _build_scalar, _judge_uniform_pair, 0, 0.0),)
+
+
 def check_composability_on_uniform(
     spec: EntropySpec,
     trials: int = 200,
@@ -285,15 +298,25 @@ def check_composability_on_uniform(
     This is only an approximation of the weak-composability notion (which is
     defined by reference elsewhere); a pass here does not certify it.
     """
-    rng = np.random.default_rng(seed)
-    fold = _Worst(0.0, tol)
-    for _ in range(trials):
-        wa = int(rng.integers(1, max_w + 1))
-        wb = int(rng.integers(1, max_w + 1))
-        joint = spec.uniform_value(wa * wb)
-        combined = spec.phi(spec.uniform_value(wa), spec.uniform_value(wb))
-        fold.add(abs(joint - combined) / (1.0 + abs(joint)), lambda: {"w_a": wa, "w_b": wb})
-    return fold.report("composability-on-uniform", trials, seed)
+    return _run_rows(spec, _ON_UNIFORM, trials, seed, range(1, max_w + 1), tol)[0]
+
+
+def _draw_triple(rng, w_values):
+    return None, rng.uniform(0.0, 3.0, size=3)
+
+
+def _judge_axioms(spec, vectors, values, xyz):
+    x, y, z = xyz
+    phi = spec.phi
+    try:
+        parts = (abs(phi(x, y) - phi(y, x)), abs(phi(phi(x, y), z) - phi(x, phi(y, z))), abs(phi(x, 0.0) - x))
+    except (RangeError, DomainError):
+        return None
+    residual = max(parts) if all(v == v for v in parts) else math.nan
+    return residual / (1.0 + abs(x) + abs(y) + abs(z)), lambda: {"x": x, "y": y, "z": z}
+
+
+_GROUP_AXIOMS = (_Row("group-axioms", _draw_triple, _build_scalar, _judge_axioms, 0, 0.0),)
 
 
 def check_group_axioms_numeric(
@@ -303,24 +326,12 @@ def check_group_axioms_numeric(
     tol: float = 1e-10,
     seed: int = 0,
 ) -> PropertyReport:
-    """Sampled symmetry, associativity and null-composability of the law of order alpha."""
-    rng = np.random.default_rng(seed)
-    fold = _Worst(0.0, tol)
-    skipped = 0
-    for _ in range(trials):
-        x, y, z = rng.uniform(0.0, 3.0, size=3)
-        try:
-            sym = abs(composition_phi(g, alpha, x, y) - composition_phi(g, alpha, y, x))
-            left = composition_phi(g, alpha, composition_phi(g, alpha, x, y), z)
-            right = composition_phi(g, alpha, x, composition_phi(g, alpha, y, z))
-            null = abs(composition_phi(g, alpha, x, 0.0) - x)
-        except (RangeError, DomainError):
-            skipped += 1
-            continue
-        parts = (sym, abs(left - right), null)
-        residual = max(parts) if all(v == v for v in parts) else math.nan
-        fold.add(residual / (1.0 + abs(x) + abs(y) + abs(z)), lambda: {"x": x, "y": y, "z": z})
-    return fold.report("group-axioms", trials, seed, skipped)
+    """Sampled symmetry, associativity and null-composability of the law of order alpha.
+
+    A trial whose law leaves G's range or domain is skipped.
+    """
+    _check_alpha(alpha)  # before the spec's own check, which words a NaN alpha differently
+    return _run_rows(EntropySpec("zg", {"alpha": alpha}, g), _GROUP_AXIOMS, trials, seed, (), tol)[0]
 
 
 def _draw_continuity(rng, w_values):
@@ -675,14 +686,15 @@ def saq_concavity_counterexample_search(
 
     Outside the concavity regions the defining exponent is nonpositive, so the
     formula is evaluated on strictly interior distributions only.  'failures'
-    counts found violations; callers treat the report as documentation.
+    counts found violations; callers treat the report as documentation.  It
+    keeps its own trial loop: ``_run_rows`` reduces every block through an
+    EntropySpec, and neither it nor ``_power_sums`` takes an exponent <= 0.
     """
     rng = np.random.default_rng(seed)
     exponent = a * (q - 1.0) + 1.0
     found = _Worst(-math.inf, 1e-12)
     for _ in range(trials):
-        p1 = Distribution(_interior(rng, w)).p
-        p2 = Distribution(_interior(rng, w)).p
+        p1, p2 = (Distribution(v).p for v in _interior_rows(w, [rng.standard_exponential(w) for _ in range(2)]))
         lam = rng.uniform(0.05, 0.95)
         mix = lam * p1 + (1 - lam) * p2
         raw = ((1.0 - np.sum(np.array([p1, p2, mix]) ** exponent, axis=1)) / (q - 1.0)).tolist()

@@ -187,13 +187,16 @@ def compose(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     fs, df = _ints(f.coeffs[: n + 1])
     gs, dg = _ints(g.coeffs[: n + 1])
     # Horner over the outer coefficients; after the step for f_k the
-    # accumulator holds sum_{i>=k} f_i g^(i-k) over df * dg^(n-k).
-    acc, scale = [fs[n]], 1
+    # accumulator holds sum_{i>=k} f_i g^(i-k) over den, a multiple of df.
+    # Each product with g has its content divided out before f_k is added.
+    acc, den = [fs[n]], df
     for k in range(n - 1, -1, -1):
-        acc = _mul(acc, gs, n)
-        scale *= dg
-        acc[0] += fs[k] * scale
-    return TruncatedSeries(_fracs(acc, df * scale))
+        acc, den = _content(_mul(acc, gs, n), den * dg)
+        scale = math.lcm(den, df) // den
+        if scale != 1:
+            acc, den = [v * scale for v in acc], den * scale
+        acc[0] += fs[k] * (den // df)
+    return TruncatedSeries(_fracs(acc, den))
 
 
 def reversion(f: TruncatedSeries) -> TruncatedSeries:

@@ -570,6 +570,24 @@ class TestBatchedRows:
         for batch in (rows, shuffled):
             assert spec.raw_values(batch) == [spec.raw_value(row) for row in batch]
 
+    @pytest.mark.parametrize("spec", BATCH_SPECS, ids=lambda s: s.describe())
+    def test_block_sums_equal_the_1d_sum_per_row(self, spec):
+        # the runner's stacked path against raw_value's: the rows stacked by length, and (k, 2w, w) blocks as the
+        # Schur criterion builds them, once as built and once with zeroed entries
+        from gek.properties import _build_criterion
+
+        by_length = {}
+        for row in _batch_rows(np.random.default_rng(11)):
+            by_length.setdefault(len(row), []).append(row)
+        blocks = [np.array(rows, dtype=float) for rows in by_length.values()]
+        rng = np.random.default_rng(13)
+        (_, points), _, _ = _build_criterion(9, [rng.standard_exponential(9) for _ in range(5)])
+        zeroed = points.copy()
+        zeroed[::2, 1::3, 4:7] = 0.0
+        for block in blocks + [points, zeroed]:
+            expected = spec.row_sums(block.reshape(-1, block.shape[-1]))
+            assert spec.block_sums(block).ravel().tolist() == expected, block.shape
+
     def test_row_sums_and_tail_compose_to_value(self):
         spec = entropy_spec("zk", {"k": 0.3, "alpha": 0.5})
         p = Distribution([0.5, 0.25, 0.125, 0.125])

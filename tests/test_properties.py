@@ -7,9 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gek.entropy import Distribution, EntropySpec, entropy_spec, product_distribution
-from gek.errors import InputError, ParameterError, RangeError
-from gek.grouplog import IdentityGroup, KaniadakisGroup, MultiplicativeGroup
+from gek.entropy import Distribution, EntropySpec, composition_phi, entropy_spec, product_distribution
+from gek.errors import DomainError, InputError, ParameterError, RangeError
+from gek.grouplog import AbelGroup, IdentityGroup, KaniadakisGroup, MultiplicativeGroup
 from gek.properties import (
     GrowthLaw,
     MajorizationPair,
@@ -29,7 +29,7 @@ from gek.properties import (
     _Worst,
     _below,
     _draw_w,
-    _flat_dirichlet,
+    _flat_dirichlet_rows,
     _two_of,
 )
 
@@ -93,8 +93,6 @@ class TestGroupAxiomsNumeric:
     def test_range_errors_become_skips(self):
         # both exponents positive: the function has a finite range infimum and
         # alpha > 1 pushes sampled values below it, so some trials are skipped
-        from gek.grouplog import AbelGroup
-
         report = check_group_axioms_numeric(AbelGroup(2.0, 1.0), 3.0, trials=300, tol=1e-9, seed=3)
         assert report.passed
         assert report.skipped > 0
@@ -350,13 +348,13 @@ class TestTrialDraws:
             assert by_choice.bit_generator.state == by_two_of.bit_generator.state
 
     def test_flat_dirichlet_draws_the_same_stream_as_dirichlet(self):
-        # every Dirichlet(1, ..., 1) draw of the trial loops goes through _flat_dirichlet in place of rng.dirichlet;
-        # scaling by the reciprocal of e.sum() in place of the running sum differs from w = 8 upward
+        # every Dirichlet(1, ..., 1) draw of the trial loops goes through _flat_dirichlet_rows in place of
+        # rng.dirichlet; scaling by the reciprocal of e.sum() in place of the running sum differs from w = 8 upward
         for w in range(1, 41):
             for seed in range(100):
                 by_dirichlet, by_flat = np.random.default_rng(seed), np.random.default_rng(seed)
                 expected = by_dirichlet.dirichlet(np.ones(w))
-                assert np.array_equal(_flat_dirichlet(by_flat, w), expected), (w, seed)
+                assert np.array_equal(_flat_dirichlet_rows([by_flat.standard_exponential(w)])[0], expected), (w, seed)
                 assert by_dirichlet.random() == by_flat.random()
 
     def test_schur_ordering_draw_is_generate_majorization_pair(self):
@@ -711,3 +709,128 @@ class TestFailClosed:
         with pytest.raises(RangeError, match="out of range"):
             check_composability(spec, 300, 1e-10, 2)
 
+
+
+# The two checks with no vector slot as they ran before they became rows: their own rng, trial loop and fold.
+
+
+def _reference_on_uniform(spec, trials, tol, seed, max_w):
+    rng = np.random.default_rng(seed)
+    fold = _Worst(0.0, tol)
+    for _ in range(trials):
+        wa = int(rng.integers(1, max_w + 1))
+        wb = int(rng.integers(1, max_w + 1))
+        joint = spec.uniform_value(wa * wb)
+        combined = spec.phi(spec.uniform_value(wa), spec.uniform_value(wb))
+        fold.add(abs(joint - combined) / (1.0 + abs(joint)), lambda: {"w_a": wa, "w_b": wb})
+    return fold.report("composability-on-uniform", trials, seed)
+
+
+def _reference_group_axioms(g, alpha, trials, tol, seed):
+    rng = np.random.default_rng(seed)
+    fold = _Worst(0.0, tol)
+    skipped = 0
+    for _ in range(trials):
+        x, y, z = rng.uniform(0.0, 3.0, size=3)
+        try:
+            sym = abs(composition_phi(g, alpha, x, y) - composition_phi(g, alpha, y, x))
+            left = composition_phi(g, alpha, composition_phi(g, alpha, x, y), z)
+            right = composition_phi(g, alpha, x, composition_phi(g, alpha, y, z))
+            null = abs(composition_phi(g, alpha, x, 0.0) - x)
+        except (RangeError, DomainError):
+            skipped += 1
+            continue
+        parts = (sym, abs(left - right), null)
+        residual = max(parts) if all(v == v for v in parts) else math.nan
+        fold.add(residual / (1.0 + abs(x) + abs(y) + abs(z)), lambda: {"x": x, "y": y, "z": z})
+    return fold.report("group-axioms", trials, seed, skipped)
+
+
+class TestScalarRowsAgainstTheirLoops:
+    """The rows with no vector slot report exactly what their own trial loops reported, at any chunk size.
+
+    Reports are compared by repr, where a NaN equals a NaN and numpy scalars stay apart from floats.
+    """
+
+    @pytest.mark.parametrize(
+        "family, params",
+        [("renyi", {"alpha": 0.5}), ("zab", {"a": 0.3, "b": -0.2, "alpha": 0.5}), ("control", {}),
+         ("zg", {"g": "abel", "a": 0.3, "b": -0.2, "alpha": 0.5}), ("tsallis_aq", {"a": 1.0, "q": 0.5}),
+         ("landsberg_vedral", {"q": 0.5}), ("altz", {"g": "kaniadakis", "k": 0.4, "alpha": 0.7})],
+        ids=["renyi", "zab", "control", "zg-abel", "tsallis_aq", "landsberg_vedral", "altz-kaniadakis"],
+    )
+    def test_on_uniform_matches_its_loop(self, family, params, monkeypatch):
+        import gek.properties as properties
+
+        spec = entropy_spec(family, params)
+        cases = [(t, s, w) for s in (0, 3, 8, 99) for t in (1, 7, 200, 300) for w in (1, 8, 40)]
+        expected = [repr(_reference_on_uniform(spec, t, 1e-10, s, w).as_dict()) for t, s, w in cases]
+        for chunk in (256, 1):
+            monkeypatch.setattr(properties, "_CHUNK", chunk)
+            got = [repr(check_composability_on_uniform(spec, t, 1e-10, s, w).as_dict()) for t, s, w in cases]
+            assert got == expected, chunk
+
+    @pytest.mark.parametrize(
+        "g",
+        [IdentityGroup(), MultiplicativeGroup(0.7), KaniadakisGroup(0.5), AbelGroup(2.0, 1.0), AbelGroup(0.3, -0.2),
+         _NanLaw()],
+        ids=["id", "tsallis", "kaniadakis", "abel-2-1", "abel-0.3--0.2", "nan-law"],
+    )
+    def test_group_axioms_match_their_loop(self, g, monkeypatch):
+        import gek.properties as properties
+
+        cases = [(a, t, s) for a in (0.4, 0.5, 3.0) for t in (1, 7, 300) for s in (0, 2)]
+        reports = [_reference_group_axioms(g, a, t, 1e-10, s) for a, t, s in cases]
+        expected = [repr(r.as_dict()) for r in reports]
+        for chunk in (256, 1):
+            monkeypatch.setattr(properties, "_CHUNK", chunk)
+            got = [repr(check_group_axioms_numeric(g, a, t, 1e-10, s).as_dict()) for a, t, s in cases]
+            assert got == expected, chunk
+        if isinstance(g, AbelGroup) and g.a == 2.0:
+            assert any(r.skipped for r in reports)
+        if isinstance(g, _NanLaw):
+            assert all(r.failures == r.trials for r in reports)
+
+
+def _sampled_checks(trials):
+    """Each public sampled check, on a spec or law that passes it."""
+    spec = SPECS["renyi"]
+    return {
+        "composability": lambda: check_composability(spec, trials),
+        "composability-on-uniform": lambda: check_composability_on_uniform(spec, trials),
+        "group-axioms": lambda: check_group_axioms_numeric(KaniadakisGroup(0.5), 0.5, trials),
+        "sk": lambda: check_sk_axioms(spec, trials),
+        "schur": lambda: check_schur_concavity(spec, trials),
+    }
+
+
+class TestOneRunner:
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_every_sampled_check_rejects_fewer_than_one_trial(self, trials):
+        # no trial is no evidence: a report of 0 trials would pass
+        for name, check in _sampled_checks(trials).items():
+            with pytest.raises(InputError, match="at least one trial"):
+                check()
+
+    def test_group_axioms_reject_a_bad_alpha_before_any_trial(self):
+        with pytest.raises(ParameterError, match="alpha = 1 is excluded"):
+            check_group_axioms_numeric(KaniadakisGroup(0.5), 1.0, trials=0)
+        with pytest.raises(ParameterError, match="alpha must be positive and finite, got nan"):
+            check_group_axioms_numeric(KaniadakisGroup(0.5), math.nan)
+
+    def test_every_sampled_check_runs_through_run_rows_once(self, monkeypatch):
+        # the one trial loop that a grid, diagnostics, a referee or mutants can hook
+        import gek.properties as properties
+
+        calls = []
+        run_rows = properties._run_rows
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return run_rows(*args, **kwargs)
+
+        monkeypatch.setattr(properties, "_run_rows", counting)
+        for name, check in _sampled_checks(10).items():
+            calls.clear()
+            check()
+            assert len(calls) == 1, name

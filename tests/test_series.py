@@ -1,6 +1,7 @@
 """Exact-arithmetic checks for the truncated series and group-law machinery."""
 
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -361,6 +362,19 @@ class TestKernelParity:
         g = [F(0)] + g_tail
         got = compose(TruncatedSeries.from_coeffs(f), TruncatedSeries.from_coeffs(g))
         assert list(got.coeffs) == ref_compose(f, g)
+
+    def test_compose_on_seeded_pairs(self):
+        # compose divides content out of its accumulator; the plain Fraction Horner keeps every term reduced
+        rng = random.Random(20)
+
+        def rational():
+            return F(rng.randint(-40, 40), rng.randint(1, 30))
+
+        for _ in range(300):
+            n = rng.randint(1, 20)
+            f, g = [rational() for _ in range(n + 1)], [F(0)] + [rational() for _ in range(n)]
+            got = compose(TruncatedSeries.from_coeffs(f), TruncatedSeries.from_coeffs(g))
+            assert list(got.coeffs) == ref_compose(f, g), (f, g)
 
     @given(normalized_series())
     @settings(max_examples=120, deadline=None)
