@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field, replace
-from itertools import compress, repeat
+from itertools import repeat
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -88,31 +88,31 @@ class _Row(NamedTuple):
 
     name: str  # the report's name
     draw: Callable  # (rng, w_values) -> (shape key, the trial's seeded variates)
-    build: Callable  # (key, the variates of every trial of that shape) -> (blocks, extras, evaluated); see _run_rows
+    build: Callable  # (key, the variates of every trial of that shape) -> (blocks, extras); see _run_rows
     judge: Callable  # (spec, vectors, values, extra) -> (value, witness thunk), or None for a skipped trial
     dists: int  # how many leading blocks hold distributions
     worst: float  # the start of the row's _Worst fold
     limit: float | None = None  # the largest passing value; None is the check's tol
 
 
-def _run_rows(spec: EntropySpec, rows, trials: int, seed: int, w_values, tol=None) -> list[PropertyReport]:
+def _run_rows(spec: EntropySpec | None, rows, trials: int, seed: int, w_values, tol=None) -> list[PropertyReport]:
     """Run each row for ``trials`` trials, in row order on one rng seeded with ``seed``; one report per row.
 
-    A row runs in chunks of _CHUNK trials.  Draw: ``row.draw`` once per trial,
-    in the seeded order, keeps only the trial's variates and its shape key.
-    Build: ``row.build`` stacks the trials of one shape into blocks, one per
-    vector slot, with the trials along the first axis and each vector along
-    the last; it also gives each trial's extra (or None for none) and the
-    trials whose last block is evaluated (None for all).  A row with no vector
-    slot builds no blocks, and its judge reads only the extras.  Validate and
-    evaluate (``_chunk_sums``): every block is checked and reduced as a whole,
-    then the scalar tail runs on every sum in trial order.  Judge:
+    gek's only trial loop.  A row runs in chunks of _CHUNK trials.  Draw:
+    ``row.draw`` once per trial, in the seeded order, keeps only the trial's
+    variates and its shape key.  Build: ``row.build`` stacks the trials of one
+    shape into blocks, one per vector slot, with the trials along the first
+    axis and each vector along the last, and gives each trial's extra (or None
+    for none).  A row with no vector slot builds no blocks, never reads
+    ``spec`` (None if no row has a slot), and its judge reads only the extras.
+    Validate and evaluate (``_chunk_sums``): every block is checked and reduced
+    as a whole, then the scalar tail runs on every sum in trial order.  Judge:
     ``row.judge`` once per trial, in order, into the row's ``_Worst``.
     """
     if trials < 1:
         raise InputError(f"a sampled check needs at least one trial, got {trials}")
     rng = np.random.default_rng(seed)
-    tail = spec.from_row_sum
+    tail = None if spec is None else spec.from_row_sum
     reports = []
     for row in rows:
         fold, skipped = _Worst(row.worst, tol if row.limit is None else row.limit), 0
@@ -128,7 +128,7 @@ def _run_rows(spec: EntropySpec, rows, trials: int, seed: int, w_values, tol=Non
                 chunk.append((ids, *row.build(key, variates)))
             values = [list(map(tail, s)) for s in _chunk_sums(spec, chunk, row.dists, n)]
             vectors, extras = [None] * n, [None] * n
-            for ids, blocks, extra, _ in chunk:
+            for ids, blocks, extra in chunk:
                 for t, v, x in zip(ids, zip(*blocks) if blocks else repeat(()), extra or repeat(None)):
                     vectors[t], extras[t] = v, x
             for v, s, x in zip(vectors, values, extras):
@@ -142,7 +142,7 @@ def _run_rows(spec: EntropySpec, rows, trials: int, seed: int, w_values, tol=Non
 
 
 def _chunk_sums(spec: EntropySpec, chunk, dists: int, n: int) -> list[list[float]]:
-    """Each of the chunk's ``n`` trials' family sums, slot after slot; a last block not evaluated has none.
+    """Each of the chunk's ``n`` trials' family sums, slot after slot.
 
     The blocks of one slot and width are concatenated (several shapes share a
     width only where a key has two parts), so each is checked and reduced by
@@ -154,14 +154,10 @@ def _chunk_sums(spec: EntropySpec, chunk, dists: int, n: int) -> list[list[float
     bad = []
     for slot in range(len(chunk[0][1])):
         widths: dict = {}
-        for ids, blocks, _, evaluated in chunk:
-            block = blocks[slot]
-            if evaluated is not None and slot == len(blocks) - 1:
-                ids, block = list(compress(ids, evaluated)), block[evaluated]
-            if ids:
-                members = widths.setdefault(block.shape[1:], ([], []))
-                members[0].extend(ids)
-                members[1].append(block)
+        for ids, blocks, _ in chunk:
+            members = widths.setdefault(blocks[slot].shape[1:], ([], []))
+            members[0].extend(ids)
+            members[1].append(blocks[slot])
         for ids, parts in widths.values():
             block = parts[0] if len(parts) == 1 else np.concatenate(parts)
             if slot < dists:
@@ -202,6 +198,13 @@ def _below(rng, n: int) -> int:
     return m >> 32
 
 
+def _w_range(w_values: Sequence[int], least: int = 1) -> Sequence[int]:
+    """``w_values``, checked before any draw: a sampled check needs at least one W, and every W >= ``least``."""
+    if not w_values or min(w_values) < least:
+        raise InputError(f"a sampled check needs one or more W values, each at least {least}, got {list(w_values)}")
+    return w_values
+
+
 def _draw_w(rng, w_values: Sequence[int]) -> int:
     # the same draw as rng.choice(w_values), which costs about eight times as much
     return int(w_values[_below(rng, len(w_values))])
@@ -238,7 +241,7 @@ def _build_product(key, variates):
     ea, eb = zip(*variates)
     p, r = _flat_dirichlet_rows(ea), _flat_dirichlet_rows(eb)
     # row i of the joint block is np.outer(p[i], r[i]).ravel()
-    return (p, r, (p[:, :, None] * r[:, None, :]).reshape(len(p), -1)), None, None
+    return (p, r, (p[:, :, None] * r[:, None, :]).reshape(len(p), -1)), None
 
 
 def _judge_product(spec, vectors, values, _):
@@ -264,12 +267,12 @@ def check_composability(
     A trial fails when |S(p x r) - Phi(S(p), S(r))| exceeds tol * (1 + |S|),
     or is NaN.
     """
-    return _run_rows(spec, _COMPOSABILITY, trials, seed, range(1, max_w + 1), tol)[0]
+    return _run_rows(spec, _COMPOSABILITY, trials, seed, _w_range(range(1, max_w + 1)), tol)[0]
 
 
 def _build_scalar(key, variates):
     # a row with no vector slot: each trial's variates are its extra
-    return (), variates, None
+    return (), variates
 
 
 def _draw_uniform_pair(rng, w_values):
@@ -298,7 +301,7 @@ def check_composability_on_uniform(
     This is only an approximation of the weak-composability notion (which is
     defined by reference elsewhere); a pass here does not certify it.
     """
-    return _run_rows(spec, _ON_UNIFORM, trials, seed, range(1, max_w + 1), tol)[0]
+    return _run_rows(spec, _ON_UNIFORM, trials, seed, _w_range(range(1, max_w + 1)), tol)[0]
 
 
 def _draw_triple(rng, w_values):
@@ -344,21 +347,21 @@ def _build_continuity(w, variates):
     p, direction = _interior_rows(w, e), np.array(direction)
     direction -= direction.mean(axis=1, keepdims=True)
     norm = np.abs(direction).sum(axis=1, keepdims=True)
-    # a zero direction (w = 1) is divided by 1, not 0; its trial is skipped anyway
+    # a zero direction (w = 1) is divided by 1, not 0; p stands in for each shift that is not admissible
     shifted = p + _STEP * direction / np.where(norm > 0, norm, 1.0)
-    # no admissible shifted vector: the trial is skipped, and its shifted vector never evaluated
-    return (p, shifted), None, (norm[:, 0] > 0) & ~(shifted < 0).any(axis=1)
+    admissible = (norm[:, 0] > 0) & ~(shifted < 0).any(axis=1)
+    return (p, np.where(admissible[:, None], shifted, p)), admissible.tolist()
 
 
-def _judge_continuity(spec, vectors, values, _):
-    if len(values) == 1:
+def _judge_continuity(spec, vectors, values, admissible):
+    if not admissible:
         return None
     ratio = abs(values[1] - values[0]) / _STEP
     return ratio, lambda: ({"lipschitz_estimate": ratio} if math.isfinite(ratio) else {"p": vectors[0].tolist()})
 
 
 def _build_maximum(w, variates):
-    return (_flat_dirichlet_rows(variates),), None, None
+    return (_flat_dirichlet_rows(variates),), None
 
 
 def _judge_maximum(spec, vectors, values, _):
@@ -369,7 +372,7 @@ def _judge_maximum(spec, vectors, values, _):
 def _build_expansibility(w, variates):
     p = _flat_dirichlet_rows(variates)
     # row i of the second block is np.append(p[i], 0.0)
-    return (p, np.concatenate((p, np.zeros((len(p), 1))), axis=1)), None, None
+    return (p, np.concatenate((p, np.zeros((len(p), 1))), axis=1)), None
 
 
 def _judge_expansibility(spec, vectors, values, _):
@@ -396,7 +399,7 @@ def check_sk_axioms(
     witness; a trial with no admissible shifted vector counts as skipped.  The
     other two sub-checks are asserted, and fail on NaN.
     """
-    return _run_rows(spec, _SK_AXIOMS, trials, seed, w_values)
+    return _run_rows(spec, _SK_AXIOMS, trials, seed, _w_range(w_values))
 
 
 def majorizes(dominant: Sequence, dominated: Sequence, tol=0) -> bool:
@@ -485,7 +488,7 @@ def _draw_ordering(rng, w_values):
 
 def _build_ordering(w, variates):
     masses = np.array(variates, dtype=float)  # trial, (p, r), entry
-    return (masses[:, 1] / _MASS_DENOM, masses[:, 0] / _MASS_DENOM), None, None
+    return (masses[:, 1] / _MASS_DENOM, masses[:, 0] / _MASS_DENOM), None
 
 
 def _judge_ordering(spec, vectors, values, _):
@@ -504,7 +507,7 @@ def _build_criterion(w, variates):
     i = np.arange(w)
     shifted[:, 2 * i, i] += h
     shifted[:, 2 * i + 1, i] -= h
-    return (p, shifted), h.tolist(), None
+    return (p, shifted), h.tolist()
 
 
 def _judge_criterion(spec, vectors, values, h):
@@ -534,7 +537,7 @@ def check_schur_concavity(
     (p_i - p_j)(dS/dp_i - dS/dp_j) <= 1e-10 with central-difference gradients
     on interior distributions.  A NaN gap or criterion value fails.
     """
-    return _run_rows(spec, _SCHUR, trials, seed, w_values)
+    return _run_rows(spec, _SCHUR, trials, seed, _w_range(w_values, least=2))
 
 
 @dataclass(frozen=True)
@@ -686,18 +689,22 @@ def saq_concavity_counterexample_search(
 
     Outside the concavity regions the defining exponent is nonpositive, so the
     formula is evaluated on strictly interior distributions only.  'failures'
-    counts found violations; callers treat the report as documentation.  It
-    keeps its own trial loop: ``_run_rows`` reduces every block through an
-    EntropySpec, and neither it nor ``_power_sums`` takes an exponent <= 0.
+    counts found violations; callers treat the report as documentation.  The
+    search is a row with no vector slot: no EntropySpec takes an exponent
+    <= 0, so its judge evaluates the raw formula itself, and it runs with no spec.
     """
-    rng = np.random.default_rng(seed)
+    _w_range((w,))
     exponent = a * (q - 1.0) + 1.0
-    found = _Worst(-math.inf, 1e-12)
-    for _ in range(trials):
-        p1, p2 = (Distribution(v).p for v in _interior_rows(w, [rng.standard_exponential(w) for _ in range(2)]))
-        lam = rng.uniform(0.05, 0.95)
+
+    def draw(rng, _):
+        return None, (rng.standard_exponential(w), rng.standard_exponential(w), rng.uniform(0.05, 0.95))
+
+    def judge(spec, vectors, values, variates):
+        *e, lam = variates
+        p1, p2 = (Distribution(v).p for v in _interior_rows(w, e))
         mix = lam * p1 + (1 - lam) * p2
         raw = ((1.0 - np.sum(np.array([p1, p2, mix]) ** exponent, axis=1)) / (q - 1.0)).tolist()
-        violation = lam * raw[0] + (1 - lam) * raw[1] - raw[2]
-        found.add(violation, lambda: {"p1": p1.tolist(), "p2": p2.tolist(), "lambda": lam})
-    return found.report("saq-concavity-counterexample-search", trials, seed)
+        return lam * raw[0] + (1 - lam) * raw[1] - raw[2], lambda: {"p1": p1.tolist(), "p2": p2.tolist(), "lambda": lam}
+
+    row = _Row("saq-concavity-counterexample-search", draw, _build_scalar, judge, 0, -math.inf, 1e-12)
+    return _run_rows(None, (row,), trials, seed, ())[0]

@@ -30,6 +30,7 @@ from gek.properties import (
     _below,
     _draw_w,
     _flat_dirichlet_rows,
+    _interior_rows,
     _two_of,
 )
 
@@ -373,8 +374,8 @@ class TestTrialDraws:
         vectors = [None] * len(drawn)
         for key, members in shapes.items():
             ids, masses = zip(*members)
-            blocks, extras, evaluated = ordering.build(key, masses)
-            assert len(blocks) == 2 and extras is None and evaluated is None
+            blocks, extras = ordering.build(key, masses)
+            assert len(blocks) == 2 and extras is None
             for t, r, p in zip(ids, *blocks):
                 vectors[t] = (r, p)
         for key, (r, p) in zip((key for key, _ in drawn), vectors):
@@ -384,8 +385,8 @@ class TestTrialDraws:
             assert np.array_equal(r, pair.r.p) and np.array_equal(p, pair.p.p)
         assert by_row.bit_generator.state == by_pair.bit_generator.state
 
-    def test_a_skipped_continuity_trial_evaluates_one_vector(self, monkeypatch):
-        # only p is evaluated when no shifted vector is admissible: one scalar tail per skipped trial, two otherwise
+    def test_every_continuity_trial_evaluates_two_vectors(self, monkeypatch):
+        # p stands in for a shift that is not admissible, so a skipped trial runs two scalar tails, as any other
         calls = []
         from_row_sum = EntropySpec.from_row_sum
 
@@ -400,8 +401,33 @@ class TestTrialDraws:
             continuity = check_sk_axioms(SPECS["renyi"], 40, 0, w_values=w_values)[0]
             skips.append(continuity.skipped)
             # maximum-on-uniform evaluates 1 vector per trial and expansibility 2
-            assert len(calls) == continuity.skipped + 2 * (40 - continuity.skipped) + 40 + 2 * 40, w_values
+            assert len(calls) == 2 * 40 + 40 + 2 * 40, w_values
         assert skips[0] == 40 and 0 < skips[1] < 40 and skips[2] == 0
+
+    @pytest.mark.parametrize("w", [3, 6])
+    def test_a_shift_that_is_not_admissible_is_never_reduced(self, w, monkeypatch):
+        # a step of 0.5 sends some shifts below 0: those trials are skipped, and p is reduced in their place
+        import gek.properties as properties
+
+        monkeypatch.setattr(properties, "_STEP", 0.5)
+        least = []
+        block_sums = EntropySpec.block_sums
+
+        def spying(self, block):
+            least.append(float(block.min()))
+            return block_sums(self, block)
+
+        monkeypatch.setattr(EntropySpec, "block_sums", spying)
+        continuity = check_sk_axioms(SPECS["renyi"], 300, 4, w_values=(w,))[0]
+        rng, negative = np.random.default_rng(4), 0
+        for _ in range(300):
+            p = _reference_interior(rng, _reference_w(rng, (w,)))
+            direction = rng.normal(size=w)
+            direction -= direction.mean()
+            negative += bool((p + 0.5 * direction / np.abs(direction).sum() < 0).any())
+        assert 0 < negative < 300
+        assert continuity.skipped == negative
+        assert least and min(least) >= 0.0
 
     def test_verify_builds_no_distribution_per_trial(self, monkeypatch, capsys):
         # the trial loops validate their rows in one batched pass; a Distribution per trial is per-call overhead
@@ -711,7 +737,7 @@ class TestFailClosed:
 
 
 
-# The two checks with no vector slot as they ran before they became rows: their own rng, trial loop and fold.
+# The three checks with no vector slot as they ran before they became rows: their own rng, trial loop and fold.
 
 
 def _reference_on_uniform(spec, trials, tol, seed, max_w):
@@ -744,6 +770,20 @@ def _reference_group_axioms(g, alpha, trials, tol, seed):
         residual = max(parts) if all(v == v for v in parts) else math.nan
         fold.add(residual / (1.0 + abs(x) + abs(y) + abs(z)), lambda: {"x": x, "y": y, "z": z})
     return fold.report("group-axioms", trials, seed, skipped)
+
+
+def _reference_saq(a, q, trials, seed, w):
+    rng = np.random.default_rng(seed)
+    exponent = a * (q - 1.0) + 1.0
+    found = _Worst(-math.inf, 1e-12)
+    for _ in range(trials):
+        p1, p2 = (Distribution(v).p for v in _interior_rows(w, [rng.standard_exponential(w) for _ in range(2)]))
+        lam = rng.uniform(0.05, 0.95)
+        mix = lam * p1 + (1 - lam) * p2
+        raw = ((1.0 - np.sum(np.array([p1, p2, mix]) ** exponent, axis=1)) / (q - 1.0)).tolist()
+        violation = lam * raw[0] + (1 - lam) * raw[1] - raw[2]
+        found.add(violation, lambda: {"p1": p1.tolist(), "p2": p2.tolist(), "lambda": lam})
+    return found.report("saq-concavity-counterexample-search", trials, seed)
 
 
 class TestScalarRowsAgainstTheirLoops:
@@ -791,6 +831,23 @@ class TestScalarRowsAgainstTheirLoops:
         if isinstance(g, _NanLaw):
             assert all(r.failures == r.trials for r in reports)
 
+    @pytest.mark.parametrize("a, q", [(3.0, 0.5), (1.5, 0.5), (0.5, 0.5), (1.0, 1.5), (2.0, 3.0), (0.2, -1.0)])
+    def test_saq_search_matches_its_loop(self, a, q, monkeypatch):
+        import gek.properties as properties
+
+        cases = [(t, s, w) for t in (1, 7, 200, 300) for s in (0, 5, 21, 99) for w in (1, 2, 4, 9)]
+        reports = [_reference_saq(a, q, t, s, w) for t, s, w in cases]
+        expected = [repr(r.as_dict()) for r in reports]
+        for chunk in (256, 1):
+            monkeypatch.setattr(properties, "_CHUNK", chunk)
+            got = [repr(saq_concavity_counterexample_search(a, q, t, s, w).as_dict()) for t, s, w in cases]
+            assert got == expected, chunk
+        if not check_concavity_region_saq(a, q):
+            assert any(r.failures for r in reports)
+        for trials in (0, -3):
+            with pytest.raises(InputError, match="at least one trial"):
+                saq_concavity_counterexample_search(a, q, trials)
+
 
 def _sampled_checks(trials):
     """Each public sampled check, on a spec or law that passes it."""
@@ -801,6 +858,7 @@ def _sampled_checks(trials):
         "group-axioms": lambda: check_group_axioms_numeric(KaniadakisGroup(0.5), 0.5, trials),
         "sk": lambda: check_sk_axioms(spec, trials),
         "schur": lambda: check_schur_concavity(spec, trials),
+        "saq-search": lambda: saq_concavity_counterexample_search(1.5, 0.5, trials),
     }
 
 
@@ -811,6 +869,27 @@ class TestOneRunner:
         for name, check in _sampled_checks(trials).items():
             with pytest.raises(InputError, match="at least one trial"):
                 check()
+
+    @pytest.mark.parametrize(
+        "check, least",
+        [(lambda: check_composability(SPECS["renyi"], 10, max_w=0), 1),
+         (lambda: check_composability_on_uniform(SPECS["renyi"], 10, max_w=0), 1),
+         (lambda: check_sk_axioms(SPECS["renyi"], 10, w_values=()), 1),
+         (lambda: check_sk_axioms(SPECS["renyi"], 10, w_values=(0,)), 1),
+         (lambda: check_sk_axioms(SPECS["renyi"], 10, w_values=(3, -2)), 1),
+         (lambda: check_schur_concavity(SPECS["renyi"], 10, w_values=()), 2),
+         (lambda: check_schur_concavity(SPECS["renyi"], 10, w_values=(1,)), 2),
+         (lambda: check_schur_concavity(SPECS["renyi"], 10, w_values=(4, 1)), 2),
+         (lambda: saq_concavity_counterexample_search(3.0, 0.5, w=0), 1)],
+        ids=["composability-max-w-0", "on-uniform-max-w-0", "sk-empty", "sk-0", "sk-negative", "schur-empty",
+             "schur-1", "schur-4-1", "saq-search-0"],
+    )
+    def test_every_sampled_check_rejects_a_degenerate_w_range_before_any_draw(self, check, least, monkeypatch):
+        import gek.properties as properties
+
+        monkeypatch.setattr(properties, "_run_rows", None)  # the range is checked before the runner is reached
+        with pytest.raises(InputError, match=f"one or more W values, each at least {least}"):
+            check()
 
     def test_group_axioms_reject_a_bad_alpha_before_any_trial(self):
         with pytest.raises(ParameterError, match="alpha = 1 is excluded"):
