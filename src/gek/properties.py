@@ -8,6 +8,7 @@ reproducible from the report alone.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, field, replace
 from itertools import repeat
@@ -198,11 +199,26 @@ def _below(rng, n: int) -> int:
     return m >> 32
 
 
+def _integral(w) -> bool:
+    try:
+        operator.index(w)
+    except TypeError:
+        return False
+    return True
+
+
 def _w_range(w_values: Sequence[int], least: int = 1) -> Sequence[int]:
-    """``w_values``, checked before any draw: a sampled check needs at least one W, and every W >= ``least``."""
-    if not w_values or min(w_values) < least:
-        raise InputError(f"a sampled check needs one or more W values, each at least {least}, got {list(w_values)}")
+    """``w_values``, checked before any draw: a sampled check needs one or more W, each an integer >= ``least``."""
+    if not w_values or not all(map(_integral, w_values)) or min(w_values) < least:
+        raise InputError(
+            f"a sampled check needs one or more W values, each at least {least} and integral, got {list(w_values)}"
+        )
     return w_values
+
+
+def _w_upto(max_w: int) -> Sequence[int]:
+    """W = 1, ..., ``max_w``, checked as ``_w_range`` checks it; a non-integral ``max_w`` never reaches ``range``."""
+    return _w_range(range(1, max_w + 1) if _integral(max_w) else [max_w])
 
 
 def _draw_w(rng, w_values: Sequence[int]) -> int:
@@ -267,7 +283,7 @@ def check_composability(
     A trial fails when |S(p x r) - Phi(S(p), S(r))| exceeds tol * (1 + |S|),
     or is NaN.
     """
-    return _run_rows(spec, _COMPOSABILITY, trials, seed, _w_range(range(1, max_w + 1)), tol)[0]
+    return _run_rows(spec, _COMPOSABILITY, trials, seed, _w_upto(max_w), tol)[0]
 
 
 def _build_scalar(key, variates):
@@ -301,7 +317,7 @@ def check_composability_on_uniform(
     This is only an approximation of the weak-composability notion (which is
     defined by reference elsewhere); a pass here does not certify it.
     """
-    return _run_rows(spec, _ON_UNIFORM, trials, seed, _w_range(range(1, max_w + 1)), tol)[0]
+    return _run_rows(spec, _ON_UNIFORM, trials, seed, _w_upto(max_w), tol)[0]
 
 
 def _draw_triple(rng, w_values):

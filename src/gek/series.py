@@ -390,27 +390,17 @@ def verify_group_axioms(psi: BivariateTruncatedSeries) -> GroupAxiomReport:
         powers.append(dict(zip(power, nums)))
         dens.append(den)
     lcm_powers = math.lcm(*dens)
-    # each power's terms by total degree, so a term that cannot fit is never visited
-    by_degree = []
-    for power in powers:
-        terms = sorted(power.items(), key=lambda item: item[0][0] + item[0][1])
-        fits = [0] * (n + 1)  # fits[r]: how many terms have total degree <= r
-        for (a, b), _ in terms:
-            fits[a + b] += 1
-        for r in range(1, n + 1):
-            fits[r] += fits[r - 1]
-        by_degree.append((terms, fits))
     left: dict[tuple[int, int, int], int] = {}
     right: dict[tuple[int, int, int], int] = {}
     for (i, j), c in law.items():
-        terms, fits = by_degree[i]
         cl = c * (lcm_powers // dens[i])
-        for (a, b), v in terms[: fits[n - j]]:
-            left[(a, b, j)] = left.get((a, b, j), 0) + cl * v
-        terms, fits = by_degree[j]
+        for (a, b), v in powers[i].items():
+            if a + b + j <= n:
+                left[(a, b, j)] = left.get((a, b, j), 0) + cl * v
         cr = c * (lcm_powers // dens[j])
-        for (a, b), v in terms[: fits[n - i]]:
-            right[(i, a, b)] = right.get((i, a, b), 0) + cr * v
+        for (a, b), v in powers[j].items():
+            if i + a + b <= n:
+                right[(i, a, b)] = right.get((i, a, b), 0) + cr * v
     associative_ok = True
     for key in sorted(left.keys() | right.keys()):
         lv, rv = left.get(key, 0), right.get(key, 0)

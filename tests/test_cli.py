@@ -708,6 +708,11 @@ class TestExitCodeContract:
             # a swept key that --params also sets used to drop the --params value
             ["entropy", "sweep", "--family", "zq", "--params", "q=0.5,alpha=0.3", "--param", "alpha=0.1:0.5:0.2",
              "--dist", "u4"],
+            # shorthands with no distribution: u0 is empty, d0 has no entry to put the mass on
+            ["entropy", "eval", "--family", "renyi", "--params", "alpha=0.5", "--dist", "u0"],
+            ["entropy", "eval", "--family", "renyi", "--params", "alpha=0.5", "--dist", "d0"],
+            # G(gamma ln x) overflows, and KaniadakisGroup.eval raises its RangeError
+            ["log", "eval", "--family", "kaniadakis", "--params", "k=0.5", "--x", "10", "--gamma", "1e6"],
         ],
         ids=["zab-a800", "chi-abel-1e300", "lmg-a1e300", "lmg-occupations-14-0", "log-tsallis-1e300",
              "exp-tsallis-1e300", "lmg-a700-alpha2", "lmg-a1e300-alpha2", "log-abel-ratio-underflow",
@@ -718,7 +723,7 @@ class TestExitCodeContract:
              "expand-repeated-key", "verify-saq-lam-minus-1", "verify-zq-lam-minus-0", "solve-saq-lam-minus-1",
              "solve-renyi-lam-0", "verify-saq-rho-divides-by-0", "solve-saq-rho-divides-by-0",
              "verify-saq-rho-inf", "solve-saq-rho-inf", "params-key-without-value", "sweep-non-numeric-bounds",
-             "verify-tol-minus-1", "sweep-key-also-in-params"],
+             "verify-tol-minus-1", "sweep-key-also-in-params", "dist-u0", "dist-d0", "log-kaniadakis-overflow"],
     )
     def test_exit_two_with_a_message(self, argv, capsys):
         assert_exit_two(argv, capsys)

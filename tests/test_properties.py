@@ -880,9 +880,15 @@ class TestOneRunner:
          (lambda: check_schur_concavity(SPECS["renyi"], 10, w_values=()), 2),
          (lambda: check_schur_concavity(SPECS["renyi"], 10, w_values=(1,)), 2),
          (lambda: check_schur_concavity(SPECS["renyi"], 10, w_values=(4, 1)), 2),
-         (lambda: saq_concavity_counterexample_search(3.0, 0.5, w=0), 1)],
+         (lambda: saq_concavity_counterexample_search(3.0, 0.5, w=0), 1),
+         # a W that is not an integer used to pass, or to fail in range() or numpy with a bare TypeError
+         (lambda: check_sk_axioms(SPECS["renyi"], 10, w_values=(2.5,)), 1),
+         (lambda: check_schur_concavity(SPECS["renyi"], 10, w_values=(3.7,)), 2),
+         (lambda: check_composability(SPECS["renyi"], 10, max_w=2.5), 1),
+         (lambda: saq_concavity_counterexample_search(3.0, 0.5, w=2.5), 1)],
         ids=["composability-max-w-0", "on-uniform-max-w-0", "sk-empty", "sk-0", "sk-negative", "schur-empty",
-             "schur-1", "schur-4-1", "saq-search-0"],
+             "schur-1", "schur-4-1", "saq-search-0", "sk-2.5", "schur-3.7", "composability-max-w-2.5",
+             "saq-search-2.5"],
     )
     def test_every_sampled_check_rejects_a_degenerate_w_range_before_any_draw(self, check, least, monkeypatch):
         import gek.properties as properties
@@ -890,6 +896,30 @@ class TestOneRunner:
         monkeypatch.setattr(properties, "_run_rows", None)  # the range is checked before the runner is reached
         with pytest.raises(InputError, match=f"one or more W values, each at least {least}"):
             check()
+
+    @pytest.mark.parametrize(
+        "check, total",
+        [(lambda: check_sk_axioms(SPECS["renyi"], 300), r"1\.49"),
+         (lambda: check_composability(SPECS["renyi"], 300), r"1\.5")],
+        ids=["sk", "composability"],
+    )
+    def test_a_drawn_vector_that_is_not_a_distribution_fails_closed(self, check, total, monkeypatch):
+        # the k-th build scales its first row by 1.5 + k / 4, so only the first bad vector in (trial, slot) order,
+        # trial 0's first slot, sums to 1.5 (to 1.495 as the continuity draw's 0.99 p + 0.01 / w)
+        import gek.properties as properties
+
+        rows, builds = properties._flat_dirichlet_rows, []
+
+        def scaled(exponentials):
+            p = rows(exponentials)
+            p[0] *= 1.5 + len(builds) / 4
+            builds.append(1)
+            return p
+
+        monkeypatch.setattr(properties, "_flat_dirichlet_rows", scaled)
+        with pytest.raises(InputError, match=rf"^probabilities sum to {total}"):
+            check()
+        assert len(builds) > 2  # bad vectors past the first were drawn too
 
     def test_group_axioms_reject_a_bad_alpha_before_any_trial(self):
         with pytest.raises(ParameterError, match="alpha = 1 is excluded"):
