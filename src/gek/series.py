@@ -8,6 +8,7 @@ test oracles.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -56,6 +57,15 @@ def _mul(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
         if ai:
             for k, bj in enumerate(b[: n + 1 - i], i):
                 out[k] += ai * bj
+    return out
+
+
+def _powers(base: tuple[list[int], int], top: int, n: int) -> list[tuple[list[int], int]]:
+    """base^0..base^top as (numerators, denominator), truncated at degree n, each with its content divided out."""
+    out = [([1] + [0] * n, 1), base]
+    for _ in range(top - 1):
+        prev, den = out[-1]
+        out.append(_content(_mul(prev, base[0], n), den * base[1]))
     return out
 
 
@@ -203,31 +213,38 @@ def reversion(f: TruncatedSeries) -> TruncatedSeries:
     """The compositional inverse g with f(g(s)) = s up to the truncation order.
 
     Lagrange inversion: with h = s/f(s), the coefficient g_m = [s^(m-1)] h^m / m.
-    h comes from one series division and h^m from successive integer
-    convolutions, each with its content divided out: O(n^3) operations on
+    h comes from one series division.  Only one coefficient of each h^m is
+    read, so the powers are split baby-step/giant-step (Brent and Kung, 1978):
+    with k = isqrt(n) and m = qk + r, 0 <= r < k, g_m is one integer dot
+    product of the baby power h^r and the giant power h^(qk).  Forming
+    h^2..h^k and h^(2k)..h^((n//k)k) takes (k - 1) + (n//k - 1) <= 2k truncated
+    convolutions instead of n - 1, each with its content divided out, on
     integers the size of the reduced coefficients' denominators.
     """
     if f[0] != 0 or f[1] != 1:
         raise NormalizationError("reversion requires c_0 = 0 and c_1 = 1")
     n = f.order
-    # f(s)/s = p/d with p_0 = d, so h = d/p: h_k = -sum_{i=1..k} p_i h_(k-i) / d.
-    # With h_0..h_(k-1) content-free over den, the vector with h_k = x / (den d)
+    # f(s)/s = p/d with p_0 = d, so h = d/p: h_j = -sum_{i=1..j} p_i h_(j-i) / d.
+    # With h_0..h_(j-1) content-free over den, the vector with h_j = x / (den d)
     # appended has content gcd(d, x): it is divided out as it arises.
     p, d = _ints(f.coeffs[1:])
     h, den = [1], 1
-    for k in range(1, n):
-        x = -sum(p[i] * h[k - i] for i in range(1, k + 1))
+    for j in range(1, n):
+        x = -sum(p[i] * h[j - i] for i in range(1, j + 1))
         content = math.gcd(d, x)
         scale = d // content
         if scale != 1:
             h = [v * scale for v in h]
             den *= scale
         h.append(x // content)
+    k = math.isqrt(n)
+    baby = _powers((h, den), k, n - 1)  # h^r, r = 0..k
+    giant = _powers(baby[k], n // k, n - 1)  # h^(qk), q = 0..n//k
     g = [Fraction(0), Fraction(1)]
-    power, pden = h, den  # h^m over pden, truncated at degree n - 1
     for m in range(2, n + 1):
-        power, pden = _content(_mul(power, h, n - 1), pden * den)
-        g.append(Fraction(power[m - 1], m * pden))
+        q, r = divmod(m, k)
+        (b, db), (c, dc) = baby[r], giant[q]
+        g.append(Fraction(sum(map(operator.mul, b, c[m - 1 :: -1])), db * dc * m))
     return TruncatedSeries(tuple(g))
 
 
@@ -288,21 +305,20 @@ def group_law_from_G(g: TruncatedSeries, order: int) -> BivariateTruncatedSeries
     """Expand G(G^{-1}(x) + G^{-1}(y)) as an exact bivariate polynomial.
 
     ``g`` must be normalized (zero constant term, unit linear term) and carry
-    at least ``order`` coefficients; the result is truncated at total degree
-    ``order`` and by construction starts with ``x + y``.  Each power of G^-1
-    has its content divided out, and the law is summed over dg L^2, where dg
-    is G's denominator and L the least common multiple of the powers'.
+    at least ``order`` coefficients, and ``order`` must be at least 1; the
+    result is truncated at total degree ``order`` and by construction starts
+    with ``x + y``.  Each power of G^-1 has its content divided out, and the
+    law is summed over dg L^2, where dg is G's denominator and L the least
+    common multiple of the powers'.
     """
     if g[0] != 0 or g[1] != 1:
         raise NormalizationError("group-law construction requires c_0 = 0 and c_1 = 1")
+    if order < 1:
+        raise ValueError("order must be at least 1")
     if g.order < order:
         raise ValueError(f"series order {g.order} is below the requested expansion order {order}")
     gs, dg = _ints(g.coeffs[: order + 1])
-    p, d = _ints(reversion(g.truncated(order)).coeffs)
-    powers = [([1] + [0] * order, 1)]  # (G^-1)^j as (numerators, denominator)
-    for _ in range(order):
-        prev, den = powers[-1]
-        powers.append(_content(_mul(prev, p, order), den * d))
+    powers = _powers(_ints(reversion(g.truncated(order)).coeffs), order, order)  # (G^-1)^j, j = 0..order
     # With u = G^-1(x), v = G^-1(y): G(u + v) = sum_k G_k sum_j C(k, j) u^j v^(k-j),
     # so Phi_ab = sum_j P_j[a] T_j[b] over dg L^2, with P_j = powers[j] / D_j,
     # L = lcm(D) and T_j[b] = sum_k C(k, j) G_k (L/D_j) (L/D_(k-j)) P_(k-j)[b]

@@ -13,6 +13,7 @@ from gek.cli import (
     _COMMANDS,
     MAX_SERIES_ORDER,
     _build_parser,
+    _dump_json,
     _float_params,
     _parse_sweep,
     main,
@@ -42,6 +43,23 @@ class TestEntropyEval:
     def test_delta_shorthand(self, tmp_path):
         code, text = invoke(["entropy", "eval", "--family", "boltzmann", "--dist", "d5"], tmp_path)
         assert code == 0 and float(text) == 0.0
+
+    @pytest.mark.parametrize(
+        "family, params",
+        [
+            ("boltzmann", ""),
+            ("zq", "q=1.5,alpha=2"),
+            ("zk", "k=-0.4,alpha=1.5"),
+            ("zab", "a=0.6,b=0.2,alpha=2"),
+            ("renyi", "alpha=2"),
+            ("tsallis_aq", "a=0.8,q=0.5"),
+            ("control", ""),
+        ],
+    )
+    def test_zero_entropy_prints_without_sign(self, family, params, tmp_path):
+        # these families evaluate to -0.0 on a delta distribution; a bare number prints it as 0
+        args = ["entropy", "eval", "--family", family, "--dist", "d5"] + (["--params", params] if params else [])
+        assert invoke(args, tmp_path) == (0, "0\n")
 
     def test_inline_distribution(self, tmp_path):
         code, text = invoke(
@@ -162,6 +180,17 @@ class TestEntropySweep:
         )
         assert code == 0
         assert len(text.strip().splitlines()) == 4
+
+    def test_zero_entropy_cells_print_without_sign(self, tmp_path):
+        code, text = invoke(
+            ["entropy", "sweep", "--family", "renyi", "--param", "alpha=1.5:3:0.5", "--dist", "d5"], tmp_path
+        )
+        assert code == 0
+        assert text.splitlines() == ["alpha,entropy", "1.5,0", "2,0", "2.5,0", "3,0"]
+
+    def test_json_keeps_the_sign_of_zero(self):
+        # JSON reports are pinned byte for byte, -0.0 included
+        assert _dump_json({"x": -0.0, "y": [0.0, -1e-300]}) == '{\n  "x": -0.0,\n  "y": [\n    0.0,\n    -1e-300\n  ]\n}\n'
 
     def test_malformed_sweep(self):
         with pytest.raises(SystemExit) as exc:

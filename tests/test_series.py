@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gek import series as series_module
 from gek.series import (
     BivariateTruncatedSeries,
     GroupAxiomReport,
@@ -432,6 +433,94 @@ class TestKernelParity:
         assert list(got.coeffs) == list(ref_polymul(dict(p.coeffs), dict(q.coeffs), got.order))
 
 
+def ref_reversion_power_loop(f):
+    """Lagrange inversion with every power h^m of h = s/f(s) formed in full, n - 1 products in all."""
+    n = f.order
+    p, d = series_module._ints(f.coeffs[1:])
+    h, den = [1], 1
+    for k in range(1, n):
+        x = -sum(p[i] * h[k - i] for i in range(1, k + 1))
+        content = math.gcd(d, x)
+        scale = d // content
+        if scale != 1:
+            h = [v * scale for v in h]
+            den *= scale
+        h.append(x // content)
+    g = [F(0), F(1)]
+    power, pden = h, den  # h^m over pden, truncated at degree n - 1
+    for m in range(2, n + 1):
+        power, pden = series_module._content(series_module._mul(power, h, n - 1), pden * den)
+        g.append(F(power[m - 1], m * pden))
+    return g
+
+
+def seeded_series(rng, order, size, top, terms=None):
+    """s plus seeded rationals p/q, |p| <= size, 1 <= q <= top, at ``terms`` random degrees (every degree if None)."""
+    degrees = range(2, order + 1)
+    if terms is not None:
+        degrees = rng.sample(degrees, min(terms, len(degrees)))
+    coeffs = [F(0)] * (order + 1)
+    coeffs[1] = F(1)
+    for k in degrees:
+        coeffs[k] = F(rng.randint(-size, size), rng.randint(1, top))
+    return TruncatedSeries(coeffs)
+
+
+def over_polynomial(h, order):
+    """s/h(s) for a polynomial h with h(0) = 1, so that h = s/f(s) keeps h's zero coefficients."""
+    inv = [F(1)]
+    for k in range(1, order):
+        inv.append(-sum(h[i] * inv[k - i] for i in range(1, min(k, len(h) - 1) + 1)))
+    return TruncatedSeries([F(0)] + inv)
+
+
+# k^2 - 1, k^2 and k^2 + 1 for k = isqrt(order): where the baby/giant split changes shape
+BLOCK_EDGES = sorted({k * k + e for k in range(2, 7) for e in (-1, 0, 1)})
+
+
+class TestBabyGiantReversion:
+    """``reversion`` reads each g_m off a baby power h^r and a giant power h^(qk); the full power loop is the reference."""
+
+    @pytest.mark.parametrize("order", range(1, 41))
+    def test_matches_power_loop_at_every_order(self, order):
+        rng = random.Random(order)
+        for f in (seeded_series(rng, order, 40, 30), seeded_series(rng, order, 40, 30, terms=2)):
+            assert list(reversion(f).coeffs) == ref_reversion_power_loop(f), f
+
+    @pytest.mark.parametrize("order", BLOCK_EDGES)
+    def test_large_denominators(self, order):
+        rng = random.Random(1000 + order)
+        for f in (seeded_series(rng, order, 10**18, 10**18, terms=3), seeded_series(rng, min(order, 10), 10**9, 10**9)):
+            assert list(reversion(f).coeffs) == ref_reversion_power_loop(f), f
+
+    @pytest.mark.parametrize("order", BLOCK_EDGES + [40])
+    @pytest.mark.parametrize(
+        "h", [[1, 0, 0, F(-2, 3)], [1, 0, F(5, 13), 0, 0, 0, F(-7, 11)], [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, F(1, 9)]],
+        ids=["s3", "s2-s6", "s10"],
+    )
+    def test_h_with_zero_coefficients(self, h, order):
+        f = over_polynomial([F(c) for c in h], order)
+        got = list(reversion(f).coeffs)
+        assert got == ref_reversion_power_loop(f)
+        if order <= 17:  # the term-by-term oracle is slow past that
+            assert got == ref_reversion(list(f.coeffs))
+
+    @pytest.mark.parametrize("order", BLOCK_EDGES)
+    @pytest.mark.parametrize("carrier", sorted(CARRIERS))
+    def test_carriers_at_block_edges(self, carrier, order):
+        g = CARRIERS[carrier](order)
+        assert list(reversion(g).coeffs) == ref_reversion_power_loop(g)
+
+    @pytest.mark.parametrize("order", range(1, 41))
+    def test_about_two_sqrt_n_products(self, order, monkeypatch):
+        calls = []
+        mul = series_module._mul
+        monkeypatch.setattr(series_module, "_mul", lambda a, b, n: calls.append(n) or mul(a, b, n))
+        g = CARRIERS["abel"](order)
+        reversion(g)
+        assert len(calls) <= 2 * math.isqrt(order)
+
+
 def ref_tsallis_exp_series(q, order):
     """(e^((1-q) t) - 1)/(1-q) by its closed-form coefficients r^(n-1)/n!, with its own q = 1 branch."""
     if q == 1:
@@ -521,6 +610,14 @@ class TestErrorPaths:
             reversion(f)
         with pytest.raises(NormalizationError):
             group_law_from_G(f, f.order)
+
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_group_law_needs_order_at_least_one(self, order):
+        # a normalized G was reported as unnormalized, because truncating it at order 0 drops c_1
+        with pytest.raises(ValueError, match="order must be at least 1"):
+            group_law_from_G(abel_exp_series(F(5, 13), F(-7, 11), 4), order)
+        with pytest.raises(NormalizationError):  # the normalization check still comes first
+            group_law_from_G(series(0, 2, 1), order)
 
     def test_inner_series_needs_zero_constant(self):
         with pytest.raises(CompositionDomainError):
