@@ -158,17 +158,17 @@ def side_env(copy: str) -> dict:
     return env
 
 
-def reversion_times(copies: dict, orders: list[int], rounds: int, log) -> dict:
+def reversion_times(copies: dict, orders: list[int], log) -> dict:
     """In-process ``reversion`` time per order: one fresh process per side and round, sides alternating."""
     code = REVERSION_SNIPPET.replace("ORDERS", repr(tuple(orders)))
     runs = {side: [] for side in SIDES}
-    for index in range(rounds):
+    for index in range(ROUNDS):
         for side in order_of(index):
             proc = subprocess.run([sys.executable, "-c", code], env=side_env(copies[side]),
                                   capture_output=True, text=True, check=True)
             runs[side].append(json.loads(proc.stdout))
-    log(f"reversion in-process: {rounds} rounds")
-    out = {"family": "abel", "params": "a=5/13,b=-7/11", "rounds": rounds,
+    log(f"reversion in-process: {ROUNDS} rounds")
+    out = {"family": "abel", "params": "a=5/13,b=-7/11", "rounds": ROUNDS,
            "coefficients_identical": len({r["digest"] for side in SIDES for r in runs[side]}) == 1}
     for side in SIDES:
         out[side] = {"median_ms": {str(order): 1e3 * statistics.median(r["seconds"][str(order)] for r in runs[side])
@@ -178,19 +178,19 @@ def reversion_times(copies: dict, orders: list[int], rounds: int, log) -> dict:
     return out
 
 
-def wall_times(copies: dict, argv: list[str], runs: int, log) -> dict:
+def wall_times(copies: dict, argv: list[str], log) -> dict:
     """Wall time of fresh ``python -m gek.cli`` processes, sides alternating, stdout compared byte for byte."""
     times, stdouts = {side: [] for side in SIDES}, set()
-    for index in range(runs):
+    for index in range(WALL_RUNS):
         for side in order_of(index):
             t = time.perf_counter()
             proc = subprocess.run([sys.executable, "-m", "gek.cli", *argv], env=side_env(copies[side]),
                                   capture_output=True, text=True)
             times[side].append(time.perf_counter() - t)
             stdouts.add((proc.returncode, proc.stdout))
-    log(f"wall {' '.join(argv)}: {runs} runs per side")
+    log(f"wall {' '.join(argv)}: {WALL_RUNS} runs per side")
     (code, stdout), *_ = stdouts
-    out = {"argv": ["gek", *argv], "runs_per_side": runs, "stdout_identical": len(stdouts) == 1,
+    out = {"argv": ["gek", *argv], "runs_per_side": WALL_RUNS, "stdout_identical": len(stdouts) == 1,
            "exit": code, "stdout_lines": len(stdout.splitlines())}
     for side in SIDES:
         out[side] = {"median_s": statistics.median(times[side]), "runs_s": times[side]}
@@ -273,9 +273,9 @@ def main(argv=None) -> int:
         }
         if args.reversion_orders:
             orders = [int(o) for o in args.reversion_orders.split(",")]
-            sections["reversion_in_process"] = reversion_times(copies, orders, ROUNDS, log)
+            sections["reversion_in_process"] = reversion_times(copies, orders, log)
         if args.wall:
-            sections["wall"] = [wall_times(copies, text.split(), WALL_RUNS, log) for text in args.wall]
+            sections["wall"] = [wall_times(copies, text.split(), log) for text in args.wall]
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
