@@ -13,8 +13,9 @@ METRICS = [{"name": "op_p50_s", "unit": "s", "better": "lower", "bound": 0.25},
            {"name": "trials_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}]
 
 
-def run(p50, rate):
-    return {"result": {"metrics": {"op_p50_s": {"value": p50}, "trials_per_s": {"value": rate}}}}
+def run(p50, rate, failed=0, correct=None):
+    return {"result": {"metrics": {"op_p50_s": {"value": p50}, "trials_per_s": {"value": rate}},
+                       "correct": failed == 0 if correct is None else correct, "attempted": 100, "failed": failed}}
 
 
 def pairs(parent, change):
@@ -42,18 +43,30 @@ def test_summary_counts_wins_in_each_metric_direction():
     assert slower["op_p50_s"]["worse_than_bound"] and slower["trials_per_s"]["worse_than_bound"]
 
 
+def test_section_sums_failed_ops_and_reads_correctness_per_side():
+    got = bench_pairs.section(pairs([(1.0, 100.0, 2), (1.0, 100.0)], [(0.7, 100.0)] * 2), METRICS)
+    assert got["failed_ops"] == {"parent": 2, "change": 0}
+    assert got["attempted_ops"] == {"parent": 200, "change": 200}
+    assert got["all_correct"] == {"parent": False, "change": True}
+
+
 def test_claim_needs_nine_wins_a_gap_past_the_parent_iqr_and_the_held_out_pairs():
+    def claim(parent, change, held_parent=(1.0, 100.0), held_change=(0.7, 100.0)):
+        held = bench_pairs.section(pairs([held_parent], [held_change]), METRICS)
+        return bench_pairs.claim("exact-series", "op_p50_s", bench_pairs.section(pairs(parent, change), METRICS), held)
+
     parent = [(1.0 + 0.01 * i, 100.0) for i in range(10)]
     change = [(0.7, 100.0)] * 9 + [(1.2, 100.0)]
-    summary = bench_pairs.summarize(pairs(parent, change), METRICS)
-    held = {"summary": bench_pairs.summarize(pairs([(1.0, 100.0)], [(0.7, 100.0)]), METRICS)}
-    got = bench_pairs.claim("exact-series", "op_p50_s", summary, held)
+    got = claim(parent, change)
     assert got["met"] and got["change_wins"] == "9/10" and got["gain_rel"] > 0.25
-    lost = {"summary": bench_pairs.summarize(pairs([(1.0, 100.0)], [(1.1, 100.0)]), METRICS)}
-    assert not bench_pairs.claim("exact-series", "op_p50_s", summary, lost)["met"]
-    eight = bench_pairs.summarize(pairs(parent, [(0.7, 100.0)] * 8 + [(1.2, 100.0)] * 2), METRICS)
-    assert not bench_pairs.claim("exact-series", "op_p50_s", eight, held)["met"]
+    assert not claim(parent, change, held_change=(1.1, 100.0))["met"]
+    assert not claim(parent, [(0.7, 100.0)] * 8 + [(1.2, 100.0)] * 2)["met"]
     # a gain inside the parent's spread does not count
     spread = [(1.0 + 0.1 * i, 100.0) for i in range(10)]
-    within = bench_pairs.summarize(pairs(spread, [(p - 0.05, 100.0) for p, _ in spread]), METRICS)
-    assert not bench_pairs.claim("exact-series", "op_p50_s", within, held)["met"]
+    assert not claim(spread, [(p - 0.05, 100.0) for p, _ in spread])["met"]
+    # nor one where a change run is not correct or fails more ops than the parent, held out or not
+    assert not claim(parent, change[:-1] + [(1.2, 100.0, 1)])["met"]
+    assert not claim(parent, change, held_change=(0.7, 100.0, 1))["met"]
+    assert not claim(parent, change[:-1] + [(1.2, 100.0, 0, False)])["met"]
+    assert not claim(parent, change[:-1] + [(1.2, 100.0, 1, True)])["met"]
+    assert claim([(p, r, 3) for p, r in parent], change)["met"]

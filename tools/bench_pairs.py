@@ -7,13 +7,13 @@ From the root of a git checkout of gek:
 Each side is a ``git archive`` copy of its commit in a scratch directory, so
 neither run sees the work tree.  For every workload of ``BENCHMARK.json`` the
 script runs the unchanged ``python3 bench/run.py --workload W --seed S
---seconds T --trace 0`` once per side on each of ``--pairs`` seeds, the two
-sides alternating which runs first, and keeps each run's provenance line and
-result line.  It then runs the claimed workload on the held-out seeds, one
-``--trace 1`` run per side, and the optional in-process ``reversion`` timings
-and fresh-process wall times, and writes one JSON file in the layout of
-``BENCH_20.json``: pairs with their median and interquartile range per
-end-to-end metric, held-out pairs, one traced run per side, provenance.
+--seconds T --trace 0`` once per side on each of ``PAIRS`` seeds, with T the
+``run_seconds`` of ``BENCHMARK.json``, the two sides alternating which runs
+first, and keeps each run's provenance line and result line.  It then runs
+the claimed workload on the held-out seeds and once per side with
+``--trace 1``, and writes ``BENCH_<pr>.json`` at the repository root in the
+layout of ``BENCH_20.json``: pairs with their median and interquartile range
+per end-to-end metric, held-out pairs, one traced run per side, provenance.
 
 Only the standard library is used.  The copies are removed at the end.
 """
@@ -35,31 +35,12 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
-# the seeds of BENCH_20.json: the pairs start at FIRST_SEED, and none of these
-# is a seed that a change is tried on while it is written
+# the seeds of BENCH_20.json: the pairs are FIRST_SEED .. FIRST_SEED + PAIRS - 1,
+# and none of these is a seed that a change is tried on while it is written
 FIRST_SEED = 2001
+PAIRS = 10
 HELD_OUT_SEEDS = (2021, 2022)
 TRACED_SEED = 2031
-ROUNDS = 7  # fresh processes per side for the in-process reversion times
-WALL_RUNS = 5  # fresh processes per side for each --wall command
-
-# times `reversion` of the abel carrier (a, b) = (5/13, -7/11) once per order
-# in a fresh process; prints {order: seconds} and a digest of the coefficients
-REVERSION_SNIPPET = """
-import hashlib, json, sys, time
-from fractions import Fraction
-from gek import series
-g = series.abel_exp_series(Fraction(5, 13), Fraction(-7, 11), max(ORDERS))
-series.reversion(g.truncated(8))
-out, digest = {}, hashlib.sha256()
-for order in ORDERS:
-    f = g.truncated(order)
-    t = time.perf_counter()
-    inverse = series.reversion(f)
-    out[order] = time.perf_counter() - t
-    digest.update(str(inverse).encode())
-print(json.dumps({"seconds": out, "digest": digest.hexdigest()[:16]}))
-"""
 
 
 def git(*args: str) -> bytes:
@@ -134,16 +115,30 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
-def claim(workload: str, metric: str, summary: dict, held_out: dict) -> dict:
+def section(pairs: list[dict], metrics: list[dict]) -> dict:
+    """The pairs of one workload, their summary, and each side's failed and attempted ops and correctness."""
+    return {
+        "pairs": pairs,
+        "summary": summarize(pairs, metrics),
+        **{key: {side: sum(p[side]["result"][field] for p in pairs) for side in SIDES}
+           for key, field in (("failed_ops", "failed"), ("attempted_ops", "attempted"))},
+        "all_correct": {side: all(p[side]["result"]["correct"] for p in pairs) for side in SIDES},
+    }
+
+
+def claim(workload: str, metric: str, measured: dict, held_out: dict) -> dict:
     """Met when the change wins 9 of 10 pairs (or more), its median gap exceeds the parent's IQR,
-    and it also reads better in every held-out pair."""
-    entry = summary[metric]
+    it also reads better in every held-out pair, and in both sets of pairs every change run is
+    correct and fails no more ops than the parent."""
+    entry = measured["summary"][metric]
     parent, change = entry["parent"], entry["change"]
     wins, count = map(int, entry["change_wins"].split("/"))
     met = wins >= math.ceil(0.9 * count) and abs(change["median"] - parent["median"]) > parent["iqr"]
     met = met and better(change["median"], parent["median"], entry["better"])
     held_wins, held_count = map(int, held_out["summary"][metric]["change_wins"].split("/"))
     met = met and held_wins == held_count
+    met = met and all(part["all_correct"]["change"] and part["failed_ops"]["change"] <= part["failed_ops"]["parent"]
+                      for part in (measured, held_out))
     return {"workload": workload, "metric": metric, "better": entry["better"],
             "parent_median": parent["median"], "parent_iqr": parent["iqr"],
             "change_median": change["median"], "change_iqr": change["iqr"],
@@ -151,75 +146,23 @@ def claim(workload: str, metric: str, summary: dict, held_out: dict) -> dict:
             "change_wins": entry["change_wins"], "met": met}
 
 
-def side_env(copy: str) -> dict:
-    env = dict(os.environ)
-    env.pop("GEK_SEED", None)
-    env["PYTHONPATH"] = os.path.join(copy, "src")
-    return env
-
-
-def reversion_times(copies: dict, orders: list[int], log) -> dict:
-    """In-process ``reversion`` time per order: one fresh process per side and round, sides alternating."""
-    code = REVERSION_SNIPPET.replace("ORDERS", repr(tuple(orders)))
-    runs = {side: [] for side in SIDES}
-    for index in range(ROUNDS):
-        for side in order_of(index):
-            proc = subprocess.run([sys.executable, "-c", code], env=side_env(copies[side]),
-                                  capture_output=True, text=True, check=True)
-            runs[side].append(json.loads(proc.stdout))
-    log(f"reversion in-process: {ROUNDS} rounds")
-    out = {"family": "abel", "params": "a=5/13,b=-7/11", "rounds": ROUNDS,
-           "coefficients_identical": len({r["digest"] for side in SIDES for r in runs[side]}) == 1}
-    for side in SIDES:
-        out[side] = {"median_ms": {str(order): 1e3 * statistics.median(r["seconds"][str(order)] for r in runs[side])
-                                   for order in orders}}
-    out["speedup"] = {str(order): out["parent"]["median_ms"][str(order)] / out["change"]["median_ms"][str(order)]
-                      for order in orders}
-    return out
-
-
-def wall_times(copies: dict, argv: list[str], log) -> dict:
-    """Wall time of fresh ``python -m gek.cli`` processes, sides alternating, stdout compared byte for byte."""
-    times, stdouts = {side: [] for side in SIDES}, set()
-    for index in range(WALL_RUNS):
-        for side in order_of(index):
-            t = time.perf_counter()
-            proc = subprocess.run([sys.executable, "-m", "gek.cli", *argv], env=side_env(copies[side]),
-                                  capture_output=True, text=True)
-            times[side].append(time.perf_counter() - t)
-            stdouts.add((proc.returncode, proc.stdout))
-    log(f"wall {' '.join(argv)}: {WALL_RUNS} runs per side")
-    (code, stdout), *_ = stdouts
-    out = {"argv": ["gek", *argv], "runs_per_side": WALL_RUNS, "stdout_identical": len(stdouts) == 1,
-           "exit": code, "stdout_lines": len(stdout.splitlines())}
-    for side in SIDES:
-        out[side] = {"median_s": statistics.median(times[side]), "runs_s": times[side]}
-    return out
-
-
-def about(seconds: float, seeds: list[int], claim_workload: str, held_key: str, extras: list[str]) -> str:
-    text = (
+def about(seconds: float, seeds: list[int], claim_workload: str, held_key: str) -> str:
+    return (
         f"Written by tools/bench_pairs.py. Parent/change pairs of `python3 bench/run.py --workload W --seed S "
         f"--seconds {seconds:g} --trace 0`, each run in a fresh copy of the tree (`git archive` of the parent and "
         f"of the change commit), the two sides alternating which runs first. Each run keeps its provenance line "
         f"(parsed) and its last stdout line (the result JSON, parsed). Summaries give the median, the "
         f"interquartile range (statistics.quantiles, n=4, exclusive), the quartiles and the extremes of each "
         f"end-to-end metric over the pairs, the change's relative move of the median, and in how many pairs the "
-        f"change read better (ties count for neither side). Seeds {seeds[0]}-{seeds[-1]} are the pairs of every "
-        f"workload; `{held_key}` holds {len(HELD_OUT_SEEDS)} more {claim_workload} pairs on seeds "
+        f"change read better (ties count for neither side); each workload also sums the failed and attempted "
+        f"ops per side and says whether every run of a side was correct. Seeds {seeds[0]}-{seeds[-1]} are the "
+        f"pairs of every workload; `{held_key}` holds {len(HELD_OUT_SEEDS)} more {claim_workload} pairs on seeds "
         f"{', '.join(map(str, HELD_OUT_SEEDS))}; `traced` holds one `--trace 1` {claim_workload} run per side on "
         f"seed {TRACED_SEED}, and `traced_side_by_side` its per-layer metrics side by side. The claim is met when "
-        f"the change reads better in at least 9 of 10 pairs, its median differs from the parent's by more than "
-        f"the parent's interquartile range, and it reads better in every held-out pair."
+        f"the change reads better in at least 9 of {len(seeds)} pairs, its median differs from the parent's by "
+        f"more than the parent's interquartile range, it reads better in every held-out pair, and in the pairs and "
+        f"the held-out pairs every change run is correct and fails no more ops than the parent."
     )
-    if "reversion_in_process" in extras:
-        text += (" `reversion_in_process` is the in-process time of `gek.series.reversion` on the abel carrier "
-                 f"(a, b) = (5/13, -7/11) at each order: one call per order in each of {ROUNDS} fresh processes "
-                 "per side, sides alternating, and the median over those processes.")
-    if "wall" in extras:
-        text += (f" `wall` is the wall time of {WALL_RUNS} fresh `python -m gek.cli` processes per side, "
-                 "alternating, with stdout compared byte for byte.")
-    return text
 
 
 def main(argv=None) -> int:
@@ -227,22 +170,18 @@ def main(argv=None) -> int:
     parser.add_argument("--pr", type=int, required=True, help="the number in the output file name")
     parser.add_argument("--parent", default="HEAD~1")
     parser.add_argument("--change", default="HEAD")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=10.0)
-    parser.add_argument("--workloads", help="comma-separated; default: every workload of BENCHMARK.json")
     parser.add_argument("--claim", default="exact-series:op_p50_s", help="WORKLOAD:METRIC")
-    parser.add_argument("--reversion-orders", default="", help="e.g. 8,12,16,20,22,30,40; empty: skip")
-    parser.add_argument("--wall", action="append", default=[], help="gek arguments to time as fresh processes")
-    parser.add_argument("--out", help="default: BENCH_<pr>.json at the repository root")
     args = parser.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
         declared = json.load(handle)
-    metrics = declared["end_to_end"]
-    workloads = args.workloads.split(",") if args.workloads else [w["name"] for w in declared["workloads"]]
+    metrics, seconds = declared["end_to_end"], declared["run_seconds"]
+    workloads = [w["name"] for w in declared["workloads"]]
     claim_workload, claim_metric = args.claim.split(":")
+    if claim_workload not in workloads or claim_metric not in {m["name"] for m in metrics}:
+        parser.error(f"--claim {args.claim}: not a declared workload and end-to-end metric")
     held_key = "held_out_" + claim_workload.replace("-", "_")
-    seeds = list(range(FIRST_SEED, FIRST_SEED + args.pairs))
+    seeds = list(range(FIRST_SEED, FIRST_SEED + PAIRS))
 
     def log(message: str) -> None:
         print(f"[{time.strftime('%H:%M:%S')}] {message}", file=sys.stderr, flush=True)
@@ -253,46 +192,33 @@ def main(argv=None) -> int:
         shas = {side: export(rev, copies[side]) for side, rev in zip(SIDES, (args.parent, args.change))}
         sections: dict = {"workloads": {}}
         for workload in workloads:
-            pairs = run_pairs(copies, workload, seeds, args.seconds, log)
-            sections["workloads"][workload] = {
-                "pairs": pairs,
-                "summary": summarize(pairs, metrics),
-                **{key: {side: sum(p[side]["result"][field] for p in pairs) for side in SIDES}
-                   for key, field in (("failed_ops", "failed"), ("attempted_ops", "attempted"))},
-            }
-        held_pairs = run_pairs(copies, claim_workload, HELD_OUT_SEEDS, args.seconds, log)
-        sections[held_key] = {"pairs": held_pairs, "summary": summarize(held_pairs, metrics)}
+            sections["workloads"][workload] = section(run_pairs(copies, workload, seeds, seconds, log), metrics)
+        sections[held_key] = section(run_pairs(copies, claim_workload, HELD_OUT_SEEDS, seconds, log), metrics)
         traced = sections["traced"] = {}
         for side in SIDES:
             traced[side] = {"seed": TRACED_SEED, "workload": claim_workload,
-                            **bench_run(copies[side], claim_workload, TRACED_SEED, args.seconds, 1)}
+                            **bench_run(copies[side], claim_workload, TRACED_SEED, seconds, 1)}
             log(f"traced {claim_workload} {side}")
         sections["traced_side_by_side"] = {
             name: {side: traced[side]["result"]["metrics"][name]["value"] for side in SIDES}
             for name in traced["parent"]["result"]["metrics"]
         }
-        if args.reversion_orders:
-            orders = [int(o) for o in args.reversion_orders.split(",")]
-            sections["reversion_in_process"] = reversion_times(copies, orders, log)
-        if args.wall:
-            sections["wall"] = [wall_times(copies, text.split(), log) for text in args.wall]
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
     first = sections["workloads"][workloads[0]]["pairs"][0]
     report = {
-        "about": about(args.seconds, seeds, claim_workload, held_key, list(sections)),
+        "about": about(seconds, seeds, claim_workload, held_key),
         "parent": shas["parent"],
         "change": shas["change"],
         "parent_src_sha256": first["parent"]["provenance"]["src_sha256"],
         "change_src_sha256": first["change"]["provenance"]["src_sha256"],
         "host": {key: first["parent"]["provenance"].get(key)
                  for key in ("python", "numpy", "scipy", "nproc", "cpus_usable", "pinned_cpu", "note")},
-        "claim": claim(claim_workload, claim_metric, sections["workloads"][claim_workload]["summary"],
-                       sections[held_key]),
+        "claim": claim(claim_workload, claim_metric, sections["workloads"][claim_workload], sections[held_key]),
         **sections,
     }
-    out_path = args.out or os.path.join(ROOT, f"BENCH_{args.pr}.json")
+    out_path = os.path.join(ROOT, f"BENCH_{args.pr}.json")
     with open(out_path, "w") as handle:
         json.dump(report, handle, indent=1)
         handle.write("\n")
