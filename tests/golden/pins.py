@@ -145,10 +145,19 @@ def _perturbed(law: dict, delta: dict) -> dict:
 
 def laws() -> list[tuple[str, dict, int]]:
     """(name, coefficient dict, total degree) of every law whose axiom report is pinned."""
-    from gek.series import abel_exp_series, group_law_from_G, kaniadakis_exp_series
+    import random
 
-    abel = group_law_from_G(abel_exp_series(Fraction(5, 13), Fraction(-7, 11), 10), 10).coeffs
+    from gek.series import abel_exp_series, group_law_from_G, kaniadakis_exp_series, series_from_b_sequence
+
+    def abel_law(order):
+        return dict(group_law_from_G(abel_exp_series(Fraction(5, 13), Fraction(-7, 11), order), order).coeffs)
+
+    abel = abel_law(10)
+    abel12 = abel_law(12)
     kan = group_law_from_G(kaniadakis_exp_series(Fraction(5, 13), 9), 9).coeffs
+    rng = random.Random(25)
+    b_law = group_law_from_G(series_from_b_sequence(
+        [1] + [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(11)], 12), 12).coeffs
     return [
         ("abel-o10", dict(abel), 10),
         ("kaniadakis-o9", dict(kan), 9),
@@ -160,6 +169,12 @@ def laws() -> list[tuple[str, dict, int]]:
         ("kaniadakis-o9-associativity", _perturbed(kan, {(2, 2): Fraction(3, 11)}), 9),
         ("tsallis-o10-associativity",
          {(1, 0): Fraction(1), (0, 1): Fraction(1), (1, 1): Fraction(5, 13), (2, 2): Fraction(-5, 13)}, 10),
+        ("abel-o16", abel_law(16), 16),
+        ("b-sequence-o12", dict(b_law), 12),
+        # associativity breaks at the top degree only: a symmetric x^6 y^6 term
+        ("abel-o12-associativity", _perturbed(abel12, {(6, 6): Fraction(2, 17)}), 12),
+        # identity holds, commutativity and associativity break: x^5 y^7 without x^7 y^5
+        ("abel-o12-commutativity", _perturbed(abel12, {(5, 7): Fraction(-3, 19)}), 12),
     ]
 
 
