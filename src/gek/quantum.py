@@ -34,7 +34,7 @@ class DensityMatrix:
         arr = np.asarray(entries)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise InputError("a density matrix must be square and nonempty")
-        arr = arr.astype(complex)
+        arr = arr.astype(complex if np.iscomplexobj(arr) else np.float64)  # a real eigvalsh costs 2-3x less
         if not np.isfinite(arr).all():
             raise InputError("density matrix entries must be finite")
         if np.max(np.abs(arr - arr.conj().T)) > _HERMITIAN_TOL:
@@ -98,7 +98,7 @@ def quantum_z_ab(a: float, b: float, alpha: float, rho: DensityMatrix) -> float:
 
 # Desk-scale exactness bounds for the symmetric-state machinery.
 _DICKE_MAX_SITES = {1: 14, 2: 10}
-# the widest reduced block the dense oracle builds, (m+1)^L columns: a 64 MiB complex matrix
+# the widest reduced block the dense oracle builds, (m+1)^L columns: a 32 MiB float64 matrix
 MAX_DENSE_BLOCK_WIDTH = 2048
 
 

@@ -369,33 +369,45 @@ class GroupAxiomReport(Record):
         return self.identity and self.commutativity and self.associativity
 
 
-def verify_group_axioms(psi: BivariateTruncatedSeries) -> GroupAxiomReport:
-    """Check identity, commutativity and associativity of a candidate group law.
+def _differential_holds(law: dict, d: int, n: int) -> bool:
+    """Whether D(psi(x, y)) = d_y psi(x, y) D(y) below total degree n, where D(u) = d_y psi(u, 0) and psi = law / d.
 
-    Associativity is checked by materializing both trivariate compositions
-    truncated at the law's total degree, over one denominator: the law's
-    times the least common multiple of its content-free powers'.
+    Differentiating associativity in z at z = 0 gives this identity; given
+    psi(x, 0) = x and psi(0, y) = y, integrating l' = 1/D gives back
+    l(psi(x, y)) = l(x) + l(y), so over Q it holds exactly when psi is
+    associative to total degree n.
+    """
+    m = n - 1
+    diff = {i: c for (i, j), c in law.items() if j == 1}  # D = diff / d
+    # D(psi) by Horner, acc_k = D_k + psi acc_(k+1) over den with its content
+    # divided out; acc_k is needed only to degree m - k, as psi^k starts at degree k
+    acc: dict[tuple[int, int], int] = {}
+    den = 1
+    for k in range(max(diff, default=-1), -1, -1):
+        acc = _bimul(acc, law, m - k)
+        acc[(0, 0)] = acc.get((0, 0), 0) + diff.get(k, 0) * den
+        nums, den = _content(list(acc.values()), den * d)
+        acc = dict(zip(acc, nums))
+    right: dict[tuple[int, int], int] = {}  # d_y psi(x, y) D(y) over d^2
+    for (a, j), c in law.items():
+        if j:
+            for i, e in diff.items():
+                if a + j - 1 + i <= m:
+                    key = (a, j - 1 + i)
+                    right[key] = right.get(key, 0) + j * c * e
+    return all(acc.get(key, 0) * d * d == right.get(key, 0) * den for key in acc.keys() | right.keys())
+
+
+def _trivariate_associativity(psi: BivariateTruncatedSeries) -> tuple | None:
+    """The first monomial where psi(psi(x, y), z) and psi(x, psi(y, z)) differ, with both coefficients; None if none.
+
+    Both compositions are materialized, truncated at the law's total degree,
+    over one denominator: the law's times the least common multiple of its
+    content-free powers'.
     """
     n = psi.order
     q, d = _ints(psi.coeffs.values())
-    law = dict(zip(psi.coeffs, q))  # psi = law / d, so every check compares integers
-    failures: dict = {}
-
-    # the coefficients of x^k and of y^k are 1 at k = 1 and 0 elsewhere
-    identity_ok = True
-    for key in [(k, 0) for k in range(n + 1)] + [(0, k) for k in range(n + 1)]:
-        if law.get(key, 0) != (d if sum(key) == 1 else 0):
-            identity_ok = False
-            failures["identity"] = (key, psi[key], Fraction(int(sum(key) == 1)))
-            break
-
-    commutative_ok = True
-    for (i, j) in sorted({(max(i, j), min(i, j)) for (i, j) in law}):
-        if law.get((i, j), 0) != law.get((j, i), 0):
-            commutative_ok = False
-            failures["commutativity"] = ((i, j), psi[(i, j)], psi[(j, i)])
-            break
-
+    law = dict(zip(psi.coeffs, q))
     # psi^i = powers[i] / dens[i], content divided out; every term of
     # psi(psi(x, y), z) and psi(x, psi(y, z)) is scaled to d lcm(dens).
     top = max((max(key) for key in law), default=0)
@@ -417,15 +429,55 @@ def verify_group_axioms(psi: BivariateTruncatedSeries) -> GroupAxiomReport:
         for (a, b), v in powers[j].items():
             if i + a + b <= n:
                 right[(i, a, b)] = right.get((i, a, b), 0) + cr * v
-    associative_ok = True
     for key in sorted(left.keys() | right.keys()):
         lv, rv = left.get(key, 0), right.get(key, 0)
         if lv != rv:
-            associative_ok = False
-            failures["associativity"] = (key, Fraction(lv, d * lcm_powers), Fraction(rv, d * lcm_powers))
+            return key, Fraction(lv, d * lcm_powers), Fraction(rv, d * lcm_powers)
+    return None
+
+
+def verify_group_axioms(psi: BivariateTruncatedSeries) -> GroupAxiomReport:
+    """Check identity, commutativity and associativity of a candidate group law.
+
+    Once the identity holds, associativity is decided by the invariant
+    differential (Hazewinkel, *Formal Groups and Applications*, 1978, ch. 1):
+    with D(u) = d_y psi(u, 0), psi is associative to its total degree n
+    exactly when D(psi(x, y)) = d_y psi(x, y) D(y) below degree n.  That
+    takes deg D bivariate products, D(psi) by Horner, and no trivariate sum.
+    Only when the identity or that check fails are both trivariate
+    compositions materialized, so a failure names the first monomial where
+    psi(psi(x, y), z) and psi(x, psi(y, z)) differ.  On the abel law
+    (a = 5/13, b = -7/11) this took the check from 1.95 to 1.00 ms at order
+    10, 18.5 to 8.5 ms at order 20 and 297 to 186 ms at order 40
+    (in-process, median of 7 processes alternating with the trivariate
+    check, on a shared 2-vCPU host).
+    """
+    n = psi.order
+    q, d = _ints(psi.coeffs.values())
+    law = dict(zip(psi.coeffs, q))  # psi = law / d, so every check compares integers
+    failures: dict = {}
+
+    # the coefficients of x^k and of y^k are 1 at k = 1 and 0 elsewhere
+    identity_ok = True
+    for key in [(k, 0) for k in range(n + 1)] + [(0, k) for k in range(n + 1)]:
+        if law.get(key, 0) != (d if sum(key) == 1 else 0):
+            identity_ok = False
+            failures["identity"] = (key, psi[key], Fraction(int(sum(key) == 1)))
             break
 
-    return GroupAxiomReport(identity_ok, commutative_ok, associative_ok, failures)
+    commutative_ok = True
+    for (i, j) in sorted({(max(i, j), min(i, j)) for (i, j) in law}):
+        if law.get((i, j), 0) != law.get((j, i), 0):
+            commutative_ok = False
+            failures["commutativity"] = ((i, j), psi[(i, j)], psi[(j, i)])
+            break
+
+    witness = None
+    if not (identity_ok and _differential_holds(law, d, n)):
+        witness = _trivariate_associativity(psi)
+    if witness:
+        failures["associativity"] = witness
+    return GroupAxiomReport(identity_ok, commutative_ok, witness is None, failures)
 
 
 class AbelCoefficients(Record):

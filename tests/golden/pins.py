@@ -16,8 +16,8 @@ Each pin is a JSON file beside this script, written with ``indent=1``:
   kaniadakis and abel at 20, 30 and 40, each with argv, exit code, stdout and
   stderr.  ``axioms`` holds the ``repr`` of ``verify_group_axioms`` on exact
   laws and on perturbed non-laws whose first broken axiom is identity,
-  commutativity and associativity, each law as ``[i, j, "p/q"]`` triples
-  with its total degree.
+  commutativity and associativity (one breaking only at its top degree), each
+  law as ``[i, j, "p/q"]`` triples with its total degree.
 
 Every entry replays byte for byte: each field it pins must be the same, and no
 exception may escape ``main`` unless the entry names it.

@@ -70,3 +70,21 @@ def test_claim_needs_nine_wins_a_gap_past_the_parent_iqr_and_the_held_out_pairs(
     assert not claim(parent, change[:-1] + [(1.2, 100.0, 0, False)])["met"]
     assert not claim(parent, change[:-1] + [(1.2, 100.0, 1, True)])["met"]
     assert claim([(p, r, 3) for p, r in parent], change)["met"]
+
+
+@pytest.mark.parametrize("claim", ["exact-series", "exact-series:op_p50_s:x", ":op_p50_s", "exact-series:"])
+def test_a_claim_not_workload_colon_metric_is_a_usage_error(claim, capsys):
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--pr", "0", "--claim", claim])
+    assert exc.value.code == 2
+    assert f"--claim {claim}: not a declared workload and end-to-end metric" in capsys.readouterr().err
+
+
+def test_host_says_whether_the_runs_could_write_bytecode(monkeypatch):
+    provenance = {"python": "3.11.7", "nproc": 2, "extra": 1}
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    got = bench_pairs.host(provenance)
+    assert got["python"] == "3.11.7" and got["nproc"] == 2 and "extra" not in got
+    assert got["writes_pyc"] is False
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
+    assert bench_pairs.host(provenance)["writes_pyc"] is True

@@ -4,7 +4,9 @@
 says what each pin holds.  The corpus was pinned before the Z-families became
 aliases of ``zg``, the verify pin before the trial loops were batched and the
 sampled checks became rows, and the series pin before ``gek.series`` moved to
-integer-numerator arithmetic, Lagrange inversion and content-free powers.
+integer-numerator arithmetic, Lagrange inversion and content-free powers, and
+its axiom reports before associativity was decided by the invariant
+differential.
 """
 
 import importlib.util

@@ -74,6 +74,22 @@ class TestDensityMatrix:
             with pytest.raises(InputError, match="must be finite"):
                 build()
 
+    @pytest.mark.parametrize(
+        "build, dtype",
+        [
+            (lambda: DensityMatrix([[0.6, 0.2], [0.2, 0.4]]), np.float64),
+            (lambda: DensityMatrix([[1, 0], [0, 0]]), np.float64),
+            (lambda: DensityMatrix(np.eye(2, dtype=np.float32) / 2), np.float64),
+            (lambda: DensityMatrix.diagonal([0.25] * 4), np.float64),
+            (lambda: dicke_reduced_density_dense(DickeSpec(m=1, n_sites=6, occupations=(3, 3), block=3)), np.float64),
+            (lambda: DensityMatrix([[0.5, 0.5j], [-0.5j, 0.5]]), np.complex128),
+            (lambda: DensityMatrix.pure([1.0, 1.0]), np.complex128),
+        ],
+        ids=["float", "int", "float32", "diagonal", "dicke-dense", "complex", "pure"],
+    )
+    def test_only_complex_input_is_held_complex(self, build, dtype):
+        assert build().entries.dtype == dtype
+
     def test_diagonal_spectrum(self):
         rho = DensityMatrix.diagonal([0.5, 0.5])
         assert eigenvalues(rho).tolist() == [0.5, 0.5]

@@ -433,6 +433,72 @@ class TestKernelParity:
         assert list(got.coeffs) == list(ref_polymul(dict(p.coeffs), dict(q.coeffs), got.order))
 
 
+trivariate_associativity = series_module._trivariate_associativity
+
+
+@pytest.fixture
+def trivariate_calls(monkeypatch):
+    """The laws that ``verify_group_axioms`` hands to the trivariate helper, in call order."""
+    calls = []
+    monkeypatch.setattr(series_module, "_trivariate_associativity", lambda psi: calls.append(psi) or
+                        trivariate_associativity(psi))
+    return calls
+
+
+def seeded_b_law(rng, order):
+    b = [F(1)] + [F(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(order - 1)]
+    return group_law_from_G(series_from_b_sequence(b, order), order)
+
+
+ABEL_O10 = group_law_from_G(CARRIERS["abel"](10), 10)
+
+
+class TestDifferentialAssociativity:
+    """``verify_group_axioms`` decides associativity by the invariant differential; both trivariate
+    compositions, through the helper and through ``ref_axioms``, must give the same report, and the
+    helper runs only where the identity or associativity fails."""
+
+    def check(self, psi, calls):
+        calls.clear()
+        got = verify_group_axioms(psi)
+        assert len(calls) == (not (got.identity and got.associativity)), psi
+        witness = trivariate_associativity(psi)
+        failures = {key: v for key, v in got.first_failure.items() if key != "associativity"}
+        if witness:
+            failures["associativity"] = witness
+        trivariate = GroupAxiomReport(got.identity, got.commutativity, witness is None, failures)
+        assert repr(got) == repr(trivariate) == repr(ref_axioms(psi)), psi
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 6, 9, 12])
+    @pytest.mark.parametrize("carrier", sorted(CARRIERS))
+    def test_registry_laws(self, carrier, order, trivariate_calls):
+        self.check(group_law_from_G(CARRIERS[carrier](order), order), trivariate_calls)
+
+    @pytest.mark.parametrize("order", range(1, 21))
+    def test_seeded_b_sequence_laws(self, order, trivariate_calls):
+        self.check(seeded_b_law(random.Random(order), order), trivariate_calls)
+
+    @pytest.mark.parametrize("commutative", [True, False], ids=["commutative", "non-commutative"])
+    def test_every_single_coefficient_perturbation(self, commutative, trivariate_calls):
+        # add 2/7 at x^i y^j, and for a commutative perturbation at x^j y^i too
+        for i, j in ABEL_O10.monomials():
+            if commutative and i > j or not commutative and i == j:
+                continue
+            coeffs = dict(ABEL_O10.coeffs)
+            for key in {(i, j), (j, i)} if commutative else {(i, j)}:
+                coeffs[key] = coeffs.get(key, F(0)) + F(2, 7)
+            self.check(BivariateTruncatedSeries(coeffs, 10), trivariate_calls)
+
+    @pytest.mark.parametrize(
+        "coeffs, order",
+        [({}, 0), ({(0, 0): F(1)}, 0), ({(0, 0): F(-2, 3)}, 0),
+         ({}, 1), ({(1, 0): 1, (0, 1): 1}, 1), ({(1, 0): 2, (0, 1): 1}, 1), ({(1, 0): 1}, 1),
+         ({(0, 0): F(1, 3), (1, 0): 1, (0, 1): 1}, 1), ({(1, 0): 1, (0, 1): F(-1, 2)}, 1)],
+    )
+    def test_orders_zero_and_one(self, coeffs, order, trivariate_calls):
+        self.check(BivariateTruncatedSeries(coeffs, order), trivariate_calls)
+
+
 def ref_reversion_power_loop(f):
     """Lagrange inversion with every power h^m of h = s/f(s) formed in full, n - 1 products in all."""
     n = f.order

@@ -146,6 +146,15 @@ def claim(workload: str, metric: str, measured: dict, held_out: dict) -> dict:
             "change_wins": entry["change_wins"], "met": met}
 
 
+def host(provenance: dict) -> dict:
+    """The host fields of a run's provenance, and whether the runs could write ``.pyc`` files: without
+    them every cold ``gek`` process compiles the modules it imports."""
+    out = {key: provenance.get(key)
+           for key in ("python", "numpy", "scipy", "nproc", "cpus_usable", "pinned_cpu", "note")}
+    out["writes_pyc"] = not os.environ.get("PYTHONDONTWRITEBYTECODE")
+    return out
+
+
 def about(seconds: float, seeds: list[int], claim_workload: str, held_key: str) -> str:
     return (
         f"Written by tools/bench_pairs.py. Parent/change pairs of `python3 bench/run.py --workload W --seed S "
@@ -177,7 +186,7 @@ def main(argv=None) -> int:
         declared = json.load(handle)
     metrics, seconds = declared["end_to_end"], declared["run_seconds"]
     workloads = [w["name"] for w in declared["workloads"]]
-    claim_workload, claim_metric = args.claim.split(":")
+    claim_workload, _, claim_metric = args.claim.partition(":")
     if claim_workload not in workloads or claim_metric not in {m["name"] for m in metrics}:
         parser.error(f"--claim {args.claim}: not a declared workload and end-to-end metric")
     held_key = "held_out_" + claim_workload.replace("-", "_")
@@ -213,8 +222,7 @@ def main(argv=None) -> int:
         "change": shas["change"],
         "parent_src_sha256": first["parent"]["provenance"]["src_sha256"],
         "change_src_sha256": first["change"]["provenance"]["src_sha256"],
-        "host": {key: first["parent"]["provenance"].get(key)
-                 for key in ("python", "numpy", "scipy", "nproc", "cpus_usable", "pinned_cpu", "note")},
+        "host": host(first["parent"]["provenance"]),
         "claim": claim(claim_workload, claim_metric, sections["workloads"][claim_workload], sections[held_key]),
         **sections,
     }
