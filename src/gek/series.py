@@ -370,32 +370,25 @@ class GroupAxiomReport(Record):
 
 
 def _differential_holds(law: dict, d: int, n: int) -> bool:
-    """Whether D(psi(x, y)) = d_y psi(x, y) D(y) below total degree n, where D(u) = d_y psi(u, 0) and psi = law / d.
+    """Whether D(x) d_x psi(x, y) = D(y) d_y psi(x, y) below total degree n, where D(u) = d_y psi(u, 0) and psi = law / d.
 
-    Differentiating associativity in z at z = 0 gives this identity; given
-    psi(x, 0) = x and psi(0, y) = y, integrating l' = 1/D gives back
-    l(psi(x, y)) = l(x) + l(y), so over Q it holds exactly when psi is
-    associative to total degree n.
+    With l' = 1/D and u, v = l(x), l(y) the two sides are d_u psi and d_v psi, so
+    the identity says that psi is a function of l(x) + l(y) alone; given
+    psi(x, 0) = x and psi(0, y) = y that function is l^-1, so over Q it holds
+    exactly when psi is associative to total degree n.  Both sides are sums of
+    products of one term of psi and one of D, compared over d^2.
     """
-    m = n - 1
-    diff = {i: c for (i, j), c in law.items() if j == 1}  # D = diff / d
-    # D(psi) by Horner, acc_k = D_k + psi acc_(k+1) over den with its content
-    # divided out; acc_k is needed only to degree m - k, as psi^k starts at degree k
-    acc: dict[tuple[int, int], int] = {}
-    den = 1
-    for k in range(max(diff, default=-1), -1, -1):
-        acc = _bimul(acc, law, m - k)
-        acc[(0, 0)] = acc.get((0, 0), 0) + diff.get(k, 0) * den
-        nums, den = _content(list(acc.values()), den * d)
-        acc = dict(zip(acc, nums))
-    right: dict[tuple[int, int], int] = {}  # d_y psi(x, y) D(y) over d^2
-    for (a, j), c in law.items():
-        if j:
-            for i, e in diff.items():
-                if a + j - 1 + i <= m:
-                    key = (a, j - 1 + i)
-                    right[key] = right.get(key, 0) + j * c * e
-    return all(acc.get(key, 0) * d * d == right.get(key, 0) * den for key in acc.keys() | right.keys())
+    diff = sorted((i, c) for (i, j), c in law.items() if j == 1)  # D = diff / d
+    gap: dict[tuple[int, int], int] = {}  # (D(x) d_x psi - D(y) d_y psi) d^2
+    for (a, b), c in law.items():
+        for i, e in diff:
+            if a + b + i > n:  # degree a + b - 1 + i reaches n
+                break
+            if a:
+                gap[(a - 1 + i, b)] = gap.get((a - 1 + i, b), 0) + a * c * e
+            if b:
+                gap[(a, b - 1 + i)] = gap.get((a, b - 1 + i), 0) - b * c * e
+    return not any(gap.values())
 
 
 def _trivariate_associativity(psi: BivariateTruncatedSeries) -> tuple | None:

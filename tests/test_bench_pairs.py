@@ -1,11 +1,16 @@
 """The summaries that ``tools/bench_pairs.py`` writes into a BENCH file, on made-up runs."""
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-_spec = importlib.util.spec_from_file_location("bench_pairs", Path(__file__).parents[1] / "tools" / "bench_pairs.py")
+ROOT = Path(__file__).parents[1]
+_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
@@ -88,3 +93,22 @@ def test_host_says_whether_the_runs_could_write_bytecode(monkeypatch):
     assert got["writes_pyc"] is False
     monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
     assert bench_pairs.host(provenance)["writes_pyc"] is True
+
+
+def test_host_records_the_numpy_simd_dispatch_in_use():
+    from numpy._core import _multiarray_umath as umath
+
+    got = bench_pairs.host({})
+    assert got["numpy_simd_baseline"] == list(umath.__cpu_baseline__)
+    assert got["numpy_simd_dispatch"] == [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__[t]]
+    assert json.loads(json.dumps(got)) == got
+    if not got["numpy_simd_dispatch"]:
+        return
+    # a target switched off for the process drops out of the record
+    top = got["numpy_simd_dispatch"][-1]
+    code = "import json, sys; sys.path.insert(0, 'tools'); import bench_pairs; print(json.dumps(bench_pairs.host({})))"
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": top}
+    out = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, check=True)
+    switched_off = json.loads(out.stdout)
+    assert switched_off["numpy_simd_dispatch"] == got["numpy_simd_dispatch"][:-1]
+    assert switched_off["numpy_simd_baseline"] == got["numpy_simd_baseline"]

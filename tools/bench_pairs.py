@@ -15,7 +15,8 @@ the claimed workload on the held-out seeds and once per side with
 layout of ``BENCH_20.json``: pairs with their median and interquartile range
 per end-to-end metric, held-out pairs, one traced run per side, provenance.
 
-Only the standard library is used.  The copies are removed at the end.
+Only the standard library is used, and numpy only to read its SIMD dispatch
+into the ``host`` section.  The copies are removed at the end.
 """
 
 from __future__ import annotations
@@ -152,7 +153,16 @@ def host(provenance: dict) -> dict:
     out = {key: provenance.get(key)
            for key in ("python", "numpy", "scipy", "nproc", "cpus_usable", "pinned_cpu", "note")}
     out["writes_pyc"] = not os.environ.get("PYTHONDONTWRITEBYTECODE")
-    return out
+    return {**out, **numpy_simd()}
+
+
+def numpy_simd() -> dict:
+    """numpy's compiled-in SIMD baseline and the dispatch targets its kernels run on here: the targets
+    change pinned float output, not only speed, and ``NPY_DISABLE_CPU_FEATURES`` switches them off."""
+    from numpy._core import _multiarray_umath as umath
+
+    return {"numpy_simd_baseline": list(umath.__cpu_baseline__),
+            "numpy_simd_dispatch": [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]}
 
 
 def about(seconds: float, seeds: list[int], claim_workload: str, held_key: str) -> str:
