@@ -61,7 +61,8 @@ class DensityMatrix:
 
     @classmethod
     def pure(cls, state) -> "DensityMatrix":
-        psi = np.asarray(state, dtype=complex).ravel()
+        psi = np.asarray(state).ravel()
+        psi = psi.astype(complex if np.iscomplexobj(psi) else np.float64)
         if not np.isfinite(psi).all():
             raise InputError("state vector entries must be finite")
         norm = np.linalg.norm(psi)

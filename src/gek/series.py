@@ -373,10 +373,13 @@ def _differential_holds(law: dict, d: int, n: int) -> bool:
     """Whether D(x) d_x psi(x, y) = D(y) d_y psi(x, y) below total degree n, where D(u) = d_y psi(u, 0) and psi = law / d.
 
     With l' = 1/D and u, v = l(x), l(y) the two sides are d_u psi and d_v psi, so
-    the identity says that psi is a function of l(x) + l(y) alone; given
-    psi(x, 0) = x and psi(0, y) = y that function is l^-1, so over Q it holds
-    exactly when psi is associative to total degree n.  Both sides are sums of
-    products of one term of psi and one of D, compared over d^2.
+    the identity says that psi is a function of l(x) + l(y) alone, which
+    psi(x, 0) = x makes l^-1.  Conversely, differentiating associativity in z at
+    z = 0 and integrating gives psi = l^-1(l(x) + l(y)) for an associative psi,
+    which satisfies it.  So, given psi(x, 0) = x and psi(0, y) = y, it holds
+    over Q exactly when psi is associative to total degree n.  Each side is a
+    sum of products of one term of psi and one of D, compared over d^2: about
+    |psi| deg D integer multiply-adds, 2.5 ms on the 79-term order-40 abel law.
     """
     diff = sorted((i, c) for (i, j), c in law.items() if j == 1)  # D = diff / d
     gap: dict[tuple[int, int], int] = {}  # (D(x) d_x psi - D(y) d_y psi) d^2
@@ -435,15 +438,17 @@ def verify_group_axioms(psi: BivariateTruncatedSeries) -> GroupAxiomReport:
     Once the identity holds, associativity is decided by the invariant
     differential (Hazewinkel, *Formal Groups and Applications*, 1978, ch. 1):
     with D(u) = d_y psi(u, 0), psi is associative to its total degree n
-    exactly when D(psi(x, y)) = d_y psi(x, y) D(y) below degree n.  That
-    takes deg D bivariate products, D(psi) by Horner, and no trivariate sum.
-    Only when the identity or that check fails are both trivariate
-    compositions materialized, so a failure names the first monomial where
+    exactly when D(x) d_x psi(x, y) = D(y) d_y psi(x, y) below degree n.
+    That is linear in psi: one pass over the terms of psi times those of D,
+    on integers, with no power or product of the law.  Only when the
+    identity or that check fails are both trivariate compositions
+    materialized, so a failure names the first monomial where
     psi(psi(x, y), z) and psi(x, psi(y, z)) differ.  On the abel law
-    (a = 5/13, b = -7/11) this took the check from 1.95 to 1.00 ms at order
-    10, 18.5 to 8.5 ms at order 20 and 297 to 186 ms at order 40
-    (in-process, median of 7 processes alternating with the trivariate
-    check, on a shared 2-vCPU host).
+    (a = 5/13, b = -7/11) the linear identity took the check from 0.87 to
+    0.10 ms at order 10, 7.9 to 0.41 ms at order 20 and 158 to 2.5 ms at
+    order 40, against the Horner sum of D(psi) it replaced (298 ms at order
+    40 with the trivariate sums before that); in-process, median of 7
+    processes, on a shared 2-vCPU host.
     """
     n = psi.order
     q, d = _ints(psi.coeffs.values())

@@ -84,8 +84,9 @@ class TestDensityMatrix:
             (lambda: dicke_reduced_density_dense(DickeSpec(m=1, n_sites=6, occupations=(3, 3), block=3)), np.float64),
             (lambda: DensityMatrix([[0.5, 0.5j], [-0.5j, 0.5]]), np.complex128),
             (lambda: DensityMatrix.pure([1.0, 1j]), np.complex128),
+            (lambda: DensityMatrix.pure([1.0, 1.0]), np.float64),
         ],
-        ids=["float", "int", "float32", "diagonal", "dicke-dense", "complex", "pure"],
+        ids=["float", "int", "float32", "diagonal", "dicke-dense", "complex", "pure", "real-pure"],
     )
     def test_only_complex_input_is_held_complex(self, build, dtype):
         assert build().entries.dtype == dtype

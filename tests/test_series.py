@@ -250,12 +250,16 @@ def ref_reversion(f):
 
 
 def ref_polymul(p, q, n):
+    """Each term of p meets only the terms of q whose total degree fits beside it, in q's order."""
+    fitting = {}  # room -> q's terms of total degree <= room
     out = {}
     for k1, v1 in p.items():
-        for k2, v2 in q.items():
+        room = n - sum(k1)
+        if room not in fitting:
+            fitting[room] = [(k2, v2) for k2, v2 in q.items() if sum(k2) <= room]
+        for k2, v2 in fitting[room]:
             key = tuple(a + b for a, b in zip(k1, k2))
-            if sum(key) <= n:
-                out[key] = out.get(key, F(0)) + v1 * v2
+            out[key] = out.get(key, F(0)) + v1 * v2
     return {k: v for k, v in out.items() if v != 0}
 
 
@@ -497,6 +501,33 @@ class TestDifferentialAssociativity:
     )
     def test_orders_zero_and_one(self, coeffs, order, trivariate_calls):
         self.check(BivariateTruncatedSeries(coeffs, order), trivariate_calls)
+
+
+class TestAssociativeLawsTakeNoProducts:
+    """On an associative law with the identity, ``verify_group_axioms`` decides associativity by the
+    linear identity alone: it calls neither the bivariate product nor the trivariate helper."""
+
+    @pytest.fixture
+    def products(self, monkeypatch, trivariate_calls):
+        """The bivariate products and trivariate checks that ``verify_group_axioms`` runs, in call order."""
+        bimul = series_module._bimul
+        monkeypatch.setattr(series_module, "_bimul", lambda a, b, n: trivariate_calls.append(n) or bimul(a, b, n))
+        return trivariate_calls
+
+    def check(self, psi, calls):
+        calls.clear()
+        got = verify_group_axioms(psi)
+        assert got.identity and got.associativity, psi
+        assert calls == [], psi
+
+    @pytest.mark.parametrize("order", [*range(1, 21), 40])
+    @pytest.mark.parametrize("carrier", sorted(CARRIERS))
+    def test_registry_laws(self, carrier, order, products):
+        self.check(group_law_from_G(CARRIERS[carrier](order), order), products)
+
+    @pytest.mark.parametrize("order", range(1, 21))
+    def test_seeded_b_sequence_laws(self, order, products):
+        self.check(seeded_b_law(random.Random(order), order), products)
 
 
 def ref_reversion_power_loop(f):

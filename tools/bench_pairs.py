@@ -148,21 +148,18 @@ def claim(workload: str, metric: str, measured: dict, held_out: dict) -> dict:
 
 
 def host(provenance: dict) -> dict:
-    """The host fields of a run's provenance, and whether the runs could write ``.pyc`` files: without
-    them every cold ``gek`` process compiles the modules it imports."""
+    """The host fields of a run's provenance; whether the runs could write ``.pyc`` files, without
+    which every cold ``gek`` process compiles the modules it imports; and numpy's compiled-in SIMD
+    baseline and the dispatch targets its kernels run on, which change pinned float output, not only
+    speed (``NPY_DISABLE_CPU_FEATURES`` switches targets off)."""
+    from numpy._core import _multiarray_umath as umath
+
     out = {key: provenance.get(key)
            for key in ("python", "numpy", "scipy", "nproc", "cpus_usable", "pinned_cpu", "note")}
     out["writes_pyc"] = not os.environ.get("PYTHONDONTWRITEBYTECODE")
-    return {**out, **numpy_simd()}
-
-
-def numpy_simd() -> dict:
-    """numpy's compiled-in SIMD baseline and the dispatch targets its kernels run on here: the targets
-    change pinned float output, not only speed, and ``NPY_DISABLE_CPU_FEATURES`` switches them off."""
-    from numpy._core import _multiarray_umath as umath
-
-    return {"numpy_simd_baseline": list(umath.__cpu_baseline__),
-            "numpy_simd_dispatch": [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]}
+    out["numpy_simd_baseline"] = list(umath.__cpu_baseline__)
+    out["numpy_simd_dispatch"] = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    return out
 
 
 def about(seconds: float, seeds: list[int], claim_workload: str, held_key: str) -> str:
