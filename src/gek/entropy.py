@@ -341,11 +341,14 @@ class EntropySpec:
         p = self.params
         if "alpha" in p:
             _check_alpha(p["alpha"])
-        if fam.group not in (None, "given"):
+        if fam.group == "given":
+            if self.group is None:
+                raise ParameterError(f"family {self.family} needs a group function")
+        elif self.group is not None:  # fails closed: never swap or keep a G the family does not take
+            raise ParameterError(f"family {self.family} takes no group function")
+        elif fam.group is not None:
             gparams = {k: v for k, v in p.items() if k != "alpha"}
             object.__setattr__(self, "group", group_function(fam.group, **gparams))
-        elif fam.group == "given" and self.group is None:
-            raise ParameterError(f"family {self.family} needs a group function")
         object.__setattr__(self, "_laws", fam.laws(self.family, p, self.group))
 
     @property

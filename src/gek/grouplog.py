@@ -86,7 +86,8 @@ def _signbit(x: float) -> bool:
 class GroupFunction:
     """Base class: an evaluatable G with closed-form or numeric inversion.
 
-    Subclasses must provide ``eval`` and ``deriv``; the default ``inverse``
+    Subclasses must provide ``eval``; the closed-form ones also give G' as
+    ``deriv``, which the series-defined G does not.  The default ``inverse``
     and ``chi`` use monotone bracketing plus Brent root-finding (``_brent``,
     in-repo, following scipy's ``brentq``), and rely on ``domain_min`` /
     ``range_min`` for admissibility checks.  Every ``inverse``, closed form
@@ -116,10 +117,6 @@ class GroupFunction:
 
     def __hash__(self) -> int:
         return hash((type(self), self._key()))
-
-    def formula(self, t: float) -> float:
-        """G's defining expression at t, also where ``eval`` refuses t as outside the increasing domain."""
-        return self.eval(t)
 
     def _check_finite(self, s: float) -> None:
         if not math.isfinite(s):
@@ -336,6 +333,7 @@ class AbelGroup(GroupFunction):
         return {"a": self.a, "b": self.b}
 
     def formula(self, t: float) -> float:
+        """G's defining expression at t, also where ``eval`` refuses t as outside the increasing domain."""
         try:
             return (math.exp(self.a * t) - math.exp(self.b * t)) / (self.a - self.b)
         except OverflowError:
@@ -362,12 +360,11 @@ class SeriesGroup(GroupFunction):
     def __init__(self, series: TruncatedSeries, horizon: float = 1.0):
         if series[0] != 0 or series[1] != 1:
             raise ParameterError("series-defined G requires c_0 = 0 and c_1 = 1")
-        if horizon <= 0:
-            raise ParameterError("horizon must be positive")
+        if not 0 < horizon < math.inf:  # fails closed: a nan horizon would never refuse a t
+            raise ParameterError("horizon must be positive and finite")
         self.series = series
         self.horizon = float(horizon)
         self._coeffs = [float(c) for c in series.coeffs]
-        self._dcoeffs = [float(c) for c in series.derivative().coeffs]
 
     def params(self) -> dict:
         return {"order": self.series.order, "horizon": self.horizon}
@@ -382,10 +379,6 @@ class SeriesGroup(GroupFunction):
     def eval(self, t: float) -> float:
         self._check_horizon(t)
         return _horner(self._coeffs, t)
-
-    def deriv(self, t: float) -> float:
-        self._check_horizon(t)
-        return _horner(self._dcoeffs, t)
 
     def inverse(self, s: float) -> float:
         lo, hi = self.eval(-self.horizon), self.eval(self.horizon)
@@ -419,16 +412,6 @@ class GroupFamily(Record):
     params: tuple[str, ...]
     build: Callable[..., GroupFunction]
     carrier_name: str
-
-    def __init__(
-        self, name: str, aliases: tuple[str, ...], params: tuple[str, ...], build: Callable[..., GroupFunction],
-        carrier_name: str,
-    ) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "aliases", aliases)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "build", build)
-        object.__setattr__(self, "carrier_name", carrier_name)
 
     @property
     def carrier(self) -> Callable[..., TruncatedSeries]:
@@ -486,8 +469,7 @@ class GroupLogarithm(Record):
     def __init__(self, g: GroupFunction, gamma: float = 1.0) -> None:
         if gamma == 0:
             raise ParameterError("gamma must be nonzero")
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "gamma", gamma)
+        super().__init__(g, gamma)
 
 
 def eval_ln_G(lg: GroupLogarithm, x: float) -> float:

@@ -593,6 +593,11 @@ def sample_grid(horizon: float, points: int) -> list[int]:
     return sorted(set(np.round(np.logspace(0, math.log10(horizon), points)).astype(int).tolist()))
 
 
+def _check_lam(lam: float) -> None:
+    if not 0 < lam < math.inf:  # fails closed: a nan rate is rejected too
+        raise ParameterError(f"the extensivity constant must be positive and finite, got {lam}")
+
+
 def solve_growth_law(spec: EntropySpec, lam: float, horizon: float = 1e4) -> GrowthLaw:
     """Solve S(uniform over W(N)) ~ lam * N for W(N) through the group exponential.
 
@@ -600,8 +605,7 @@ def solve_growth_law(spec: EntropySpec, lam: float, horizon: float = 1e4) -> Gro
     with divergent log up to the horizon.  A range failure of the exponential
     marks the law as restricted rather than raising.
     """
-    if lam <= 0:
-        raise ParameterError("the extensivity constant must be positive")
+    _check_lam(lam)
     if not 1 <= horizon <= MAX_HORIZON:
         raise InputError(f"the horizon must lie in [1, {MAX_HORIZON:g}]")
     if spec.growth != "group":
@@ -652,11 +656,12 @@ def check_extensivity(
     trip at N = 1e4 within max(tol, 1e-9).  The "power" family tsallis_aq
     (q < 1) grows as W = N^(1/(a(1 - q))) whatever lam.  Both then report the
     drift of S/N from N = 1e5 to 1e6, taken from ln W(N) in log space.  A
-    family without a growth law raises ParameterError, and an exponent past
-    float range RangeError.
+    family without a growth law, or a lam that is not positive and finite,
+    raises ParameterError, and an exponent past float range RangeError.
     """
     if spec.growth is None:
         raise ParameterError(f"family {spec.family} has no growth law that makes it extensive")
+    _check_lam(lam)
     reports: list[PropertyReport] = []
     if spec.growth == "power":
         a, q = spec.params["a"], spec.params["q"]

@@ -3,11 +3,12 @@
 ``dataclasses`` imports ``inspect``, which costs a cold ``gek`` command 8-15 ms
 it never uses, so the records of ``gek.grouplog`` and ``gek.series`` derive
 from ``Record`` instead.  A subclass names its fields in ``__slots__``, in
-constructor order, and sets them in its own ``__init__`` with
-``object.__setattr__``.  ``Record`` gives it what ``@dataclass(frozen=True)``
-gave: equality between records of one class, the hash of the field tuple, the
-``Name(field=value, ...)`` repr, and an ``AttributeError`` on assignment or
-deletion.
+constructor order.  ``Record.__init__`` takes one value per field, in that
+order, and sets them; a subclass that checks or converts its arguments does so
+in its own ``__init__`` and then calls ``super().__init__``.  ``Record`` gives
+it what ``@dataclass(frozen=True)`` gave: equality between records of one
+class, the hash of the field tuple, the ``Name(field=value, ...)`` repr, and an
+``AttributeError`` on assignment or deletion.
 """
 
 from __future__ import annotations
@@ -15,6 +16,13 @@ from __future__ import annotations
 
 class Record:
     __slots__ = ()
+
+    def __init__(self, *values) -> None:
+        names = self.__slots__
+        if len(values) != len(names):
+            raise TypeError(f"{type(self).__qualname__} takes {len(names)} values {names}, got {len(values)}")
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)

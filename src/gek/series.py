@@ -111,7 +111,7 @@ class TruncatedSeries(Record):
         coeffs = tuple(_frac(c) for c in coeffs)
         if not coeffs:
             raise ValueError("a truncated series needs at least the constant coefficient")
-        object.__setattr__(self, "coeffs", coeffs)
+        super().__init__(coeffs)
 
     @property
     def order(self) -> int:
@@ -141,10 +141,6 @@ class TruncatedSeries(Record):
         n = min(self.order, other.order)
         return TruncatedSeries(tuple(self[k] + other[k] for k in range(n + 1)))
 
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.order, other.order)
-        return TruncatedSeries(tuple(self[k] - other[k] for k in range(n + 1)))
-
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         n = min(self.order, other.order)
         a, da = _ints(self.coeffs[: n + 1])
@@ -162,9 +158,6 @@ class TruncatedSeries(Record):
 
     def is_identity(self) -> bool:
         return self[0] == 0 and self[1] == 1 and all(c == 0 for c in self.coeffs[2:])
-
-    def __str__(self) -> str:
-        return "[" + ", ".join(str(c) for c in self.coeffs) + "]"
 
 
 def series_from_b_sequence(b: Sequence[Rational], order: int) -> TruncatedSeries:
@@ -269,8 +262,7 @@ class BivariateTruncatedSeries(Record):
             c = _frac(c)
             if c != 0:
                 clean[(i, j)] = c
-        object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "order", order)
+        super().__init__(clean, order)
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         return self.coeffs.get(key, Fraction(0))
@@ -280,14 +272,6 @@ class BivariateTruncatedSeries(Record):
         for i in range(self.order + 1):
             for j in range(self.order + 1 - i):
                 yield (i, j)
-
-    def __add__(self, other: "BivariateTruncatedSeries") -> "BivariateTruncatedSeries":
-        n = min(self.order, other.order)
-        out: dict[tuple[int, int], Fraction] = {}
-        for key in set(self.coeffs) | set(other.coeffs):
-            if key[0] + key[1] <= n:
-                out[key] = self[key] + other[key]
-        return BivariateTruncatedSeries(out, n)
 
     def __mul__(self, other: "BivariateTruncatedSeries") -> "BivariateTruncatedSeries":
         n = min(self.order, other.order)
@@ -358,18 +342,12 @@ class GroupAxiomReport(Record):
     associativity: bool
     first_failure: dict
 
-    def __init__(self, identity: bool, commutativity: bool, associativity: bool, first_failure: dict) -> None:
-        object.__setattr__(self, "identity", identity)
-        object.__setattr__(self, "commutativity", commutativity)
-        object.__setattr__(self, "associativity", associativity)
-        object.__setattr__(self, "first_failure", first_failure)
-
     @property
     def all_pass(self) -> bool:
         return self.identity and self.commutativity and self.associativity
 
 
-def _differential_holds(law: dict, d: int, n: int) -> bool:
+def _differential_holds(law: dict, n: int) -> bool:
     """Whether D(x) d_x psi(x, y) = D(y) d_y psi(x, y) below total degree n, where D(u) = d_y psi(u, 0) and psi = law / d.
 
     With l' = 1/D and u, v = l(x), l(y) the two sides are d_u psi and d_v psi, so
@@ -471,7 +449,7 @@ def verify_group_axioms(psi: BivariateTruncatedSeries) -> GroupAxiomReport:
             break
 
     witness = None
-    if not (identity_ok and _differential_holds(law, d, n)):
+    if not (identity_ok and _differential_holds(law, n)):
         witness = _trivariate_associativity(psi)
     if witness:
         failures["associativity"] = witness
@@ -489,9 +467,7 @@ class AbelCoefficients(Record):
     def __init__(self, a: Fraction, b: Fraction, betas: tuple[Fraction, ...]) -> None:
         if betas and betas[0] != a + b:
             raise ValueError("beta_1 must equal a + b")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "betas", betas)
+        super().__init__(a, b, betas)
 
 
 def abel_group_coefficients(a: Rational, b: Rational, n: int) -> AbelCoefficients:

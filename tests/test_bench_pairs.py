@@ -112,3 +112,48 @@ def test_host_records_the_numpy_simd_dispatch_in_use():
     switched_off = json.loads(out.stdout)
     assert switched_off["numpy_simd_dispatch"] == got["numpy_simd_dispatch"][:-1]
     assert switched_off["numpy_simd_baseline"] == got["numpy_simd_baseline"]
+
+
+def fake_main(monkeypatch, tmp_path, argv):
+    """``main`` on made-up runs of every declared workload: the BENCH file it writes, and the runs it asked for."""
+    (tmp_path / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    monkeypatch.setattr(bench_pairs, "ROOT", str(tmp_path))
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: rev)
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    calls = []
+
+    def bench_run(copy, workload, seed, seconds, trace):
+        calls.append((workload, seed, trace))
+        value = 1.0 if copy.endswith("parent") else 0.9
+        metrics = {m["name"]: {"value": value} for m in declared["end_to_end"]}
+        return {"provenance": {"src_sha256": copy[-6:]},
+                "result": {"metrics": metrics, "correct": True, "attempted": 10, "failed": 0}}
+
+    monkeypatch.setattr(bench_pairs, "bench_run", bench_run)
+    assert bench_pairs.main(["--pr", "0", "--parent", "p", "--change", "c", *argv]) == 0
+    return json.loads((tmp_path / "BENCH_0.json").read_text()), calls
+
+
+def test_without_a_claim_only_the_pairs_are_run_and_the_claim_is_null(monkeypatch, tmp_path):
+    report, calls = fake_main(monkeypatch, tmp_path, [])
+    workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    assert report["claim"] is None
+    assert not any(key.startswith("held_out") or key.startswith("traced") for key in report)
+    assert list(report["workloads"]) == workloads
+    for workload in workloads:
+        summary = report["workloads"][workload]["summary"]
+        assert all(entry["worse_than_bound"] is False for entry in summary.values())
+    assert len(calls) == 2 * bench_pairs.PAIRS * len(workloads)
+    first = bench_pairs.FIRST_SEED
+    assert {seed for _, seed, _ in calls} == set(range(first, first + bench_pairs.PAIRS))
+    assert all(trace == 0 for _, _, trace in calls)
+    assert "No gain is claimed" in report["about"]
+
+
+def test_with_a_claim_the_held_out_and_traced_runs_follow(monkeypatch, tmp_path):
+    report, calls = fake_main(monkeypatch, tmp_path, ["--claim", "exact-series:op_p50_s"])
+    assert report["claim"]["workload"] == "exact-series" and report["claim"]["metric"] == "op_p50_s"
+    assert report["held_out_exact_series"]["summary"]["op_p50_s"]["change_wins"] == "2/2"
+    assert set(report["traced"]) == {"parent", "change"}
+    assert [c for c in calls if c[2] == 1] == [("exact-series", bench_pairs.TRACED_SEED, 1)] * 2
+    assert "No gain is claimed" not in report["about"]

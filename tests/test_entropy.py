@@ -725,3 +725,23 @@ class TestSharedSums:
             power_sum(dist, alpha)
         assert len(dist._sums) == _MEMO_SIZE
         assert power_sum(dist, exponents[0]) == power_sum(Distribution(dist.p), exponents[0])
+
+
+class TestGivenGroupOnlyWhereTaken:
+    """A G passed to a family that does not take one is refused, never swapped or kept."""
+
+    @pytest.mark.parametrize("family", sorted(f for f, row in _FAMILIES.items() if row.group != "given"))
+    def test_every_family_that_takes_no_g_refuses_one(self, family):
+        # zk (a fixed G) used to swap the caller's G for its own, boltzmann (no G) to keep it as spec.group
+        spec = random_spec(family, np.random.default_rng(7))
+        with pytest.raises(ParameterError, match=f"family {family} takes no group function"):
+            EntropySpec(family, spec.params, AbelGroup(1.0, -0.5))
+
+    def test_given_g_family_needs_one(self):
+        with pytest.raises(ParameterError, match="family zg needs a group function"):
+            EntropySpec("zg", {"alpha": 0.5})
+
+
+def test_renormalizing_a_zero_vector_is_refused():
+    with pytest.raises(InputError, match="cannot renormalize a zero vector"):
+        Distribution([0.0, 0.0], renormalize=True)

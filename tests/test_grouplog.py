@@ -12,6 +12,7 @@ from gek.grouplog import (
     _RTOL,
     _XTOL,
     AbelGroup,
+    GroupFunction,
     GroupLogarithm,
     IdentityGroup,
     KaniadakisGroup,
@@ -446,3 +447,44 @@ class TestOverflow:
         lo, hi = min(a, b), max(a, b)
         assert lo / hi > 0
         assert AbelGroup(a, b).domain_min == math.log(lo / hi) / (hi - lo)
+
+
+class _Tanh(GroupFunction):
+    """G(t) = tanh(t): increasing with G(0) = 0 and G'(0) = 1, but bounded, so G^-1 of 2 or -2 has no bracket."""
+
+    name = "tanh"
+
+    def eval(self, t: float) -> float:
+        return math.tanh(t)
+
+
+class _FlooredTanh(_Tanh):
+    domain_min = -1.0  # tanh stays above -0.77 on (-1, 0)
+
+
+class TestFailClosed:
+    @pytest.mark.parametrize("horizon", [0, -1.0, math.nan, math.inf])
+    def test_series_horizon_must_be_positive_and_finite(self, horizon):
+        # a nan horizon was accepted, and then |t| > nan never refused a t
+        with pytest.raises(ParameterError, match="horizon must be positive and finite"):
+            SeriesGroup(TruncatedSeries.from_coeffs([0, 1, "1/4"]), horizon=horizon)
+
+    def test_brent_refuses_a_nan_inside_the_bracket(self):
+        with pytest.raises(ConvergenceError, match="NaN value at"):
+            _brent(lambda t: t - 0.5 if t in (0.0, 1.0) else math.nan, 0.0, 1.0)
+
+    def test_upward_bracket_expansion_fails_closed(self):
+        with pytest.raises(ConvergenceError, match="upward bracket expansion failed for 2.0"):
+            _Tanh().inverse(2.0)
+
+    def test_downward_bracket_expansion_fails_closed(self):
+        with pytest.raises(ConvergenceError, match="downward bracket expansion failed for -2.0"):
+            _Tanh().inverse(-2.0)
+
+    def test_bracket_toward_the_domain_floor_fails_closed(self):
+        with pytest.raises(ConvergenceError, match="bracket did not reach -0.9 near the domain floor"):
+            _FlooredTanh().inverse(-0.9)
+
+    def test_a_bracketed_value_is_still_inverted(self):
+        assert _Tanh().inverse(0.5) == pytest.approx(math.atanh(0.5), rel=1e-14)
+        assert _FlooredTanh().inverse(-0.5) == pytest.approx(math.atanh(-0.5), rel=1e-14)

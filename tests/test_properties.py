@@ -943,3 +943,41 @@ class TestOneRunner:
             calls.clear()
             check()
             assert len(calls) == 1, name
+
+
+class TestExtensivityRateFailsClosed:
+    """A rate lam that is not positive and finite is refused by the library, as the CLI refuses it."""
+
+    @pytest.mark.parametrize("lam", [-5.0, 0.0, math.nan, math.inf])
+    def test_power_family_refuses_a_bad_rate(self, lam):
+        # the power branch never reads lam, so it used to pass at lam = -5 and at nan
+        with pytest.raises(ParameterError, match="extensivity constant must be positive and finite"):
+            check_extensivity(entropy_spec("tsallis_aq", {"a": 0.8, "q": 0.5}), lam)
+
+    @pytest.mark.parametrize("lam", [-5.0, 0.0, math.nan, math.inf])
+    def test_group_family_refuses_a_bad_rate(self, lam):
+        spec = entropy_spec("renyi", {"alpha": 0.5})
+        with pytest.raises(ParameterError, match="extensivity constant must be positive and finite"):
+            check_extensivity(spec, lam)
+        with pytest.raises(ParameterError, match="extensivity constant must be positive and finite"):
+            solve_growth_law(spec, lam)
+
+    def test_solve_refuses_nan(self):
+        # lam <= 0 let nan through to an invalid law
+        with pytest.raises(ParameterError):
+            solve_growth_law(entropy_spec("zq", {"q": 0.5, "alpha": 0.5}), math.nan)
+
+    def test_growth_law_is_defined_from_one(self):
+        law = solve_growth_law(entropy_spec("renyi", {"alpha": 0.5}), lam=1.0)
+        with pytest.raises(ValueError, match="N >= 1"):
+            law.log_w(0.5)
+
+
+class TestMajorizationFailsClosed:
+    def test_unequal_lengths_are_refused(self):
+        with pytest.raises(ValueError, match="equal length"):
+            majorizes([1.0, 0.0], [0.5, 0.25, 0.25])
+
+    def test_a_pair_needs_two_outcomes(self):
+        with pytest.raises(ValueError, match="at least two outcomes"):
+            generate_majorization_pair(1, 3, np.random.default_rng(0))

@@ -13,6 +13,7 @@ import pytest
 
 from gek.errors import ParameterError
 from gek.grouplog import GroupFamily, GroupLogarithm, IdentityGroup, MultiplicativeGroup, group_family
+from gek.record import Record
 from gek.series import AbelCoefficients, BivariateTruncatedSeries, GroupAxiomReport, TruncatedSeries
 
 TSALLIS_G = MultiplicativeGroup(0.5)
@@ -139,3 +140,29 @@ class TestValidation:
 
         assert group_family("abel").carrier is series.abel_exp_series
         assert group_family("id").carrier(3) == series.identity_series(3)
+
+
+class _Pair(Record):
+    __slots__ = ("left", "right")
+
+
+class TestArity:
+    """``Record.__init__`` takes exactly one value per field, in ``__slots__`` order."""
+
+    def test_values_fill_the_fields_in_slot_order(self):
+        pair = _Pair(1, "two")
+        assert (pair.left, pair.right) == (1, "two")
+        assert repr(pair) == "_Pair(left=1, right='two')"
+
+    @pytest.mark.parametrize("values", [(), (1,), (1, 2, 3)])
+    def test_too_few_or_too_many_values_build_nothing(self, values):
+        pair = _Pair.__new__(_Pair)
+        with pytest.raises(TypeError, match=rf"_Pair takes 2 values \('left', 'right'\), got {len(values)}"):
+            pair.__init__(*values)
+        assert not hasattr(pair, "left") and not hasattr(pair, "right")
+
+    def test_records_without_their_own_init_check_the_count(self):
+        with pytest.raises(TypeError, match="GroupAxiomReport takes 4 values"):
+            GroupAxiomReport(True, True, True)
+        with pytest.raises(TypeError, match="GroupFamily takes 5 values"):
+            GroupFamily("tsallis", ("multiplicative",), ("q",), MultiplicativeGroup, "tsallis_exp_series", None)

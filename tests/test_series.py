@@ -736,3 +736,17 @@ class TestErrorPaths:
     def test_floats_are_rejected(self, build):
         with pytest.raises(TypeError):
             build()
+
+
+class TestOrderErrors:
+    def test_from_coeffs_needs_a_nonnegative_order(self):
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            TruncatedSeries.from_coeffs([0, 1], order=-1)
+
+    def test_b_sequence_needs_order_at_least_one(self):
+        with pytest.raises(ValueError, match="order must be at least 1"):
+            series_from_b_sequence([1], 0)
+
+    def test_abel_coefficients_need_at_least_one(self):
+        with pytest.raises(ValueError, match="need at least one coefficient"):
+            abel_group_coefficients(1, 2, 0)

@@ -9,11 +9,13 @@ neither run sees the work tree.  For every workload of ``BENCHMARK.json`` the
 script runs the unchanged ``python3 bench/run.py --workload W --seed S
 --seconds T --trace 0`` once per side on each of ``PAIRS`` seeds, with T the
 ``run_seconds`` of ``BENCHMARK.json``, the two sides alternating which runs
-first, and keeps each run's provenance line and result line.  It then runs
-the claimed workload on the held-out seeds and once per side with
-``--trace 1``, and writes ``BENCH_<pr>.json`` at the repository root in the
-layout of ``BENCH_20.json``: pairs with their median and interquartile range
-per end-to-end metric, held-out pairs, one traced run per side, provenance.
+first, and keeps each run's provenance line and result line.  With
+``--claim WORKLOAD:METRIC`` it then runs the claimed workload on the held-out
+seeds and once per side with ``--trace 1``.  It writes ``BENCH_<pr>.json`` at
+the repository root in the layout of ``BENCH_20.json``: pairs with their
+median and interquartile range per end-to-end metric, provenance, and with a
+claim its verdict, the held-out pairs and one traced run per side; without
+one, ``"claim": null``.
 
 Only the standard library is used, and numpy only to read its SIMD dispatch
 into the ``host`` section.  The copies are removed at the end.
@@ -162,8 +164,8 @@ def host(provenance: dict) -> dict:
     return out
 
 
-def about(seconds: float, seeds: list[int], claim_workload: str, held_key: str) -> str:
-    return (
+def about(seconds: float, seeds: list[int], claim_workload: str | None, held_key: str | None) -> str:
+    text = (
         f"Written by tools/bench_pairs.py. Parent/change pairs of `python3 bench/run.py --workload W --seed S "
         f"--seconds {seconds:g} --trace 0`, each run in a fresh copy of the tree (`git archive` of the parent and "
         f"of the change commit), the two sides alternating which runs first. Each run keeps its provenance line "
@@ -172,7 +174,12 @@ def about(seconds: float, seeds: list[int], claim_workload: str, held_key: str) 
         f"end-to-end metric over the pairs, the change's relative move of the median, and in how many pairs the "
         f"change read better (ties count for neither side); each workload also sums the failed and attempted "
         f"ops per side and says whether every run of a side was correct. Seeds {seeds[0]}-{seeds[-1]} are the "
-        f"pairs of every workload; `{held_key}` holds {len(HELD_OUT_SEEDS)} more {claim_workload} pairs on seeds "
+        f"pairs of every workload"
+    )
+    if claim_workload is None:
+        return text + ". No gain is claimed, so there are no held-out or traced runs and `claim` is null."
+    return text + (
+        f"; `{held_key}` holds {len(HELD_OUT_SEEDS)} more {claim_workload} pairs on seeds "
         f"{', '.join(map(str, HELD_OUT_SEEDS))}; `traced` holds one `--trace 1` {claim_workload} run per side on "
         f"seed {TRACED_SEED}, and `traced_side_by_side` its per-layer metrics side by side. The claim is met when "
         f"the change reads better in at least 9 of {len(seeds)} pairs, its median differs from the parent's by "
@@ -186,17 +193,19 @@ def main(argv=None) -> int:
     parser.add_argument("--pr", type=int, required=True, help="the number in the output file name")
     parser.add_argument("--parent", default="HEAD~1")
     parser.add_argument("--change", default="HEAD")
-    parser.add_argument("--claim", default="exact-series:op_p50_s", help="WORKLOAD:METRIC")
+    parser.add_argument("--claim", help="WORKLOAD:METRIC of a claimed gain; without it no gain is claimed")
     args = parser.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
         declared = json.load(handle)
     metrics, seconds = declared["end_to_end"], declared["run_seconds"]
     workloads = [w["name"] for w in declared["workloads"]]
-    claim_workload, _, claim_metric = args.claim.partition(":")
-    if claim_workload not in workloads or claim_metric not in {m["name"] for m in metrics}:
-        parser.error(f"--claim {args.claim}: not a declared workload and end-to-end metric")
-    held_key = "held_out_" + claim_workload.replace("-", "_")
+    claim_workload = claim_metric = held_key = None
+    if args.claim is not None:
+        claim_workload, _, claim_metric = args.claim.partition(":")
+        if claim_workload not in workloads or claim_metric not in {m["name"] for m in metrics}:
+            parser.error(f"--claim {args.claim}: not a declared workload and end-to-end metric")
+        held_key = "held_out_" + claim_workload.replace("-", "_")
     seeds = list(range(FIRST_SEED, FIRST_SEED + PAIRS))
 
     def log(message: str) -> None:
@@ -209,16 +218,17 @@ def main(argv=None) -> int:
         sections: dict = {"workloads": {}}
         for workload in workloads:
             sections["workloads"][workload] = section(run_pairs(copies, workload, seeds, seconds, log), metrics)
-        sections[held_key] = section(run_pairs(copies, claim_workload, HELD_OUT_SEEDS, seconds, log), metrics)
-        traced = sections["traced"] = {}
-        for side in SIDES:
-            traced[side] = {"seed": TRACED_SEED, "workload": claim_workload,
-                            **bench_run(copies[side], claim_workload, TRACED_SEED, seconds, 1)}
-            log(f"traced {claim_workload} {side}")
-        sections["traced_side_by_side"] = {
-            name: {side: traced[side]["result"]["metrics"][name]["value"] for side in SIDES}
-            for name in traced["parent"]["result"]["metrics"]
-        }
+        if claim_workload is not None:
+            sections[held_key] = section(run_pairs(copies, claim_workload, HELD_OUT_SEEDS, seconds, log), metrics)
+            traced = sections["traced"] = {}
+            for side in SIDES:
+                traced[side] = {"seed": TRACED_SEED, "workload": claim_workload,
+                                **bench_run(copies[side], claim_workload, TRACED_SEED, seconds, 1)}
+                log(f"traced {claim_workload} {side}")
+            sections["traced_side_by_side"] = {
+                name: {side: traced[side]["result"]["metrics"][name]["value"] for side in SIDES}
+                for name in traced["parent"]["result"]["metrics"]
+            }
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
@@ -230,14 +240,15 @@ def main(argv=None) -> int:
         "parent_src_sha256": first["parent"]["provenance"]["src_sha256"],
         "change_src_sha256": first["change"]["provenance"]["src_sha256"],
         "host": host(first["parent"]["provenance"]),
-        "claim": claim(claim_workload, claim_metric, sections["workloads"][claim_workload], sections[held_key]),
+        "claim": None if claim_workload is None
+        else claim(claim_workload, claim_metric, sections["workloads"][claim_workload], sections[held_key]),
         **sections,
     }
     out_path = os.path.join(ROOT, f"BENCH_{args.pr}.json")
     with open(out_path, "w") as handle:
         json.dump(report, handle, indent=1)
         handle.write("\n")
-    log(f"wrote {out_path}; claim met: {report['claim']['met']}")
+    log(f"wrote {out_path}; " + ("no claim" if report["claim"] is None else f"claim met: {report['claim']['met']}"))
     return 0
 
 
