@@ -43,8 +43,8 @@ MAX_SWEEP_POINTS = 100_000
 # and evaluates the whole distribution at each point that changes the exponent: 10**8 entries take about 1.5 s
 MAX_SWEEP_ENTRIES = 10**8
 # the exact series commands print O(order^2) rows; `grouplaw expand` of an abel law
-# takes about 0.045 s in-process at order 40, 0.08-0.10 s at 50 and 0.18-0.24 s at 64
-# (median of 5, 2-vCPU VM, Python 3.11)
+# takes about 8 ms in-process at order 40, 17 ms at 50 and 38 ms at 64, most of it
+# `reversion` (median of 7 processes, shared 2-vCPU VM, Python 3.11)
 MAX_SERIES_ORDER = 40
 # the uW / dW shorthands of --dist: W = 1e7 takes about 0.3 s and 270 MB; larger sizes are rejected unbuilt
 MAX_SHORTHAND_SIZE = 10**7
@@ -463,11 +463,11 @@ def _verify(args: argparse.Namespace) -> tuple[int, str]:
         raise InputError("--trials must be at least 1")
     if args.tol < 0:
         raise InputError("--tol must be at least 0")
-    _check_lam(args.lam)
     params = _float_params(args.params)
     from .entropy import entropy_spec
-    from .properties import check_composability, check_extensivity, check_schur_concavity, check_sk_axioms
+    from .properties import _check_lam, check_composability, check_extensivity, check_schur_concavity, check_sk_axioms
 
+    _check_lam(args.lam)  # for every suite, also those that never use it
     spec = entropy_spec(args.family, params)
     suite = args.suite
     reports: list[PropertyReport] = []
@@ -495,16 +495,11 @@ def _verify(args: argparse.Namespace) -> tuple[int, str]:
     return (0 if all_passed else 1), _dump_json(payload)
 
 
-def _check_lam(lam: float) -> None:
-    if lam <= 0:
-        raise InputError("--lam must be positive")
-
-
 def _extensivity_solve(args: argparse.Namespace) -> tuple[int, str]:
-    _check_lam(args.lam)
     from .entropy import entropy_spec
-    from .properties import MAX_HORIZON, check_extensivity, sample_grid, solve_growth_law
+    from .properties import MAX_HORIZON, _check_lam, check_extensivity, sample_grid, solve_growth_law
 
+    _check_lam(args.lam)
     if not 1 <= args.horizon <= MAX_HORIZON:
         raise InputError(f"--horizon must lie in [1, {MAX_HORIZON:g}]")
     params = _float_params(args.params)

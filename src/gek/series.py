@@ -32,7 +32,10 @@ def _frac(value: Rational) -> Fraction:
 # Wherever a series is raised to successive powers, each power's content (the
 # gcd of the denominator and every numerator) is divided out as the power is
 # formed, so its denominator is the least common denominator of its reduced
-# coefficients and does not grow with the exponent.
+# coefficients and does not grow with the exponent.  The group law takes no
+# powers of G^-1: ``group_law_from_G`` builds it one power of y at a time by a
+# linear recurrence from the invariant differential, each row's content divided
+# out the same way.
 
 
 def _ints(coeffs: Iterable[Fraction]) -> tuple[list[int], int]:
@@ -89,6 +92,25 @@ def _bimul(a: Mapping, b: Mapping, n: int) -> dict[tuple[int, int], int]:
             key = (i1 + i2, j1 + j2)
             out[key] = out.get(key, 0) + c1 * c2
     return {key: c for key, c in out.items() if c}
+
+
+def _reciprocal(p: list[int], d: int) -> tuple[list[int], int]:
+    """d/p to len(p) terms as (numerators, denominator), for integers p with p_0 = d.
+
+    h_j = -sum_{i=1..j} p_i h_(j-i) / d.  With h_0..h_(j-1) content-free over
+    den, the vector with h_j = x / (den d) appended has content gcd(d, x): it
+    is divided out as it arises.
+    """
+    h, den = [1], 1
+    for j in range(1, len(p)):
+        x = -sum(map(operator.mul, p[1 : j + 1], reversed(h)))
+        content = math.gcd(d, x)
+        scale = d // content
+        if scale != 1:
+            h = [v * scale for v in h]
+            den *= scale
+        h.append(x // content)
+    return h, den
 
 
 def _fracs(nums: Iterable[int], den: int) -> tuple[Fraction, ...]:
@@ -217,19 +239,8 @@ def reversion(f: TruncatedSeries) -> TruncatedSeries:
     if f[0] != 0 or f[1] != 1:
         raise NormalizationError("reversion requires c_0 = 0 and c_1 = 1")
     n = f.order
-    # f(s)/s = p/d with p_0 = d, so h = d/p: h_j = -sum_{i=1..j} p_i h_(j-i) / d.
-    # With h_0..h_(j-1) content-free over den, the vector with h_j = x / (den d)
-    # appended has content gcd(d, x): it is divided out as it arises.
-    p, d = _ints(f.coeffs[1:])
-    h, den = [1], 1
-    for j in range(1, n):
-        x = -sum(p[i] * h[j - i] for i in range(1, j + 1))
-        content = math.gcd(d, x)
-        scale = d // content
-        if scale != 1:
-            h = [v * scale for v in h]
-            den *= scale
-        h.append(x // content)
+    # f(s)/s = p/d with p_0 = d, so h = d/p
+    h, den = _reciprocal(*_ints(f.coeffs[1:]))
     k = math.isqrt(n)
     baby = _powers((h, den), k, n - 1)  # h^r, r = 0..k
     giant = _powers(baby[k], n // k, n - 1)  # h^(qk), q = 0..n//k
@@ -291,9 +302,22 @@ def group_law_from_G(g: TruncatedSeries, order: int) -> BivariateTruncatedSeries
     ``g`` must be normalized (zero constant term, unit linear term) and carry
     at least ``order`` coefficients, and ``order`` must be at least 1; the
     result is truncated at total degree ``order`` and by construction starts
-    with ``x + y``.  Each power of G^-1 has its content divided out, and the
-    law is summed over dg L^2, where dg is G's denominator and L the least
-    common multiple of the powers'.
+    with ``x + y``.
+
+    The law is built one power of y at a time from the invariant differential
+    (Hazewinkel, *Formal Groups and Applications*, 1978, ch. 1), with no power
+    of G^-1: with l = G^-1, D = 1/l' and u, v = l(x), l(y), both D(x) d_x psi
+    and D(y) d_y psi equal G'(u + v).  So psi = sum_j psi_j(x) y^j has psi_0 =
+    x, psi_1 = D and (j + 1) psi_(j+1) = D psi_j' - sum_(i>=1) D_i (j + 1 - i)
+    psi_(j+1-i), truncated at x-degree order - j - 1.  Each row is integer
+    numerators over one denominator with its content divided out, and only
+    nonzero coefficients become Fractions.  Each coefficient is computed on
+    its own, so the commutativity check still tests psi_ij against psi_ji.
+    On the abel law (5/13, -7/11) this took the law from 0.47 to 0.26 ms at
+    order 10, 23 to 6.5 ms at 40 and 153 to 34 ms at 64, against the dense
+    sum over the powers of G^-1 it replaced (in-process, median of 7
+    processes a side, on a shared 2-vCPU host); at 64, ``reversion`` is 26.5
+    ms of the 34.
     """
     if g[0] != 0 or g[1] != 1:
         raise NormalizationError("group-law construction requires c_0 = 0 and c_1 = 1")
@@ -301,32 +325,38 @@ def group_law_from_G(g: TruncatedSeries, order: int) -> BivariateTruncatedSeries
         raise ValueError("order must be at least 1")
     if g.order < order:
         raise ValueError(f"series order {g.order} is below the requested expansion order {order}")
-    gs, dg = _ints(g.coeffs[: order + 1])
-    powers = _powers(_ints(reversion(g.truncated(order)).coeffs), order, order)  # (G^-1)^j, j = 0..order
-    # With u = G^-1(x), v = G^-1(y): G(u + v) = sum_k G_k sum_j C(k, j) u^j v^(k-j),
-    # so Phi_ab = sum_j P_j[a] T_j[b] over dg L^2, with P_j = powers[j] / D_j,
-    # L = lcm(D) and T_j[b] = sum_k C(k, j) G_k (L/D_j) (L/D_(k-j)) P_(k-j)[b]
-    # gathering the v-side per power of u.
-    lcm_powers = math.lcm(*(den for _, den in powers))
-    out: dict[tuple[int, int], int] = {}
-    for j in range(order + 1):
-        t = [0] * (order + 1 - j)
-        scale = lcm_powers // powers[j][1]
-        for k in range(j, order + 1):
-            if gs[k]:
-                pk, dk = powers[k - j]
-                c = gs[k] * math.comb(k, j) * scale * (lcm_powers // dk)
-                for b in range(k - j, order + 1 - j):
-                    t[b] += c * pk[b]
-        pj = powers[j][0]
-        for a in range(j, order + 1):
-            pa = pj[a]
-            if pa:
-                for b, tb in enumerate(t[: order + 1 - a]):
-                    if tb:
-                        out[(a, b)] = out.get((a, b), 0) + pa * tb
-    den = dg * lcm_powers * lcm_powers
-    return BivariateTruncatedSeries({key: Fraction(out[key], den) for key in sorted(out)}, order)
+    ell, ell_den = _ints(reversion(g.truncated(order)).coeffs[1:])  # l_(k+1) = ell[k] / ell_den
+    d_nums, d_den = _reciprocal([k * v for k, v in enumerate(ell, 1)], ell_den)  # D = 1/l', degrees 0..order-1
+    d_terms = [(i, c) for i, c in enumerate(d_nums) if c]
+    # psi_j = sum_k v x^k / den over the nonzero (k, v) of rows[j] = (terms, den), k <= order - j
+    rows = [([(1, 1)], 1), (d_terms, d_den)]
+    lcm_rows = 1  # of the denominators of rows 1..j
+    for j in range(1, order):
+        m = order - j  # psi_(j+1) keeps x-degrees 0..m-1
+        terms, den = rows[j]
+        lcm_rows = math.lcm(lcm_rows, den)
+        # acc = (j + 1) psi_(j+1) d_den lcm_rows: D psi_j' less each D_i (j + 1 - i) psi_(j+1-i)
+        acc = [0] * m
+        scale = lcm_rows // den
+        for k, v in terms:
+            v *= k * scale
+            for i, c in d_terms:
+                if i + k > m:
+                    break
+                acc[i + k - 1] += c * v
+        for i, c in d_terms[1:]:
+            if i > j:
+                break
+            r, r_den = rows[j + 1 - i]
+            c *= (j + 1 - i) * (lcm_rows // r_den)
+            for k, v in r:
+                if k >= m:
+                    break
+                acc[k] -= c * v
+        nums, den = _content(acc, d_den * lcm_rows * (j + 1))
+        rows.append(([(k, v) for k, v in enumerate(nums) if v], den))
+    by_key = sorted((i, j, v, den) for j, (terms, den) in enumerate(rows) for i, v in terms)
+    return BivariateTruncatedSeries({(i, j): Fraction(v, den) for i, j, v, den in by_key}, order)
 
 
 class GroupAxiomReport(Record):

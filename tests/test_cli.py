@@ -753,6 +753,16 @@ class TestExitCodeContract:
     def test_exit_two_with_a_message(self, argv, capsys):
         assert_exit_two(argv, capsys)
 
+    def test_lam_refused_by_the_library_rule_before_any_trial(self, monkeypatch, capsys):
+        # composability never reads the rate, and gek.properties states the one rule for it
+        import gek.properties
+
+        monkeypatch.setattr(gek.properties, "check_composability", lambda *a: pytest.fail("a trial ran"))
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--family", "renyi", "--params", "alpha=0.5", "--suite", "composability", "--lam", "0"])
+        assert exc.value.code == 2
+        assert capsys.readouterr() == ("", "error: the extensivity constant must be positive and finite, got 0.0\n")
+
     def test_non_finite_params_rejected_while_parsing(self):
         for text in ("alpha=nan", "k=0.3,alpha=inf", "q=-inf", "a=1e309"):
             with pytest.raises(InputError, match="must be finite"):

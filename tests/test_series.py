@@ -618,6 +618,83 @@ class TestBabyGiantReversion:
         assert len(calls) <= 2 * math.isqrt(order)
 
 
+def ref_group_law_by_powers(g, order):
+    """The power-sum construction the row recurrence replaced: every power of G^-1, then a dense double sum."""
+    gs, dg = series_module._ints(g.coeffs[: order + 1])
+    powers = series_module._powers(series_module._ints(reversion(g.truncated(order)).coeffs), order, order)
+    # Phi_ab = sum_j P_j[a] T_j[b] over dg L^2, with P_j = powers[j] / D_j, L = lcm(D) and
+    # T_j[b] = sum_k C(k, j) G_k (L/D_j) (L/D_(k-j)) P_(k-j)[b]
+    lcm_powers = math.lcm(*(den for _, den in powers))
+    out = {}
+    for j in range(order + 1):
+        t = [0] * (order + 1 - j)
+        scale = lcm_powers // powers[j][1]
+        for k in range(j, order + 1):
+            if gs[k]:
+                pk, dk = powers[k - j]
+                c = gs[k] * math.comb(k, j) * scale * (lcm_powers // dk)
+                for b in range(k - j, order + 1 - j):
+                    t[b] += c * pk[b]
+        pj = powers[j][0]
+        for a in range(j, order + 1):
+            pa = pj[a]
+            if pa:
+                for b, tb in enumerate(t[: order + 1 - a]):
+                    if tb:
+                        out[(a, b)] = out.get((a, b), 0) + pa * tb
+    den = dg * lcm_powers * lcm_powers
+    return BivariateTruncatedSeries({key: F(out[key], den) for key in sorted(out)}, order)
+
+
+def seeded_b_series(rng, order):
+    """A dense G from seeded b-sequence coefficients p/q, |p| <= 6, 1 <= q <= 6."""
+    return series_from_b_sequence([F(1)] + [F(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(order - 1)], order)
+
+
+LAW_CARRIERS = {"id": identity_series, **CARRIERS}
+
+
+class TestRowRecurrenceLaw:
+    """``group_law_from_G`` builds the law row by row from the invariant differential; the sum over the
+    powers of G^-1 it replaced is the reference, coefficient for coefficient and key for key."""
+
+    def check(self, g, order):
+        assert list(group_law_from_G(g, order).coeffs.items()) == list(ref_group_law_by_powers(g, order).coeffs.items())
+
+    @pytest.mark.parametrize("order", range(1, 41))
+    @pytest.mark.parametrize("carrier", sorted(LAW_CARRIERS))
+    def test_registry_carriers_at_every_order(self, carrier, order):
+        self.check(LAW_CARRIERS[carrier](order), order)
+
+    @pytest.mark.parametrize("order", range(1, 41))
+    def test_seeded_b_sequences_at_every_order(self, order):
+        rng = random.Random(3000 + order)
+        for _ in range(2):
+            self.check(seeded_b_series(rng, order), order)
+
+    @pytest.mark.parametrize("build", [CARRIERS["abel"], lambda n: seeded_b_series(random.Random(3064), n)],
+                             ids=["abel", "b-sequence"])
+    def test_order_64(self, build):
+        self.check(build(64), 64)
+
+    def test_no_powers_of_the_inverse_and_no_bivariate_products(self, monkeypatch):
+        calls, depth = [], []
+        powers, bimul, inverse = series_module._powers, series_module._bimul, series_module.reversion
+
+        def reversion_spy(f):
+            depth.append(f)
+            try:
+                return inverse(f)
+            finally:
+                depth.pop()
+
+        monkeypatch.setattr(series_module, "reversion", reversion_spy)
+        monkeypatch.setattr(series_module, "_powers", lambda *a: calls.append(("_powers", bool(depth))) or powers(*a))
+        monkeypatch.setattr(series_module, "_bimul", lambda *a: calls.append(("_bimul", bool(depth))) or bimul(*a))
+        group_law_from_G(CARRIERS["abel"](12), 12)
+        assert calls == [("_powers", True), ("_powers", True)]
+
+
 def ref_tsallis_exp_series(q, order):
     """(e^((1-q) t) - 1)/(1-q) by its closed-form coefficients r^(n-1)/n!, with its own q = 1 branch."""
     if q == 1:
