@@ -1,9 +1,9 @@
 """Command-line entry point: evaluation, verification, sweeps, series tools.
 
 All outputs are machine-readable (plain numbers, CSV, or schema-versioned
-JSON), every float is quantized to 15 significant digits, and randomized
-commands are seeded (flag --seed, else the GEK_SEED environment variable), so
-identical invocations produce byte-identical output.
+JSON), every float is quantized to 15 significant digits, and ``verify``, the
+one randomized command, is seeded (flag --seed, else the GEK_SEED environment
+variable), so identical invocations produce byte-identical output.
 
 Exit codes: 0 success / all properties passed, 1 a verified property failed,
 2 malformed input or inadmissible parameters.
@@ -28,7 +28,7 @@ import re
 import sys
 from typing import TYPE_CHECKING
 
-from .errors import GekError, InputError, ParameterError, RangeError
+from .errors import GekError, InputError, ParameterError, RangeError, check_horizon, check_rate, check_trials
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -338,16 +338,14 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def parse_args(argv) -> argparse.Namespace:
-    """Parse argv and resolve the seed; each command's handler validates the rest of its options.
+    """Parse argv; each command's handler validates its own options.
 
     argparse dispatches on the first token, so only that command's options are
     built; any other first token (``--help``, a typo) gets the whole tree.
     """
     argv = list(argv)
     command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = _build_parser(command).parse_args(argv)
-    args.seed = _resolve_seed(getattr(args, "seed", None))
-    return args
+    return _build_parser(command).parse_args(argv)
 
 
 def _resolve_seed(flag_value) -> int:
@@ -459,26 +457,26 @@ def _chi_eval(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _verify(args: argparse.Namespace) -> tuple[int, str]:
-    if args.trials < 1:
-        raise InputError("--trials must be at least 1")
+    seed = _resolve_seed(args.seed)
+    check_trials(args.trials)
     if args.tol < 0:
         raise InputError("--tol must be at least 0")
     params = _float_params(args.params)
+    check_rate(args.lam)  # for every suite, also those that never use it
     from .entropy import entropy_spec
-    from .properties import _check_lam, check_composability, check_extensivity, check_schur_concavity, check_sk_axioms
+    from .properties import check_composability, check_extensivity, check_schur_concavity, check_sk_axioms
 
-    _check_lam(args.lam)  # for every suite, also those that never use it
     spec = entropy_spec(args.family, params)
     suite = args.suite
     reports: list[PropertyReport] = []
     if suite in ("composability", "all"):
-        reports.append(check_composability(spec, args.trials, args.tol, args.seed))
+        reports.append(check_composability(spec, args.trials, args.tol, seed))
     if suite in ("sk", "all"):
-        reports.extend(check_sk_axioms(spec, args.trials, args.seed))
+        reports.extend(check_sk_axioms(spec, args.trials, seed))
     if suite in ("schur", "all"):
-        reports.extend(check_schur_concavity(spec, args.trials, args.seed))
+        reports.extend(check_schur_concavity(spec, args.trials, seed))
     if suite == "extensivity" or (suite == "all" and spec.growth is not None):
-        reports.extend(check_extensivity(spec, args.lam, args.tol, args.seed))
+        reports.extend(check_extensivity(spec, args.lam, args.tol, seed))
     all_passed = all(r.passed for r in reports)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -486,7 +484,7 @@ def _verify(args: argparse.Namespace) -> tuple[int, str]:
         "params": params,
         "regime": spec.regime,
         "suite": suite,
-        "seed": args.seed,
+        "seed": seed,
         "trials": args.trials,
         "tol": args.tol,
         "properties": [r.as_dict() for r in reports],
@@ -496,17 +494,16 @@ def _verify(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _extensivity_solve(args: argparse.Namespace) -> tuple[int, str]:
-    from .entropy import entropy_spec
-    from .properties import MAX_HORIZON, _check_lam, check_extensivity, sample_grid, solve_growth_law
-
-    _check_lam(args.lam)
-    if not 1 <= args.horizon <= MAX_HORIZON:
-        raise InputError(f"--horizon must lie in [1, {MAX_HORIZON:g}]")
+    check_rate(args.lam)
+    check_horizon(args.horizon)
     params = _float_params(args.params)
+    from .entropy import entropy_spec
+    from .properties import check_extensivity, sample_grid, solve_growth_law
+
     spec = entropy_spec(args.family, params)
     payload = {"schema_version": SCHEMA_VERSION, "family": spec.family, "params": params}
     if spec.growth != "group":  # check_extensivity raises for a family without a growth law
-        (report,) = check_extensivity(spec, args.lam, seed=args.seed)
+        (report,) = check_extensivity(spec, args.lam)
         description = f"W(N) = N^{_fmt(report.witness['rho'])}"
         payload.update(kind=spec.growth, description=description, valid=report.passed, samples=[])
         return 0 if report.passed else 1, _dump_json(payload)

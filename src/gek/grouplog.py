@@ -243,8 +243,8 @@ class MultiplicativeGroup(GroupFunction):
     name = "multiplicative"
 
     def __init__(self, q: float):
-        if q == 1:
-            raise ParameterError("multiplicative family requires q != 1")
+        if q == 1 or not math.isfinite(q):  # fails closed: G is nan at q = nan and 0 at t = 0.1, q = inf
+            raise ParameterError(f"multiplicative family requires a finite q != 1, got {q}")
         self.q = float(q)
         self.r = 1.0 - self.q
         if self.r > 0:
@@ -314,6 +314,8 @@ class AbelGroup(GroupFunction):
     name = "abel"
 
     def __init__(self, a: float, b: float):
+        if not math.isfinite(a) or not math.isfinite(b):
+            raise ParameterError(f"abel family requires finite a and b, got {a} and {b}")
         if a == b:
             raise ParameterError("abel family requires a != b")
         if max(a, b) <= 0:
@@ -467,14 +469,14 @@ class GroupLogarithm(Record):
     gamma: float
 
     def __init__(self, g: GroupFunction, gamma: float = 1.0) -> None:
-        if gamma == 0:
-            raise ParameterError("gamma must be nonzero")
+        if gamma == 0 or not math.isfinite(gamma):
+            raise ParameterError(f"gamma must be nonzero and finite, got {gamma}")
         super().__init__(g, gamma)
 
 
 def eval_ln_G(lg: GroupLogarithm, x: float) -> float:
     """The generalized logarithm at x > 0; vanishes at x = 1."""
-    if x <= 0:
+    if not x > 0:  # fails closed: ln_G(nan) is refused, not nan
         raise DomainError(f"ln_G requires a positive argument, got {x}")
     return lg.g.eval(lg.gamma * math.log(x))
 
@@ -502,6 +504,6 @@ def check_concavity_condition(a_seq) -> bool:
     seq = list(a_seq)
     if not seq:
         raise ValueError("need at least one coefficient")
-    if any(a <= 0 for a in seq):
+    if not all(0 < a < math.inf for a in seq):  # a nan or infinite coefficient guarantees nothing
         return False
     return all(seq[k] > (k + 2) * seq[k + 1] for k in range(len(seq) - 1))

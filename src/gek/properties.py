@@ -8,7 +8,6 @@ reproducible from the report alone.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass, field, replace
 from itertools import repeat
@@ -18,6 +17,7 @@ import numpy as np
 
 from .entropy import Distribution, EntropySpec, _check_alpha, _saq_concave, invalid_rows
 from .errors import DomainError, InputError, ParameterError, RangeError
+from .errors import _integral, check_horizon, check_rate, check_trials
 from .grouplog import GroupFunction, IdentityGroup
 
 # denominator used for exact majorization sampling; a power of two keeps the
@@ -26,8 +26,6 @@ _MASS_DENOM = 2**20
 # trials a randomized check draws, validates and evaluates together; it bounds
 # the memory of the stacked draws and never changes a report
 _CHUNK = 256
-# the largest growth-law horizon: the sampled N grid must fit in int64
-MAX_HORIZON = 1e18
 # the l1 length of the continuity proxy's shift
 _STEP = 1e-6
 
@@ -110,8 +108,7 @@ def _run_rows(spec: EntropySpec | None, rows, trials: int, seed: int, w_values, 
     as a whole, then the scalar tail runs on every sum in trial order.  Judge:
     ``row.judge`` once per trial, in order, into the row's ``_Worst``.
     """
-    if trials < 1:
-        raise InputError(f"a sampled check needs at least one trial, got {trials}")
+    check_trials(trials)
     rng = np.random.default_rng(seed)
     tail = None if spec is None else spec.from_row_sum
     reports = []
@@ -197,14 +194,6 @@ def _below(rng, n: int) -> int:
         while m & 0xFFFFFFFF < threshold:
             m = bits.next_uint32(bits.state) * n
     return m >> 32
-
-
-def _integral(w) -> bool:
-    try:
-        operator.index(w)
-    except TypeError:
-        return False
-    return True
 
 
 def _w_range(w_values: Sequence[int], least: int = 1) -> Sequence[int]:
@@ -568,7 +557,7 @@ class GrowthLaw:
     restricted: bool = False
 
     def log_w(self, n: float) -> float:
-        if n < 1:
+        if not n >= 1:
             raise ValueError("the growth law is defined for N >= 1")
         if self.kind == "exponential":
             return self.lam * n
@@ -593,11 +582,6 @@ def sample_grid(horizon: float, points: int) -> list[int]:
     return sorted(set(np.round(np.logspace(0, math.log10(horizon), points)).astype(int).tolist()))
 
 
-def _check_lam(lam: float) -> None:
-    if not 0 < lam < math.inf:  # fails closed: a nan rate is rejected too
-        raise ParameterError(f"the extensivity constant must be positive and finite, got {lam}")
-
-
 def solve_growth_law(spec: EntropySpec, lam: float, horizon: float = 1e4) -> GrowthLaw:
     """Solve S(uniform over W(N)) ~ lam * N for W(N) through the group exponential.
 
@@ -605,9 +589,8 @@ def solve_growth_law(spec: EntropySpec, lam: float, horizon: float = 1e4) -> Gro
     with divergent log up to the horizon.  A range failure of the exponential
     marks the law as restricted rather than raising.
     """
-    _check_lam(lam)
-    if not 1 <= horizon <= MAX_HORIZON:
-        raise InputError(f"the horizon must lie in [1, {MAX_HORIZON:g}]")
+    check_rate(lam)
+    check_horizon(horizon)
     if spec.growth != "group":
         raise ParameterError(f"family {spec.family} has no group exponential to solve a growth law with")
     g = spec.group
@@ -640,9 +623,9 @@ def round_trip_residual(spec: EntropySpec, law: GrowthLaw, n: float) -> float:
 
 def tsallis_qstar(a: float, rho: float) -> float:
     """The deformation index making the two-parameter trace-form entropy extensive on W = N^rho."""
-    if a <= 0:
+    if not a > 0:
         raise ParameterError("requires a > 0")
-    if rho <= 1:
+    if not rho > 1:
         raise ParameterError("requires rho > 1")
     return 1.0 - 1.0 / (a * rho)
 
@@ -661,7 +644,7 @@ def check_extensivity(
     """
     if spec.growth is None:
         raise ParameterError(f"family {spec.family} has no growth law that makes it extensive")
-    _check_lam(lam)
+    check_rate(lam)
     reports: list[PropertyReport] = []
     if spec.growth == "power":
         a, q = spec.params["a"], spec.params["q"]

@@ -313,11 +313,8 @@ def group_law_from_G(g: TruncatedSeries, order: int) -> BivariateTruncatedSeries
     numerators over one denominator with its content divided out, and only
     nonzero coefficients become Fractions.  Each coefficient is computed on
     its own, so the commutativity check still tests psi_ij against psi_ji.
-    On the abel law (5/13, -7/11) this took the law from 0.47 to 0.26 ms at
-    order 10, 23 to 6.5 ms at 40 and 153 to 34 ms at 64, against the dense
-    sum over the powers of G^-1 it replaced (in-process, median of 7
-    processes a side, on a shared 2-vCPU host); at 64, ``reversion`` is 26.5
-    ms of the 34.
+    The rows take O(order^3) integer multiply-adds at most, fewer where D and
+    the rows have zero coefficients.
     """
     if g[0] != 0 or g[1] != 1:
         raise NormalizationError("group-law construction requires c_0 = 0 and c_1 = 1")
@@ -387,7 +384,7 @@ def _differential_holds(law: dict, n: int) -> bool:
     which satisfies it.  So, given psi(x, 0) = x and psi(0, y) = y, it holds
     over Q exactly when psi is associative to total degree n.  Each side is a
     sum of products of one term of psi and one of D, compared over d^2: about
-    |psi| deg D integer multiply-adds, 2.5 ms on the 79-term order-40 abel law.
+    |psi| deg D integer multiply-adds.
     """
     diff = sorted((i, c) for (i, j), c in law.items() if j == 1)  # D = diff / d
     gap: dict[tuple[int, int], int] = {}  # (D(x) d_x psi - D(y) d_y psi) d^2
@@ -451,12 +448,7 @@ def verify_group_axioms(psi: BivariateTruncatedSeries) -> GroupAxiomReport:
     on integers, with no power or product of the law.  Only when the
     identity or that check fails are both trivariate compositions
     materialized, so a failure names the first monomial where
-    psi(psi(x, y), z) and psi(x, psi(y, z)) differ.  On the abel law
-    (a = 5/13, b = -7/11) the linear identity took the check from 0.87 to
-    0.10 ms at order 10, 7.9 to 0.41 ms at order 20 and 158 to 2.5 ms at
-    order 40, against the Horner sum of D(psi) it replaced (298 ms at order
-    40 with the trivariate sums before that); in-process, median of 7
-    processes, on a shared 2-vCPU host.
+    psi(psi(x, y), z) and psi(x, psi(y, z)) differ.
     """
     n = psi.order
     q, d = _ints(psi.coeffs.values())

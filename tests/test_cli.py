@@ -357,6 +357,16 @@ class TestVerify:
         )
         assert json.loads(text)["seed"] == 99
 
+    def test_gek_seed_is_read_by_verify_alone(self, tmp_path, monkeypatch, capsys):
+        # a malformed GEK_SEED used to refuse every command, seedless ones too
+        monkeypatch.setenv("GEK_SEED", "x")
+        assert invoke(["log", "eval", "--family", "id", "--x", "2"], tmp_path) == (0, "0.693147180559945\n")
+        assert invoke(["series", "invert", "--coeffs", "0,1,1", "--order", "3"], tmp_path)[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--family", "renyi", "--params", "alpha=0.5", "--trials", "20"])
+        assert exc.value.code == 2
+        assert capsys.readouterr() == ("", "error: GEK_SEED must be an integer\n")
+
     def test_verify_runs_each_public_check_once(self, monkeypatch, capsys):
         # the benchmark's per-layer spans wrap these three names; verify must look them up at call time
         import gek.properties as properties
@@ -558,7 +568,17 @@ NUMPY_FREE_CASES = [
     pytest.param(["verify", "--family", "renyi", "--params", "alpha=nan"], 2, "", id="verify-alpha-nan"),
     pytest.param(["verify", "--family", "zk", "--params", "k=0.3,alpha=inf"], 2, "", id="verify-alpha-inf"),
     pytest.param(None, 0, "", id="import-gek-cli"),
+    # the --lam and --horizon rules live in gek.errors, so their refusals load nothing more
+    pytest.param(["verify", "--family", "renyi", "--params", "alpha=0.5", "--lam", "0"], 2, "", id="verify-lam-0"),
+    pytest.param(["extensivity", "solve", "--family", "zq", "--params", "q=0.5,alpha=0.5", "--lam", "0"], 2, "",
+                 id="solve-lam-0"),
+    pytest.param(["extensivity", "solve", "--family", "zq", "--params", "q=0.5,alpha=0.5", "--horizon", "0.5"], 2,
+                 "", id="solve-horizon-0.5"),
+    pytest.param(["extensivity", "solve", "--family", "zq", "--params", "q=0.5,alpha=0.5", "--horizon", "1e19"], 2,
+                 "", id="solve-horizon-1e19"),
 ]
+# the refusals that end a numpy command before its handler imports anything
+OPTION_REFUSAL_IDS = {"verify-trials-0", "verify-lam-0", "solve-lam-0", "solve-horizon-0.5", "solve-horizon-1e19"}
 COLD_PROBE = """
 import json, sys
 from gek.cli import main
@@ -584,7 +604,14 @@ def run_cold(argv):
 
 
 def test_numpy_free_command_count():
-    assert len(NUMPY_FREE_CASES) == 37 + 5
+    assert len(NUMPY_FREE_CASES) == 37 + 9
+
+
+@pytest.mark.parametrize("argv, code, stdout", [c for c in NUMPY_FREE_CASES if c.id in OPTION_REFUSAL_IDS])
+def test_option_refusal_loads_only_the_rules(argv, code, stdout):
+    result, loaded = run_cold(argv)
+    assert (result.returncode, result.stdout) == (code, stdout), result.stderr
+    assert {m for m in loaded if m.split(".")[0] == "gek"} == {"gek", "gek.cli", "gek.errors"}
 
 
 @pytest.mark.parametrize("argv, code, stdout", NUMPY_FREE_CASES)

@@ -265,6 +265,12 @@ class TestConcavity:
         with pytest.raises(ValueError):
             check_concavity_condition([])
 
+    @pytest.mark.parametrize("seq", [[math.nan], [math.inf], [math.inf, 1.0], [1.0, math.nan]],
+                             ids=["nan", "inf", "inf-then-1", "1-then-nan"])
+    def test_coefficient_condition_certifies_no_non_finite_coefficient(self, seq):
+        # [nan], [inf] and [inf, 1] used to guarantee a concave ln_G
+        assert check_concavity_condition(seq) is False
+
 
 class TestSeriesDefined:
     def test_matches_closed_form_inside_horizon(self):
@@ -468,6 +474,29 @@ class TestFailClosed:
         # a nan horizon was accepted, and then |t| > nan never refused a t
         with pytest.raises(ParameterError, match="horizon must be positive and finite"):
             SeriesGroup(TruncatedSeries.from_coeffs([0, 1, "1/4"]), horizon=horizon)
+
+    @pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
+    def test_multiplicative_q_must_be_finite(self, q):
+        # q = nan made G nan everywhere, and q = inf gave G(0.1) = 0
+        with pytest.raises(ParameterError, match="multiplicative family requires a finite q"):
+            MultiplicativeGroup(q)
+
+    @pytest.mark.parametrize("a, b", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, -math.inf)],
+                             ids=["a-nan", "a-inf", "b-nan", "b-minus-inf"])
+    def test_abel_parameters_must_be_finite(self, a, b):
+        # AbelGroup(1.0, nan) escaped as a bare ZeroDivisionError
+        with pytest.raises(ParameterError, match="abel family requires finite a and b"):
+            AbelGroup(a, b)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+    def test_gamma_must_be_finite(self, gamma):
+        with pytest.raises(ParameterError, match="gamma must be nonzero"):
+            GroupLogarithm(IdentityGroup(), gamma=gamma)
+
+    def test_ln_g_refuses_nan(self):
+        # ln_G(nan) returned nan
+        with pytest.raises(DomainError, match="ln_G requires a positive argument"):
+            eval_ln_G(GroupLogarithm(KaniadakisGroup(0.3)), math.nan)
 
     def test_brent_refuses_a_nan_inside_the_bracket(self):
         with pytest.raises(ConvergenceError, match="NaN value at"):

@@ -226,6 +226,12 @@ class TestExtensivityIndex:
         with pytest.raises(ParameterError):
             tsallis_qstar(1.0, 1.0)
 
+    @pytest.mark.parametrize("a, rho", [(math.nan, 2.0), (1.0, math.nan)], ids=["a-nan", "rho-nan"])
+    def test_nan_is_refused(self, a, rho):
+        # both returned nan
+        with pytest.raises(ParameterError):
+            tsallis_qstar(a, rho)
+
     def test_uniform_rate_flattens(self):
         a, rho = 1.0, 2.0
         qstar = tsallis_qstar(a, rho)
@@ -870,6 +876,15 @@ class TestOneRunner:
             with pytest.raises(InputError, match="at least one trial"):
                 check()
 
+    @pytest.mark.parametrize("trials", [2.5, math.nan, 3.0])
+    def test_trials_must_be_a_whole_number(self, trials):
+        # 2.5 and nan reached range() as a bare TypeError
+        with pytest.raises(InputError, match="at least one trial"):
+            check_composability(SPECS["renyi"], trials)
+
+    def test_numpy_integer_trials_are_whole(self):
+        assert check_composability(SPECS["renyi"], np.int64(3)).trials == 3
+
     @pytest.mark.parametrize(
         "check, least",
         [(lambda: check_composability(SPECS["renyi"], 10, max_w=0), 1),
@@ -971,6 +986,11 @@ class TestExtensivityRateFailsClosed:
         law = solve_growth_law(entropy_spec("renyi", {"alpha": 0.5}), lam=1.0)
         with pytest.raises(ValueError, match="N >= 1"):
             law.log_w(0.5)
+
+    def test_growth_law_refuses_nan(self):
+        # the guard n < 1 let nan through to a nan ln W
+        with pytest.raises(ValueError, match="N >= 1"):
+            GrowthLaw(kind="exponential", lam=1.0).log_w(math.nan)
 
 
 class TestMajorizationFailsClosed:
