@@ -13,15 +13,13 @@ the standard library and ``gek.errors`` at load time, and ``parse_args`` adds
 options only to the command named by the first argument.  Each handler
 imports the gek modules it uses, after its own option checks: ``log``/``exp``/
 ``chi eval`` load ``grouplog`` alone, ``series invert`` ``series`` alone,
-``grouplaw expand`` both, and none of them numpy.  ``json``, ``csv`` and
-``fractions`` load only for the commands that print JSON or CSV or read
-exact rationals.
+``grouplaw expand`` both, and none of them numpy.  ``json`` and ``fractions``
+load only for the commands that print JSON or read exact rationals.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import math
 import os
 import re
@@ -89,13 +87,6 @@ def _parse_params(text: str | None) -> dict[str, str]:
     return params
 
 
-def _number(text: str, what: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise InputError(f"{what} is not a number") from None
-
-
 def _float_params(text: str | None) -> dict[str, float]:
     """``--params`` as floats, each finite: nan and inf are bad input before any module loads or file is read."""
     out = {}
@@ -103,7 +94,10 @@ def _float_params(text: str | None) -> dict[str, float]:
         if key == "g":  # g names the group function of the group-backed families
             out[key] = value
             continue
-        number = _number(value, f"parameter {key}={value!r}")
+        try:
+            number = float(value)
+        except ValueError:
+            raise InputError(f"parameter {key}={value!r} is not a number") from None
         if not math.isfinite(number):
             raise InputError(f"parameter {key}={value!r} must be finite")
         out[key] = number
@@ -117,10 +111,6 @@ def _fraction(text: str, what: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"{what} is not an exact rational") from exc
-
-
-def _fraction_params(text: str | None) -> dict[str, Fraction]:
-    return {key: _fraction(value, f"parameter {key}={value!r}") for key, value in _parse_params(text).items()}
 
 
 def _probabilities(tokens) -> list[float]:
@@ -198,13 +188,8 @@ def _finite_float(text: str) -> float:
 
 
 def _csv_text(header: list[str], rows: list[list[str]]) -> str:
-    import csv
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
+    """CSV without quoting: no header or cell (a name, _fmt number, int or Fraction) holds a comma, quote or newline."""
+    return "".join(",".join(row) + "\n" for row in (header, *rows))
 
 
 def _add_common(p, params_help="family parameters as key=value[,key=value...]"):
@@ -435,7 +420,8 @@ def _grouplaw_expand(args: argparse.Namespace) -> tuple[int, str]:
     from .series import group_law_from_G
 
     family = group_family(args.family)
-    series = family.carrier(*family.values(_fraction_params(args.params)), args.order)
+    params = {key: _fraction(value, f"parameter {key}={value!r}") for key, value in _parse_params(args.params).items()}
+    series = family.carrier(*family.values(params), args.order)
     psi = group_law_from_G(series, args.order)
     rows = [[str(i), str(j), str(psi[(i, j)])] for (i, j) in psi.monomials()]
     return 0, _csv_text(["i", "j", "value"], rows)

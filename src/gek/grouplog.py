@@ -92,7 +92,8 @@ class GroupFunction:
     in-repo, following scipy's ``brentq``), and rely on ``domain_min`` /
     ``range_min`` for admissibility checks.  Every ``inverse``, closed form
     or numeric, starts with ``_check_finite``: G^-1 of nan, inf or -inf is a
-    RangeError, never a non-finite value passed on.
+    RangeError, never a non-finite value passed on.  So does every closed-form
+    ``chi``, and every ``eval`` refuses nan by ``_check_domain`` or the horizon.
     """
 
     name = "group"
@@ -123,7 +124,7 @@ class GroupFunction:
             raise RangeError(f"{self.name}: cannot invert non-finite value {s}")
 
     def _check_domain(self, t: float) -> None:
-        if t <= self.domain_min:
+        if not t > self.domain_min:  # fails closed: nan is outside every domain
             raise DomainError(
                 f"{self.name}: argument {t} is outside the increasing domain (> {self.domain_min})"
             )
@@ -213,6 +214,7 @@ class IdentityGroup(GroupFunction):
     name = "identity"
 
     def eval(self, t: float) -> float:
+        self._check_domain(t)
         return t
 
     def deriv(self, t: float) -> float:
@@ -223,14 +225,17 @@ class IdentityGroup(GroupFunction):
         return s
 
     def chi(self, x: float, y: float) -> float:
+        self._check_finite(x)
+        self._check_finite(y)
         return x + y
 
     # exact: scaling by c and dividing by c again would round
     def eval_scaled(self, c: float, t: float) -> float:
+        self._check_domain(t)
         return t
 
     def chi_scaled(self, c: float, x: float, y: float) -> float:
-        return x + y
+        return x + y  # unchecked: a nan entropy value must fail its composability trial, not end the check
 
 
 class MultiplicativeGroup(GroupFunction):
@@ -254,6 +259,7 @@ class MultiplicativeGroup(GroupFunction):
         return {"q": self.q}
 
     def eval(self, t: float) -> float:
+        self._check_domain(t)
         try:
             return math.expm1(self.r * t) / self.r
         except OverflowError:
@@ -270,6 +276,8 @@ class MultiplicativeGroup(GroupFunction):
         return math.log1p(u) / self.r
 
     def chi(self, x: float, y: float) -> float:
+        self._check_finite(x)
+        self._check_finite(y)
         return x + y + self.r * x * y
 
 
@@ -287,6 +295,7 @@ class KaniadakisGroup(GroupFunction):
         return {"k": self.k}
 
     def eval(self, t: float) -> float:
+        self._check_domain(t)
         try:
             return math.sinh(self.k * t) / self.k
         except OverflowError:
@@ -300,6 +309,8 @@ class KaniadakisGroup(GroupFunction):
         return math.asinh(self.k * s) / self.k
 
     def chi(self, x: float, y: float) -> float:
+        self._check_finite(x)
+        self._check_finite(y)
         k2 = self.k * self.k
         return x * math.sqrt(1.0 + k2 * y * y) + y * math.sqrt(1.0 + k2 * x * x)
 
@@ -375,7 +386,7 @@ class SeriesGroup(GroupFunction):
         return self.series, self.horizon
 
     def _check_horizon(self, t: float) -> None:
-        if abs(t) > self.horizon:
+        if not abs(t) <= self.horizon:  # fails closed: nan is beyond every horizon
             raise DomainError(f"series G evaluated at {t} beyond horizon {self.horizon}")
 
     def eval(self, t: float) -> float:

@@ -114,6 +114,30 @@ def test_host_records_the_numpy_simd_dispatch_in_use():
     assert switched_off["numpy_simd_baseline"] == got["numpy_simd_baseline"]
 
 
+@pytest.mark.filterwarnings("ignore:numpy.core._multiarray_umath is deprecated:DeprecationWarning")
+def test_simd_tables_come_from_numpy_core_before_numpy_2(monkeypatch):
+    # numpy < 2.0 has no numpy._core: blocking it leaves only the numpy.core module to read
+    from numpy._core import _multiarray_umath as umath
+
+    expected = bench_pairs.numpy_simd()
+    assert expected["numpy_simd_baseline"] == list(umath.__cpu_baseline__)
+    monkeypatch.setitem(sys.modules, "numpy._core._multiarray_umath", None)
+    with pytest.raises(ImportError):
+        importlib.import_module("numpy._core._multiarray_umath")
+    assert bench_pairs.numpy_simd() == expected
+    assert bench_pairs.host({})["numpy_simd_dispatch"] == expected["numpy_simd_dispatch"]
+
+
+def test_main_reads_the_simd_tables_before_the_first_run(monkeypatch, tmp_path):
+    order = []
+    simd, run_pairs = bench_pairs.numpy_simd, bench_pairs.run_pairs
+    monkeypatch.setattr(bench_pairs, "numpy_simd", lambda: order.append("simd") or simd())
+    monkeypatch.setattr(bench_pairs, "run_pairs", lambda *args: order.append("run") or run_pairs(*args))
+    report, _ = fake_main(monkeypatch, tmp_path, [])
+    assert order[0] == "simd" and order.count("simd") == 1 and "run" in order
+    assert report["host"]["numpy_simd_baseline"] == simd()["numpy_simd_baseline"]
+
+
 def fake_main(monkeypatch, tmp_path, argv):
     """``main`` on made-up runs of every declared workload: the BENCH file it writes, and the runs it asked for."""
     (tmp_path / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())

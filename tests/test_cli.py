@@ -486,6 +486,13 @@ class TestQuantumEval:
         expected = math.log((0.5 + root) ** 2 + (0.5 - root) ** 2) / (1 - 2)
         assert float(text) == pytest.approx(expected, rel=1e-12)
 
+    def test_blank_line_between_rows_is_skipped(self, tmp_path):
+        rho = tmp_path / "rho.txt"
+        rho.write_text("0.5,0 0,0\n\n0,0 0.5,0\n")
+        code, text = invoke(["qentropy", "eval", "--rho", str(rho)], tmp_path)
+        assert code == 0
+        assert float(text) == pytest.approx(math.log(2), rel=1e-14)
+
     def test_non_density_rejected(self, tmp_path):
         rho = tmp_path / "rho.txt"
         rho.write_text("0.9 0\n0 0.4\n")
@@ -625,6 +632,34 @@ def test_cold_command_loads_no_numpy(argv, code, stdout):
         assert "gek.series" not in loaded
     if argv and argv[:2] == ["series", "invert"]:
         assert "gek.grouplog" not in loaded
+
+
+def test_non_numeric_params_value_is_refused_cold():
+    result, loaded = run_cold(["entropy", "eval", "--family", "renyi", "--params", "alpha=abc", "--dist", "u4"])
+    assert (result.returncode, result.stdout) == (2, "")
+    assert "error: parameter alpha='abc' is not a number" in result.stderr
+    assert {m.split(".")[0] for m in loaded} & {"numpy", "scipy"} == set()
+
+
+def test_empty_params_chunk_is_skipped():
+    assert _float_params("alpha=0.5,,k=0.3") == {"alpha": 0.5, "k": 0.3}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["grouplaw", "expand", "--family", "abel", "--params", "a=2,b=1", "--order", "6"],
+        ["series", "invert", "--coeffs", "0,1,1/2", "--order", "6"],
+        ["entropy", "sweep", "--family", "renyi", "--dist", "u4", "--param", "alpha=0.5:0.7:0.1"],
+        ["lmg", "demo", "--m", "1", "--N", "12", "--occupations", "6,6", "--a", "2.2", "--alpha", "0.5"],
+    ],
+    ids=["grouplaw-expand", "series-invert", "entropy-sweep", "lmg-demo"],
+)
+def test_csv_commands_load_no_csv_module(argv):
+    # no cell needs quoting, so the rows are joined as text and the csv module never loads
+    result, loaded = run_cold(argv)
+    assert result.returncode == 0, result.stderr
+    assert "csv" not in loaded
 
 
 @pytest.mark.parametrize(

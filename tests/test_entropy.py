@@ -94,6 +94,9 @@ class TestDistribution:
         with pytest.raises(InputError):
             Distribution([1.2, -0.2])
 
+    def test_repr_lists_the_probabilities(self):
+        assert repr(Distribution([0.25, 0.75])) == "Distribution([0.25, 0.75])"
+
     def test_product(self):
         p = Distribution([0.5, 0.5])
         r = Distribution([1 / 3, 2 / 3])

@@ -292,6 +292,14 @@ class TestSeriesDefined:
         with pytest.raises(ParameterError):
             SeriesGroup(TruncatedSeries.from_coeffs([0, 2]))
 
+    def test_describe_names_order_and_horizon(self):
+        g = SeriesGroup(TruncatedSeries.from_coeffs([0, 1, "1/4"]), horizon=1.5)
+        assert g.describe() == "series(order=2, horizon=1.5)"
+
+    def test_inverse_of_zero_is_exactly_zero(self):
+        g = SeriesGroup(abel_exp_series(Fraction(3, 10), Fraction(-1, 5), 10), horizon=1.0)
+        assert math.copysign(1.0, g.inverse(0.0)) == 1.0 and g.inverse(0.0) == 0.0
+
 
 class TestEquality:
     def test_equal_type_and_parameters_make_equal_functions(self):
@@ -417,6 +425,11 @@ class TestBrent:
         with pytest.raises(ConvergenceError):
             _brent(lambda t: math.nan, -1.0, 1.0)
 
+    def test_no_convergence_in_maxiter_steps_raises(self):
+        # a step has no root for Brent to close in on; bisecting [0, 1e300] down to 1e-15 needs ~1000 steps
+        with pytest.raises(ConvergenceError, match="no convergence in 100 iterations"):
+            _brent(lambda t: -1.0 if t < 1.0 else 1.0, 0.0, 1e300)
+
     def test_exact_zero_at_an_end_is_the_root(self):
         assert _brent(lambda t: t - 1.0, 1.0, 3.0) == 1.0
         assert _brent(lambda t: t - 3.0, 1.0, 3.0) == 3.0
@@ -497,6 +510,38 @@ class TestFailClosed:
         # ln_G(nan) returned nan
         with pytest.raises(DomainError, match="ln_G requires a positive argument"):
             eval_ln_G(GroupLogarithm(KaniadakisGroup(0.3)), math.nan)
+
+    @pytest.mark.parametrize(
+        "g, x",
+        [(KaniadakisGroup(0.3), math.nan), (IdentityGroup(), math.nan), (MultiplicativeGroup(0.5), math.inf)],
+        ids=["kaniadakis-nan", "identity-nan", "multiplicative-inf"],
+    )
+    def test_closed_form_chi_refuses_a_non_finite_argument(self, g, x):
+        # returned nan, or inf, where the numeric chi and every inverse raise
+        with pytest.raises(RangeError, match="cannot invert non-finite value"):
+            chi(g, x, 1.0)
+        with pytest.raises(RangeError, match="cannot invert non-finite value"):
+            chi(g, 1.0, x)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            IdentityGroup(),
+            MultiplicativeGroup(0.5),
+            KaniadakisGroup(0.3),
+            AbelGroup(0.5, 0.2),
+            SeriesGroup(TruncatedSeries.from_coeffs([0, 1, "1/4"]), horizon=1.0),
+        ],
+        ids=["identity", "multiplicative", "kaniadakis", "abel", "series"],
+    )
+    def test_eval_refuses_nan(self, g):
+        # G(nan) was nan: nan slipped past `t <= domain_min` and `abs(t) > horizon`
+        with pytest.raises(DomainError):
+            g.eval(math.nan)
+
+    def test_identity_eval_scaled_refuses_nan(self):
+        with pytest.raises(DomainError):
+            IdentityGroup().eval_scaled(0.5, math.nan)
 
     def test_brent_refuses_a_nan_inside_the_bracket(self):
         with pytest.raises(ConvergenceError, match="NaN value at"):

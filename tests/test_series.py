@@ -214,6 +214,14 @@ class TestSeriesBasics:
     def test_derivative(self):
         assert series(5, 1, 3, 2).derivative() == series(1, 6, 6)
 
+    def test_derivative_of_a_constant_is_zero(self):
+        assert series(5).derivative() == series(0)
+
+    def test_scaled_by_a_rational(self):
+        assert series(0, 1, F(1, 4)).scaled(F(2, 3)) == series(0, F(2, 3), F(1, 6))
+        psi = BivariateTruncatedSeries({(1, 0): F(1), (1, 1): F(1, 2)}, 2)
+        assert psi.scaled(F(-2, 3)).coeffs == {(1, 0): F(-2, 3), (1, 1): F(-1, 3)}
+
 
 # ---------------------------------------------------------------------------
 # Reference oracles: the algorithms gek.series used before its integer kernel,

@@ -24,6 +24,7 @@ into the ``host`` section.  The copies are removed at the end.
 from __future__ import annotations
 
 import argparse
+import importlib
 import io
 import json
 import math
@@ -149,18 +150,25 @@ def claim(workload: str, metric: str, measured: dict, held_out: dict) -> dict:
             "change_wins": entry["change_wins"], "met": met}
 
 
-def host(provenance: dict) -> dict:
-    """The host fields of a run's provenance; whether the runs could write ``.pyc`` files, without
-    which every cold ``gek`` process compiles the modules it imports; and numpy's compiled-in SIMD
-    baseline and the dispatch targets its kernels run on, which change pinned float output, not only
-    speed (``NPY_DISABLE_CPU_FEATURES`` switches targets off)."""
-    from numpy._core import _multiarray_umath as umath
+def numpy_simd() -> dict:
+    """numpy's compiled-in SIMD baseline and the dispatch targets its kernels run on, which change
+    pinned float output, not only speed (``NPY_DISABLE_CPU_FEATURES`` switches targets off)."""
+    try:
+        umath = importlib.import_module("numpy._core._multiarray_umath")
+    except ImportError:  # numpy before 2.0
+        umath = importlib.import_module("numpy.core._multiarray_umath")
+    return {"numpy_simd_baseline": list(umath.__cpu_baseline__),
+            "numpy_simd_dispatch": [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]}
 
+
+def host(provenance: dict, simd: dict | None = None) -> dict:
+    """The host fields of a run's provenance; whether the runs could write ``.pyc`` files, without
+    which every cold ``gek`` process compiles the modules it imports; and ``simd``, read now when
+    not given, as ``numpy_simd`` gives it."""
     out = {key: provenance.get(key)
            for key in ("python", "numpy", "scipy", "nproc", "cpus_usable", "pinned_cpu", "note")}
     out["writes_pyc"] = not os.environ.get("PYTHONDONTWRITEBYTECODE")
-    out["numpy_simd_baseline"] = list(umath.__cpu_baseline__)
-    out["numpy_simd_dispatch"] = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    out.update(numpy_simd() if simd is None else simd)
     return out
 
 
@@ -211,6 +219,7 @@ def main(argv=None) -> int:
     def log(message: str) -> None:
         print(f"[{time.strftime('%H:%M:%S')}] {message}", file=sys.stderr, flush=True)
 
+    simd = numpy_simd()  # before the runs, so a numpy that cannot report them stops the script at once
     work = tempfile.mkdtemp(prefix="bench_pairs_")
     try:
         copies = {side: os.path.join(work, side) for side in SIDES}
@@ -239,7 +248,7 @@ def main(argv=None) -> int:
         "change": shas["change"],
         "parent_src_sha256": first["parent"]["provenance"]["src_sha256"],
         "change_src_sha256": first["change"]["provenance"]["src_sha256"],
-        "host": host(first["parent"]["provenance"]),
+        "host": host(first["parent"]["provenance"], simd),
         "claim": None if claim_workload is None
         else claim(claim_workload, claim_metric, sections["workloads"][claim_workload], sections[held_key]),
         **sections,
