@@ -1,8 +1,9 @@
 """Group-entropy kit: formal group laws, composable entropies, and their verification.
 
 The names below are loaded on first use (PEP 562), so ``import gek.series`` or
-``from gek import chi`` does not import numpy: only ``entropy``,
-``properties`` and ``quantum`` need it.
+``from gek import chi`` does not import numpy.  Only ``properties`` and
+``quantum`` import it when they load; ``entropy`` imports it where a vector is
+touched, so ``from gek import entropy_spec, solve_growth_law`` does not.
 """
 
 import importlib
@@ -40,23 +41,25 @@ _EXPORTS = {
         "eval_ln_G",
         "group_function",
     ),
-    "properties": (
+    "growth": (
         "GrowthLaw",
-        "MajorizationPair",
         "PropertyReport",
+        "check_extensivity",
+        "round_trip_residual",
+        "solve_growth_law",
+        "tsallis_qstar",
+    ),
+    "properties": (
+        "MajorizationPair",
         "check_composability",
         "check_composability_on_uniform",
         "check_concavity_region_saq",
-        "check_extensivity",
         "check_group_axioms_numeric",
         "check_schur_concavity",
         "check_sk_axioms",
         "generate_majorization_pair",
         "majorizes",
-        "round_trip_residual",
         "saq_concavity_counterexample_search",
-        "solve_growth_law",
-        "tsallis_qstar",
     ),
     "quantum": (
         "DensityMatrix",

@@ -13,8 +13,11 @@ the standard library and ``gek.errors`` at load time, and ``parse_args`` adds
 options only to the command named by the first argument.  Each handler
 imports the gek modules it uses, after its own option checks: ``log``/``exp``/
 ``chi eval`` load ``grouplog`` alone, ``series invert`` ``series`` alone,
-``grouplaw expand`` both, and none of them numpy.  ``json`` and ``fractions``
-load only for the commands that print JSON or read exact rationals.
+``grouplaw expand`` both, ``extensivity solve`` ``entropy`` and ``growth``, and
+none of them numpy.  ``entropy eval``, ``verify`` and ``qentropy eval`` build
+their entropy spec, which needs no numpy, before they read a vector, so a bad
+family or parameter is refused cold.  ``json`` and ``fractions`` load only for
+the commands that print JSON or read exact rationals.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
     from .entropy import Distribution
-    from .properties import PropertyReport
+    from .growth import PropertyReport
     from .quantum import DensityMatrix
 
 SCHEMA_VERSION = "1"
@@ -373,11 +376,10 @@ def _parse_sweep(text: str) -> tuple[str, list[float]]:
 
 
 def _entropy_eval(args: argparse.Namespace) -> tuple[int, str]:
-    params = _float_params(args.params)
-    dist = _load_distribution(args.dist)
     from .entropy import entropy_spec
 
-    return 0, _fmt(entropy_spec(args.family, params).value(dist)) + "\n"
+    spec = entropy_spec(args.family, _float_params(args.params))  # before --dist: a bad spec is refused cold
+    return 0, _fmt(spec.value(_load_distribution(args.dist))) + "\n"
 
 
 def _entropy_sweep(args: argparse.Namespace) -> tuple[int, str]:
@@ -450,17 +452,20 @@ def _verify(args: argparse.Namespace) -> tuple[int, str]:
     params = _float_params(args.params)
     check_rate(args.lam)  # for every suite, also those that never use it
     from .entropy import entropy_spec
-    from .properties import check_composability, check_extensivity, check_schur_concavity, check_sk_axioms
+    from .growth import check_extensivity
 
     spec = entropy_spec(args.family, params)
     suite = args.suite
     reports: list[PropertyReport] = []
-    if suite in ("composability", "all"):
-        reports.append(check_composability(spec, args.trials, args.tol, seed))
-    if suite in ("sk", "all"):
-        reports.extend(check_sk_axioms(spec, args.trials, seed))
-    if suite in ("schur", "all"):
-        reports.extend(check_schur_concavity(spec, args.trials, seed))
+    if suite != "extensivity":  # the sampled suites reduce vectors, so they alone load numpy
+        from .properties import check_composability, check_schur_concavity, check_sk_axioms
+
+        if suite in ("composability", "all"):
+            reports.append(check_composability(spec, args.trials, args.tol, seed))
+        if suite in ("sk", "all"):
+            reports.extend(check_sk_axioms(spec, args.trials, seed))
+        if suite in ("schur", "all"):
+            reports.extend(check_schur_concavity(spec, args.trials, seed))
     if suite == "extensivity" or (suite == "all" and spec.growth is not None):
         reports.extend(check_extensivity(spec, args.lam, args.tol, seed))
     all_passed = all(r.passed for r in reports)
@@ -484,7 +489,7 @@ def _extensivity_solve(args: argparse.Namespace) -> tuple[int, str]:
     check_horizon(args.horizon)
     params = _float_params(args.params)
     from .entropy import entropy_spec
-    from .properties import check_extensivity, sample_grid, solve_growth_law
+    from .growth import check_extensivity, sample_grid, solve_growth_law
 
     spec = entropy_spec(args.family, params)
     payload = {"schema_version": SCHEMA_VERSION, "family": spec.family, "params": params}
@@ -511,12 +516,11 @@ def _extensivity_solve(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _qentropy_eval(args: argparse.Namespace) -> tuple[int, str]:
-    params = _float_params(args.params)
-    rho = _load_density_matrix(args.rho)
     family = "boltzmann" if args.family.lower() in ("vn", "von_neumann") else args.family
     from .entropy import entropy_spec
 
-    spec = entropy_spec(family, params)
+    spec = entropy_spec(family, _float_params(args.params))
+    rho = _load_density_matrix(args.rho)
     # spectra sum to 1 within the eigensolver tolerance, so skip strict
     # simplex validation and evaluate the defining formula directly
     return 0, _fmt(spec.raw_value(rho.spectrum)) + "\n"

@@ -6,19 +6,29 @@ two-parameter deformed entropy, Landsberg-Vedral).  Every family carries the
 two-argument law its values obey on products of independent systems.
 
 Entropies are reported in nats with the Boltzmann constant set to 1.
+
+numpy loads only where a vector is touched: ``Distribution``, ``invalid_rows``,
+a reduction when it is called, and ``EntropySpec.raw_value``, ``row_sums`` and
+``block_sums``.  The family table, the parameter checks, the laws builders and
+everything scalar about a spec (its tail, ``phi`` and uniform values) run
+without it, so a command that refuses its family or parameters, or solves a
+growth law, never imports numpy.  Each of those functions imports numpy
+itself: once numpy is loaded, that statement is a lookup in ``sys.modules``
+of about 0.2 us, where a module-level proxy would add a Python call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import Callable, Mapping, NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
 from .errors import InputError, ParameterError, RangeError
 from .grouplog import GroupFunction, check_params, group_family, group_function
+from .record import Record
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SUM_TOLERANCE = 1e-12
 # how many reductions ``_power_sums`` keeps, and how many sums one Distribution keeps
@@ -39,6 +49,8 @@ class Distribution:
     __slots__ = ("p", "_support", "_sums")
 
     def __init__(self, probs, renormalize: bool = False):
+        import numpy as np
+
         arr = np.asarray(probs, dtype=float)
         if arr.ndim != 1 or arr.size < 1:
             raise InputError("a distribution must be a nonempty 1-D vector")
@@ -65,12 +77,16 @@ class Distribution:
     def uniform(cls, w: int) -> "Distribution":
         if w < 1:
             raise InputError("uniform distribution needs at least one outcome")
+        import numpy as np
+
         return cls(np.full(w, 1.0 / w))
 
     @classmethod
     def delta(cls, w: int, index: int = 0) -> "Distribution":
         if w < 1 or not 0 <= index < w:
             raise InputError("delta distribution needs 1 <= size and a valid index")
+        import numpy as np
+
         arr = np.zeros(w)
         arr[index] = 1.0
         return cls(arr)
@@ -89,6 +105,8 @@ class Distribution:
         return s
 
     def append_zero(self) -> "Distribution":
+        import numpy as np
+
         return Distribution(np.append(self.p, 0.0))
 
     def __repr__(self) -> str:
@@ -102,12 +120,16 @@ def invalid_rows(block: np.ndarray) -> np.ndarray:
     axis bit for bit; an empty vector sums to 0.  ``>= 0`` fails NaN, and an
     infinite entry makes the total miss 1.
     """
+    import numpy as np
+
     nonnegative = np.logical_and.reduce(block >= 0, axis=-1)
     return ~(nonnegative & (np.abs(np.add.reduce(block, axis=-1) - 1.0) <= SUM_TOLERANCE))
 
 
 def invalid_distributions(rows: Sequence[np.ndarray]) -> list[bool]:
     """For each vector in ``rows``, whether ``Distribution`` would reject it (the same checks)."""
+    import numpy as np
+
     return [bool(invalid_rows(np.asarray(row, dtype=float))) for row in rows]
 
 
@@ -115,20 +137,31 @@ def invalid_distributions(rows: Sequence[np.ndarray]) -> list[bool]:
 def _power_sums(exponent: float) -> Callable[[np.ndarray], np.ndarray]:
     """The one power-sum reduction: sum_i x_i^exponent over the last axis of an array of positive entries.
 
-    One object per exponent, so every family of one order meets in a Distribution's memo.
+    One object per exponent, so every family of one order meets in a Distribution's memo.  Building it
+    loads no numpy; calling it does, as every reduction here does, since only a vector needs numpy.
     """
     if not 0 < exponent < math.inf:  # fails closed: a nan exponent is rejected too
         raise ParameterError("power sums are defined for finite positive exponents only")
-    return lambda positive: np.add.reduce(positive**exponent, axis=-1)
+
+    def power_sums(positive: np.ndarray) -> np.ndarray:
+        import numpy as np
+
+        return np.add.reduce(positive**exponent, axis=-1)
+
+    return power_sums
 
 
 def _boltzmann_sums(positive: np.ndarray) -> np.ndarray:
     """sum_i x_i ln(1/x_i) over the last axis of an array of positive entries."""
+    import numpy as np
+
     return -np.add.reduce(positive * np.log(positive), axis=-1)
 
 
 def _control_sums(positive: np.ndarray) -> np.ndarray:
     """sum_i x_i^2 ln(1/x_i) over the last axis of an array of positive entries."""
+    import numpy as np
+
     return -np.add.reduce(positive**2 * np.log(positive), axis=-1)
 
 
@@ -139,6 +172,8 @@ def power_sum(p: Distribution, alpha: float) -> float:
 
 def product_distribution(p: Distribution, r: Distribution) -> Distribution:
     """Joint distribution of two independent systems (outer product, flattened)."""
+    import numpy as np
+
     return Distribution(np.outer(p.p, r.p).ravel())
 
 
@@ -317,39 +352,47 @@ _FAMILIES = {
 Z_FAMILIES = tuple(name for name, fam in _FAMILIES.items() if fam.growth == "group")
 
 
-@dataclass(frozen=True)
-class EntropySpec:
+class EntropySpec(Record):
     """A validated entropy family tag plus parameter set.
 
     Bundles the functional itself, the two-argument law it satisfies on
     products, closed-form values on uniform distributions, and a raw
     (validation-free) evaluation used by derivative-based checks.  Every
     Z-family (Z_FAMILIES) carries its group function G in ``group``.
+
+    A ``Record`` whose value is its family, params and group: equality, hash,
+    repr, copy and pickle ignore ``_laws``, the formulas built once per spec.
+    Building a spec, and everything scalar about it, loads no numpy.
     """
 
-    family: str
-    params: Mapping[str, float]
-    group: GroupFunction | None = None
-    _laws: _Laws = field(init=False, repr=False, compare=False)  # the formulas, picked once per spec
+    __slots__ = ("family", "params", "group", "_laws")
 
-    def __post_init__(self) -> None:
-        fam = _FAMILIES.get(self.family)
+    def __init__(self, family: str, params: Mapping[str, float], group: GroupFunction | None = None) -> None:
+        fam = _FAMILIES.get(family)
         if fam is None:
-            raise ParameterError(f"unknown entropy family {self.family!r}; choose from {sorted(_FAMILIES)}")
-        check_params(f"family {self.family}", fam.params, self.params)
+            raise ParameterError(f"unknown entropy family {family!r}; choose from {sorted(_FAMILIES)}")
+        check_params(f"family {family}", fam.params, params)
         # validate once, so bad parameters fail at build time; the laws builder checks its own
-        p = self.params
-        if "alpha" in p:
-            _check_alpha(p["alpha"])
+        if "alpha" in params:
+            _check_alpha(params["alpha"])
         if fam.group == "given":
-            if self.group is None:
-                raise ParameterError(f"family {self.family} needs a group function")
-        elif self.group is not None:  # fails closed: never swap or keep a G the family does not take
-            raise ParameterError(f"family {self.family} takes no group function")
+            if group is None:
+                raise ParameterError(f"family {family} needs a group function")
+        elif group is not None:  # fails closed: never swap or keep a G the family does not take
+            raise ParameterError(f"family {family} takes no group function")
         elif fam.group is not None:
-            gparams = {k: v for k, v in p.items() if k != "alpha"}
-            object.__setattr__(self, "group", group_function(fam.group, **gparams))
-        object.__setattr__(self, "_laws", fam.laws(self.family, p, self.group))
+            group = group_function(fam.group, **{k: v for k, v in params.items() if k != "alpha"})
+        super().__init__(family, params, group, fam.laws(family, params, group))
+
+    def _fields(self) -> tuple:
+        return self.family, self.params, self.group
+
+    def __repr__(self) -> str:
+        return f"EntropySpec(family={self.family!r}, params={self.params!r}, group={self.group!r})"
+
+    def __reduce__(self):  # rebuilt from its arguments: an alias family derives its G from params again
+        given = _FAMILIES[self.family].group == "given"
+        return type(self), (self.family, self.params, self.group if given else None)
 
     @property
     def alpha(self) -> float | None:
@@ -375,6 +418,8 @@ class EntropySpec:
 
     def raw_value(self, arr: np.ndarray) -> float:
         """Evaluate the defining formula on any nonnegative vector (off-simplex allowed): the 1-D path."""
+        import numpy as np
+
         arr = np.asarray(arr, dtype=float)
         return self.from_row_sum(float(self._laws.reduce(arr[arr > 0])))
 
@@ -384,6 +429,8 @@ class EntropySpec:
 
     def row_sums(self, rows: Sequence[np.ndarray]) -> list[float]:
         """The family's sum over each vector in ``rows``, before the scalar tail: ``raw_value``'s 1-D sum."""
+        import numpy as np
+
         return [float(self._laws.reduce(v[v > 0])) for v in (np.asarray(row, dtype=float) for row in rows)]
 
     def block_sums(self, block: np.ndarray) -> np.ndarray:
@@ -396,6 +443,8 @@ class EntropySpec:
         that order; the filtered vectors are reduced together by how many
         entries they keep.
         """
+        import numpy as np
+
         if not block.size or np.minimum.reduce(block, axis=None) > 0:  # NaN fails the test, as it fails > 0
             return self._laws.reduce(block)
         flat = block.reshape(-1, block.shape[-1])

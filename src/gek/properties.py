@@ -2,23 +2,27 @@
 
 Every check returns one or more PropertyReports carrying the seed, trial
 counts, worst residual and a witness for the worst case, so failures are
-reproducible from the report alone.
+reproducible from the report alone.  The growth law and the extensivity
+suite are scalar; they live in ``gek.growth``, which loads no numpy, and are
+re-exported here.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .entropy import Distribution, EntropySpec, _check_alpha, _saq_concave, invalid_rows
-from .errors import DomainError, InputError, ParameterError, RangeError
-from .errors import _integral, check_horizon, check_rate, check_trials
-from .grouplog import GroupFunction, IdentityGroup
+from .errors import DomainError, InputError, RangeError, _integral, check_trials
+from .grouplog import GroupFunction
+from .growth import (  # noqa: F401  (re-exported)
+    GrowthLaw, PropertyReport, check_extensivity, round_trip_residual, sample_grid, solve_growth_law, tsallis_qstar,
+)
 
 # denominator used for exact majorization sampling; a power of two keeps the
 # float conversion and its partial sums exact
@@ -28,35 +32,6 @@ _MASS_DENOM = 2**20
 _CHUNK = 256
 # the l1 length of the continuity proxy's shift
 _STEP = 1e-6
-
-
-@dataclass
-class PropertyReport:
-    """Outcome of one randomized property check."""
-
-    name: str
-    trials: int
-    failures: int
-    worst_residual: float
-    seed: int
-    skipped: int = 0
-    witness: dict = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return self.failures == 0
-
-    def as_dict(self) -> dict:
-        return {
-            "property": self.name,
-            "trials": self.trials,
-            "failures": self.failures,
-            "skipped": self.skipped,
-            "worst_residual": self.worst_residual,
-            "seed": self.seed,
-            "witness": self.witness,
-            "passed": self.passed,
-        }
 
 
 class _Worst:
@@ -543,142 +518,6 @@ def check_schur_concavity(
     on interior distributions.  A NaN gap or criterion value fails.
     """
     return _run_rows(spec, _SCHUR, trials, seed, _w_range(w_values, least=2))
-
-
-@dataclass(frozen=True)
-class GrowthLaw:
-    """Closed-form phase-space growth W(N), kept in log form to avoid overflow."""
-
-    kind: str  # "exponential" | "group"
-    lam: float = 0.0
-    alpha: float | None = None
-    group: GroupFunction | None = None
-    valid: bool = True
-    restricted: bool = False
-
-    def log_w(self, n: float) -> float:
-        if not n >= 1:
-            raise ValueError("the growth law is defined for N >= 1")
-        if self.kind == "exponential":
-            return self.lam * n
-        c = 1.0 - self.alpha
-        return self.group.inverse(c * self.lam * n) / c
-
-    def w(self, n: float) -> float:
-        lw = self.log_w(n)
-        return math.exp(lw) if lw < 709 else math.inf
-
-    def describe(self) -> str:
-        if self.kind == "exponential":
-            return f"W(N) = exp({self.lam} N)"
-        return f"W(N) = exp_G({1 - self.alpha} * {self.lam} * N)^(1/{1 - self.alpha})"
-
-
-def sample_grid(horizon: float, points: int) -> list[int]:
-    """The distinct integers of ``points`` log-spaced values from 1 to ``horizon``, rounded, ascending.
-
-    ``sorted(set(...))`` and not ``np.unique``, which imports ``numpy.ma`` (about 15 ms of a cold command).
-    """
-    return sorted(set(np.round(np.logspace(0, math.log10(horizon), points)).astype(int).tolist()))
-
-
-def solve_growth_law(spec: EntropySpec, lam: float, horizon: float = 1e4) -> GrowthLaw:
-    """Solve S(uniform over W(N)) ~ lam * N for W(N) through the group exponential.
-
-    The returned law carries a sampled validity flag: W real and increasing
-    with divergent log up to the horizon.  A range failure of the exponential
-    marks the law as restricted rather than raising.
-    """
-    check_rate(lam)
-    check_horizon(horizon)
-    if spec.growth != "group":
-        raise ParameterError(f"family {spec.family} has no group exponential to solve a growth law with")
-    g = spec.group
-    kind = "exponential" if isinstance(g, IdentityGroup) else "group"
-    law = GrowthLaw(kind=kind, lam=lam, alpha=spec.alpha, group=g)
-
-    samples = sample_grid(horizon, 25)
-    values = []
-    restricted = False
-    for n in samples:
-        try:
-            values.append(law.log_w(float(n)))
-        except (RangeError, DomainError):
-            restricted = True
-            break
-    increasing = all(a < b for a, b in zip(values, values[1:]))
-    divergent = bool(values) and values[-1] > values[0] and values[-1] > 1.0
-    valid = (not restricted) and increasing and divergent and all(map(math.isfinite, values))
-    return replace(law, valid=valid, restricted=restricted)
-
-
-def round_trip_residual(spec: EntropySpec, law: GrowthLaw, n: float) -> float:
-    """|S(uniform over W(N))/N - lam|, with S taken at the unrounded ln W(N).
-
-    Rounding W to an integer would add its own error, up to 5e-4 at N = 1e4
-    for some laws, and fail a law that holds.
-    """
-    return abs(spec.uniform_value_log(law.log_w(n)) / n - law.lam)
-
-
-def tsallis_qstar(a: float, rho: float) -> float:
-    """The deformation index making the two-parameter trace-form entropy extensive on W = N^rho."""
-    if not a > 0:
-        raise ParameterError("requires a > 0")
-    if not rho > 1:
-        raise ParameterError("requires rho > 1")
-    return 1.0 - 1.0 / (a * rho)
-
-
-def check_extensivity(
-    spec: EntropySpec, lam: float = 1.0, tol: float = 1e-10, seed: int = 0
-) -> list[PropertyReport]:
-    """The growth law W(N) with S(uniform over W(N)) ~ lam * N, and how well it holds.
-
-    A "group" family first reports the law's validity and, if valid, its round
-    trip at N = 1e4 within max(tol, 1e-9).  The "power" family tsallis_aq
-    (q < 1) grows as W = N^(1/(a(1 - q))) whatever lam.  Both then report the
-    drift of S/N from N = 1e5 to 1e6, taken from ln W(N) in log space.  A
-    family without a growth law, or a lam that is not positive and finite,
-    raises ParameterError, and an exponent past float range RangeError.
-    """
-    if spec.growth is None:
-        raise ParameterError(f"family {spec.family} has no growth law that makes it extensive")
-    check_rate(lam)
-    reports: list[PropertyReport] = []
-    if spec.growth == "power":
-        a, q = spec.params["a"], spec.params["q"]
-        # admissibility, a(q - 1) + 1 > 0, makes rho > 1; a tiny a puts rho, or a(1 - q) at 0, past float range
-        rho = 1.0 / (a * (1.0 - q)) if a * (1.0 - q) > 0 else math.inf
-        if not math.isfinite(rho):
-            raise RangeError(f"the growth exponent 1/(a(1 - q)) of {spec.describe()} is out of float range")
-        log_w, witness = (lambda n: rho * math.log(n)), {"rho": rho, "qstar": tsallis_qstar(a, rho)}
-    else:
-        law = solve_growth_law(spec, lam)
-        reports.append(
-            PropertyReport(
-                "extensivity-growth-law-valid", 1, 0 if law.valid else 1, 0.0 if law.valid else 1.0, seed,
-                witness={"kind": law.kind, "description": law.describe(), "restricted": law.restricted},
-            )
-        )
-        if not law.valid:
-            return reports
-        residual = round_trip_residual(spec, law, 1e4)
-        reports.append(
-            PropertyReport(
-                "extensivity-round-trip", 1, 0 if residual <= max(tol, 1e-9) else 1, residual, seed,
-                witness={"n": 1e4, "lam": lam},
-            )
-        )
-        log_w, witness = law.log_w, {}
-    rates = [spec.uniform_value_log(log_w(n)) / n for n in (1e5, 1e6)]
-    drift = abs(rates[1] - rates[0]) / max(abs(rates[0]), 1e-300)
-    reports.append(
-        PropertyReport(
-            "extensivity-rate-drift", 2, 0 if drift < 1e-3 else 1, drift, seed, witness={"rates": rates, **witness}
-        )
-    )
-    return reports
 
 
 def check_concavity_region_saq(a: float, q: float) -> bool:

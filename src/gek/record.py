@@ -1,14 +1,16 @@
 """Immutable slotted value records, without ``dataclasses``.
 
 ``dataclasses`` imports ``inspect``, which costs a cold ``gek`` command 8-15 ms
-it never uses, so the records of ``gek.grouplog`` and ``gek.series`` derive
-from ``Record`` instead.  A subclass names its fields in ``__slots__``, in
+it never uses, so the records of ``gek.grouplog``, ``gek.series``,
+``gek.growth`` and ``gek.entropy`` derive from ``Record`` instead.  A subclass names its fields in ``__slots__``, in
 constructor order.  ``Record.__init__`` takes one value per field, in that
 order, and sets them; a subclass that checks or converts its arguments does so
 in its own ``__init__`` and then calls ``super().__init__``.  ``Record`` gives
 it what ``@dataclass(frozen=True)`` gave: equality between records of one
 class, the hash of the field tuple, the ``Name(field=value, ...)`` repr, and an
-``AttributeError`` on assignment or deletion.
+``AttributeError`` on assignment or deletion.  A subclass with a slot that is
+derived from the others, not part of its value, overrides ``_fields`` and
+``__repr__`` to leave it out.
 """
 
 from __future__ import annotations

@@ -561,11 +561,15 @@ class TestDeterminism:
 # inspect, which cost them 8-15 ms. Each case runs one fresh interpreter: (id, argv or None for a bare
 # 'import gek.cli', exit code, stdout).
 GOLDEN = Path(__file__).parent / "golden"
-NUMPY_FREE_COMMANDS = (["log", "eval"], ["exp", "eval"], ["chi", "eval"], ["grouplaw", "expand"], ["series", "invert"])
+NUMPY_FREE_COMMANDS = (
+    ["log", "eval"], ["exp", "eval"], ["chi", "eval"], ["grouplaw", "expand"], ["series", "invert"],
+    ["extensivity", "solve"],
+)
 NUMPY_FREE_CASES = [
     pytest.param(e["argv"], e["exit"], e["stdout"], id=e["id"])
     for e in json.loads((GOLDEN / "cli_corpus.json").read_text())
-    if e["argv"][:2] in NUMPY_FREE_COMMANDS
+    # the bad-* entries are `entropy eval` refusals of a family's parameters, made before --dist is read
+    if e["argv"][:2] in NUMPY_FREE_COMMANDS or e["id"].startswith("bad-")
 ] + [
     # option checks that exit before the handler needs numpy
     pytest.param(["verify", "--family", "renyi", "--params", "alpha=0.5", "--trials", "0"], 2, "", id="verify-trials-0"),
@@ -583,6 +587,12 @@ NUMPY_FREE_CASES = [
                  "", id="solve-horizon-0.5"),
     pytest.param(["extensivity", "solve", "--family", "zq", "--params", "q=0.5,alpha=0.5", "--horizon", "1e19"], 2,
                  "", id="solve-horizon-1e19"),
+    # the family table and the parameter rules load no numpy, so a bad --family or --params is refused cold
+    pytest.param(["verify", "--family", "nosuch"], 2, "", id="verify-family-nosuch"),
+    pytest.param(["verify", "--family", "zq", "--params", "q=0.5,alpha=-1"], 2, "", id="verify-alpha-negative"),
+    pytest.param(["verify", "--family", "zg", "--params", "alpha=0.5"], 2, "", id="verify-zg-missing-g"),
+    pytest.param(["qentropy", "eval", "--rho", "{data}/rho3.txt", "--family", "nosuch"], 2, "",
+                 id="qentropy-family-nosuch"),
 ]
 # the refusals that end a numpy command before its handler imports anything
 OPTION_REFUSAL_IDS = {"verify-trials-0", "verify-lam-0", "solve-lam-0", "solve-horizon-0.5", "solve-horizon-1e19"}
@@ -611,7 +621,8 @@ def run_cold(argv):
 
 
 def test_numpy_free_command_count():
-    assert len(NUMPY_FREE_CASES) == 37 + 9
+    # 37 exact and scalar corpus entries + 20 extensivity solve + 10 bad-* refusals, and 13 added cases
+    assert len(NUMPY_FREE_CASES) == 37 + 20 + 10 + 13
 
 
 @pytest.mark.parametrize("argv, code, stdout", [c for c in NUMPY_FREE_CASES if c.id in OPTION_REFUSAL_IDS])
@@ -665,16 +676,24 @@ def test_csv_commands_load_no_csv_module(argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["extensivity", "solve", "--family", "zq", "--params", "q=0.5,alpha=0.5"],
         ["verify", "--family", "zk", "--params", "k=0.3,alpha=0.5", "--trials", "10"],
     ],
-    ids=["extensivity-solve", "verify-growth-law"],
+    ids=["verify-growth-law"],
 )
 def test_growth_grid_loads_no_numpy_ma(argv):
     # np.unique imports numpy.ma, about 15 ms of a cold command; the N grids are built without it
     result, loaded = run_cold(argv)
     assert result.returncode == 0, result.stderr
     assert "numpy" in loaded and "numpy.ma" not in loaded
+
+
+def test_extensivity_suite_runs_cold(tmp_path):
+    # the growth law is scalar, so of verify's suites only the sampled ones load numpy
+    argv = ["verify", "--family", "zk", "--params", "k=0.3,alpha=0.5", "--suite", "extensivity"]
+    result, loaded = run_cold(argv)
+    assert (result.returncode, result.stdout) == (0, invoke(argv, tmp_path)[1]), result.stderr
+    assert {m.split(".")[0] for m in loaded} & {"numpy", "scipy"} == set()
+    assert loaded & {"dataclasses", "inspect"} == set()
 
 
 @pytest.mark.parametrize("horizon", [1, 2, 10, 1e4, 123456.7, 1e18])
@@ -686,6 +705,19 @@ def test_sample_grid_is_np_unique_of_the_rounded_logspace(horizon, points):
     grid = sample_grid(horizon, points)
     assert grid == expected
     assert all(type(n) is int for n in grid)
+
+
+@pytest.mark.parametrize("points", [9, 25])
+def test_sample_grid_matches_numpy_at_every_integral_horizon_and_power_of_ten(points):
+    # libm's pow and numpy's power agree on these grids; above about 3e13 they can differ by one (see sample_grid)
+    import numpy as np
+
+    horizons = list(range(2, 10**5 + 1)) + [10**k for k in range(1, 19)]
+    # one logspace row per horizon: the same float operations as the 1-D call, except that a zero step (horizon 1,
+    # covered above) switches every row to another branch of linspace
+    rows = np.round(np.logspace(0, [math.log10(h) for h in horizons], points, axis=1)).astype(int)
+    mismatches = [h for h, row in zip(horizons, rows.tolist()) if sample_grid(h, points) != sorted(set(row))]
+    assert mismatches == []
 
 
 # every command and its subcommands (None: the command takes its options directly)

@@ -1,6 +1,8 @@
 """Value and composition-law checks for every classical entropy family."""
 
+import copy
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -449,6 +451,25 @@ class TestEntropySpec:
         assert spec != entropy_spec("zg", {"g": "kaniadakis", "k": 0.3, "alpha": 0.7})
         assert spec != entropy_spec("zg", {"g": "tsallis", "q": 0.6, "alpha": 0.7})
         assert entropy_spec("zk", {"k": 0.3, "alpha": 0.7}) == entropy_spec("zk", {"k": 0.3, "alpha": 0.7})
+
+    @pytest.mark.parametrize(
+        "family, params",
+        [("zk", {"k": 0.3, "alpha": 0.7}), ("zg", {"g": "abel", "a": 0.3, "b": -0.2, "alpha": 0.5}), ("boltzmann", {})],
+    )
+    def test_copy_and_pickle_rebuild_an_equal_spec(self, family, params):
+        # a copy is built again from the spec's arguments, so an alias family derives its G once more
+        spec = entropy_spec(family, params)
+        dist = Distribution([0.5, 0.25, 0.25])
+        for twin in (copy.copy(spec), copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+            assert twin == spec and twin._laws is not spec._laws
+            assert twin.value(dist) == spec.value(dist)
+
+    def test_spec_is_immutable(self):
+        spec = entropy_spec("renyi", {"alpha": 0.5})
+        with pytest.raises(AttributeError):
+            spec.family = "boltzmann"
+        with pytest.raises(AttributeError):
+            del spec._laws
 
     def test_uniform_value_needs_at_least_one_outcome(self):
         with pytest.raises(InputError, match="W >= 1"):

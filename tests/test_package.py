@@ -20,11 +20,13 @@ EXPORTS = {
         "SeriesGroup", "check_concavity_condition", "chi", "eval_G_inverse", "eval_exp_G", "eval_ln_G",
         "group_function",
     ],
+    "growth": [
+        "GrowthLaw", "PropertyReport", "check_extensivity", "round_trip_residual", "solve_growth_law", "tsallis_qstar",
+    ],
     "properties": [
-        "GrowthLaw", "MajorizationPair", "PropertyReport", "check_composability", "check_composability_on_uniform",
-        "check_concavity_region_saq", "check_extensivity", "check_group_axioms_numeric", "check_schur_concavity",
-        "check_sk_axioms", "generate_majorization_pair", "majorizes", "round_trip_residual",
-        "saq_concavity_counterexample_search", "solve_growth_law", "tsallis_qstar",
+        "MajorizationPair", "check_composability", "check_composability_on_uniform", "check_concavity_region_saq",
+        "check_group_axioms_numeric", "check_schur_concavity", "check_sk_axioms", "generate_majorization_pair",
+        "majorizes", "saq_concavity_counterexample_search",
     ],
     "quantum": [
         "DensityMatrix", "DickeSpec", "LmgParams", "dicke_reduced_density", "dicke_reduced_density_dense",
@@ -61,12 +63,22 @@ def test_unknown_name_raises_attribute_error():
         gek.nosuch  # noqa: B018
 
 
-@pytest.mark.parametrize("probe", ["import gek.series", "import gek", "from gek import chi, reversion"])
+@pytest.mark.parametrize(
+    "probe",
+    ["import gek.series", "import gek", "from gek import chi, reversion", "import gek.entropy",
+     "from gek import entropy_spec, solve_growth_law"],
+)
 def test_pure_python_imports_load_no_numpy(probe):
     check = f"{probe}; import sys; print('numpy' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "False\n"
+
+
+@pytest.mark.parametrize("name", EXPORTS["growth"])
+def test_properties_keeps_the_growth_names(name):
+    # the growth law moved to gek.growth; gek.properties still offers the same objects
+    assert getattr(importlib.import_module("gek.properties"), name) is getattr(gek, name)
 
 
 def test_submodules_stay_attributes_of_the_package():
