@@ -387,13 +387,14 @@ def _entropy_sweep(args: argparse.Namespace) -> tuple[int, str]:
     name, values = _parse_sweep(args.param)
     if name in params:
         raise InputError(f"parameter {name!r} is given by both --params and --param")
+    from .entropy import entropy_spec
+
+    entropy_spec(args.family, {**params, name: values[0]})  # before --dist: a bad family or --params is refused cold
     dist = _load_distribution(args.dist)
     if len(values) * dist.size > MAX_SWEEP_ENTRIES:
         raise InputError(
             f"sweep of {len(values)} points over {dist.size} outcomes has more than {MAX_SWEEP_ENTRIES} entries"
         )
-    from .entropy import entropy_spec
-
     rows = []
     for v in values:
         spec = entropy_spec(args.family, {**params, name: v})

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from functools import lru_cache
 from itertools import repeat
 from typing import Callable, NamedTuple, Sequence
 
@@ -23,6 +23,7 @@ from .grouplog import GroupFunction
 from .growth import (  # noqa: F401  (re-exported)
     GrowthLaw, PropertyReport, check_extensivity, round_trip_residual, sample_grid, solve_growth_law, tsallis_qstar,
 )
+from .record import Record
 
 # denominator used for exact majorization sampling; a power of two keeps the
 # float conversion and its partial sums exact
@@ -61,7 +62,7 @@ class _Row(NamedTuple):
     """One sampled property, a row of the table that ``_run_rows`` runs."""
 
     name: str  # the report's name
-    draw: Callable  # (rng, w_values) -> (shape key, the trial's seeded variates)
+    draw: Callable  # (rng, below, w_values) -> (shape key, the trial's seeded variates); below is _bounded(rng)
     build: Callable  # (key, the variates of every trial of that shape) -> (blocks, extras); see _run_rows
     judge: Callable  # (spec, vectors, values, extra) -> (value, witness thunk), or None for a skipped trial
     dists: int  # how many leading blocks hold distributions
@@ -74,10 +75,11 @@ def _run_rows(spec: EntropySpec | None, rows, trials: int, seed: int, w_values, 
 
     gek's only trial loop.  A row runs in chunks of _CHUNK trials.  Draw:
     ``row.draw`` once per trial, in the seeded order, keeps only the trial's
-    variates and its shape key.  Build: ``row.build`` stacks the trials of one
-    shape into blocks, one per vector slot, with the trials along the first
-    axis and each vector along the last, and gives each trial's extra (or None
-    for none).  A row with no vector slot builds no blocks, never reads
+    variates and its shape key, and reads every bounded draw through the one
+    reader of the rng, ``_bounded(rng)``.  Build: ``row.build`` stacks the
+    trials of one shape into blocks, one per vector slot, with the trials along
+    the first axis and each vector along the last, and gives each trial's extra
+    (or None for none).  A row with no vector slot builds no blocks, never reads
     ``spec`` (None if no row has a slot), and its judge reads only the extras.
     Validate and evaluate (``_chunk_sums``): every block is checked and reduced
     as a whole, then the scalar tail runs on every sum in trial order.  Judge:
@@ -85,6 +87,7 @@ def _run_rows(spec: EntropySpec | None, rows, trials: int, seed: int, w_values, 
     """
     check_trials(trials)
     rng = np.random.default_rng(seed)
+    below = _bounded(rng)
     tail = None if spec is None else spec.from_row_sum
     reports = []
     for row in rows:
@@ -93,7 +96,7 @@ def _run_rows(spec: EntropySpec | None, rows, trials: int, seed: int, w_values, 
             n = min(_CHUNK, trials - start)
             shapes: dict = {}
             for t in range(n):
-                key, variates = row.draw(rng, w_values)
+                key, variates = row.draw(rng, below, w_values)
                 shapes.setdefault(key, []).append((t, variates))
             chunk = []
             for key, members in shapes.items():
@@ -144,10 +147,11 @@ def _chunk_sums(spec: EntropySpec, chunk, dists: int, n: int) -> list[list[float
     return sums
 
 
-def _below(rng, n: int) -> int:
-    """``int(rng.integers(n))`` for 1 <= n < 2**32: the same value, and the generator left in the same state.
+def _bounded(rng) -> Callable[[int], int]:
+    """The bounded-draw reader of ``rng``: ``below(n)`` is ``int(rng.integers(n))`` for 1 <= n < 2**32.
 
-    numpy draws an integer below n by Lemire's method (arXiv:1805.10941, its
+    It gives the same value and leaves the generator in the same state.  numpy
+    draws an integer below n by Lemire's method (arXiv:1805.10941, its
     ``buffered_bounded_lemire_uint32``): m = x * n for a 32-bit output x,
     redrawn while the low word of m is below 2**32 % n, and the high word of m
     is the value; a one-value range draws nothing.  These are the same steps,
@@ -155,24 +159,48 @@ def _below(rng, n: int) -> int:
     (with its half-word buffer) that ``integers``, ``multinomial`` and
     ``standard_exponential`` read, so the calls interleave with theirs.  It
     skips the argument handling of ``Generator.integers``, most of a scalar
-    call's cost.  Not thread-safe: it bypasses the generator's lock, so the
-    generator must be used by one thread only, as each ``_run_rows`` owns its own.
+    call's cost, and the C function and its state are looked up once per
+    generator.  ``below`` checks no bound: outside [1, 2**32) its value is
+    wrong or its loop never ends, so every caller draws below a count it has
+    checked (``_w_range`` caps the number of W values), and ``_below`` checks.
+    Not thread-safe: it bypasses the generator's lock, so the generator must be
+    used by one thread only, as each ``_run_rows`` owns its own.
     """
+    bits = rng.bit_generator.ctypes
+    next_uint32, state = bits.next_uint32, bits.state
+
+    def below(n: int) -> int:
+        if n == 1:
+            return 0
+        m = next_uint32(state) * n
+        if m & 0xFFFFFFFF < n:
+            threshold = 2**32 % n
+            while m & 0xFFFFFFFF < threshold:
+                m = next_uint32(state) * n
+        return m >> 32
+
+    below.bit_generator = rng.bit_generator  # the state that next_uint32 writes lives as long as the reader
+    return below
+
+
+def _below(rng, n: int) -> int:
+    """``_bounded(rng)(n)``, with n checked to lie in [1, 2**32)."""
     if not 0 < n < 2**32:
         raise ValueError(f"the bound {n} is outside [1, 2**32)")
-    if n == 1:
-        return 0
-    bits = rng.bit_generator.ctypes
-    m = bits.next_uint32(bits.state) * n
-    if m & 0xFFFFFFFF < n:
-        threshold = 2**32 % n
-        while m & 0xFFFFFFFF < threshold:
-            m = bits.next_uint32(bits.state) * n
-    return m >> 32
+    return _bounded(rng)(n)
 
 
 def _w_range(w_values: Sequence[int], least: int = 1) -> Sequence[int]:
-    """``w_values``, checked before any draw: a sampled check needs one or more W, each an integer >= ``least``."""
+    """``w_values``, checked before any draw: a sampled check needs one or more W, each an integer >= ``least``.
+
+    A draw picks one of them by a bounded draw, so there may be at most 2**32 - 1.
+    """
+    try:
+        count = len(w_values)
+    except OverflowError:  # a range longer than sys.maxsize has no len
+        count = 2**32
+    if count >= 2**32:
+        raise InputError("a sampled check draws from at most 2**32 - 1 W values")
     if not w_values or not all(map(_integral, w_values)) or min(w_values) < least:
         raise InputError(
             f"a sampled check needs one or more W values, each at least {least} and integral, got {list(w_values)}"
@@ -183,11 +211,6 @@ def _w_range(w_values: Sequence[int], least: int = 1) -> Sequence[int]:
 def _w_upto(max_w: int) -> Sequence[int]:
     """W = 1, ..., ``max_w``, checked as ``_w_range`` checks it; a non-integral ``max_w`` never reaches ``range``."""
     return _w_range(range(1, max_w + 1) if _integral(max_w) else [max_w])
-
-
-def _draw_w(rng, w_values: Sequence[int]) -> int:
-    # the same draw as rng.choice(w_values), which costs about eight times as much
-    return int(w_values[_below(rng, len(w_values))])
 
 
 def _flat_dirichlet_rows(exponentials) -> np.ndarray:
@@ -206,14 +229,19 @@ def _interior_rows(w: int, exponentials) -> np.ndarray:
     return 0.99 * _flat_dirichlet_rows(exponentials) + 0.01 / w
 
 
-def _draw_simplex(rng, w_values):
-    # the draws of one row of _flat_dirichlet_rows, or of _interior_rows, at w = _draw_w(rng, w_values)
-    w = _draw_w(rng, w_values)
+# A draw picks W as int(w_values[below(len(w_values))]): the same draw as rng.choice(w_values), and on a
+# range(1, k + 1) as rng.integers(1, k + 1), which cost about eight times as much.
+
+
+def _draw_simplex(rng, below, w_values):
+    # the draws of one row of _flat_dirichlet_rows, or of _interior_rows
+    w = int(w_values[below(len(w_values))])
     return w, rng.standard_exponential(w)
 
 
-def _draw_product(rng, w_values):
-    wa, wb = _draw_w(rng, w_values), _draw_w(rng, w_values)
+def _draw_product(rng, below, w_values):
+    n = len(w_values)
+    wa, wb = int(w_values[below(n)]), int(w_values[below(n)])
     return (wa, wb), (rng.standard_exponential(wa), rng.standard_exponential(wb))
 
 
@@ -255,8 +283,9 @@ def _build_scalar(key, variates):
     return (), variates
 
 
-def _draw_uniform_pair(rng, w_values):
-    return None, (_draw_w(rng, w_values), _draw_w(rng, w_values))
+def _draw_uniform_pair(rng, below, w_values):
+    n = len(w_values)
+    return None, (int(w_values[below(n)]), int(w_values[below(n)]))
 
 
 def _judge_uniform_pair(spec, vectors, values, pair):
@@ -284,7 +313,7 @@ def check_composability_on_uniform(
     return _run_rows(spec, _ON_UNIFORM, trials, seed, _w_upto(max_w), tol)[0]
 
 
-def _draw_triple(rng, w_values):
+def _draw_triple(rng, below, w_values):
     return None, rng.uniform(0.0, 3.0, size=3)
 
 
@@ -317,8 +346,8 @@ def check_group_axioms_numeric(
     return _run_rows(EntropySpec("zg", {"alpha": alpha}, g), _GROUP_AXIOMS, trials, seed, (), tol)[0]
 
 
-def _draw_continuity(rng, w_values):
-    w, e = _draw_simplex(rng, w_values)
+def _draw_continuity(rng, below, w_values):
+    w, e = _draw_simplex(rng, below, w_values)
     return w, (e, rng.normal(size=w))
 
 
@@ -397,52 +426,56 @@ def majorizes(dominant: Sequence, dominated: Sequence, tol=0) -> bool:
     return abs(sum(a) - sum(b)) <= tol
 
 
-@dataclass(frozen=True)
-class MajorizationPair:
+class MajorizationPair(Record):
     """Two distributions with p majorized by r, validated on construction."""
 
-    p: Distribution
-    r: Distribution
+    __slots__ = ("p", "r")
 
-    def __post_init__(self) -> None:
-        if not majorizes(self.r.p.tolist(), self.p.p.tolist(), tol=1e-12):
+    def __init__(self, p: Distribution, r: Distribution) -> None:
+        if not majorizes(r.p.tolist(), p.p.tolist(), tol=1e-12):
             raise ValueError("r does not majorize p")
+        super().__init__(p, r)
 
 
-def _two_of(rng, w: int) -> tuple[int, int]:
-    """Two distinct indices below w: the draw of rng.choice(w, size=2, replace=False), at a third of its cost.
-
-    That call samples by Floyd's algorithm, an index below w - 1 and one below
-    w that becomes w - 1 on a collision, and then shuffles the two with one
-    more draw below 2; these are the same three bounded draws.
-    """
-    i, j = _below(rng, w - 1), _below(rng, w)
-    if j == i:
-        j = w - 1
-    return (j, i) if _below(rng, 2) == 0 else (i, j)
+@lru_cache(maxsize=64)
+def _uniform_pvals(w: int) -> np.ndarray:
+    # multinomial's pvals at w, built once; read-only, as every caller shares it
+    pvals = np.full(w, 1.0 / w)
+    pvals.setflags(write=False)
+    return pvals
 
 
-def _majorization_masses(w: int, steps: int, rng) -> tuple[list[int], list[int]]:
+def _majorization_masses(w: int, steps: int, rng, below) -> tuple[list[int], list[int]]:
     """Robin-Hood transfers on an exact integer mass vector: the masses of p and r, over _MASS_DENOM.
 
     Starting from a random r, each step moves mass from a larger to a smaller
     coordinate without letting them cross, so the result p is majorized by r;
-    the integer dominance check is exact.
+    the integer dominance check is exact.  ``below`` is ``_bounded(rng)``.
+    A step's pair is the draw of rng.choice(w, size=2, replace=False), which
+    samples by Floyd's algorithm: an index below w - 1 and one below w that
+    becomes w - 1 on a collision, then one more draw below 2 that shuffles
+    the two.  These are the same three bounded draws, at a third of that
+    call's cost; the step orders the pair by mass, so the shuffle is drawn
+    and not applied.
     """
     if w < 2:
         raise ValueError("need at least two outcomes")
-    masses_r = rng.multinomial(_MASS_DENOM, np.full(w, 1.0 / w)).tolist()
+    masses_r = rng.multinomial(_MASS_DENOM, _uniform_pvals(w)).tolist()
     masses_p = list(masses_r)
+    last = w - 1
     for _ in range(steps):
-        i, j = _two_of(rng, w)
-        if masses_p[i] == masses_p[j]:
+        i, j = below(last), below(w)
+        if j == i:
+            j = last
+        below(2)
+        a, b = masses_p[i], masses_p[j]
+        if a == b:
             continue
-        if masses_p[i] < masses_p[j]:
-            i, j = j, i
-        gap = masses_p[i] - masses_p[j]
-        amount = _below(rng, gap // 2 + 1)
-        masses_p[i] -= amount
-        masses_p[j] += amount
+        if a < b:
+            i, j, a, b = j, i, b, a
+        amount = below((a - b) // 2 + 1)
+        masses_p[i] = a - amount
+        masses_p[j] = b + amount
     if not majorizes(masses_r, masses_p, tol=0):
         raise AssertionError("transfer chain violated dominance")  # pragma: no cover
     return masses_p, masses_r
@@ -454,16 +487,16 @@ def generate_majorization_pair(w: int, steps: int, rng) -> MajorizationPair:
     The masses live on a power-of-two grid, which keeps the float conversion
     and the dominance check exact.
     """
-    masses_p, masses_r = _majorization_masses(w, steps, rng)
+    masses_p, masses_r = _majorization_masses(w, steps, rng, _bounded(rng))
     return MajorizationPair(
         p=Distribution(np.array(masses_p, dtype=float) / _MASS_DENOM),
         r=Distribution(np.array(masses_r, dtype=float) / _MASS_DENOM),
     )
 
 
-def _draw_ordering(rng, w_values):
-    w = _draw_w(rng, w_values)
-    return w, _majorization_masses(w, 1 + _below(rng, 11), rng)
+def _draw_ordering(rng, below, w_values):
+    w = int(w_values[below(len(w_values))])
+    return w, _majorization_masses(w, 1 + below(11), rng, below)
 
 
 def _build_ordering(w, variates):
@@ -539,7 +572,7 @@ def saq_concavity_counterexample_search(
     _w_range((w,))
     exponent = a * (q - 1.0) + 1.0
 
-    def draw(rng, _):
+    def draw(rng, below, w_values):
         return None, (rng.standard_exponential(w), rng.standard_exponential(w), rng.uniform(0.05, 0.95))
 
     def judge(spec, vectors, values, variates):

@@ -11,13 +11,13 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .entropy import EntropySpec, _power_sums, entropy_spec
 from .errors import DomainError, InputError, ParameterError, RangeError
+from .record import Record
 
 EIGENVALUE_CLAMP = 1e-12
 _PSD_FLOOR = -1e-10
@@ -103,8 +103,7 @@ _DICKE_MAX_SITES = {1: 14, 2: 10}
 MAX_DENSE_BLOCK_WIDTH = 2048
 
 
-@dataclass(frozen=True)
-class DickeSpec:
+class DickeSpec(Record):
     """An equal-amplitude symmetric state with fixed occupations, split into a block.
 
     ``m + 1`` is the number of local levels, ``occupations`` the level counts
@@ -112,33 +111,27 @@ class DickeSpec:
     partial trace.
     """
 
-    m: int
-    n_sites: int
-    occupations: tuple[int, ...]
-    block: int
+    __slots__ = ("m", "n_sites", "occupations", "block")
 
-    def __post_init__(self) -> None:
+    def __init__(self, m: int, n_sites: int, occupations: tuple[int, ...], block: int) -> None:
         try:
-            m, n_sites, block = map(operator.index, (self.m, self.n_sites, self.block))
-            occupations = tuple(operator.index(k) for k in self.occupations)
+            m, n_sites, block = map(operator.index, (m, n_sites, block))
+            occupations = tuple(operator.index(k) for k in occupations)
         except TypeError:
             raise InputError("m, n_sites, block and every occupation must be integers") from None
-        for name, value in (("m", m), ("n_sites", n_sites), ("occupations", occupations), ("block", block)):
-            object.__setattr__(self, name, value)
-        if self.m < 1:
+        if m < 1:
             raise InputError("need at least two local levels (m >= 1)")
-        if self.m not in _DICKE_MAX_SITES:
+        if m not in _DICKE_MAX_SITES:
             raise InputError(f"supported level counts are m in {sorted(_DICKE_MAX_SITES)}")
-        if self.n_sites > _DICKE_MAX_SITES[self.m]:
-            raise InputError(
-                f"m={self.m} is exact at desk scale only up to N={_DICKE_MAX_SITES[self.m]} sites"
-            )
-        if len(self.occupations) != self.m + 1:
-            raise InputError(f"need exactly {self.m + 1} occupation numbers")
-        if any(k < 0 for k in self.occupations) or sum(self.occupations) != self.n_sites:
+        if n_sites > _DICKE_MAX_SITES[m]:
+            raise InputError(f"m={m} is exact at desk scale only up to N={_DICKE_MAX_SITES[m]} sites")
+        if len(occupations) != m + 1:
+            raise InputError(f"need exactly {m + 1} occupation numbers")
+        if any(k < 0 for k in occupations) or sum(occupations) != n_sites:
             raise InputError("occupations must be nonnegative and sum to the number of sites")
-        if not 1 <= self.block <= self.n_sites - 1:
+        if not 1 <= block <= n_sites - 1:
             raise InputError("the block must keep between 1 and N-1 sites")
+        super().__init__(m, n_sites, occupations, block)
 
 
 def _block_occupations(spec: DickeSpec):
@@ -199,26 +192,22 @@ def dicke_reduced_density_dense(spec: DickeSpec) -> DensityMatrix:
     return DensityMatrix(block @ block.T)
 
 
-@dataclass(frozen=True)
-class LmgParams:
+class LmgParams(Record):
     """Inputs of the large-block asymptotic entanglement formula."""
 
-    a: float
-    m: int
-    alpha: float
-    gamma: float
-    densities: tuple[float, ...]
+    __slots__ = ("a", "m", "alpha", "gamma", "densities")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "densities", tuple(float(x) for x in self.densities))
-        if self.m < 1:
+    def __init__(self, a: float, m: int, alpha: float, gamma: float, densities: tuple[float, ...]) -> None:
+        densities = tuple(float(x) for x in densities)
+        if m < 1:
             raise ParameterError("m must be at least 1")
-        if len(self.densities) != self.m + 1:
-            raise ParameterError(f"need exactly {self.m + 1} densities")
-        if not (all(0.0 <= x for x in self.densities) and abs(sum(self.densities) - 1.0) <= 1e-12):
+        if len(densities) != m + 1:
+            raise ParameterError(f"need exactly {m + 1} densities")
+        if not (all(0.0 <= x for x in densities) and abs(sum(densities) - 1.0) <= 1e-12):
             raise ParameterError("densities must be nonnegative and sum to 1")
-        if not 0.0 < self.gamma < 1.0:
+        if not 0.0 < gamma < 1.0:
             raise ParameterError("the block ratio must lie strictly between 0 and 1")
+        super().__init__(a, m, alpha, gamma, densities)
 
 
 def lmg_asymptotic_za0(params: LmgParams, block: float) -> float:

@@ -1,9 +1,8 @@
 """Immutable slotted value records, without ``dataclasses``.
 
 ``dataclasses`` imports ``inspect``, which costs a cold ``gek`` command 8-15 ms
-it never uses, so the records of ``gek.grouplog``, ``gek.series``,
-``gek.growth`` and ``gek.entropy`` derive from ``Record`` instead.  A subclass names its fields in ``__slots__``, in
-constructor order.  ``Record.__init__`` takes one value per field, in that
+it never uses, so every record of ``gek`` derives from ``Record`` instead.  A
+subclass names its fields in ``__slots__``, in constructor order.  ``Record.__init__`` takes one value per field, in that
 order, and sets them; a subclass that checks or converts its arguments does so
 in its own ``__init__`` and then calls ``super().__init__``.  ``Record`` gives
 it what ``@dataclass(frozen=True)`` gave: equality between records of one

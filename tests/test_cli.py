@@ -568,8 +568,10 @@ NUMPY_FREE_COMMANDS = (
 NUMPY_FREE_CASES = [
     pytest.param(e["argv"], e["exit"], e["stdout"], id=e["id"])
     for e in json.loads((GOLDEN / "cli_corpus.json").read_text())
-    # the bad-* entries are `entropy eval` refusals of a family's parameters, made before --dist is read
+    # the bad-* entries are `entropy eval` refusals of a family's parameters, made before --dist is read, and the
+    # `entropy sweep` refusals are of a family that takes no swept parameter, made before --dist is read too
     if e["argv"][:2] in NUMPY_FREE_COMMANDS or e["id"].startswith("bad-")
+    or (e["argv"][:2] == ["entropy", "sweep"] and e["exit"] == 2)
 ] + [
     # option checks that exit before the handler needs numpy
     pytest.param(["verify", "--family", "renyi", "--params", "alpha=0.5", "--trials", "0"], 2, "", id="verify-trials-0"),
@@ -593,6 +595,10 @@ NUMPY_FREE_CASES = [
     pytest.param(["verify", "--family", "zg", "--params", "alpha=0.5"], 2, "", id="verify-zg-missing-g"),
     pytest.param(["qentropy", "eval", "--rho", "{data}/rho3.txt", "--family", "nosuch"], 2, "",
                  id="qentropy-family-nosuch"),
+    pytest.param(["entropy", "sweep", "--family", "nosuch", "--dist", "u4", "--param", "alpha=0.1:0.5:0.1"], 2, "",
+                 id="sweep-family-nosuch"),
+    pytest.param(["entropy", "sweep", "--family", "zk", "--params", "k=1.5", "--dist", "u4", "--param",
+                  "alpha=0.1:0.5:0.1"], 2, "", id="sweep-zk-k1.5"),
 ]
 # the refusals that end a numpy command before its handler imports anything
 OPTION_REFUSAL_IDS = {"verify-trials-0", "verify-lam-0", "solve-lam-0", "solve-horizon-0.5", "solve-horizon-1e19"}
@@ -621,8 +627,8 @@ def run_cold(argv):
 
 
 def test_numpy_free_command_count():
-    # 37 exact and scalar corpus entries + 20 extensivity solve + 10 bad-* refusals, and 13 added cases
-    assert len(NUMPY_FREE_CASES) == 37 + 20 + 10 + 13
+    # 37 exact and scalar corpus entries + 20 extensivity solve + 10 bad-* and 2 sweep refusals, and 15 added cases
+    assert len(NUMPY_FREE_CASES) == 37 + 20 + 10 + 2 + 15
 
 
 @pytest.mark.parametrize("argv, code, stdout", [c for c in NUMPY_FREE_CASES if c.id in OPTION_REFUSAL_IDS])
@@ -650,6 +656,31 @@ def test_non_numeric_params_value_is_refused_cold():
     assert (result.returncode, result.stdout) == (2, "")
     assert "error: parameter alpha='abc' is not a number" in result.stderr
     assert {m.split(".")[0] for m in loaded} & {"numpy", "scipy"} == set()
+
+
+def test_sweep_refuses_a_bad_spec_before_a_bad_dist():
+    # both inputs are bad: the spec is built before --dist is read, so its refusal is the one reported
+    result, loaded = run_cold(["entropy", "sweep", "--family", "nosuch", "--dist", "no/such/file", "--param",
+                               "alpha=0.1:0.5:0.1"])
+    assert (result.returncode, result.stdout) == (2, "")
+    assert "error: unknown entropy family 'nosuch'" in result.stderr
+    assert {m.split(".")[0] for m in loaded} & {"numpy", "scipy"} == set()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--family", "zk", "--params", "k=0.3,alpha=0.5", "--suite", "all", "--trials", "10"],
+        ["lmg", "demo", "--m", "1", "--N", "12", "--occupations", "6,6", "--a", "2.2", "--alpha", "0.5"],
+        ["qentropy", "eval", "--rho", "{data}/rho3.txt", "--family", "renyi", "--params", "alpha=2"],
+    ],
+    ids=["verify-sampled", "lmg-demo", "qentropy-eval"],
+)
+def test_numpy_commands_load_no_dataclasses(argv):
+    # every record of gek is a Record, so a command that needs numpy still loads no dataclasses
+    result, loaded = run_cold(argv)
+    assert result.returncode == 0, result.stderr
+    assert "numpy" in loaded and "dataclasses" not in loaded
 
 
 def test_empty_params_chunk_is_skipped():

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -28,10 +29,10 @@ from gek.properties import (
     tsallis_qstar,
     _Worst,
     _below,
-    _draw_w,
+    _bounded,
     _flat_dirichlet_rows,
     _interior_rows,
-    _two_of,
+    _majorization_masses,
 )
 
 SPECS = {
@@ -309,27 +310,33 @@ class TestTrialDraws:
             drawn_index = [int(w_values[by_index.integers(len(w_values))]) for _ in range(20_000)]
             assert drawn_choice == drawn_index
             assert by_choice.bit_generator.state == by_index.bit_generator.state
-        # composability draws w from range(1, max_w + 1) in place of rng.integers(1, max_w + 1)
+        # composability draws w from range(1, max_w + 1), through the reader, in place of rng.integers(1, max_w + 1)
         for k in (1, 2, 7, 8, 40):
             by_bounds, by_range = np.random.default_rng(k), np.random.default_rng(k)
+            below, w_values = _bounded(by_range), range(1, k + 1)
             drawn_bounds = [int(by_bounds.integers(1, k + 1)) for _ in range(20_000)]
-            drawn_range = [_draw_w(by_range, range(1, k + 1)) for _ in range(20_000)]
+            drawn_range = [int(w_values[below(len(w_values))]) for _ in range(20_000)]
             assert drawn_bounds == drawn_range
             assert by_bounds.bit_generator.state == by_range.bit_generator.state
 
-    def test_below_draws_the_same_stream_as_integers(self):
-        # every bounded draw of the trial loops goes through _below in place of a scalar rng.integers;
-        # if numpy ever changes how integers draws, this fails before any pinned report moves
+    @staticmethod
+    def assert_integers_stream(reader):
+        """``reader(rng)(n)`` draws what ``int(rng.integers(n))`` draws, interleaved with other draws of rng.
+
+        200 seeds of fixed and random bounds up to 2**32 - 1; 2**31 + 3 and 3 * 2**30 reach the redraw.
+        If numpy ever changes how integers draws, this fails before any pinned report moves.
+        """
         fixed = (1, 2, 3, 11, 40, 2**19 + 1, 2**31 + 3, 3 * 2**30, 2**32 - 1)
         for seed in range(200):
             by_integers, by_below = np.random.default_rng(seed), np.random.default_rng(seed)
+            below = reader(by_below)
             plan = np.random.default_rng(10_000 + seed)
             for _ in range(60):
                 if plan.random() < 0.5:
                     n = fixed[plan.integers(len(fixed))]
                 else:
                     n = min(int(2 ** plan.uniform(0, 32)), 2**32 - 1)
-                assert _below(by_below, n) == int(by_integers.integers(n)), (seed, n)
+                assert below(n) == int(by_integers.integers(n)), (seed, n)
                 # the other draws share the bit generator, and its half-word buffer, with the bounded ones
                 other, w = plan.integers(4), int(plan.integers(1, 9))
                 for rng in (by_integers, by_below):
@@ -340,19 +347,76 @@ class TestTrialDraws:
                     elif other == 3:
                         rng.normal(size=w)
             assert by_integers.bit_generator.state == by_below.bit_generator.state, seed
+
+    def test_below_draws_the_same_stream_as_integers(self):
+        # _below binds a reader per call
+        self.assert_integers_stream(lambda rng: lambda n: _below(rng, n))
         rng = np.random.default_rng(0)
         for n in (0, -1, 2**32, 2**40):
             with pytest.raises(ValueError):
                 _below(rng, n)
 
-    def test_two_of_draws_the_same_stream_as_choice_without_replacement(self):
-        # generate_majorization_pair draws its transfer pair with _two_of in place of rng.choice
+    def test_one_reader_per_generator_draws_the_same_stream_as_integers(self):
+        # every bounded draw of the trial loops goes through one reader, bound once per generator
+        self.assert_integers_stream(_bounded)
+
+    @staticmethod
+    def reference_masses(w, steps, rng):
+        """The transfer chain drawn by numpy calls: rng.choice for each pair, rng.integers for each amount."""
+        masses_r = rng.multinomial(2**20, np.full(w, 1.0 / w)).tolist()
+        masses_p = list(masses_r)
+        for _ in range(steps):
+            i, j = (int(v) for v in rng.choice(w, size=2, replace=False))
+            if masses_p[i] == masses_p[j]:
+                continue
+            if masses_p[i] < masses_p[j]:
+                i, j = j, i
+            amount = int(rng.integers((masses_p[i] - masses_p[j]) // 2 + 1))
+            masses_p[i] -= amount
+            masses_p[j] += amount
+        return masses_p, masses_r
+
+    def test_transfer_chain_draws_the_same_stream_as_choice_without_replacement(self):
+        # the chain draws each transfer pair by three bounded draws in place of rng.choice; a 60-step chain at
+        # w = 2 closes the gap in far fewer steps, and each step after that draws a pair of equal masses and no amount
+        closed = 0
         for w in range(2, 10):
-            by_choice, by_two_of = np.random.default_rng(w), np.random.default_rng(w)
-            drawn_choice = [tuple(int(v) for v in by_choice.choice(w, size=2, replace=False)) for _ in range(20_000)]
-            drawn_two_of = [_two_of(by_two_of, w) for _ in range(20_000)]
-            assert drawn_choice == drawn_two_of
-            assert by_choice.bit_generator.state == by_two_of.bit_generator.state
+            by_choice, by_reader = np.random.default_rng(w), np.random.default_rng(w)
+            below = _bounded(by_reader)
+            for steps in [1, 2, 11, 60] * 200:
+                expected = self.reference_masses(w, steps, by_choice)
+                assert _majorization_masses(w, steps, by_reader, below) == expected, (w, steps)
+                closed += w == 2 and steps == 60 and expected[0][0] == expected[0][1]
+            assert by_choice.bit_generator.state == by_reader.bit_generator.state
+        assert closed == 200
+
+    def test_checks_in_threads_report_what_they_report_alone(self):
+        # the reader bypasses the generator's lock, and the ordering draws share one read-only pvals array per w;
+        # each check owns its generator, so checks run in more threads than cores report what each reports alone
+        from gek.properties import _uniform_pvals
+
+        spec = SPECS["zab"]
+        jobs = [lambda s=s: check_schur_concavity(spec, 200, seed=s, w_values=(2, 3, 4, 5, 6)) for s in (1, 2)]
+        jobs += [lambda s=s: check_composability(spec, 200, seed=s) for s in (3, 4)]
+        alone = [job() for job in jobs]
+        together = [None] * len(jobs)
+
+        def run(k):
+            together[k] = jobs[k]()
+
+        _uniform_pvals.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(k,)) for k in range(len(jobs))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert together == alone
 
     def test_flat_dirichlet_draws_the_same_stream_as_dirichlet(self):
         # every Dirichlet(1, ..., 1) draw of the trial loops goes through _flat_dirichlet_rows in place of
@@ -373,7 +437,8 @@ class TestTrialDraws:
         assert ordering.dists == 2
         w_values = (2, 3, 5, 8)
         by_row, by_pair = np.random.default_rng(9), np.random.default_rng(9)
-        drawn = [ordering.draw(by_row, w_values) for _ in range(300)]
+        below = _bounded(by_row)
+        drawn = [ordering.draw(by_row, below, w_values) for _ in range(300)]
         shapes = {}
         for t, (key, masses) in enumerate(drawn):
             shapes.setdefault(key, []).append((t, masses))
@@ -384,8 +449,9 @@ class TestTrialDraws:
             assert len(blocks) == 2 and extras is None
             for t, r, p in zip(ids, *blocks):
                 vectors[t] = (r, p)
+        assert {key for key, _ in drawn} == set(w_values)
         for key, (r, p) in zip((key for key, _ in drawn), vectors):
-            w = _draw_w(by_pair, w_values)
+            w = int(w_values[by_pair.integers(len(w_values))])
             pair = generate_majorization_pair(w, steps=int(by_pair.integers(1, 12)), rng=by_pair)
             assert key == w
             assert np.array_equal(r, pair.r.p) and np.array_equal(p, pair.p.p)
@@ -910,6 +976,22 @@ class TestOneRunner:
 
         monkeypatch.setattr(properties, "_run_rows", None)  # the range is checked before the runner is reached
         with pytest.raises(InputError, match=f"one or more W values, each at least {least}"):
+            check()
+
+    @pytest.mark.parametrize(
+        "check",
+        [lambda: check_composability(SPECS["renyi"], 10, max_w=2**32),
+         lambda: check_composability_on_uniform(SPECS["renyi"], 10, max_w=2**40),
+         lambda: check_sk_axioms(SPECS["renyi"], 10, w_values=range(2, 2**32 + 2)),
+         lambda: check_composability(SPECS["renyi"], 10, max_w=10**30)],
+        ids=["composability", "on-uniform", "sk", "composability-no-len"],
+    )
+    def test_more_w_values_than_a_bounded_draw_reaches_are_refused(self, check, monkeypatch):
+        # W is drawn by the unchecked reader, below(len(w_values)): past 2**32 - 1 its value is wrong or it never returns
+        import gek.properties as properties
+
+        monkeypatch.setattr(properties, "_run_rows", None)
+        with pytest.raises(InputError, match=r"at most 2\*\*32 - 1 W values"):
             check()
 
     @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""The immutable records of ``gek.grouplog`` and ``gek.series``: what ``@dataclass(frozen=True)`` gave them.
+"""The immutable records of ``gek``: what ``@dataclass(frozen=True)`` gave them.
 
 Each record keeps value equality within its class, the hash of its field tuple, the
 ``Name(field=value, ...)`` repr (the series pin stores ``GroupAxiomReport`` reprs), an
@@ -11,8 +11,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from gek.entropy import Distribution
 from gek.errors import ParameterError
 from gek.grouplog import GroupFamily, GroupLogarithm, IdentityGroup, MultiplicativeGroup, group_family
+from gek.properties import MajorizationPair
+from gek.quantum import DickeSpec, LmgParams
 from gek.record import Record
 from gek.series import AbelCoefficients, BivariateTruncatedSeries, GroupAxiomReport, TruncatedSeries
 
@@ -58,6 +61,18 @@ RECORDS = {
         group_family("kaniadakis"),
         "GroupFamily(name='tsallis', aliases=('multiplicative',), params=('q',),"
         " build=<class 'gek.grouplog.MultiplicativeGroup'>, carrier_name='tsallis_exp_series')",
+    ),
+    "DickeSpec": (
+        DickeSpec(m=1, n_sites=14, occupations=(7, 7), block=3),
+        DickeSpec(1, 14, [7, 7], 3),
+        DickeSpec(m=1, n_sites=14, occupations=(7, 7), block=4),
+        "DickeSpec(m=1, n_sites=14, occupations=(7, 7), block=3)",
+    ),
+    "LmgParams": (
+        LmgParams(a=2.0, m=1, alpha=0.5, gamma=0.5, densities=(0.5, 0.5)),
+        LmgParams(2.0, 1, 0.5, 0.5, [0.5, 0.5]),
+        LmgParams(a=2.0, m=1, alpha=0.5, gamma=0.25, densities=(0.5, 0.5)),
+        "LmgParams(a=2.0, m=1, alpha=0.5, gamma=0.5, densities=(0.5, 0.5))",
     ),
 }
 UNHASHABLE = {"BivariateTruncatedSeries", "GroupAxiomReport"}  # they hold a dict, as the dataclasses did
@@ -134,6 +149,17 @@ class TestValidation:
         with pytest.raises(ParameterError, match="gamma must be nonzero"):
             GroupLogarithm(IdentityGroup(), 0.0)
         assert GroupLogarithm(IdentityGroup()).gamma == 1.0
+
+    def test_majorization_pair_holds_its_distributions(self):
+        # Distribution compares by identity, so a pair equals only a pair of the same two objects
+        p, r = Distribution([0.5, 0.5]), Distribution([0.75, 0.25])
+        pair = MajorizationPair(p=p, r=r)
+        assert (pair.p, pair.r) == (p, r) and pair == MajorizationPair(p, r)
+        assert pair != MajorizationPair(p=p, r=p)
+        with pytest.raises(AttributeError):
+            pair.p = r
+        with pytest.raises(ValueError, match="r does not majorize p"):
+            MajorizationPair(p=r, r=p)
 
     def test_family_resolves_its_carrier_from_series(self):
         from gek import series
