@@ -987,7 +987,7 @@ class TestOneRunner:
         ids=["composability", "on-uniform", "sk", "composability-no-len"],
     )
     def test_more_w_values_than_a_bounded_draw_reaches_are_refused(self, check, monkeypatch):
-        # W is drawn by the unchecked reader, below(len(w_values)): past 2**32 - 1 its value is wrong or it never returns
+        # W is drawn by the unchecked reader as below(len(w_values)); past 2**32 - 1 it is wrong or never returns
         import gek.properties as properties
 
         monkeypatch.setattr(properties, "_run_rows", None)
