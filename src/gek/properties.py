@@ -36,7 +36,7 @@ _STEP = 1e-6
 
 
 class _Worst:
-    """Failures, worst value and its witness, folded over the trials in order.
+    """Failures, worst value and its witness, folded over the trials chunk by chunk in trial order.
 
     Fails closed: a value fails unless it is <= ``limit``, so NaN fails, and
     the first NaN becomes the worst case and the witness.
@@ -47,12 +47,21 @@ class _Worst:
         self.failures = 0
         self.witness: dict = {}
 
-    def add(self, value: float, witness: Callable[[], dict]) -> None:
+    def fold(self, values: np.ndarray, read: Callable[[int], tuple]) -> None:
+        """Fold a chunk's ``values``, in trial order, as if one at a time; ``read(i)`` is (value i, its witness).
+
+        The chunk's candidate is its first NaN, else its first largest value:
+        the first index of ``argmax``, never ``max``, which may return 0.0 for
+        [-0.0, 0.0].  It becomes the worst if it is larger, or a NaN over a
+        number, so the first of equal values wins, as it did trial by trial.
+        """
+        if not values.size:
+            return
+        i = int(values.argmax())
+        value = values.item(i)
         if value > self.worst or (value != value and self.worst == self.worst):
-            self.worst = value
-            self.witness = witness()
-        if not value <= self.limit:
-            self.failures += 1
+            self.worst, self.witness = read(i)
+        self.failures += values.size - int(np.count_nonzero(values <= self.limit))
 
     def report(self, name: str, trials: int, seed: int, skipped: int = 0) -> PropertyReport:
         return PropertyReport(name, trials, self.failures, self.worst, seed, skipped, self.witness)
@@ -64,10 +73,15 @@ class _Row(NamedTuple):
     name: str  # the report's name
     draw: Callable  # (rng, below, w_values) -> (shape key, the trial's seeded variates); below is _bounded(rng)
     build: Callable  # (key, the variates of every trial of that shape) -> (blocks, extras); see _run_rows
-    judge: Callable  # (spec, vectors, values, extra) -> (value, witness thunk), or None for a skipped trial
+    judge: Callable  # (spec, blocks, values, extras) -> (residuals, skip mask or None, the witness's extras)
+    witness: Callable  # (blocks, values, extras, i) -> the witness of the shape's trial i
     dists: int  # how many leading blocks hold distributions
     worst: float  # the start of the row's _Worst fold
     limit: float | None = None  # the largest passing value; None is the check's tol
+
+
+# block arithmetic makes NaN and inf as Python floats do, silently; a NaN residual is a failure, not a warning
+_QUIET = {"invalid": "ignore", "over": "ignore", "divide": "ignore"}
 
 
 def _run_rows(spec: EntropySpec | None, rows, trials: int, seed: int, w_values, tol=None) -> list[PropertyReport]:
@@ -78,17 +92,22 @@ def _run_rows(spec: EntropySpec | None, rows, trials: int, seed: int, w_values, 
     variates and its shape key, and reads every bounded draw through the one
     reader of the rng, ``_bounded(rng)``.  Build: ``row.build`` stacks the
     trials of one shape into blocks, one per vector slot, with the trials along
-    the first axis and each vector along the last, and gives each trial's extra
-    (or None for none).  A row with no vector slot builds no blocks, never reads
-    ``spec`` (None if no row has a slot), and its judge reads only the extras.
-    Validate and evaluate (``_chunk_sums``): every block is checked and reduced
-    as a whole, then the scalar tail runs on every sum in trial order.  Judge:
-    ``row.judge`` once per trial, in order, into the row's ``_Worst``.
+    the first axis and each vector along the last, and gives the shape's extras
+    (one per trial, or None for none).  A row with no vector slot builds no
+    blocks, never reads ``spec`` (None if no row has a slot), and its judge
+    reads only the extras.  Validate and evaluate (``_chunk_values``): every
+    block is checked and reduced as a whole, and the scalar tail maps each
+    reduced block.  Judge: ``row.judge`` once per shape gives the residual of
+    each of its k trials and which to skip, by numpy's IEEE operations, which
+    round as Python's floats do.  Fold: the chunk's residuals, in trial
+    order, into the row's ``_Worst``; ``row.witness`` runs only for a trial
+    that becomes the worst.  An error ends the check as the one-trial-at-a-time
+    loop ended it: a chunk whose judges raise is judged again one trial at a
+    time, in trial order, to raise the first trial's error.
     """
     check_trials(trials)
     rng = np.random.default_rng(seed)
     below = _bounded(rng)
-    tail = None if spec is None else spec.from_row_sum
     reports = []
     for row in rows:
         fold, skipped = _Worst(row.worst, tol if row.limit is None else row.limit), 0
@@ -102,49 +121,111 @@ def _run_rows(spec: EntropySpec | None, rows, trials: int, seed: int, w_values, 
             for key, members in shapes.items():
                 ids, variates = zip(*members)
                 chunk.append((ids, *row.build(key, variates)))
-            values = [list(map(tail, s)) for s in _chunk_sums(spec, chunk, row.dists, n)]
-            vectors, extras = [None] * n, [None] * n
-            for ids, blocks, extra in chunk:
-                for t, v, x in zip(ids, zip(*blocks) if blocks else repeat(()), extra or repeat(None)):
-                    vectors[t], extras[t] = v, x
-            for v, s, x in zip(vectors, values, extras):
-                judged = row.judge(spec, v, s, x)
-                if judged is None:
-                    skipped += 1
-                else:
-                    fold.add(*judged)
+            values = _chunk_values(spec, chunk, row.dists)
+            with np.errstate(**_QUIET):
+                judged = _judge_chunk(spec, row.judge, chunk, values)
+                skipped += _fold_chunk(fold, row.witness, chunk, values, judged, n)
         reports.append(fold.report(row.name, trials, seed, skipped))
     return reports
 
 
-def _chunk_sums(spec: EntropySpec, chunk, dists: int, n: int) -> list[list[float]]:
-    """Each of the chunk's ``n`` trials' family sums, slot after slot.
+def _trial_order(chunk) -> list[tuple[int, int]]:
+    """(shape, position in it) of each trial of ``chunk``, in trial order."""
+    return [sj for _, sj in sorted((t, (s, j)) for s, (ids, *_) in enumerate(chunk) for j, t in enumerate(ids))]
+
+
+def _judge_chunk(spec, judge, chunk, values) -> list[tuple]:
+    """``judge`` on each shape of the chunk, or the error of the first trial, in trial order, whose judge raises."""
+    try:
+        return [judge(spec, blocks, v, extras) for (_, blocks, extras), v in zip(chunk, values)]
+    except Exception:  # judged again below, outside this handler, so the error raised carries no other
+        pass
+    for s, j in _trial_order(chunk):
+        _, blocks, extras = chunk[s]
+        judge(spec, tuple(b[j:j + 1] for b in blocks), values[s][j:j + 1], None if extras is None else extras[j:j + 1])
+    raise AssertionError("a judge raised once but not again")  # pragma: no cover
+
+
+def _fold_chunk(fold: _Worst, witness, chunk, values, judged, n: int) -> int:
+    """Fold the chunk's residuals into ``fold`` in trial order, less the skipped trials; how many were skipped.
+
+    The worst value is reported as the judge gave it: a Python float from an
+    array of residuals, or the element itself from a list.
+    """
+    residuals, skip = np.empty(n), np.zeros(n, dtype=bool)
+    for (ids, _, _), (r, s, _) in zip(chunk, judged):
+        residuals[list(ids)] = r
+        if s is not None:
+            skip[list(ids)] = s
+    kept = np.flatnonzero(~skip) if skip.any() else None
+
+    def read(i: int) -> tuple:
+        t = i if kept is None else int(kept[i])
+        for (ids, blocks, _), v, (r, _, extras) in zip(chunk, values, judged):
+            if t in ids:
+                j = ids.index(t)
+                return r.item(j) if isinstance(r, np.ndarray) else r[j], witness(blocks, v, extras, j)
+
+    fold.fold(residuals if kept is None else residuals[kept], read)
+    return 0 if kept is None else n - kept.size
+
+
+def _chunk_values(spec: EntropySpec | None, chunk, dists: int) -> list[np.ndarray]:
+    """Each shape's (k, m) array of its trials' values: the tail of each family sum, slot after slot.
 
     The blocks of one slot and width are concatenated (several shapes share a
     width only where a key has two parts), so each is checked and reduced by
     a few numpy calls, with ``spec.block_sums``.  The first ``dists`` slots
     hold distributions: the first vector among them that is not one, in trial
-    order, is handed to ``Distribution``, which raises its own error.
+    order, is handed to ``Distribution``, which raises its own error.  Then
+    the scalar tail maps each reduced block, and the values are sliced back
+    per shape.  A tail that raises is run again on every sum in trial order,
+    then slot order, so the error that ends the check is that of the first
+    such sum.
     """
-    sums: list[list[float]] = [[] for _ in range(n)]
-    bad = []
+    if not chunk[0][1]:
+        return [np.empty((len(ids), 0)) for ids, *_ in chunk]
+    reduced, bad = [], []
     for slot in range(len(chunk[0][1])):
         widths: dict = {}
-        for ids, blocks, _ in chunk:
-            members = widths.setdefault(blocks[slot].shape[1:], ([], []))
-            members[0].extend(ids)
-            members[1].append(blocks[slot])
-        for ids, parts in widths.values():
+        for s, (_, blocks, _) in enumerate(chunk):
+            widths.setdefault(blocks[slot].shape[1:], []).append(s)
+        for shapes in widths.values():
+            parts = [chunk[s][1][slot] for s in shapes]
             block = parts[0] if len(parts) == 1 else np.concatenate(parts)
             if slot < dists:
                 flags = invalid_rows(block)
                 if flags.any():
+                    ids = [t for s in shapes for t in chunk[s][0]]
                     bad += [(ids[i], slot, block[i]) for i in np.flatnonzero(flags).tolist()]
-            for t, s in zip(ids, spec.block_sums(block).reshape(len(ids), -1).tolist()):
-                sums[t] += s
+            reduced.append((shapes, spec.block_sums(block).reshape(len(block), -1)))
     if bad:
         Distribution(min(bad, key=lambda b: b[:2])[2])
-    return sums
+    tail = spec.from_row_sum
+    try:
+        tails = [np.fromiter(map(tail, s.ravel().tolist()), float, s.size).reshape(s.shape) for _, s in reduced]
+    except Exception:  # run again below, outside this handler, so the error raised carries no other
+        tails = None
+    if tails is None:
+        sums = _per_shape(chunk, reduced)
+        for s, j in _trial_order(chunk):
+            for part in sums[s]:
+                list(map(tail, part[j].tolist()))
+        raise AssertionError("a tail raised once but not again")  # pragma: no cover
+    values = _per_shape(chunk, [(shapes, block) for (shapes, _), block in zip(reduced, tails)])
+    return [v[0] if len(v) == 1 else np.concatenate(v, axis=1) for v in values]
+
+
+def _per_shape(chunk, blocks) -> list[list[np.ndarray]]:
+    """Each shape's rows of ``blocks``, slot by slot; a block is (its shapes, its rows, shape after shape)."""
+    pieces: list[list[np.ndarray]] = [[] for _ in chunk]
+    for shapes, block in blocks:
+        at = 0
+        for s in shapes:
+            k = len(chunk[s][0])
+            pieces[s].append(block[at:at + k])
+            at += k
+    return pieces
 
 
 def _bounded(rng) -> Callable[[int], int]:
@@ -252,15 +333,19 @@ def _build_product(key, variates):
     return (p, r, (p[:, :, None] * r[:, None, :]).reshape(len(p), -1)), None
 
 
-def _judge_product(spec, vectors, values, _):
-    s_p, s_r, joint = values
-    combined = spec.phi(s_p, s_r)
-    return abs(joint - combined) / (1.0 + abs(joint)), lambda: {
-        "p": vectors[0].tolist(), "r": vectors[1].tolist(), "joint": joint, "combined": combined,
-    }
+def _judge_product(spec, blocks, values, _):
+    # values holds S(p), S(r) and S(p x r); the witness reads each trial's law value, so it never calls phi
+    phi = spec.phi
+    combined = [phi(s_p, s_r) for s_p, s_r in values[:, :2].tolist()]
+    joint = values[:, 2]
+    return np.abs(joint - combined) / (1.0 + np.abs(joint)), None, combined
 
 
-_COMPOSABILITY = (_Row("composability", _draw_product, _build_product, _judge_product, 3, 0.0),)
+def _witness_product(blocks, values, combined, i):
+    return {"p": blocks[0][i].tolist(), "r": blocks[1][i].tolist(), "joint": values.item(i, 2), "combined": combined[i]}
+
+
+_COMPOSABILITY = (_Row("composability", _draw_product, _build_product, _judge_product, _witness_product, 3, 0.0),)
 
 
 def check_composability(
@@ -283,19 +368,26 @@ def _build_scalar(key, variates):
     return (), variates
 
 
+def _witness_extra(fields: tuple) -> Callable:
+    """The witness of a row with no vector slot: the trial's variates, by name."""
+    return lambda blocks, values, extras, i: dict(zip(fields, extras[i]))
+
+
 def _draw_uniform_pair(rng, below, w_values):
     n = len(w_values)
     return None, (int(w_values[below(n)]), int(w_values[below(n)]))
 
 
-def _judge_uniform_pair(spec, vectors, values, pair):
-    wa, wb = pair
-    joint = spec.uniform_value(wa * wb)
-    combined = spec.phi(spec.uniform_value(wa), spec.uniform_value(wb))
-    return abs(joint - combined) / (1.0 + abs(joint)), lambda: {"w_a": wa, "w_b": wb}
+def _judge_uniform_pair(spec, blocks, values, pairs):
+    uniform, phi = spec.uniform_value, spec.phi
+    joint, combined = np.array([(uniform(a * b), phi(uniform(a), uniform(b))) for a, b in pairs]).T
+    return np.abs(joint - combined) / (1.0 + np.abs(joint)), None, pairs
 
 
-_ON_UNIFORM = (_Row("composability-on-uniform", _draw_uniform_pair, _build_scalar, _judge_uniform_pair, 0, 0.0),)
+_ON_UNIFORM = (
+    _Row("composability-on-uniform", _draw_uniform_pair, _build_scalar, _judge_uniform_pair,
+         _witness_extra(("w_a", "w_b")), 0, 0.0),
+)
 
 
 def check_composability_on_uniform(
@@ -317,18 +409,24 @@ def _draw_triple(rng, below, w_values):
     return None, rng.uniform(0.0, 3.0, size=3)
 
 
-def _judge_axioms(spec, vectors, values, xyz):
-    x, y, z = xyz
-    phi = spec.phi
-    try:
-        parts = (abs(phi(x, y) - phi(y, x)), abs(phi(phi(x, y), z) - phi(x, phi(y, z))), abs(phi(x, 0.0) - x))
-    except (RangeError, DomainError):
-        return None
-    residual = max(parts) if all(v == v for v in parts) else math.nan
-    return residual / (1.0 + abs(x) + abs(y) + abs(z)), lambda: {"x": x, "y": y, "z": z}
+def _judge_axioms(spec, blocks, values, triples):
+    # a refusal skips the trial: the law of a drawn pair may leave G's range or domain.  x, y and z are numpy
+    # scalars, and so is each residual, which is why they stay a list
+    phi, residuals, skip = spec.phi, [], []
+    for x, y, z in triples:
+        try:
+            parts = (abs(phi(x, y) - phi(y, x)), abs(phi(phi(x, y), z) - phi(x, phi(y, z))), abs(phi(x, 0.0) - x))
+        except (RangeError, DomainError):
+            residuals.append(math.nan)
+            skip.append(True)
+            continue
+        residual = max(parts) if all(v == v for v in parts) else math.nan
+        residuals.append(residual / (1.0 + abs(x) + abs(y) + abs(z)))
+        skip.append(False)
+    return residuals, skip, triples
 
 
-_GROUP_AXIOMS = (_Row("group-axioms", _draw_triple, _build_scalar, _judge_axioms, 0, 0.0),)
+_GROUP_AXIOMS = (_Row("group-axioms", _draw_triple, _build_scalar, _judge_axioms, _witness_extra("xyz"), 0, 0.0),)
 
 
 def check_group_axioms_numeric(
@@ -359,23 +457,28 @@ def _build_continuity(w, variates):
     # a zero direction (w = 1) is divided by 1, not 0; p stands in for each shift that is not admissible
     shifted = p + _STEP * direction / np.where(norm > 0, norm, 1.0)
     admissible = (norm[:, 0] > 0) & ~(shifted < 0).any(axis=1)
-    return (p, np.where(admissible[:, None], shifted, p)), admissible.tolist()
+    return (p, np.where(admissible[:, None], shifted, p)), admissible
 
 
-def _judge_continuity(spec, vectors, values, admissible):
-    if not admissible:
-        return None
-    ratio = abs(values[1] - values[0]) / _STEP
-    return ratio, lambda: ({"lipschitz_estimate": ratio} if math.isfinite(ratio) else {"p": vectors[0].tolist()})
+def _judge_continuity(spec, blocks, values, admissible):
+    return np.abs(values[:, 1] - values[:, 0]) / _STEP, ~admissible, admissible
+
+
+def _witness_continuity(blocks, values, admissible, i):
+    ratio = abs(values.item(i, 1) - values.item(i, 0)) / _STEP
+    return {"lipschitz_estimate": ratio} if math.isfinite(ratio) else {"p": blocks[0][i].tolist()}
 
 
 def _build_maximum(w, variates):
     return (_flat_dirichlet_rows(variates),), None
 
 
-def _judge_maximum(spec, vectors, values, _):
-    w = vectors[0].size
-    return values[0] - spec.uniform_value(w), lambda: {"p": vectors[0].tolist(), "w": w}
+def _judge_maximum(spec, blocks, values, extras):
+    return values[:, 0] - spec.uniform_value(blocks[0].shape[1]), None, extras
+
+
+def _witness_maximum(blocks, values, extras, i):
+    return {"p": blocks[0][i].tolist(), "w": blocks[0].shape[1]}
 
 
 def _build_expansibility(w, variates):
@@ -384,14 +487,19 @@ def _build_expansibility(w, variates):
     return (p, np.concatenate((p, np.zeros((len(p), 1))), axis=1)), None
 
 
-def _judge_expansibility(spec, vectors, values, _):
-    return abs(values[1] - values[0]), lambda: {"p": vectors[0].tolist()}
+def _judge_expansibility(spec, blocks, values, extras):
+    return np.abs(values[:, 1] - values[:, 0]), None, extras
+
+
+def _witness_p(blocks, values, extras, i):
+    return {"p": blocks[0][i].tolist()}
 
 
 _SK_AXIOMS = (
-    _Row("sk-continuity-proxy", _draw_continuity, _build_continuity, _judge_continuity, 1, 0.0, sys.float_info.max),
-    _Row("sk-maximum-on-uniform", _draw_simplex, _build_maximum, _judge_maximum, 1, -math.inf, 1e-12),
-    _Row("sk-expansibility", _draw_simplex, _build_expansibility, _judge_expansibility, 2, 0.0, 1e-14),
+    _Row("sk-continuity-proxy", _draw_continuity, _build_continuity, _judge_continuity, _witness_continuity, 1, 0.0,
+         sys.float_info.max),
+    _Row("sk-maximum-on-uniform", _draw_simplex, _build_maximum, _judge_maximum, _witness_maximum, 1, -math.inf, 1e-12),
+    _Row("sk-expansibility", _draw_simplex, _build_expansibility, _judge_expansibility, _witness_p, 2, 0.0, 1e-14),
 )
 
 
@@ -504,9 +612,12 @@ def _build_ordering(w, variates):
     return (masses[:, 1] / _MASS_DENOM, masses[:, 0] / _MASS_DENOM), None
 
 
-def _judge_ordering(spec, vectors, values, _):
-    r, p = vectors
-    return values[0] - values[1], lambda: {"p": p.tolist(), "r": r.tolist()}
+def _judge_ordering(spec, blocks, values, extras):
+    return values[:, 0] - values[:, 1], None, extras
+
+
+def _witness_ordering(blocks, values, extras, i):
+    return {"p": blocks[1][i].tolist(), "r": blocks[0][i].tolist()}
 
 
 def _build_criterion(w, variates):
@@ -520,20 +631,24 @@ def _build_criterion(w, variates):
     i = np.arange(w)
     shifted[:, 2 * i, i] += h
     shifted[:, 2 * i + 1, i] -= h
-    return (p, shifted), h.tolist()
+    return (p, shifted), h
 
 
-def _judge_criterion(spec, vectors, values, h):
-    # values[0] is S(p); values 2i + 1 and 2i + 2 are S at p with h_i added to and subtracted from entry i
-    grad = [(values[2 * i + 1] - values[2 * i + 2]) / (2 * hi) for i, hi in enumerate(h)]
-    p, w = vectors[0].tolist(), len(grad)
-    products = [(p[i] - p[j]) * (grad[i] - grad[j]) for i in range(w) for j in range(i + 1, w)]
-    return (max(products) if all(v == v for v in products) else math.nan), lambda: {"p": p}
+def _judge_criterion(spec, blocks, values, h):
+    # column 0 of values is S(p); columns 2i + 1 and 2i + 2 are S at p with h_i added to and subtracted from entry i
+    grad = (values[:, 1::2] - values[:, 2::2]) / (2 * h)
+    i, j = np.triu_indices(h.shape[1], 1)  # the pairs i < j, in the order of the nested loop over i, then j
+    p = blocks[0]
+    products = (p[:, i] - p[:, j]) * (grad[:, i] - grad[:, j])
+    # each trial's first NaN, else its first largest product, as max() finds it; a row has at least one pair
+    return products[np.arange(len(p)), products.argmax(axis=1)], None, h
 
 
 _SCHUR = (
-    _Row("schur-majorization-ordering", _draw_ordering, _build_ordering, _judge_ordering, 2, -math.inf, 1e-12),
-    _Row("schur-ostrowski-criterion", _draw_simplex, _build_criterion, _judge_criterion, 1, -math.inf, 1e-10),
+    _Row("schur-majorization-ordering", _draw_ordering, _build_ordering, _judge_ordering, _witness_ordering, 2,
+         -math.inf, 1e-12),
+    _Row("schur-ostrowski-criterion", _draw_simplex, _build_criterion, _judge_criterion, _witness_p, 1, -math.inf,
+         1e-10),
 )
 
 
@@ -575,12 +690,23 @@ def saq_concavity_counterexample_search(
     def draw(rng, below, w_values):
         return None, (rng.standard_exponential(w), rng.standard_exponential(w), rng.uniform(0.05, 0.95))
 
-    def judge(spec, vectors, values, variates):
+    def pair(variates):
         *e, lam = variates
         p1, p2 = (Distribution(v).p for v in _interior_rows(w, e))
+        return p1, p2, lam
+
+    def violation(variates):
+        p1, p2, lam = pair(variates)
         mix = lam * p1 + (1 - lam) * p2
         raw = ((1.0 - np.sum(np.array([p1, p2, mix]) ** exponent, axis=1)) / (q - 1.0)).tolist()
-        return lam * raw[0] + (1 - lam) * raw[1] - raw[2], lambda: {"p1": p1.tolist(), "p2": p2.tolist(), "lambda": lam}
+        return lam * raw[0] + (1 - lam) * raw[1] - raw[2]
 
-    row = _Row("saq-concavity-counterexample-search", draw, _build_scalar, judge, 0, -math.inf, 1e-12)
+    def judge(spec, blocks, values, trials):
+        return list(map(violation, trials)), None, trials
+
+    def witness(blocks, values, trials, i):
+        p1, p2, lam = pair(trials[i])
+        return {"p1": p1.tolist(), "p2": p2.tolist(), "lambda": lam}
+
+    row = _Row("saq-concavity-counterexample-search", draw, _build_scalar, judge, witness, 0, -math.inf, 1e-12)
     return _run_rows(None, (row,), trials, seed, ())[0]

@@ -316,6 +316,14 @@ class TestVerify:
         assert report["properties"][0]["property"] == "composability"
         assert report["properties"][0]["failures"] == 0
 
+    def test_an_entropy_out_of_range_ends_the_check_at_its_first_trial(self, capsys):
+        # tails run block by block; the error is still that of the first trial in trial order, then slot order
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--family", "zab", "--params", "a=800,b=0,alpha=0.5", "--trials", "20", "--seed", "0"])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert captured.err == "error: abel: G(1.5343108444758409) overflows a float\n"
+
     def test_control_family_fails_with_exit_one(self, tmp_path):
         code, text = invoke(
             ["verify", "--family", "control", "--suite", "composability", "--trials", "100", "--seed", "1"],

@@ -14,6 +14,7 @@ from gek.grouplog import AbelGroup, IdentityGroup, KaniadakisGroup, Multiplicati
 from gek.properties import (
     GrowthLaw,
     MajorizationPair,
+    PropertyReport,
     check_composability,
     check_composability_on_uniform,
     check_concavity_region_saq,
@@ -665,12 +666,32 @@ def _reference_judges():
     }
 
 
+class PerTrialWorst:
+    """The fold one trial at a time: a value fails unless it is <= limit, and the first NaN, else the first
+    value larger than every one before it, becomes the worst and the witness."""
+
+    def __init__(self, worst, limit):
+        self.worst, self.limit = worst, limit
+        self.failures = 0
+        self.witness = {}
+
+    def add(self, value, witness):
+        if value > self.worst or (value != value and self.worst == self.worst):
+            self.worst = value
+            self.witness = witness()
+        if not value <= self.limit:
+            self.failures += 1
+
+    def report(self, name, trials, seed, skipped=0):
+        return PropertyReport(name, trials, self.failures, self.worst, seed, skipped, self.witness)
+
+
 def reference_run_rows(spec, rows, trials, seed, w_values, tol=None):
     """One trial at a time: draw, validate each distribution, ``raw_value`` per vector, judge."""
     rng = np.random.default_rng(seed)
     reports = []
     for name, draw, judge, worst, limit in rows:
-        fold, skipped = _Worst(worst, tol if limit is None else limit), 0
+        fold, skipped = PerTrialWorst(worst, tol if limit is None else limit), 0
         for _ in range(trials):
             vectors, dists, extra = draw(rng, w_values)
             for v in vectors[:dists]:
@@ -685,15 +706,22 @@ def reference_run_rows(spec, rows, trials, seed, w_values, tol=None):
 
 
 class TestAgainstThePerTrialReference:
-    """The stacked trial loop reports exactly what the per-trial loop reports, where the pin draws no w."""
+    """The stacked trial loop reports exactly what the per-trial loop reports, where the pin draws no w.
+
+    The families are those of the verify-trials benchmark, and landsberg_vedral.  A chunk of 7 trials splits
+    the shapes of a chunk of 256 unevenly, and a chunk of 1 judges each trial alone.
+    """
 
     @pytest.mark.parametrize("seed", [3, 2024])
     @pytest.mark.parametrize(
         "family, params",
         [("control", {}), ("zg", {"g": "abel", "a": 0.3, "b": -0.2, "alpha": 0.5}),
          ("zab", {"a": 0.3, "b": -0.2, "alpha": 0.5}), ("tsallis_aq", {"a": 1.0, "q": 0.5}),
-         ("landsberg_vedral", {"q": 0.5})],
-        ids=["control", "zg-abel", "zab", "tsallis_aq", "landsberg_vedral"],
+         ("landsberg_vedral", {"q": 0.5}), ("renyi", {"alpha": 0.5}), ("zq", {"q": 0.5, "alpha": 0.5}),
+         ("zk", {"k": 0.3, "alpha": 0.5}), ("zg", {"g": "kaniadakis", "k": 0.4, "alpha": 0.5}),
+         ("zg", {"g": "abel", "a": 2.0, "b": 1.0, "alpha": 0.5})],
+        ids=["control", "zg-abel", "zab", "tsallis_aq", "landsberg_vedral", "renyi", "zq", "zk", "zg-kaniadakis",
+             "zg-abel-2-1"],
     )
     def test_wide_draws_match_the_reference(self, family, params, seed, monkeypatch):
         import gek.properties as properties
@@ -703,7 +731,7 @@ class TestAgainstThePerTrialReference:
         expected = reference_run_rows(spec, rows["composability"], 1000, seed, range(1, 41), 1e-10)
         expected += reference_run_rows(spec, rows["sk"], 500, seed, (9, 17, 33, 40))
         expected += reference_run_rows(spec, rows["schur"], 200, seed, (9, 17, 33))
-        for chunk in (256, 1):
+        for chunk in (256, 7, 1):
             monkeypatch.setattr(properties, "_CHUNK", chunk)
             reports = [check_composability(spec, seed=seed, max_w=40)]
             reports += check_sk_axioms(spec, seed=seed, w_values=(9, 17, 33, 40))
@@ -809,12 +837,133 @@ class TestFailClosed:
 
 
 
+class _Constant(IdentityGroup):
+    """G(t) = 1/4 for every t: every entropy value is the same, so every trial of a row has the same residual."""
+
+    def eval(self, t: float) -> float:
+        return 0.25
+
+    def eval_scaled(self, c: float, t: float) -> float:
+        return 0.25
+
+
+class _InfAbove(IdentityGroup):
+    """The identity G, except +inf above a threshold: inf - inf makes NaN residuals."""
+
+    def __init__(self, threshold: float):
+        self.threshold = threshold
+
+    def eval(self, t: float) -> float:
+        return t if t <= self.threshold else math.inf
+
+    def eval_scaled(self, c: float, t: float) -> float:
+        return self.eval(c * t) / c
+
+
+class _LawRefusedAbove(IdentityGroup):
+    """The identity G with a law that raises, naming its arguments, above a threshold."""
+
+    def __init__(self, threshold: float):
+        self.threshold = threshold
+
+    def chi_scaled(self, c: float, x: float, y: float) -> float:
+        if x + y > self.threshold:
+            raise ZeroDivisionError(f"law at {x!r}, {y!r}")
+        return x + y
+
+
+def _six_rows(spec, trials, seed):
+    return [check_composability(spec, trials, 1e-10, seed)] + check_sk_axioms(spec, trials, seed) \
+        + check_schur_concavity(spec, trials, seed)
+
+
+def _six_reference_rows(spec, trials, seed):
+    rows = _reference_judges()
+    expected = reference_run_rows(spec, rows["composability"], trials, seed, range(1, 9), 1e-10)
+    expected += reference_run_rows(spec, rows["sk"], trials, seed, (2, 3, 4, 5, 6))
+    return expected + reference_run_rows(spec, rows["schur"], trials, seed, (3, 4, 5, 6))
+
+
+class TestBlockJudges:
+    """Judges see a shape's block and the fold a chunk's residuals, and report what one trial at a time did."""
+
+    def test_signed_zero_criterion_keeps_the_sign_max_gives(self):
+        # all p equal, so each pair's product is 0 times a gradient gap: -0.0 where the gap is negative
+        from gek.properties import _judge_criterion
+
+        p = np.full((2, 3), 0.2)
+        h = np.full((2, 3), 0.5)  # 2h = 1: gradient i is column 2i + 1 less column 2i + 2
+        values = np.array([[0.0, 1.0, 0.0, 2.0, 0.0, 0.0, 0.0], [0.0, 2.0, 0.0, 1.0, 0.0, 0.0, 0.0]])
+        residuals, skip, _ = _judge_criterion(None, (p, None), values, h)
+        assert skip is None
+        # trial 0's products are [-0.0, 0.0, 0.0], trial 1's [0.0, 0.0, 0.0]
+        expected = [max((a - b) * (c - d) for a, b, c, d in ((0.2, 0.2, 1.0, 2.0), (0.2, 0.2, 1.0, 0.0),
+                                                             (0.2, 0.2, 2.0, 0.0))), 0.0]
+        assert [math.copysign(1.0, r) for r in residuals.tolist()] == [math.copysign(1.0, e) for e in expected]
+        assert math.copysign(1.0, expected[0]) == -1.0
+
+    def test_signed_zero_ordering_fold_keeps_the_first(self):
+        from gek.properties import _judge_ordering
+
+        values = np.array([[-0.0, 0.0], [0.0, 0.0]])  # S(p) - S(r) is -0.0, then 0.0
+        residuals, _, _ = _judge_ordering(None, (), values, None)
+        fold = _Worst(-math.inf, 1e-12)
+        fold.fold(residuals, lambda i: (residuals.item(i), {"trial": i}))
+        reference = PerTrialWorst(-math.inf, 1e-12)
+        for i, r in enumerate(residuals.tolist()):
+            reference.add(r, lambda i=i: {"trial": i})
+        assert repr(fold.worst) == repr(reference.worst) == repr(max(residuals.tolist())) == "-0.0"
+        assert fold.witness == reference.witness == {"trial": 0}
+        assert fold.failures == reference.failures == 0
+
+    @pytest.mark.parametrize("chunk", [256, 7, 1])
+    def test_equal_residuals_keep_trial_zeros_witness(self, chunk, monkeypatch):
+        import gek.properties as properties
+
+        monkeypatch.setattr(properties, "_CHUNK", chunk)
+        spec = EntropySpec("zg", {"alpha": 0.5}, _Constant())
+        reports = [check_composability(spec, 300, 1e-10, 4)] + check_schur_concavity(spec, 300, 4)
+        rows = _reference_judges()
+        expected = reference_run_rows(spec, rows["composability"], 300, 4, range(1, 9), 1e-10)
+        expected += reference_run_rows(spec, rows["schur"], 300, 4, (3, 4, 5, 6))
+        assert [repr(r.as_dict()) for r in reports] == [repr(r.as_dict()) for r in expected]
+        # every residual is the same number (the criterion's up to the sign of 0), so trial 0 is the witness
+        (p, r, _), _, _ = _reference_product(np.random.default_rng(4), range(1, 9))
+        assert reports[0].witness["p"] == p.tolist() and reports[0].witness["r"] == r.tolist()
+        assert reports[0].failures == 300 and reports[0].worst_residual == abs(0.5 - 1.0) / 1.5
+        assert reports[1].worst_residual == 0.0 and reports[2].worst_residual == 0.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("threshold", [-1.0, 0.5 * math.log(4)], ids=["all-inf", "some-inf"])
+    def test_infinite_values_fail_without_a_warning(self, threshold):
+        spec = EntropySpec("zg", {"alpha": 0.5}, _InfAbove(threshold))
+        reports = _six_rows(spec, 200, 6)
+        assert all(r.failures > 0 for r in reports), [r.as_dict() for r in reports]
+        assert [repr(r.as_dict()) for r in reports] == [repr(r.as_dict()) for r in _six_reference_rows(spec, 200, 6)]
+        if threshold < 0:
+            assert [r.failures for r in reports] == [200] * 6
+
+    @pytest.mark.parametrize("chunk", [256, 7, 1])
+    def test_a_judge_error_is_the_first_trials(self, chunk, monkeypatch):
+        # the law raises on the products of highest entropy: at seed 1 the first such trial is trial 37, and in a
+        # chunk of 256 judged shape by shape, trial 146 would raise first
+        import gek.properties as properties
+
+        spec = EntropySpec("zg", {"alpha": 0.5}, _LawRefusedAbove(3.5))
+        with pytest.raises(ZeroDivisionError) as expected:
+            _six_reference_rows(spec, 300, 1)
+        monkeypatch.setattr(properties, "_CHUNK", chunk)
+        with pytest.raises(ZeroDivisionError) as got:
+            check_composability(spec, 300, 1e-10, 1)
+        assert str(got.value) == str(expected.value)
+
+
 # The three checks with no vector slot as they ran before they became rows: their own rng, trial loop and fold.
 
 
 def _reference_on_uniform(spec, trials, tol, seed, max_w):
     rng = np.random.default_rng(seed)
-    fold = _Worst(0.0, tol)
+    fold = PerTrialWorst(0.0, tol)
     for _ in range(trials):
         wa = int(rng.integers(1, max_w + 1))
         wb = int(rng.integers(1, max_w + 1))
@@ -826,7 +975,7 @@ def _reference_on_uniform(spec, trials, tol, seed, max_w):
 
 def _reference_group_axioms(g, alpha, trials, tol, seed):
     rng = np.random.default_rng(seed)
-    fold = _Worst(0.0, tol)
+    fold = PerTrialWorst(0.0, tol)
     skipped = 0
     for _ in range(trials):
         x, y, z = rng.uniform(0.0, 3.0, size=3)
@@ -847,7 +996,7 @@ def _reference_group_axioms(g, alpha, trials, tol, seed):
 def _reference_saq(a, q, trials, seed, w):
     rng = np.random.default_rng(seed)
     exponent = a * (q - 1.0) + 1.0
-    found = _Worst(-math.inf, 1e-12)
+    found = PerTrialWorst(-math.inf, 1e-12)
     for _ in range(trials):
         p1, p2 = (Distribution(v).p for v in _interior_rows(w, [rng.standard_exponential(w) for _ in range(2)]))
         lam = rng.uniform(0.05, 0.95)
