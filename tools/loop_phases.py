@@ -19,10 +19,10 @@ by swapping the module's ``_chunk_values`` for a timed one, so nothing under
   witnesses, the fold of each chunk and the loop's own bookkeeping.
 
 A cycle runs every family once; each figure is the median over ``--cycles``
-cycles in this one process, in ms, summed over the nine families.  The timer
-calls add about 0.1 us per draw, and a one-row call draws from a fresh
-generator, so a row's draws are not those of a full ``verify`` run; the
-split, not the reports, is the output.
+cycles in this one process, in ms, summed over the nine families.  Each
+wrapper adds its own call to the phase it times, and a one-row call draws
+from a fresh generator, so a row's draws are not those of a full ``verify``
+run; the split, not the reports, is the output.
 """
 
 from __future__ import annotations
@@ -78,12 +78,13 @@ def timed(fn, spent: dict, phase: str):
 
 def cycle(trials: int, seed: int) -> dict:
     """{row name: {phase: seconds}}, summed over the families, for one run of every family."""
-    split = {row.name: dict.fromkeys(PHASES, 0.0) for row, _, _ in suite()}
+    rows = suite()
+    split = {row.name: dict.fromkeys(PHASES, 0.0) for row, _, _ in rows}
     chunk_values = properties._chunk_values
     try:
         for family, params in FAMILIES:
             spec = entropy_spec(family, params)
-            for row, w_values, tol in suite():
+            for row, w_values, tol in rows:
                 spent = split[row.name]
                 before = dict(spent)
                 properties._chunk_values = timed(chunk_values, spent, "values")
