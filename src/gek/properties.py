@@ -13,7 +13,7 @@ import math
 import sys
 from functools import lru_cache
 from itertools import repeat
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -33,6 +33,9 @@ _MASS_DENOM = 2**20
 _CHUNK = 256
 # the l1 length of the continuity proxy's shift
 _STEP = 1e-6
+# the np.errstate of the block arithmetic of judges and folds, which makes NaN and inf as Python floats do,
+# silently: a NaN residual is a failure, not a warning.  It covers no phi, tail or per-trial loop
+_QUIET = {"invalid": "ignore", "over": "ignore", "divide": "ignore"}
 
 
 class _Worst:
@@ -57,11 +60,13 @@ class _Worst:
         """
         if not values.size:
             return
-        i = int(values.argmax())
+        with np.errstate(**_QUIET):
+            i = int(values.argmax())
+            passed = int(np.count_nonzero(values <= self.limit))
         value = values.item(i)
         if value > self.worst or (value != value and self.worst == self.worst):
             self.worst, self.witness = read(i)
-        self.failures += values.size - int(np.count_nonzero(values <= self.limit))
+        self.failures += values.size - passed
 
     def report(self, name: str, trials: int, seed: int, skipped: int = 0) -> PropertyReport:
         return PropertyReport(name, trials, self.failures, self.worst, seed, skipped, self.witness)
@@ -78,10 +83,6 @@ class _Row(NamedTuple):
     dists: int  # how many leading blocks hold distributions
     worst: float  # the start of the row's _Worst fold
     limit: float | None = None  # the largest passing value; None is the check's tol
-
-
-# block arithmetic makes NaN and inf as Python floats do, silently; a NaN residual is a failure, not a warning
-_QUIET = {"invalid": "ignore", "over": "ignore", "divide": "ignore"}
 
 
 def _run_rows(spec: EntropySpec | None, rows, trials: int, seed: int, w_values, tol=None) -> list[PropertyReport]:
@@ -122,16 +123,25 @@ def _run_rows(spec: EntropySpec | None, rows, trials: int, seed: int, w_values, 
                 ids, variates = zip(*members)
                 chunk.append((ids, *row.build(key, variates)))
             values = _chunk_values(spec, chunk, row.dists)
-            with np.errstate(**_QUIET):
-                judged = _judge_chunk(spec, row.judge, chunk, values)
-                skipped += _fold_chunk(fold, row.witness, chunk, values, judged, n)
+            judged = _judge_chunk(spec, row.judge, chunk, values)
+            skipped += _fold_chunk(fold, row.witness, chunk, values, judged, n)
         reports.append(fold.report(row.name, trials, seed, skipped))
     return reports
 
 
-def _trial_order(chunk) -> list[tuple[int, int]]:
-    """(shape, position in it) of each trial of ``chunk``, in trial order."""
-    return [sj for _, sj in sorted((t, (s, j)) for s, (ids, *_) in enumerate(chunk) for j, t in enumerate(ids))]
+def _raise_first(chunk, per_trial: Callable[[int, int], object]) -> NoReturn:
+    """Run ``per_trial(s, j)``, on trial j of shape s, for each trial of a chunk that raised, in trial order.
+
+    The first trial that raises ends the run with its error, the one a
+    one-trial-at-a-time loop raised.
+    """
+    order: list = [None] * sum(len(ids) for ids, *_ in chunk)
+    for s, (ids, *_) in enumerate(chunk):
+        for j, t in enumerate(ids):
+            order[t] = (s, j)
+    for s, j in order:
+        per_trial(s, j)
+    raise AssertionError("a chunk raised once but not again")  # pragma: no cover
 
 
 def _judge_chunk(spec, judge, chunk, values) -> list[tuple]:
@@ -140,10 +150,12 @@ def _judge_chunk(spec, judge, chunk, values) -> list[tuple]:
         return [judge(spec, blocks, v, extras) for (_, blocks, extras), v in zip(chunk, values)]
     except Exception:  # judged again below, outside this handler, so the error raised carries no other
         pass
-    for s, j in _trial_order(chunk):
+
+    def judge_one(s: int, j: int) -> None:
         _, blocks, extras = chunk[s]
         judge(spec, tuple(b[j:j + 1] for b in blocks), values[s][j:j + 1], None if extras is None else extras[j:j + 1])
-    raise AssertionError("a judge raised once but not again")  # pragma: no cover
+
+    _raise_first(chunk, judge_one)
 
 
 def _fold_chunk(fold: _Worst, witness, chunk, values, judged, n: int) -> int:
@@ -208,10 +220,7 @@ def _chunk_values(spec: EntropySpec | None, chunk, dists: int) -> list[np.ndarra
         tails = None
     if tails is None:
         sums = _per_shape(chunk, reduced)
-        for s, j in _trial_order(chunk):
-            for part in sums[s]:
-                list(map(tail, part[j].tolist()))
-        raise AssertionError("a tail raised once but not again")  # pragma: no cover
+        _raise_first(chunk, lambda s, j: [list(map(tail, part[j].tolist())) for part in sums[s]])
     values = _per_shape(chunk, [(shapes, block) for (shapes, _), block in zip(reduced, tails)])
     return [v[0] if len(v) == 1 else np.concatenate(v, axis=1) for v in values]
 
@@ -337,8 +346,13 @@ def _judge_product(spec, blocks, values, _):
     # values holds S(p), S(r) and S(p x r); the witness reads each trial's law value, so it never calls phi
     phi = spec.phi
     combined = [phi(s_p, s_r) for s_p, s_r in values[:, :2].tolist()]
-    joint = values[:, 2]
-    return np.abs(joint - combined) / (1.0 + np.abs(joint)), None, combined
+    return _relative_gap(values[:, 2], combined), None, combined
+
+
+def _relative_gap(joint: np.ndarray, combined) -> np.ndarray:
+    """|joint - combined| / (1 + |joint|), elementwise: a composability residual."""
+    with np.errstate(**_QUIET):
+        return np.abs(joint - combined) / (1.0 + np.abs(joint))
 
 
 def _witness_product(blocks, values, combined, i):
@@ -381,7 +395,7 @@ def _draw_uniform_pair(rng, below, w_values):
 def _judge_uniform_pair(spec, blocks, values, pairs):
     uniform, phi = spec.uniform_value, spec.phi
     joint, combined = np.array([(uniform(a * b), phi(uniform(a), uniform(b))) for a, b in pairs]).T
-    return np.abs(joint - combined) / (1.0 + np.abs(joint)), None, pairs
+    return _relative_gap(joint, combined), None, pairs
 
 
 _ON_UNIFORM = (
@@ -461,7 +475,8 @@ def _build_continuity(w, variates):
 
 
 def _judge_continuity(spec, blocks, values, admissible):
-    return np.abs(values[:, 1] - values[:, 0]) / _STEP, ~admissible, admissible
+    with np.errstate(**_QUIET):
+        return np.abs(values[:, 1] - values[:, 0]) / _STEP, ~admissible, admissible
 
 
 def _witness_continuity(blocks, values, admissible, i):
@@ -474,7 +489,9 @@ def _build_maximum(w, variates):
 
 
 def _judge_maximum(spec, blocks, values, extras):
-    return values[:, 0] - spec.uniform_value(blocks[0].shape[1]), None, extras
+    uniform = spec.uniform_value(blocks[0].shape[1])
+    with np.errstate(**_QUIET):
+        return values[:, 0] - uniform, None, extras
 
 
 def _witness_maximum(blocks, values, extras, i):
@@ -488,7 +505,8 @@ def _build_expansibility(w, variates):
 
 
 def _judge_expansibility(spec, blocks, values, extras):
-    return np.abs(values[:, 1] - values[:, 0]), None, extras
+    with np.errstate(**_QUIET):
+        return np.abs(values[:, 1] - values[:, 0]), None, extras
 
 
 def _witness_p(blocks, values, extras, i):
@@ -613,7 +631,8 @@ def _build_ordering(w, variates):
 
 
 def _judge_ordering(spec, blocks, values, extras):
-    return values[:, 0] - values[:, 1], None, extras
+    with np.errstate(**_QUIET):
+        return values[:, 0] - values[:, 1], None, extras
 
 
 def _witness_ordering(blocks, values, extras, i):
@@ -636,10 +655,11 @@ def _build_criterion(w, variates):
 
 def _judge_criterion(spec, blocks, values, h):
     # column 0 of values is S(p); columns 2i + 1 and 2i + 2 are S at p with h_i added to and subtracted from entry i
-    grad = (values[:, 1::2] - values[:, 2::2]) / (2 * h)
     i, j = np.triu_indices(h.shape[1], 1)  # the pairs i < j, in the order of the nested loop over i, then j
     p = blocks[0]
-    products = (p[:, i] - p[:, j]) * (grad[:, i] - grad[:, j])
+    with np.errstate(**_QUIET):
+        grad = (values[:, 1::2] - values[:, 2::2]) / (2 * h)
+        products = (p[:, i] - p[:, j]) * (grad[:, i] - grad[:, j])
     # each trial's first NaN, else its first largest product, as max() finds it; a row has at least one pair
     return products[np.arange(len(p)), products.argmax(axis=1)], None, h
 

@@ -872,6 +872,13 @@ class _LawRefusedAbove(IdentityGroup):
         return x + y
 
 
+class _OverflowingLaw(IdentityGroup):
+    """The identity law, after a product that overflows: a numpy scalar warns there, a Python float gives inf."""
+
+    def chi_scaled(self, c: float, x: float, y: float) -> float:
+        return x + y + min(x * 1e308 * 1e308, 0.0)
+
+
 def _six_rows(spec, trials, seed):
     return [check_composability(spec, trials, 1e-10, seed)] + check_sk_axioms(spec, trials, seed) \
         + check_schur_concavity(spec, trials, seed)
@@ -942,6 +949,15 @@ class TestBlockJudges:
         assert [repr(r.as_dict()) for r in reports] == [repr(r.as_dict()) for r in _six_reference_rows(spec, 200, 6)]
         if threshold < 0:
             assert [r.failures for r in reports] == [200] * 6
+
+    def test_the_quiet_block_arithmetic_leaves_a_laws_warnings_alone(self):
+        # the group-axioms row hands its numpy-scalar draws to the law, in a per-trial loop outside the block
+        # arithmetic's np.errstate, so the law warns as it did in the row's own loop
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            expected = _reference_group_axioms(_OverflowingLaw(), 0.5, 20, 1e-10, 0)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            report = check_group_axioms_numeric(_OverflowingLaw(), 0.5, 20, 1e-10, 0)
+        assert repr(report.as_dict()) == repr(expected.as_dict())
 
     @pytest.mark.parametrize("chunk", [256, 7, 1])
     def test_a_judge_error_is_the_first_trials(self, chunk, monkeypatch):

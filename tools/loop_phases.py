@@ -4,9 +4,11 @@ From the root of a checkout of gek:
 
     python3 tools/loop_phases.py --trials 1000 --cycles 5
 
-Each family runs the six sampled rows of ``verify --suite all`` (composability,
-the three SK rows and the two Schur rows) through ``properties._run_rows``,
-one row per call, on the W ranges and tolerance those checks use.  The
+The families are those of ``bench/workloads.py``'s ``VERIFY_FAMILIES``, at
+alpha = 0.5.  Each runs the six sampled rows of ``verify --suite all``
+(composability, the three SK rows and the two Schur rows) through
+``properties._run_rows``, one row per call, on the default W ranges and
+tolerance of the checks that ``verify`` calls, read from their signatures.  The
 phases are timed by wrapping each ``_Row``'s callables with ``_replace`` and
 by swapping the module's ``_chunk_values`` for a timed one, so nothing under
 ``src/`` changes:
@@ -28,6 +30,7 @@ run; the split, not the reports, is the output.
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import platform
 import statistics
@@ -35,33 +38,31 @@ import sys
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 
 import numpy as np  # noqa: E402
+from workloads import VERIFY_FAMILIES  # noqa: E402
 
 from gek import properties  # noqa: E402
+from gek.cli import _float_params  # noqa: E402
 from gek.entropy import entropy_spec  # noqa: E402
 
-# the families and parameters of the verify-trials workload, at alpha = 0.5
-FAMILIES = [
-    ("renyi", {"alpha": 0.5}),
-    ("zq", {"q": 0.5, "alpha": 0.5}),
-    ("zk", {"k": 0.3, "alpha": 0.5}),
-    ("zab", {"a": 0.3, "b": -0.2, "alpha": 0.5}),
-    ("zg", {"g": "kaniadakis", "k": 0.4, "alpha": 0.5}),
-    ("zg", {"g": "abel", "a": 0.3, "b": -0.2, "alpha": 0.5}),
-    ("tsallis_aq", {"a": 0.8, "q": 0.5}),
-    ("control", {}),
-    ("zg", {"g": "abel", "a": 2.0, "b": 1.0, "alpha": 0.5}),
-]
+# (family, params) of the verify-trials workload, as ``verify --params`` reads them, at alpha = 0.5
+FAMILIES = [(family, _float_params(template.format(alpha=0.5))) for family, template, *_ in VERIFY_FAMILIES]
 PHASES = ("draw", "build", "values", "judge + fold")
+
+
+def default(check, name: str):
+    return inspect.signature(check).parameters[name].default
 
 
 def suite():
     """(row, W values, tol) of each sampled row of ``verify --suite all``, with the defaults of its check."""
-    rows = [(row, properties._w_upto(8), 1e-10) for row in properties._COMPOSABILITY]
-    rows += [(row, (2, 3, 4, 5, 6), None) for row in properties._SK_AXIOMS]
-    rows += [(row, (3, 4, 5, 6), None) for row in properties._SCHUR]
+    composability = properties.check_composability
+    rows = [(row, properties._w_upto(default(composability, "max_w")), default(composability, "tol"))
+            for row in properties._COMPOSABILITY]
+    rows += [(row, default(properties.check_sk_axioms, "w_values"), None) for row in properties._SK_AXIOMS]
+    rows += [(row, default(properties.check_schur_concavity, "w_values"), None) for row in properties._SCHUR]
     return rows
 
 
@@ -77,7 +78,7 @@ def timed(fn, spent: dict, phase: str):
 
 
 def cycle(trials: int, seed: int) -> dict:
-    """{row name: {phase: seconds}}, summed over the families, for one run of every family."""
+    """{row name: {phase: seconds}}, summed over the families, for one run of every family from ``seed``."""
     rows = suite()
     split = {row.name: dict.fromkeys(PHASES, 0.0) for row, _, _ in rows}
     chunk_values = properties._chunk_values
@@ -102,11 +103,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--trials", type=int, default=1000)
     parser.add_argument("--cycles", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     if args.trials < 1 or args.cycles < 1:
         parser.error("--trials and --cycles must be at least 1")
-    cycles = [cycle(args.trials, args.seed + c) for c in range(args.cycles)]
+    cycles = [cycle(args.trials, c) for c in range(args.cycles)]
     names = list(cycles[0])
     median = {n: {p: statistics.median(c[n][p] for c in cycles) for p in PHASES} for n in names}
     totals = {p: statistics.median(sum(c[n][p] for n in names) for c in cycles) for p in PHASES}
