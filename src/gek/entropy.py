@@ -244,17 +244,31 @@ class _Laws(NamedTuple):
     """A family's formulas, closed over its validated parameters and G when its spec is built."""
 
     reduce: Callable[[np.ndarray], np.ndarray]  # the family's sum over the last axis of positive entries
-    tail: Callable[[float], float]  # the entropy from that sum, in scalar ``math`` only
+    tail: Callable[[list[float]], list[float]]  # the entropy from each of a list of those sums, in scalar ``math``
     phi: Callable[[float, float], float]  # the composition law on products of independent systems
     uniform: Callable[[float], float]  # the value on the uniform distribution, from ln W
     concave: bool  # whether the supporting concavity theorems apply
 
 
-def _positive(family: str, s: float) -> float:
-    """``s``, which a logarithm or quotient needs > 0: a power sum that underflows to 0 is out of range."""
-    if s <= 0.0:
-        raise RangeError(f"the power sum of {family} underflows to 0, so its entropy is out of float range")
-    return s
+def _underflow(family: str) -> RangeError:
+    """The refusal of a sum <= 0, which a logarithm or quotient needs > 0: a power sum that underflowed to 0."""
+    return RangeError(f"the power sum of {family} underflows to 0, so its entropy is out of float range")
+
+
+def _positive(family: str, sums: list[float]) -> list[float]:
+    """``sums``, each of which a quotient needs > 0 (NaN passes, as it passes ``s <= 0``)."""
+    if any(s <= 0.0 for s in sums):
+        raise _underflow(family)
+    return sums
+
+
+def _logs(family: str, sums: list[float]) -> list[float]:
+    """ln s of each sum, which must be > 0: ``math.log`` refuses exactly the s <= 0 (ln NaN is NaN)."""
+    try:
+        return [math.log(s) for s in sums]
+    except ValueError:  # raised below, outside this handler, so the RangeError carries no other
+        pass
+    raise _underflow(family)
 
 
 def _z_laws(family: str, p: Mapping[str, float], g: GroupFunction, formula: bool = False) -> _Laws:
@@ -263,10 +277,10 @@ def _z_laws(family: str, p: Mapping[str, float], g: GroupFunction, formula: bool
     ``formula`` (zab) evaluates G's expression also outside the increasing domain that zg with g=abel keeps to.
     """
     c = 1.0 - p["alpha"]
-    at = g.formula if formula else g.eval
+    at, at_all = (g.formula, g.formula_all) if formula else (g.eval, g.eval_all)
     uniform = (lambda ln_w: at(c * ln_w) / c) if formula else (lambda ln_w: g.eval_scaled(c, ln_w))
     return _Laws(
-        _power_sums(p["alpha"]), lambda s: at(math.log(_positive(family, s))) / c,
+        _power_sums(p["alpha"]), lambda sums: [v / c for v in at_all(_logs(family, sums))],
         lambda x, y: g.chi_scaled(c, x, y), uniform, 0 < p["alpha"] < 1,
     )
 
@@ -281,18 +295,18 @@ def _zq_laws(family: str, p: Mapping[str, float], g: GroupFunction) -> _Laws:
 def _altz_laws(family: str, p: Mapping[str, float], g: GroupFunction) -> _Laws:
     """G(ln(sum p^alpha)/(1 - alpha)), composing through chi_G itself."""
     c = 1.0 - p["alpha"]
-    tail = lambda s: g.eval(math.log(_positive(family, s)) / c)
+    tail = lambda sums: g.eval_all([t / c for t in _logs(family, sums)])
     return _Laws(_power_sums(p["alpha"]), tail, g.chi, g.eval, 0 < p["alpha"] < 1)
 
 
 def _boltzmann_laws(family: str, p: Mapping[str, float], g: GroupFunction | None) -> _Laws:
     """sum_i p_i ln(1/p_i), additive on products, ln W on W equal outcomes."""
-    return _Laws(_boltzmann_sums, lambda s: s, lambda x, y: x + y, lambda v: v, True)
+    return _Laws(_boltzmann_sums, list, lambda x, y: x + y, lambda v: v, True)
 
 
 def _control_laws(family: str, p: Mapping[str, float], g: GroupFunction | None) -> _Laws:
     """Deliberately non-composable: sum_i p_i^2 ln(1/p_i), paired with the additive law; ln W / W when uniform."""
-    return _Laws(_control_sums, lambda s: s, lambda x, y: x + y, lambda ln_w: math.exp(-ln_w) * ln_w, False)
+    return _Laws(_control_sums, list, lambda x, y: x + y, lambda ln_w: math.exp(-ln_w) * ln_w, False)
 
 
 def _tsallis_aq_laws(family: str, p: Mapping[str, float], g: GroupFunction | None) -> _Laws:
@@ -304,8 +318,10 @@ def _tsallis_aq_laws(family: str, p: Mapping[str, float], g: GroupFunction | Non
         raise ParameterError("requires q != 1")
     if a * (q - 1) + 1 <= 0:
         raise ParameterError("requires a(q-1) + 1 > 0")
+    d = q - 1.0
     return _Laws(
-        _power_sums(a * (q - 1.0) + 1.0), lambda s: (1.0 - s) / (q - 1.0), lambda x, y: x + y + (1.0 - q) * x * y,
+        _power_sums(a * (q - 1.0) + 1.0), lambda sums: [(1.0 - s) / d for s in sums],
+        lambda x, y: x + y + (1.0 - q) * x * y,
         lambda ln_w: -math.expm1(-a * (q - 1.0) * ln_w) / (q - 1.0), _saq_concave(a, q),
     )
 
@@ -317,8 +333,9 @@ def _landsberg_vedral_laws(family: str, p: Mapping[str, float], g: GroupFunction
         raise ParameterError("requires q != 1")
     if q <= 0:
         raise ParameterError("requires q > 0")
+    d = q - 1.0
     return _Laws(
-        _power_sums(q), lambda s: (1.0 - s) / ((q - 1.0) * _positive(family, s)),
+        _power_sums(q), lambda sums: [(1.0 - s) / (d * s) for s in _positive(family, sums)],
         lambda x, y: x + y + (q - 1.0) * x * y, lambda ln_w: math.expm1((q - 1.0) * ln_w) / (q - 1.0), False,
     )
 
@@ -458,7 +475,20 @@ class EntropySpec(Record):
 
     def from_row_sum(self, s: float) -> float:
         """The entropy from the family's sum ``s`` (see ``block_sums``): scalar ``math`` only."""
-        return self._laws.tail(s)
+        return self._laws.tail([s])[0]
+
+    def from_row_sums(self, sums: list[float]) -> list[float]:
+        """``from_row_sum`` of each sum in the list ``sums``, in order, by one call of the family's tail.
+
+        The tail makes each sum's ``math`` calls in the scalar order, so each
+        value is the one ``from_row_sum`` gives.  A list on which it raises is
+        run again sum by sum, so the error raised is the first refused sum's own.
+        """
+        try:
+            return self._laws.tail(sums)
+        except Exception:  # run again below, outside this handler, so the error raised carries no other
+            pass
+        return list(map(self.from_row_sum, sums))
 
     def phi(self, x: float, y: float) -> float:
         """The composition law paired with this family."""

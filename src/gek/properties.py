@@ -28,9 +28,10 @@ from .record import Record
 # denominator used for exact majorization sampling; a power of two keeps the
 # float conversion and its partial sums exact
 _MASS_DENOM = 2**20
-# trials a randomized check draws, validates and evaluates together; it bounds
-# the memory of the stacked draws and never changes a report
-_CHUNK = 256
+# trials a randomized check draws, validates and evaluates together, so a row of 1000 trials is one chunk; it
+# bounds the memory of the stacked draws and never changes a report.  The widest is check_composability(max_w=40)
+# at 40 + 40 + 1600 = 1680 floats a trial: 1024 * 1680 * 8 B = 13.8 MB of blocks, held twice while concatenated
+_CHUNK = 1024
 # the l1 length of the continuity proxy's shift
 _STEP = 1e-6
 # the np.errstate of the block arithmetic of judges and folds, which makes NaN and inf as Python floats do,
@@ -97,14 +98,15 @@ def _run_rows(spec: EntropySpec | None, rows, trials: int, seed: int, w_values, 
     (one per trial, or None for none).  A row with no vector slot builds no
     blocks, never reads ``spec`` (None if no row has a slot), and its judge
     reads only the extras.  Validate and evaluate (``_chunk_values``): every
-    block is checked and reduced as a whole, and the scalar tail maps each
-    reduced block.  Judge: ``row.judge`` once per shape gives the residual of
-    each of its k trials and which to skip, by numpy's IEEE operations, which
-    round as Python's floats do.  Fold: the chunk's residuals, in trial
-    order, into the row's ``_Worst``; ``row.witness`` runs only for a trial
-    that becomes the worst.  An error ends the check as the one-trial-at-a-time
-    loop ended it: a chunk whose judges raise is judged again one trial at a
-    time, in trial order, to raise the first trial's error.
+    block is checked and reduced as a whole, and the family's scalar tail runs
+    once per reduced block.  Judge: ``row.judge`` once per shape gives the
+    residual of each of its k trials and which to skip, by numpy's IEEE
+    operations, which round as Python's floats do.  Fold: the chunk's
+    residuals, in trial order, into the row's ``_Worst``; ``row.witness`` runs
+    only for a trial that becomes the worst.  An error ends the check as the
+    one-trial-at-a-time loop ended it: a chunk with a bad vector or a tail that
+    raises is evaluated again, and one whose judges raise is judged again, one
+    trial at a time, in trial order, to raise the first trial's error.
     """
     check_trials(trials)
     rng = np.random.default_rng(seed)
@@ -188,16 +190,18 @@ def _chunk_values(spec: EntropySpec | None, chunk, dists: int) -> list[np.ndarra
     The blocks of one slot and width are concatenated (several shapes share a
     width only where a key has two parts), so each is checked and reduced by
     a few numpy calls, with ``spec.block_sums``.  The first ``dists`` slots
-    hold distributions: the first vector among them that is not one, in trial
-    order, is handed to ``Distribution``, which raises its own error.  Then
-    the scalar tail maps each reduced block, and the values are sliced back
-    per shape.  A tail that raises is run again on every sum in trial order,
-    then slot order, so the error that ends the check is that of the first
-    such sum.
+    hold distributions.  Then ``spec.from_row_sums`` runs the family's tail
+    once per reduced block, and the values are sliced back per shape.  If a
+    vector is not a distribution, or a tail raises, the chunk is run again
+    trial by trial, in trial order, as the one-trial-at-a-time loop ran it:
+    each distribution of the trial is handed to ``Distribution``, which
+    raises its own error, and then the trial's sums go through the tail slot
+    by slot.  So the error that ends the check is the first trial's, whatever
+    the chunk size.
     """
     if not chunk[0][1]:
         return [np.empty((len(ids), 0)) for ids, *_ in chunk]
-    reduced, bad = [], []
+    reduced, bad = [], False
     for slot in range(len(chunk[0][1])):
         widths: dict = {}
         for s, (_, blocks, _) in enumerate(chunk):
@@ -205,22 +209,24 @@ def _chunk_values(spec: EntropySpec | None, chunk, dists: int) -> list[np.ndarra
         for shapes in widths.values():
             parts = [chunk[s][1][slot] for s in shapes]
             block = parts[0] if len(parts) == 1 else np.concatenate(parts)
-            if slot < dists:
-                flags = invalid_rows(block)
-                if flags.any():
-                    ids = [t for s in shapes for t in chunk[s][0]]
-                    bad += [(ids[i], slot, block[i]) for i in np.flatnonzero(flags).tolist()]
+            bad = bad or (slot < dists and bool(invalid_rows(block).any()))
             reduced.append((shapes, spec.block_sums(block).reshape(len(block), -1)))
-    if bad:
-        Distribution(min(bad, key=lambda b: b[:2])[2])
-    tail = spec.from_row_sum
-    try:
-        tails = [np.fromiter(map(tail, s.ravel().tolist()), float, s.size).reshape(s.shape) for _, s in reduced]
-    except Exception:  # run again below, outside this handler, so the error raised carries no other
-        tails = None
+    tails = None
+    if not bad:
+        try:
+            tails = [np.array(spec.from_row_sums(s.ravel().tolist()), float).reshape(s.shape) for _, s in reduced]
+        except Exception:  # run again below, outside this handler, so the error raised carries no other
+            pass
     if tails is None:
         sums = _per_shape(chunk, reduced)
-        _raise_first(chunk, lambda s, j: [list(map(tail, part[j].tolist())) for part in sums[s]])
+
+        def replay(s: int, j: int) -> None:
+            for block in chunk[s][1][:dists]:
+                Distribution(block[j])
+            for part in sums[s]:
+                spec.from_row_sums(part[j].tolist())
+
+        _raise_first(chunk, replay)
     values = _per_shape(chunk, [(shapes, block) for (shapes, _), block in zip(reduced, tails)])
     return [v[0] if len(v) == 1 else np.concatenate(v, axis=1) for v in values]
 

@@ -555,6 +555,27 @@ class TestDeterminism:
         _, second = invoke(args, tmp_path, name="b.csv")
         assert first == second
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_verify_output_does_not_depend_on_the_chunk_size(self, seed, tmp_path, monkeypatch):
+        # the nine families of the verify-trials benchmark, at alpha = 0.5; 257 trials is one chunk of 1024, two of
+        # 256 (the second of one trial) and 37 of 7
+        import gek.properties as properties
+
+        families = [("renyi", "alpha=0.5"), ("zq", "q=0.5,alpha=0.5"), ("zk", "k=0.3,alpha=0.5"),
+                    ("zab", "a=0.3,b=-0.2,alpha=0.5"), ("zg", "g=kaniadakis,k=0.4,alpha=0.5"),
+                    ("zg", "g=abel,a=0.3,b=-0.2,alpha=0.5"), ("tsallis_aq", "a=0.8,q=0.5"), ("control", None),
+                    ("zg", "g=abel,a=2,b=1,alpha=0.5")]
+        outputs = {}
+        for chunk in (1024, 256, 7):
+            monkeypatch.setattr(properties, "_CHUNK", chunk)
+            outputs[chunk] = [
+                invoke(["verify", "--family", family, "--suite", "all", "--trials", "257", "--seed", str(seed)]
+                       + (["--params", params] if params else []), tmp_path)
+                for family, params in families
+            ]
+        assert outputs[256] == outputs[1024] == outputs[7]
+        assert [code for code, _ in outputs[1024]] == [0] * 7 + [1, 0]  # control is not composable
+
     def test_console_entry_point_subprocess(self):
         result = subprocess.run(
             [sys.executable, "-m", "gek.cli", "entropy", "eval", "--family", "renyi",

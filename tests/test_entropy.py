@@ -641,6 +641,155 @@ class TestBatchedRows:
         assert invalid_distributions(rows) == expected == [False, True, True, True, True, True, False, False]
 
 
+def _tail_specs():
+    """Every family, zg and altz over each registry G, at a seeded draw, plus fixed specs where G has a floor."""
+    specs = [random_spec(family, np.random.default_rng(seed), g) for seed in range(2) for family in _FAMILIES
+             for g in (GROUPS if family in ("zg", "altz") else ("id",))]
+    return specs + [entropy_spec("zg", {"g": "abel", "a": 2.0, "b": 1.0, "alpha": 0.5}),
+                    entropy_spec("altz", {"g": "abel", "a": 2.0, "b": 1.0, "alpha": 0.5}),
+                    entropy_spec("zab", {"a": 2.0, "b": 1.0, "alpha": 0.3}), entropy_spec("zq", {"q": 3.0, "alpha": 0.5})]
+
+
+def _reference_tail(spec, s):
+    """The entropy from the sum ``s`` by the family's formula, with G's scalar ``eval`` (``formula`` for zab)."""
+    params, g = spec.params, spec.group
+    if spec.family in ("boltzmann", "control"):
+        return s
+    if spec.family == "tsallis_aq":
+        return (1.0 - s) / (params["q"] - 1.0)
+    if spec.family == "landsberg_vedral":
+        return (1.0 - s) / ((params["q"] - 1.0) * s)
+    c = 1.0 - params["alpha"]
+    if spec.family == "altz":
+        return g.eval(math.log(s) / c)
+    return (g.formula if spec.family == "zab" else g.eval)(math.log(s)) / c
+
+
+def _first_error(call, xs):
+    """The values of ``call`` on each x in turn, or the (type, message) of the first x it refuses."""
+    values = []
+    for x in xs:
+        try:
+            values.append(call(x))
+        except Exception as error:  # noqa: BLE001 - the error itself is what is compared
+            return type(error), str(error)
+    return [repr(v) for v in values]
+
+
+def _block_error(call, xs):
+    try:
+        return [repr(v) for v in call(xs)]
+    except Exception as error:  # noqa: BLE001
+        return type(error), str(error)
+
+
+class TestBlockTails:
+    """``from_row_sums`` is ``from_row_sum`` on each sum: the same floats, and the first refused sum's error."""
+
+    @pytest.mark.parametrize("spec", _tail_specs(), ids=lambda s: s.describe())
+    def test_block_values_equal_the_scalar_tail_bit_for_bit(self, spec):
+        # sums between e^-0.3 and e^3, above every floor of G at these parameters
+        sums = np.exp(np.random.default_rng(21).uniform(-0.3, 3.0, 200)).tolist() + [1.0]
+        block = spec.from_row_sums(sums)
+        assert all(type(v) is float for v in block)
+        assert [repr(v) for v in block] == [repr(spec.from_row_sum(s)) for s in sums]
+        assert [repr(v) for v in block] == [repr(_reference_tail(spec, s)) for s in sums]
+
+    @pytest.mark.parametrize(
+        "spec",
+        [entropy_spec("renyi", {"alpha": 0.5}), entropy_spec("zab", {"a": 800.0, "b": 0.0, "alpha": 0.5}),
+         entropy_spec("zab", {"a": 0.3, "b": -0.2, "alpha": 0.5}), entropy_spec("zq", {"q": 0.5, "alpha": 0.5}),
+         entropy_spec("zk", {"k": 0.3, "alpha": 0.5}), entropy_spec("zg", {"g": "abel", "a": 2.0, "b": 1.0, "alpha": 0.5}),
+         entropy_spec("zg", {"g": "tsallis", "q": -2.0, "alpha": 0.5}),
+         entropy_spec("altz", {"g": "kaniadakis", "k": 0.4, "alpha": 0.5}),
+         entropy_spec("landsberg_vedral", {"q": 0.5})],
+        ids=lambda s: s.describe(),
+    )
+    def test_a_refused_block_raises_the_first_scalar_error(self, spec):
+        # 0 underflows, NaN leaves G's domain (zab's formula takes it), 1e10 overflows zab at a = 800 and zq at
+        # q = -2, and 0.3 is below the floor of abel at a = 2, b = 1; each bad sum is tried before and after others
+        good, bad = [1.5, 2.0, 1.0], [0.0, math.nan, 1e10, 0.3, -1.0]
+        rng = np.random.default_rng(5)
+        blocks = [[b] for b in bad] + [[1.5, b, 2.0] for b in bad]
+        blocks += [[[*good, *bad][i] for i in rng.permutation(8).tolist()] for _ in range(40)]
+        refused = 0
+        for sums in blocks:
+            expected = _first_error(spec.from_row_sum, sums)
+            assert _block_error(spec.from_row_sums, sums) == expected, sums
+            refused += isinstance(expected, tuple)
+        assert refused > 0
+
+    def test_the_scalar_errors_are_the_ones_verify_prints(self):
+        cases = [
+            (entropy_spec("renyi", {"alpha": 0.5}), 0.0, RangeError,
+             "the power sum of renyi underflows to 0, so its entropy is out of float range"),
+            (entropy_spec("renyi", {"alpha": 0.5}), math.nan, DomainError,
+             "identity: argument nan is outside the increasing domain (> -inf)"),
+            (entropy_spec("zab", {"a": 800.0, "b": 0.0, "alpha": 0.5}), 1e10, RangeError,
+             "abel: G(23.025850929940457) overflows a float"),
+            (entropy_spec("zg", {"g": "abel", "a": 2.0, "b": 1.0, "alpha": 0.5}), 0.3, DomainError,
+             "abel: argument -1.2039728043259361 is outside the increasing domain (> -0.6931471805599453)"),
+            (entropy_spec("landsberg_vedral", {"q": 0.5}), -1.0, RangeError,
+             "the power sum of landsberg_vedral underflows to 0, so its entropy is out of float range"),
+        ]
+        for spec, s, kind, message in cases:
+            with pytest.raises(kind) as scalar:
+                spec.from_row_sum(s)
+            with pytest.raises(kind) as block:
+                spec.from_row_sums([1.5, s, 0.0])
+            assert str(scalar.value) == str(block.value) == message
+            # the chained error a traceback shows is the scalar one: none, or the OverflowError a G turned into a
+            # RangeError
+            for error in (scalar.value, block.value):
+                assert error.__context__ is None or (error.__suppress_context__ and error.__cause__ is None)
+            assert repr(block.value.__context__) == repr(scalar.value.__context__)
+
+    @pytest.mark.parametrize(
+        "g, ts",
+        [(IdentityGroup(), [1.0, -math.inf, math.nan]), (MultiplicativeGroup(-2.0), [1.0, 400.0, math.nan]),
+         (MultiplicativeGroup(0.5), [1.0, math.nan, 1e4]), (KaniadakisGroup(0.4), [1.0, 1e4, math.nan]),
+         (AbelGroup(2.0, 1.0), [1.0, -1.0, 1e4]), (AbelGroup(800.0, 0.0), [0.5, 1.6, -1.0])],
+        ids=["identity", "multiplicative-overflow", "multiplicative-nan", "kaniadakis", "abel-floor",
+             "abel-overflow"],
+    )
+    def test_each_kernel_is_its_scalar_map(self, g, ts):
+        assert _block_error(g.eval_all, ts[:1]) == _first_error(g.eval, ts[:1])
+        for i in range(3):
+            block = ts[i:] + ts[:i]
+            assert _block_error(g.eval_all, block) == _first_error(g.eval, block)
+            if isinstance(g, AbelGroup):
+                assert _block_error(g.formula_all, block) == _first_error(g.formula, block)
+
+    @pytest.mark.parametrize(
+        "g, override",
+        [(g, override) for g in (IdentityGroup(), MultiplicativeGroup(0.5), KaniadakisGroup(0.4),
+                                 AbelGroup(0.3, -0.2), AbelGroup(2.0, 1.0))
+         for override in ("eval", "_check_domain", "formula") if override != "formula" or isinstance(g, AbelGroup)],
+        ids=lambda v: v if isinstance(v, str) else v.describe(),
+    )
+    def test_a_subclass_override_runs_in_the_block_tail(self, g, override):
+        base = type(g)
+        if override == "_check_domain":
+            def check(self, t):  # refuses t > 0.5 as well
+                base._check_domain(self, t)
+                if t > 0.5:
+                    raise DomainError(f"refused {t!r}")
+
+            body = {"_check_domain": check}
+        else:
+            body = {override: lambda self, t: getattr(base, override)(self, t) + 1.0}
+        shifted = object.__new__(type(f"Shifted{base.__name__}", (base,), body))
+        shifted.__dict__.update(vars(g))
+        sums = [1.5, 1.25, 2.0, 1.125]  # ln 2 > 0.5: the overridden check refuses the third sum
+        for family in ("zg", "altz"):
+            spec = EntropySpec(family, {"alpha": 0.5}, shifted)
+            plain = EntropySpec(family, {"alpha": 0.5}, g)
+            expected = _first_error(lambda s: _reference_tail(spec, s), sums)
+            assert _block_error(spec.from_row_sums, sums) == expected != _block_error(plain.from_row_sums, sums)
+        if override == "_check_domain":
+            assert expected[0] is DomainError and expected[1].startswith("refused")
+
+
 def _memo_specs():
     """Every _FAMILIES row (zg and altz over all four G) at three draws, plus fixed specs that share an exponent.
 

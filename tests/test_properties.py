@@ -461,13 +461,13 @@ class TestTrialDraws:
     def test_every_continuity_trial_evaluates_two_vectors(self, monkeypatch):
         # p stands in for a shift that is not admissible, so a skipped trial runs two scalar tails, as any other
         calls = []
-        from_row_sum = EntropySpec.from_row_sum
+        from_row_sums = EntropySpec.from_row_sums
 
-        def counting(self, s):
-            calls.append(s)
-            return from_row_sum(self, s)
+        def counting(self, sums):
+            calls.extend(sums)
+            return from_row_sums(self, sums)
 
-        monkeypatch.setattr(EntropySpec, "from_row_sum", counting)
+        monkeypatch.setattr(EntropySpec, "from_row_sums", counting)
         skips = []
         for w_values in ((1,), (1, 3), (3,)):
             calls.clear()
@@ -971,6 +971,36 @@ class TestBlockJudges:
         monkeypatch.setattr(properties, "_CHUNK", chunk)
         with pytest.raises(ZeroDivisionError) as got:
             check_composability(spec, 300, 1e-10, 1)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("chunk", [1024, 256, 7, 1])
+    @pytest.mark.parametrize("first", ["range", "input"])
+    def test_the_first_trials_error_ends_the_check_whatever_the_chunk(self, first, chunk, monkeypatch):
+        # trials alternate w = 3 and w = 4 on low-entropy vectors; trial 3 (w = 4) and trial 4 (w = 3) are uniform,
+        # whose entropy G refuses, or do not sum to 1.  The first of the two raises, in any chunk that holds both
+        import gek.properties as properties
+        from gek.properties import _Row, _run_rows
+
+        spec = EntropySpec("zg", {"alpha": 0.5}, _RangeAbove(0.5))
+        low = {3: [0.98, 0.01, 0.01], 4: [0.97, 0.01, 0.01, 0.01]}
+        special = {3: [0.25] * 4, 4: [0.5] * 3} if first == "range" else {3: [0.5] * 4, 4: [1 / 3] * 3}
+        vectors = [special.get(t, low[3 + t % 2]) for t in range(300)]
+        with pytest.raises(Exception) as expected:  # one trial at a time: validate, then evaluate
+            for v in vectors:
+                Distribution(v)
+                spec.raw_value(v)
+        assert expected.type is (RangeError if first == "range" else InputError)
+
+        def draw(rng, below, w_values, trials=iter(vectors)):
+            v = next(trials)
+            return len(v), v
+
+        row = _Row("errors", draw, lambda key, variates: ((np.array(variates),), None),
+                   lambda spec, blocks, values, extras: (values[:, 0], None, extras), lambda *args: {}, 1, -math.inf,
+                   math.inf)
+        monkeypatch.setattr(properties, "_CHUNK", chunk)
+        with pytest.raises(expected.type) as got:
+            _run_rows(spec, (row,), 300, 0, ())
         assert str(got.value) == str(expected.value)
 
 

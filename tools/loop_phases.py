@@ -9,14 +9,16 @@ alpha = 0.5.  Each runs the six sampled rows of ``verify --suite all``
 (composability, the three SK rows and the two Schur rows) through
 ``properties._run_rows``, one row per call, on the default W ranges and
 tolerance of the checks that ``verify`` calls, read from their signatures.  The
-phases are timed by wrapping each ``_Row``'s callables with ``_replace`` and
-by swapping the module's ``_chunk_values`` for a timed one, so nothing under
-``src/`` changes:
+phases are timed by wrapping each ``_Row``'s callables with ``_replace``, by
+swapping the module's ``_chunk_values`` and ``EntropySpec.from_row_sums`` for
+timed ones, so nothing under ``src/`` changes:
 
 - draw: ``row.draw``, once per trial;
 - build: ``row.build``, once per shape of a chunk;
-- values: ``_chunk_values``, which validates and reduces the blocks and runs
-  the scalar tails;
+- reduce: ``_chunk_values`` less its tails, which validates the blocks and
+  reduces them with ``EntropySpec.block_sums``;
+- tails: ``EntropySpec.from_row_sums``, the scalar tails, once per reduced
+  block;
 - judge + fold: the rest of the row's wall time, which is its judges, its
   witnesses, the fold of each chunk and the loop's own bookkeeping.
 
@@ -45,11 +47,11 @@ from workloads import VERIFY_FAMILIES  # noqa: E402
 
 from gek import properties  # noqa: E402
 from gek.cli import _float_params  # noqa: E402
-from gek.entropy import entropy_spec  # noqa: E402
+from gek.entropy import EntropySpec, entropy_spec  # noqa: E402
 
 # (family, params) of the verify-trials workload, as ``verify --params`` reads them, at alpha = 0.5
 FAMILIES = [(family, _float_params(template.format(alpha=0.5))) for family, template, *_ in VERIFY_FAMILIES]
-PHASES = ("draw", "build", "values", "judge + fold")
+PHASES = ("draw", "build", "reduce", "tails", "judge + fold")
 
 
 def default(check, name: str):
@@ -81,21 +83,23 @@ def cycle(trials: int, seed: int) -> dict:
     """{row name: {phase: seconds}}, summed over the families, for one run of every family from ``seed``."""
     rows = suite()
     split = {row.name: dict.fromkeys(PHASES, 0.0) for row, _, _ in rows}
-    chunk_values = properties._chunk_values
+    chunk_values, from_row_sums = properties._chunk_values, EntropySpec.from_row_sums
     try:
         for family, params in FAMILIES:
             spec = entropy_spec(family, params)
             for row, w_values, tol in rows:
                 spent = split[row.name]
                 before = dict(spent)
-                properties._chunk_values = timed(chunk_values, spent, "values")
+                properties._chunk_values = timed(chunk_values, spent, "reduce")
+                EntropySpec.from_row_sums = timed(from_row_sums, spent, "tails")
                 row = row._replace(draw=timed(row.draw, spent, "draw"), build=timed(row.build, spent, "build"))
                 start = time.perf_counter()
                 properties._run_rows(spec, (row,), trials, seed, w_values, tol)
                 wall = time.perf_counter() - start
+                spent["reduce"] -= spent["tails"] - before["tails"]  # the tails run inside _chunk_values
                 spent["judge + fold"] += wall - sum(spent[p] - before[p] for p in PHASES)
     finally:
-        properties._chunk_values = chunk_values
+        properties._chunk_values, EntropySpec.from_row_sums = chunk_values, from_row_sums
     return split
 
 
