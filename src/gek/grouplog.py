@@ -135,12 +135,12 @@ class GroupFunction:
     def _in_domain(self, ts: list[float]) -> bool:
         """Whether ``_check_domain`` passes every t in ``ts``; False sends a block kernel to the per-element map.
 
-        A NaN in ``ts`` makes the sum NaN, and with no NaN ``min`` is exact.  The
-        sum is also NaN where a float overflow meets an infinite t; then this is
+        The sum is > -inf only where no t is NaN or -inf, and ``min`` finds a t
+        at or below a finite floor.  A sum that overflows to -inf makes this
         False where every t may pass, which only costs the per-element map.
         """
-        total = sum(ts)
-        return total == total and min(ts, default=math.inf) > self.domain_min
+        floor = self.domain_min
+        return sum(ts) > -math.inf and (floor == -math.inf or not ts or min(ts) > floor)
 
     def deriv(self, t: float) -> float:
         raise NotImplementedError
