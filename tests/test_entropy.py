@@ -647,7 +647,8 @@ def _tail_specs():
              for g in (GROUPS if family in ("zg", "altz") else ("id",))]
     return specs + [entropy_spec("zg", {"g": "abel", "a": 2.0, "b": 1.0, "alpha": 0.5}),
                     entropy_spec("altz", {"g": "abel", "a": 2.0, "b": 1.0, "alpha": 0.5}),
-                    entropy_spec("zab", {"a": 2.0, "b": 1.0, "alpha": 0.3}), entropy_spec("zq", {"q": 3.0, "alpha": 0.5})]
+                    entropy_spec("zab", {"a": 2.0, "b": 1.0, "alpha": 0.3}),
+                    entropy_spec("zq", {"q": 3.0, "alpha": 0.5})]
 
 
 def _reference_tail(spec, s):
@@ -666,20 +667,21 @@ def _reference_tail(spec, s):
 
 
 def _first_error(call, xs):
-    """The values of ``call`` on each x in turn, or the (type, message) of the first x it refuses."""
+    """The reprs of ``call`` on each x in turn, or the (type, message) of the first x it refuses."""
     values = []
     for x in xs:
         try:
             values.append(call(x))
-        except Exception as error:  # noqa: BLE001 - the error itself is what is compared
+        except Exception as error:  # the error itself is what is compared
             return type(error), str(error)
     return [repr(v) for v in values]
 
 
 def _block_error(call, xs):
+    """``_first_error`` of one call on the whole list ``xs``."""
     try:
         return [repr(v) for v in call(xs)]
-    except Exception as error:  # noqa: BLE001
+    except Exception as error:
         return type(error), str(error)
 
 
@@ -699,7 +701,8 @@ class TestBlockTails:
         "spec",
         [entropy_spec("renyi", {"alpha": 0.5}), entropy_spec("zab", {"a": 800.0, "b": 0.0, "alpha": 0.5}),
          entropy_spec("zab", {"a": 0.3, "b": -0.2, "alpha": 0.5}), entropy_spec("zq", {"q": 0.5, "alpha": 0.5}),
-         entropy_spec("zk", {"k": 0.3, "alpha": 0.5}), entropy_spec("zg", {"g": "abel", "a": 2.0, "b": 1.0, "alpha": 0.5}),
+         entropy_spec("zk", {"k": 0.3, "alpha": 0.5}),
+         entropy_spec("zg", {"g": "abel", "a": 2.0, "b": 1.0, "alpha": 0.5}),
          entropy_spec("zg", {"g": "tsallis", "q": -2.0, "alpha": 0.5}),
          entropy_spec("altz", {"g": "kaniadakis", "k": 0.4, "alpha": 0.5}),
          entropy_spec("landsberg_vedral", {"q": 0.5})],
