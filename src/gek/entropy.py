@@ -265,7 +265,7 @@ def _positive(family: str, sums: list[float]) -> list[float]:
 def _logs(family: str, sums: list[float]) -> list[float]:
     """ln s of each sum, which must be > 0: ``math.log`` refuses exactly the s <= 0 (ln NaN is NaN)."""
     try:
-        return [math.log(s) for s in sums]
+        return list(map(math.log, sums))
     except ValueError:  # raised below, outside this handler, so the RangeError carries no other
         pass
     raise _underflow(family)
@@ -277,10 +277,10 @@ def _z_laws(family: str, p: Mapping[str, float], g: GroupFunction, formula: bool
     ``formula`` (zab) evaluates G's expression also outside the increasing domain that zg with g=abel keeps to.
     """
     c = 1.0 - p["alpha"]
-    at, at_all = (g.formula, g.formula_all) if formula else (g.eval, g.eval_all)
+    at = g.formula if formula else g.eval
     uniform = (lambda ln_w: at(c * ln_w) / c) if formula else (lambda ln_w: g.eval_scaled(c, ln_w))
     return _Laws(
-        _power_sums(p["alpha"]), lambda sums: [v / c for v in at_all(_logs(family, sums))],
+        _power_sums(p["alpha"]), lambda sums: [at(t) / c for t in _logs(family, sums)],
         lambda x, y: g.chi_scaled(c, x, y), uniform, 0 < p["alpha"] < 1,
     )
 
@@ -295,7 +295,7 @@ def _zq_laws(family: str, p: Mapping[str, float], g: GroupFunction) -> _Laws:
 def _altz_laws(family: str, p: Mapping[str, float], g: GroupFunction) -> _Laws:
     """G(ln(sum p^alpha)/(1 - alpha)), composing through chi_G itself."""
     c = 1.0 - p["alpha"]
-    tail = lambda sums: g.eval_all([t / c for t in _logs(family, sums)])
+    tail = lambda sums: [g.eval(t / c) for t in _logs(family, sums)]
     return _Laws(_power_sums(p["alpha"]), tail, g.chi, g.eval, 0 < p["alpha"] < 1)
 
 

@@ -83,17 +83,6 @@ def _signbit(x: float) -> bool:
     return math.copysign(1.0, x) < 0
 
 
-def _each(name: str) -> Callable:
-    """The block twin of the scalar method ``name``: that method on each t, in order, so the first t it
-    refuses raises that t's own error."""
-
-    def each(self, ts: list[float]) -> list[float]:
-        return list(map(getattr(self, name), ts))
-
-    each.__name__ = f"{name}_all"
-    return each
-
-
 class GroupFunction:
     """Base class: an evaluatable G with closed-form or numeric inversion.
 
@@ -105,42 +94,14 @@ class GroupFunction:
     or numeric, starts with ``_check_finite``: G^-1 of nan, inf or -inf is a
     RangeError, never a non-finite value passed on.  So does every closed-form
     ``chi``, and every ``eval`` refuses nan by ``_check_domain`` or the horizon.
-
-    ``eval_all(ts)`` is ``[eval(t) for t in ts]``, the form an entropy's tail
-    calls once per block of sums.  The registry's G make the same ``math``
-    calls as ``eval``, in the same order, in one comprehension, and run the
-    per-element map instead wherever a t is refused; so does AbelGroup's
-    ``formula_all`` for ``formula``.  A subclass that overrides ``eval``,
-    ``_check_domain`` or ``formula`` without the block twin gets the
-    per-element map of its own override.
     """
 
     name = "group"
     domain_min = -math.inf  # evaluation domain is (domain_min, inf)
     range_min = -math.inf  # range is (range_min, inf)
 
-    def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        # each block twin, the scalar method it maps, and the methods whose override it must follow
-        for twin, scalar, follows in (("eval_all", "eval", ("eval", "_check_domain")),
-                                      ("formula_all", "formula", ("formula",))):
-            if twin not in vars(cls) and any(name in vars(cls) for name in follows):
-                setattr(cls, twin, _each(scalar))
-
     def eval(self, t: float) -> float:
         raise NotImplementedError
-
-    eval_all = _each("eval")
-
-    def _in_domain(self, ts: list[float]) -> bool:
-        """Whether ``_check_domain`` passes every t in ``ts``; False sends a block kernel to the per-element map.
-
-        The sum is > -inf only where no t is NaN or -inf, and ``min`` finds a t
-        at or below a finite floor.  A sum that overflows to -inf makes this
-        False where every t may pass, which only costs the per-element map.
-        """
-        floor = self.domain_min
-        return sum(ts) > -math.inf and (floor == -math.inf or not ts or min(ts) > floor)
 
     def deriv(self, t: float) -> float:
         raise NotImplementedError
@@ -256,9 +217,6 @@ class IdentityGroup(GroupFunction):
         self._check_domain(t)
         return t
 
-    def eval_all(self, ts: list[float]) -> list[float]:
-        return list(ts) if self._in_domain(ts) else list(map(self.eval, ts))
-
     def deriv(self, t: float) -> float:
         return 1.0
 
@@ -307,15 +265,6 @@ class MultiplicativeGroup(GroupFunction):
         except OverflowError:
             raise RangeError(f"multiplicative(q={self.q}): G({t}) overflows a float") from None
 
-    def eval_all(self, ts: list[float]) -> list[float]:
-        r, expm1 = self.r, math.expm1
-        if self._in_domain(ts):
-            try:
-                return [expm1(r * t) / r for t in ts]
-            except OverflowError:  # mapped below, outside this handler, so the error raised carries no other
-                pass
-        return list(map(self.eval, ts))
-
     def deriv(self, t: float) -> float:
         return math.exp(self.r * t)
 
@@ -351,15 +300,6 @@ class KaniadakisGroup(GroupFunction):
             return math.sinh(self.k * t) / self.k
         except OverflowError:
             raise RangeError(f"kaniadakis(k={self.k}): G({t}) overflows a float") from None
-
-    def eval_all(self, ts: list[float]) -> list[float]:
-        k, sinh = self.k, math.sinh
-        if self._in_domain(ts):
-            try:
-                return [sinh(k * t) / k for t in ts]
-            except OverflowError:  # mapped below, outside this handler, so the error raised carries no other
-                pass
-        return list(map(self.eval, ts))
 
     def deriv(self, t: float) -> float:
         return math.cosh(self.k * t)
@@ -412,21 +352,9 @@ class AbelGroup(GroupFunction):
         except OverflowError:
             raise RangeError(f"abel: G({t}) overflows a float") from None
 
-    def formula_all(self, ts: list[float]) -> list[float]:
-        a, b, exp = self.a, self.b, math.exp
-        d = a - b
-        try:
-            return [(exp(a * t) - exp(b * t)) / d for t in ts]
-        except OverflowError:  # mapped below, outside this handler, so the error raised carries no other
-            pass
-        return list(map(self.formula, ts))
-
     def eval(self, t: float) -> float:
         self._check_domain(t)
         return self.formula(t)
-
-    def eval_all(self, ts: list[float]) -> list[float]:
-        return self.formula_all(ts) if self._in_domain(ts) else list(map(self.eval, ts))
 
     def deriv(self, t: float) -> float:
         return (self.a * math.exp(self.a * t) - self.b * math.exp(self.b * t)) / (self.a - self.b)

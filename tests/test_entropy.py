@@ -748,22 +748,6 @@ class TestBlockTails:
             assert repr(block.value.__context__) == repr(scalar.value.__context__)
 
     @pytest.mark.parametrize(
-        "g, ts",
-        [(IdentityGroup(), [1.0, -math.inf, math.nan]), (MultiplicativeGroup(-2.0), [1.0, 400.0, math.nan]),
-         (MultiplicativeGroup(0.5), [1.0, math.nan, 1e4]), (KaniadakisGroup(0.4), [1.0, 1e4, math.nan]),
-         (AbelGroup(2.0, 1.0), [1.0, -1.0, 1e4]), (AbelGroup(800.0, 0.0), [0.5, 1.6, -1.0])],
-        ids=["identity", "multiplicative-overflow", "multiplicative-nan", "kaniadakis", "abel-floor",
-             "abel-overflow"],
-    )
-    def test_each_kernel_is_its_scalar_map(self, g, ts):
-        assert _block_error(g.eval_all, ts[:1]) == _first_error(g.eval, ts[:1])
-        for i in range(3):
-            block = ts[i:] + ts[:i]
-            assert _block_error(g.eval_all, block) == _first_error(g.eval, block)
-            if isinstance(g, AbelGroup):
-                assert _block_error(g.formula_all, block) == _first_error(g.formula, block)
-
-    @pytest.mark.parametrize(
         "g, override",
         [(g, override) for g in (IdentityGroup(), MultiplicativeGroup(0.5), KaniadakisGroup(0.4),
                                  AbelGroup(0.3, -0.2), AbelGroup(2.0, 1.0))
