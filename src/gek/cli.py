@@ -133,8 +133,9 @@ def _load_distribution(token: str) -> Distribution:
 
     short = re.fullmatch(r"([ud])(\d+)", token)
     if short:
-        size = int(short.group(2))
-        if size > MAX_SHORTHAND_SIZE:
+        # a size with more digits than the cap is over it, and int() refuses a string of over 4300 digits
+        digits = short.group(2).lstrip("0") or "0"
+        if len(digits) > len(str(MAX_SHORTHAND_SIZE)) or (size := int(digits)) > MAX_SHORTHAND_SIZE:
             raise InputError(f"--dist {token!r} has more than {MAX_SHORTHAND_SIZE} outcomes")
         return Distribution.uniform(size) if short.group(1) == "u" else Distribution.delta(size)
     if "," in token:
@@ -293,8 +294,9 @@ def _lmg_options(p_lmg) -> None:
     group = p_demo.add_mutually_exclusive_group(required=True)
     group.add_argument("--alpha", type=_finite_float, default=None)
     group.add_argument("--extensive", action="store_true", help="use the order that makes the formula linear in L")
-    p_demo.add_argument("--sweep-L", action="store_true", dest="sweep_l")
-    p_demo.add_argument("--L", type=int, default=None, dest="block")
+    blocks = p_demo.add_mutually_exclusive_group()
+    blocks.add_argument("--sweep-L", action="store_true", dest="sweep_l")
+    blocks.add_argument("--L", type=int, default=None, dest="block")
     p_demo.add_argument("--output", "-o", default=None)
     p_demo.set_defaults(handler=_lmg_demo)
 

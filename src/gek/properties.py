@@ -13,7 +13,7 @@ import math
 import sys
 from functools import lru_cache
 from itertools import repeat
-from typing import Callable, NamedTuple, NoReturn, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -92,21 +92,24 @@ def _run_rows(spec: EntropySpec | None, rows, trials: int, seed: int, w_values, 
     gek's only trial loop.  A row runs in chunks of _CHUNK trials.  Draw:
     ``row.draw`` once per trial, in the seeded order, keeps only the trial's
     variates and its shape key, and reads every bounded draw through the one
-    reader of the rng, ``_bounded(rng)``.  Build: ``row.build`` stacks the
-    trials of one shape into blocks, one per vector slot, with the trials along
-    the first axis and each vector along the last, and gives the shape's extras
-    (one per trial, or None for none).  A row with no vector slot builds no
-    blocks, never reads ``spec`` (None if no row has a slot), and its judge
-    reads only the extras.  Validate and evaluate (``_chunk_values``): every
-    block is checked and reduced as a whole, and the family's scalar tail runs
-    once per reduced block.  Judge: ``row.judge`` once per shape gives the
-    residual of each of its k trials and which to skip, by numpy's IEEE
-    operations, which round as Python's floats do.  Fold: the chunk's
-    residuals, in trial order, into the row's ``_Worst``; ``row.witness`` runs
-    only for a trial that becomes the worst.  An error ends the check as the
-    one-trial-at-a-time loop ended it: a chunk with a bad vector or a tail that
-    raises is evaluated again, and one whose judges raise is judged again, one
-    trial at a time, in trial order, to raise the first trial's error.
+    reader of the rng, ``_bounded(rng)``; ``order[t]`` is (s, j) for trial t,
+    trial j of shape s.  Build: ``row.build`` stacks the trials of one shape
+    into blocks, one per vector slot, with the trials along the first axis and
+    each vector along the last, and gives the shape's extras (one per trial, or
+    None for none).  A row with no vector slot builds no blocks, never reads
+    ``spec`` (None if no row has a slot), and its judge reads only the extras.
+    Validate and evaluate (``_chunk_values``): every block is checked and
+    reduced as a whole, and the family's scalar tail runs once per reduced
+    block.  Judge: ``row.judge`` once per shape gives the residual of each of
+    its k trials and which to skip, by numpy's IEEE operations, which round as
+    Python's floats do.  Fold: the chunk's residuals, in trial order, into the
+    row's ``_Worst``; ``row.witness`` runs only for a trial that becomes the
+    worst.  An error ends the check as the one-trial-at-a-time loop ended it:
+    a chunk with a bad vector, or one whose tails or judges raise, is run
+    again one trial at a time, in trial order, each trial validated,
+    evaluated and judged before the next (``_evaluate``).  So the first trial
+    that raises ends the check, and a judge error on an earlier trial wins
+    over a value error on a later one, whatever the chunk size.
     """
     check_trials(trials)
     rng = np.random.default_rng(seed)
@@ -120,52 +123,51 @@ def _run_rows(spec: EntropySpec | None, rows, trials: int, seed: int, w_values, 
             for t in range(n):
                 key, variates = row.draw(rng, below, w_values)
                 shapes.setdefault(key, []).append((t, variates))
-            chunk = []
-            for key, members in shapes.items():
+            chunk, order = [], [None] * n
+            for s, (key, members) in enumerate(shapes.items()):
                 ids, variates = zip(*members)
+                for j, t in enumerate(ids):
+                    order[t] = (s, j)
                 chunk.append((ids, *row.build(key, variates)))
-            values = _chunk_values(spec, chunk, row.dists)
-            judged = _judge_chunk(spec, row.judge, chunk, values)
-            skipped += _fold_chunk(fold, row.witness, chunk, values, judged, n)
+            values, judged = _evaluate(spec, row, chunk, order)
+            skipped += _fold_chunk(fold, row.witness, chunk, order, values, judged)
         reports.append(fold.report(row.name, trials, seed, skipped))
     return reports
 
 
-def _raise_first(chunk, per_trial: Callable[[int, int], object]) -> NoReturn:
-    """Run ``per_trial(s, j)``, on trial j of shape s, for each trial of a chunk that raised, in trial order.
+def _evaluate(spec, row, chunk, order) -> tuple[list, list]:
+    """Each shape's values and its judge's (residuals, skip, extras); or the first trial's error, in trial order.
 
-    The first trial that raises ends the run with its error, the one a
-    one-trial-at-a-time loop raised.
+    If a vector is not a distribution, or anything raises, the chunk is run
+    again one trial at a time, in ``order``, as the one-trial-at-a-time loop
+    ran it: each distribution of the trial is handed to ``Distribution``,
+    which raises its own error, then the trial's sums go through the tail
+    slot by slot (a one-row ``block_sums`` is the chunk's sum bit for bit),
+    and then the row's judge runs on the trial alone.
     """
-    order: list = [None] * sum(len(ids) for ids, *_ in chunk)
-    for s, (ids, *_) in enumerate(chunk):
-        for j, t in enumerate(ids):
-            order[t] = (s, j)
+    try:
+        values = _chunk_values(spec, chunk, row.dists)
+        if values is not None:
+            return values, [row.judge(spec, blocks, v, extras) for (_, blocks, extras), v in zip(chunk, values)]
+    except Exception:  # run again below, outside this handler, so the error raised carries no other
+        pass
     for s, j in order:
-        per_trial(s, j)
+        _, blocks, extras = chunk[s]
+        trial = tuple(b[j:j + 1] for b in blocks)
+        for block in trial[:row.dists]:
+            Distribution(block[0])
+        values = [v for b in trial for v in spec.from_row_sums(spec.block_sums(b).ravel().tolist())]
+        row.judge(spec, trial, np.array([values], float), None if extras is None else extras[j:j + 1])
     raise AssertionError("a chunk raised once but not again")  # pragma: no cover
 
 
-def _judge_chunk(spec, judge, chunk, values) -> list[tuple]:
-    """``judge`` on each shape of the chunk, or the error of the first trial, in trial order, whose judge raises."""
-    try:
-        return [judge(spec, blocks, v, extras) for (_, blocks, extras), v in zip(chunk, values)]
-    except Exception:  # judged again below, outside this handler, so the error raised carries no other
-        pass
-
-    def judge_one(s: int, j: int) -> None:
-        _, blocks, extras = chunk[s]
-        judge(spec, tuple(b[j:j + 1] for b in blocks), values[s][j:j + 1], None if extras is None else extras[j:j + 1])
-
-    _raise_first(chunk, judge_one)
-
-
-def _fold_chunk(fold: _Worst, witness, chunk, values, judged, n: int) -> int:
+def _fold_chunk(fold: _Worst, witness, chunk, order, values, judged) -> int:
     """Fold the chunk's residuals into ``fold`` in trial order, less the skipped trials; how many were skipped.
 
     The worst value is reported as the judge gave it: a Python float from an
     array of residuals, or the element itself from a list.
     """
+    n = len(order)
     residuals, skip = np.empty(n), np.zeros(n, dtype=bool)
     for (ids, _, _), (r, s, _) in zip(chunk, judged):
         residuals[list(ids)] = r
@@ -174,34 +176,28 @@ def _fold_chunk(fold: _Worst, witness, chunk, values, judged, n: int) -> int:
     kept = np.flatnonzero(~skip) if skip.any() else None
 
     def read(i: int) -> tuple:
-        t = i if kept is None else int(kept[i])
-        for (ids, blocks, _), v, (r, _, extras) in zip(chunk, values, judged):
-            if t in ids:
-                j = ids.index(t)
-                return r.item(j) if isinstance(r, np.ndarray) else r[j], witness(blocks, v, extras, j)
+        s, j = order[i if kept is None else kept[i]]
+        r, _, extras = judged[s]
+        return r.item(j) if isinstance(r, np.ndarray) else r[j], witness(chunk[s][1], values[s], extras, j)
 
     fold.fold(residuals if kept is None else residuals[kept], read)
     return 0 if kept is None else n - kept.size
 
 
-def _chunk_values(spec: EntropySpec | None, chunk, dists: int) -> list[np.ndarray]:
+def _chunk_values(spec: EntropySpec | None, chunk, dists: int) -> list[np.ndarray] | None:
     """Each shape's (k, m) array of its trials' values: the tail of each family sum, slot after slot.
 
     The blocks of one slot and width are concatenated (several shapes share a
     width only where a key has two parts), so each is checked and reduced by
     a few numpy calls, with ``spec.block_sums``.  The first ``dists`` slots
-    hold distributions.  Then ``spec.from_row_sums`` runs the family's tail
-    once per reduced block, and the values are sliced back per shape.  If a
-    vector is not a distribution, or a tail raises, the chunk is run again
-    trial by trial, in trial order, as the one-trial-at-a-time loop ran it:
-    each distribution of the trial is handed to ``Distribution``, which
-    raises its own error, and then the trial's sums go through the tail slot
-    by slot.  So the error that ends the check is the first trial's, whatever
-    the chunk size.
+    hold distributions.  ``spec.from_row_sums`` runs the family's tail once
+    per reduced block, and the values are sliced back per shape.  None
+    as soon as a distribution slot holds a vector that ``invalid_rows``
+    rejects: ``_evaluate`` then runs the chunk trial by trial.
     """
     if not chunk[0][1]:
         return [np.empty((len(ids), 0)) for ids, *_ in chunk]
-    reduced, bad = [], False
+    values: list[list[np.ndarray]] = [[] for _ in chunk]
     for slot in range(len(chunk[0][1])):
         widths: dict = {}
         for s, (_, blocks, _) in enumerate(chunk):
@@ -209,38 +205,15 @@ def _chunk_values(spec: EntropySpec | None, chunk, dists: int) -> list[np.ndarra
         for shapes in widths.values():
             parts = [chunk[s][1][slot] for s in shapes]
             block = parts[0] if len(parts) == 1 else np.concatenate(parts)
-            bad = bad or (slot < dists and bool(invalid_rows(block).any()))
-            reduced.append((shapes, spec.block_sums(block).reshape(len(block), -1)))
-    tails = None
-    if not bad:
-        try:
-            tails = [np.array(spec.from_row_sums(s.ravel().tolist()), float).reshape(s.shape) for _, s in reduced]
-        except Exception:  # run again below, outside this handler, so the error raised carries no other
-            pass
-    if tails is None:
-        sums = _per_shape(chunk, reduced)
-
-        def replay(s: int, j: int) -> None:
-            for block in chunk[s][1][:dists]:
-                Distribution(block[j])
-            for part in sums[s]:
-                spec.from_row_sums(part[j].tolist())
-
-        _raise_first(chunk, replay)
-    values = _per_shape(chunk, [(shapes, block) for (shapes, _), block in zip(reduced, tails)])
+            if slot < dists and invalid_rows(block).any():
+                return None
+            sums = spec.block_sums(block).reshape(len(block), -1)
+            tails, at = np.array(spec.from_row_sums(sums.ravel().tolist()), float).reshape(sums.shape), 0
+            for s in shapes:
+                k = len(chunk[s][0])
+                values[s].append(tails[at:at + k])
+                at += k
     return [v[0] if len(v) == 1 else np.concatenate(v, axis=1) for v in values]
-
-
-def _per_shape(chunk, blocks) -> list[list[np.ndarray]]:
-    """Each shape's rows of ``blocks``, slot by slot; a block is (its shapes, its rows, shape after shape)."""
-    pieces: list[list[np.ndarray]] = [[] for _ in chunk]
-    for shapes, block in blocks:
-        at = 0
-        for s in shapes:
-            k = len(chunk[s][0])
-            pieces[s].append(block[at:at + k])
-            at += k
-    return pieces
 
 
 def _bounded(rng) -> Callable[[int], int]:

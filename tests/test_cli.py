@@ -12,9 +12,11 @@ import pytest
 from gek.cli import (
     _COMMANDS,
     MAX_SERIES_ORDER,
+    MAX_SHORTHAND_SIZE,
     _build_parser,
     _dump_json,
     _float_params,
+    _load_distribution,
     _parse_sweep,
     main,
     parse_args,
@@ -533,6 +535,14 @@ class TestLmgDemo:
         lines = text.strip().splitlines()
         assert len(lines) == 2 and lines[1].startswith("3,")
 
+    def test_l_and_sweep_l_are_refused_together(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["lmg", "demo", "--m", "1", "--N", "10", "--occupations", "5,5", "--a", "3", "--alpha", "0.25",
+                  "--sweep-L", "--L", "2"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "not allowed with argument" in err
+
     def test_extensive_order_must_be_positive(self):
         with pytest.raises(SystemExit) as exc:
             main(["lmg", "demo", "--m", "1", "--N", "12", "--occupations", "6,6", "--a", "2",
@@ -685,6 +695,24 @@ def test_non_numeric_params_value_is_refused_cold():
     assert (result.returncode, result.stdout) == (2, "")
     assert "error: parameter alpha='abc' is not a number" in result.stderr
     assert {m.split(".")[0] for m in loaded} & {"numpy", "scipy"} == set()
+
+
+@pytest.mark.parametrize("command", [["entropy", "eval", "--params", "alpha=0.5"],
+                                     ["entropy", "sweep", "--param", "alpha=0.1:0.5:0.1"]], ids=["eval", "sweep"])
+def test_a_shorthand_of_more_digits_than_int_reads_is_refused_cold(command):
+    # 5000 digits are past the 4300 that int() reads from a string; the size is refused before any int() call
+    result, loaded = run_cold([*command, "--family", "renyi", "--dist", "u" + "9" * 5000])
+    assert (result.returncode, result.stdout) == (2, "")
+    assert "Traceback" not in result.stderr
+    assert f"has more than {MAX_SHORTHAND_SIZE} outcomes" in result.stderr
+    assert {m.split(".")[0] for m in loaded} & {"numpy", "scipy"} == set()
+
+
+def test_leading_zeros_of_a_shorthand_count_for_nothing():
+    assert _load_distribution("u" + "0" * 5000 + "4").p.tolist() == [0.25] * 4
+    assert _load_distribution("d" + "0" * 20 + "3").p.tolist() == [1.0, 0.0, 0.0]
+    with pytest.raises(InputError, match="has more than"):
+        _load_distribution("u" + "0" * 20 + str(MAX_SHORTHAND_SIZE + 1))
 
 
 def test_sweep_refuses_a_bad_spec_before_a_bad_dist():

@@ -22,8 +22,8 @@ ENTROPY_FAMILIES = ["renyi", "zq", "zk", "zab", "zg", "altz", "boltzmann", "tsal
                     "control", "vn", "nope"]
 GROUP_FAMILIES = ["id", "tsallis", "kaniadakis", "abel", "nope"]
 KEYS = ["alpha", "q", "k", "a", "b", "g", "zeta"]
-DISTS = ["u4", "d3", "u1", "u0", "u1000000", "u99999999999", "0.5,0.5", "0.25,0.25,0.5", "0.5,nan", "1,inf",
-         "-0,1", "1e-320,1", "0.5,0.6", "0.5,abc", "dist-nan", "dist-inf", "dist-empty"]
+DISTS = ["u4", "d3", "u1", "u0", "u1000000", "u99999999999", "u" + "9" * 4301, "0.5,0.5", "0.25,0.25,0.5",
+         "0.5,nan", "1,inf", "-0,1", "1e-320,1", "0.5,0.6", "0.5,abc", "dist-nan", "dist-inf", "dist-empty"]
 FILES = {
     "dist-nan": "0.5\nnan\n0.5\n",
     "dist-inf": "inf\n1\n",

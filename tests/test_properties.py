@@ -738,6 +738,22 @@ class TestAgainstThePerTrialReference:
             reports += check_schur_concavity(spec, seed=seed, w_values=(9, 17, 33))
             assert [r.as_dict() for r in reports] == [r.as_dict() for r in expected], chunk
 
+    @pytest.mark.parametrize("chunk", [1024, 7, 1])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("family, params", [("renyi", {"alpha": 0.5}), ("zk", {"k": 0.3, "alpha": 0.5}),
+                                                ("control", {})], ids=["renyi", "zk", "control"])
+    def test_the_witness_is_read_across_skipped_trials(self, family, params, seed, chunk, monkeypatch):
+        # a w = 1 trial of the continuity proxy has no admissible shift and is skipped, so about a third of the
+        # 300 trials are skipped among the kept ones, and the fold's i-th kept trial is not trial i
+        import gek.properties as properties
+
+        spec = entropy_spec(family, params)
+        expected = reference_run_rows(spec, _reference_judges()["sk"][:1], 300, seed, (1, 2, 3))[0]
+        monkeypatch.setattr(properties, "_CHUNK", chunk)
+        report = check_sk_axioms(spec, 300, seed, w_values=(1, 2, 3))[0]
+        assert 0 < report.skipped < 300
+        assert repr(report.as_dict()) == repr(expected.as_dict())
+
 
 class _NanAbove(IdentityGroup):
     """The identity G, except NaN above a threshold: an entropy that turns NaN on some inputs."""
@@ -974,30 +990,41 @@ class TestBlockJudges:
         assert str(got.value) == str(expected.value)
 
     @pytest.mark.parametrize("chunk", [1024, 256, 7, 1])
-    @pytest.mark.parametrize("first", ["range", "input"])
+    @pytest.mark.parametrize("first", ["range", "input", "judge"])
     def test_the_first_trials_error_ends_the_check_whatever_the_chunk(self, first, chunk, monkeypatch):
         # trials alternate w = 3 and w = 4 on low-entropy vectors; trial 3 (w = 4) and trial 4 (w = 3) are uniform,
-        # whose entropy G refuses, or do not sum to 1.  The first of the two raises, in any chunk that holds both
+        # whose entropy G refuses, or do not sum to 1, or trial 3's value (about 0.93) passes G but not the judge,
+        # which refuses a value above 0.8.  The first of the two raises, in any chunk that holds both
         import gek.properties as properties
         from gek.properties import _Row, _run_rows
 
         spec = EntropySpec("zg", {"alpha": 0.5}, _RangeAbove(0.5))
         low = {3: [0.98, 0.01, 0.01], 4: [0.97, 0.01, 0.01, 0.01]}
-        special = {3: [0.25] * 4, 4: [0.5] * 3} if first == "range" else {3: [0.5] * 4, 4: [1 / 3] * 3}
+        special = {"range": {3: [0.25] * 4, 4: [0.5] * 3}, "input": {3: [0.5] * 4, 4: [1 / 3] * 3},
+                   "judge": {3: [0.85, 0.05, 0.05, 0.05], 4: [1 / 3] * 3}}[first]
         vectors = [special.get(t, low[3 + t % 2]) for t in range(300)]
-        with pytest.raises(Exception) as expected:  # one trial at a time: validate, then evaluate
+
+        def judge_one(value):
+            if value > 0.8:
+                raise ValueError(f"the judge refuses {value!r}")
+
+        with pytest.raises(Exception) as expected:  # one trial at a time: validate, evaluate, then judge
             for v in vectors:
                 Distribution(v)
-                spec.raw_value(v)
-        assert expected.type is (RangeError if first == "range" else InputError)
+                judge_one(spec.raw_value(v))
+        assert expected.type is {"range": RangeError, "input": InputError, "judge": ValueError}[first]
 
         def draw(rng, below, w_values, trials=iter(vectors)):
             v = next(trials)
             return len(v), v
 
-        row = _Row("errors", draw, lambda key, variates: ((np.array(variates),), None),
-                   lambda spec, blocks, values, extras: (values[:, 0], None, extras), lambda *args: {}, 1, -math.inf,
-                   math.inf)
+        def judge(spec, blocks, values, extras):
+            for value in values[:, 0].tolist():
+                judge_one(value)
+            return values[:, 0], None, extras
+
+        row = _Row("errors", draw, lambda key, variates: ((np.array(variates),), None), judge, lambda *args: {}, 1,
+                   -math.inf, math.inf)
         monkeypatch.setattr(properties, "_CHUNK", chunk)
         with pytest.raises(expected.type) as got:
             _run_rows(spec, (row,), 300, 0, ())

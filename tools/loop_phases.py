@@ -16,11 +16,14 @@ timed ones, so nothing under ``src/`` changes:
 - draw: ``row.draw``, once per trial;
 - build: ``row.build``, once per shape of a chunk;
 - reduce: ``_chunk_values`` less its tails, which validates the blocks and
-  reduces them with ``EntropySpec.block_sums``;
+  reduces them with ``EntropySpec.block_sums``; it returns None at a vector
+  that is not a distribution, which none of these rows draws;
 - tails: ``EntropySpec.from_row_sums``, the scalar tails, once per reduced
   block;
-- judge + fold: the rest of the row's wall time, which is its judges, its
-  witnesses, the fold of each chunk and the loop's own bookkeeping.
+- judge + fold: the rest of the row's wall time, which is its judges (which
+  ``_evaluate`` runs after ``_chunk_values``), its witnesses, the fold of each
+  chunk and the loop's own bookkeeping.  A chunk that raises is run again one
+  trial at a time and ends the check, so no phase here holds that replay.
 
 A cycle runs every family once; each figure is the median over ``--cycles``
 cycles in this one process, in ms, summed over the nine families.  Each
