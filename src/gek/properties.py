@@ -191,9 +191,9 @@ def _chunk_values(spec: EntropySpec | None, chunk, dists: int) -> list[np.ndarra
     width only where a key has two parts), so each is checked and reduced by
     a few numpy calls, with ``spec.block_sums``.  The first ``dists`` slots
     hold distributions.  ``spec.from_row_sums`` runs the family's tail once
-    per reduced block, and the values are sliced back per shape.  None
-    as soon as a distribution slot holds a vector that ``invalid_rows``
-    rejects: ``_evaluate`` then runs the chunk trial by trial.
+    per reduced block, and the values are sliced back per shape.  It returns
+    None as soon as a distribution slot holds a vector that ``invalid_rows``
+    rejects, and ``_evaluate`` then runs the chunk trial by trial.
     """
     if not chunk[0][1]:
         return [np.empty((len(ids), 0)) for ids, *_ in chunk]
@@ -208,7 +208,8 @@ def _chunk_values(spec: EntropySpec | None, chunk, dists: int) -> list[np.ndarra
             if slot < dists and invalid_rows(block).any():
                 return None
             sums = spec.block_sums(block).reshape(len(block), -1)
-            tails, at = np.array(spec.from_row_sums(sums.ravel().tolist()), float).reshape(sums.shape), 0
+            tails = np.array(spec.from_row_sums(sums.ravel().tolist()), float).reshape(sums.shape)
+            at = 0
             for s in shapes:
                 k = len(chunk[s][0])
                 values[s].append(tails[at:at + k])

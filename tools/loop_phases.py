@@ -22,8 +22,8 @@ timed ones, so nothing under ``src/`` changes:
   block;
 - judge + fold: the rest of the row's wall time, which is its judges (which
   ``_evaluate`` runs after ``_chunk_values``), its witnesses, the fold of each
-  chunk and the loop's own bookkeeping.  A chunk that raises is run again one
-  trial at a time and ends the check, so no phase here holds that replay.
+  chunk and the loop's own bookkeeping.  No chunk of these rows raises, so
+  no figure holds the trial-by-trial replay that a chunk which raises gets.
 
 A cycle runs every family once; each figure is the median over ``--cycles``
 cycles in this one process, in ms, summed over the nine families.  Each
