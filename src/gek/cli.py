@@ -43,12 +43,15 @@ SCHEMA_VERSION = "1"
 MAX_SWEEP_POINTS = 100_000
 # and evaluates the whole distribution at each point that changes the exponent: 10**8 entries take about 1.5 s
 MAX_SWEEP_ENTRIES = 10**8
-# the exact series commands print O(order^2) rows; `grouplaw expand` of an abel law
-# takes about 8 ms in-process at order 40, 17 ms at 50 and 38 ms at 64, most of it
-# `reversion` (median of 7 processes, shared 2-vCPU VM, Python 3.11)
+# the exact series commands print O(order^2) rows; in-process, `grouplaw expand` of an
+# abel law takes about 3.4 ms at order 40, 4.5 ms at 50 and 6.2 ms at 64, most of it
+# printing the rows, and `series invert` of its carrier about 6 ms, 12-15 ms and 29-38 ms,
+# most of it `reversion` (median of 7 processes, shared 2-vCPU VM, Python 3.11)
 MAX_SERIES_ORDER = 40
 # the uW / dW shorthands of --dist: W = 1e7 takes about 0.3 s and 270 MB; larger sizes are rejected unbuilt
 MAX_SHORTHAND_SIZE = 10**7
+# a refused shorthand longer than this is echoed cut, with its length, so the error stays one short line
+_ECHO_MAX = 40
 
 
 def _fmt(x: float) -> str:
@@ -136,7 +139,8 @@ def _load_distribution(token: str) -> Distribution:
         # a size with more digits than the cap is over it, and int() refuses a string of over 4300 digits
         digits = short.group(2).lstrip("0") or "0"
         if len(digits) > len(str(MAX_SHORTHAND_SIZE)) or (size := int(digits)) > MAX_SHORTHAND_SIZE:
-            raise InputError(f"--dist {token!r} has more than {MAX_SHORTHAND_SIZE} outcomes")
+            shown = repr(token) if len(token) <= _ECHO_MAX else f"{token[:_ECHO_MAX]!r}... ({len(token)} characters)"
+            raise InputError(f"--dist {shown} has more than {MAX_SHORTHAND_SIZE} outcomes")
         return Distribution.uniform(size) if short.group(1) == "u" else Distribution.delta(size)
     if "," in token:
         return Distribution(_probabilities(token.split(",")))

@@ -40,10 +40,10 @@ def _brent(f: Callable[[float], float], lo: float, hi: float) -> float:
         return xpre
     if fcur == 0:
         return xcur
-    if _signbit(fpre) == _signbit(fcur):
+    if (fpre < 0) == (fcur < 0):  # both nonzero and not NaN, so this is scipy's signbit test
         raise ConvergenceError(f"root finder: no sign change on [{lo}, {hi}]")
     for _ in range(_MAXITER):
-        if fpre != 0 and fcur != 0 and _signbit(fpre) != _signbit(fcur):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
         if abs(fblk) < abs(fcur):
@@ -77,10 +77,6 @@ def _brent(f: Callable[[float], float], lo: float, hi: float) -> float:
         if fcur != fcur:
             raise ConvergenceError(f"root finder: NaN value at {xcur}")
     raise ConvergenceError(f"root finder: no convergence in {_MAXITER} iterations on [{lo}, {hi}]")
-
-
-def _signbit(x: float) -> bool:
-    return math.copysign(1.0, x) < 0
 
 
 class GroupFunction:

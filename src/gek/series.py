@@ -33,9 +33,10 @@ def _frac(value: Rational) -> Fraction:
 # gcd of the denominator and every numerator) is divided out as the power is
 # formed, so its denominator is the least common denominator of its reduced
 # coefficients and does not grow with the exponent.  The group law takes no
-# powers of G^-1: ``group_law_from_G`` builds it one power of y at a time by a
-# linear recurrence from the invariant differential, each row's content divided
-# out the same way.
+# powers of G^-1: ``group_law_from_G`` builds a two-exponential G's law in
+# closed form from s = a + b and p = ab, and any other G's one power of y at a
+# time by a linear recurrence from the invariant differential, each row's
+# content divided out the same way.
 
 
 def _ints(coeffs: Iterable[Fraction]) -> tuple[list[int], int]:
@@ -296,6 +297,50 @@ class BivariateTruncatedSeries(Record):
         return BivariateTruncatedSeries({k: c * f for k, c in self.coeffs.items()}, self.order)
 
 
+def _abel_betas(s: Fraction, p: Fraction, n: int) -> list[Fraction]:
+    """beta_1..beta_n of the Abel formal group law of G_{a,b}, from s = a + b and p = ab alone.
+
+    beta_1 = s and, for m > 1, beta_m = (-1)^(m-1) / (m! (m-1)) prod_{i+j=m-1} (i a + j b).
+    The factors (i, j) and (j, i) multiply to ij s^2 + (i - j)^2 p, and for odd m
+    the middle factor is ((m - 1)/2) s, so a and b may be irrational or complex.
+    Each beta_m is one integer product over one denominator, normalised once.
+    """
+    sn, sd, pn, pd = s.numerator, s.denominator, p.numerator, p.denominator
+    # ij s^2 + (i - j)^2 p = (ij ss + (i - j)^2 pp) / pair_den
+    ss, pp, pair_den = sn * sn * pd, pn * sd * sd, sd * sd * pd
+    betas, factorial = [s], 1
+    for m in range(2, n + 1):
+        factorial *= m
+        num, den = 1, factorial * (m - 1)
+        for i in range(m // 2):  # the pairs i < j = m - 1 - i
+            num *= i * (m - 1 - i) * ss + (m - 1 - 2 * i) ** 2 * pp
+            den *= pair_den
+        if m % 2:
+            num *= (m - 1) // 2 * sn
+            den *= sd
+        betas.append(Fraction(num if m % 2 else -num, den))
+    return betas
+
+
+def _two_exponential(g: TruncatedSeries, order: int) -> tuple[Fraction, Fraction] | None:
+    """(s, p) if g solves G'' = s G' - p G up to degree ``order``, else None.
+
+    With g = nums / den, s = 2 c_2 and p = 4 c_2^2 - 6 c_3 make the recurrence
+    (k + 2)(k + 1) c_(k+2) = s (k + 1) c_(k+1) - p c_k hold at k = 0 and 1; it is
+    tested at k = 2..order-2, times den^3, on integers.  Every G_{a,b} passes, with
+    s = a + b and p = ab; below order 4 every g does.
+    """
+    nums, den = _ints(g.coeffs[: order + 1])
+    nums += [0] * (4 - len(nums))
+    c2, c3 = nums[2], nums[3]
+    s2 = 2 * c2 * den  # s den^2
+    p3 = 4 * c2 * c2 - 6 * c3 * den  # p den^2
+    for k in range(2, order - 1):
+        if (k + 2) * (k + 1) * nums[k + 2] * den * den != s2 * (k + 1) * nums[k + 1] - p3 * nums[k]:
+            return None
+    return Fraction(2 * c2, den), Fraction(p3, den * den)
+
+
 def group_law_from_G(g: TruncatedSeries, order: int) -> BivariateTruncatedSeries:
     """Expand G(G^{-1}(x) + G^{-1}(y)) as an exact bivariate polynomial.
 
@@ -304,17 +349,26 @@ def group_law_from_G(g: TruncatedSeries, order: int) -> BivariateTruncatedSeries
     result is truncated at total degree ``order`` and by construction starts
     with ``x + y``.
 
-    The law is built one power of y at a time from the invariant differential
-    (Hazewinkel, *Formal Groups and Applications*, 1978, ch. 1), with no power
-    of G^-1: with l = G^-1, D = 1/l' and u, v = l(x), l(y), both D(x) d_x psi
-    and D(y) d_y psi equal G'(u + v).  So psi = sum_j psi_j(x) y^j has psi_0 =
-    x, psi_1 = D and (j + 1) psi_(j+1) = D psi_j' - sum_(i>=1) D_i (j + 1 - i)
-    psi_(j+1-i), truncated at x-degree order - j - 1.  Each row is integer
-    numerators over one denominator with its content divided out, and only
-    nonzero coefficients become Fractions.  Each coefficient is computed on
-    its own, so the commutativity check still tests psi_ij against psi_ji.
-    The rows take O(order^3) integer multiply-adds at most, fewer where D and
-    the rows have zero coefficients.
+    A g that solves G'' = s G' - p G up to degree ``order`` is a two-exponential
+    G_{a,b} = (e^(at) - e^(bt))/(a - b) with s = a + b and p = ab (every registry
+    carrier is one), and its law is the Abel formal group law (Tempesta, PRE 84
+    (2011) 021121) psi = x + y + s xy + sum_(m>=2) beta_m (x^m y + x y^m), built
+    from s and p in O(order^2) integer multiplies with no reversion.  It is
+    symmetric by construction: psi_ij and psi_ji are one value.
+
+    Any other g takes the row recurrence, one power of y at a time from the
+    invariant differential (Hazewinkel, *Formal Groups and Applications*, 1978,
+    ch. 1), with no power of G^-1: with l = G^-1, D = 1/l' and u, v = l(x),
+    l(y), both D(x) d_x psi and D(y) d_y psi equal G'(u + v).  So psi = sum_j
+    psi_j(x) y^j has psi_0 = x, psi_1 = D and (j + 1) psi_(j+1) = D psi_j' -
+    sum_(i>=1) D_i (j + 1 - i) psi_(j+1-i), truncated at x-degree order - j - 1.
+    Each row is integer numerators over one denominator with its content
+    divided out, and only nonzero coefficients become Fractions.  Each
+    coefficient is computed on its own, so the commutativity check still tests
+    psi_ij against psi_ji.  The rows take O(order^3) integer multiply-adds at
+    most, fewer where D and the rows have zero coefficients.
+
+    Either way zero coefficients are dropped and keys are in sorted order.
     """
     if g[0] != 0 or g[1] != 1:
         raise NormalizationError("group-law construction requires c_0 = 0 and c_1 = 1")
@@ -322,6 +376,14 @@ def group_law_from_G(g: TruncatedSeries, order: int) -> BivariateTruncatedSeries
         raise ValueError("order must be at least 1")
     if g.order < order:
         raise ValueError(f"series order {g.order} is below the requested expansion order {order}")
+    roots = _two_exponential(g, order)
+    if roots is not None:
+        law: dict[tuple[int, int], Rational] = {(0, 1): 1, (1, 0): 1}
+        if order > 1:
+            betas = _abel_betas(*roots, order - 1)
+            law.update(((1, m), beta) for m, beta in enumerate(betas, 1))
+            law.update(((m, 1), beta) for m, beta in enumerate(betas[1:], 2))
+        return BivariateTruncatedSeries(law, order)
     ell, ell_den = _ints(reversion(g.truncated(order)).coeffs[1:])  # l_(k+1) = ell[k] / ell_den
     d_nums, d_den = _reciprocal([k * v for k, v in enumerate(ell, 1)], ell_den)  # D = 1/l', degrees 0..order-1
     d_terms = [(i, c) for i, c in enumerate(d_nums) if c]
@@ -501,13 +563,7 @@ def abel_group_coefficients(a: Rational, b: Rational, n: int) -> AbelCoefficient
     if n < 1:
         raise ValueError("need at least one coefficient")
     af, bf = _frac(a), _frac(b)
-    betas = [af + bf]
-    for m in range(2, n + 1):
-        prod = Fraction(1)
-        for i in range(m):
-            prod *= i * af + (m - 1 - i) * bf
-        betas.append(Fraction((-1) ** (m - 1), math.factorial(m) * (m - 1)) * prod)
-    return AbelCoefficients(af, bf, tuple(betas))
+    return AbelCoefficients(af, bf, tuple(_abel_betas(af + bf, af * bf, n)))
 
 
 def identity_series(order: int) -> TruncatedSeries:

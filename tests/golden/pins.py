@@ -7,9 +7,11 @@ Each pin is a JSON file beside this script, written with ``indent=1``:
   name of the exception that escaped ``main`` (null if none did).  The list has
   no grid: the pinned entries are their own.
 * ``verify_pin.json``: seeded ``gek verify`` runs, with their argv, exit code
-  and stdout.  With ``--suite all``, twelve families at 1, 255, 256, 257 and
-  2500 trials (on both sides of the 256-trial chunk) and seeds 7 and 99; then
-  each standalone suite for four families at 257 trials and seed 7.
+  and stdout.  With ``--suite all``, twelve families at 1, 1023, 1024, 1025
+  and 2500 trials (on both sides of the 1024-trial chunk, ``properties._CHUNK``),
+  at 255, 256 and 257 (on both sides of the 256-trial chunk it replaced), and
+  seeds 7 and 99; then each standalone suite for four families at 257 trials
+  and seed 7.
 * ``series_pin.json``: ``cli`` holds ``gek series invert`` at orders 1 to 22
   (plus rejected, unnormalized inputs) and at 30 and 40, and ``gek grouplaw
   expand`` for every group-function name at orders 8 to 14 and for tsallis,
@@ -68,7 +70,7 @@ FAMILIES = [
     ("landsberg_vedral", "q=0.5"),
     ("altz", "g=tsallis,q=0.5,alpha=0.7"),
 ]
-TRIALS = (1, 255, 256, 257, 2500)
+TRIALS = (1, 255, 256, 257, 1023, 1024, 1025, 2500)
 SEEDS = (7, 99)
 # (family, --params, suites): each standalone suite on its own, at 257 trials
 # and seed 7, so a slip in how ``verify`` picks a suite's checks moves an

@@ -715,6 +715,24 @@ def test_leading_zeros_of_a_shorthand_count_for_nothing():
         _load_distribution("u" + "0" * 20 + str(MAX_SHORTHAND_SIZE + 1))
 
 
+@pytest.mark.parametrize("command", [["entropy", "eval", "--params", "alpha=0.5"],
+                                     ["entropy", "sweep", "--param", "alpha=0.1:0.5:0.1"]], ids=["eval", "sweep"])
+def test_a_long_refused_shorthand_is_cut_to_one_short_line(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--family", "renyi", "--dist", "u" + "9" * 5000])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert len(captured.err.encode()) < 200
+    assert captured.err == f"error: --dist 'u{'9' * 39}'... (5001 characters) has more than {MAX_SHORTHAND_SIZE} outcomes\n"
+
+
+@pytest.mark.parametrize("token", ["u10000001", "d" + "0" * 20 + "10000001", "u" + "9" * 39])
+def test_a_short_refused_shorthand_is_echoed_whole(token):
+    with pytest.raises(InputError) as exc:
+        _load_distribution(token)
+    assert str(exc.value) == f"--dist {token!r} has more than {MAX_SHORTHAND_SIZE} outcomes"
+
+
 def test_sweep_refuses_a_bad_spec_before_a_bad_dist():
     # both inputs are bad: the spec is built before --dist is read, so its refusal is the one reported
     result, loaded = run_cold(["entropy", "sweep", "--family", "nosuch", "--dist", "no/such/file", "--param",

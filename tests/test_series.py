@@ -662,9 +662,56 @@ def seeded_b_series(rng, order):
 LAW_CARRIERS = {"id": identity_series, **CARRIERS}
 
 
+def two_exponential_series(s, p, order):
+    """G with c_1 = 1, c_2 = s/2 and (k + 2)(k + 1) c_(k+2) = s (k + 1) c_(k+1) - p c_k: G'' = s G' - p G, roots of z^2 - s z + p."""
+    c = [F(0), F(1), F(s) / 2]
+    for k in range(1, order - 1):
+        c.append((s * (k + 1) * c[k + 1] - p * c[k]) / ((k + 2) * (k + 1)))
+    return TruncatedSeries(c[: order + 1])
+
+
+def seeded_roots(seed):
+    """(s, p) = (a + b, ab) for seeded rational roots a, b."""
+    rng = random.Random(seed)
+    a, b = (F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(2))
+    return a + b, a * b
+
+
+# (s, p): complex roots, complex roots with s = 0, a repeated root, p = 0 (b = 0), s = 0 (b = -a), seeded rational roots
+TWO_EXPONENTIALS = {
+    "complex": (F(1), F(1)),
+    "complex-s=0": (F(0), F(1)),
+    "repeated": (F(2), F(1)),
+    "p=0": (F(3, 7), F(0)),
+    "s=0": (F(0), F(-4, 9)),
+    **{f"seeded-{seed}": seeded_roots(seed) for seed in range(4)},
+}
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    """The calls to ``reversion``, ``_powers`` and ``_bimul``; a power call records whether it ran inside ``reversion``."""
+    calls, depth = [], []
+    powers, bimul, inverse = series_module._powers, series_module._bimul, series_module.reversion
+
+    def reversion_spy(f):
+        calls.append(("reversion", bool(depth)))
+        depth.append(f)
+        try:
+            return inverse(f)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(series_module, "reversion", reversion_spy)
+    monkeypatch.setattr(series_module, "_powers", lambda *a: calls.append(("_powers", bool(depth))) or powers(*a))
+    monkeypatch.setattr(series_module, "_bimul", lambda *a: calls.append(("_bimul", bool(depth))) or bimul(*a))
+    return calls
+
+
 class TestRowRecurrenceLaw:
-    """``group_law_from_G`` builds the law row by row from the invariant differential; the sum over the
-    powers of G^-1 it replaced is the reference, coefficient for coefficient and key for key."""
+    """``group_law_from_G`` builds a two-exponential G's law in closed form and any other G's row by row from the
+    invariant differential; the sum over the powers of G^-1 is the reference for both, coefficient for coefficient
+    and key for key."""
 
     def check(self, g, order):
         assert list(group_law_from_G(g, order).coeffs.items()) == list(ref_group_law_by_powers(g, order).coeffs.items())
@@ -685,22 +732,42 @@ class TestRowRecurrenceLaw:
     def test_order_64(self, build):
         self.check(build(64), 64)
 
-    def test_no_powers_of_the_inverse_and_no_bivariate_products(self, monkeypatch):
-        calls, depth = [], []
-        powers, bimul, inverse = series_module._powers, series_module._bimul, series_module.reversion
+    @pytest.mark.parametrize("order", range(1, 41))
+    @pytest.mark.parametrize("roots", sorted(TWO_EXPONENTIALS))
+    def test_two_exponentials_take_the_closed_form(self, roots, order, spy):
+        g = two_exponential_series(*TWO_EXPONENTIALS[roots], order)
+        law = group_law_from_G(g, order)
+        assert spy == []
+        assert list(law.coeffs.items()) == list(ref_group_law_by_powers(g, order).coeffs.items())
 
-        def reversion_spy(f):
-            depth.append(f)
-            try:
-                return inverse(f)
-            finally:
-                depth.pop()
+    @pytest.mark.parametrize("order", range(4, 25))
+    def test_near_miss_abel_carriers_take_the_row_recurrence(self, order, spy):
+        # the recurrence first constrains c_4, so moving any c_k with k >= 4 leaves the closed form's family
+        for k in range(4, order + 1):
+            coeffs = list(CARRIERS["abel"](order).coeffs)
+            coeffs[k] += F(1, 997)
+            g = TruncatedSeries(coeffs)
+            spy.clear()
+            law = group_law_from_G(g, order)
+            assert spy[:1] == [("reversion", False)] and ("_bimul", False) not in spy, k
+            assert list(law.coeffs.items()) == list(ref_group_law_by_powers(g, order).coeffs.items()), k
 
-        monkeypatch.setattr(series_module, "reversion", reversion_spy)
-        monkeypatch.setattr(series_module, "_powers", lambda *a: calls.append(("_powers", bool(depth))) or powers(*a))
-        monkeypatch.setattr(series_module, "_bimul", lambda *a: calls.append(("_bimul", bool(depth))) or bimul(*a))
-        group_law_from_G(CARRIERS["abel"](12), 12)
-        assert calls == [("_powers", True), ("_powers", True)]
+    @pytest.mark.parametrize("order", range(2, 41))
+    @pytest.mark.parametrize("a, b", [(F(5, 13), F(-7, 11)), (F(5, 13), F(5, 13)), (F(0), F(0)), (F(3, 4), F(0))],
+                             ids=str)
+    def test_abel_coefficients_are_the_laws_brackets(self, a, b, order):
+        law = ref_group_law_by_powers(abel_exp_series(a, b, order), order)
+        betas = abel_group_coefficients(a, b, order - 1).betas
+        assert [law[(1, m)] for m in range(1, order)] == list(betas)
+        assert [law[(m, 1)] for m in range(2, order)] == list(betas[1:])
+
+    @pytest.mark.parametrize("build, calls", [
+        (CARRIERS["abel"], []),
+        (lambda n: seeded_b_series(random.Random(3012), n), [("reversion", False), ("_powers", True), ("_powers", True)]),
+    ], ids=["abel", "b-sequence"])
+    def test_no_powers_of_the_inverse_and_no_bivariate_products(self, build, calls, spy):
+        group_law_from_G(build(12), 12)
+        assert spy == calls
 
 
 def ref_tsallis_exp_series(q, order):
