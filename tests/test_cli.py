@@ -723,7 +723,8 @@ def test_a_long_refused_shorthand_is_cut_to_one_short_line(command, capsys):
     captured = capsys.readouterr()
     assert (exc.value.code, captured.out) == (2, "")
     assert len(captured.err.encode()) < 200
-    assert captured.err == f"error: --dist 'u{'9' * 39}'... (5001 characters) has more than {MAX_SHORTHAND_SIZE} outcomes\n"
+    cut = f"'u{'9' * 39}'... (5001 characters)"
+    assert captured.err == f"error: --dist {cut} has more than {MAX_SHORTHAND_SIZE} outcomes\n"
 
 
 @pytest.mark.parametrize("token", ["u10000001", "d" + "0" * 20 + "10000001", "u" + "9" * 39])

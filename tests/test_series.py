@@ -663,7 +663,8 @@ LAW_CARRIERS = {"id": identity_series, **CARRIERS}
 
 
 def two_exponential_series(s, p, order):
-    """G with c_1 = 1, c_2 = s/2 and (k + 2)(k + 1) c_(k+2) = s (k + 1) c_(k+1) - p c_k: G'' = s G' - p G, roots of z^2 - s z + p."""
+    """G'' = s G' - p G, G_{a,b} with a, b the roots of z^2 - s z + p: c_1 = 1, c_2 = s/2 and
+    (k + 2)(k + 1) c_(k+2) = s (k + 1) c_(k+1) - p c_k."""
     c = [F(0), F(1), F(s) / 2]
     for k in range(1, order - 1):
         c.append((s * (k + 1) * c[k + 1] - p * c[k]) / ((k + 2) * (k + 1)))
@@ -690,7 +691,7 @@ TWO_EXPONENTIALS = {
 
 @pytest.fixture
 def spy(monkeypatch):
-    """The calls to ``reversion``, ``_powers`` and ``_bimul``; a power call records whether it ran inside ``reversion``."""
+    """The calls to ``reversion``, ``_powers`` and ``_bimul``, each with whether it ran inside ``reversion``."""
     calls, depth = [], []
     powers, bimul, inverse = series_module._powers, series_module._bimul, series_module.reversion
 
@@ -763,7 +764,8 @@ class TestRowRecurrenceLaw:
 
     @pytest.mark.parametrize("build, calls", [
         (CARRIERS["abel"], []),
-        (lambda n: seeded_b_series(random.Random(3012), n), [("reversion", False), ("_powers", True), ("_powers", True)]),
+        (lambda n: seeded_b_series(random.Random(3012), n),
+         [("reversion", False), ("_powers", True), ("_powers", True)]),
     ], ids=["abel", "b-sequence"])
     def test_no_powers_of_the_inverse_and_no_bivariate_products(self, build, calls, spy):
         group_law_from_G(build(12), 12)
