@@ -50,8 +50,10 @@ MAX_SWEEP_ENTRIES = 10**8
 MAX_SERIES_ORDER = 40
 # the uW / dW shorthands of --dist: W = 1e7 takes about 0.3 s and 270 MB; larger sizes are rejected unbuilt
 MAX_SHORTHAND_SIZE = 10**7
-# a refused shorthand longer than this is echoed cut, with its length, so the error stays one short line
+# a refused token longer than this is echoed cut, with its length, so the error stays one short line; an
+# unreadable path is cut past _PATH_ECHO_MAX, which keeps most real paths whole and the line under 200 bytes
 _ECHO_MAX = 40
+_PATH_ECHO_MAX = 80
 
 
 def _fmt(x: float) -> str:
@@ -119,6 +121,17 @@ def _fraction(text: str, what: str) -> Fraction:
         raise InputError(f"{what} is not an exact rational") from exc
 
 
+def _shown(token: str, most: int = _ECHO_MAX) -> str:
+    """``token`` as an error echoes it: its repr, or its first ``most`` characters, ``...`` and its length."""
+    return repr(token) if len(token) <= most else f"{token[:most]!r}... ({len(token)} characters)"
+
+
+def _unreadable(what: str, path: str, exc: Exception) -> InputError:
+    """The refusal of a file that cannot be read; a cut path names its OS error by the strerror, which omits it."""
+    reason = exc.strerror if len(path) > _PATH_ECHO_MAX and isinstance(exc, OSError) and exc.strerror else exc
+    return InputError(f"cannot read {what} file {_shown(path, _PATH_ECHO_MAX)}: {reason}")
+
+
 def _probabilities(tokens) -> list[float]:
     values = []
     for tok in tokens:
@@ -126,7 +139,7 @@ def _probabilities(tokens) -> list[float]:
             try:
                 values.append(float(tok))
             except ValueError:  # built on failure only: per line, the message took half a long file's parse
-                raise InputError(f"probability {tok.strip()!r} is not a number") from None
+                raise InputError(f"probability {_shown(tok.strip())} is not a number") from None
     return values
 
 
@@ -139,8 +152,7 @@ def _load_distribution(token: str) -> Distribution:
         # a size with more digits than the cap is over it, and int() refuses a string of over 4300 digits
         digits = short.group(2).lstrip("0") or "0"
         if len(digits) > len(str(MAX_SHORTHAND_SIZE)) or (size := int(digits)) > MAX_SHORTHAND_SIZE:
-            shown = repr(token) if len(token) <= _ECHO_MAX else f"{token[:_ECHO_MAX]!r}... ({len(token)} characters)"
-            raise InputError(f"--dist {shown} has more than {MAX_SHORTHAND_SIZE} outcomes")
+            raise InputError(f"--dist {_shown(token)} has more than {MAX_SHORTHAND_SIZE} outcomes")
         return Distribution.uniform(size) if short.group(1) == "u" else Distribution.delta(size)
     if "," in token:
         return Distribution(_probabilities(token.split(",")))
@@ -148,7 +160,7 @@ def _load_distribution(token: str) -> Distribution:
         with open(token) as handle:
             values = _probabilities(handle)
     except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read distribution file {token!r}: {exc}") from exc
+        raise _unreadable("distribution", token, exc) from exc
     if not values:
         raise InputError(f"distribution file {token!r} is empty")
     return Distribution(values)
@@ -167,14 +179,14 @@ def _load_density_matrix(path: str) -> DensityMatrix:
                 for token in re.split(r"[;\s]+", line):
                     parts = token.split(",")
                     if len(parts) not in (1, 2):
-                        raise InputError(f"malformed matrix entry {token!r}")
+                        raise InputError(f"malformed matrix entry {_shown(token)}")
                     try:
                         row.append(complex(float(parts[0]), float(parts[1]) if len(parts) == 2 else 0.0))
                     except ValueError:  # built on failure only, as in _probabilities
-                        raise InputError(f"matrix entry {token!r} is not a number") from None
+                        raise InputError(f"matrix entry {_shown(token)} is not a number") from None
                 rows.append(row)
     except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read density matrix file {path!r}: {exc}") from exc
+        raise _unreadable("density matrix", path, exc) from exc
     if not rows or len({len(r) for r in rows}) != 1:
         raise InputError("density matrix file must contain rows of equal length")
     import numpy as np

@@ -34,7 +34,8 @@ class PropertyReport(Record):
 
     @property
     def passed(self) -> bool:
-        return self.failures == 0
+        # a report whose every trial was skipped evaluated nothing, so it fails closed
+        return self.failures == 0 and self.skipped < self.trials
 
     def as_dict(self) -> dict:
         return {

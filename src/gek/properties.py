@@ -48,29 +48,43 @@ class _Worst:
 
     def __init__(self, worst: float, limit: float):
         self.worst, self.limit = worst, limit
-        self.failures = 0
+        self.failures = self.skipped = 0
         self.witness: dict = {}
 
-    def fold(self, values: np.ndarray, read: Callable[[int], tuple]) -> None:
-        """Fold a chunk's ``values``, in trial order, as if one at a time; ``read(i)`` is (value i, its witness).
+    def fold(self, chunk, order, values, judged, witness) -> None:
+        """Fold a chunk as if one trial at a time, in trial order; a skipped trial is only counted.
 
-        The chunk's candidate is its first NaN, else its first largest value:
-        the first index of ``argmax``, never ``max``, which may return 0.0 for
-        [-0.0, 0.0].  It becomes the worst if it is larger, or a NaN over a
-        number, so the first of equal values wins, as it did trial by trial.
+        Each shape's residuals and skip mask go into trial order by its trial
+        ids.  The candidate is the first NaN of the kept trials, else the first
+        index of ``argmax``, never ``max``, which may return 0.0 for [-0.0, 0.0].
+        It becomes the worst if it is larger, or a NaN over a number, so the
+        first of equal values wins.  Its value is reported as the judge gave it:
+        a Python float from an array of residuals, or the element of a list.
         """
-        if not values.size:
+        n = len(order)
+        residuals, skip = np.empty(n), np.zeros(n, dtype=bool)
+        for (ids, _, _), (r, s, _) in zip(chunk, judged):
+            residuals[list(ids)] = r
+            if s is not None:
+                skip[list(ids)] = s
+        kept = np.flatnonzero(~skip)
+        self.skipped += n - kept.size
+        if not kept.size:
             return
+        residuals = residuals[kept]
         with np.errstate(**_QUIET):
-            i = int(values.argmax())
-            passed = int(np.count_nonzero(values <= self.limit))
-        value = values.item(i)
+            i = int(residuals.argmax())
+            passed = int(np.count_nonzero(residuals <= self.limit))
+        value = residuals.item(i)
         if value > self.worst or (value != value and self.worst == self.worst):
-            self.worst, self.witness = read(i)
-        self.failures += values.size - passed
+            s, j = order[kept.item(i)]
+            r, _, extras = judged[s]
+            self.worst = r.item(j) if isinstance(r, np.ndarray) else r[j]
+            self.witness = witness(chunk[s][1], values[s], extras, j)
+        self.failures += kept.size - passed
 
-    def report(self, name: str, trials: int, seed: int, skipped: int = 0) -> PropertyReport:
-        return PropertyReport(name, trials, self.failures, self.worst, seed, skipped, self.witness)
+    def report(self, name: str, trials: int, seed: int) -> PropertyReport:
+        return PropertyReport(name, trials, self.failures, self.worst, seed, self.skipped, self.witness)
 
 
 class _Row(NamedTuple):
@@ -102,21 +116,22 @@ def _run_rows(spec: EntropySpec | None, rows, trials: int, seed: int, w_values, 
     reduced as a whole, and the family's scalar tail runs once per reduced
     block.  Judge: ``row.judge`` once per shape gives the residual of each of
     its k trials and which to skip, by numpy's IEEE operations, which round as
-    Python's floats do.  Fold: the chunk's residuals, in trial order, into the
-    row's ``_Worst``; ``row.witness`` runs only for a trial that becomes the
-    worst.  An error ends the check as the one-trial-at-a-time loop ended it:
-    a chunk with a bad vector, or one whose tails or judges raise, is run
-    again one trial at a time, in trial order, each trial validated,
-    evaluated and judged before the next (``_evaluate``).  So the first trial
-    that raises ends the check, and a judge error on an earlier trial wins
-    over a value error on a later one, whatever the chunk size.
+    Python's floats do.  Fold: ``_Worst.fold`` scatters the chunk's residuals
+    and skip masks into trial order, counts the skipped trials, and folds the
+    kept ones into the row's worst; ``row.witness`` runs only for a trial that
+    becomes the worst.  An error ends the check as the one-trial-at-a-time
+    loop ended it: a chunk with a bad vector, or one whose tails or judges
+    raise, is run again one trial at a time, in trial order, each trial
+    validated, evaluated and judged before the next (``_evaluate``).  So the
+    first trial that raises ends the check, and a judge error on an earlier
+    trial wins over a value error on a later one, whatever the chunk size.
     """
     check_trials(trials)
     rng = np.random.default_rng(seed)
     below = _bounded(rng)
     reports = []
     for row in rows:
-        fold, skipped = _Worst(row.worst, tol if row.limit is None else row.limit), 0
+        fold = _Worst(row.worst, tol if row.limit is None else row.limit)
         for start in range(0, trials, _CHUNK):
             n = min(_CHUNK, trials - start)
             shapes: dict = {}
@@ -130,8 +145,8 @@ def _run_rows(spec: EntropySpec | None, rows, trials: int, seed: int, w_values, 
                     order[t] = (s, j)
                 chunk.append((ids, *row.build(key, variates)))
             values, judged = _evaluate(spec, row, chunk, order)
-            skipped += _fold_chunk(fold, row.witness, chunk, order, values, judged)
-        reports.append(fold.report(row.name, trials, seed, skipped))
+            fold.fold(chunk, order, values, judged, row.witness)
+        reports.append(fold.report(row.name, trials, seed))
     return reports
 
 
@@ -159,29 +174,6 @@ def _evaluate(spec, row, chunk, order) -> tuple[list, list]:
         values = [v for b in trial for v in spec.from_row_sums(spec.block_sums(b).ravel().tolist())]
         row.judge(spec, trial, np.array([values], float), None if extras is None else extras[j:j + 1])
     raise AssertionError("a chunk raised once but not again")  # pragma: no cover
-
-
-def _fold_chunk(fold: _Worst, witness, chunk, order, values, judged) -> int:
-    """Fold the chunk's residuals into ``fold`` in trial order, less the skipped trials; how many were skipped.
-
-    The worst value is reported as the judge gave it: a Python float from an
-    array of residuals, or the element itself from a list.
-    """
-    n = len(order)
-    residuals, skip = np.empty(n), np.zeros(n, dtype=bool)
-    for (ids, _, _), (r, s, _) in zip(chunk, judged):
-        residuals[list(ids)] = r
-        if s is not None:
-            skip[list(ids)] = s
-    kept = np.flatnonzero(~skip) if skip.any() else None
-
-    def read(i: int) -> tuple:
-        s, j = order[i if kept is None else kept[i]]
-        r, _, extras = judged[s]
-        return r.item(j) if isinstance(r, np.ndarray) else r[j], witness(chunk[s][1], values[s], extras, j)
-
-    fold.fold(residuals if kept is None else residuals[kept], read)
-    return 0 if kept is None else n - kept.size
 
 
 def _chunk_values(spec: EntropySpec | None, chunk, dists: int) -> list[np.ndarray] | None:

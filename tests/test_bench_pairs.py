@@ -93,6 +93,17 @@ def test_host_says_whether_the_runs_could_write_bytecode(monkeypatch):
     assert got["writes_pyc"] is False
     monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
     assert bench_pairs.host(provenance)["writes_pyc"] is True
+    assert got["pyc_precompiled"] is True
+
+
+def test_export_compiles_the_copy_even_where_no_bytecode_is_written(monkeypatch, tmp_path):
+    # the runs of a BENCH file read .pyc files as an installed gek does, whatever PYTHONDONTWRITEBYTECODE says
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    dest = tmp_path / "copy"
+    sha = bench_pairs.export("HEAD", str(dest))
+    assert len(sha) == 40
+    compiled = {p.name.split(".")[0] for p in (dest / "src" / "gek" / "__pycache__").glob("*.pyc")}
+    assert compiled == {p.stem for p in (dest / "src" / "gek").glob("*.py")}
 
 
 def test_host_records_the_numpy_simd_dispatch_in_use():

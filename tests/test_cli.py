@@ -727,6 +727,40 @@ def test_a_long_refused_shorthand_is_cut_to_one_short_line(command, capsys):
     assert captured.err == f"error: --dist {cut} has more than {MAX_SHORTHAND_SIZE} outcomes\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["entropy", "eval", "--family", "renyi", "--params", "alpha=0.5", "--dist", "a" * 5000],
+      f"cannot read distribution file {'a' * 80!r}... (5000 characters): "),
+     (["qentropy", "eval", "--rho", "b" * 5000],
+      f"cannot read density matrix file {'b' * 80!r}... (5000 characters): "),
+     (["entropy", "eval", "--family", "renyi", "--params", "alpha=0.5", "--dist", "0.5," + "c" * 5000],
+      f"probability {'c' * 40!r}... (5000 characters) is not a number")],
+    ids=["dist-path", "rho-path", "inline-token"],
+)
+def test_a_long_token_or_path_is_cut_to_one_short_line(argv, message, capsys):
+    # the OS error of a long path repeats the path, so a cut path is named by its strerror alone
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert len(captured.err.encode()) < 200
+    assert captured.err.startswith("error: " + message)
+    assert "[Errno" not in captured.err and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("path", ["nosuchfile", "no/such/" + "x" * 72], ids=["short", "80-characters"])
+@pytest.mark.parametrize("argv, what", [(["entropy", "eval", "--family", "renyi", "--params", "alpha=0.5", "--dist"],
+                                         "distribution"), (["qentropy", "eval", "--rho"], "density matrix")],
+                         ids=["dist", "rho"])
+def test_an_unreadable_path_of_up_to_80_characters_is_echoed_whole(argv, what, path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, path])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot read {what} file {path!r}: [Errno 2] No such file or directory: {path!r}\n"
+    )
+
+
 @pytest.mark.parametrize("token", ["u10000001", "d" + "0" * 20 + "10000001", "u" + "9" * 39])
 def test_a_short_refused_shorthand_is_echoed_whole(token):
     with pytest.raises(InputError) as exc:

@@ -95,10 +95,18 @@ class TestGroupAxiomsNumeric:
 
     def test_range_errors_become_skips(self):
         # both exponents positive: the function has a finite range infimum and
-        # alpha > 1 pushes sampled values below it, so some trials are skipped
+        # alpha > 1 pushes sampled values below it, so some trials are skipped,
+        # and at alpha = 3 all of them, which leaves nothing evaluated to pass
         report = check_group_axioms_numeric(AbelGroup(2.0, 1.0), 3.0, trials=300, tol=1e-9, seed=3)
-        assert report.passed
-        assert report.skipped > 0
+        assert report.skipped == 300 and report.failures == 0 and not report.passed
+        report = check_group_axioms_numeric(AbelGroup(2.0, 1.0), 1.2, trials=300, tol=1e-9, seed=3)
+        assert 0 < report.skipped < 300 and report.passed
+
+    def test_a_report_whose_every_trial_is_skipped_fails(self):
+        # at alpha = 1.5 every drawn law leaves the range of this G, so no trial is evaluated
+        report = check_group_axioms_numeric(AbelGroup(2, 1), 1.5, trials=1000, seed=7)
+        assert report.skipped == report.trials == 1000 and report.failures == 0
+        assert report.worst_residual == 0.0 and not report.passed and not report.as_dict()["passed"]
 
 
 class TestSkAxioms:
@@ -109,10 +117,16 @@ class TestSkAxioms:
         assert maximum.passed
         assert expansibility.passed and expansibility.worst_residual == 0.0
 
-    def test_continuity_counts_the_trials_it_skips(self):
-        # on one outcome the mean-free direction is 0, so no shifted vector is ever evaluated
+    @pytest.mark.parametrize("chunk", [1024, 7, 1])
+    def test_continuity_counts_the_trials_it_skips(self, chunk, monkeypatch):
+        # on one outcome the mean-free direction is 0, so no shifted vector is ever evaluated; every chunk is wholly
+        # skipped, and a report that evaluated no trial does not pass
+        import gek.properties as properties
+
+        monkeypatch.setattr(properties, "_CHUNK", chunk)
         continuity = check_sk_axioms(SPECS["renyi"], 10, 0, w_values=(1,))[0]
-        assert continuity.skipped == 10 and continuity.passed
+        assert continuity.skipped == continuity.trials == 10 and not continuity.passed
+        assert continuity.failures == 0 and continuity.worst_residual == 0.0 and continuity.witness == {}
         assert check_sk_axioms(SPECS["renyi"], 10, 0)[0].skipped == 0
 
     def test_uniform_maximum_value(self):
@@ -931,7 +945,8 @@ class TestBlockJudges:
         values = np.array([[-0.0, 0.0], [0.0, 0.0]])  # S(p) - S(r) is -0.0, then 0.0
         residuals, _, _ = _judge_ordering(None, (), values, None)
         fold = _Worst(-math.inf, 1e-12)
-        fold.fold(residuals, lambda i: (residuals.item(i), {"trial": i}))
+        fold.fold([((0, 1), (), None)], [(0, 0), (0, 1)], [values], [(residuals, None, None)],
+                  lambda blocks, values, extras, i: {"trial": i})
         reference = PerTrialWorst(-math.inf, 1e-12)
         for i, r in enumerate(residuals.tolist()):
             reference.add(r, lambda i=i: {"trial": i})

@@ -5,17 +5,19 @@ From the root of a git checkout of gek:
     python3 tools/bench_pairs.py --pr 24 --parent HEAD~1 --change HEAD
 
 Each side is a ``git archive`` copy of its commit in a scratch directory, so
-neither run sees the work tree.  For every workload of ``BENCHMARK.json`` the
-script runs the unchanged ``python3 bench/run.py --workload W --seed S
---seconds T --trace 0`` once per side on each of ``PAIRS`` seeds, with T the
-``run_seconds`` of ``BENCHMARK.json``, the two sides alternating which runs
-first, and keeps each run's provenance line and result line.  With
-``--claim WORKLOAD:METRIC`` it then runs the claimed workload on the held-out
-seeds and once per side with ``--trace 1``.  It writes ``BENCH_<pr>.json`` at
-the repository root in the layout of ``BENCH_20.json``: pairs with their
-median and interquartile range per end-to-end metric, provenance, and with a
-claim its verdict, the held-out pairs and one traced run per side; without
-one, ``"claim": null``.
+neither run sees the work tree, and its ``src`` is compiled to bytecode with
+``python -m compileall -q src`` as an installed package is, so a cold ``gek``
+process reads ``.pyc`` files whether or not it may write them.  For every
+workload of ``BENCHMARK.json`` the script runs the unchanged ``python3
+bench/run.py --workload W --seed S --seconds T --trace 0`` once per side on
+each of ``PAIRS`` seeds, with T the ``run_seconds`` of ``BENCHMARK.json``,
+the two sides alternating which runs first, and keeps each run's provenance
+line and result line.  With ``--claim WORKLOAD:METRIC`` it then runs the
+claimed workload on the held-out seeds and once per side with ``--trace 1``.
+It writes ``BENCH_<pr>.json`` at the repository root in the layout of
+``BENCH_20.json``: pairs with their median and interquartile range per
+end-to-end metric, provenance, and with a claim its verdict, the held-out
+pairs and one traced run per side; without one, ``"claim": null``.
 
 Only the standard library is used, and numpy only to read its SIMD dispatch
 into the ``host`` section.  The copies are removed at the end.
@@ -52,10 +54,11 @@ def git(*args: str) -> bytes:
 
 
 def export(rev: str, dest: str) -> str:
-    """Extract ``git archive rev`` into ``dest``; returns the full sha of ``rev``."""
+    """Extract ``git archive rev`` into ``dest`` and compile its ``src``; returns the full sha of ``rev``."""
     sha = git("rev-parse", "--verify", rev + "^{commit}").decode().strip()
     with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", sha))) as tar:
         tar.extractall(dest, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src"], cwd=dest, check=True)
     return sha
 
 
@@ -162,12 +165,13 @@ def numpy_simd() -> dict:
 
 
 def host(provenance: dict, simd: dict | None = None) -> dict:
-    """The host fields of a run's provenance; whether the runs could write ``.pyc`` files, without
-    which every cold ``gek`` process compiles the modules it imports; and ``simd``, read now when
-    not given, as ``numpy_simd`` gives it."""
+    """The host fields of a run's provenance; whether the runs could write ``.pyc`` files, and that
+    ``export`` compiled each copy's ``src``, so no cold ``gek`` process compiles the modules it
+    imports; and ``simd``, read now when not given, as ``numpy_simd`` gives it."""
     out = {key: provenance.get(key)
            for key in ("python", "numpy", "scipy", "nproc", "cpus_usable", "pinned_cpu", "note")}
     out["writes_pyc"] = not os.environ.get("PYTHONDONTWRITEBYTECODE")
+    out["pyc_precompiled"] = True
     out.update(numpy_simd() if simd is None else simd)
     return out
 
@@ -176,8 +180,9 @@ def about(seconds: float, seeds: list[int], claim_workload: str | None, held_key
     text = (
         f"Written by tools/bench_pairs.py. Parent/change pairs of `python3 bench/run.py --workload W --seed S "
         f"--seconds {seconds:g} --trace 0`, each run in a fresh copy of the tree (`git archive` of the parent and "
-        f"of the change commit), the two sides alternating which runs first. Each run keeps its provenance line "
-        f"(parsed) and its last stdout line (the result JSON, parsed). Summaries give the median, the "
+        f"of the change commit, its src compiled by `python -m compileall -q src`), the two sides alternating "
+        f"which runs first. Each run keeps its provenance line (parsed) and its last stdout line (the result "
+        f"JSON, parsed). Summaries give the median, the "
         f"interquartile range (statistics.quantiles, n=4, exclusive), the quartiles and the extremes of each "
         f"end-to-end metric over the pairs, the change's relative move of the median, and in how many pairs the "
         f"change read better (ties count for neither side); each workload also sums the failed and attempted "
