@@ -32,11 +32,12 @@ def _frac(value: Rational) -> Fraction:
 # Wherever a series is raised to successive powers, each power's content (the
 # gcd of the denominator and every numerator) is divided out as the power is
 # formed, so its denominator is the least common denominator of its reduced
-# coefficients and does not grow with the exponent.  The group law takes no
-# powers of G^-1: ``group_law_from_G`` builds a two-exponential G's law in
-# closed form from s = a + b and p = ab, and any other G's one power of y at a
-# time by a linear recurrence from the invariant differential, each row's
-# content divided out the same way.
+# coefficients and does not grow with the exponent.  A two-exponential G
+# (every registry carrier) takes no powers at all: ``group_law_from_G`` builds
+# its law in closed form from s = a + b and p = ab, and ``reversion`` its G^-1
+# from the same law's bracket series by one reciprocal and one integration.
+# Any other G's law is built one power of y at a time by a linear recurrence
+# from the invariant differential, each row's content divided out the same way.
 
 
 def _ints(coeffs: Iterable[Fraction]) -> tuple[list[int], int]:
@@ -228,18 +229,32 @@ def compose(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
 def reversion(f: TruncatedSeries) -> TruncatedSeries:
     """The compositional inverse g with f(g(s)) = s up to the truncation order.
 
-    Lagrange inversion: with h = s/f(s), the coefficient g_m = [s^(m-1)] h^m / m.
-    h comes from one series division.  Only one coefficient of each h^m is
-    read, so the powers are split baby-step/giant-step (Brent and Kung, 1978):
-    with k = isqrt(n) and m = qk + r, 0 <= r < k, g_m is one integer dot
-    product of the baby power h^r and the giant power h^(qk).  Forming
-    h^2..h^k and h^(2k)..h^((n//k)k) takes (k - 1) + (n//k - 1) <= 2k truncated
-    convolutions instead of n - 1, each with its content divided out, on
-    integers the size of the reduced coefficients' denominators.
+    An f that solves G'' = s G' - p G up to its order (``_two_exponential``:
+    every registry carrier, and every f below order 4) is G_{a,b}, and its
+    inverse l = G^-1 is the logarithm of the Abel law: l' = 1/D with
+    D(x) = G'(l(x)) = 1 + sum_(m>=1) beta_m x^m, the law's bracket series
+    (``_abel_betas``).  D is put over one integer denominator, inverted by one
+    ``_reciprocal`` and integrated term by term, l_(k+1) = h_k / ((k + 1) den):
+    O(n^2) integer work with no power and no product of series.
+
+    Any other f takes Lagrange inversion: with h = s/f(s), the coefficient
+    g_m = [s^(m-1)] h^m / m.  h comes from one series division.  Only one
+    coefficient of each h^m is read, so the powers are split
+    baby-step/giant-step (Brent and Kung, 1978): with k = isqrt(n) and
+    m = qk + r, 0 <= r < k, g_m is one integer dot product of the baby power
+    h^r and the giant power h^(qk).  Forming h^2..h^k and h^(2k)..h^((n//k)k)
+    takes (k - 1) + (n//k - 1) <= 2k truncated convolutions instead of n - 1,
+    each with its content divided out, on integers the size of the reduced
+    coefficients' denominators.
     """
     if f[0] != 0 or f[1] != 1:
         raise NormalizationError("reversion requires c_0 = 0 and c_1 = 1")
     n = f.order
+    roots = _two_exponential(f, n)
+    if roots is not None:
+        # D = 1 + beta_1 s + ... + beta_(n-1) s^(n-1), and 1/D = h / h_den
+        h, h_den = _reciprocal(*_ints([Fraction(1), *_abel_betas(*roots, n - 1)]))
+        return TruncatedSeries((Fraction(0), *(Fraction(v, (k + 1) * h_den) for k, v in enumerate(h))))
     # f(s)/s = p/d with p_0 = d, so h = d/p
     h, den = _reciprocal(*_ints(f.coeffs[1:]))
     k = math.isqrt(n)
@@ -298,7 +313,7 @@ class BivariateTruncatedSeries(Record):
 
 
 def _abel_betas(s: Fraction, p: Fraction, n: int) -> list[Fraction]:
-    """beta_1..beta_n of the Abel formal group law of G_{a,b}, from s = a + b and p = ab alone.
+    """beta_1..beta_n of the Abel formal group law of G_{a,b}, from s = a + b and p = ab alone; none at n = 0.
 
     beta_1 = s and, for m > 1, beta_m = (-1)^(m-1) / (m! (m-1)) prod_{i+j=m-1} (i a + j b).
     The factors (i, j) and (j, i) multiply to ij s^2 + (i - j)^2 p, and for odd m
@@ -308,7 +323,7 @@ def _abel_betas(s: Fraction, p: Fraction, n: int) -> list[Fraction]:
     sn, sd, pn, pd = s.numerator, s.denominator, p.numerator, p.denominator
     # ij s^2 + (i - j)^2 p = (ij ss + (i - j)^2 pp) / pair_den
     ss, pp, pair_den = sn * sn * pd, pn * sd * sd, sd * sd * pd
-    betas, factorial = [s], 1
+    betas, factorial = [s][:n], 1
     for m in range(2, n + 1):
         factorial *= m
         num, den = 1, factorial * (m - 1)
@@ -379,10 +394,9 @@ def group_law_from_G(g: TruncatedSeries, order: int) -> BivariateTruncatedSeries
     roots = _two_exponential(g, order)
     if roots is not None:
         law: dict[tuple[int, int], Rational] = {(0, 1): 1, (1, 0): 1}
-        if order > 1:
-            betas = _abel_betas(*roots, order - 1)
-            law.update(((1, m), beta) for m, beta in enumerate(betas, 1))
-            law.update(((m, 1), beta) for m, beta in enumerate(betas[1:], 2))
+        betas = _abel_betas(*roots, order - 1)
+        law.update(((1, m), beta) for m, beta in enumerate(betas, 1))
+        law.update(((m, 1), beta) for m, beta in enumerate(betas[1:], 2))
         return BivariateTruncatedSeries(law, order)
     ell, ell_den = _ints(reversion(g.truncated(order)).coeffs[1:])  # l_(k+1) = ell[k] / ell_den
     d_nums, d_den = _reciprocal([k * v for k, v in enumerate(ell, 1)], ell_den)  # D = 1/l', degrees 0..order-1

@@ -665,6 +665,30 @@ def run_cold(argv):
     return result, set(json.loads(result.stderr.splitlines()[-1]))
 
 
+def run_package(argv):
+    """``python -m gek`` from the source tree, with -X importtime: its result and the names of the modules it imported."""
+    env = {k: v for k, v in os.environ.items() if k != "GEK_SEED"}
+    env["PYTHONPATH"] = str(Path(__file__).parents[1] / "src")
+    result = subprocess.run([sys.executable, "-X", "importtime", "-m", "gek", *argv], capture_output=True, text=True,
+                            env=env, timeout=60)
+    imported = {line.rsplit("|", 1)[1].strip() for line in result.stderr.splitlines() if line.startswith("import time:")}
+    return result, imported
+
+
+def test_python_dash_m_gek_refuses_a_bad_family_cold():
+    result, imported = run_package(["verify", "--family", "nosuch"])
+    assert (result.returncode, result.stdout) == (2, "")
+    assert "error: unknown entropy family 'nosuch'" in result.stderr
+    assert "gek.cli" in imported
+    assert {m.split(".")[0] for m in imported} & {"numpy", "scipy"} == set()
+
+
+def test_python_dash_m_gek_help():
+    result, _ = run_package(["--help"])
+    assert result.returncode == 0
+    assert result.stdout.startswith("usage: gek")
+
+
 def test_numpy_free_command_count():
     # 37 exact and scalar corpus entries + 20 extensivity solve + 10 bad-* and 2 sweep refusals, and 15 added cases
     assert len(NUMPY_FREE_CASES) == 37 + 20 + 10 + 2 + 15

@@ -625,11 +625,20 @@ class TestBabyGiantReversion:
         reversion(g)
         assert len(calls) <= 2 * math.isqrt(order)
 
+    @pytest.mark.parametrize("order", range(1, 41))
+    def test_about_two_sqrt_n_products_on_b_sequences(self, order, monkeypatch):
+        # a registry carrier takes the closed form and no product, so the bound is held on a G outside it
+        calls = []
+        mul = series_module._mul
+        monkeypatch.setattr(series_module, "_mul", lambda a, b, n: calls.append(n) or mul(a, b, n))
+        reversion(seeded_b_series(random.Random(4000 + order), order))
+        assert len(calls) <= 2 * math.isqrt(order)
+
 
 def ref_group_law_by_powers(g, order):
     """The power-sum construction the row recurrence replaced: every power of G^-1, then a dense double sum."""
     gs, dg = series_module._ints(g.coeffs[: order + 1])
-    powers = series_module._powers(series_module._ints(reversion(g.truncated(order)).coeffs), order, order)
+    powers = series_module._powers(series_module._ints(ref_reversion_power_loop(g.truncated(order))), order, order)
     # Phi_ab = sum_j P_j[a] T_j[b] over dg L^2, with P_j = powers[j] / D_j, L = lcm(D) and
     # T_j[b] = sum_k C(k, j) G_k (L/D_j) (L/D_(k-j)) P_(k-j)[b]
     lcm_powers = math.lcm(*(den for _, den in powers))
@@ -770,6 +779,56 @@ class TestRowRecurrenceLaw:
     def test_no_powers_of_the_inverse_and_no_bivariate_products(self, build, calls, spy):
         group_law_from_G(build(12), 12)
         assert spy == calls
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The names of the ``_powers`` and ``_mul`` calls made, in call order."""
+    calls = []
+    powers, mul = series_module._powers, series_module._mul
+    monkeypatch.setattr(series_module, "_powers", lambda *a: calls.append("_powers") or powers(*a))
+    monkeypatch.setattr(series_module, "_mul", lambda *a: calls.append("_mul") or mul(*a))
+    return calls
+
+
+REVERSION_CARRIERS = {
+    **CARRIERS,
+    **{f"two-exponential-{name}": lambda n, roots=roots: two_exponential_series(*roots, n)
+       for name, roots in TWO_EXPONENTIALS.items()},
+}
+
+
+class TestClosedFormReversion:
+    """``reversion`` of a two-exponential G integrates l' = 1/D, with D the Abel law's bracket series; the Lagrange
+    power loop and the term-by-term oracle are the references, coefficient for coefficient."""
+
+    @pytest.mark.parametrize("order", range(1, 41))
+    @pytest.mark.parametrize("carrier", sorted(REVERSION_CARRIERS))
+    def test_matches_power_loop_with_no_powers_or_products(self, carrier, order, kernel_calls):
+        g = REVERSION_CARRIERS[carrier](order)
+        got = list(reversion(g).coeffs)
+        assert kernel_calls == []
+        assert got == ref_reversion_power_loop(g)
+        if order <= 17:  # the term-by-term oracle is slow past that
+            assert got == ref_reversion(list(g.coeffs))
+
+    def test_abel_at_order_64(self, kernel_calls):
+        g = CARRIERS["abel"](64)
+        got = list(reversion(g).coeffs)
+        assert kernel_calls == []
+        assert got == ref_reversion_power_loop(g)
+
+    @pytest.mark.parametrize("order", range(4, 25))
+    def test_near_miss_abel_carriers_take_lagrange_inversion(self, order, kernel_calls):
+        # as in test_near_miss_abel_carriers_take_the_row_recurrence: one c_k, k >= 4, moved by 1/997
+        for k in range(4, order + 1):
+            coeffs = list(CARRIERS["abel"](order).coeffs)
+            coeffs[k] += F(1, 997)
+            g = TruncatedSeries(coeffs)
+            kernel_calls.clear()
+            got = list(reversion(g).coeffs)
+            assert "_powers" in kernel_calls, k
+            assert got == ref_reversion_power_loop(g), k
 
 
 def ref_tsallis_exp_series(q, order):
