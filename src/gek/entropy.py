@@ -248,6 +248,7 @@ class _Laws(NamedTuple):
     phi: Callable[[float, float], float]  # the composition law on products of independent systems
     uniform: Callable[[float], float]  # the value on the uniform distribution, from ln W
     concave: bool  # whether the supporting concavity theorems apply
+    phis: Callable[[list[float], list[float]], list[float]] | None = None  # phi of each pair of two lists, or None
 
 
 def _underflow(family: str) -> RangeError:
@@ -281,7 +282,7 @@ def _z_laws(family: str, p: Mapping[str, float], g: GroupFunction, formula: bool
     uniform = (lambda ln_w: at(c * ln_w) / c) if formula else (lambda ln_w: g.eval_scaled(c, ln_w))
     return _Laws(
         _power_sums(p["alpha"]), lambda sums: [at(t) / c for t in _logs(family, sums)],
-        lambda x, y: g.chi_scaled(c, x, y), uniform, 0 < p["alpha"] < 1,
+        lambda x, y: g.chi_scaled(c, x, y), uniform, 0 < p["alpha"] < 1, lambda xs, ys: g.chi_scaled_block(c, xs, ys),
     )
 
 
@@ -493,6 +494,15 @@ class EntropySpec(Record):
     def phi(self, x: float, y: float) -> float:
         """The composition law paired with this family."""
         return self._laws.phi(x, y)
+
+    def phis(self, xs: list[float], ys: list[float]) -> list[float]:
+        """``[phi(x, y) for x, y in zip(xs, ys)]``, the same floats and the same first error.
+
+        A Z-family runs G's block law (``GroupFunction.chi_scaled_block``): one
+        numeric G^-1 for every pair where G has no closed-form inverse.
+        """
+        phis = self._laws.phis
+        return list(map(self._laws.phi, xs, ys)) if phis is None else phis(xs, ys)
 
     def uniform_value_log(self, ln_w: float) -> float:
         """Closed-form entropy of the uniform distribution with ln W = ln_w, also far beyond representable W."""

@@ -79,6 +79,181 @@ def _brent(f: Callable[[float], float], lo: float, hi: float) -> float:
     raise ConvergenceError(f"root finder: no convergence in {_MAXITER} iterations on [{lo}, {hi}]")
 
 
+def _brent_block(g: Callable[[float], float], s, xpre, xcur, gpre, gcur):
+    """``_brent(lambda t: g(t) - s[i], xpre[i], xcur[i])`` for every i at once, or None.
+
+    The arguments are float arrays, with ``gpre`` and ``gcur`` g at the two
+    ends.  Each element takes ``_brent``'s IEEE operations in ``_brent``'s
+    order, in numpy: its branches become masks and ``where``, and Python's
+    ``min(a, b)`` is ``where(b < a, b, a)``, which keeps ``a`` when either is
+    NaN.  ``g`` itself runs per element, as scalar code.  So every root is
+    the one ``_brent`` returns.  Wherever ``_brent`` would raise, this
+    returns None, and the caller runs the scalar path: a NaN value, ends of
+    one sign, an error of ``g``, or an element left after _MAXITER steps.
+    """
+    import numpy as np
+
+    with np.errstate(all="ignore"):  # here and below: NaN and inf as Python's floats make them, silently
+        fpre, fcur = gpre - s, gcur - s
+    if np.isnan(fpre).any() or np.isnan(fcur).any():
+        return None
+    root = np.where(fpre == 0, xpre, xcur)  # an end where f is 0 is its root, the first end first
+    live = np.flatnonzero((fpre != 0) & (fcur != 0))
+    xpre, xcur, fpre, fcur, s = xpre[live], xcur[live], fpre[live], fcur[live], s[live]
+    if np.any((fpre < 0) == (fcur < 0)):
+        return None
+    if not live.size:
+        return root
+    xblk = fblk = spre = scur = np.zeros(live.size)
+    for _ in range(_MAXITER):
+        with np.errstate(all="ignore"):
+            flip = (fpre != 0) & (fcur != 0) & ((fpre < 0) != (fcur < 0))
+            xblk, fblk, gap = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk), xcur - xpre
+            spre, scur = np.where(flip, gap, spre), np.where(flip, gap, scur)
+            swap = np.abs(fblk) < np.abs(fcur)
+            xpre, xcur, xblk = np.where(swap, xcur, xpre), np.where(swap, xblk, xcur), np.where(swap, xcur, xblk)
+            fpre, fcur, fblk = np.where(swap, fcur, fpre), np.where(swap, fblk, fcur), np.where(swap, fcur, fblk)
+            delta = (_XTOL + _RTOL * np.abs(xcur)) / 2
+            sbis = (xblk - xcur) / 2
+            done = (fcur == 0) | (np.abs(sbis) < delta)
+            if done.any():
+                root[live[done]] = xcur[done]
+                keep = ~done
+                if not keep.any():
+                    return root
+                live, s, delta, sbis = live[keep], s[keep], delta[keep], sbis[keep]
+                xpre, xcur, xblk, spre = xpre[keep], xcur[keep], xblk[keep], spre[keep]
+                fpre, fcur, fblk, scur = fpre[keep], fcur[keep], fblk[keep], scur[keep]
+            # no divisor of the branch an element takes is 0, so none of _brent's divisions raises: the first step
+            # interpolates, with |fcur| < |fpre|; after it xpre is the last xcur, which a step of at least delta
+            # moved; and xblk = xcur has ended the search above.  The other branch's lanes are discarded
+            step = (np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            denom = dblk * dpre * (fblk - fpre)
+            extrapolated = np.where(denom != 0, -fcur * (fblk * dblk - fpre * dpre) / denom, np.inf)
+            stry = np.where(xpre == xblk, -fcur * (xcur - xpre) / (fcur - fpre), extrapolated)
+            bound, least = np.abs(spre), 3 * np.abs(sbis) - delta
+            short = step & (2 * np.abs(stry) < np.where(least < bound, least, bound))
+            spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
+            xpre, fpre = xcur, fcur
+            xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
+        try:
+            gcur = np.array(list(map(g, xcur.tolist())), float)
+        except Exception:
+            return None
+        with np.errstate(all="ignore"):
+            fcur = gcur - s
+        if np.isnan(fcur).any():
+            return None
+    return None
+
+
+def _inverse_block(g: GroupFunction, s):
+    """``GroupFunction.inverse`` of each element of the float array ``s`` for ``g``, or None.
+
+    ``_bracket`` walks one ladder of points for every s: t = 1, 2, 4, ...
+    upward, and one fixed ladder downward.  So G is evaluated on each ladder
+    once, as far as the farthest s needs, and each s takes the bracket of the
+    first point that ``_bracket`` would stop at.  ``_brent_block`` then
+    solves every element at once.  It returns None wherever the scalar path
+    could raise or leave this bracket: a non-finite s, an s at or below
+    ``range_min``, a ladder point that overflows (which ``_bracket`` shrinks),
+    an error of G, an end of the ladder, or an even bracket.
+    """
+    import numpy as np
+
+    if not np.isfinite(s).all() or (s <= g.range_min).any():
+        return None
+    root, lo, hi, glo, ghi = (np.zeros(len(s)) for _ in range(5))
+    up, down = np.flatnonzero(s > 0.0), np.flatnonzero(s < 0.0)
+    if not up.size and not down.size:
+        return root
+    try:
+        g0 = g.eval(0.0)
+        if up.size:
+            ts, gs, top, t = [0.0], [g0], s[up].max(), 1.0
+            for _ in range(200):
+                try:
+                    value = g.eval(t)
+                except (OverflowError, RangeError):  # as _bracket reads it
+                    value = math.inf
+                ts.append(t)
+                gs.append(value)
+                if value >= top:
+                    break
+                t *= 2.0
+            else:
+                return None
+            ts, gs = np.array(ts), np.array(gs, float)
+            k = (gs[1:] >= s[up, None]).argmax(axis=1) + 1
+            if np.isinf(gs[k]).any():
+                return None
+            lo[up], hi[up], glo[up], ghi[up] = ts[k - 1], ts[k], gs[k - 1], gs[k]
+        if down.size:
+            ts, gs, least = [], [], s[down].min()
+            if math.isfinite(g.domain_min):
+                t = 0.5 * g.domain_min
+                for _ in range(200):
+                    if t <= g.domain_min:
+                        return None
+                    ts.append(t)
+                    gs.append(g.eval(t))
+                    if gs[-1] <= least:
+                        break
+                    t = 0.5 * (t + g.domain_min)
+                else:
+                    return None
+            else:
+                t = -1.0
+                for _ in range(200):
+                    ts.append(t)
+                    gs.append(g.eval(t))
+                    if gs[-1] <= least:
+                        break
+                    t *= 2.0
+                else:
+                    return None
+            ts, gs = np.array(ts), np.array(gs, float)
+            k = (gs <= s[down, None]).argmax(axis=1)
+            lo[down], glo[down], ghi[down] = ts[k], gs[k], g0
+    except Exception:
+        return None
+    solve = np.flatnonzero(s != 0.0)  # G^-1(0) is 0.0, of either zero
+    lo, hi = lo[solve], hi[solve]
+    if (lo == hi).any():
+        return None
+    roots = _brent_block(g.eval, s[solve], lo, hi, glo[solve], ghi[solve])
+    if roots is None:
+        return None
+    root[solve] = roots
+    return root
+
+
+def _chi_scaled_block(g: GroupFunction, c: float, xs: list[float], ys: list[float]) -> list[float] | None:
+    """``GroupFunction.chi_scaled(c, x, y)`` of each pair for ``g``, from one ``_inverse_block``; or None.
+
+    It returns None wherever the scalar law could raise: at c = 0, where the
+    inverse block hands back, or where G raises at a sum of two roots.
+    """
+    import numpy as np
+
+    n = len(xs)
+    if not c or len(ys) != n:
+        return None
+    with np.errstate(all="ignore"):  # an overflow is inf, as a Python float's is
+        u = c * np.concatenate((np.asarray(xs, float), np.asarray(ys, float)))
+    t = _inverse_block(g, u)
+    if t is None:
+        return None
+    try:
+        law = np.array(list(map(g.eval, (t[:n] + t[n:]).tolist())), float)
+    except Exception:
+        return None
+    with np.errstate(all="ignore"):
+        return (law / c).tolist()
+
+
 class GroupFunction:
     """Base class: an evaluatable G with closed-form or numeric inversion.
 
@@ -198,6 +373,24 @@ class GroupFunction:
     def chi_scaled(self, c: float, x: float, y: float) -> float:
         """chi(c x, c y)/c: the group law of G(c t)/c."""
         return self.chi(c * x, c * y) / c
+
+    def chi_scaled_block(self, c: float, xs: list[float], ys: list[float]) -> list[float]:
+        """``[self.chi_scaled(c, x, y) for x, y in zip(xs, ys)]``, by one block G^-1 where it is numeric.
+
+        A class that keeps this base class's numeric ``inverse``, ``_bracket``,
+        ``chi`` and ``chi_scaled`` (looked up when called) inverts every c x and
+        c y at once, by ``_inverse_block``, and evaluates G per element; each
+        value is the scalar law's, bit for bit.  Where the block hands back,
+        and for every other class, the scalar ``chi_scaled`` runs per pair,
+        so its values and its first error are the scalar path's.
+        """
+        cls = type(self)
+        if (cls.inverse is GroupFunction.inverse and cls._bracket is GroupFunction._bracket
+                and cls.chi is GroupFunction.chi and cls.chi_scaled is GroupFunction.chi_scaled):
+            law = _chi_scaled_block(self, c, xs, ys)
+            if law is not None:
+                return law
+        return [self.chi_scaled(c, x, y) for x, y in zip(xs, ys)]
 
     def describe(self) -> str:
         inner = ", ".join(f"{k}={v}" for k, v in self.params().items())

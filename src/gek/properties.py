@@ -98,6 +98,7 @@ class _Row(NamedTuple):
     dists: int  # how many leading blocks hold distributions
     worst: float  # the start of the row's _Worst fold
     limit: float | None = None  # the largest passing value; None is the check's tol
+    law: Callable | None = None  # (spec, each shape's values) -> each shape's judge extras, by one call per chunk
 
 
 def _run_rows(spec: EntropySpec | None, rows, trials: int, seed: int, w_values, tol=None) -> list[PropertyReport]:
@@ -114,9 +115,12 @@ def _run_rows(spec: EntropySpec | None, rows, trials: int, seed: int, w_values, 
     ``spec`` (None if no row has a slot), and its judge reads only the extras.
     Validate and evaluate (``_chunk_values``): every block is checked and
     reduced as a whole, and the family's scalar tail runs once per reduced
-    block.  Judge: ``row.judge`` once per shape gives the residual of each of
-    its k trials and which to skip, by numpy's IEEE operations, which round as
-    Python's floats do.  Fold: ``_Worst.fold`` scatters the chunk's residuals
+    block.  Judge: a row with a ``law`` first runs it once over the chunk's
+    values, and each shape's judge gets its share as extras (the
+    composability row's phi, which a block law pays for once per chunk);
+    ``row.judge`` once per shape gives the residual of each of its k trials
+    and which to skip, by numpy's IEEE operations, which round as Python's
+    floats do.  Fold: ``_Worst.fold`` scatters the chunk's residuals
     and skip masks into trial order, counts the skipped trials, and folds the
     kept ones into the row's worst; ``row.witness`` runs only for a trial that
     becomes the worst.  An error ends the check as the one-trial-at-a-time
@@ -158,12 +162,14 @@ def _evaluate(spec, row, chunk, order) -> tuple[list, list]:
     ran it: each distribution of the trial is handed to ``Distribution``,
     which raises its own error, then the trial's sums go through the tail
     slot by slot (a one-row ``block_sums`` is the chunk's sum bit for bit),
-    and then the row's judge runs on the trial alone.
+    and then the row's judge runs on the trial alone, with the extras that
+    ``row.build`` gave, not the row's law.
     """
     try:
         values = _chunk_values(spec, chunk, row.dists)
         if values is not None:
-            return values, [row.judge(spec, blocks, v, extras) for (_, blocks, extras), v in zip(chunk, values)]
+            extras = row.law(spec, values) if row.law else [extras for *_, extras in chunk]
+            return values, [row.judge(spec, blocks, v, e) for (_, blocks, _), v, e in zip(chunk, values, extras)]
     except Exception:  # run again below, outside this handler, so the error raised carries no other
         pass
     for s, j in order:
@@ -314,10 +320,23 @@ def _build_product(key, variates):
     return (p, r, (p[:, :, None] * r[:, None, :]).reshape(len(p), -1)), None
 
 
-def _judge_product(spec, blocks, values, _):
-    # values holds S(p), S(r) and S(p x r); the witness reads each trial's law value, so it never calls phi
-    phi = spec.phi
-    combined = [phi(s_p, s_r) for s_p, s_r in values[:, :2].tolist()]
+def _law_product(spec, values):
+    """Each shape's list of phi(S(p), S(r)), from one ``spec.phis`` over the whole chunk, in shape order.
+
+    A block law pays its numpy calls once per chunk, not once per shape.
+    """
+    combined = spec.phis(np.concatenate([v[:, 0] for v in values]).tolist(),
+                         np.concatenate([v[:, 1] for v in values]).tolist())
+    ends = np.cumsum([len(v) for v in values]).tolist()
+    return [combined[end - len(v):end] for v, end in zip(values, ends)]
+
+
+def _judge_product(spec, blocks, values, combined):
+    # values holds S(p), S(r) and S(p x r), and combined each trial's law value, or None for a trial judged alone,
+    # which calls phi itself; the witness reads each trial's law value, so it never calls phi
+    if combined is None:
+        phi = spec.phi
+        combined = [phi(s_p, s_r) for s_p, s_r in values[:, :2].tolist()]
     return _relative_gap(values[:, 2], combined), None, combined
 
 
@@ -331,7 +350,9 @@ def _witness_product(blocks, values, combined, i):
     return {"p": blocks[0][i].tolist(), "r": blocks[1][i].tolist(), "joint": values.item(i, 2), "combined": combined[i]}
 
 
-_COMPOSABILITY = (_Row("composability", _draw_product, _build_product, _judge_product, _witness_product, 3, 0.0),)
+_COMPOSABILITY = (
+    _Row("composability", _draw_product, _build_product, _judge_product, _witness_product, 3, 0.0, law=_law_product),
+)
 
 
 def check_composability(
