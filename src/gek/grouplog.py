@@ -191,33 +191,22 @@ def _inverse_block(g: GroupFunction, s):
                 return None
             lo[up], hi[up], glo[up], ghi[up] = ts[k - 1], ts[k], gs[k - 1], gs[k]
         if down.size:
-            ts, gs, least = [], [], s[down].min()
-            if math.isfinite(g.domain_min):
-                t = 0.5 * g.domain_min
-                for _ in range(200):
-                    if t <= g.domain_min:
-                        return None
-                    ts.append(t)
-                    gs.append(g.eval(t))
-                    if gs[-1] <= least:
-                        break
-                    t = 0.5 * (t + g.domain_min)
-                else:
+            ts, gs, least, floor = [], [], s[down].min(), g.domain_min
+            t = 0.5 * floor if math.isfinite(floor) else -1.0
+            for _ in range(200):
+                if t <= floor:
                     return None
+                ts.append(t)
+                gs.append(g.eval(t))
+                if gs[-1] <= least:
+                    break
+                t = 0.5 * (t + floor) if math.isfinite(floor) else 2.0 * t
             else:
-                t = -1.0
-                for _ in range(200):
-                    ts.append(t)
-                    gs.append(g.eval(t))
-                    if gs[-1] <= least:
-                        break
-                    t *= 2.0
-                else:
-                    return None
+                return None
             ts, gs = np.array(ts), np.array(gs, float)
             k = (gs <= s[down, None]).argmax(axis=1)
             lo[down], glo[down], ghi[down] = ts[k], gs[k], g0
-    except Exception:
+    except Exception:  # the scalar path raises it again
         return None
     solve = np.flatnonzero(s != 0.0)  # G^-1(0) is 0.0, of either zero
     lo, hi = lo[solve], hi[solve]

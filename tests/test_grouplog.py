@@ -19,6 +19,8 @@ from gek.grouplog import (
     MultiplicativeGroup,
     SeriesGroup,
     _brent,
+    _chi_scaled_block,
+    _inverse_block,
     check_concavity_condition,
     chi,
     eval_G_inverse,
@@ -562,3 +564,130 @@ class TestFailClosed:
     def test_a_bracketed_value_is_still_inverted(self):
         assert _Tanh().inverse(0.5) == pytest.approx(math.atanh(0.5), rel=1e-14)
         assert _FlooredTanh().inverse(-0.5) == pytest.approx(math.atanh(-0.5), rel=1e-14)
+
+
+# the Abel G of the block-law grid: both signs of b, b = 0, exponents far below and far above 1
+BLOCK_ABEL = [(0.3, -0.2), (2.0, 1.0), (0.6, 0.2), (1.2, -0.7), (0.5, 0.0), (1e-3, -2e-3), (5.0, -3.0)]
+BLOCK_C = [0.7, 0.5, 0.3, -0.5, -1.5]
+
+
+def _scalar_outcomes(g, c, xs, ys):
+    """Each pair's scalar ``chi_scaled`` as its repr, or the type and message of the error it raises."""
+    out = []
+    for x, y in zip(xs, ys):
+        try:
+            out.append(repr(g.chi_scaled(c, x, y)))
+        except Exception as e:
+            out.append((type(e), str(e)))
+    return out
+
+
+def _assert_block_hands_back(g, c, x, y, expected):
+    """A pair whose scalar law raises: the block returns no value, and the block law raises the scalar error."""
+    assert _chi_scaled_block(g, c, [x], [y]) is None, (x, y)
+    with pytest.raises(expected[0]) as got:
+        g.chi_scaled_block(c, [x], [y])
+    assert str(got.value) == expected[1]
+
+
+class _AbelNanBand(AbelGroup):
+    """An Abel G that is NaN on (1.2, 1.4), where no ladder point of ``_bracket`` lies."""
+
+    def eval(self, t: float) -> float:
+        return math.nan if 1.2 < t < 1.4 else super().eval(t)
+
+
+class TestBlockInverse:
+    """The block law, one G^-1 for a whole list, equals the scalar ``chi_scaled`` of each pair, sign of zero included.
+
+    Wherever the scalar law raises, the block returns no value and hands back, so that the scalar law raises.
+    """
+
+    @pytest.mark.parametrize("c", BLOCK_C)
+    @pytest.mark.parametrize("ab", BLOCK_ABEL, ids=str)
+    def test_block_law_is_the_scalar_law(self, ab, c):
+        g = AbelGroup(*ab)
+        rng = np.random.default_rng(20261020)
+        scales = np.repeat(10.0 ** np.arange(-6, 3), 30)  # exponential arguments at scales 1e-6 to 100
+        xs = (scales * rng.standard_exponential(scales.size) * rng.choice([-1.0, 1.0], scales.size)).tolist()
+        ys = (rng.permutation(scales) * rng.standard_exponential(scales.size)).tolist()
+        outcomes = _scalar_outcomes(g, c, xs, ys)
+        kept = [i for i, o in enumerate(outcomes) if isinstance(o, str)]
+        assert len(kept) > scales.size // 2
+        law = _chi_scaled_block(g, c, [xs[i] for i in kept], [ys[i] for i in kept])
+        assert law is not None
+        assert [repr(v) for v in law] == [outcomes[i] for i in kept]
+        assert g.chi_scaled_block(c, [xs[i] for i in kept], [ys[i] for i in kept]) == law
+        raised = [i for i, o in enumerate(outcomes) if not isinstance(o, str)]
+        for i in raised:
+            _assert_block_hands_back(g, c, xs[i], ys[i], outcomes[i])
+        if raised:  # a list with a pair the scalar law refuses raises that pair's error, the first one's
+            with pytest.raises(outcomes[raised[0]][0]) as got:
+                g.chi_scaled_block(c, xs, ys)
+            assert str(got.value) == outcomes[raised[0]][1]
+
+    @pytest.mark.parametrize("c", BLOCK_C)
+    @pytest.mark.parametrize("ab", BLOCK_ABEL, ids=str)
+    def test_edge_inputs(self, ab, c):
+        g = AbelGroup(*ab)
+        edges = [0.0, -0.0, 5e-324, -5e-324, 1.0, math.nan, math.inf, -math.inf]
+        if math.isfinite(g.range_min):  # c x at, just below and just above the range infimum
+            floor = g.range_min
+            edges += [floor / c, math.nextafter(floor, -math.inf) / c, math.nextafter(floor, math.inf) / c]
+        for x, y in itertools.product(edges, [0.0, -0.0, 1.0, 5e-324]):
+            (expected,) = _scalar_outcomes(g, c, [x], [y])
+            if isinstance(expected, str):
+                law = _chi_scaled_block(g, c, [x], [y])
+                assert law is not None and repr(law[0]) == expected, (x, y)
+            else:
+                _assert_block_hands_back(g, c, x, y, expected)
+
+    @pytest.mark.parametrize("ab", BLOCK_ABEL, ids=str)
+    def test_inverse_block_at_the_range_infimum_and_beyond(self, ab):
+        g = AbelGroup(*ab)
+        values = [math.nan, math.inf, -math.inf, g.range_min, math.nextafter(g.range_min, -math.inf)]
+        for s in values:
+            if s != -math.inf or math.isfinite(g.range_min):
+                with pytest.raises(RangeError):
+                    g.inverse(s)
+            assert _inverse_block(g, np.array([0.5, s])) is None, s
+
+    @pytest.mark.parametrize("c", BLOCK_C)
+    def test_an_overflowing_bracket_hands_back(self, c):
+        # G(1) = (e^800 - 1)/800 overflows, so _bracket shrinks the first upward step, which the block does not do
+        g = AbelGroup(800.0, 0.0)
+        xs, ys = [1e-3, 0.5, 2.0, 1.5343108444758409], [1e-4, 0.25, 1.0, 0.0]
+        for x, y in zip(xs, ys):
+            assert _inverse_block(g, np.array([c * x])) is None or c * x <= 0
+        outcomes = _scalar_outcomes(g, c, xs, ys)
+        for x, y, expected in zip(xs, ys, outcomes):
+            if isinstance(expected, str):
+                assert repr(g.chi_scaled_block(c, [x], [y])[0]) == expected
+            else:
+                _assert_block_hands_back(g, c, x, y, expected)
+
+    def test_a_nan_inside_the_bracket_hands_back(self):
+        # G is NaN on (1.2, 1.4), between two ladder points: a root search that evaluates G there raises
+        g = _AbelNanBand(0.3, -0.2)
+        xs = np.linspace(0.05, 3.0, 60).tolist()
+        outcomes = _scalar_outcomes(g, 0.5, xs, xs[::-1])
+        assert any(isinstance(o, str) for o in outcomes) and not all(isinstance(o, str) for o in outcomes)
+        for x, y, expected in zip(xs, xs[::-1], outcomes):
+            if isinstance(expected, str):
+                assert repr(_chi_scaled_block(g, 0.5, [x], [y])[0]) == expected
+            else:
+                assert expected[0] is ConvergenceError
+                _assert_block_hands_back(g, 0.5, x, y, expected)
+
+    def test_only_the_numeric_law_takes_the_block(self, monkeypatch):
+        import gek.grouplog as grouplog
+
+        calls = []
+        monkeypatch.setattr(grouplog, "_chi_scaled_block", lambda *args: calls.append(args) or None)
+        for g in CLOSED_FORM_VARIANTS[:5] + [SeriesGroup(abel_exp_series(Fraction(3, 10), Fraction(-1, 5), 10))]:
+            assert g.chi_scaled_block(0.5, [0.1, 0.2], [0.3, 0.05]) == [g.chi_scaled(0.5, 0.1, 0.3),
+                                                                        g.chi_scaled(0.5, 0.2, 0.05)]
+        assert calls == []
+        g = AbelGroup(0.3, -0.2)
+        assert g.chi_scaled_block(0.5, [0.1], [0.3]) == [g.chi_scaled(0.5, 0.1, 0.3)]
+        assert len(calls) == 1

@@ -1046,6 +1046,99 @@ class TestBlockJudges:
         assert str(got.value) == str(expected.value)
 
 
+class _AbelNanAbove(AbelGroup):
+    """An Abel G that is NaN above a threshold: NaN entropies, and root searches that meet a NaN."""
+
+    def __init__(self, a: float, b: float, threshold: float):
+        super().__init__(a, b)
+        self.threshold = threshold
+
+    def eval(self, t: float) -> float:
+        return math.nan if t > self.threshold else super().eval(t)
+
+
+class _AbelRaisingAbove(_AbelNanAbove):
+    """An Abel G whose eval raises ZeroDivisionError above a threshold."""
+
+    def eval(self, t: float) -> float:
+        if t > self.threshold:
+            raise ZeroDivisionError(f"G({t!r}) refused")
+        return AbelGroup.eval(self, t)
+
+
+class _AbelNanInverse(_AbelNanAbove):
+    """An Abel G whose own inverse is NaN above a threshold, so its law is NaN there."""
+
+    def inverse(self, s: float) -> float:
+        return math.nan if s > self.threshold else AbelGroup.inverse(self, s)
+
+
+class _AbelOwnLaw(AbelGroup):
+    """An Abel G with its own law, the additive one."""
+
+    def chi_scaled(self, c: float, x: float, y: float) -> float:
+        return x + y
+
+
+def _outcome(run):
+    """The report of ``run()`` as a repr, or the type and message of the error it raises."""
+    try:
+        return repr(run().as_dict())
+    except Exception as e:
+        return type(e), str(e)
+
+
+class TestChunkLaw:
+    """The product row runs its law once per chunk, over every shape, and reports what one trial at a time did."""
+
+    @pytest.mark.parametrize("trials, calls", [(1000, 1), (1025, 2), (2500, 3)])
+    def test_one_block_law_per_chunk(self, trials, calls, monkeypatch):
+        import gek.grouplog as grouplog
+
+        seen = []
+        block = grouplog._chi_scaled_block
+
+        def spy(g, c, xs, ys):
+            law = block(g, c, xs, ys)
+            seen.append((len(xs), law is not None))
+            return law
+
+        monkeypatch.setattr(grouplog, "_chi_scaled_block", spy)
+        spec = entropy_spec("zab", {"a": 0.3, "b": -0.2, "alpha": 0.5})
+        report = check_composability(spec, trials)
+        sizes = [min(1024, trials - start) for start in range(0, trials, 1024)]
+        assert seen == [(n, True) for n in sizes] and len(seen) == calls
+        monkeypatch.setattr(grouplog, "_chi_scaled_block", lambda *args: None)  # the scalar law, pair by pair
+        assert repr(check_composability(spec, trials).as_dict()) == repr(report.as_dict())
+
+    @pytest.mark.parametrize("chunk", [1024, 7])
+    @pytest.mark.parametrize(
+        "g, block",
+        [(_AbelNanAbove(0.3, -0.2, 50.0), True), (_AbelNanAbove(0.3, -0.2, 3.0), True),
+         (_AbelNanAbove(0.3, -0.2, 1.5), True), (_AbelNanAbove(2.0, 1.0, 0.9), True),
+         (_AbelRaisingAbove(0.3, -0.2, 50.0), True), (_AbelRaisingAbove(0.3, -0.2, 3.0), True),
+         (_AbelRaisingAbove(2.0, 1.0, 0.9), True), (_AbelNanInverse(0.3, -0.2, 0.4), False),
+         (_AbelNanInverse(0.3, -0.2, 50.0), False), (_AbelOwnLaw(0.3, -0.2), False)],
+        ids=["nan-above-50", "nan-above-3", "nan-above-1.5", "nan-above-0.9-2-1", "raise-above-50", "raise-above-3",
+             "raise-above-0.9-2-1", "nan-inverse-above-0.4", "nan-inverse-above-50", "own-law"],
+    )
+    def test_abel_subclasses_match_the_per_trial_loop(self, g, block, chunk, monkeypatch):
+        import gek.grouplog as grouplog
+        import gek.properties as properties
+
+        spec = EntropySpec("zg", {"alpha": 0.5}, g)
+        rows = _reference_judges()["composability"]
+        expected = _outcome(lambda: reference_run_rows(spec, rows, 300, 5, range(1, 9), 1e-10)[0])
+        seen, law = [], grouplog._chi_scaled_block
+        monkeypatch.setattr(grouplog, "_chi_scaled_block", lambda *args: seen.append(args) or law(*args))
+        monkeypatch.setattr(properties, "_CHUNK", chunk)
+        assert _outcome(lambda: check_composability(spec, 300, 1e-10, 5)) == expected
+        if not block:  # an overridden inverse or chi_scaled keeps its own code
+            assert not seen
+        elif isinstance(expected, str):  # no entropy value raised, so every chunk reached the law
+            assert seen
+
+
 # The three checks with no vector slot as they ran before they became rows: their own rng, trial loop and fold.
 
 

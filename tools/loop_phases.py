@@ -21,8 +21,10 @@ timed ones, so nothing under ``src/`` changes:
 - tails: ``EntropySpec.from_row_sums``, the scalar tails, once per reduced
   block;
 - judge + fold: the rest of the row's wall time, which is its judges (which
-  ``_evaluate`` runs after ``_chunk_values``), its witnesses, the fold of each
-  chunk and the loop's own bookkeeping.  No chunk of these rows raises, so
+  ``_evaluate`` runs after ``_chunk_values``), the composability row's law
+  (``_evaluate`` runs it once per chunk, over every shape, with
+  ``EntropySpec.phis`` before the judges, so neither swapped function holds
+  it), its witnesses, the fold of each chunk and the loop's own bookkeeping.  No chunk of these rows raises, so
   no figure holds the trial-by-trial replay that a chunk which raises gets.
 
 A cycle runs every family once; each figure is the median over ``--cycles``
