@@ -334,21 +334,18 @@ class GroupFunction:
                     return prev, t
                 prev, t = t, 2.0 * t
             raise ConvergenceError(f"{self.name}: upward bracket expansion failed for {s}")
-        if math.isfinite(self.domain_min):
-            # halve the gap toward the open domain floor until G dips below s
-            t = 0.5 * self.domain_min
-            for _ in range(200):
-                if t <= self.domain_min:
-                    break
-                if self.eval(t) <= s:
-                    return t, 0.0
-                t = 0.5 * (t + self.domain_min)
-            raise ConvergenceError(f"{self.name}: bracket did not reach {s} near the domain floor")
-        t = -1.0
+        # until G dips below s: halve the gap toward a finite, open domain floor, else double t = -1, -2, -4, ...
+        floor = self.domain_min
+        finite = math.isfinite(floor)
+        t = 0.5 * floor if finite else -1.0
         for _ in range(200):
+            if finite and t <= floor:
+                break
             if self.eval(t) <= s:
                 return t, 0.0
-            t *= 2.0
+            t = 0.5 * (t + floor) if finite else 2.0 * t
+        if finite:
+            raise ConvergenceError(f"{self.name}: bracket did not reach {s} near the domain floor")
         raise ConvergenceError(f"{self.name}: downward bracket expansion failed for {s}")
 
     def chi(self, x: float, y: float) -> float:

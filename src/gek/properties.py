@@ -98,7 +98,7 @@ class _Row(NamedTuple):
     dists: int  # how many leading blocks hold distributions
     worst: float  # the start of the row's _Worst fold
     limit: float | None = None  # the largest passing value; None is the check's tol
-    law: Callable | None = None  # (spec, each shape's values) -> each shape's judge extras, by one call per chunk
+    law: Callable | None = None  # (spec, each shape's values) -> each shape's judge extras; once per chunk, replay too
 
 
 def _run_rows(spec: EntropySpec | None, rows, trials: int, seed: int, w_values, tol=None) -> list[PropertyReport]:
@@ -124,10 +124,11 @@ def _run_rows(spec: EntropySpec | None, rows, trials: int, seed: int, w_values, 
     and skip masks into trial order, counts the skipped trials, and folds the
     kept ones into the row's worst; ``row.witness`` runs only for a trial that
     becomes the worst.  An error ends the check as the one-trial-at-a-time
-    loop ended it: a chunk with a bad vector, or one whose tails or judges
-    raise, is run again one trial at a time, in trial order, each trial
-    validated, evaluated and judged before the next (``_evaluate``).  So the
-    first trial that raises ends the check, and a judge error on an earlier
+    loop ended it: a chunk with a bad vector, or one whose tails, law or
+    judges raise, is run again on the same path one trial at a time, in trial
+    order, each trial a one-trial chunk that is validated, evaluated, put
+    through the law and judged before the next (``_evaluate``).  So the first
+    trial that raises ends the check, and a law or judge error on an earlier
     trial wins over a value error on a later one, whatever the chunk size.
     """
     check_trials(trials)
@@ -157,41 +158,38 @@ def _run_rows(spec: EntropySpec | None, rows, trials: int, seed: int, w_values, 
 def _evaluate(spec, row, chunk, order) -> tuple[list, list]:
     """Each shape's values and its judge's (residuals, skip, extras); or the first trial's error, in trial order.
 
-    If a vector is not a distribution, or anything raises, the chunk is run
-    again one trial at a time, in ``order``, as the one-trial-at-a-time loop
-    ran it: each distribution of the trial is handed to ``Distribution``,
-    which raises its own error, then the trial's sums go through the tail
-    slot by slot (a one-row ``block_sums`` is the chunk's sum bit for bit),
-    and then the row's judge runs on the trial alone, with the extras that
-    ``row.build`` gave, not the row's law.
+    ``_judged`` runs the whole chunk.  If anything raises, it runs again on
+    each trial in ``order`` as a one-trial chunk, as the one-trial-at-a-time
+    loop ran it (a one-row ``block_sums`` is the chunk's sum bit for bit), so
+    the first trial that raises ends the check with its own error.
     """
     try:
-        values = _chunk_values(spec, chunk, row.dists)
-        if values is not None:
-            extras = row.law(spec, values) if row.law else [extras for *_, extras in chunk]
-            return values, [row.judge(spec, blocks, v, e) for (_, blocks, _), v, e in zip(chunk, values, extras)]
+        return _judged(spec, row, chunk)
     except Exception:  # run again below, outside this handler, so the error raised carries no other
         pass
     for s, j in order:
         _, blocks, extras = chunk[s]
-        trial = tuple(b[j:j + 1] for b in blocks)
-        for block in trial[:row.dists]:
-            Distribution(block[0])
-        values = [v for b in trial for v in spec.from_row_sums(spec.block_sums(b).ravel().tolist())]
-        row.judge(spec, trial, np.array([values], float), None if extras is None else extras[j:j + 1])
+        _judged(spec, row, [((0,), tuple(b[j:j + 1] for b in blocks), None if extras is None else extras[j:j + 1])])
     raise AssertionError("a chunk raised once but not again")  # pragma: no cover
 
 
-def _chunk_values(spec: EntropySpec | None, chunk, dists: int) -> list[np.ndarray] | None:
+def _judged(spec, row, chunk) -> tuple[list, list]:
+    """Each shape's values (``_chunk_values``), then the row's law if it has one, then each shape's judge."""
+    values = _chunk_values(spec, chunk, row.dists)
+    extras = row.law(spec, values) if row.law else [extras for *_, extras in chunk]
+    return values, [row.judge(spec, blocks, v, e) for (_, blocks, _), v, e in zip(chunk, values, extras)]
+
+
+def _chunk_values(spec: EntropySpec | None, chunk, dists: int) -> list[np.ndarray]:
     """Each shape's (k, m) array of its trials' values: the tail of each family sum, slot after slot.
 
     The blocks of one slot and width are concatenated (several shapes share a
     width only where a key has two parts), so each is checked and reduced by
     a few numpy calls, with ``spec.block_sums``.  The first ``dists`` slots
-    hold distributions.  ``spec.from_row_sums`` runs the family's tail once
-    per reduced block, and the values are sliced back per shape.  It returns
-    None as soon as a distribution slot holds a vector that ``invalid_rows``
-    rejects, and ``_evaluate`` then runs the chunk trial by trial.
+    hold distributions: a block with a vector that ``invalid_rows`` rejects
+    hands its first such vector to ``Distribution``, which raises its own
+    error.  ``spec.from_row_sums`` runs the family's tail once per reduced
+    block, and the values are sliced back per shape.
     """
     if not chunk[0][1]:
         return [np.empty((len(ids), 0)) for ids, *_ in chunk]
@@ -203,8 +201,9 @@ def _chunk_values(spec: EntropySpec | None, chunk, dists: int) -> list[np.ndarra
         for shapes in widths.values():
             parts = [chunk[s][1][slot] for s in shapes]
             block = parts[0] if len(parts) == 1 else np.concatenate(parts)
-            if slot < dists and invalid_rows(block).any():
-                return None
+            if slot < dists and (bad := invalid_rows(block)).any():
+                Distribution(block[bad.argmax()])
+                raise AssertionError("Distribution accepts a vector that invalid_rows rejects")
             sums = spec.block_sums(block).reshape(len(block), -1)
             tails = np.array(spec.from_row_sums(sums.ravel().tolist()), float).reshape(sums.shape)
             at = 0
@@ -332,11 +331,8 @@ def _law_product(spec, values):
 
 
 def _judge_product(spec, blocks, values, combined):
-    # values holds S(p), S(r) and S(p x r), and combined each trial's law value, or None for a trial judged alone,
-    # which calls phi itself; the witness reads each trial's law value, so it never calls phi
-    if combined is None:
-        phi = spec.phi
-        combined = [phi(s_p, s_r) for s_p, s_r in values[:, :2].tolist()]
+    # values holds S(p), S(r) and S(p x r), and combined each trial's law value from _law_product, which the witness
+    # reads too, so neither calls phi
     return _relative_gap(values[:, 2], combined), None, combined
 
 

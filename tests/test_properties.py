@@ -1,9 +1,11 @@
 """Behavior of the verification engine itself: sensitivity, pairs, growth laws."""
 
 import math
+import re
 import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1005,41 +1007,52 @@ class TestBlockJudges:
         assert str(got.value) == str(expected.value)
 
     @pytest.mark.parametrize("chunk", [1024, 256, 7, 1])
-    @pytest.mark.parametrize("first", ["range", "input", "judge"])
+    @pytest.mark.parametrize("first", ["range", "input", "judge", "law"])
     def test_the_first_trials_error_ends_the_check_whatever_the_chunk(self, first, chunk, monkeypatch):
         # trials alternate w = 3 and w = 4 on low-entropy vectors; trial 3 (w = 4) and trial 4 (w = 3) are uniform,
         # whose entropy G refuses, or do not sum to 1, or trial 3's value (about 0.93) passes G but not the judge,
-        # which refuses a value above 0.8.  The first of the two raises, in any chunk that holds both
+        # which refuses a value above 0.8, nor the row's law, which refuses it before the judge sees it.  The first
+        # of the two raises, in any chunk that holds both
         import gek.properties as properties
         from gek.properties import _Row, _run_rows
 
         spec = EntropySpec("zg", {"alpha": 0.5}, _RangeAbove(0.5))
         low = {3: [0.98, 0.01, 0.01], 4: [0.97, 0.01, 0.01, 0.01]}
+        refused = {3: [0.85, 0.05, 0.05, 0.05], 4: [1 / 3] * 3}
         special = {"range": {3: [0.25] * 4, 4: [0.5] * 3}, "input": {3: [0.5] * 4, 4: [1 / 3] * 3},
-                   "judge": {3: [0.85, 0.05, 0.05, 0.05], 4: [1 / 3] * 3}}[first]
+                   "judge": refused, "law": refused}[first]
         vectors = [special.get(t, low[3 + t % 2]) for t in range(300)]
 
-        def judge_one(value):
+        def refuse(who, value):
             if value > 0.8:
-                raise ValueError(f"the judge refuses {value!r}")
+                raise ValueError(f"the {who} refuses {value!r}")
 
-        with pytest.raises(Exception) as expected:  # one trial at a time: validate, evaluate, then judge
+        with pytest.raises(Exception) as expected:  # one trial at a time: validate, evaluate, law, then judge
             for v in vectors:
                 Distribution(v)
-                judge_one(spec.raw_value(v))
-        assert expected.type is {"range": RangeError, "input": InputError, "judge": ValueError}[first]
+                value = spec.raw_value(v)
+                if first == "law":
+                    refuse("law", value)
+                refuse("judge", value)
+        assert expected.type is {"range": RangeError, "input": InputError}.get(first, ValueError)
+        assert first not in ("judge", "law") or str(expected.value).startswith(f"the {first} refuses")
 
         def draw(rng, below, w_values, trials=iter(vectors)):
             v = next(trials)
             return len(v), v
 
+        def law(spec, values):
+            for value in np.concatenate([v[:, 0] for v in values]).tolist():
+                refuse("law", value)
+            return [None] * len(values)
+
         def judge(spec, blocks, values, extras):
             for value in values[:, 0].tolist():
-                judge_one(value)
+                refuse("judge", value)
             return values[:, 0], None, extras
 
         row = _Row("errors", draw, lambda key, variates: ((np.array(variates),), None), judge, lambda *args: {}, 1,
-                   -math.inf, math.inf)
+                   -math.inf, math.inf, law if first == "law" else None)
         monkeypatch.setattr(properties, "_CHUNK", chunk)
         with pytest.raises(expected.type) as got:
             _run_rows(spec, (row,), 300, 0, ())
@@ -1111,7 +1124,7 @@ class TestChunkLaw:
         monkeypatch.setattr(grouplog, "_chi_scaled_block", lambda *args: None)  # the scalar law, pair by pair
         assert repr(check_composability(spec, trials).as_dict()) == repr(report.as_dict())
 
-    @pytest.mark.parametrize("chunk", [1024, 7])
+    @pytest.mark.parametrize("chunk", [1024, 7, 1])
     @pytest.mark.parametrize(
         "g, block",
         [(_AbelNanAbove(0.3, -0.2, 50.0), True), (_AbelNanAbove(0.3, -0.2, 3.0), True),
@@ -1137,6 +1150,26 @@ class TestChunkLaw:
             assert not seen
         elif isinstance(expected, str):  # no entropy value raised, so every chunk reached the law
             assert seen
+        elif seen:  # the law raised (a tail that raises here does so in the first chunk, before any law): the
+            # chunk's call, then the replay runs the law again, one pair a trial
+            sizes = [len(xs) for _, _, xs, _ in seen]
+            assert sizes[-1] == 1 and len(sizes) > 1
+            if chunk > 1:
+                first = sizes.index(1)
+                assert sizes[first - 1] > 1 and set(sizes[first:]) == {1}
+            else:  # the failing trial's own chunk, then its replay
+                assert repr(seen[-1]) == repr(seen[-2])
+
+
+def test_the_readme_names_every_row_field():
+    # the README describes a _Row twice, in the module table and above the six phases of the trial loop
+    from gek.properties import _Row
+
+    text = " ".join((Path(__file__).parents[1] / "README.md").read_text().split())
+    for pattern in (r"`_Row` records \((.*?)\) run by", r"a `_Row` holds (.*?)\. One runner"):
+        found = re.search(pattern, text)
+        assert found, pattern
+        assert [f for f in _Row._fields if not re.search(rf"`{f}\b", found.group(1))] == [], pattern
 
 
 # The three checks with no vector slot as they ran before they became rows: their own rng, trial loop and fold.

@@ -16,16 +16,16 @@ timed ones, so nothing under ``src/`` changes:
 - draw: ``row.draw``, once per trial;
 - build: ``row.build``, once per shape of a chunk;
 - reduce: ``_chunk_values`` less its tails, which validates the blocks and
-  reduces them with ``EntropySpec.block_sums``; it returns None at a vector
-  that is not a distribution, which none of these rows draws;
+  reduces them with ``EntropySpec.block_sums``;
 - tails: ``EntropySpec.from_row_sums``, the scalar tails, once per reduced
   block;
 - judge + fold: the rest of the row's wall time, which is its judges (which
-  ``_evaluate`` runs after ``_chunk_values``), the composability row's law
-  (``_evaluate`` runs it once per chunk, over every shape, with
+  ``properties._judged`` runs after ``_chunk_values``), the composability
+  row's law (run there once per chunk, over every shape, with
   ``EntropySpec.phis`` before the judges, so neither swapped function holds
-  it), its witnesses, the fold of each chunk and the loop's own bookkeeping.  No chunk of these rows raises, so
-  no figure holds the trial-by-trial replay that a chunk which raises gets.
+  it), its witnesses, the fold of each chunk and the loop's own
+  bookkeeping.  No chunk of these rows raises, so no figure holds the
+  trial-by-trial replay that a chunk which raises gets.
 
 A cycle runs every family once; each figure is the median over ``--cycles``
 cycles in this one process, in ms, summed over the nine families.  Each
