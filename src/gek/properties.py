@@ -28,9 +28,11 @@ from .record import Record
 # denominator used for exact majorization sampling; a power of two keeps the
 # float conversion and its partial sums exact
 _MASS_DENOM = 2**20
-# trials a randomized check draws, validates and evaluates together, so a row of 1000 trials is one chunk; it
-# bounds the memory of the stacked draws and never changes a report.  The widest is check_composability(max_w=40)
-# at 40 + 40 + 1600 = 1680 floats a trial: 1024 * 1680 * 8 B = 13.8 MB of blocks, held twice while concatenated
+# trials a randomized check draws, validates and evaluates together, so a row of 1000 trials is one chunk.  It
+# fixes the stream as well as the memory bound: a row draws each variate of a chunk in one numpy call per shape,
+# so a seed gives the same reports only at the same _CHUNK, and it stays a constant.  The widest is
+# check_composability(max_w=40) at 40 + 40 + 1600 = 1680 floats a trial: 1024 * 1680 * 8 B = 13.8 MB of blocks,
+# held twice while concatenated
 _CHUNK = 1024
 # the l1 length of the continuity proxy's shift
 _STEP = 1e-6
@@ -64,9 +66,9 @@ class _Worst:
         n = len(order)
         residuals, skip = np.empty(n), np.zeros(n, dtype=bool)
         for (ids, _, _), (r, s, _) in zip(chunk, judged):
-            residuals[list(ids)] = r
+            residuals[np.asarray(ids)] = r
             if s is not None:
-                skip[list(ids)] = s
+                skip[np.asarray(ids)] = s
         kept = np.flatnonzero(~skip)
         self.skipped += n - kept.size
         if not kept.size:
@@ -91,8 +93,8 @@ class _Row(NamedTuple):
     """One sampled property, a row of the table that ``_run_rows`` runs."""
 
     name: str  # the report's name
-    draw: Callable  # (rng, below, w_values) -> (shape key, the trial's seeded variates); below is _bounded(rng)
-    build: Callable  # (key, the variates of every trial of that shape) -> (blocks, extras); see _run_rows
+    draw: Callable  # (rng, n, w_values) -> the chunk's shapes, each (key, its trial ids, its stacked variates)
+    build: Callable  # (key, the stacked variates of that shape's trials) -> (blocks, extras); see _run_rows
     judge: Callable  # (spec, blocks, values, extras) -> (residuals, skip mask or None, the witness's extras)
     witness: Callable  # (blocks, values, extras, i) -> the witness of the shape's trial i
     dists: int  # how many leading blocks hold distributions
@@ -105,12 +107,14 @@ def _run_rows(spec: EntropySpec | None, rows, trials: int, seed: int, w_values, 
     """Run each row for ``trials`` trials, in row order on one rng seeded with ``seed``; one report per row.
 
     gek's only trial loop.  A row runs in chunks of _CHUNK trials.  Draw:
-    ``row.draw`` once per trial, in the seeded order, keeps only the trial's
-    variates and its shape key, and reads every bounded draw through the one
-    reader of the rng, ``_bounded(rng)``; ``order[t]`` is (s, j) for trial t,
-    trial j of shape s.  Build: ``row.build`` stacks the trials of one shape
-    into blocks, one per vector slot, with the trials along the first axis and
-    each vector along the last, and gives the shape's extras (one per trial, or
+    ``row.draw`` once per chunk gives its shapes in the order of their first
+    trials, each with its key, its trial ids in ascending order and its seeded
+    variates, stacked with the trials along the first axis; it draws each kind
+    of variate in one numpy call per shape, so _CHUNK fixes the stream.
+    ``order[t]`` is (s, j) for trial t, trial j of shape s.  Build:
+    ``row.build`` turns the variates of one shape into blocks, one per vector
+    slot, with the trials along the first axis and each vector along the
+    last, and gives the shape's extras (one per trial, or
     None for none).  A row with no vector slot builds no blocks, never reads
     ``spec`` (None if no row has a slot), and its judge reads only the extras.
     Validate and evaluate (``_chunk_values``): every block is checked and
@@ -133,22 +137,16 @@ def _run_rows(spec: EntropySpec | None, rows, trials: int, seed: int, w_values, 
     """
     check_trials(trials)
     rng = np.random.default_rng(seed)
-    below = _bounded(rng)
     reports = []
     for row in rows:
         fold = _Worst(row.worst, tol if row.limit is None else row.limit)
         for start in range(0, trials, _CHUNK):
             n = min(_CHUNK, trials - start)
-            shapes: dict = {}
-            for t in range(n):
-                key, variates = row.draw(rng, below, w_values)
-                shapes.setdefault(key, []).append((t, variates))
-            chunk, order = [], [None] * n
-            for s, (key, members) in enumerate(shapes.items()):
-                ids, variates = zip(*members)
-                for j, t in enumerate(ids):
-                    order[t] = (s, j)
+            chunk, shape_of, row_of = [], np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
+            for s, (key, ids, variates) in enumerate(row.draw(rng, n, w_values)):
+                shape_of[ids], row_of[ids] = s, np.arange(len(ids))
                 chunk.append((ids, *row.build(key, variates)))
+            order = list(zip(shape_of.tolist(), row_of.tolist()))
             values, judged = _evaluate(spec, row, chunk, order)
             fold.fold(chunk, order, values, judged, row.witness)
         reports.append(fold.report(row.name, trials, seed))
@@ -214,53 +212,13 @@ def _chunk_values(spec: EntropySpec | None, chunk, dists: int) -> list[np.ndarra
     return [v[0] if len(v) == 1 else np.concatenate(v, axis=1) for v in values]
 
 
-def _bounded(rng) -> Callable[[int], int]:
-    """The bounded-draw reader of ``rng``: ``below(n)`` is ``int(rng.integers(n))`` for 1 <= n < 2**32.
-
-    It gives the same value and leaves the generator in the same state.  numpy
-    draws an integer below n by Lemire's method (arXiv:1805.10941, its
-    ``buffered_bounded_lemire_uint32``): m = x * n for a 32-bit output x,
-    redrawn while the low word of m is below 2**32 % n, and the high word of m
-    is the value; a one-value range draws nothing.  These are the same steps,
-    with x read through the bit generator's ``next_uint32``, the C function
-    (with its half-word buffer) that ``integers``, ``multinomial`` and
-    ``standard_exponential`` read, so the calls interleave with theirs.  It
-    skips the argument handling of ``Generator.integers``, most of a scalar
-    call's cost, and the C function and its state are looked up once per
-    generator.  ``below`` checks no bound: outside [1, 2**32) its value is
-    wrong or its loop never ends, so every caller draws below a count it has
-    checked (``_w_range`` caps the number of W values), and ``_below`` checks.
-    Not thread-safe: it bypasses the generator's lock, so the generator must be
-    used by one thread only, as each ``_run_rows`` owns its own.
-    """
-    bits = rng.bit_generator.ctypes
-    next_uint32, state = bits.next_uint32, bits.state
-
-    def below(n: int) -> int:
-        if n == 1:
-            return 0
-        m = next_uint32(state) * n
-        if m & 0xFFFFFFFF < n:
-            threshold = 2**32 % n
-            while m & 0xFFFFFFFF < threshold:
-                m = next_uint32(state) * n
-        return m >> 32
-
-    below.bit_generator = rng.bit_generator  # the state that next_uint32 writes lives as long as the reader
-    return below
-
-
-def _below(rng, n: int) -> int:
-    """``_bounded(rng)(n)``, with n checked to lie in [1, 2**32)."""
-    if not 0 < n < 2**32:
-        raise ValueError(f"the bound {n} is outside [1, 2**32)")
-    return _bounded(rng)(n)
-
-
 def _w_range(w_values: Sequence[int], least: int = 1) -> Sequence[int]:
     """``w_values``, checked before any draw: a sampled check needs one or more W, each an integer >= ``least``.
 
-    A draw picks one of them by a bounded draw, so there may be at most 2**32 - 1.
+    There may be at most 2**32 - 1 of them: a draw picks one by its index,
+    ``rng.integers(0, len(w_values))``, which numpy draws by its 32-bit method
+    up to 2**32 values and by its 64-bit one past that, so the cap keeps every
+    accepted range on one draw law.
     """
     try:
         count = len(w_values)
@@ -280,41 +238,49 @@ def _w_upto(max_w: int) -> Sequence[int]:
     return _w_range(range(1, max_w + 1) if _integral(max_w) else [max_w])
 
 
-def _flat_dirichlet_rows(exponentials) -> np.ndarray:
-    """Rows of rng.dirichlet(np.ones(w)), one from each row of w standard exponentials.
-
-    numpy draws each gamma(1) variate as a standard exponential and scales
-    them by the reciprocal of their running sum; these are the same float
-    operations, row by row.
-    """
-    e = np.array(exponentials)
-    return e * (1.0 / e.cumsum(axis=1)[:, -1:])
+def _flat_dirichlet_rows(exponentials: np.ndarray) -> np.ndarray:
+    """Rows of a flat Dirichlet distribution: each row of standard exponentials over its sum."""
+    return exponentials / exponentials.sum(axis=1, keepdims=True)
 
 
-def _interior_rows(w: int, exponentials) -> np.ndarray:
+def _interior_rows(w: int, exponentials: np.ndarray) -> np.ndarray:
     # keep every coordinate >= 1e-3 so alpha < 1 derivatives stay finite
     return 0.99 * _flat_dirichlet_rows(exponentials) + 0.01 / w
 
 
-# A draw picks W as int(w_values[below(len(w_values))]): the same draw as rng.choice(w_values), and on a
-# range(1, k + 1) as rng.integers(1, k + 1), which cost about eight times as much.
+def _shapes(keys: np.ndarray) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """(key, trial ids) of each distinct row of the (n, c) integer ``keys``, in the order of its first trial.
+
+    Each shape's ids are ascending, so its trials keep their trial order.
+    """
+    order = np.lexsort(keys.T[::-1])  # stable
+    ranked = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], (ranked[1:] != ranked[:-1]).any(axis=1))))
+    ends = np.append(starts[1:], len(order))
+    shapes = sorted(zip(order[starts].tolist(), ranked[starts].tolist(), starts.tolist(), ends.tolist()))
+    return [(tuple(key), order[start:end]) for _, key, start, end in shapes]
 
 
-def _draw_simplex(rng, below, w_values):
-    # the draws of one row of _flat_dirichlet_rows, or of _interior_rows
-    w = int(w_values[below(len(w_values))])
-    return w, rng.standard_exponential(w)
+def _w_shapes(rng, n: int, w_values: Sequence[int]) -> list[tuple[int, np.ndarray]]:
+    """(W, trial ids) of each W that ``n`` trials draw, uniformly from ``w_values``, in the order of its first trial."""
+    drawn = rng.integers(0, len(w_values), size=(n, 1))
+    return [(int(w_values[i]), ids) for (i,), ids in _shapes(drawn)]
 
 
-def _draw_product(rng, below, w_values):
-    n = len(w_values)
-    wa, wb = int(w_values[below(n)]), int(w_values[below(n)])
-    return (wa, wb), (rng.standard_exponential(wa), rng.standard_exponential(wb))
+def _draw_simplex(rng, n, w_values):
+    # one (k, w) block of standard exponentials per W: the rows of _flat_dirichlet_rows, or of _interior_rows
+    return [(w, ids, (rng.standard_exponential((len(ids), w)),)) for w, ids in _w_shapes(rng, n, w_values)]
+
+
+def _draw_product(rng, n, w_values):
+    # the (W_a, W_b) pair of each trial, then per pair the exponentials of p, then those of r
+    shapes = [((int(w_values[a]), int(w_values[b])), ids)
+              for (a, b), ids in _shapes(rng.integers(0, len(w_values), size=(n, 2)))]
+    return [(key, ids, tuple(rng.standard_exponential((len(ids), w)) for w in key)) for key, ids in shapes]
 
 
 def _build_product(key, variates):
-    ea, eb = zip(*variates)
-    p, r = _flat_dirichlet_rows(ea), _flat_dirichlet_rows(eb)
+    p, r = map(_flat_dirichlet_rows, variates)
     # row i of the joint block is np.outer(p[i], r[i]).ravel()
     return (p, r, (p[:, :, None] * r[:, None, :]).reshape(len(p), -1)), None
 
@@ -371,14 +337,20 @@ def _build_scalar(key, variates):
     return (), variates
 
 
+def _one_shape(n: int, variates) -> list:
+    """The one shape of a chunk of a row with no vector slot: every trial, with its variates."""
+    return [(None, np.arange(n), variates)]
+
+
 def _witness_extra(fields: tuple) -> Callable:
     """The witness of a row with no vector slot: the trial's variates, by name."""
     return lambda blocks, values, extras, i: dict(zip(fields, extras[i]))
 
 
-def _draw_uniform_pair(rng, below, w_values):
-    n = len(w_values)
-    return None, (int(w_values[below(n)]), int(w_values[below(n)]))
+def _draw_uniform_pair(rng, n, w_values):
+    # the stream of a (W_a, W_b) pair per trial, each int(rng.integers(len(w_values))): one call for the chunk
+    drawn = rng.integers(0, len(w_values), size=2 * n).tolist()
+    return _one_shape(n, [(int(w_values[a]), int(w_values[b])) for a, b in zip(drawn[::2], drawn[1::2])])
 
 
 def _judge_uniform_pair(spec, blocks, values, pairs):
@@ -408,8 +380,9 @@ def check_composability_on_uniform(
     return _run_rows(spec, _ON_UNIFORM, trials, seed, _w_upto(max_w), tol)[0]
 
 
-def _draw_triple(rng, below, w_values):
-    return None, rng.uniform(0.0, 3.0, size=3)
+def _draw_triple(rng, n, w_values):
+    # the stream of rng.uniform(0.0, 3.0, size=3) per trial; each row's x, y and z are numpy scalars
+    return _one_shape(n, rng.uniform(0.0, 3.0, size=(n, 3)))
 
 
 def _judge_axioms(spec, blocks, values, triples):
@@ -447,15 +420,16 @@ def check_group_axioms_numeric(
     return _run_rows(EntropySpec("zg", {"alpha": alpha}, g), _GROUP_AXIOMS, trials, seed, (), tol)[0]
 
 
-def _draw_continuity(rng, below, w_values):
-    w, e = _draw_simplex(rng, below, w_values)
-    return w, (e, rng.normal(size=w))
+def _draw_continuity(rng, n, w_values):
+    # per W, the exponentials of p, then the normals of its shift's direction
+    return [(w, ids, (rng.standard_exponential((len(ids), w)), rng.normal(size=(len(ids), w))))
+            for w, ids in _w_shapes(rng, n, w_values)]
 
 
 def _build_continuity(w, variates):
-    e, direction = zip(*variates)
-    p, direction = _interior_rows(w, e), np.array(direction)
-    direction -= direction.mean(axis=1, keepdims=True)
+    e, direction = variates
+    p = _interior_rows(w, e)
+    direction = direction - direction.mean(axis=1, keepdims=True)
     norm = np.abs(direction).sum(axis=1, keepdims=True)
     # a zero direction (w = 1) is divided by 1, not 0; p stands in for each shift that is not admissible
     shifted = p + _STEP * direction / np.where(norm > 0, norm, 1.0)
@@ -474,7 +448,7 @@ def _witness_continuity(blocks, values, admissible, i):
 
 
 def _build_maximum(w, variates):
-    return (_flat_dirichlet_rows(variates),), None
+    return (_flat_dirichlet_rows(*variates),), None
 
 
 def _judge_maximum(spec, blocks, values, extras):
@@ -488,7 +462,7 @@ def _witness_maximum(blocks, values, extras, i):
 
 
 def _build_expansibility(w, variates):
-    p = _flat_dirichlet_rows(variates)
+    p = _flat_dirichlet_rows(*variates)
     # row i of the second block is np.append(p[i], 0.0)
     return (p, np.concatenate((p, np.zeros((len(p), 1))), axis=1)), None
 
@@ -560,63 +534,66 @@ def _uniform_pvals(w: int) -> np.ndarray:
     return pvals
 
 
-def _majorization_masses(w: int, steps: int, rng, below) -> tuple[list[int], list[int]]:
-    """Robin-Hood transfers on an exact integer mass vector: the masses of p and r, over _MASS_DENOM.
+def _majorization_masses(rng, w: int, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Robin-Hood transfers on exact integer masses, one chain per entry of ``steps``: the (k, w) masses of p and r.
 
-    Starting from a random r, each step moves mass from a larger to a smaller
-    coordinate without letting them cross, so the result p is majorized by r;
-    the integer dominance check is exact.  ``below`` is ``_bounded(rng)``.
-    A step's pair is the draw of rng.choice(w, size=2, replace=False), which
-    samples by Floyd's algorithm: an index below w - 1 and one below w that
-    becomes w - 1 on a collision, then one more draw below 2 that shuffles
-    the two.  These are the same three bounded draws, at a third of that
-    call's cost; the step orders the pair by mass, so the shuffle is drawn
-    and not applied.
+    Each r is a multinomial draw of _MASS_DENOM over w equal cells.  Chain t
+    takes ``steps[t]`` steps, each of which moves mass from the larger to the
+    smaller of two coordinates without letting them cross, so its p is
+    majorized by its r; the integer dominance check is exact.  A step draws
+    one pair for every chain, a uniform unordered pair by Floyd's draw (an
+    index i below w - 1 and one below w that becomes w - 1 where it equals i,
+    both read from one draw below w(w - 1); unshuffled, since the step orders
+    the pair by mass), then an amount uniform below |a - b| // 2 + 1.  A chain
+    past its own step count moves nothing: its amount is drawn below 1, which
+    reads no bits, as for a pair of equal masses.
     """
     if w < 2:
         raise ValueError("need at least two outcomes")
-    masses_r = rng.multinomial(_MASS_DENOM, _uniform_pvals(w)).tolist()
-    masses_p = list(masses_r)
-    last = w - 1
-    for _ in range(steps):
-        i, j = below(last), below(w)
-        if j == i:
-            j = last
-        below(2)
-        a, b = masses_p[i], masses_p[j]
-        if a == b:
-            continue
-        if a < b:
-            i, j, a, b = j, i, b, a
-        amount = below((a - b) // 2 + 1)
-        masses_p[i] = a - amount
-        masses_p[j] = b + amount
-    if not majorizes(masses_r, masses_p, tol=0):
+    k = len(steps)
+    masses_r = rng.multinomial(_MASS_DENOM, _uniform_pvals(w), size=k)
+    masses_p = masses_r.copy()
+    flat, rows = masses_p.reshape(-1), np.arange(0, k * w, w)  # the index of each chain's first mass in flat
+    for step in range(int(steps.max(initial=0))):
+        i, j = np.divmod(rng.integers(0, w * (w - 1), size=k), w)
+        j[j == i] = w - 1
+        i += rows
+        j += rows
+        gap = flat[i] - flat[j]
+        amount = rng.integers(0, np.where(step < steps, np.abs(gap) // 2 + 1, 1)) * np.sign(gap)
+        flat[i] -= amount
+        flat[j] += amount
+    run_r, run_p = (np.cumsum(-np.sort(-m, axis=1), axis=1) for m in (masses_r, masses_p))
+    if not ((run_r[:, :-1] >= run_p[:, :-1]).all() and (run_r[:, -1] == run_p[:, -1]).all()):
         raise AssertionError("transfer chain violated dominance")  # pragma: no cover
     return masses_p, masses_r
 
 
 def generate_majorization_pair(w: int, steps: int, rng) -> MajorizationPair:
-    """A validated pair with p majorized by r, from ``_majorization_masses``.
+    """A validated pair with p majorized by r: one chain of ``_majorization_masses``, of ``steps`` steps.
 
     The masses live on a power-of-two grid, which keeps the float conversion
-    and the dominance check exact.
+    and the dominance check exact.  ``w`` and ``steps`` are integers, and
+    ``steps`` is at least 0.
     """
-    masses_p, masses_r = _majorization_masses(w, steps, rng, _bounded(rng))
-    return MajorizationPair(
-        p=Distribution(np.array(masses_p, dtype=float) / _MASS_DENOM),
-        r=Distribution(np.array(masses_r, dtype=float) / _MASS_DENOM),
-    )
+    if not _integral(w):
+        raise ValueError(f"the number of outcomes must be an integer, got {w!r}")
+    if not (_integral(steps) and steps >= 0):
+        raise ValueError(f"the number of transfer steps must be an integer at least 0, got {steps!r}")
+    masses_p, masses_r = _majorization_masses(rng, int(w), np.array([steps]))
+    return MajorizationPair(p=Distribution(masses_p[0] / _MASS_DENOM), r=Distribution(masses_r[0] / _MASS_DENOM))
 
 
-def _draw_ordering(rng, below, w_values):
-    w = int(w_values[below(len(w_values))])
-    return w, _majorization_masses(w, 1 + below(11), rng, below)
+def _draw_ordering(rng, n, w_values):
+    # the W of each trial, then its step count, uniform on 1, ..., 11, then one block of chains per W
+    shapes = _w_shapes(rng, n, w_values)
+    steps = rng.integers(1, 12, size=n)
+    return [(w, ids, (*_majorization_masses(rng, w, steps[ids]), steps[ids])) for w, ids in shapes]
 
 
 def _build_ordering(w, variates):
-    masses = np.array(variates, dtype=float)  # trial, (p, r), entry
-    return (masses[:, 1] / _MASS_DENOM, masses[:, 0] / _MASS_DENOM), None
+    masses_p, masses_r, _ = variates  # the step counts are kept for the law test, not built
+    return (masses_r / _MASS_DENOM, masses_p / _MASS_DENOM), None
 
 
 def _judge_ordering(spec, blocks, values, extras):
@@ -633,7 +610,7 @@ def _build_criterion(w, variates):
 
     Point 2i is p with h_i added to entry i, point 2i + 1 with h_i subtracted.
     """
-    p = _interior_rows(w, variates)
+    p = _interior_rows(w, *variates)
     h = 1e-6 * np.maximum(p, 1e-3)
     shifted = np.repeat(p[:, None, :], 2 * w, axis=1)
     i = np.arange(w)
@@ -696,11 +673,12 @@ def saq_concavity_counterexample_search(
     _w_range((w,))
     exponent = a * (q - 1.0) + 1.0
 
-    def draw(rng, below, w_values):
-        return None, (rng.standard_exponential(w), rng.standard_exponential(w), rng.uniform(0.05, 0.95))
+    def draw(rng, n, w_values):
+        # per trial, two rows of exponentials (p1, p2) and a mixing weight
+        return _one_shape(n, list(zip(rng.standard_exponential((n, 2, w)), rng.uniform(0.05, 0.95, size=n).tolist())))
 
     def pair(variates):
-        *e, lam = variates
+        e, lam = variates
         p1, p2 = (Distribution(v).p for v in _interior_rows(w, e))
         return p1, p2, lam
 

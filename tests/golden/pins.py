@@ -31,9 +31,13 @@ Usage (from the repository root)::
 
 With no argument it writes nothing: it replays all three pins, prints one line
 per moved entry (its argv or law name, the old and new exit code and the first
-differing line) and ``k of n entries moved`` per pin, and exits 1 if any entry
-moved.  Re-record a pin only on a commit whose output is known to be right;
-``--record corpus`` re-runs the argv of every pinned corpus entry.
+differing line), then per pin ``k of n entries moved`` and ``m verdicts
+flipped``, and exits 1 if any entry moved.  A verdict flipped where an entry's
+exit code, the ``passed`` of any property of its verify report, or the truth
+value of any axiom in its axiom report changed, so a re-record that moves
+numbers can be told from one that changes a decision.  Re-record a pin only
+on a commit whose output is known to be right; ``--record corpus`` re-runs
+the argv of every pinned corpus entry.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -246,15 +251,28 @@ def _first_difference(old: str, new: str) -> str:
     return next(differ, "unchanged")
 
 
-def moved(entries: list[dict]) -> list[str]:
-    """Replay each entry; one line per entry with a pinned field, or an unpinned escaping exception, that moved."""
-    lines = []
+def verdicts(run: dict) -> tuple:
+    """What a run decided: its exit code and each property's ``passed``, or each axiom's truth value in a repr."""
+    if "repr" in run:
+        return tuple(re.findall(r"(\w+)=(True|False)", run["repr"]))
+    try:
+        report = json.loads(run["stdout"])
+    except ValueError:
+        report = None
+    properties = report.get("properties", []) if isinstance(report, dict) else []
+    return run["exit"], [(p.get("property"), p.get("passed")) for p in properties]
+
+
+def replay(entries: list[dict]) -> tuple[list[str], int]:
+    """``moved(entries)``, and how many of the moved entries flipped a verdict (see ``verdicts``)."""
+    lines, flipped = [], 0
     for entry in entries:
         pinned = {"exception": None, **entry} if "argv" in entry else entry
         got = outputs(entry)
         now = {key: got[key] for key in pinned if key not in NAMES}
         if all(pinned[key] == value for key, value in now.items()):
             continue
+        flipped += verdicts(pinned) != verdicts(now)
         if "argv" not in entry:
             lines.append(f"axioms {entry['name']}: {_first_difference(entry['repr'], now['repr'])}")
             continue
@@ -262,7 +280,12 @@ def moved(entries: list[dict]) -> list[str]:
                  for key in ("stdout", "stderr", "exception") if key in now and pinned[key] != now[key])
         first = next(texts, "output unchanged")
         lines.append(f"{' '.join(entry['argv'])}: exit {pinned['exit']} -> {now['exit']}; {first}")
-    return lines
+    return lines, flipped
+
+
+def moved(entries: list[dict]) -> list[str]:
+    """Replay each entry; one line per entry with a pinned field, or an unpinned escaping exception, that moved."""
+    return replay(entries)[0]
 
 
 if __name__ == "__main__":
@@ -278,9 +301,9 @@ if __name__ == "__main__":
     any_moved = False
     for pin in FILES:
         entries = load(pin)
-        lines = moved(entries)
+        lines, flipped = replay(entries)
         for line in lines:
             print(line)
-        print(f"{pin}: {len(lines)} of {len(entries)} entries moved")
+        print(f"{pin}: {len(lines)} of {len(entries)} entries moved, {flipped} verdicts flipped")
         any_moved = any_moved or bool(lines)
     sys.exit(1 if any_moved else 0)

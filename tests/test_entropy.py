@@ -605,7 +605,7 @@ class TestBatchedRows:
             by_length.setdefault(len(row), []).append(row)
         blocks = [np.array(rows, dtype=float) for rows in by_length.values()]
         rng = np.random.default_rng(13)
-        (_, points), _ = _build_criterion(9, [rng.standard_exponential(9) for _ in range(5)])
+        (_, points), _ = _build_criterion(9, (rng.standard_exponential((5, 9)),))
         zeroed = points.copy()
         zeroed[::2, 1::3, 4:7] = 0.0
         for block in blocks + [points, zeroed]:

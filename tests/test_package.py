@@ -92,3 +92,12 @@ def test_distribution_loads_on_first_use():
     check = "import gek, sys; assert 'numpy' not in sys.modules; print(gek.Distribution.uniform(4).size)"
     result = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True, timeout=60)
     assert (result.returncode, result.stdout) == (0, "4\n"), result.stderr
+
+
+def test_the_version_is_the_projects():
+    # bumped together: 0.2.0 is the version whose verify stream changed, when each chunk's draws moved to numpy
+    import re
+    from pathlib import Path
+
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    assert re.findall(r'^version = "(.*)"$', pyproject, re.M) == [gek.__version__] == ["0.2.0"]

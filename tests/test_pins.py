@@ -2,14 +2,17 @@
 
 ``golden/pins.py`` holds the pins' grids, runner and replay; its docstring
 says what each pin holds.  The corpus was pinned before the Z-families became
-aliases of ``zg``, the verify pin before the trial loops were batched and the
-sampled checks became rows, and the series pin before ``gek.series`` moved to
+aliases of ``zg``, and its verify entries and the verify pin were re-recorded,
+with no verdict flipped, when each chunk's draws moved to numpy calls (version
+0.2.0); the verify pin was first pinned before the trial loops were batched and
+the sampled checks became rows.  The series pin was pinned before ``gek.series`` moved to
 integer-numerator arithmetic, Lagrange inversion and content-free powers, and
 its axiom reports before associativity was decided by the invariant
 differential.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -66,6 +69,24 @@ def test_diff_names_each_moved_verify_or_corpus_entry(monkeypatch):
     monkeypatch.setattr("gek.cli.main", lambda argv: 1 / 0)
     (line,) = pins.moved([dict(entry, exit=1, stdout="")])
     assert line.endswith("exit 1 -> 1; exception line 1: 'None' -> 'ZeroDivisionError'")
+
+
+def test_replay_counts_the_verdicts_a_moved_entry_flips():
+    entry = pins.load("verify")[0]
+    report = json.loads(entry["stdout"])
+    assert entry["exit"] == 0 and report["properties"][0]["passed"] is True
+    numbers = dict(entry, stdout=entry["stdout"].replace('"seed": 7', '"seed": 8', 1))
+    failed = json.loads(entry["stdout"])
+    failed["properties"][0]["passed"] = False
+    flipped = dict(entry, stdout=json.dumps(failed, indent=2, sort_keys=True) + "\n")
+    assert pins.replay([numbers]) == (pins.moved([numbers]), 0) and len(pins.moved([numbers])) == 1
+    assert pins.replay([flipped])[1] == 1 and pins.replay([dict(entry, exit=1)])[1] == 1
+    assert pins.replay([entry, numbers, flipped, dict(numbers, exit=1)])[1] == 2
+    axioms = pins.load("series")[-1]
+    assert "identity=True" in axioms["repr"]
+    assert pins.replay([dict(axioms, repr=axioms["repr"].replace("identity=True", "identity=False"))])[1] == 1
+    spaced = dict(axioms, repr=axioms["repr"] + " ")
+    assert pins.replay([spaced]) == ([f"axioms {axioms['name']}: line 1: {spaced['repr']!r} -> {axioms['repr']!r}"], 0)
 
 
 def test_diff_reports_each_moved_series_entry():

@@ -31,11 +31,7 @@ from gek.properties import (
     solve_growth_law,
     tsallis_qstar,
     _Worst,
-    _below,
-    _bounded,
-    _flat_dirichlet_rows,
     _interior_rows,
-    _majorization_masses,
 )
 
 SPECS = {
@@ -304,12 +300,11 @@ class TestConcavityRegions:
         def raw(arr):
             return (1.0 - float(np.sum(arr**exponent))) / (q - 1.0)
 
-        rng = np.random.default_rng(5)
+        rng = np.random.default_rng(5)  # the search's one chunk: each trial's two rows of exponentials, then lambdas
         violations, witnesses = [], []
-        for _ in range(100):
-            p1 = 0.99 * rng.dirichlet(np.ones(w)) + 0.01 / w
-            p2 = 0.99 * rng.dirichlet(np.ones(w)) + 0.01 / w
-            lam = rng.uniform(0.05, 0.95)
+        exponentials, lams = rng.standard_exponential((100, 2, w)), rng.uniform(0.05, 0.95, size=100)
+        for (e1, e2), lam in zip(exponentials, lams.tolist()):
+            p1, p2 = 0.99 * (e1 / e1.sum()) + 0.01 / w, 0.99 * (e2 / e2.sum()) + 0.01 / w
             violations.append(lam * raw(p1) + (1 - lam) * raw(p2) - raw(lam * p1 + (1 - lam) * p2))
             witnesses.append({"p1": p1.tolist(), "p2": p2.tolist(), "lambda": lam})
         report = saq_concavity_counterexample_search(a, q, trials=100, seed=5, w=w)
@@ -319,97 +314,47 @@ class TestConcavityRegions:
 
 
 class TestTrialDraws:
-    def test_indexing_by_integers_draws_the_same_stream_as_choice(self):
-        # the trial loops draw w as w_values[rng.integers(len(w_values))] in place of rng.choice(w_values)
-        for w_values in ((2, 3, 4, 5, 6), (3, 4, 5, 6), (7,)):
-            by_choice, by_index = np.random.default_rng(2024), np.random.default_rng(2024)
-            drawn_choice = [int(by_choice.choice(w_values)) for _ in range(20_000)]
-            drawn_index = [int(w_values[by_index.integers(len(w_values))]) for _ in range(20_000)]
-            assert drawn_choice == drawn_index
-            assert by_choice.bit_generator.state == by_index.bit_generator.state
-        # composability draws w from range(1, max_w + 1), through the reader, in place of rng.integers(1, max_w + 1)
-        for k in (1, 2, 7, 8, 40):
-            by_bounds, by_range = np.random.default_rng(k), np.random.default_rng(k)
-            below, w_values = _bounded(by_range), range(1, k + 1)
-            drawn_bounds = [int(by_bounds.integers(1, k + 1)) for _ in range(20_000)]
-            drawn_range = [int(w_values[below(len(w_values))]) for _ in range(20_000)]
-            assert drawn_bounds == drawn_range
-            assert by_bounds.bit_generator.state == by_range.bit_generator.state
+    @pytest.mark.parametrize("n", [1, 7, 256, 1024])
+    def test_rows_of_one_kind_of_variate_keep_their_scalar_stream(self, n):
+        # on-uniform draws its W pairs and group-axioms its triples in one call per chunk, the same stream as one
+        # scalar call per trial, generator state included
+        from gek.properties import _GROUP_AXIOMS, _ON_UNIFORM
 
-    @staticmethod
-    def assert_integers_stream(reader):
-        """``reader(rng)(n)`` draws what ``int(rng.integers(n))`` draws, interleaved with other draws of rng.
+        for seed in range(20):
+            for w_values in (range(1, 9), range(1, 41), (2, 3, 5)):
+                by_chunk, by_trial = np.random.default_rng(seed), np.random.default_rng(seed)
+                ((key, ids, pairs),) = _ON_UNIFORM[0].draw(by_chunk, n, w_values)
+                expected = [tuple(int(w_values[by_trial.integers(len(w_values))]) for _ in "ab") for _ in range(n)]
+                assert key is None and ids.tolist() == list(range(n)) and pairs == expected
+                assert by_chunk.bit_generator.state == by_trial.bit_generator.state
+            ((_, _, triples),) = _GROUP_AXIOMS[0].draw(by_chunk, n, ())
+            expected = [by_trial.uniform(0.0, 3.0, size=3) for _ in range(n)]
+            assert np.array_equal(triples, expected) and type(triples[0][0]) is np.float64
+            assert by_chunk.bit_generator.state == by_trial.bit_generator.state
 
-        200 seeds of fixed and random bounds up to 2**32 - 1; 2**31 + 3 and 3 * 2**30 reach the redraw.
-        If numpy ever changes how integers draws, this fails before any pinned report moves.
-        """
-        fixed = (1, 2, 3, 11, 40, 2**19 + 1, 2**31 + 3, 3 * 2**30, 2**32 - 1)
-        for seed in range(200):
-            by_integers, by_below = np.random.default_rng(seed), np.random.default_rng(seed)
-            below = reader(by_below)
-            plan = np.random.default_rng(10_000 + seed)
-            for _ in range(60):
-                if plan.random() < 0.5:
-                    n = fixed[plan.integers(len(fixed))]
-                else:
-                    n = min(int(2 ** plan.uniform(0, 32)), 2**32 - 1)
-                assert below(n) == int(by_integers.integers(n)), (seed, n)
-                # the other draws share the bit generator, and its half-word buffer, with the bounded ones
-                other, w = plan.integers(4), int(plan.integers(1, 9))
-                for rng in (by_integers, by_below):
-                    if other == 1:
-                        rng.multinomial(2**20, np.full(w, 1.0 / w))
-                    elif other == 2:
-                        rng.standard_exponential(w)
-                    elif other == 3:
-                        rng.normal(size=w)
-            assert by_integers.bit_generator.state == by_below.bit_generator.state, seed
+    @pytest.mark.parametrize("row", [0, 1, 2, 3, 4, 5])
+    def test_a_chunk_draw_gives_each_trial_one_shape(self, row):
+        # shapes come in the order of their first trials, each with its trial ids ascending and its variates stacked
+        # along the first axis, one row per trial, as wide as the shape's W
+        from gek.properties import _COMPOSABILITY, _SCHUR, _SK_AXIOMS
 
-    def test_below_draws_the_same_stream_as_integers(self):
-        # _below binds a reader per call
-        self.assert_integers_stream(lambda rng: lambda n: _below(rng, n))
-        rng = np.random.default_rng(0)
-        for n in (0, -1, 2**32, 2**40):
-            with pytest.raises(ValueError):
-                _below(rng, n)
-
-    def test_one_reader_per_generator_draws_the_same_stream_as_integers(self):
-        # every bounded draw of the trial loops goes through one reader, bound once per generator
-        self.assert_integers_stream(_bounded)
-
-    @staticmethod
-    def reference_masses(w, steps, rng):
-        """The transfer chain drawn by numpy calls: rng.choice for each pair, rng.integers for each amount."""
-        masses_r = rng.multinomial(2**20, np.full(w, 1.0 / w)).tolist()
-        masses_p = list(masses_r)
-        for _ in range(steps):
-            i, j = (int(v) for v in rng.choice(w, size=2, replace=False))
-            if masses_p[i] == masses_p[j]:
-                continue
-            if masses_p[i] < masses_p[j]:
-                i, j = j, i
-            amount = int(rng.integers((masses_p[i] - masses_p[j]) // 2 + 1))
-            masses_p[i] -= amount
-            masses_p[j] += amount
-        return masses_p, masses_r
-
-    def test_transfer_chain_draws_the_same_stream_as_choice_without_replacement(self):
-        # the chain draws each transfer pair by three bounded draws in place of rng.choice; a 60-step chain at
-        # w = 2 closes the gap in far fewer steps, and each step after that draws a pair of equal masses and no amount
-        closed = 0
-        for w in range(2, 10):
-            by_choice, by_reader = np.random.default_rng(w), np.random.default_rng(w)
-            below = _bounded(by_reader)
-            for steps in [1, 2, 11, 60] * 200:
-                expected = self.reference_masses(w, steps, by_choice)
-                assert _majorization_masses(w, steps, by_reader, below) == expected, (w, steps)
-                closed += w == 2 and steps == 60 and expected[0][0] == expected[0][1]
-            assert by_choice.bit_generator.state == by_reader.bit_generator.state
-        assert closed == 200
+        row = (_COMPOSABILITY + _SK_AXIOMS + _SCHUR)[row]
+        w_values = range(2, 9)
+        for n in (1, 7, 300):
+            shapes = row.draw(np.random.default_rng(n), n, w_values)
+            ids = np.concatenate([ids for _, ids, _ in shapes])
+            assert sorted(ids.tolist()) == list(range(n))
+            firsts = [ids[0] for _, ids, _ in shapes]
+            assert firsts == sorted(firsts) and len({key for key, _, _ in shapes}) == len(shapes)
+            for key, ids, variates in shapes:
+                assert (np.diff(ids) > 0).all()
+                widths = key if isinstance(key, tuple) else (key,) * len(variates)
+                for v, w in zip(variates, widths):
+                    assert v.shape[0] == len(ids) and (v.ndim == 1 or v.shape[1] == w)
 
     def test_checks_in_threads_report_what_they_report_alone(self):
-        # the reader bypasses the generator's lock, and the ordering draws share one read-only pvals array per w;
-        # each check owns its generator, so checks run in more threads than cores report what each reports alone
+        # the ordering draws share one read-only pvals array per w; each check owns its generator, so checks run in
+        # more threads than cores report what each reports alone
         from gek.properties import _uniform_pvals
 
         spec = SPECS["zab"]
@@ -435,44 +380,38 @@ class TestTrialDraws:
         assert not any(thread.is_alive() for thread in threads)
         assert together == alone
 
-    def test_flat_dirichlet_draws_the_same_stream_as_dirichlet(self):
-        # every Dirichlet(1, ..., 1) draw of the trial loops goes through _flat_dirichlet_rows in place of
-        # rng.dirichlet; scaling by the reciprocal of e.sum() in place of the running sum differs from w = 8 upward
-        for w in range(1, 41):
-            for seed in range(100):
-                by_dirichlet, by_flat = np.random.default_rng(seed), np.random.default_rng(seed)
-                expected = by_dirichlet.dirichlet(np.ones(w))
-                assert np.array_equal(_flat_dirichlet_rows([by_flat.standard_exponential(w)])[0], expected), (w, seed)
-                assert by_dirichlet.random() == by_flat.random()
-
-    def test_schur_ordering_draw_is_generate_majorization_pair(self):
-        # the ordering row draws integer masses without building a MajorizationPair; the vectors must not move
-        from gek.properties import _SCHUR
+    def test_schur_ordering_draw_is_the_block_chain(self):
+        # the ordering row draws each trial's W, then its step count, then one block of chains per W, with
+        # generate_majorization_pair the chain of one trial; every pair is exact on the power-of-two grid
+        from gek.properties import _SCHUR, _majorization_masses
 
         ordering = _SCHUR[0]
-        assert ordering.name == "schur-majorization-ordering"
-        assert ordering.dists == 2
+        assert ordering.name == "schur-majorization-ordering" and ordering.dists == 2
         w_values = (2, 3, 5, 8)
-        by_row, by_pair = np.random.default_rng(9), np.random.default_rng(9)
-        below = _bounded(by_row)
-        drawn = [ordering.draw(by_row, below, w_values) for _ in range(300)]
-        shapes = {}
-        for t, (key, masses) in enumerate(drawn):
-            shapes.setdefault(key, []).append((t, masses))
-        vectors = [None] * len(drawn)
-        for key, members in shapes.items():
-            ids, masses = zip(*members)
-            blocks, extras = ordering.build(key, masses)
-            assert len(blocks) == 2 and extras is None
-            for t, r, p in zip(ids, *blocks):
-                vectors[t] = (r, p)
-        assert {key for key, _ in drawn} == set(w_values)
-        for key, (r, p) in zip((key for key, _ in drawn), vectors):
-            w = int(w_values[by_pair.integers(len(w_values))])
-            pair = generate_majorization_pair(w, steps=int(by_pair.integers(1, 12)), rng=by_pair)
-            assert key == w
-            assert np.array_equal(r, pair.r.p) and np.array_equal(p, pair.p.p)
-        assert by_row.bit_generator.state == by_pair.bit_generator.state
+        by_row, by_chain = np.random.default_rng(9), np.random.default_rng(9)
+        shapes = ordering.draw(by_row, 300, w_values)
+        drawn = by_chain.integers(0, len(w_values), size=300)
+        steps = by_chain.integers(1, 12, size=300)
+        assert {key for key, _, _ in shapes} == set(w_values)
+        for w, ids, (masses_p, masses_r, chain_steps) in shapes:
+            assert [w_values[i] for i in drawn[ids]] == [w] * len(ids)
+            assert np.array_equal(chain_steps, steps[ids]) and 1 <= steps.min() and steps.max() == 11
+            expected_p, expected_r = _majorization_masses(by_chain, w, steps[ids])
+            assert np.array_equal(masses_p, expected_p) and np.array_equal(masses_r, expected_r)
+            assert (masses_r.sum(axis=1) == 2**20).all() and (masses_p.sum(axis=1) == 2**20).all()
+            for p, r in zip(masses_p.tolist(), masses_r.tolist()):
+                assert majorizes(r, p, tol=0)
+            blocks, extras = ordering.build(w, (masses_p, masses_r, chain_steps))
+            assert extras is None
+            assert np.array_equal(blocks[0], masses_r / 2**20) and np.array_equal(blocks[1], masses_p / 2**20)
+        assert by_row.bit_generator.state == by_chain.bit_generator.state
+        for w, k in ((2, 1), (3, 0), (5, 11), (7, 40)):
+            by_pair, by_chain = np.random.default_rng(w), np.random.default_rng(w)
+            pair = generate_majorization_pair(w, k, by_pair)
+            masses_p, masses_r = _majorization_masses(by_chain, w, np.array([k]))
+            assert np.array_equal(pair.p.p, masses_p[0] / 2**20) and np.array_equal(pair.r.p, masses_r[0] / 2**20)
+            assert by_pair.bit_generator.state == by_chain.bit_generator.state
+            assert k or np.array_equal(pair.p.p, pair.r.p)
 
     def test_every_continuity_trial_evaluates_two_vectors(self, monkeypatch):
         # p stands in for a shift that is not admissible, so a skipped trial runs two scalar tails, as any other
@@ -508,11 +447,10 @@ class TestTrialDraws:
 
         monkeypatch.setattr(EntropySpec, "block_sums", spying)
         continuity = check_sk_axioms(SPECS["renyi"], 300, 4, w_values=(w,))[0]
-        rng, negative = np.random.default_rng(4), 0
-        for _ in range(300):
-            p = _reference_interior(rng, _reference_w(rng, (w,)))
-            direction = rng.normal(size=w)
-            direction -= direction.mean()
+        negative = 0
+        for _, (e, normal) in _trial_variates(properties._SK_AXIOMS[0].draw(np.random.default_rng(4), 300, (w,))):
+            p = _interior(e)
+            direction = normal - normal.mean()
             negative += bool((p + 0.5 * direction / np.abs(direction).sum() < 0).any())
         assert 0 < negative < 300
         assert continuity.skipped == negative
@@ -543,67 +481,201 @@ class TestTrialDraws:
          ("landsberg_vedral", {"q": 0.5})],
         ids=["control", "zg-abel", "zab", "tsallis_aq", "landsberg_vedral"],
     )
-    @pytest.mark.parametrize("trials", [1, 255, 256, 257, 600])
-    def test_reports_do_not_depend_on_the_chunk_size(self, trials, family, params, monkeypatch):
-        import gek.properties as properties
-
-        spec = entropy_spec(family, params)
-
-        def reports():
-            out = [check_composability(spec, trials, 1e-10, 5)]
-            out += check_sk_axioms(spec, trials, 5) + check_schur_concavity(spec, trials, 5)
-            return [r.as_dict() for r in out]
-
-        chunked = reports()
-        monkeypatch.setattr(properties, "_CHUNK", 1)
-        assert reports() == chunked
+    @pytest.mark.parametrize("trials", [1, 1023, 1024, 1025, 2500])
+    def test_reports_match_the_reference_on_both_sides_of_a_chunk(self, trials, family, params):
+        assert [repr(r.as_dict()) for r in _six_rows(entropy_spec(family, params), trials, 5)] == [
+            repr(r.as_dict()) for r in _six_reference_rows(entropy_spec(family, params), trials, 5)]
 
 
-# The trial loop as it was before draws kept only seeded variates: each trial draws its own vectors, every
-# vector is validated and evaluated on its own, and each judge gets numpy rows.  The stacked runner must match
-# it bit for bit, including at w >= 9, where numpy's pairwise summation starts to matter.
+# The scalar sampler that the chunk draws replaced, kept as the reference of their law: one draw per trial, each
+# bounded integer through a mirror of numpy's 32-bit Lemire draw (arXiv:1805.10941) read off the bit generator's
+# next_uint32, and each Schur transfer pair by Floyd's algorithm, its shuffle drawn and not applied.  Its stream is
+# that of numpy's scalar integers and choice calls.
 
 
-def _reference_flat_dirichlet(rng, w):
-    e = rng.standard_exponential(w)
-    return e * (1.0 / e.cumsum()[-1])
+def _scalar_reader(rng):
+    """``below(n)``, the value and stream of ``int(rng.integers(n))`` for 1 <= n < 2**32."""
+    bits = rng.bit_generator.ctypes
+    next_uint32, state = bits.next_uint32, bits.state
+
+    def below(n):
+        if n == 1:
+            return 0
+        m = next_uint32(state) * n
+        if m & 0xFFFFFFFF < n:
+            threshold = 2**32 % n
+            while m & 0xFFFFFFFF < threshold:
+                m = next_uint32(state) * n
+        return m >> 32
+
+    below.bit_generator = rng.bit_generator  # the state that next_uint32 writes lives as long as the reader
+    return below
 
 
-def _reference_interior(rng, w):
-    return 0.99 * _reference_flat_dirichlet(rng, w) + 0.01 / w
-
-
-def _reference_w(rng, w_values):
-    return int(w_values[rng.integers(len(w_values))])
-
-
-def _reference_masses(rng, w, steps):
-    # the Robin-Hood transfer chain, every bounded draw through numpy's own calls
+def _scalar_masses(w, steps, rng, below):
     masses_r = rng.multinomial(2**20, np.full(w, 1.0 / w)).tolist()
     masses_p = list(masses_r)
     for _ in range(steps):
-        i, j = (int(v) for v in rng.choice(w, size=2, replace=False))
-        if masses_p[i] == masses_p[j]:
+        i, j = below(w - 1), below(w)
+        if j == i:
+            j = w - 1
+        below(2)
+        a, b = masses_p[i], masses_p[j]
+        if a == b:
             continue
-        if masses_p[i] < masses_p[j]:
-            i, j = j, i
-        amount = int(rng.integers(0, (masses_p[i] - masses_p[j]) // 2 + 1))
-        masses_p[i] -= amount
-        masses_p[j] += amount
+        if a < b:
+            i, j, a, b = j, i, b, a
+        amount = below((a - b) // 2 + 1)
+        masses_p[i] = a - amount
+        masses_p[j] = b + amount
     return masses_p, masses_r
 
 
-def _reference_product(rng, w_values):
-    wa, wb = _reference_w(rng, w_values), _reference_w(rng, w_values)
-    p, r = _reference_flat_dirichlet(rng, wa), _reference_flat_dirichlet(rng, wb)
+def _scalar_draws(name, rng, trials, w_values):
+    """(key, variates) of each trial of the row ``name``, drawn one trial at a time as the row drew them."""
+    below, count = _scalar_reader(rng), len(w_values)
+    draws = []
+    for _ in range(trials):
+        w = int(w_values[below(count)])
+        if name == "composability":
+            key = w, int(w_values[below(count)])
+            draws.append((key, tuple(rng.standard_exponential(v) for v in key)))
+        elif name == "sk-continuity-proxy":
+            draws.append((w, (rng.standard_exponential(w), rng.normal(size=w))))
+        elif name == "schur-majorization-ordering":
+            steps = 1 + below(11)
+            draws.append((w, (*map(np.array, _scalar_masses(w, steps, rng, below)), np.array(steps))))
+        else:
+            draws.append((w, (rng.standard_exponential(w),)))
+    return draws
+
+
+def _upper_normal_quantile(alpha):
+    # z with P(Z > z) = alpha, by bisection on erfc
+    lo, hi = 0.0, 40.0
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if 0.5 * math.erfc(mid / math.sqrt(2)) > alpha else (lo, mid)
+    return lo
+
+
+def _chi_square_exceeds(counts_a, counts_b, alpha):
+    """Whether two equal-sized samples' counts differ at level alpha: the two-sample chi-square test of
+    homogeneity, its critical value by the Wilson-Hilferty approximation, which is close for 3 or more cells."""
+    cells = sorted(set(counts_a) | set(counts_b))
+    a, b = (np.array([c.get(cell, 0) for cell in cells], dtype=float) for c in (counts_a, counts_b))
+    assert a.sum() == b.sum() and len(cells) >= 3
+    statistic = float(((a - b) ** 2 / (a + b)).sum())
+    df, z = len(cells) - 1, _upper_normal_quantile(alpha)
+    return statistic > df * (1 - 2 / (9 * df) + z * math.sqrt(2 / (9 * df))) ** 3
+
+
+def _ks_exceeds(a, b, alpha):
+    """Whether two samples differ at level alpha by the two-sample Kolmogorov-Smirnov test, with its asymptotic
+    critical value, which is conservative where ties are many."""
+    a, b = np.sort(np.asarray(a, dtype=float)), np.sort(np.asarray(b, dtype=float))
+    grid = np.concatenate([a, b])
+    gap = np.abs(np.searchsorted(a, grid, side="right") / a.size - np.searchsorted(b, grid, side="right") / b.size)
+    return gap.max() > math.sqrt(-math.log(alpha / 2) / 2 * (a.size + b.size) / (a.size * b.size))
+
+
+class TestDrawLaw:
+    """The chunk draws sample the law the scalar sampler sampled: 1e5 trials of each row from each, at fixed seeds.
+
+    W counts, and composability's (W_a, W_b) pairs, are compared by chi-square; the Schur ordering's step counts
+    and each coordinate of its decreasingly sorted masses of p and of r at each W, and the first coordinate of
+    every other vector variate, by two-sample Kolmogorov-Smirnov.  A row's comparisons share a family-wise
+    significance of 1%, split evenly among them (Bonferroni).
+    """
+
+    TRIALS = 100_000
+
+    @pytest.mark.parametrize("name, w_values", [
+        ("composability", range(1, 9)), ("sk-continuity-proxy", (2, 3, 4, 5, 6)),
+        ("sk-maximum-on-uniform", (2, 3, 4, 5, 6)), ("sk-expansibility", (2, 3, 4, 5, 6)),
+        ("schur-majorization-ordering", (3, 4, 5, 6)), ("schur-ostrowski-criterion", (3, 4, 5, 6))])
+    def test_each_row_draws_the_scalar_samplers_law(self, name, w_values):
+        from collections import Counter
+
+        from gek.properties import _CHUNK, _COMPOSABILITY, _SCHUR, _SK_AXIOMS
+
+        (row,) = [row for row in _COMPOSABILITY + _SK_AXIOMS + _SCHUR if row.name == name]
+        rng = np.random.default_rng(41)
+        chunked = [shape for start in range(0, self.TRIALS, _CHUNK)
+                   for shape in row.draw(rng, min(_CHUNK, self.TRIALS - start), w_values)]
+        scalar = _scalar_draws(name, np.random.default_rng(42), self.TRIALS, w_values)
+        samples = []  # (name, chunk sample, scalar sample) for each Kolmogorov-Smirnov comparison
+        if name == "schur-majorization-ordering":
+            samples.append(("steps", np.concatenate([v[2] for _, _, v in chunked]), [v[2] for _, v in scalar]))
+            for w in w_values:
+                for slot, side in enumerate("pr"):
+                    ours = np.concatenate([-np.sort(-v[slot], axis=1) for key, _, v in chunked if key == w])
+                    theirs = np.array([-np.sort(-v[slot]) for key, v in scalar if key == w])
+                    samples += [(f"w={w} {side}[{c}]", ours[:, c], theirs[:, c]) for c in range(w)]
+        else:
+            for slot in range(len(scalar[0][1])):
+                samples.append((f"slot {slot}", np.concatenate([v[slot][:, 0] for _, _, v in chunked]),
+                                [v[slot][0] for _, v in scalar]))
+        alpha = 0.01 / (1 + len(samples))
+        counts = Counter()
+        for key, ids, _ in chunked:
+            counts[key] += len(ids)
+        assert sum(counts.values()) == self.TRIALS
+        assert not _chi_square_exceeds(counts, Counter(key for key, _ in scalar), alpha), name
+        assert [label for label, ours, theirs in samples if _ks_exceeds(ours, theirs, alpha)] == [], name
+        if name == "schur-majorization-ordering":  # the same test tells the transfers' p from their r
+            for w in w_values:
+                p, r = (np.concatenate([-np.sort(-v[slot], axis=1) for key, _, v in chunked if key == w])[:, 0]
+                        for slot in (0, 1))
+                assert _ks_exceeds(p, r, alpha), w
+
+
+class TestPower:
+    @pytest.mark.parametrize("eps, fails", [(1e-9, True), (0.0, False)])
+    def test_a_law_defect_of_1e_9_fails_composability_at_every_seed(self, eps, fails):
+        # zk's law plus eps * x * y, at the verify default of 1000 trials and tol 1e-10 (ROADMAP items 12 and 27)
+        spec = entropy_spec("zk", {"k": 0.3, "alpha": 0.5})
+        laws = spec._laws
+        object.__setattr__(spec, "_laws", laws._replace(
+            phi=lambda x, y: laws.phi(x, y) + eps * x * y,
+            phis=lambda xs, ys: [v + eps * x * y for v, x, y in zip(laws.phis(xs, ys), xs, ys)]))
+        reports = [check_composability(spec, 1000, 1e-10, seed) for seed in range(10)]
+        assert [r.passed for r in reports] == [not fails] * 10
+        assert all(r.failures > 500 for r in reports) if fails else all(r.failures == 0 for r in reports)
+
+
+# The trial loop as it was before draws kept only seeded variates: each trial builds its own vectors from its own
+# variates, every vector is validated and evaluated on its own, and each judge gets numpy rows.  Its trials are those
+# that the rows' chunk draws give at the current _CHUNK, taken apart trial by trial.  The stacked runner must match it
+# bit for bit, including at w >= 9, where numpy's pairwise summation starts to matter.
+
+
+def _trial_variates(shapes):
+    """Each trial's (shape key, its own variates), in trial order, from the shapes of one chunk draw."""
+    trials = {}
+    for key, ids, variates in shapes:
+        for j, t in enumerate(ids.tolist()):
+            trials[t] = key, tuple(v[j] for v in variates)
+    return [trials[t] for t in range(len(trials))]
+
+
+def _flat(e):
+    return e / e.sum()
+
+
+def _interior(e):
+    return 0.99 * _flat(e) + 0.01 / e.size
+
+
+def _vectors_product(key, variates):
+    p, r = map(_flat, variates)
     return (p, r, np.outer(p, r).ravel()), 3, None
 
 
-def _reference_continuity(rng, w_values):
-    w = _reference_w(rng, w_values)
-    p = _reference_interior(rng, w)
-    direction = rng.normal(size=w)
-    direction -= direction.mean()
+def _vectors_continuity(w, variates):
+    e, normal = variates
+    p = _interior(e)
+    direction = normal - normal.mean()
     norm = np.abs(direction).sum()
     if norm > 0:
         shifted = p + 1e-6 * direction / norm
@@ -612,24 +684,22 @@ def _reference_continuity(rng, w_values):
     return (p,), 1, None
 
 
-def _reference_maximum(rng, w_values):
-    w = _reference_w(rng, w_values)
-    return (_reference_flat_dirichlet(rng, w),), 1, w
+def _vectors_maximum(w, variates):
+    return (_flat(*variates),), 1, w
 
 
-def _reference_expansibility(rng, w_values):
-    p = _reference_flat_dirichlet(rng, _reference_w(rng, w_values))
+def _vectors_expansibility(w, variates):
+    p = _flat(*variates)
     return (p, np.append(p, 0.0)), 2, None
 
 
-def _reference_ordering(rng, w_values):
-    w = _reference_w(rng, w_values)
-    masses_p, masses_r = _reference_masses(rng, w, int(rng.integers(1, 12)))
-    return tuple(np.array([masses_r, masses_p], dtype=float) / 2**20), 2, None
+def _vectors_ordering(w, variates):
+    masses_p, masses_r, _ = variates
+    return (np.array(masses_r, dtype=float) / 2**20, np.array(masses_p, dtype=float) / 2**20), 2, None
 
 
-def _reference_criterion(rng, w_values):
-    p = _reference_interior(rng, _reference_w(rng, w_values))
+def _vectors_criterion(w, variates):
+    p = _interior(*variates)
     h = 1e-6 * np.maximum(p, 1e-3)
     shifted = np.tile(p, (2 * p.size, 1))
     i = np.arange(p.size)
@@ -669,15 +739,15 @@ def _reference_judges():
         return (max(products) if all(v == v for v in products) else math.nan), lambda: {"p": p}
 
     return {
-        "composability": [("composability", _reference_product, product, 0.0, None)],
+        "composability": [("composability", _vectors_product, product, 0.0, None)],
         "sk": [
-            ("sk-continuity-proxy", _reference_continuity, continuity, 0.0, sys.float_info.max),
-            ("sk-maximum-on-uniform", _reference_maximum, maximum, -math.inf, 1e-12),
-            ("sk-expansibility", _reference_expansibility, expansibility, 0.0, 1e-14),
+            ("sk-continuity-proxy", _vectors_continuity, continuity, 0.0, sys.float_info.max),
+            ("sk-maximum-on-uniform", _vectors_maximum, maximum, -math.inf, 1e-12),
+            ("sk-expansibility", _vectors_expansibility, expansibility, 0.0, 1e-14),
         ],
         "schur": [
-            ("schur-majorization-ordering", _reference_ordering, ordering, -math.inf, 1e-12),
-            ("schur-ostrowski-criterion", _reference_criterion, criterion, -math.inf, 1e-10),
+            ("schur-majorization-ordering", _vectors_ordering, ordering, -math.inf, 1e-12),
+            ("schur-ostrowski-criterion", _vectors_criterion, criterion, -math.inf, 1e-10),
         ],
     }
 
@@ -703,20 +773,25 @@ class PerTrialWorst:
 
 
 def reference_run_rows(spec, rows, trials, seed, w_values, tol=None):
-    """One trial at a time: draw, validate each distribution, ``raw_value`` per vector, judge."""
+    """One trial at a time: each chunk's trials from the row's own chunk draw, then per trial its vectors, each
+    distribution validated, ``raw_value`` per vector, judged."""
+    import gek.properties as properties
+
+    draws = {row.name: row.draw for row in properties._COMPOSABILITY + properties._SK_AXIOMS + properties._SCHUR}
     rng = np.random.default_rng(seed)
     reports = []
-    for name, draw, judge, worst, limit in rows:
+    for name, build, judge, worst, limit in rows:
         fold, skipped = PerTrialWorst(worst, tol if limit is None else limit), 0
-        for _ in range(trials):
-            vectors, dists, extra = draw(rng, w_values)
-            for v in vectors[:dists]:
-                Distribution(v)
-            judged = judge(spec, vectors, [spec.raw_value(v) for v in vectors], extra)
-            if judged is None:
-                skipped += 1
-            else:
-                fold.add(*judged)
+        for start in range(0, trials, properties._CHUNK):
+            for key, variates in _trial_variates(draws[name](rng, min(properties._CHUNK, trials - start), w_values)):
+                vectors, dists, extra = build(key, variates)
+                for v in vectors[:dists]:
+                    Distribution(v)
+                judged = judge(spec, vectors, [spec.raw_value(v) for v in vectors], extra)
+                if judged is None:
+                    skipped += 1
+                else:
+                    fold.add(*judged)
         reports.append(fold.report(name, trials, seed, skipped))
     return reports
 
@@ -724,8 +799,9 @@ def reference_run_rows(spec, rows, trials, seed, w_values, tol=None):
 class TestAgainstThePerTrialReference:
     """The stacked trial loop reports exactly what the per-trial loop reports, where the pin draws no w.
 
-    The families are those of the verify-trials benchmark, and landsberg_vedral.  A chunk of 7 trials splits
-    the shapes of a chunk of 256 unevenly, and a chunk of 1 judges each trial alone.
+    The families are those of the verify-trials benchmark, and landsberg_vedral.  Both loops draw through the
+    rows' chunk draws at each patched chunk size: a chunk of 7 trials splits the shapes of a chunk of 256
+    unevenly, and a chunk of 1 judges each trial alone.
     """
 
     @pytest.mark.parametrize("seed", [3, 2024])
@@ -744,11 +820,11 @@ class TestAgainstThePerTrialReference:
 
         spec = entropy_spec(family, params)
         rows = _reference_judges()
-        expected = reference_run_rows(spec, rows["composability"], 1000, seed, range(1, 41), 1e-10)
-        expected += reference_run_rows(spec, rows["sk"], 500, seed, (9, 17, 33, 40))
-        expected += reference_run_rows(spec, rows["schur"], 200, seed, (9, 17, 33))
         for chunk in (256, 7, 1):
             monkeypatch.setattr(properties, "_CHUNK", chunk)
+            expected = reference_run_rows(spec, rows["composability"], 1000, seed, range(1, 41), 1e-10)
+            expected += reference_run_rows(spec, rows["sk"], 500, seed, (9, 17, 33, 40))
+            expected += reference_run_rows(spec, rows["schur"], 200, seed, (9, 17, 33))
             reports = [check_composability(spec, seed=seed, max_w=40)]
             reports += check_sk_axioms(spec, seed=seed, w_values=(9, 17, 33, 40))
             reports += check_schur_concavity(spec, seed=seed, w_values=(9, 17, 33))
@@ -764,8 +840,8 @@ class TestAgainstThePerTrialReference:
         import gek.properties as properties
 
         spec = entropy_spec(family, params)
-        expected = reference_run_rows(spec, _reference_judges()["sk"][:1], 300, seed, (1, 2, 3))[0]
         monkeypatch.setattr(properties, "_CHUNK", chunk)
+        expected = reference_run_rows(spec, _reference_judges()["sk"][:1], 300, seed, (1, 2, 3))[0]
         report = check_sk_axioms(spec, 300, seed, w_values=(1, 2, 3))[0]
         assert 0 < report.skipped < 300
         assert repr(report.as_dict()) == repr(expected.as_dict())
@@ -819,13 +895,14 @@ class TestFailClosed:
 
     def test_first_nan_trial_becomes_the_witness(self):
         # finite on products of low entropy and NaN above, so NaN trials mix with finite ones
+        import gek.properties as properties
+
         spec = EntropySpec("zg", {"alpha": 0.5}, _NanAbove(0.5 * math.log(3)))
         report = check_composability(spec, 300, 1e-10, 2)
-        rng = np.random.default_rng(2)
         nan_trials = []
-        for _ in range(300):
-            wa, wb = int(rng.integers(1, 9)), int(rng.integers(1, 9))
-            p, r = Distribution(rng.dirichlet(np.ones(wa))), Distribution(rng.dirichlet(np.ones(wb)))
+        products = properties._COMPOSABILITY[0].draw(np.random.default_rng(2), 300, range(1, 9))
+        for _, (ea, eb) in _trial_variates(products):
+            p, r = Distribution(_flat(ea)), Distribution(_flat(eb))
             if math.isnan(spec.value(product_distribution(p, r))):
                 nan_trials.append(p.p.tolist())
         assert 0 < len(nan_trials) < 300
@@ -836,13 +913,11 @@ class TestFailClosed:
         # the continuity proxy: NaN where p or its shift has entropy above the threshold
         spec = EntropySpec("zg", {"alpha": 0.5}, _NanAbove(0.5 * math.log(4)))
         continuity = check_sk_axioms(spec, 300, 2)[0]
-        rng = np.random.default_rng(2)
         nan_trials = []
-        for _ in range(300):
-            w = int(rng.choice((2, 3, 4, 5, 6)))
-            p = 0.99 * rng.dirichlet(np.ones(w)) + 0.01 / w
-            direction = rng.normal(size=w)
-            direction -= direction.mean()
+        for _, (e, normal) in _trial_variates(properties._SK_AXIOMS[0].draw(np.random.default_rng(2), 300,
+                                                                            (2, 3, 4, 5, 6))):
+            p = _interior(e)
+            direction = normal - normal.mean()
             shifted = p + 1e-6 * direction / np.abs(direction).sum()
             if math.isnan(spec.value(Distribution(shifted)) - spec.value(Distribution(p))):
                 nan_trials.append(p.tolist())
@@ -968,7 +1043,9 @@ class TestBlockJudges:
         expected += reference_run_rows(spec, rows["schur"], 300, 4, (3, 4, 5, 6))
         assert [repr(r.as_dict()) for r in reports] == [repr(r.as_dict()) for r in expected]
         # every residual is the same number (the criterion's up to the sign of 0), so trial 0 is the witness
-        (p, r, _), _, _ = _reference_product(np.random.default_rng(4), range(1, 9))
+        key, variates = _trial_variates(properties._COMPOSABILITY[0].draw(np.random.default_rng(4), chunk,
+                                                                          range(1, 9)))[0]
+        (p, r, _), _, _ = _vectors_product(key, variates)
         assert reports[0].witness["p"] == p.tolist() and reports[0].witness["r"] == r.tolist()
         assert reports[0].failures == 300 and reports[0].worst_residual == abs(0.5 - 1.0) / 1.5
         assert reports[1].worst_residual == 0.0 and reports[2].worst_residual == 0.0
@@ -994,14 +1071,14 @@ class TestBlockJudges:
 
     @pytest.mark.parametrize("chunk", [256, 7, 1])
     def test_a_judge_error_is_the_first_trials(self, chunk, monkeypatch):
-        # the law raises on the products of highest entropy: at seed 1 the first such trial is trial 37, and in a
-        # chunk of 256 judged shape by shape, trial 146 would raise first
+        # the law raises on the products of highest entropy, which a chunk judged shape by shape would not meet in
+        # trial order
         import gek.properties as properties
 
         spec = EntropySpec("zg", {"alpha": 0.5}, _LawRefusedAbove(3.5))
+        monkeypatch.setattr(properties, "_CHUNK", chunk)
         with pytest.raises(ZeroDivisionError) as expected:
             _six_reference_rows(spec, 300, 1)
-        monkeypatch.setattr(properties, "_CHUNK", chunk)
         with pytest.raises(ZeroDivisionError) as got:
             check_composability(spec, 300, 1e-10, 1)
         assert str(got.value) == str(expected.value)
@@ -1037,9 +1114,10 @@ class TestBlockJudges:
         assert expected.type is {"range": RangeError, "input": InputError}.get(first, ValueError)
         assert first not in ("judge", "law") or str(expected.value).startswith(f"the {first} refuses")
 
-        def draw(rng, below, w_values, trials=iter(vectors)):
-            v = next(trials)
-            return len(v), v
+        def draw(rng, n, w_values, trials=iter(vectors)):
+            drawn = [next(trials) for _ in range(n)]
+            return [(w, ids, np.array([drawn[t] for t in ids.tolist()]))
+                    for (w,), ids in properties._shapes(np.array([[len(v)] for v in drawn]))]
 
         def law(spec, values):
             for value in np.concatenate([v[:, 0] for v in values]).tolist():
@@ -1051,7 +1129,7 @@ class TestBlockJudges:
                 refuse("judge", value)
             return values[:, 0], None, extras
 
-        row = _Row("errors", draw, lambda key, variates: ((np.array(variates),), None), judge, lambda *args: {}, 1,
+        row = _Row("errors", draw, lambda key, variates: ((variates,), None), judge, lambda *args: {}, 1,
                    -math.inf, math.inf, law if first == "law" else None)
         monkeypatch.setattr(properties, "_CHUNK", chunk)
         with pytest.raises(expected.type) as got:
@@ -1141,10 +1219,10 @@ class TestChunkLaw:
 
         spec = EntropySpec("zg", {"alpha": 0.5}, g)
         rows = _reference_judges()["composability"]
+        monkeypatch.setattr(properties, "_CHUNK", chunk)
         expected = _outcome(lambda: reference_run_rows(spec, rows, 300, 5, range(1, 9), 1e-10)[0])
         seen, law = [], grouplog._chi_scaled_block
         monkeypatch.setattr(grouplog, "_chi_scaled_block", lambda *args: seen.append(args) or law(*args))
-        monkeypatch.setattr(properties, "_CHUNK", chunk)
         assert _outcome(lambda: check_composability(spec, 300, 1e-10, 5)) == expected
         if not block:  # an overridden inverse or chi_scaled keeps its own code
             assert not seen
@@ -1208,16 +1286,21 @@ def _reference_group_axioms(g, alpha, trials, tol, seed):
 
 
 def _reference_saq(a, q, trials, seed, w):
+    # each chunk draws its trials' two rows of exponentials, then their mixing weights
+    import gek.properties as properties
+
     rng = np.random.default_rng(seed)
     exponent = a * (q - 1.0) + 1.0
     found = PerTrialWorst(-math.inf, 1e-12)
-    for _ in range(trials):
-        p1, p2 = (Distribution(v).p for v in _interior_rows(w, [rng.standard_exponential(w) for _ in range(2)]))
-        lam = rng.uniform(0.05, 0.95)
-        mix = lam * p1 + (1 - lam) * p2
-        raw = ((1.0 - np.sum(np.array([p1, p2, mix]) ** exponent, axis=1)) / (q - 1.0)).tolist()
-        violation = lam * raw[0] + (1 - lam) * raw[1] - raw[2]
-        found.add(violation, lambda: {"p1": p1.tolist(), "p2": p2.tolist(), "lambda": lam})
+    for start in range(0, trials, properties._CHUNK):
+        n = min(properties._CHUNK, trials - start)
+        exponentials, lams = rng.standard_exponential((n, 2, w)), rng.uniform(0.05, 0.95, size=n)
+        for e, lam in zip(exponentials, lams.tolist()):
+            p1, p2 = (Distribution(v).p for v in _interior_rows(w, e))
+            mix = lam * p1 + (1 - lam) * p2
+            raw = ((1.0 - np.sum(np.array([p1, p2, mix]) ** exponent, axis=1)) / (q - 1.0)).tolist()
+            violation = lam * raw[0] + (1 - lam) * raw[1] - raw[2]
+            found.add(violation, lambda: {"p1": p1.tolist(), "p2": p2.tolist(), "lambda": lam})
     return found.report("saq-concavity-counterexample-search", trials, seed)
 
 
@@ -1271,14 +1354,13 @@ class TestScalarRowsAgainstTheirLoops:
         import gek.properties as properties
 
         cases = [(t, s, w) for t in (1, 7, 200, 300) for s in (0, 5, 21, 99) for w in (1, 2, 4, 9)]
-        reports = [_reference_saq(a, q, t, s, w) for t, s, w in cases]
-        expected = [repr(r.as_dict()) for r in reports]
         for chunk in (256, 1):
             monkeypatch.setattr(properties, "_CHUNK", chunk)
+            reports = [_reference_saq(a, q, t, s, w) for t, s, w in cases]
             got = [repr(saq_concavity_counterexample_search(a, q, t, s, w).as_dict()) for t, s, w in cases]
-            assert got == expected, chunk
-        if not check_concavity_region_saq(a, q):
-            assert any(r.failures for r in reports)
+            assert got == [repr(r.as_dict()) for r in reports], chunk
+            if not check_concavity_region_saq(a, q):
+                assert any(r.failures for r in reports)
         for trials in (0, -3):
             with pytest.raises(InputError, match="at least one trial"):
                 saq_concavity_counterexample_search(a, q, trials)
@@ -1350,7 +1432,7 @@ class TestOneRunner:
         ids=["composability", "on-uniform", "sk", "composability-no-len"],
     )
     def test_more_w_values_than_a_bounded_draw_reaches_are_refused(self, check, monkeypatch):
-        # W is drawn by the unchecked reader as below(len(w_values)); past 2**32 - 1 it is wrong or never returns
+        # W is drawn by its index, rng.integers(0, len(w_values)), which numpy draws by another method past 2**32
         import gek.properties as properties
 
         monkeypatch.setattr(properties, "_run_rows", None)
@@ -1446,3 +1528,14 @@ class TestMajorizationFailsClosed:
     def test_a_pair_needs_two_outcomes(self):
         with pytest.raises(ValueError, match="at least two outcomes"):
             generate_majorization_pair(1, 3, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("w, steps, match", [(4, -1, "steps"), (4, 2.5, "steps"), (4, math.nan, "steps"),
+                                                 (4, "3", "steps"), (4.0, 3, "outcomes"), (2.5, 3, "outcomes")])
+    def test_a_negative_or_fractional_count_is_refused(self, w, steps, match):
+        # steps = -1 returned p == r, and 2.5 or w = 4.0 raised a bare TypeError
+        with pytest.raises(ValueError, match=f"number of (transfer )?{match} must be an integer"):
+            generate_majorization_pair(w, steps, np.random.default_rng(0))
+
+    def test_numpy_integer_counts_are_whole(self):
+        pair = generate_majorization_pair(np.int64(4), np.int32(0), np.random.default_rng(0))
+        assert np.array_equal(pair.p.p, pair.r.p) and pair.p.p.size == 4

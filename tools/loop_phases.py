@@ -13,7 +13,8 @@ phases are timed by wrapping each ``_Row``'s callables with ``_replace``, by
 swapping the module's ``_chunk_values`` and ``EntropySpec.from_row_sums`` for
 timed ones, so nothing under ``src/`` changes:
 
-- draw: ``row.draw``, once per trial;
+- draw: ``row.draw``, once per chunk, which draws every variate of the chunk's
+  trials in a few numpy calls per shape;
 - build: ``row.build``, once per shape of a chunk;
 - reduce: ``_chunk_values`` less its tails, which validates the blocks and
   reduces them with ``EntropySpec.block_sums``;
