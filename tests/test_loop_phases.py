@@ -21,3 +21,27 @@ def test_loop_phases_prints_every_row_and_phase():
         if name not in ("all", "share"):
             assert len(cells) == 6 and all(float(c) >= 0 for c in cells), name
     assert sum(float(c.rstrip("%")) for c in rows["share"]) > 95
+
+
+def test_the_draw_phase_times_one_draw_per_chunk():
+    # 1025 trials are a chunk of 1024 and one of 1, for each of the six rows of each of the nine families
+    script = f"""
+import sys
+sys.path.insert(0, {str(ROOT / "tools")!r})
+import loop_phases
+
+sizes, timed = [], loop_phases.timed
+
+
+def counting(fn, spent, phase):
+    wrapper = timed(fn, spent, phase)
+    return (lambda rng, n, w_values: sizes.append(n) or wrapper(rng, n, w_values)) if phase == "draw" else wrapper
+
+
+loop_phases.timed = counting
+split = loop_phases.cycle(1025, 0)
+print(len(split), sorted(set(sizes)), len(sizes))
+"""
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["6", "[1,", "1024]", str(2 * 6 * 9)]
