@@ -79,17 +79,20 @@ def _brent(f: Callable[[float], float], lo: float, hi: float) -> float:
     raise ConvergenceError(f"root finder: no convergence in {_MAXITER} iterations on [{lo}, {hi}]")
 
 
-def _brent_block(g: Callable[[float], float], s, xpre, xcur, gpre, gcur):
-    """``_brent(lambda t: g(t) - s[i], xpre[i], xcur[i])`` for every i at once, or None.
+def _brent_block(g: Callable[[list[float]], list[float]], s, xpre, xcur, gpre, gcur):
+    """``_brent(lambda t: G(t) - s[i], xpre[i], xcur[i])`` for every i at once, or None.
 
-    The arguments are float arrays, with ``gpre`` and ``gcur`` g at the two
-    ends.  Each element takes ``_brent``'s IEEE operations in ``_brent``'s
-    order, in numpy: its branches become masks and ``where``, and Python's
-    ``min(a, b)`` is ``where(b < a, b, a)``, which keeps ``a`` when either is
-    NaN.  ``g`` itself runs per element, as scalar code.  So every root is
-    the one ``_brent`` returns.  Wherever ``_brent`` would raise, this
-    returns None, and the caller runs the scalar path: a NaN value, ends of
-    one sign, an error of ``g``, or an element left after _MAXITER steps.
+    ``g`` maps a list of t to the list of G(t), as ``GroupFunction.eval_block``
+    does.  The other arguments are float arrays, with ``gpre`` and ``gcur`` G
+    at the two ends.  Each element takes ``_brent``'s IEEE operations in
+    ``_brent``'s order, in numpy: its branches become masks and ``where``, and
+    Python's ``min(a, b)`` is ``where(b < a, b, a)``, which keeps ``a`` when
+    either is NaN.  Each iteration evaluates G at the new points of its live
+    elements by one call of ``g``, which gives each element's scalar value.
+    So every root is the one ``_brent`` returns.  Wherever ``_brent`` would
+    raise, this returns None, and the caller runs the scalar path: a NaN
+    value, ends of one sign, an error of G, or an element left after
+    _MAXITER steps.
     """
     import numpy as np
 
@@ -139,7 +142,7 @@ def _brent_block(g: Callable[[float], float], s, xpre, xcur, gpre, gcur):
             xpre, fpre = xcur, fcur
             xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
         try:
-            gcur = np.array(list(map(g, xcur.tolist())), float)
+            gcur = np.array(g(xcur.tolist()), float)
         except Exception:
             return None
         with np.errstate(all="ignore"):
@@ -156,10 +159,11 @@ def _inverse_block(g: GroupFunction, s):
     upward, and one fixed ladder downward.  So G is evaluated on each ladder
     once, as far as the farthest s needs, and each s takes the bracket of the
     first point that ``_bracket`` would stop at.  ``_brent_block`` then
-    solves every element at once.  It returns None wherever the scalar path
-    could raise or leave this bracket: a non-finite s, an s at or below
-    ``range_min``, a ladder point that overflows (which ``_bracket`` shrinks),
-    an error of G, an end of the ladder, or an even bracket.
+    solves every element at once, evaluating G by ``g.eval_block``, one call
+    per iteration.  It returns None wherever the scalar path could raise or
+    leave this bracket: a non-finite s, an s at or below ``range_min``, a
+    ladder point that overflows (which ``_bracket`` shrinks), an error of G,
+    an end of the ladder, or an even bracket.
     """
     import numpy as np
 
@@ -212,7 +216,7 @@ def _inverse_block(g: GroupFunction, s):
     lo, hi = lo[solve], hi[solve]
     if (lo == hi).any():
         return None
-    roots = _brent_block(g.eval, s[solve], lo, hi, glo[solve], ghi[solve])
+    roots = _brent_block(g.eval_block, s[solve], lo, hi, glo[solve], ghi[solve])
     if roots is None:
         return None
     root[solve] = roots
@@ -222,8 +226,9 @@ def _inverse_block(g: GroupFunction, s):
 def _chi_scaled_block(g: GroupFunction, c: float, xs: list[float], ys: list[float]) -> list[float] | None:
     """``GroupFunction.chi_scaled(c, x, y)`` of each pair for ``g``, from one ``_inverse_block``; or None.
 
-    It returns None wherever the scalar law could raise: at c = 0, where the
-    inverse block hands back, or where G raises at a sum of two roots.
+    G at the sums of two roots is one ``g.eval_block`` call.  It returns None
+    wherever the scalar law could raise: at c = 0, where the inverse block
+    hands back, or where G raises at a sum of two roots.
     """
     import numpy as np
 
@@ -236,7 +241,7 @@ def _chi_scaled_block(g: GroupFunction, c: float, xs: list[float], ys: list[floa
     if t is None:
         return None
     try:
-        law = np.array(list(map(g.eval, (t[:n] + t[n:]).tolist())), float)
+        law = np.array(g.eval_block((t[:n] + t[n:]).tolist()), float)
     except Exception:
         return None
     with np.errstate(all="ignore"):
@@ -262,6 +267,10 @@ class GroupFunction:
 
     def eval(self, t: float) -> float:
         raise NotImplementedError
+
+    def eval_block(self, ts: list[float]) -> list[float]:
+        """``[self.eval(t) for t in ts]``: G at each t, or the first element's scalar error."""
+        return [self.eval(t) for t in ts]
 
     def deriv(self, t: float) -> float:
         raise NotImplementedError
@@ -365,10 +374,12 @@ class GroupFunction:
 
         A class that keeps this base class's numeric ``inverse``, ``_bracket``,
         ``chi`` and ``chi_scaled`` (looked up when called) inverts every c x and
-        c y at once, by ``_inverse_block``, and evaluates G per element; each
-        value is the scalar law's, bit for bit.  Where the block hands back,
-        and for every other class, the scalar ``chi_scaled`` runs per pair,
-        so its values and its first error are the scalar path's.
+        c y at once, by ``_inverse_block``, and evaluates G on each list of
+        points by one ``eval_block`` call, which gives each element's scalar
+        ``eval``; each value is the scalar law's, bit for bit.  Where the
+        block hands back, and for every other class, the scalar
+        ``chi_scaled`` runs per pair, so its values and its first error are
+        the scalar path's.
         """
         cls = type(self)
         if (cls.inverse is GroupFunction.inverse and cls._bracket is GroupFunction._bracket
@@ -530,6 +541,28 @@ class AbelGroup(GroupFunction):
     def eval(self, t: float) -> float:
         self._check_domain(t)
         return self.formula(t)
+
+    def eval_block(self, ts: list[float]) -> list[float]:
+        """``[self.eval(t) for t in ts]``, with no method call per element while G is abel's own.
+
+        A class that keeps ``AbelGroup.eval`` and ``formula`` and the base
+        ``_check_domain`` (looked up when called) tests each t against
+        ``domain_min`` and takes ``formula``'s IEEE operations in its order, so
+        each value is ``eval``'s bit for bit.  A list with a t that the test
+        refuses (nan included) or whose G overflows, and every other class,
+        runs the scalar map, which raises the first element's error.
+        """
+        cls = type(self)
+        if (cls.eval is AbelGroup.eval and cls.formula is AbelGroup.formula
+                and cls._check_domain is GroupFunction._check_domain):
+            a, b, d, floor, exp = self.a, self.b, self.a - self.b, self.domain_min, math.exp
+            try:
+                values = [(exp(a * t) - exp(b * t)) / d for t in ts if t > floor]  # drops each t that is refused
+            except OverflowError:
+                values = None
+            if values is not None and len(values) == len(ts):
+                return values
+        return super().eval_block(ts)
 
     def deriv(self, t: float) -> float:
         return (self.a * math.exp(self.a * t) - self.b * math.exp(self.b * t)) / (self.a - self.b)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import sys
 from functools import lru_cache
-from itertools import repeat
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np

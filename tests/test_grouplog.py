@@ -691,3 +691,45 @@ class TestBlockInverse:
         g = AbelGroup(0.3, -0.2)
         assert g.chi_scaled_block(0.5, [0.1], [0.3]) == [g.chi_scaled(0.5, 0.1, 0.3)]
         assert len(calls) == 1
+
+
+def _eval_outcomes(g, ts):
+    """Each t's scalar ``eval`` as its repr, or the type and message of the error it raises."""
+    out = []
+    for t in ts:
+        try:
+            out.append(repr(g.eval(t)))
+        except Exception as e:
+            out.append((type(e), str(e)))
+    return out
+
+
+class TestEvalBlock:
+    """Abel's list evaluation is the scalar map ``[g.eval(t) for t in ts]``: its values by repr, its first error."""
+
+    @pytest.mark.parametrize("ab", BLOCK_ABEL + [(800.0, 0.0)], ids=str)
+    def test_eval_block_is_the_scalar_map(self, ab, monkeypatch):
+        g = AbelGroup(*ab)
+        rng = np.random.default_rng(20261021)
+        ts = (10.0 ** rng.uniform(-6, 2.5, 400) * rng.choice([-1.0, 1.0], 400)).tolist()
+        ts += [0.0, -0.0, 5e-324, -5e-324, 1.0, math.nan, math.inf, -math.inf]
+        if math.isfinite(g.domain_min):  # at, just below and just above the floor of the increasing domain
+            ts += [g.domain_min, math.nextafter(g.domain_min, -math.inf), math.nextafter(g.domain_min, math.inf)]
+        outcomes = _eval_outcomes(g, ts)
+        kept = [t for t, o in zip(ts, outcomes) if isinstance(o, str)]
+        raised = [(t, o) for t, o in zip(ts, outcomes) if not isinstance(o, str)]
+        assert kept and raised
+        values = [o for o in outcomes if isinstance(o, str)]
+        assert [repr(v) for v in g.eval_block(kept)] == values
+        assert g.eval_block([]) == []
+        with pytest.raises(raised[0][1][0]) as got:
+            g.eval_block(ts)
+        assert str(got.value) == raised[0][1][1]
+        for t, (kind, message) in raised:  # a refused t anywhere in an admissible list raises its scalar error
+            for at in (0, len(kept) // 2, len(kept)):
+                with pytest.raises(kind) as got:
+                    g.eval_block(kept[:at] + [t] + kept[at:])
+                assert str(got.value) == message
+        # an admissible list takes no scalar call
+        monkeypatch.setattr(GroupFunction, "eval_block", lambda self, ts: pytest.fail("scalar map"))
+        assert [repr(v) for v in g.eval_block(kept)] == values

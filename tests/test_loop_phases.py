@@ -13,13 +13,14 @@ def test_loop_phases_prints_every_row_and_phase():
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
     assert "9 families, 3 trials, median of 1 cycles" in lines[0]
-    assert lines[1].split()[:6] == ["row", "draw", "build", "reduce", "tails", "judge"]
+    assert lines[1].split()[:7] == ["row", "draw", "build", "reduce", "tails", "law", "judge"]
     rows = {line.split()[0]: line.split()[1:] for line in lines[2:]}
     assert set(rows) == {"composability", "sk-continuity-proxy", "sk-maximum-on-uniform", "sk-expansibility",
                          "schur-majorization-ordering", "schur-ostrowski-criterion", "all", "share"}
     for name, cells in rows.items():
         if name not in ("all", "share"):
-            assert len(cells) == 6 and all(float(c) >= 0 for c in cells), name
+            assert len(cells) == 7 and all(float(c) >= 0 for c in cells), name
+            assert (float(cells[4]) > 0) == (name == "composability"), name  # the one row with a law
     assert sum(float(c.rstrip("%")) for c in rows["share"]) > 95
 
 

@@ -1171,6 +1171,32 @@ class _AbelOwnLaw(AbelGroup):
         return x + y
 
 
+class _AbelSeen(AbelGroup):
+    """An Abel G that notes each t its overridden method sees, in ``seen``."""
+
+    def __init__(self, a: float, b: float):
+        self.seen = []
+        super().__init__(a, b)
+
+
+class _AbelOwnEval(_AbelSeen):
+    def eval(self, t: float) -> float:
+        self.seen.append(t)
+        return AbelGroup.eval(self, t)
+
+
+class _AbelOwnFormula(_AbelSeen):
+    def formula(self, t: float) -> float:
+        self.seen.append(t)
+        return AbelGroup.formula(self, t)
+
+
+class _AbelOwnDomain(_AbelSeen):
+    def _check_domain(self, t: float) -> None:
+        self.seen.append(t)
+        AbelGroup._check_domain(self, t)
+
+
 def _outcome(run):
     """The report of ``run()`` as a repr, or the type and message of the error it raises."""
     try:
@@ -1237,6 +1263,26 @@ class TestChunkLaw:
                 assert sizes[first - 1] > 1 and set(sizes[first:]) == {1}
             else:  # the failing trial's own chunk, then its replay
                 assert repr(seen[-1]) == repr(seen[-2])
+
+    @pytest.mark.parametrize("g", [_AbelOwnEval(0.3, -0.2), _AbelOwnFormula(2.0, 1.0), _AbelOwnDomain(0.3, -0.2),
+                                   _AbelOwnDomain(2.0, 1.0)], ids=["eval", "formula-2-1", "domain", "domain-2-1"])
+    def test_an_abel_subclass_runs_its_own_g_once_per_element_in_the_block_law(self, g, monkeypatch):
+        import gek.grouplog as grouplog
+
+        lists, eval_block = [], AbelGroup.eval_block
+
+        def spy(self, ts):
+            start = len(self.seen)
+            values = eval_block(self, ts)
+            lists.append(self.seen[start:] == ts)
+            return values
+
+        monkeypatch.setattr(AbelGroup, "eval_block", spy)
+        spec = EntropySpec("zg", {"alpha": 0.5}, g)
+        report = check_composability(spec, 300)
+        assert lists and all(lists)
+        monkeypatch.setattr(grouplog, "_chi_scaled_block", lambda *args: None)  # the scalar law, pair by pair
+        assert repr(check_composability(spec, 300).as_dict()) == repr(report.as_dict())
 
 
 def test_the_readme_names_every_row_field():

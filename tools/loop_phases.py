@@ -20,13 +20,14 @@ timed ones, so nothing under ``src/`` changes:
   reduces them with ``EntropySpec.block_sums``;
 - tails: ``EntropySpec.from_row_sums``, the scalar tails, once per reduced
   block;
+- law: ``row.law``, once per chunk over every shape, after ``_chunk_values``
+  and before the judges; only the composability row has one, whose
+  ``EntropySpec.phis`` runs G's block law;
 - judge + fold: the rest of the row's wall time, which is its judges (which
-  ``properties._judged`` runs after ``_chunk_values``), the composability
-  row's law (run there once per chunk, over every shape, with
-  ``EntropySpec.phis`` before the judges, so neither swapped function holds
-  it), its witnesses, the fold of each chunk and the loop's own
-  bookkeeping.  No chunk of these rows raises, so no figure holds the
-  trial-by-trial replay that a chunk which raises gets.
+  ``properties._judged`` runs after the law), its witnesses, the fold of
+  each chunk and the loop's own bookkeeping.  No chunk of these rows
+  raises, so no figure holds the trial-by-trial replay that a chunk which
+  raises gets.
 
 A cycle runs every family once; each figure is the median over ``--cycles``
 cycles in this one process, in ms, summed over the nine families.  Each
@@ -57,7 +58,7 @@ from gek.entropy import EntropySpec, entropy_spec  # noqa: E402
 
 # (family, params) of the verify-trials workload, as ``verify --params`` reads them, at alpha = 0.5
 FAMILIES = [(family, _float_params(template.format(alpha=0.5))) for family, template, *_ in VERIFY_FAMILIES]
-PHASES = ("draw", "build", "reduce", "tails", "judge + fold")
+PHASES = ("draw", "build", "reduce", "tails", "law", "judge + fold")
 
 
 def default(check, name: str):
@@ -98,7 +99,8 @@ def cycle(trials: int, seed: int) -> dict:
                 before = dict(spent)
                 properties._chunk_values = timed(chunk_values, spent, "reduce")
                 EntropySpec.from_row_sums = timed(from_row_sums, spent, "tails")
-                row = row._replace(draw=timed(row.draw, spent, "draw"), build=timed(row.build, spent, "build"))
+                row = row._replace(draw=timed(row.draw, spent, "draw"), build=timed(row.build, spent, "build"),
+                                   law=timed(row.law, spent, "law") if row.law else None)
                 start = time.perf_counter()
                 properties._run_rows(spec, (row,), trials, seed, w_values, tol)
                 wall = time.perf_counter() - start
