@@ -8,13 +8,14 @@ two-argument law its values obey on products of independent systems.
 Entropies are reported in nats with the Boltzmann constant set to 1.
 
 numpy loads only where a vector is touched: ``Distribution``, ``invalid_rows``,
-a reduction when it is called, and ``EntropySpec.raw_value``, ``row_sums`` and
-``block_sums``.  The family table, the parameter checks, the laws builders and
-everything scalar about a spec (its tail, ``phi`` and uniform values) run
-without it, so a command that refuses its family or parameters, or solves a
-growth law, never imports numpy.  Each of those functions imports numpy
-itself: once numpy is loaded, that statement is a lookup in ``sys.modules``
-of about 0.2 us, where a module-level proxy would add a Python call.
+``all_valid_rows``, a reduction when it is called, and ``EntropySpec.raw_value``,
+``row_sums`` and ``block_sums``.  The family table, the parameter checks, the
+laws builders and everything scalar about a spec (its tail, ``phi`` and
+uniform values) run without it, so a command that refuses its family or
+parameters, or solves a growth law, never imports numpy.  Each of those
+functions imports numpy itself: once numpy is loaded, that statement is a
+lookup in ``sys.modules`` of about 0.2 us, where a module-level proxy would
+add a Python call.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ class Distribution:
     """A finite discrete probability vector: entries >= 0 summing to 1.
 
     Validation is strict by default (total within 1e-12); pass
-    ``renormalize=True`` to divide by the total instead.
+    ``renormalize=True`` to divide by the total instead, which must be
+    positive and finite.
 
     Since ``p`` is read-only, the positive support and each family's sum over
     it are computed once and kept (see ``reduced``): every entropy evaluated
@@ -56,12 +58,15 @@ class Distribution:
             raise InputError("a distribution must be a nonempty 1-D vector")
         if np.any(arr < 0) or not np.all(np.isfinite(arr)):
             raise InputError("probabilities must be finite and nonnegative")
-        total = float(arr.sum())
         if renormalize:
+            with np.errstate(over="ignore"):  # a total that overflows is refused below, not warned of
+                total = float(arr.sum())
             if total <= 0:
                 raise InputError("cannot renormalize a zero vector")
+            if total == math.inf:  # fails closed: dividing by it would give every entry 0
+                raise InputError("cannot renormalize: the total of the entries overflows a float")
             arr = arr / total
-        elif abs(total - 1.0) > SUM_TOLERANCE:
+        elif abs((total := float(arr.sum())) - 1.0) > SUM_TOLERANCE:
             raise InputError(f"probabilities sum to {total!r}, not 1 within {SUM_TOLERANCE}")
         arr = arr.copy()
         arr.setflags(write=False)
@@ -124,6 +129,20 @@ def invalid_rows(block: np.ndarray) -> np.ndarray:
 
     nonnegative = np.logical_and.reduce(block >= 0, axis=-1)
     return ~(nonnegative & (np.abs(np.add.reduce(block, axis=-1) - 1.0) <= SUM_TOLERANCE))
+
+
+def all_valid_rows(block: np.ndarray) -> bool:
+    """Whether ``Distribution`` accepts every vector along the last axis of ``block``, by two whole-block tests.
+
+    ``invalid_rows`` finds none exactly when the least entry is ``>= 0`` (NaN
+    fails it) and every sum over the last axis is within ``SUM_TOLERANCE`` of
+    1 (+inf misses it).  An empty block, whose least entry does not exist, is
+    left to ``invalid_rows``.
+    """
+    import numpy as np
+
+    return bool(block.size and np.minimum.reduce(block, axis=None) >= 0
+                and (np.abs(np.add.reduce(block, axis=-1) - 1.0) <= SUM_TOLERANCE).all())
 
 
 def invalid_distributions(rows: Sequence[np.ndarray]) -> list[bool]:
@@ -276,13 +295,20 @@ def _z_laws(family: str, p: Mapping[str, float], g: GroupFunction, formula: bool
     """G(ln sum p^alpha)/(1 - alpha), composing through chi_G scaled by 1 - alpha.
 
     ``formula`` (zab) evaluates G's expression also outside the increasing domain that zg with g=abel keeps to.
+    The tail is G's ``list_form`` over the sums, one comprehension for ln, G and the quotient; where it hands
+    back, the scalar map runs: every ln first, then G and the quotient sum by sum.
     """
     c = 1.0 - p["alpha"]
-    at = g.formula if formula else g.eval
+    at, floor = (g.formula, -math.inf) if formula else (g.eval, None)
     uniform = (lambda ln_w: at(c * ln_w) / c) if formula else (lambda ln_w: g.eval_scaled(c, ln_w))
+
+    def tail(sums: list[float]) -> list[float]:
+        values = g.list_form(sums, c, True, floor)
+        return [at(t) / c for t in _logs(family, sums)] if values is None else values
+
     return _Laws(
-        _power_sums(p["alpha"]), lambda sums: [at(t) / c for t in _logs(family, sums)],
-        lambda x, y: g.chi_scaled(c, x, y), uniform, 0 < p["alpha"] < 1, lambda xs, ys: g.chi_scaled_block(c, xs, ys),
+        _power_sums(p["alpha"]), tail, lambda x, y: g.chi_scaled(c, x, y), uniform, 0 < p["alpha"] < 1,
+        lambda xs, ys: g.chi_scaled_block(c, xs, ys),
     )
 
 

@@ -9,7 +9,7 @@ chi(x, y) = G(G^-1(x) + G^-1(y)) that ln_G obeys on products.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from .errors import ConvergenceError, DomainError, ParameterError, RangeError
 from .record import Record
@@ -269,8 +269,39 @@ class GroupFunction:
         raise NotImplementedError
 
     def eval_block(self, ts: list[float]) -> list[float]:
-        """``[self.eval(t) for t in ts]``: G at each t, or the first element's scalar error."""
-        return [self.eval(t) for t in ts]
+        """``[self.eval(t) for t in ts]``: G at each t, or the first element's scalar error.
+
+        It runs G's ``list_form`` with c = 1, which is exact, and the scalar
+        map wherever that hands back.
+        """
+        values = self.list_form(ts, 1.0)
+        return [self.eval(t) for t in ts] if values is None else values
+
+    def list_form(self, ts: list[float], c: float, ln: bool = False, floor: float | None = None) -> list[float] | None:
+        """``[self.eval(t) / c for t in ts]`` by one comprehension, or None where the caller must run the scalar map.
+
+        With ``ln``, each t is ``math.log`` of its element.  A registry class
+        runs it while it keeps the registry's ``eval``, the base
+        ``_check_domain`` and (abel) ``formula``, looked up when called.  Each
+        element makes the scalar path's ``math`` calls and IEEE operations in
+        their order, so each value is the scalar one bit for bit.  It hands
+        back (None, by ``_listed``) on a t not above ``floor`` (``domain_min``
+        by default; NaN is never above), which the comprehension drops, and on
+        a ``math`` error: a log of an element <= 0 or an overflow.  The caller
+        then runs the scalar map outside the handler, so the error it raises,
+        and the chain a traceback shows, are the scalar ones.  The base class,
+        and so the series G, has no list form.
+        """
+        return None
+
+    @staticmethod
+    def _listed(ts: list[float], ln: bool, values: Callable[[Iterable[float]], list[float]]) -> list[float] | None:
+        """``values`` of ``ts`` (of their logs with ``ln``), or None where it drops a t or a ``math`` call raises."""
+        try:
+            out = values(map(math.log, ts) if ln else ts)
+        except (ValueError, ArithmeticError):
+            return None
+        return out if len(out) == len(ts) else None
 
     def deriv(self, t: float) -> float:
         raise NotImplementedError
@@ -406,6 +437,13 @@ class IdentityGroup(GroupFunction):
     def deriv(self, t: float) -> float:
         return 1.0
 
+    def list_form(self, ts: list[float], c: float, ln: bool = False, floor: float | None = None) -> list[float] | None:
+        cls = type(self)
+        if cls.eval is not IdentityGroup.eval or cls._check_domain is not GroupFunction._check_domain:
+            return None
+        floor = self.domain_min if floor is None else floor
+        return self._listed(ts, ln, lambda xs: [t / c for t in xs if t > floor])
+
     def inverse(self, s: float) -> float:
         self._check_finite(s)
         return s
@@ -454,6 +492,13 @@ class MultiplicativeGroup(GroupFunction):
     def deriv(self, t: float) -> float:
         return math.exp(self.r * t)
 
+    def list_form(self, ts: list[float], c: float, ln: bool = False, floor: float | None = None) -> list[float] | None:
+        cls = type(self)
+        if cls.eval is not MultiplicativeGroup.eval or cls._check_domain is not GroupFunction._check_domain:
+            return None
+        r, expm1, floor = self.r, math.expm1, self.domain_min if floor is None else floor
+        return self._listed(ts, ln, lambda xs: [expm1(r * t) / r / c for t in xs if t > floor])
+
     def inverse(self, s: float) -> float:
         self._check_finite(s)
         u = self.r * s
@@ -489,6 +534,13 @@ class KaniadakisGroup(GroupFunction):
 
     def deriv(self, t: float) -> float:
         return math.cosh(self.k * t)
+
+    def list_form(self, ts: list[float], c: float, ln: bool = False, floor: float | None = None) -> list[float] | None:
+        cls = type(self)
+        if cls.eval is not KaniadakisGroup.eval or cls._check_domain is not GroupFunction._check_domain:
+            return None
+        k, sinh, floor = self.k, math.sinh, self.domain_min if floor is None else floor
+        return self._listed(ts, ln, lambda xs: [sinh(k * t) / k / c for t in xs if t > floor])
 
     def inverse(self, s: float) -> float:
         self._check_finite(s)
@@ -542,27 +594,18 @@ class AbelGroup(GroupFunction):
         self._check_domain(t)
         return self.formula(t)
 
-    def eval_block(self, ts: list[float]) -> list[float]:
-        """``[self.eval(t) for t in ts]``, with no method call per element while G is abel's own.
+    def list_form(self, ts: list[float], c: float, ln: bool = False, floor: float | None = None) -> list[float] | None:
+        """G's list form (see ``GroupFunction.list_form``), as ``(exp(a t) - exp(b t)) / (a - b) / c``.
 
-        A class that keeps ``AbelGroup.eval`` and ``formula`` and the base
-        ``_check_domain`` (looked up when called) tests each t against
-        ``domain_min`` and takes ``formula``'s IEEE operations in its order, so
-        each value is ``eval``'s bit for bit.  A list with a t that the test
-        refuses (nan included) or whose G overflows, and every other class,
-        runs the scalar map, which raises the first element's error.
+        zab passes ``floor`` = -inf, since it evaluates ``formula`` also off the
+        increasing domain; a NaN t, which hands back, is NaN there too.
         """
         cls = type(self)
-        if (cls.eval is AbelGroup.eval and cls.formula is AbelGroup.formula
-                and cls._check_domain is GroupFunction._check_domain):
-            a, b, d, floor, exp = self.a, self.b, self.a - self.b, self.domain_min, math.exp
-            try:
-                values = [(exp(a * t) - exp(b * t)) / d for t in ts if t > floor]  # drops each t that is refused
-            except OverflowError:
-                values = None
-            if values is not None and len(values) == len(ts):
-                return values
-        return super().eval_block(ts)
+        if (cls.eval is not AbelGroup.eval or cls.formula is not AbelGroup.formula
+                or cls._check_domain is not GroupFunction._check_domain):
+            return None
+        a, b, d, exp, floor = self.a, self.b, self.a - self.b, math.exp, self.domain_min if floor is None else floor
+        return self._listed(ts, ln, lambda xs: [(exp(a * t) - exp(b * t)) / d / c for t in xs if t > floor])
 
     def deriv(self, t: float) -> float:
         return (self.a * math.exp(self.a * t) - self.b * math.exp(self.b * t)) / (self.a - self.b)

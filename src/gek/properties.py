@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .entropy import Distribution, EntropySpec, _check_alpha, _saq_concave, invalid_rows
+from .entropy import Distribution, EntropySpec, _check_alpha, _saq_concave, all_valid_rows, invalid_rows
 from .errors import DomainError, InputError, RangeError, _integral, check_trials
 from .grouplog import GroupFunction
 from .growth import (  # noqa: F401  (re-exported)
@@ -183,10 +183,11 @@ def _chunk_values(spec: EntropySpec | None, chunk, dists: int) -> list[np.ndarra
     The blocks of one slot and width are concatenated (several shapes share a
     width only where a key has two parts), so each is checked and reduced by
     a few numpy calls, with ``spec.block_sums``.  The first ``dists`` slots
-    hold distributions: a block with a vector that ``invalid_rows`` rejects
-    hands its first such vector to ``Distribution``, which raises its own
-    error.  ``spec.from_row_sums`` runs the family's tail once per reduced
-    block, and the values are sliced back per shape.
+    hold distributions, which ``all_valid_rows`` tests block by block: a block
+    that fails it hands the first vector that ``invalid_rows`` rejects to
+    ``Distribution``, which raises its own error.  ``spec.from_row_sums``
+    runs the family's tail once per reduced block, and the values are sliced
+    back per shape.
     """
     if not chunk[0][1]:
         return [np.empty((len(ids), 0)) for ids, *_ in chunk]
@@ -198,7 +199,7 @@ def _chunk_values(spec: EntropySpec | None, chunk, dists: int) -> list[np.ndarra
         for shapes in widths.values():
             parts = [chunk[s][1][slot] for s in shapes]
             block = parts[0] if len(parts) == 1 else np.concatenate(parts)
-            if slot < dists and (bad := invalid_rows(block)).any():
+            if slot < dists and not all_valid_rows(block) and (bad := invalid_rows(block)).any():
                 Distribution(block[bad.argmax()])
                 raise AssertionError("Distribution accepts a vector that invalid_rows rejects")
             sums = spec.block_sums(block).reshape(len(block), -1)

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -98,10 +99,16 @@ def test_host_says_whether_the_runs_could_write_bytecode(monkeypatch):
 
 def test_export_compiles_the_copy_even_where_no_bytecode_is_written(monkeypatch, tmp_path):
     # the runs of a BENCH file read .pyc files as an installed gek does, whatever PYTHONDONTWRITEBYTECODE says
+    # from a throwaway repository holding a copy of src/gek, so the test runs in a tree that is no git checkout too
     monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    repo = tmp_path / "repo"
+    shutil.copytree(ROOT / "src" / "gek", repo / "src" / "gek", ignore=shutil.ignore_patterns("__pycache__"))
+    config = ["-c", "user.name=gek", "-c", "user.email=gek@example.invalid", "-c", "commit.gpgsign=false"]
+    for args in (["init", "-q"], ["add", "src"], [*config, "commit", "-q", "-m", "copy of src/gek"]):
+        subprocess.run(["git", "-C", str(repo), *args], check=True, capture_output=True)
     dest = tmp_path / "copy"
-    sha = bench_pairs.export("HEAD", str(dest))
-    assert len(sha) == 40
+    sha = bench_pairs.export("HEAD", str(dest), repo=str(repo))
+    assert sha == bench_pairs.git("rev-parse", "HEAD", repo=str(repo)).decode().strip() and len(sha) == 40
     compiled = {p.name.split(".")[0] for p in (dest / "src" / "gek" / "__pycache__").glob("*.pyc")}
     assert compiled == {p.stem for p in (dest / "src" / "gek").glob("*.py")}
 

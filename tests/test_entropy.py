@@ -16,11 +16,13 @@ from gek.entropy import (
     _MEMO_SIZE,
     _power_sums,
     _saq_concave,
+    all_valid_rows,
     alt_z_entropy,
     boltzmann,
     composition_phi,
     entropy_spec,
     invalid_distributions,
+    invalid_rows,
     landsberg_vedral,
     power_sum,
     product_distribution,
@@ -91,6 +93,14 @@ class TestDistribution:
         with pytest.raises(InputError):
             Distribution([0.5, 0.6])
         Distribution([0.5, 0.6], renormalize=True)
+
+    def test_renormalize_refuses_a_total_that_overflows(self):
+        # each entry is finite, but their float total is inf: dividing by it would give p = [0.0, 0.0]
+        with pytest.raises(InputError, match="^cannot renormalize: the total of the entries overflows a float$"):
+            Distribution([1e308, 1e308], renormalize=True)
+        with pytest.raises(InputError, match="^cannot renormalize a zero vector$"):
+            Distribution([0.0, 0.0], renormalize=True)
+        assert Distribution([1e308, 1e307], renormalize=True).p.tolist() == [1e308 / 1.1e308, 1e307 / 1.1e308]
 
     def test_rejects_negative(self):
         with pytest.raises(InputError):
@@ -640,6 +650,24 @@ class TestBatchedRows:
                 expected.append(False)
         assert invalid_distributions(rows) == expected == [False, True, True, True, True, True, False, False]
 
+    def test_the_whole_block_test_is_invalid_rows_on_every_block(self):
+        # each bad row of the constructor's grid, alone and among valid rows, at the start, middle and end of 2-D
+        # and 3-D blocks; an empty block in either axis; and sums each side of the tolerance
+        rng = np.random.default_rng(24)
+        good = rng.dirichlet(np.ones(4), 6)
+        bad = [[0.5, 0.6, 0.0, 0.0], [1.2, -0.2, 0.0, 0.0], [0.5, np.nan, 0.5, 0.0], [np.inf, 0.0, 0.0, 0.0],
+               [0.5, 0.5 + 2e-12, 0.0, 0.0], [-0.0, 0.5, 0.5, 0.0], [0.5, 0.5 + 5e-13, 0.0, 0.0], [-np.inf, 1, 1, 0]]
+        blocks = [good, good.reshape(2, 3, 4), np.empty((0, 4)), np.empty((3, 0)), np.empty((0, 0))]
+        for row in bad:
+            for at in (0, 3, 6):
+                block = np.insert(good, at, row, axis=0)
+                blocks += [block, block[:, None, :], np.stack([block, block[::-1]])]
+        verdicts = []
+        for block in blocks:  # an empty block is left to invalid_rows
+            verdicts.append(all_valid_rows(block))
+            assert verdicts[-1] is (block.size > 0 and not invalid_rows(block).any()), block
+        assert verdicts.count(True) == 2 + 2 * 9  # the two good blocks, and each with a row of -0.0 or 5e-13
+
 
 def _tail_specs():
     """Every family, zg and altz over each registry G, at a seeded draw, plus fixed specs where G has a floor."""
@@ -775,6 +803,33 @@ class TestBlockTails:
             assert _block_error(spec.from_row_sums, sums) == expected != _block_error(plain.from_row_sums, sums)
         if override == "_check_domain":
             assert expected[0] is DomainError and expected[1].startswith("refused")
+
+    @pytest.mark.parametrize("spec", [s for s in _tail_specs() if s.family in Z_FAMILIES], ids=lambda s: s.describe())
+    def test_a_z_tail_is_one_list_form_call(self, spec, monkeypatch):
+        # ln, G and the quotient run in G's list form: no scalar eval, formula or domain test on an admissible list
+        sums = np.exp(np.random.default_rng(23).uniform(-0.3, 3.0, 50)).tolist()
+        expected = [repr(_reference_tail(spec, s)) for s in sums]
+        calls, list_form = [], type(spec.group).list_form
+        monkeypatch.setattr(type(spec.group), "list_form", lambda *a: calls.append(a[2:]) or list_form(*a))
+        for name in ("eval", "formula", "_check_domain"):
+            owner = next((k for k in type(spec.group).__mro__ if name in vars(k)), None)
+            if owner is not None:
+                monkeypatch.setattr(owner, name, lambda self, t: pytest.fail("scalar call"))
+        assert [repr(v) for v in spec.from_row_sums(sums)] == expected
+        assert calls == [(1.0 - spec.alpha, True, -math.inf if spec.family == "zab" else None)]
+
+    def test_zab_takes_nan_and_the_off_domain_sums_and_keeps_its_overflow_message(self):
+        spec = entropy_spec("zab", {"a": 2.0, "b": 1.0, "alpha": 0.5})
+        sums = [1.5, 0.3, math.nan, 2.0]  # ln 0.3 is below abel's floor at (2, 1), which zab's formula takes
+        values = spec.from_row_sums(sums)
+        assert [repr(v) for v in values] == [repr(spec.group.formula(math.log(s)) / 0.5) for s in sums]
+        assert math.isnan(values[2]) and spec.group.list_form(sums, 0.5, True, -math.inf) is None
+        assert spec.group.list_form([0.3], 0.5, True, -math.inf) == [values[1]]
+        spec = entropy_spec("zab", {"a": 800.0, "b": 0.0, "alpha": 0.5})
+        assert spec.group.list_form([1.5, 1e10], 0.5, True, -math.inf) is None
+        with pytest.raises(RangeError, match=r"^abel: G\(23.025850929940457\) overflows a float$") as got:
+            spec.from_row_sums([1.5, 1e10])
+        assert got.value.__cause__ is None and got.value.__suppress_context__
 
 
 def _memo_specs():

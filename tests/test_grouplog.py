@@ -704,21 +704,46 @@ def _eval_outcomes(g, ts):
     return out
 
 
-class TestEvalBlock:
-    """Abel's list evaluation is the scalar map ``[g.eval(t) for t in ts]``: its values by repr, its first error."""
+# each registry G of the list-form grid: both signs of q - 1 and of k, and the Abel G of the block law
+LIST_GROUPS = [IdentityGroup(), MultiplicativeGroup(0.5), MultiplicativeGroup(1.7), MultiplicativeGroup(-2.0),
+               KaniadakisGroup(0.4), KaniadakisGroup(-0.85)] + [AbelGroup(*ab) for ab in BLOCK_ABEL + [(800.0, 0.0)]]
 
-    @pytest.mark.parametrize("ab", BLOCK_ABEL + [(800.0, 0.0)], ids=str)
-    def test_eval_block_is_the_scalar_map(self, ab, monkeypatch):
-        g = AbelGroup(*ab)
-        rng = np.random.default_rng(20261021)
-        ts = (10.0 ** rng.uniform(-6, 2.5, 400) * rng.choice([-1.0, 1.0], 400)).tolist()
-        ts += [0.0, -0.0, 5e-324, -5e-324, 1.0, math.nan, math.inf, -math.inf]
-        if math.isfinite(g.domain_min):  # at, just below and just above the floor of the increasing domain
-            ts += [g.domain_min, math.nextafter(g.domain_min, -math.inf), math.nextafter(g.domain_min, math.inf)]
+
+def _list_grid(g):
+    """A seeded grid of t, the signed zeros and subnormals, NaN and the infinities, each side of a finite floor
+    of the domain and of each point past which a term of G overflows a float."""
+    rng = np.random.default_rng(20261021)
+    ts = (10.0 ** rng.uniform(-6, 2.5, 400) * rng.choice([-1.0, 1.0], 400)).tolist()
+    ts += [0.0, -0.0, 5e-324, -5e-324, 1.0, math.nan, math.inf, -math.inf]
+    if math.isfinite(g.domain_min):
+        ts += [g.domain_min, math.nextafter(g.domain_min, -math.inf), math.nextafter(g.domain_min, math.inf)]
+    rates = {IdentityGroup: (), MultiplicativeGroup: ("r",), KaniadakisGroup: ("k",), AbelGroup: ("a", "b")}
+    for rate in (getattr(g, name) for name in rates[type(g)]):
+        for top in (709.782712893384, 710.4758600739439):  # the largest argument of exp, of sinh
+            if rate:
+                t = top / rate
+                ts += [t, math.nextafter(t, -math.inf), math.nextafter(t, math.inf), -t]
+    return ts
+
+
+def _owner(g, name):
+    """The class in ``type(g)``'s MRO that defines ``name``."""
+    return next(k for k in type(g).__mro__ if name in vars(k))
+
+
+class TestEvalBlock:
+    """A registry G's list evaluation is the scalar map ``[g.eval(t) for t in ts]``: its values by repr, its first
+    error; ``list_form`` with a divisor c, and on the logs of a list, is the scalar ``g.eval(t) / c``, or None."""
+
+    @pytest.mark.parametrize("g", LIST_GROUPS, ids=lambda g: g.describe())
+    def test_eval_block_is_the_scalar_map(self, g, monkeypatch):
+        ts = _list_grid(g)
         outcomes = _eval_outcomes(g, ts)
         kept = [t for t, o in zip(ts, outcomes) if isinstance(o, str)]
         raised = [(t, o) for t, o in zip(ts, outcomes) if not isinstance(o, str)]
         assert kept and raised
+        if not isinstance(g, IdentityGroup):  # the grid reaches G's overflow
+            assert any("overflows" in message for _, (_, message) in raised)
         values = [o for o in outcomes if isinstance(o, str)]
         assert [repr(v) for v in g.eval_block(kept)] == values
         assert g.eval_block([]) == []
@@ -730,6 +755,58 @@ class TestEvalBlock:
                 with pytest.raises(kind) as got:
                     g.eval_block(kept[:at] + [t] + kept[at:])
                 assert str(got.value) == message
-        # an admissible list takes no scalar call
-        monkeypatch.setattr(GroupFunction, "eval_block", lambda self, ts: pytest.fail("scalar map"))
+        # an admissible list takes no scalar call: the gate compares the patched methods with themselves
+        for name in ("eval", "_check_domain", "formula"):
+            if hasattr(g, name):
+                monkeypatch.setattr(_owner(g, name), name, lambda self, t: pytest.fail("scalar call"))
         assert [repr(v) for v in g.eval_block(kept)] == values
+
+    @pytest.mark.parametrize("g", LIST_GROUPS, ids=lambda g: g.describe())
+    def test_list_form_divides_and_takes_logs_in_the_scalar_order(self, g):
+        ts = _list_grid(g)
+        outcomes = _eval_outcomes(g, ts)
+        kept = [t for t, o in zip(ts, outcomes) if isinstance(o, str)]
+        refused = [t for t, o in zip(ts, outcomes) if not isinstance(o, str)]
+        sums = np.exp(np.random.default_rng(22).uniform(-3.0, 3.0, 200)).tolist() + [1.0, 5e-324, 1e300, math.inf]
+        sums = [s for s in sums if isinstance(_eval_outcomes(g, [math.log(s)])[0], str)]
+        for c in BLOCK_C + [1.0]:
+            assert [repr(v) for v in g.list_form(kept, c)] == [repr(g.eval(t) / c) for t in kept]
+            assert [repr(v) for v in g.list_form(sums, c, True)] == [repr(g.eval(math.log(s)) / c) for s in sums]
+            assert g.list_form([], c) == [] and g.list_form([], c, True) == []
+            for t in refused:  # a refused t hands back, wherever it stands
+                assert g.list_form(kept + [t], c) is None and g.list_form([t] + kept, c) is None
+            for s in (0.0, -0.0, -1.0, -math.inf, math.nan):  # ln refuses the first four, G the log of nan
+                assert g.list_form(sums + [s], c, True) is None
+        if isinstance(g, AbelGroup):  # zab's floor, -inf: formula's value also off the domain, NaN handed back
+            off = [t for t in refused if t == t and t > -math.inf and "overflows" not in str(_eval_outcomes(g, [t]))]
+            assert [repr(v) for v in g.list_form(kept + off, 0.5, floor=-math.inf)] == [
+                repr(g.formula(t) / 0.5) for t in kept + off]
+            assert g.list_form([math.nan], 0.5, floor=-math.inf) is None
+
+    @pytest.mark.parametrize(
+        "g, override",
+        [(g, override) for g in LIST_GROUPS[::2] for override in ("eval", "_check_domain", "formula")
+         if override != "formula" or isinstance(g, AbelGroup)],
+        ids=lambda v: v if isinstance(v, str) else v.describe(),
+    )
+    def test_a_subclass_override_runs_the_scalar_map(self, g, override):
+        base = _owner(g, override)
+        if override == "_check_domain":
+            def check(self, t):  # refuses t > 0.6 as well
+                base._check_domain(self, t)
+                if t > 0.6:
+                    raise DomainError(f"refused {t!r}")
+
+            body = {"_check_domain": check}
+        else:
+            body = {override: lambda self, t: getattr(base, override)(self, t) + 1.0}
+        shifted = object.__new__(type(f"Shifted{type(g).__name__}", (type(g),), body))
+        shifted.__dict__.update(vars(g))
+        ts = [0.5, 0.25, 1.0, 0.125]
+        if override == "_check_domain":
+            with pytest.raises(DomainError, match="refused 1.0"):
+                shifted.eval_block(ts)
+            ts.remove(1.0)
+        assert [repr(v) for v in shifted.eval_block(ts)] == [repr(shifted.eval(t)) for t in ts]
+        assert (override == "_check_domain") == (shifted.eval_block(ts) == g.eval_block(ts))
+        assert shifted.list_form(ts, 0.5) is None and shifted.list_form(ts, 0.5, True) is None

@@ -49,14 +49,14 @@ HELD_OUT_SEEDS = (2021, 2022)
 TRACED_SEED = 2031
 
 
-def git(*args: str) -> bytes:
-    return subprocess.run(["git", "-C", ROOT, *args], check=True, capture_output=True).stdout
+def git(*args: str, repo: str = ROOT) -> bytes:
+    return subprocess.run(["git", "-C", repo, *args], check=True, capture_output=True).stdout
 
 
-def export(rev: str, dest: str) -> str:
-    """Extract ``git archive rev`` into ``dest`` and compile its ``src``; returns the full sha of ``rev``."""
-    sha = git("rev-parse", "--verify", rev + "^{commit}").decode().strip()
-    with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", sha))) as tar:
+def export(rev: str, dest: str, repo: str = ROOT) -> str:
+    """Extract ``git archive rev`` of ``repo`` into ``dest`` and compile its ``src``; returns the full sha of rev."""
+    sha = git("rev-parse", "--verify", rev + "^{commit}", repo=repo).decode().strip()
+    with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", sha, repo=repo))) as tar:
         tar.extractall(dest, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
     subprocess.run([sys.executable, "-m", "compileall", "-q", "src"], cwd=dest, check=True)
     return sha
