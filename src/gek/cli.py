@@ -27,6 +27,7 @@ import math
 import os
 import re
 import sys
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .errors import GekError, InputError, ParameterError, RangeError, check_horizon, check_rate, check_trials
@@ -333,8 +334,13 @@ _COMMANDS = {
 }
 
 
+@lru_cache(maxsize=len(_COMMANDS) + 1)
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The gek parser; every command is named, but only ``command``'s options are added (all when None)."""
+    """The gek parser; every command is named, but only ``command``'s options are added (all when None).
+
+    Built once per command in a process: parsing reads a parser and changes
+    nothing in it, so every ``main`` call of one command shares its tree.
+    """
     parser = argparse.ArgumentParser(prog="gek", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="cmd", required=True)
     for name, (help_text, add_options) in _COMMANDS.items():

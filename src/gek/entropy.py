@@ -58,15 +58,15 @@ class Distribution:
             raise InputError("a distribution must be a nonempty 1-D vector")
         if np.any(arr < 0) or not np.all(np.isfinite(arr)):
             raise InputError("probabilities must be finite and nonnegative")
+        with np.errstate(over="ignore"):  # a total that overflows is refused below, not warned of
+            total = float(arr.sum())
         if renormalize:
-            with np.errstate(over="ignore"):  # a total that overflows is refused below, not warned of
-                total = float(arr.sum())
             if total <= 0:
                 raise InputError("cannot renormalize a zero vector")
             if total == math.inf:  # fails closed: dividing by it would give every entry 0
                 raise InputError("cannot renormalize: the total of the entries overflows a float")
             arr = arr / total
-        elif abs((total := float(arr.sum())) - 1.0) > SUM_TOLERANCE:
+        elif abs(total - 1.0) > SUM_TOLERANCE:
             raise InputError(f"probabilities sum to {total!r}, not 1 within {SUM_TOLERANCE}")
         arr = arr.copy()
         arr.setflags(write=False)
@@ -131,18 +131,21 @@ def invalid_rows(block: np.ndarray) -> np.ndarray:
     return ~(nonnegative & (np.abs(np.add.reduce(block, axis=-1) - 1.0) <= SUM_TOLERANCE))
 
 
-def all_valid_rows(block: np.ndarray) -> bool:
-    """Whether ``Distribution`` accepts every vector along the last axis of ``block``, by two whole-block tests.
+def all_valid_rows(*blocks: np.ndarray) -> bool:
+    """Whether ``Distribution`` accepts every vector along the last axis of each of one or more blocks.
 
-    ``invalid_rows`` finds none exactly when the least entry is ``>= 0`` (NaN
-    fails it) and every sum over the last axis is within ``SUM_TOLERANCE`` of
-    1 (+inf misses it).  An empty block, whose least entry does not exist, is
-    left to ``invalid_rows``.
+    ``invalid_rows`` finds none in any block exactly when each block's least
+    entry is ``>= 0`` (NaN fails it) and every sum over its last axis is
+    within ``SUM_TOLERANCE`` of 1 (+inf misses it); the sums of all the blocks
+    are tested together.  An empty block, whose least entry does not exist,
+    is left to ``invalid_rows``.
     """
     import numpy as np
 
-    return bool(block.size and np.minimum.reduce(block, axis=None) >= 0
-                and (np.abs(np.add.reduce(block, axis=-1) - 1.0) <= SUM_TOLERANCE).all())
+    if not all(block.size and np.minimum.reduce(block, axis=None) >= 0 for block in blocks):
+        return False
+    sums = np.concatenate([np.add.reduce(block, axis=-1).ravel() for block in blocks])
+    return bool((np.abs(sums - 1.0) <= SUM_TOLERANCE).all())
 
 
 def invalid_distributions(rows: Sequence[np.ndarray]) -> list[bool]:

@@ -117,9 +117,10 @@ def _run_rows(spec: EntropySpec | None, rows, trials: int, seed: int, w_values, 
     None for none).  A row with no vector slot builds no blocks, never reads
     ``spec`` (None if no row has a slot), and its judge reads only the extras.
     Validate and evaluate (``_chunk_values``): every block is checked and
-    reduced as a whole, and the family's scalar tail runs once per reduced
-    block.  Judge: a row with a ``law`` first runs it once over the chunk's
-    values, and each shape's judge gets its share as extras (the
+    reduced as a whole, with one validity decision per vector slot, and the
+    family's scalar tail runs once per slot.  Judge: a row with a ``law``
+    first runs it once over the chunk's values, and each shape's judge gets
+    its share as extras (the
     composability row's phi, which a block law pays for once per chunk);
     ``row.judge`` once per shape gives the residual of each of its k trials
     and which to skip, by numpy's IEEE operations, which round as Python's
@@ -181,13 +182,14 @@ def _chunk_values(spec: EntropySpec | None, chunk, dists: int) -> list[np.ndarra
     """Each shape's (k, m) array of its trials' values: the tail of each family sum, slot after slot.
 
     The blocks of one slot and width are concatenated (several shapes share a
-    width only where a key has two parts), so each is checked and reduced by
+    width only where a key has two parts), and each such group is reduced by
     a few numpy calls, with ``spec.block_sums``.  The first ``dists`` slots
-    hold distributions, which ``all_valid_rows`` tests block by block: a block
-    that fails it hands the first vector that ``invalid_rows`` rejects to
-    ``Distribution``, which raises its own error.  ``spec.from_row_sums``
-    runs the family's tail once per reduced block, and the values are sliced
-    back per shape.
+    hold distributions, which ``all_valid_rows`` tests once per slot over all
+    its groups: a slot that fails it hands the first vector, in group order,
+    that ``invalid_rows`` rejects to ``Distribution``, which raises its own
+    error.  ``spec.from_row_sums`` runs the family's tail once per slot, over
+    the sums of its groups in the order of their first shapes, and the values
+    are sliced back per shape.
     """
     if not chunk[0][1]:
         return [np.empty((len(ids), 0)) for ids, *_ in chunk]
@@ -196,19 +198,25 @@ def _chunk_values(spec: EntropySpec | None, chunk, dists: int) -> list[np.ndarra
         widths: dict = {}
         for s, (_, blocks, _) in enumerate(chunk):
             widths.setdefault(blocks[slot].shape[1:], []).append(s)
+        groups = []
         for shapes in widths.values():
             parts = [chunk[s][1][slot] for s in shapes]
-            block = parts[0] if len(parts) == 1 else np.concatenate(parts)
-            if slot < dists and not all_valid_rows(block) and (bad := invalid_rows(block)).any():
-                Distribution(block[bad.argmax()])
-                raise AssertionError("Distribution accepts a vector that invalid_rows rejects")
-            sums = spec.block_sums(block).reshape(len(block), -1)
-            tails = np.array(spec.from_row_sums(sums.ravel().tolist()), float).reshape(sums.shape)
-            at = 0
+            groups.append(parts[0] if len(parts) == 1 else np.concatenate(parts))
+        if slot < dists and not all_valid_rows(*groups):
+            for block in groups:
+                if (bad := invalid_rows(block)).any():
+                    Distribution(block[bad.argmax()])
+                    raise AssertionError("Distribution accepts a vector that invalid_rows rejects")
+        sums = [spec.block_sums(block).reshape(len(block), -1) for block in groups]
+        tails = np.array(spec.from_row_sums(np.concatenate([part.ravel() for part in sums]).tolist()), float)
+        at = 0
+        for shapes, part in zip(widths.values(), sums):
+            group, row = tails[at:at + part.size].reshape(part.shape), 0
+            at += part.size
             for s in shapes:
                 k = len(chunk[s][0])
-                values[s].append(tails[at:at + k])
-                at += k
+                values[s].append(group[row:row + k])
+                row += k
     return [v[0] if len(v) == 1 else np.concatenate(v, axis=1) for v in values]
 
 

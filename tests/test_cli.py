@@ -35,6 +35,14 @@ def invoke(args, tmp_path, name="out.txt"):
     return code, out.read_text()
 
 
+def run_fresh(argv, *options):
+    """``python [options] -m gek argv`` from the source tree, in a fresh process with GEK_SEED unset."""
+    env = {k: v for k, v in os.environ.items() if k != "GEK_SEED"}
+    env["PYTHONPATH"] = str(Path(__file__).parents[1] / "src")
+    return subprocess.run([sys.executable, *options, "-m", "gek", *argv], capture_output=True, text=True, env=env,
+                          timeout=60)
+
+
 class TestEntropyEval:
     def test_uniform_shorthand(self, tmp_path):
         code, text = invoke(["entropy", "eval", "--family", "renyi", "--params", "alpha=0.5", "--dist", "u4"], tmp_path)
@@ -109,6 +117,14 @@ class TestEntropyEval:
             main(["entropy", "eval", "--family", "renyi", "--params", "alpha=0.5", "--dist", str(dist)])
         assert exc.value.code == 2
         assert capsys.readouterr() == ("", "error: " + message.format(path=str(dist)) + "\n")
+
+    def test_a_total_that_overflows_writes_only_its_error(self, tmp_path):
+        # in a real process numpy's overflow warning would reach stderr; in-process, the test harness records it
+        dist = tmp_path / "dist.txt"
+        dist.write_text("1e308\n1e308\n")
+        result = run_fresh(["entropy", "eval", "--family", "renyi", "--params", "alpha=0.5", "--dist", str(dist)])
+        assert (result.returncode, result.stdout, result.stderr) == (
+            2, "", "error: probabilities sum to inf, not 1 within 1e-12\n")
 
     def test_alpha_one_rejected_at_parse_time(self, capsys):
         for argv in (
@@ -674,10 +690,7 @@ def run_cold(argv):
 
 def run_package(argv):
     """``python -m gek`` from the source tree, with -X importtime: its result and the names of the modules it imported."""
-    env = {k: v for k, v in os.environ.items() if k != "GEK_SEED"}
-    env["PYTHONPATH"] = str(Path(__file__).parents[1] / "src")
-    result = subprocess.run([sys.executable, "-X", "importtime", "-m", "gek", *argv], capture_output=True, text=True,
-                            env=env, timeout=60)
+    result = run_fresh(argv, "-X", "importtime")
     imported = {line.rsplit("|", 1)[1].strip() for line in result.stderr.splitlines() if line.startswith("import time:")}
     return result, imported
 
@@ -928,6 +941,24 @@ def test_per_command_parser_reads_as_the_full_one(argv, capsys):
     full = parser_outcome(_build_parser().parse_args, argv, capsys)
     assert parser_outcome(parse_args, argv, capsys) == full
     assert full[0] == (0 if argv[-1] == "--help" else 2)
+
+
+def test_each_command_builds_its_parser_once():
+    assert _build_parser("verify") is _build_parser("verify")
+    assert _build_parser() is _build_parser() is not _build_parser("verify")
+
+
+def test_a_reused_parser_reads_as_a_fresh_process(capsys):
+    # a refused argv, then one verify argv twice, all in this process on one parser: the exit code and stdout of
+    # each equal those of the same argv in a fresh process
+    argv = ["verify", "--family", "zk", "--params", "k=0.3,alpha=0.5", "--suite", "all", "--trials", "200",
+            "--seed", "7"]
+    for args in (["verify", "--family", "zk", "--trials", "many"], argv, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        fresh = run_fresh(args)
+        assert (exc.value.code, capsys.readouterr().out) == (fresh.returncode, fresh.stdout), args
+        assert fresh.returncode == (2 if args is not argv else 0)
 
 
 def assert_exit_two(argv, capsys):

@@ -652,7 +652,10 @@ class TestBatchedRows:
 
     def test_the_whole_block_test_is_invalid_rows_on_every_block(self):
         # each bad row of the constructor's grid, alone and among valid rows, at the start, middle and end of 2-D
-        # and 3-D blocks; an empty block in either axis; and sums each side of the tolerance
+        # and 3-D blocks; an empty block in either axis; and sums each side of the tolerance.  Then lists of
+        # blocks of several widths, as the trial loop passes a slot's: every block with a valid one of another
+        # width before and after it, and each of the first blocks (valid, empty or with a bad row) before every
+        # block
         rng = np.random.default_rng(24)
         good = rng.dirichlet(np.ones(4), 6)
         bad = [[0.5, 0.6, 0.0, 0.0], [1.2, -0.2, 0.0, 0.0], [0.5, np.nan, 0.5, 0.0], [np.inf, 0.0, 0.0, 0.0],
@@ -667,6 +670,15 @@ class TestBatchedRows:
             verdicts.append(all_valid_rows(block))
             assert verdicts[-1] is (block.size > 0 and not invalid_rows(block).any()), block
         assert verdicts.count(True) == 2 + 2 * 9  # the two good blocks, and each with a row of -0.0 or 5e-13
+        other = rng.dirichlet(np.ones(3), 5)
+        firsts = blocks[:5] + [blocks[5 + 3 * 3 * k] for k in range(len(bad))]  # each bad row at the start
+        lists = [[other, block] for block in blocks] + [[block, other[:, None, :], other] for block in blocks]
+        lists += [[first, block] for first in firsts for block in blocks]
+        for group in lists:
+            expected = all(block.size > 0 and not invalid_rows(block).any() for block in group)
+            assert all_valid_rows(*group) is expected, [block.shape for block in group]
+        assert [all_valid_rows(first, other) for first in firsts] == [True, True, False, False, False] + [
+            row in (bad[5], bad[6]) for row in bad]
 
 
 def _tail_specs():

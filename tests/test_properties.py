@@ -432,6 +432,23 @@ class TestTrialDraws:
             assert len(calls) == 2 * 40 + 40 + 2 * 40, w_values
         assert skips[0] == 40 and 0 < skips[1] < 40 and skips[2] == 0
 
+    @pytest.mark.parametrize("family", ["renyi", "zab"])
+    def test_the_tails_run_once_per_slot(self, family, monkeypatch):
+        # one 1000-trial chunk: composability has 3 vector slots, the SK rows 5 and the Schur rows 4, and each slot
+        # runs one tail however many widths its shapes have (46, 25 and 16 widths in all)
+        calls = []
+        from_row_sums = EntropySpec.from_row_sums
+
+        def counting(self, sums):
+            calls.append(len(sums))
+            return from_row_sums(self, sums)
+
+        monkeypatch.setattr(EntropySpec, "from_row_sums", counting)
+        for check, count in ((check_composability, 3), (check_sk_axioms, 5), (check_schur_concavity, 4)):
+            calls.clear()
+            check(SPECS[family], trials=1000)
+            assert len(calls) == count, check.__name__
+
     @pytest.mark.parametrize("w", [3, 6])
     def test_a_shift_that_is_not_admissible_is_never_reduced(self, w, monkeypatch):
         # a step of 0.5 sends some shifts below 0: those trials are skipped, and p is reduced in their place

@@ -16,10 +16,11 @@ timed ones, so nothing under ``src/`` changes:
 - draw: ``row.draw``, once per chunk, which draws every variate of the chunk's
   trials in a few numpy calls per shape;
 - build: ``row.build``, once per shape of a chunk;
-- reduce: ``_chunk_values`` less its tails, which validates the blocks and
-  reduces them with ``EntropySpec.block_sums``;
-- tails: ``EntropySpec.from_row_sums``, the scalar tails, once per reduced
-  block;
+- reduce: ``_chunk_values`` less its tails, which validates each vector
+  slot's blocks by one decision and reduces them with
+  ``EntropySpec.block_sums``;
+- tails: ``EntropySpec.from_row_sums``, the scalar tails, once per vector
+  slot of a chunk, over the sums of all its blocks;
 - law: ``row.law``, once per chunk over every shape, after ``_chunk_values``
   and before the judges; only the composability row has one, whose
   ``EntropySpec.phis`` runs G's block law;
