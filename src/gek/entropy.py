@@ -266,7 +266,7 @@ class _Laws(NamedTuple):
     """A family's formulas, closed over its validated parameters and G when its spec is built."""
 
     reduce: Callable[[np.ndarray], np.ndarray]  # the family's sum over the last axis of positive entries
-    tail: Callable[[list[float]], list[float]]  # the entropy from each of a list of those sums, in scalar ``math``
+    tail: Callable[[list[float]], list[float]]  # each sum's entropy in scalar ``math``, or the first refused sum's error
     phi: Callable[[float, float], float]  # the composition law on products of independent systems
     uniform: Callable[[float], float]  # the value on the uniform distribution, from ln W
     concave: bool  # whether the supporting concavity theorems apply
@@ -278,20 +278,11 @@ def _underflow(family: str) -> RangeError:
     return RangeError(f"the power sum of {family} underflows to 0, so its entropy is out of float range")
 
 
-def _positive(family: str, sums: list[float]) -> list[float]:
-    """``sums``, each of which a quotient needs > 0 (NaN passes, as it passes ``s <= 0``)."""
-    if any(s <= 0.0 for s in sums):
+def _positive(family: str, s: float) -> float:
+    """``s``, which a logarithm or quotient needs > 0 (NaN passes, as it passes ``s <= 0``, and ln NaN is NaN)."""
+    if s <= 0.0:
         raise _underflow(family)
-    return sums
-
-
-def _logs(family: str, sums: list[float]) -> list[float]:
-    """ln s of each sum, which must be > 0: ``math.log`` refuses exactly the s <= 0 (ln NaN is NaN)."""
-    try:
-        return list(map(math.log, sums))
-    except ValueError:  # raised below, outside this handler, so the RangeError carries no other
-        pass
-    raise _underflow(family)
+    return s
 
 
 def _z_laws(family: str, p: Mapping[str, float], g: GroupFunction, formula: bool = False) -> _Laws:
@@ -299,7 +290,7 @@ def _z_laws(family: str, p: Mapping[str, float], g: GroupFunction, formula: bool
 
     ``formula`` (zab) evaluates G's expression also outside the increasing domain that zg with g=abel keeps to.
     The tail is G's ``list_form`` over the sums, one comprehension for ln, G and the quotient; where it hands
-    back, the scalar map runs: every ln first, then G and the quotient sum by sum.
+    back, the scalar map runs sum by sum, so it raises the first refused sum's error.
     """
     c = 1.0 - p["alpha"]
     at, floor = (g.formula, -math.inf) if formula else (g.eval, None)
@@ -307,7 +298,7 @@ def _z_laws(family: str, p: Mapping[str, float], g: GroupFunction, formula: bool
 
     def tail(sums: list[float]) -> list[float]:
         values = g.list_form(sums, c, True, floor)
-        return [at(t) / c for t in _logs(family, sums)] if values is None else values
+        return [at(math.log(_positive(family, s))) / c for s in sums] if values is None else values
 
     return _Laws(
         _power_sums(p["alpha"]), tail, lambda x, y: g.chi_scaled(c, x, y), uniform, 0 < p["alpha"] < 1,
@@ -325,7 +316,7 @@ def _zq_laws(family: str, p: Mapping[str, float], g: GroupFunction) -> _Laws:
 def _altz_laws(family: str, p: Mapping[str, float], g: GroupFunction) -> _Laws:
     """G(ln(sum p^alpha)/(1 - alpha)), composing through chi_G itself."""
     c = 1.0 - p["alpha"]
-    tail = lambda sums: [g.eval(t / c) for t in _logs(family, sums)]
+    tail = lambda sums: [g.eval(math.log(_positive(family, s)) / c) for s in sums]
     return _Laws(_power_sums(p["alpha"]), tail, g.chi, g.eval, 0 < p["alpha"] < 1)
 
 
@@ -365,7 +356,7 @@ def _landsberg_vedral_laws(family: str, p: Mapping[str, float], g: GroupFunction
         raise ParameterError("requires q > 0")
     d = q - 1.0
     return _Laws(
-        _power_sums(q), lambda sums: [(1.0 - s) / (d * s) for s in _positive(family, sums)],
+        _power_sums(q), lambda sums: [(1.0 - s) / (d * _positive(family, s)) for s in sums],
         lambda x, y: x + y + (q - 1.0) * x * y, lambda ln_w: math.expm1((q - 1.0) * ln_w) / (q - 1.0), False,
     )
 
@@ -510,15 +501,11 @@ class EntropySpec(Record):
     def from_row_sums(self, sums: list[float]) -> list[float]:
         """``from_row_sum`` of each sum in the list ``sums``, in order, by one call of the family's tail.
 
-        The tail makes each sum's ``math`` calls in the scalar order, so each
-        value is the one ``from_row_sum`` gives.  A list on which it raises is
-        run again sum by sum, so the error raised is the first refused sum's own.
+        The tail makes each sum's ``math`` calls in the scalar order, and checks
+        each sum before it uses it, so each value is the one ``from_row_sum``
+        gives and the error raised is the first refused sum's own.
         """
-        try:
-            return self._laws.tail(sums)
-        except Exception:  # run again below, outside this handler, so the error raised carries no other
-            pass
-        return list(map(self.from_row_sum, sums))
+        return self._laws.tail(sums)
 
     def phi(self, x: float, y: float) -> float:
         """The composition law paired with this family."""

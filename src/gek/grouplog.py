@@ -9,7 +9,7 @@ chi(x, y) = G(G^-1(x) + G^-1(y)) that ln_G obeys on products.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
 
 from .errors import ConvergenceError, DomainError, ParameterError, RangeError
 from .record import Record
@@ -155,10 +155,9 @@ def _brent_block(g: Callable[[list[float]], list[float]], s, xpre, xcur, gpre, g
 def _inverse_block(g: GroupFunction, s):
     """``GroupFunction.inverse`` of each element of the float array ``s`` for ``g``, or None.
 
-    ``_bracket`` walks one ladder of points for every s: t = 1, 2, 4, ...
-    upward, and one fixed ladder downward.  So G is evaluated on each ladder
-    once, as far as the farthest s needs, and each s takes the bracket of the
-    first point that ``_bracket`` would stop at.  ``_brent_block`` then
+    ``_bracket`` walks one of the two ladders of ``g._ladder`` for every s, so
+    each is walked here once, as far as the farthest s needs, and each s takes
+    the bracket of the first point that ``_bracket`` would stop at.  ``_brent_block`` then
     solves every element at once, evaluating G by ``g.eval_block``, one call
     per iteration.  It returns None wherever the scalar path could raise or
     leave this bracket: a non-finite s, an s at or below ``range_min``, a
@@ -176,17 +175,12 @@ def _inverse_block(g: GroupFunction, s):
     try:
         g0 = g.eval(0.0)
         if up.size:
-            ts, gs, top, t = [0.0], [g0], s[up].max(), 1.0
-            for _ in range(200):
-                try:
-                    value = g.eval(t)
-                except (OverflowError, RangeError):  # as _bracket reads it
-                    value = math.inf
+            ts, gs, top = [0.0], [g0], s[up].max()
+            for t, value in g._ladder(True):
                 ts.append(t)
                 gs.append(value)
                 if value >= top:
                     break
-                t *= 2.0
             else:
                 return None
             ts, gs = np.array(ts), np.array(gs, float)
@@ -195,16 +189,12 @@ def _inverse_block(g: GroupFunction, s):
                 return None
             lo[up], hi[up], glo[up], ghi[up] = ts[k - 1], ts[k], gs[k - 1], gs[k]
         if down.size:
-            ts, gs, least, floor = [], [], s[down].min(), g.domain_min
-            t = 0.5 * floor if math.isfinite(floor) else -1.0
-            for _ in range(200):
-                if t <= floor:
-                    return None
+            ts, gs, least = [], [], s[down].min()
+            for t, value in g._ladder(False):
                 ts.append(t)
-                gs.append(g.eval(t))
-                if gs[-1] <= least:
+                gs.append(value)
+                if value <= least:
                     break
-                t = 0.5 * (t + floor) if math.isfinite(floor) else 2.0 * t
             else:
                 return None
             ts, gs = np.array(ts), np.array(gs, float)
@@ -280,25 +270,21 @@ class GroupFunction:
     def list_form(self, ts: list[float], c: float, ln: bool = False, floor: float | None = None) -> list[float] | None:
         """``[self.eval(t) / c for t in ts]`` by one comprehension, or None where the caller must run the scalar map.
 
-        With ``ln``, each t is ``math.log`` of its element.  A registry class
-        runs it while it keeps the registry's ``eval``, the base
-        ``_check_domain`` and (abel) ``formula``, looked up when called.  Each
-        element makes the scalar path's ``math`` calls and IEEE operations in
-        their order, so each value is the scalar one bit for bit.  It hands
-        back (None, by ``_listed``) on a t not above ``floor`` (``domain_min``
-        by default; NaN is never above), which the comprehension drops, and on
-        a ``math`` error: a log of an element <= 0 or an overflow.  The caller
-        then runs the scalar map outside the handler, so the error it raises,
-        and the chain a traceback shows, are the scalar ones.  The base class,
-        and so the series G, has no list form.
+        With ``ln``, each t is ``math.log`` of its element.  It runs only for an
+        instance of a registry class itself (``_LISTED``): a subclass, the base
+        class and the series G have none.  The class's ``_terms(ts, c, floor)``
+        is its comprehension, which makes the scalar path's ``math`` calls and
+        IEEE operations in their order, so each value is the scalar one bit for
+        bit, and drops each t not above ``floor`` (``domain_min`` by default;
+        NaN is never above).  It hands back on a dropped t and on a ``math``
+        error: a log of an element <= 0 or an overflow.  The caller then runs
+        the scalar map outside the handler, so the error it raises, and the
+        chain a traceback shows, are the scalar ones.
         """
-        return None
-
-    @staticmethod
-    def _listed(ts: list[float], ln: bool, values: Callable[[Iterable[float]], list[float]]) -> list[float] | None:
-        """``values`` of ``ts`` (of their logs with ``ln``), or None where it drops a t or a ``math`` call raises."""
+        if type(self) not in _LISTED:
+            return None
         try:
-            out = values(map(math.log, ts) if ln else ts)
+            out = self._terms(map(math.log, ts) if ln else ts, c, self.domain_min if floor is None else floor)
         except (ValueError, ArithmeticError):
             return None
         return out if len(out) == len(ts) else None
@@ -346,14 +332,34 @@ class GroupFunction:
             return lo
         return _brent(lambda t: self.eval(t) - s, lo, hi)
 
-    def _bracket(self, s: float) -> tuple[float, float]:
-        if s > 0.0:
-            t, prev = 1.0, 0.0
-            for _ in range(200):
+    def _ladder(self, upward: bool) -> Iterator[tuple[float, float]]:
+        """The (t, G(t)) points that ``_bracket`` walks from 0, at most 200, each evaluated when it is reached.
+
+        Upward t = 1, 2, 4, ..., where a G(t) that overflows a float reads as
+        inf; downward, halving the gap toward a finite domain floor (ending
+        where t reaches it), else t = -1, -2, -4, ....
+        """
+        floor = self.domain_min
+        finite = math.isfinite(floor)
+        t = 1.0 if upward else 0.5 * floor if finite else -1.0
+        for _ in range(200):
+            if upward:
                 try:
                     value = self.eval(t)
                 except (OverflowError, RangeError):  # G(t) overflows a float
                     value = math.inf
+                yield t, value
+                t *= 2.0
+            elif t <= floor:
+                return
+            else:
+                yield t, self.eval(t)
+                t = 0.5 * (t + floor) if finite else 2.0 * t
+
+    def _bracket(self, s: float) -> tuple[float, float]:
+        if s > 0.0:
+            prev = 0.0
+            for t, value in self._ladder(True):
                 if value >= s:
                     if math.isinf(value):
                         # shrink back into the representable region
@@ -372,19 +378,12 @@ class GroupFunction:
                                 hi = mid
                         raise ConvergenceError(f"{self.name}: bracket shrink failed for {s}")
                     return prev, t
-                prev, t = t, 2.0 * t
+                prev = t
             raise ConvergenceError(f"{self.name}: upward bracket expansion failed for {s}")
-        # until G dips below s: halve the gap toward a finite, open domain floor, else double t = -1, -2, -4, ...
-        floor = self.domain_min
-        finite = math.isfinite(floor)
-        t = 0.5 * floor if finite else -1.0
-        for _ in range(200):
-            if finite and t <= floor:
-                break
-            if self.eval(t) <= s:
+        for t, value in self._ladder(False):
+            if value <= s:
                 return t, 0.0
-            t = 0.5 * (t + floor) if finite else 2.0 * t
-        if finite:
+        if math.isfinite(self.domain_min):
             raise ConvergenceError(f"{self.name}: bracket did not reach {s} near the domain floor")
         raise ConvergenceError(f"{self.name}: downward bracket expansion failed for {s}")
 
@@ -437,12 +436,8 @@ class IdentityGroup(GroupFunction):
     def deriv(self, t: float) -> float:
         return 1.0
 
-    def list_form(self, ts: list[float], c: float, ln: bool = False, floor: float | None = None) -> list[float] | None:
-        cls = type(self)
-        if cls.eval is not IdentityGroup.eval or cls._check_domain is not GroupFunction._check_domain:
-            return None
-        floor = self.domain_min if floor is None else floor
-        return self._listed(ts, ln, lambda xs: [t / c for t in xs if t > floor])
+    def _terms(self, ts: Iterable[float], c: float, floor: float) -> list[float]:
+        return [t / c for t in ts if t > floor]
 
     def inverse(self, s: float) -> float:
         self._check_finite(s)
@@ -492,12 +487,9 @@ class MultiplicativeGroup(GroupFunction):
     def deriv(self, t: float) -> float:
         return math.exp(self.r * t)
 
-    def list_form(self, ts: list[float], c: float, ln: bool = False, floor: float | None = None) -> list[float] | None:
-        cls = type(self)
-        if cls.eval is not MultiplicativeGroup.eval or cls._check_domain is not GroupFunction._check_domain:
-            return None
-        r, expm1, floor = self.r, math.expm1, self.domain_min if floor is None else floor
-        return self._listed(ts, ln, lambda xs: [expm1(r * t) / r / c for t in xs if t > floor])
+    def _terms(self, ts: Iterable[float], c: float, floor: float) -> list[float]:
+        r, expm1 = self.r, math.expm1
+        return [expm1(r * t) / r / c for t in ts if t > floor]
 
     def inverse(self, s: float) -> float:
         self._check_finite(s)
@@ -535,12 +527,9 @@ class KaniadakisGroup(GroupFunction):
     def deriv(self, t: float) -> float:
         return math.cosh(self.k * t)
 
-    def list_form(self, ts: list[float], c: float, ln: bool = False, floor: float | None = None) -> list[float] | None:
-        cls = type(self)
-        if cls.eval is not KaniadakisGroup.eval or cls._check_domain is not GroupFunction._check_domain:
-            return None
-        k, sinh, floor = self.k, math.sinh, self.domain_min if floor is None else floor
-        return self._listed(ts, ln, lambda xs: [sinh(k * t) / k / c for t in xs if t > floor])
+    def _terms(self, ts: Iterable[float], c: float, floor: float) -> list[float]:
+        k, sinh = self.k, math.sinh
+        return [sinh(k * t) / k / c for t in ts if t > floor]
 
     def inverse(self, s: float) -> float:
         self._check_finite(s)
@@ -594,18 +583,10 @@ class AbelGroup(GroupFunction):
         self._check_domain(t)
         return self.formula(t)
 
-    def list_form(self, ts: list[float], c: float, ln: bool = False, floor: float | None = None) -> list[float] | None:
-        """G's list form (see ``GroupFunction.list_form``), as ``(exp(a t) - exp(b t)) / (a - b) / c``.
-
-        zab passes ``floor`` = -inf, since it evaluates ``formula`` also off the
-        increasing domain; a NaN t, which hands back, is NaN there too.
-        """
-        cls = type(self)
-        if (cls.eval is not AbelGroup.eval or cls.formula is not AbelGroup.formula
-                or cls._check_domain is not GroupFunction._check_domain):
-            return None
-        a, b, d, exp, floor = self.a, self.b, self.a - self.b, math.exp, self.domain_min if floor is None else floor
-        return self._listed(ts, ln, lambda xs: [(exp(a * t) - exp(b * t)) / d / c for t in xs if t > floor])
+    def _terms(self, ts: Iterable[float], c: float, floor: float) -> list[float]:
+        """zab passes ``floor`` = -inf, since it evaluates ``formula`` also off the increasing domain."""
+        a, b, d, exp = self.a, self.b, self.a - self.b, math.exp
+        return [(exp(a * t) - exp(b * t)) / d / c for t in ts if t > floor]
 
     def deriv(self, t: float) -> float:
         return (self.a * math.exp(self.a * t) - self.b * math.exp(self.b * t)) / (self.a - self.b)
@@ -695,6 +676,7 @@ _REGISTRY = (
     GroupFamily("kaniadakis", (), ("k",), KaniadakisGroup, "kaniadakis_exp_series"),
     GroupFamily("abel", (), ("a", "b"), AbelGroup, "abel_exp_series"),
 )
+_LISTED = frozenset(family.build for family in _REGISTRY)  # the classes whose own instances run ``_terms``
 _BY_NAME = {name: family for family in _REGISTRY for name in (family.name, *family.aliases)}
 
 

@@ -156,8 +156,10 @@ def test_main_reads_the_simd_tables_before_the_first_run(monkeypatch, tmp_path):
     assert report["host"]["numpy_simd_baseline"] == simd()["numpy_simd_baseline"]
 
 
-def fake_main(monkeypatch, tmp_path, argv):
-    """``main`` on made-up runs of every declared workload: the BENCH file it writes, and the runs it asked for."""
+def fake_main(monkeypatch, tmp_path, argv, wrap=None):
+    """``main`` on made-up runs of every declared workload: the BENCH file it writes, and the runs it asked for.
+
+    ``wrap``, if given, takes the made-up ``bench_run`` and returns the one ``main`` calls."""
     (tmp_path / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
     monkeypatch.setattr(bench_pairs, "ROOT", str(tmp_path))
     monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: rev)
@@ -171,7 +173,7 @@ def fake_main(monkeypatch, tmp_path, argv):
         return {"provenance": {"src_sha256": copy[-6:]},
                 "result": {"metrics": metrics, "correct": True, "attempted": 10, "failed": 0}}
 
-    monkeypatch.setattr(bench_pairs, "bench_run", bench_run)
+    monkeypatch.setattr(bench_pairs, "bench_run", bench_run if wrap is None else wrap(bench_run))
     assert bench_pairs.main(["--pr", "0", "--parent", "p", "--change", "c", *argv]) == 0
     return json.loads((tmp_path / "BENCH_0.json").read_text()), calls
 
@@ -197,5 +199,36 @@ def test_with_a_claim_the_held_out_and_traced_runs_follow(monkeypatch, tmp_path)
     assert report["claim"]["workload"] == "exact-series" and report["claim"]["metric"] == "op_p50_s"
     assert report["held_out_exact_series"]["summary"]["op_p50_s"]["change_wins"] == "2/2"
     assert set(report["traced"]) == {"parent", "change"}
-    assert [c for c in calls if c[2] == 1] == [("exact-series", bench_pairs.TRACED_SEED, 1)] * 2
+    assert [c for c in calls if c[2] == 1] == [("exact-series", bench_pairs.TRACED_SEED, 1)] * 2 * bench_pairs.TRACED_PAIRS
     assert "No gain is claimed" not in report["about"]
+
+
+def test_the_traced_runs_are_alternating_pairs_read_by_their_medians(monkeypatch, tmp_path):
+    # each traced run of a side reads a different per-layer value; the side by side holds each side's median
+    readings = {"parent": iter([3.0, 1.0, 2.0]), "change": iter([5.0, 9.0, 7.0])}
+    order = []
+
+    def wrap(made_up):
+        def bench_run(copy, workload, seed, seconds, trace):
+            run = made_up(copy, workload, seed, seconds, trace)
+            if trace:
+                side = "parent" if copy.endswith("parent") else "change"
+                order.append(side)
+                run["result"]["metrics"]["grouplog.inverse_us_numeric"] = {"value": next(readings[side])}
+            return run
+
+        return bench_run
+
+    report, calls = fake_main(monkeypatch, tmp_path, ["--claim", "verify-trials:trials_per_s"], wrap)
+    assert bench_pairs.TRACED_PAIRS == 3
+    assert order == ["parent", "change", "change", "parent", "parent", "change"]
+    assert [c for c in calls if c[2] == 1] == [("verify-trials", bench_pairs.TRACED_SEED, 1)] * 6
+    traced = report["traced"]
+    assert set(traced) == {"parent", "change"} and all(len(traced[side]) == 3 for side in traced)
+    assert [run["result"]["metrics"]["grouplog.inverse_us_numeric"]["value"] for run in traced["parent"]] == [
+        3.0, 1.0, 2.0]
+    assert all(run["seed"] == bench_pairs.TRACED_SEED and run["workload"] == "verify-trials"
+               for side in traced for run in traced[side])
+    assert report["traced_side_by_side"]["grouplog.inverse_us_numeric"] == {"parent": 2.0, "change": 7.0}
+    assert report["traced_side_by_side"]["trials_per_s"] == {"parent": 1.0, "change": 0.9}
+    assert "3 `--trace 1` verify-trials runs per side" in report["about"]

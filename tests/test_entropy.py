@@ -844,6 +844,32 @@ class TestBlockTails:
         assert got.value.__cause__ is None and got.value.__suppress_context__
 
 
+def _refused_block_specs():
+    """The specs of ``TestBlockTails.test_a_refused_block_raises_the_first_scalar_error``, read from its marks."""
+    (mark,) = [m for m in TestBlockTails.test_a_refused_block_raises_the_first_scalar_error.pytestmark
+               if m.name == "parametrize"]
+    return mark.args[1]
+
+
+class TestOneTailCall:
+    """A list that holds a refused sum takes one tail call, which raises the first refused sum's error itself."""
+
+    @pytest.mark.parametrize("spec", _refused_block_specs(), ids=lambda s: s.describe())
+    def test_a_refused_list_is_not_run_again(self, spec):
+        spec = copy.copy(spec)  # a spec of its own, whose tail the spy replaces
+        calls, tail = [], spec._laws.tail
+        object.__setattr__(spec, "_laws", spec._laws._replace(tail=lambda sums: calls.append(list(sums)) or tail(sums)))
+        refused = 0
+        for bad in (0.0, math.nan, 1e10, 0.3, -1.0):
+            for sums in ([bad], [1.5, bad, 2.0], [1.5, 2.0, 1.0, bad, 0.0]):
+                expected = _first_error(spec.from_row_sum, sums)
+                calls.clear()
+                assert _block_error(spec.from_row_sums, sums) == expected, sums
+                assert calls == [sums]
+                refused += isinstance(expected, tuple)
+        assert refused > 0
+
+
 def _memo_specs():
     """Every _FAMILIES row (zg and altz over all four G) at three draws, plus fixed specs that share an exponent.
 

@@ -7,9 +7,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from gek.entropy import EntropySpec
 from gek.errors import ConvergenceError, DomainError, ParameterError, RangeError
 from gek.grouplog import (
     _RTOL,
+    _LISTED,
+    _REGISTRY,
     _XTOL,
     AbelGroup,
     GroupFunction,
@@ -810,3 +813,80 @@ class TestEvalBlock:
         assert [repr(v) for v in shifted.eval_block(ts)] == [repr(shifted.eval(t)) for t in ts]
         assert (override == "_check_domain") == (shifted.eval_block(ts) == g.eval_block(ts))
         assert shifted.list_form(ts, 0.5) is None and shifted.list_form(ts, 0.5, True) is None
+
+
+def _outcome(call, xs):
+    """The reprs of ``call(xs)``, or the type and message of the error it raises."""
+    try:
+        return [repr(v) for v in call(xs)]
+    except Exception as e:
+        return type(e), str(e)
+
+
+class TestOneListForm:
+    """Only an instance of a registry class itself runs the list form; any subclass runs the scalar map."""
+
+    def test_the_listed_classes_are_the_registry_classes(self):
+        assert _LISTED == frozenset(family.build for family in _REGISTRY)
+        assert _LISTED == {IdentityGroup, MultiplicativeGroup, KaniadakisGroup, AbelGroup}
+
+    @pytest.mark.parametrize(
+        "g, override", [(g, override) for g in LIST_GROUPS for override in ("inverse", "chi_scaled")],
+        ids=lambda v: v if isinstance(v, str) else v.describe(),
+    )
+    def test_a_subclass_that_keeps_eval_has_no_list_form(self, g, override):
+        # the override changes nothing the list form reads, and still the subclass takes the scalar map
+        base = _owner(g, override)
+        body = {override: lambda self, *args: getattr(base, override)(self, *args)}
+        sub = object.__new__(type(f"Sub{type(g).__name__}", (type(g),), body))
+        sub.__dict__.update(vars(g))
+        ts = _list_grid(g)
+        kept = [t for t, o in zip(ts, _eval_outcomes(g, ts)) if isinstance(o, str)]
+        sums = np.exp(np.random.default_rng(24).uniform(-3.0, 3.0, 100)).tolist() + [1.0]
+        sums = [s for s in sums if isinstance(_eval_outcomes(g, [math.log(s)])[0], str)]
+        assert g.list_form(kept, 0.5) is not None and g.list_form(sums, 0.5, True) is not None
+        assert sub.list_form(kept, 0.5) is None and sub.list_form(sums, 0.5, True) is None
+        assert _outcome(sub.eval_block, kept) == _outcome(g.eval_block, kept)
+        assert _outcome(sub.eval_block, ts) == _outcome(g.eval_block, ts)
+        for family in ("zg", "altz"):
+            plain, spec = EntropySpec(family, {"alpha": 0.5}, g), EntropySpec(family, {"alpha": 0.5}, sub)
+            for bad in ([], [0.3], [1e10], [math.nan], [0.0], [-1.0]):  # each sum a logarithm or G may refuse
+                assert _outcome(spec.from_row_sums, sums + bad) == _outcome(plain.from_row_sums, sums + bad)
+
+
+class TestOneLadder:
+    """The block law's brackets are ``_bracket``'s: both walk ``GroupFunction._ladder``."""
+
+    @pytest.mark.parametrize("ab", BLOCK_ABEL, ids=str)
+    def test_the_block_hands_brent_the_scalar_brackets(self, ab, monkeypatch):
+        import gek.grouplog as grouplog
+
+        g = AbelGroup(*ab)
+        rng = np.random.default_rng(20261022)
+        grid = (10.0 ** rng.uniform(-6.0, 3.0, 400) * rng.choice([-1.0, 1.0], 400)).tolist()
+        if math.isfinite(g.range_min):  # the values just above G's infimum, which the downward ladder reaches last
+            grid += [g.range_min * (1.0 - 10.0 ** -k) for k in range(1, 16)]
+            grid.append(math.nextafter(g.range_min, math.inf))
+        brackets = {}
+        for s in (v for v in grid if v > g.range_min):  # the values G^-1 takes
+            try:
+                lo, hi = g._bracket(s)
+            except ConvergenceError:
+                continue
+            if hi == 0.0 or math.frexp(hi)[0] == 0.5:  # a shrunk bracket ends between two powers of two
+                brackets[s] = lo, hi
+        solved = list(brackets)
+        assert any(s < 0 for s in solved) and any(s > 0 for s in solved)
+        if math.isfinite(g.range_min):
+            assert min(solved) < 0.999 * g.range_min
+        seen, brent_block = [], grouplog._brent_block
+
+        def spy(evaluate, s, lo, hi, glo, ghi):
+            seen.append((s.tolist(), lo.tolist(), hi.tolist()))
+            return brent_block(evaluate, s, lo, hi, glo, ghi)
+
+        monkeypatch.setattr(grouplog, "_brent_block", spy)
+        assert _inverse_block(g, np.array(solved)) is not None
+        ((s, lo, hi),) = seen
+        assert s == solved
+        assert list(zip(lo, hi)) == [brackets[v] for v in solved]

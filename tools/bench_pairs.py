@@ -13,11 +13,12 @@ bench/run.py --workload W --seed S --seconds T --trace 0`` once per side on
 each of ``PAIRS`` seeds, with T the ``run_seconds`` of ``BENCHMARK.json``,
 the two sides alternating which runs first, and keeps each run's provenance
 line and result line.  With ``--claim WORKLOAD:METRIC`` it then runs the
-claimed workload on the held-out seeds and once per side with ``--trace 1``.
-It writes ``BENCH_<pr>.json`` at the repository root in the layout of
-``BENCH_20.json``: pairs with their median and interquartile range per
-end-to-end metric, provenance, and with a claim its verdict, the held-out
-pairs and one traced run per side; without one, ``"claim": null``.
+claimed workload on the held-out seeds, and in ``TRACED_PAIRS`` alternating
+pairs with ``--trace 1``.  It writes ``BENCH_<pr>.json`` at the repository
+root in the layout of ``BENCH_20.json``: pairs with their median and
+interquartile range per end-to-end metric, provenance, and with a claim its
+verdict, the held-out pairs, the traced runs and each traced metric's median
+per side; without one, ``"claim": null``.
 
 Only the standard library is used, and numpy only to read its SIMD dispatch
 into the ``host`` section.  The copies are removed at the end.
@@ -47,6 +48,8 @@ FIRST_SEED = 2001
 PAIRS = 10
 HELD_OUT_SEEDS = (2021, 2022)
 TRACED_SEED = 2031
+# traced runs per side: a per-layer metric moves by up to about 20% between single runs of one tree
+TRACED_PAIRS = 3
 
 
 def git(*args: str, repo: str = ROOT) -> bytes:
@@ -193,8 +196,9 @@ def about(seconds: float, seeds: list[int], claim_workload: str | None, held_key
         return text + ". No gain is claimed, so there are no held-out or traced runs and `claim` is null."
     return text + (
         f"; `{held_key}` holds {len(HELD_OUT_SEEDS)} more {claim_workload} pairs on seeds "
-        f"{', '.join(map(str, HELD_OUT_SEEDS))}; `traced` holds one `--trace 1` {claim_workload} run per side on "
-        f"seed {TRACED_SEED}, and `traced_side_by_side` its per-layer metrics side by side. The claim is met when "
+        f"{', '.join(map(str, HELD_OUT_SEEDS))}; `traced` holds {TRACED_PAIRS} `--trace 1` {claim_workload} runs "
+        f"per side on seed {TRACED_SEED}, run in pairs that alternate which side runs first, and "
+        f"`traced_side_by_side` the median of each of their metrics per side. The claim is met when "
         f"the change reads better in at least 9 of {len(seeds)} pairs, its median differs from the parent's by "
         f"more than the parent's interquartile range, it reads better in every held-out pair, and in the pairs and "
         f"the held-out pairs every change run is correct and fails no more ops than the parent."
@@ -234,14 +238,16 @@ def main(argv=None) -> int:
             sections["workloads"][workload] = section(run_pairs(copies, workload, seeds, seconds, log), metrics)
         if claim_workload is not None:
             sections[held_key] = section(run_pairs(copies, claim_workload, HELD_OUT_SEEDS, seconds, log), metrics)
-            traced = sections["traced"] = {}
-            for side in SIDES:
-                traced[side] = {"seed": TRACED_SEED, "workload": claim_workload,
-                                **bench_run(copies[side], claim_workload, TRACED_SEED, seconds, 1)}
-                log(f"traced {claim_workload} {side}")
+            traced = sections["traced"] = {side: [] for side in SIDES}
+            for index in range(TRACED_PAIRS):
+                for side in order_of(index):
+                    traced[side].append({"seed": TRACED_SEED, "workload": claim_workload,
+                                         **bench_run(copies[side], claim_workload, TRACED_SEED, seconds, 1)})
+                    log(f"traced {claim_workload} {side} {index + 1}/{TRACED_PAIRS}")
             sections["traced_side_by_side"] = {
-                name: {side: traced[side]["result"]["metrics"][name]["value"] for side in SIDES}
-                for name in traced["parent"]["result"]["metrics"]
+                name: {side: statistics.median(run["result"]["metrics"][name]["value"] for run in traced[side])
+                       for side in SIDES}
+                for name in traced["parent"][0]["result"]["metrics"]
             }
     finally:
         shutil.rmtree(work, ignore_errors=True)
