@@ -266,7 +266,7 @@ class _Laws(NamedTuple):
     """A family's formulas, closed over its validated parameters and G when its spec is built."""
 
     reduce: Callable[[np.ndarray], np.ndarray]  # the family's sum over the last axis of positive entries
-    tail: Callable[[list[float]], list[float]]  # each sum's entropy in scalar ``math``, or the first refused sum's error
+    tail: Callable[[list[float]], list[float]]  # each sum's entropy in scalar ``math``; raises the first refused sum's
     phi: Callable[[float, float], float]  # the composition law on products of independent systems
     uniform: Callable[[float], float]  # the value on the uniform distribution, from ln W
     concave: bool  # whether the supporting concavity theorems apply
