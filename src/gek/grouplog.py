@@ -9,7 +9,7 @@ chi(x, y) = G(G^-1(x) + G^-1(y)) that ln_G obeys on products.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from .errors import ConvergenceError, DomainError, ParameterError, RangeError
 from .record import Record
@@ -17,243 +17,143 @@ from .record import Record
 if TYPE_CHECKING:
     from .series import TruncatedSeries
 
-_XTOL = 1e-15  # absolute root tolerance of the numeric G^-1
-_RTOL = 8.9e-16  # relative root tolerance: about 4 machine epsilons, the least brentq accepts
+_RTOL = 2.0**-51  # a Newton or secant step of at most 2 eps |t|, 2 to 4 ulps of t, ends G^-1
+_HTOL = 1e-6  # so does a Halley step below 1e-6 |t| with |q| < 1e-6: it leaves (q^2 + (step/t)^2) step < 1e-17 t
 _MAXITER = 100
 
 
-def _brent(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """A root of f in [lo, hi] by Brent's method (Brent 1973, ch. 4).
+def _roots(name: str, jet: Callable[[float], tuple], rate: float, ss: Iterable[float], floor: float, least: float,
+           top: float = math.inf, most: float | None = None) -> list[float]:
+    """G^-1 of each s for an increasing G, by a safeguarded Halley iteration, or the first s's error.
 
-    This mirrors scipy's ``brentq.c`` step for step: the same floating-point
-    operations in the same order, so every root, and with it every CLI output
-    that rests on a numeric G^-1, is bit-identical to the one ``brentq`` gave
-    with the same tolerances.  A bracket whose ends have equal signs, a NaN
-    value, or no convergence in _MAXITER steps raises ``ConvergenceError``.
+    ``jet(t)`` gives (G(t), G'(t), G''(t)), G' or G'' possibly None; an OverflowError or RangeError reads as
+    G = +-inf with t's sign.  The root of s > 0 lies in (0, top), G(top) = ``most``; that of s < 0 in (floor, 0),
+    G(floor) = ``least`` where both are finite.  A non-finite s, or one at or below ``least``, is a RangeError.
+
+    It starts from log1p(rate s)/rate, the root of the exponential with G's G'(0) and G''(0) = rate (else from s,
+    or +-1).  Each step is Halley's on ln(G(t)/s), nearly linear where G grows exponentially (Newton's with no G'',
+    on the bracket's secant with no G'), and narrows the bracket.  A step that leaves it, or is not half the step
+    before last (Numerical Recipes' ``rtsafe``), is replaced by doubling t while the bracket is open, else by
+    bisection.  It stops in ulps of t (``_RTOL``, ``_HTOL``), never at an absolute tolerance; at a bracket narrower
+    than ``_RTOL`` |t|, or after ``_MAXITER`` steps, it takes the end nearer the root.  A NaN value of G, a bracket
+    still open then, or a floor never reached raise ConvergenceError.
     """
-    xpre, xcur = lo, hi
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre != fpre or fcur != fcur:
-        raise ConvergenceError(f"root finder: NaN value at the bracket [{lo}, {hi}]")
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):  # both nonzero and not NaN, so this is scipy's signbit test
-        raise ConvergenceError(f"root finder: no sign change on [{lo}, {hi}]")
-    for _ in range(_MAXITER):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (_XTOL + _RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate (inverse quadratic)
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                denom = dblk * dpre * (fblk - fpre)
-                # C divides an underflowed denominator to inf or nan, and so bisects
-                stry = -fcur * (fblk * dblk - fpre * dpre) / denom if denom else math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
-                spre, scur = scur, stry
-            else:  # bisect
-                spre = scur = sbis
-        else:  # bisect
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
+    inf, log, log1p, copysign, rtol, htol = math.inf, math.log, math.log1p, math.copysign, _RTOL, _HTOL
+    steps = range(_MAXITER)
+    roots = []
+    for s in ss:
+        if not -inf < s < inf:
+            raise RangeError(f"{name}: cannot invert non-finite value {s}")
+        if s <= least:
+            raise RangeError(f"{name}: value {s} is at or below the range infimum {least}")
+        if s > 0.0:
+            lo, hi, flo, fhi = 0.0, top, -s, most - s if top < inf else None
+        elif s < 0.0:
+            lo, hi, flo, fhi = floor, 0.0, least - s if -inf < floor and -inf < least else None, -s
         else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
-        if fcur != fcur:
-            raise ConvergenceError(f"root finder: NaN value at {xcur}")
-    raise ConvergenceError(f"root finder: no convergence in {_MAXITER} iterations on [{lo}, {hi}]")
-
-
-def _brent_block(g: Callable[[list[float]], list[float]], s, xpre, xcur, gpre, gcur):
-    """``_brent(lambda t: G(t) - s[i], xpre[i], xcur[i])`` for every i at once, or None.
-
-    ``g`` maps a list of t to the list of G(t), as ``GroupFunction.eval_block``
-    does.  The other arguments are float arrays, with ``gpre`` and ``gcur`` G
-    at the two ends.  Each element takes ``_brent``'s IEEE operations in
-    ``_brent``'s order, in numpy: its branches become masks and ``where``, and
-    Python's ``min(a, b)`` is ``where(b < a, b, a)``, which keeps ``a`` when
-    either is NaN.  Each iteration evaluates G at the new points of its live
-    elements by one call of ``g``, which gives each element's scalar value.
-    So every root is the one ``_brent`` returns.  Wherever ``_brent`` would
-    raise, this returns None, and the caller runs the scalar path: a NaN
-    value, ends of one sign, an error of G, or an element left after
-    _MAXITER steps.
-    """
-    import numpy as np
-
-    with np.errstate(all="ignore"):  # here and below: NaN and inf as Python's floats make them, silently
-        fpre, fcur = gpre - s, gcur - s
-    if np.isnan(fpre).any() or np.isnan(fcur).any():
-        return None
-    root = np.where(fpre == 0, xpre, xcur)  # an end where f is 0 is its root, the first end first
-    live = np.flatnonzero((fpre != 0) & (fcur != 0))
-    xpre, xcur, fpre, fcur, s = xpre[live], xcur[live], fpre[live], fcur[live], s[live]
-    if np.any((fpre < 0) == (fcur < 0)):
-        return None
-    if not live.size:
-        return root
-    xblk = fblk = spre = scur = np.zeros(live.size)
-    for _ in range(_MAXITER):
-        with np.errstate(all="ignore"):
-            flip = (fpre != 0) & (fcur != 0) & ((fpre < 0) != (fcur < 0))
-            xblk, fblk, gap = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk), xcur - xpre
-            spre, scur = np.where(flip, gap, spre), np.where(flip, gap, scur)
-            swap = np.abs(fblk) < np.abs(fcur)
-            xpre, xcur, xblk = np.where(swap, xcur, xpre), np.where(swap, xblk, xcur), np.where(swap, xcur, xblk)
-            fpre, fcur, fblk = np.where(swap, fcur, fpre), np.where(swap, fblk, fcur), np.where(swap, fcur, fblk)
-            delta = (_XTOL + _RTOL * np.abs(xcur)) / 2
-            sbis = (xblk - xcur) / 2
-            done = (fcur == 0) | (np.abs(sbis) < delta)
-            if done.any():
-                root[live[done]] = xcur[done]
-                keep = ~done
-                if not keep.any():
-                    return root
-                live, s, delta, sbis = live[keep], s[keep], delta[keep], sbis[keep]
-                xpre, xcur, xblk, spre = xpre[keep], xcur[keep], xblk[keep], spre[keep]
-                fpre, fcur, fblk, scur = fpre[keep], fcur[keep], fblk[keep], scur[keep]
-            # no divisor of the branch an element takes is 0, so none of _brent's divisions raises: the first step
-            # interpolates, with |fcur| < |fpre|; after it xpre is the last xcur, which a step of at least delta
-            # moved; and xblk = xcur has ended the search above.  The other branch's lanes are discarded
-            step = (np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
-            dpre = (fpre - fcur) / (xpre - xcur)
-            dblk = (fblk - fcur) / (xblk - xcur)
-            denom = dblk * dpre * (fblk - fpre)
-            extrapolated = np.where(denom != 0, -fcur * (fblk * dblk - fpre * dpre) / denom, np.inf)
-            stry = np.where(xpre == xblk, -fcur * (xcur - xpre) / (fcur - fpre), extrapolated)
-            bound, least = np.abs(spre), 3 * np.abs(sbis) - delta
-            short = step & (2 * np.abs(stry) < np.where(least < bound, least, bound))
-            spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
-            xpre, fpre = xcur, fcur
-            xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
-        try:
-            gcur = np.array(g(xcur.tolist()), float)
-        except Exception:
-            return None
-        with np.errstate(all="ignore"):
-            fcur = gcur - s
-        if np.isnan(fcur).any():
-            return None
-    return None
-
-
-def _inverse_block(g: GroupFunction, s):
-    """``GroupFunction.inverse`` of each element of the float array ``s`` for ``g``, or None.
-
-    ``_bracket`` walks one of the two ladders of ``g._ladder`` for every s, so
-    each is walked here once, as far as the farthest s needs, and each s takes
-    the bracket of the first point that ``_bracket`` would stop at.  ``_brent_block`` then
-    solves every element at once, evaluating G by ``g.eval_block``, one call
-    per iteration.  It returns None wherever the scalar path could raise or
-    leave this bracket: a non-finite s, an s at or below ``range_min``, a
-    ladder point that overflows (which ``_bracket`` shrinks), an error of G,
-    an end of the ladder, or an even bracket.
-    """
-    import numpy as np
-
-    if not np.isfinite(s).all() or (s <= g.range_min).any():
-        return None
-    root, lo, hi, glo, ghi = (np.zeros(len(s)) for _ in range(5))
-    up, down = np.flatnonzero(s > 0.0), np.flatnonzero(s < 0.0)
-    if not up.size and not down.size:
-        return root
-    try:
-        g0 = g.eval(0.0)
-        if up.size:
-            ts, gs, top = [0.0], [g0], s[up].max()
-            for t, value in g._ladder(True):
-                ts.append(t)
-                gs.append(value)
-                if value >= top:
-                    break
+            roots.append(0.0)
+            continue
+        lo0, hi0, u = lo, hi, rate * s
+        t = log1p(u) / rate if u > -0.5 and rate else s if -4.0 < s < 4.0 else copysign(1.0, s)
+        if not lo < t < hi:  # rate s underflowed, or t passed a floor
+            t = s if lo < s < hi else lo + 0.5 * (hi - lo)
+        last = older = inf
+        for _ in steps:
+            try:
+                g, g1, g2 = jet(t)
+            except (OverflowError, RangeError):  # G(t) overflows a float
+                g, g1, g2 = copysign(inf, t), None, None
+            f = g - s
+            if f < 0.0:
+                lo, flo = t, f
+            elif f > 0.0:
+                hi, fhi = t, f
+            elif f == 0.0:
+                break
             else:
-                return None
-            ts, gs = np.array(ts), np.array(gs, float)
-            k = (gs[1:] >= s[up, None]).argmax(axis=1) + 1
-            if np.isinf(gs[k]).any():
-                return None
-            lo[up], hi[up], glo[up], ghi[up] = ts[k - 1], ts[k], gs[k - 1], gs[k]
-        if down.size:
-            ts, gs, least = [], [], s[down].min()
-            for t, value in g._ladder(False):
-                ts.append(t)
-                gs.append(value)
-                if value <= least:
+                raise ConvergenceError(f"root finder: NaN value at {t}")
+            if g1 is None and flo is not None and fhi is not None:
+                g1 = (fhi - flo) / (hi - lo)
+            ratio = g / s
+            if g1 and 0.0 < g1 < inf and 0.0 < ratio < inf:
+                step, tol = log(ratio) * g / g1, rtol  # Newton's, negated
+                if g2 is not None:
+                    q = 0.5 * step * (g2 / g1 - g1 / g)
+                    if -0.5 < q < 0.5:
+                        step /= 1.0 - q
+                        if -htol < q < htol:
+                            tol = htol
+                new = t - step
+                if abs(step) <= tol * abs(t):
+                    t = new
                     break
+                if lo < new < hi and abs(step) <= 0.5 * abs(older):
+                    older, last, t = last, -step, new
+                    continue
+            if hi == inf or lo == -inf:  # open on one side, where t has s's sign
+                new = 2.0 * (lo if hi == inf else hi)
             else:
-                return None
-            ts, gs = np.array(ts), np.array(gs, float)
-            k = (gs <= s[down, None]).argmax(axis=1)
-            lo[down], glo[down], ghi[down] = ts[k], gs[k], g0
-    except Exception:  # the scalar path raises it again
-        return None
-    solve = np.flatnonzero(s != 0.0)  # G^-1(0) is 0.0, of either zero
-    lo, hi = lo[solve], hi[solve]
-    if (lo == hi).any():
-        return None
-    roots = _brent_block(g.eval_block, s[solve], lo, hi, glo[solve], ghi[solve])
-    if roots is None:
-        return None
-    root[solve] = roots
-    return root
+                new = lo + 0.5 * (hi - lo)
+                if not lo < new < hi or hi - lo <= rtol * abs(new):
+                    t = None
+                    break
+            older, last, t = last, new - t, new
+        else:
+            if hi == inf or lo == -inf:
+                raise ConvergenceError(f"{name}: {'up' if hi == inf else 'down'}ward bracket expansion failed for {s}")
+            t = None  # bisected at least every other step, the bracket is as narrow as G's rounding lets it get
+        if t is None:  # the end of the bracket nearer the root
+            if lo == lo0 and flo is None:  # the floor, never evaluated
+                raise ConvergenceError(f"{name}: bracket did not reach {s} near the domain floor")
+            t = hi if lo == lo0 or hi != hi0 and fhi < -flo else lo
+        roots.append(t)
+    return roots
+
+
+def _inverse_list(g: GroupFunction, ss: Iterable[float]) -> list[float]:
+    """``GroupFunction.inverse`` of each s: ``_roots`` on G's bracket from 0 to ``domain_min`` or +inf, with G, G'
+    and G'' from the ``_jet`` of g's own class; any other G, a subclass that may override ``eval`` included, gives
+    its ``eval``, its ``deriv`` where its class has one, and no G''."""
+    if "_jet" in vars(type(g)):
+        jet = g._jet
+    else:
+        deriv = None if type(g).deriv is GroupFunction.deriv else g.deriv
+
+        def jet(t: float) -> tuple:
+            return g.eval(t), deriv and deriv(t), None
+
+    return _roots(g.name, jet, g._rate, ss, g.domain_min, g.range_min)
 
 
 def _chi_scaled_block(g: GroupFunction, c: float, xs: list[float], ys: list[float]) -> list[float] | None:
-    """``GroupFunction.chi_scaled(c, x, y)`` of each pair for ``g``, from one ``_inverse_block``; or None.
-
-    G at the sums of two roots is one ``g.eval_block`` call.  It returns None
-    wherever the scalar law could raise: at c = 0, where the inverse block
-    hands back, or where G raises at a sum of two roots.
-    """
-    import numpy as np
-
+    """``GroupFunction.chi_scaled(c, x, y)`` of each pair for ``g``, by one ``_inverse_list`` call and one
+    ``g.eval_block`` at the sums of two roots, in the scalar law's float operations and order, so bit for bit; or
+    None wherever the scalar law could raise: at c = 0, and where G^-1 or G at a sum of two roots raises."""
     n = len(xs)
     if not c or len(ys) != n:
         return None
-    with np.errstate(all="ignore"):  # an overflow is inf, as a Python float's is
-        u = c * np.concatenate((np.asarray(xs, float), np.asarray(ys, float)))
-    t = _inverse_block(g, u)
-    if t is None:
-        return None
     try:
-        law = np.array(g.eval_block((t[:n] + t[n:]).tolist()), float)
-    except Exception:
+        t = _inverse_list(g, [c * x for x in xs] + [c * y for y in ys])
+        return [value / c for value in g.eval_block([u + v for u, v in zip(t, t[n:])])]
+    except Exception:  # the scalar law raises it again
         return None
-    with np.errstate(all="ignore"):
-        return (law / c).tolist()
 
 
 class GroupFunction:
     """Base class: an evaluatable G with closed-form or numeric inversion.
 
-    Subclasses must provide ``eval``; the closed-form ones also give G' as
-    ``deriv``, which the series-defined G does not.  The default ``inverse``
-    and ``chi`` use monotone bracketing plus Brent root-finding (``_brent``,
-    in-repo, following scipy's ``brentq``), and rely on ``domain_min`` /
-    ``range_min`` for admissibility checks.  Every ``inverse``, closed form
-    or numeric, starts with ``_check_finite``: G^-1 of nan, inf or -inf is a
-    RangeError, never a non-finite value passed on.  So does every closed-form
-    ``chi``, and every ``eval`` refuses nan by ``_check_domain`` or the horizon.
+    Subclasses must provide ``eval``; the closed-form ones also give G' as ``deriv``.  The default ``inverse``
+    and ``chi`` invert G by ``_roots``, a safeguarded Halley iteration on the bracket from 0 to ``domain_min`` or
+    +inf, with G, G' and G'' from the class's ``_jet`` (abel's two ``expm1`` calls), else ``eval`` and ``deriv``.
+    Every ``inverse``, closed form or numeric, refuses nan, inf and -inf with a RangeError, never passing a
+    non-finite value on; so does every closed-form ``chi``, and every ``eval`` refuses nan by ``_check_domain`` or
+    the horizon.
     """
 
     name = "group"
     domain_min = -math.inf  # evaluation domain is (domain_min, inf)
     range_min = -math.inf  # range is (range_min, inf)
+    _rate = 0.0  # G''(0), which sets where the numeric G^-1 starts (``_roots``)
 
     def eval(self, t: float) -> float:
         raise NotImplementedError
@@ -316,76 +216,12 @@ class GroupFunction:
             )
 
     def inverse(self, s: float) -> float:
-        """Solve G(t) = s by bracketing from 0 and Brent's method.
+        """Solve G(t) = s to a few ulps of t: the one-element call of ``_inverse_list``.
 
-        The Brent method is ``_brent`` in this module, which follows scipy's
-        ``brentq`` step for step and returns the same float.  A bracket or root
-        search that fails raises ``ConvergenceError``.
+        A non-finite s, or one at or below ``range_min``, is a RangeError; a
+        bracket or root search that fails raises ``ConvergenceError``.
         """
-        self._check_finite(s)
-        if s <= self.range_min:
-            raise RangeError(f"{self.name}: value {s} is at or below the range infimum {self.range_min}")
-        if s == 0.0:
-            return 0.0
-        lo, hi = self._bracket(s)
-        if lo == hi:
-            return lo
-        return _brent(lambda t: self.eval(t) - s, lo, hi)
-
-    def _ladder(self, upward: bool) -> Iterator[tuple[float, float]]:
-        """The (t, G(t)) points that ``_bracket`` walks from 0, at most 200, each evaluated when it is reached.
-
-        Upward t = 1, 2, 4, ..., where a G(t) that overflows a float reads as
-        inf; downward, halving the gap toward a finite domain floor (ending
-        where t reaches it), else t = -1, -2, -4, ....
-        """
-        floor = self.domain_min
-        finite = math.isfinite(floor)
-        t = 1.0 if upward else 0.5 * floor if finite else -1.0
-        for _ in range(200):
-            if upward:
-                try:
-                    value = self.eval(t)
-                except (OverflowError, RangeError):  # G(t) overflows a float
-                    value = math.inf
-                yield t, value
-                t *= 2.0
-            elif t <= floor:
-                return
-            else:
-                yield t, self.eval(t)
-                t = 0.5 * (t + floor) if finite else 2.0 * t
-
-    def _bracket(self, s: float) -> tuple[float, float]:
-        if s > 0.0:
-            prev = 0.0
-            for t, value in self._ladder(True):
-                if value >= s:
-                    if math.isinf(value):
-                        # shrink back into the representable region
-                        hi = t
-                        for _ in range(200):
-                            mid = 0.5 * (prev + hi)
-                            try:
-                                v = self.eval(mid)
-                            except (OverflowError, RangeError):
-                                v = math.inf
-                            if math.isfinite(v) and v >= s:
-                                return prev, mid
-                            if math.isfinite(v):
-                                prev = mid
-                            else:
-                                hi = mid
-                        raise ConvergenceError(f"{self.name}: bracket shrink failed for {s}")
-                    return prev, t
-                prev = t
-            raise ConvergenceError(f"{self.name}: upward bracket expansion failed for {s}")
-        for t, value in self._ladder(False):
-            if value <= s:
-                return t, 0.0
-        if math.isfinite(self.domain_min):
-            raise ConvergenceError(f"{self.name}: bracket did not reach {s} near the domain floor")
-        raise ConvergenceError(f"{self.name}: downward bracket expansion failed for {s}")
+        return _inverse_list(self, (s,))[0]
 
     def chi(self, x: float, y: float) -> float:
         """The group law G(G^-1(x) + G^-1(y)); overridden where a closed form exists."""
@@ -400,20 +236,19 @@ class GroupFunction:
         return self.chi(c * x, c * y) / c
 
     def chi_scaled_block(self, c: float, xs: list[float], ys: list[float]) -> list[float]:
-        """``[self.chi_scaled(c, x, y) for x, y in zip(xs, ys)]``, by one block G^-1 where it is numeric.
+        """``[self.chi_scaled(c, x, y) for x, y in zip(xs, ys)]``, by one list G^-1 where it is numeric.
 
-        A class that keeps this base class's numeric ``inverse``, ``_bracket``,
-        ``chi`` and ``chi_scaled`` (looked up when called) inverts every c x and
-        c y at once, by ``_inverse_block``, and evaluates G on each list of
-        points by one ``eval_block`` call, which gives each element's scalar
-        ``eval``; each value is the scalar law's, bit for bit.  Where the
-        block hands back, and for every other class, the scalar
-        ``chi_scaled`` runs per pair, so its values and its first error are
-        the scalar path's.
+        A class that keeps this base class's ``inverse``, ``chi`` and
+        ``chi_scaled`` (looked up when called) runs ``_chi_scaled_block``:
+        every c x and c y in one ``_inverse_list`` call, of which the scalar
+        ``inverse`` is the one-element call, and G at the sums by one
+        ``eval_block``, so each value is the scalar law's bit for bit.  Where
+        that hands back, and for every other class, the scalar
+        ``chi_scaled`` runs per pair, so its first error is the scalar one.
         """
         cls = type(self)
-        if (cls.inverse is GroupFunction.inverse and cls._bracket is GroupFunction._bracket
-                and cls.chi is GroupFunction.chi and cls.chi_scaled is GroupFunction.chi_scaled):
+        if cls.inverse is GroupFunction.inverse and cls.chi is GroupFunction.chi \
+                and cls.chi_scaled is GroupFunction.chi_scaled:
             law = _chi_scaled_block(self, c, xs, ys)
             if law is not None:
                 return law
@@ -560,6 +395,8 @@ class AbelGroup(GroupFunction):
             raise ParameterError("abel family requires max(a, b) > 0")
         self.a = float(a)
         self.b = float(b)
+        d, self._rate = self.a - self.b, self.a + self.b
+        self._coefs = (self.a, self.b, d, self.a / d, self.b / d, self.a * self.a / d, self.b * self.b / d)
         hi, lo = max(self.a, self.b), min(self.a, self.b)
         if lo > 0:
             # lo / hi underflows to 0 only for extreme a, b; then log(lo / hi) is a difference of logs
@@ -591,6 +428,12 @@ class AbelGroup(GroupFunction):
     def deriv(self, t: float) -> float:
         return (self.a * math.exp(self.a * t) - self.b * math.exp(self.b * t)) / (self.a - self.b)
 
+    def _jet(self, t: float) -> tuple[float, float, float]:
+        """G, G' and G'' at t for ``_roots``, from two ``expm1`` calls, which keep G's digits at small |t|."""
+        a, b, d, ad, bd, aad, bbd = self._coefs
+        ea, eb = math.expm1(a * t), math.expm1(b * t)
+        return (ea - eb) / d, 1.0 + ad * ea - bd * eb, self._rate + aad * ea - bbd * eb
+
 
 class SeriesGroup(GroupFunction):
     """A G defined by a truncated series, evaluated by Horner inside a horizon.
@@ -610,6 +453,9 @@ class SeriesGroup(GroupFunction):
         self.series = series
         self.horizon = float(horizon)
         self._coeffs = [float(c) for c in series.coeffs]
+        slope = series.derivative()
+        self._slopes, self._bends = [float(c) for c in slope.coeffs], [float(c) for c in slope.derivative().coeffs]
+        self._rate = self._bends[0]
 
     def params(self) -> dict:
         return {"order": self.series.order, "horizon": self.horizon}
@@ -625,13 +471,18 @@ class SeriesGroup(GroupFunction):
         self._check_horizon(t)
         return _horner(self._coeffs, t)
 
+    def _jet(self, t: float) -> tuple[float, float, float]:
+        """G, G' and G'' at t for ``_roots``, by Horner on the series and its two derivative polynomials."""
+        return _horner(self._coeffs, t), _horner(self._slopes, t), _horner(self._bends, t)
+
     def inverse(self, s: float) -> float:
+        """G^-1(s) on [-horizon, horizon] by ``_roots``; an s outside G's values there is a RangeError."""
         lo, hi = self.eval(-self.horizon), self.eval(self.horizon)
         if not lo <= s <= hi:
             raise RangeError(f"series G: {s} outside the horizon-limited range [{lo}, {hi}]")
-        if s == 0.0:
-            return 0.0
-        return _brent(lambda t: self.eval(t) - s, -self.horizon, self.horizon)
+        if s == lo or s == hi:  # each end of the horizon is its own root
+            return -self.horizon if s == lo else self.horizon
+        return _roots(self.name, self._jet, self._rate, (s,), -self.horizon, lo, self.horizon, hi)[0]
 
 
 def _horner(coeffs: list[float], t: float) -> float:
@@ -726,7 +577,7 @@ def eval_ln_G(lg: GroupLogarithm, x: float) -> float:
 
 
 def eval_G_inverse(g: GroupFunction, s: float) -> float:
-    """t with G(t) = s, via closed form where available, else bracketed root-finding."""
+    """t with G(t) = s, via closed form where available, else the safeguarded Halley iteration of ``_roots``."""
     return g.inverse(s)
 
 

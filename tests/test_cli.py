@@ -727,6 +727,7 @@ def test_cold_command_loads_no_numpy(argv, code, stdout):
     assert (result.returncode, result.stdout) == (code, stdout), result.stderr
     assert {m.split(".")[0] for m in loaded} & {"numpy", "scipy"} == set()
     assert loaded & {"dataclasses", "inspect"} == set()
+    assert "gek.reference" not in loaded  # the 40-digit reference is for tests only
     # each command loads only the gek modules it runs
     if argv and argv[:2] in (["log", "eval"], ["exp", "eval"], ["chi", "eval"]):
         assert "gek.series" not in loaded

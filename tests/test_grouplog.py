@@ -1,19 +1,21 @@
 """Round trips, functional equations and limits of the group log/exp layer."""
 
+import decimal
 import itertools
 import math
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from gek import reference
 from gek.entropy import EntropySpec
 from gek.errors import ConvergenceError, DomainError, ParameterError, RangeError
 from gek.grouplog import (
-    _RTOL,
     _LISTED,
     _REGISTRY,
-    _XTOL,
     AbelGroup,
     GroupFunction,
     GroupLogarithm,
@@ -21,9 +23,9 @@ from gek.grouplog import (
     KaniadakisGroup,
     MultiplicativeGroup,
     SeriesGroup,
-    _brent,
     _chi_scaled_block,
-    _inverse_block,
+    _inverse_list,
+    _roots,
     check_concavity_condition,
     chi,
     eval_G_inverse,
@@ -31,7 +33,7 @@ from gek.grouplog import (
     eval_ln_G,
     group_function,
 )
-from gek.series import TruncatedSeries, abel_exp_series, kaniadakis_exp_series, tsallis_exp_series
+from gek.series import TruncatedSeries, abel_exp_series, tsallis_exp_series
 
 RNG = np.random.default_rng(20260810)
 
@@ -366,97 +368,83 @@ class TestFactoryAndValidation:
             GroupLogarithm(IdentityGroup(), gamma=0.0)
 
 
-# Numeric G^-1 roots recorded from scipy.optimize.brentq (xtol 1e-15, rtol
-# 8.9e-16) on the bracket GroupFunction._bracket gives; the in-repo Brent
-# method must return these exact floats.
-PINNED_ROOTS = [
-    ((0.3, -0.2), 2.5, "0x1.123341a4f22a7p+1"),
-    ((0.6, -0.3), -1.7, "-0x1.0198a927b8700p+1"),
-    ((2.0, 1.0), 40.0, "0x1.ec64e555bf62fp+0"),
-    ((0.5, 0.0), -1.9, "-0x1.7f7427b73e38fp+2"),
-    ((3.0, -2.0), 1e-3, "0x1.060343d38394ep-10"),
-    ((3.0, -2.0), 7e5, "0x1.4174dd4ef2c5fp+2"),
-]
+# the Abel G of the block-law grid: both signs of b, b = 0, exponents far below and far above 1
+BLOCK_ABEL = [(0.3, -0.2), (2.0, 1.0), (0.6, 0.2), (1.2, -0.7), (0.5, 0.0), (1e-3, -2e-3), (5.0, -3.0)]
+BLOCK_C = [0.7, 0.5, 0.3, -0.5, -1.5]
 PARITY_ABEL = [(0.3, -0.2), (0.6, -0.3), (2.0, 1.0), (0.5, 0.0), (3.0, -2.0)]
+# four (a, b, s) near G's overflow, where a ladder of brackets doubling from 0 met an overflowing G; started from 1
+# (rate 0), the (800, b) iterations meet one, read G = inf there and bisect back
+OVERFLOW_CASES = [((2.0, 1.0), 1e300), ((800.0, 0.0), 5.0), ((0.5, 0.0), 1e300), ((800.0, -3.0), 1e200)]
+EPS = Decimal(sys.float_info.epsilon)
 
 
-def _parity_cases():
-    """(f, lo, hi) root problems: abel G^-1 on its brackets, series G^-1 on [-h, h], scaled cubics."""
-    rng = np.random.default_rng(20261018)
-    for a, b in PARITY_ABEL:
-        g = AbelGroup(a, b)
-        for s in np.concatenate([rng.uniform(-5.0, 5.0, 60), 10 ** rng.uniform(-10, 8, 60)]):
-            s = float(s)
-            if s <= g.range_min or s == 0.0:
-                continue
-            lo, hi = g._bracket(s)
-            yield (lambda t, g=g, s=s: g.eval(t) - s), lo, hi
-    for series in (
-        abel_exp_series(Fraction(3, 10), Fraction(-1, 5), 10),
-        kaniadakis_exp_series(Fraction(2, 5), 10),
-        tsallis_exp_series(Fraction(1, 2), 10),
-    ):
+def _band_ratio(ab, s, t):
+    """|t - t*| G'(t*) over G's own rounding band at the 40-digit root t*: 4 eps (e^(at*) + e^(bt*))/|a - b|, the
+    rounding of the two exponentials, plus 2 ulp(t*) G'(t*), the rounding of t* itself."""
+    a, b = ab
+    root = reference.G_inverse(a, b, s)
+    slope = reference.G_prime(a, b, root)
+    with decimal.localcontext(reference._context()):
+        a, b = Decimal(a), Decimal(b)
+        band = 4 * EPS * ((a * root).exp() + (b * root).exp()) / abs(a - b) + 2 * Decimal(math.ulp(float(root))) * slope
+        return abs(Decimal(t) - root) * slope / band
+
+
+def _accuracy_grid(g, count=40):
+    """Seeded s of both signs, |s| log-uniform on [1e-10, 1e8], and the values just above a finite range_min."""
+    rng = np.random.default_rng(20261023)
+    grid = (10.0 ** rng.uniform(-10.0, 8.0, count) * rng.choice([-1.0, 1.0], count)).tolist()
+    if math.isfinite(g.range_min):
+        grid += [g.range_min * (1.0 - 10.0 ** -k) for k in (1, 3, 6)]
+    return [s for s in grid if s > g.range_min]
+
+
+class TestAccuracy:
+    """Every numeric G^-1 lies within G's own rounding band of the 40-digit root (``gek.reference``)."""
+
+    @pytest.mark.parametrize("ab", list(dict.fromkeys(BLOCK_ABEL + PARITY_ABEL + [ab for ab, _ in OVERFLOW_CASES])),
+                             ids=str)
+    def test_abel_roots_lie_in_the_rounding_band(self, ab):
+        # a root to brentq's absolute xtol of 1e-15 reached 31 and 41 times this band at (800, 0) and (800, -3)
+        g = AbelGroup(*ab)
+        grid = _accuracy_grid(g)
+        assert any(s < 0 for s in grid) and any(s > 1e6 for s in grid) and any(0 < s < 1e-8 for s in grid)
+        ratios = [_band_ratio(ab, s, t) for s, t in zip(grid, _inverse_list(g, grid))]
+        assert max(ratios) <= 1, max(ratios)
+
+    @pytest.mark.parametrize("ab, s", OVERFLOW_CASES, ids=str)
+    def test_a_root_past_an_overflowing_g_lies_in_the_rounding_band(self, ab, s):
+        g, seen = AbelGroup(*ab), []
+
+        def jet(t):
+            seen.append(t)
+            return g._jet(t)
+
+        (t,) = _roots(g.name, jet, 0.0, [s], g.domain_min, g.range_min)
+        assert any(max(ab) * u > 709.8 for u in seen) == (max(ab) == 800.0)  # an iterate where e^(at) overflows
+        assert _band_ratio(ab, s, t) <= 1
+        assert _band_ratio(ab, s, g.inverse(s)) <= 1
+
+    def test_series_roots_lie_in_the_horner_band(self):
+        series = abel_exp_series(Fraction(3, 10), Fraction(-1, 5), 10)
         g = SeriesGroup(series, horizon=1.0)
-        for s in rng.uniform(g.eval(-1.0), g.eval(1.0), 60):
-            yield (lambda t, g=g, s=float(s): g.eval(t) - s), -1.0, 1.0
-    # values so small that the extrapolation denominator underflows to 0
-    for scale in (1e-200, 1e-120, 1.0, 1e150):
-        yield (lambda t, scale=scale: scale * (t**3 - 0.1)), -1.0, 2.0
-
-
-class TestBrent:
-    @pytest.mark.parametrize("ab, s, root", PINNED_ROOTS, ids=lambda v: str(v))
-    def test_pinned_brentq_roots(self, ab, s, root):
-        assert AbelGroup(*ab).inverse(s) == float.fromhex(root)
-
-    def test_pinned_series_root(self):
-        g = SeriesGroup(abel_exp_series(Fraction(3, 10), Fraction(-1, 5), 10), horizon=1.0)
-        assert g.inverse(0.37) == float.fromhex("0x1.738ef0d421f2fp-2")
-
-    def test_bit_identical_to_brentq(self):
-        brentq = pytest.importorskip("scipy.optimize").brentq
-        count = 0
-        for f, lo, hi in _parity_cases():
-            assert _brent(f, lo, hi) == brentq(f, lo, hi, xtol=_XTOL, rtol=_RTOL), (lo, hi)
-            count += 1
-        assert count > 700
-
-    def test_underflowed_extrapolation_bisects(self):
-        assert _brent(lambda t: 1e-200 * (t**3 - 0.1), -1.0, 2.0) == float.fromhex("0x1.db4c7760bcfedp-2")
-
-    def test_sign_equal_bracket_raises(self):
-        with pytest.raises(ConvergenceError):
-            _brent(lambda t: t * t + 1.0, -1.0, 1.0)
-        with pytest.raises(ConvergenceError):
-            _brent(lambda t: math.nan, -1.0, 1.0)
-
-    def test_no_convergence_in_maxiter_steps_raises(self):
-        # a step has no root for Brent to close in on; bisecting [0, 1e300] down to 1e-15 needs ~1000 steps
-        with pytest.raises(ConvergenceError, match="no convergence in 100 iterations"):
-            _brent(lambda t: -1.0 if t < 1.0 else 1.0, 0.0, 1e300)
-
-    def test_exact_zero_at_an_end_is_the_root(self):
-        assert _brent(lambda t: t - 1.0, 1.0, 3.0) == 1.0
-        assert _brent(lambda t: t - 3.0, 1.0, 3.0) == 3.0
+        grid = [0.37] + np.random.default_rng(20261024).uniform(g.eval(-1.0), g.eval(1.0), 30).tolist()
+        slopes = [k * c for k, c in enumerate(series.coeffs)][1:]
+        for s in grid:
+            t = g.inverse(s)
+            root = reference.series_root(series.coeffs, s, 1.0)
+            slope = reference.series_value(slopes, root)
+            with decimal.localcontext(reference._context()):
+                # Horner over n + 1 coefficients rounds within 2 n eps sum |c_k t^k| (Higham, eq. 5.3)
+                size = reference.series_value([abs(c) for c in series.coeffs], abs(root))
+                band = 2 * series.order * EPS * size + 2 * Decimal(math.ulp(float(root))) * slope
+                assert abs(Decimal(t) - root) * slope <= band, s
 
 
 class TestOverflow:
     def test_abel_formula_overflow_is_a_range_error(self):
         with pytest.raises(RangeError):
             AbelGroup(800.0, 0.0).formula(1.0)
-
-    @pytest.mark.parametrize(
-        "ab, s, root",
-        [
-            ((2.0, 1.0), 1e300, "0x1.5963447f87fb5p+8"),
-            ((800.0, 0.0), 5.0, "0x1.53bc08fa1f6f0p-7"),
-            ((0.5, 0.0), 1e300, "0x1.590a8b738c127p+10"),
-            ((800.0, -3.0), 1e200, "0x1.2b02eda93c013p-1"),
-        ],
-    )
-    def test_bracket_shrinks_out_of_overflow_to_the_same_root(self, ab, s, root):
-        # the upward bracket meets an overflowing G and shrinks back; roots pinned before the RangeError
-        assert AbelGroup(*ab).inverse(s) == float.fromhex(root)
 
     @pytest.mark.parametrize("a, b", [(1e-300, 1e300), (1e300, 1e-300), (5e-324, 1.0)])
     def test_abel_domain_edge_when_the_parameter_ratio_underflows(self, a, b):
@@ -484,6 +472,11 @@ class _Tanh(GroupFunction):
 
 class _FlooredTanh(_Tanh):
     domain_min = -1.0  # tanh stays above -0.77 on (-1, 0)
+
+
+class _NanBandTanh(_Tanh):
+    def eval(self, t: float) -> float:
+        return math.nan if 0.4 < t < 0.6 else math.tanh(t)
 
 
 class TestFailClosed:
@@ -548,9 +541,11 @@ class TestFailClosed:
         with pytest.raises(DomainError):
             IdentityGroup().eval_scaled(0.5, math.nan)
 
-    def test_brent_refuses_a_nan_inside_the_bracket(self):
+    def test_the_root_finder_refuses_a_nan_inside_the_bracket(self):
         with pytest.raises(ConvergenceError, match="NaN value at"):
-            _brent(lambda t: t - 0.5 if t in (0.0, 1.0) else math.nan, 0.0, 1.0)
+            _roots("nan", lambda t: (t if t in (-1.0, 1.0) else math.nan, 1.0, None), 0.0, [0.5], -1.0, -1.0, 1.0, 1.0)
+        with pytest.raises(ConvergenceError, match="NaN value at 0.5"):
+            _NanBandTanh().inverse(0.5)
 
     def test_upward_bracket_expansion_fails_closed(self):
         with pytest.raises(ConvergenceError, match="upward bracket expansion failed for 2.0"):
@@ -569,9 +564,6 @@ class TestFailClosed:
         assert _FlooredTanh().inverse(-0.5) == pytest.approx(math.atanh(-0.5), rel=1e-14)
 
 
-# the Abel G of the block-law grid: both signs of b, b = 0, exponents far below and far above 1
-BLOCK_ABEL = [(0.3, -0.2), (2.0, 1.0), (0.6, 0.2), (1.2, -0.7), (0.5, 0.0), (1e-3, -2e-3), (5.0, -3.0)]
-BLOCK_C = [0.7, 0.5, 0.3, -0.5, -1.5]
 
 
 def _scalar_outcomes(g, c, xs, ys):
@@ -586,7 +578,7 @@ def _scalar_outcomes(g, c, xs, ys):
 
 
 def _assert_block_hands_back(g, c, x, y, expected):
-    """A pair whose scalar law raises: the block returns no value, and the block law raises the scalar error."""
+    """A pair whose scalar law raises: the list law returns no value, and the block law raises the scalar error."""
     assert _chi_scaled_block(g, c, [x], [y]) is None, (x, y)
     with pytest.raises(expected[0]) as got:
         g.chi_scaled_block(c, [x], [y])
@@ -594,21 +586,22 @@ def _assert_block_hands_back(g, c, x, y, expected):
 
 
 class _AbelNanBand(AbelGroup):
-    """An Abel G that is NaN on (1.2, 1.4), where no ladder point of ``_bracket`` lies."""
+    """An Abel G that is NaN on (1.2, 1.4): a root search there meets a NaN."""
 
     def eval(self, t: float) -> float:
         return math.nan if 1.2 < t < 1.4 else super().eval(t)
 
 
-class TestBlockInverse:
-    """The block law, one G^-1 for a whole list, equals the scalar ``chi_scaled`` of each pair, sign of zero included.
+class TestListLaw:
+    """The list law, one ``_inverse_list`` call for a whole list, equals the scalar ``chi_scaled`` of each pair by
+    ``repr``, sign of zero included.
 
-    Wherever the scalar law raises, the block returns no value and hands back, so that the scalar law raises.
+    Wherever the scalar law raises, the list law returns no value and hands back, so that the scalar law raises.
     """
 
     @pytest.mark.parametrize("c", BLOCK_C)
     @pytest.mark.parametrize("ab", BLOCK_ABEL, ids=str)
-    def test_block_law_is_the_scalar_law(self, ab, c):
+    def test_list_law_is_the_scalar_law(self, ab, c):
         g = AbelGroup(*ab)
         rng = np.random.default_rng(20261020)
         scales = np.repeat(10.0 ** np.arange(-6, 3), 30)  # exponential arguments at scales 1e-6 to 100
@@ -646,31 +639,35 @@ class TestBlockInverse:
                 _assert_block_hands_back(g, c, x, y, expected)
 
     @pytest.mark.parametrize("ab", BLOCK_ABEL, ids=str)
-    def test_inverse_block_at_the_range_infimum_and_beyond(self, ab):
+    def test_the_list_inverse_is_the_scalar_inverse(self, ab):
         g = AbelGroup(*ab)
-        values = [math.nan, math.inf, -math.inf, g.range_min, math.nextafter(g.range_min, -math.inf)]
-        for s in values:
-            if s != -math.inf or math.isfinite(g.range_min):
-                with pytest.raises(RangeError):
-                    g.inverse(s)
-            assert _inverse_block(g, np.array([0.5, s])) is None, s
+        ss = _accuracy_grid(g) + [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1.0]
+        ss = [s for s in ss if s > g.range_min]
+        assert [repr(t) for t in _inverse_list(g, ss)] == [repr(g.inverse(s)) for s in ss]
+        for s in [math.nan, math.inf, -math.inf, g.range_min, math.nextafter(g.range_min, -math.inf)]:
+            if s == -math.inf and not math.isfinite(g.range_min):
+                continue
+            with pytest.raises(RangeError) as scalar:
+                g.inverse(s)
+            with pytest.raises(RangeError) as listed:
+                _inverse_list(g, [0.5, s])
+            assert str(listed.value) == str(scalar.value)
 
     @pytest.mark.parametrize("c", BLOCK_C)
-    def test_an_overflowing_bracket_hands_back(self, c):
-        # G(1) = (e^800 - 1)/800 overflows, so _bracket shrinks the first upward step, which the block does not do
+    def test_an_overflowing_start_is_solved_in_the_list(self, c):
+        # G(1) = (e^800 - 1)/800 overflows, so the first step from t = 1 is replaced by bisection, in both laws
         g = AbelGroup(800.0, 0.0)
         xs, ys = [1e-3, 0.5, 2.0, 1.5343108444758409], [1e-4, 0.25, 1.0, 0.0]
-        for x, y in zip(xs, ys):
-            assert _inverse_block(g, np.array([c * x])) is None or c * x <= 0
         outcomes = _scalar_outcomes(g, c, xs, ys)
+        assert (c > 0) == all(isinstance(o, str) for o in outcomes)  # c x < 0 is below abel (800, 0)'s range
         for x, y, expected in zip(xs, ys, outcomes):
             if isinstance(expected, str):
-                assert repr(g.chi_scaled_block(c, [x], [y])[0]) == expected
+                assert repr(_chi_scaled_block(g, c, [x], [y])[0]) == expected
             else:
                 _assert_block_hands_back(g, c, x, y, expected)
 
     def test_a_nan_inside_the_bracket_hands_back(self):
-        # G is NaN on (1.2, 1.4), between two ladder points: a root search that evaluates G there raises
+        # G is NaN on (1.2, 1.4): a root search that evaluates G there raises
         g = _AbelNanBand(0.3, -0.2)
         xs = np.linspace(0.05, 3.0, 60).tolist()
         outcomes = _scalar_outcomes(g, 0.5, xs, xs[::-1])
@@ -682,7 +679,7 @@ class TestBlockInverse:
                 assert expected[0] is ConvergenceError
                 _assert_block_hands_back(g, 0.5, x, y, expected)
 
-    def test_only_the_numeric_law_takes_the_block(self, monkeypatch):
+    def test_only_the_numeric_law_takes_the_list(self, monkeypatch):
         import gek.grouplog as grouplog
 
         calls = []
@@ -852,41 +849,3 @@ class TestOneListForm:
             plain, spec = EntropySpec(family, {"alpha": 0.5}, g), EntropySpec(family, {"alpha": 0.5}, sub)
             for bad in ([], [0.3], [1e10], [math.nan], [0.0], [-1.0]):  # each sum a logarithm or G may refuse
                 assert _outcome(spec.from_row_sums, sums + bad) == _outcome(plain.from_row_sums, sums + bad)
-
-
-class TestOneLadder:
-    """The block law's brackets are ``_bracket``'s: both walk ``GroupFunction._ladder``."""
-
-    @pytest.mark.parametrize("ab", BLOCK_ABEL, ids=str)
-    def test_the_block_hands_brent_the_scalar_brackets(self, ab, monkeypatch):
-        import gek.grouplog as grouplog
-
-        g = AbelGroup(*ab)
-        rng = np.random.default_rng(20261022)
-        grid = (10.0 ** rng.uniform(-6.0, 3.0, 400) * rng.choice([-1.0, 1.0], 400)).tolist()
-        if math.isfinite(g.range_min):  # the values just above G's infimum, which the downward ladder reaches last
-            grid += [g.range_min * (1.0 - 10.0 ** -k) for k in range(1, 16)]
-            grid.append(math.nextafter(g.range_min, math.inf))
-        brackets = {}
-        for s in (v for v in grid if v > g.range_min):  # the values G^-1 takes
-            try:
-                lo, hi = g._bracket(s)
-            except ConvergenceError:
-                continue
-            if hi == 0.0 or math.frexp(hi)[0] == 0.5:  # a shrunk bracket ends between two powers of two
-                brackets[s] = lo, hi
-        solved = list(brackets)
-        assert any(s < 0 for s in solved) and any(s > 0 for s in solved)
-        if math.isfinite(g.range_min):
-            assert min(solved) < 0.999 * g.range_min
-        seen, brent_block = [], grouplog._brent_block
-
-        def spy(evaluate, s, lo, hi, glo, ghi):
-            seen.append((s.tolist(), lo.tolist(), hi.tolist()))
-            return brent_block(evaluate, s, lo, hi, glo, ghi)
-
-        monkeypatch.setattr(grouplog, "_brent_block", spy)
-        assert _inverse_block(g, np.array(solved)) is not None
-        ((s, lo, hi),) = seen
-        assert s == solved
-        assert list(zip(lo, hi)) == [brackets[v] for v in solved]
