@@ -425,6 +425,11 @@ class TestAccuracy:
         assert _band_ratio(ab, s, t) <= 1
         assert _band_ratio(ab, s, g.inverse(s)) <= 1
 
+    @pytest.mark.parametrize("ab, s", [((0.3, -0.2), -1e300), ((5.0, -3.0), -1e250)], ids=str)
+    def test_a_large_negative_value_lies_in_the_rounding_band(self, ab, s):
+        # an overflow of G below 0 reads as -inf, as it does above 0, so the iteration still brackets such an s
+        assert _band_ratio(ab, s, AbelGroup(*ab).inverse(s)) <= 1
+
     def test_series_roots_lie_in_the_horner_band(self):
         series = abel_exp_series(Fraction(3, 10), Fraction(-1, 5), 10)
         g = SeriesGroup(series, horizon=1.0)
@@ -564,8 +569,6 @@ class TestFailClosed:
         assert _FlooredTanh().inverse(-0.5) == pytest.approx(math.atanh(-0.5), rel=1e-14)
 
 
-
-
 def _scalar_outcomes(g, c, xs, ys):
     """Each pair's scalar ``chi_scaled`` as its repr, or the type and message of the error it raises."""
     out = []
@@ -654,8 +657,8 @@ class TestListLaw:
             assert str(listed.value) == str(scalar.value)
 
     @pytest.mark.parametrize("c", BLOCK_C)
-    def test_an_overflowing_start_is_solved_in_the_list(self, c):
-        # G(1) = (e^800 - 1)/800 overflows, so the first step from t = 1 is replaced by bisection, in both laws
+    def test_a_g_that_overflows_at_1_is_solved_in_the_list(self, c):
+        # G(1) = (e^800 - 1)/800 overflows a float: the list law still solves every pair, as the scalar law does
         g = AbelGroup(800.0, 0.0)
         xs, ys = [1e-3, 0.5, 2.0, 1.5343108444758409], [1e-4, 0.25, 1.0, 0.0]
         outcomes = _scalar_outcomes(g, c, xs, ys)
