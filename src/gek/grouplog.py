@@ -38,8 +38,7 @@ def _roots(name: str, jet: Callable[[float], tuple], rate: float, ss: Iterable[f
     than ``_RTOL`` |t|, or after ``_MAXITER`` steps, it takes the end nearer the root.  A NaN value of G, a bracket
     still open then, or a floor never reached raise ConvergenceError.
     """
-    inf, log, log1p, copysign, rtol, htol = math.inf, math.log, math.log1p, math.copysign, _RTOL, _HTOL
-    steps = range(_MAXITER)
+    inf, log, log1p, rtol, htol, steps = math.inf, math.log, math.log1p, _RTOL, _HTOL, range(_MAXITER)
     roots = []
     for s in ss:
         if not -inf < s < inf:
@@ -54,7 +53,7 @@ def _roots(name: str, jet: Callable[[float], tuple], rate: float, ss: Iterable[f
             roots.append(0.0)
             continue
         lo0, hi0, u = lo, hi, rate * s
-        t = log1p(u) / rate if u > -0.5 and rate else s if -4.0 < s < 4.0 else copysign(1.0, s)
+        t = log1p(u) / rate if u > -0.5 and rate else s if -4.0 < s < 4.0 else math.copysign(1.0, s)
         if not lo < t < hi:  # rate s underflowed, or t passed a floor
             t = s if lo < s < hi else lo + 0.5 * (hi - lo)
         last = older = inf
@@ -62,7 +61,7 @@ def _roots(name: str, jet: Callable[[float], tuple], rate: float, ss: Iterable[f
             try:
                 g, g1, g2 = jet(t)
             except (OverflowError, RangeError):  # G(t) overflows a float
-                g, g1, g2 = copysign(inf, t), None, None
+                g, g1, g2 = math.copysign(inf, t), None, None
             f = g - s
             if f < 0.0:
                 lo, flo = t, f
@@ -247,8 +246,8 @@ class GroupFunction:
         ``chi_scaled`` runs per pair, so its first error is the scalar one.
         """
         cls = type(self)
-        if cls.inverse is GroupFunction.inverse and cls.chi is GroupFunction.chi \
-                and cls.chi_scaled is GroupFunction.chi_scaled:
+        if (cls.inverse is GroupFunction.inverse and cls.chi is GroupFunction.chi
+                and cls.chi_scaled is GroupFunction.chi_scaled):
             law = _chi_scaled_block(self, c, xs, ys)
             if law is not None:
                 return law
